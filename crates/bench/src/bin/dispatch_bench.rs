@@ -168,8 +168,10 @@ fn build_fixture() -> Fixture {
     let mut taxis = Vec::with_capacity(FLEET);
     for t in 0..FLEET {
         let pos = NodeId(rng.gen_range(0..n));
+        // Taxi positions are never pinned (the simulator does not pin
+        // them either): every leg scored below ends at a pinned event
+        // node, which is the only vector the oracle keeps.
         let mut taxi = Taxi::new(TaxiId(t as u32), 4, pos);
-        oracle.pin(pos);
         // The first `ONBOARD_PER_TAXI` requests nest around the rest
         // (their dropoffs close the route), later ones ride as adjacent
         // pairs — so completing the leading pickups leaves the riders

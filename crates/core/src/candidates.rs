@@ -7,10 +7,8 @@
 //! by the three filtering rules (capacity, reachability).
 //!
 //! Selection itself uses only O(1) landmark estimates; the *exact*
-//! candidate-position → pickup costs the downstream scheduling pass needs
-//! are batch-primed into the shared [`mtshare_routing::PathCache`] via the
-//! contraction-hierarchy bucket kernel (see `scheduling::schedule_best`)
-//! when the `ch` router is selected.
+//! candidate-position → pickup costs are read on demand by the scheduling
+//! pass from the pickup's pinned vector in `mtshare_routing::HotNodeOracle`.
 
 use crate::config::MtShareConfig;
 use crate::context::MobilityContext;

@@ -11,6 +11,7 @@ use crate::config::MtShareConfig;
 use crate::context::MobilityContext;
 use crate::filter::filter_partitions_observed;
 use mtshare_mobility::PartitionId;
+use mtshare_model::World;
 use mtshare_obs::{Obs, Stage};
 use mtshare_road::{direction_cosine, NodeId, RoadNetwork};
 use mtshare_routing::{MaskedDijkstra, NodeMask, Path, PathCache};
@@ -80,24 +81,29 @@ impl SegmentRouter {
         self.leg_memo.clear();
     }
 
-    /// [`SegmentRouter::basic_leg`] answered from the per-dispatch memo
-    /// when the same `(from, to)` leg was already routed since the last
+    /// [`SegmentRouter::basic_leg`] for dispatch: priced with the oracle
+    /// cost the schedule was scored with (one read of the target's pinned
+    /// vector, no search) and answered from the per-dispatch memo when the
+    /// same `(from, to)` leg was already routed since the last
     /// [`SegmentRouter::begin_leg_memo`]. Only basic legs memoize:
     /// probabilistic legs consume deadline slack statefully, so equal
     /// endpoints do not imply equal routes there.
     pub(crate) fn basic_leg_memo(
         &mut self,
-        graph: &RoadNetwork,
+        world: &World<'_>,
         ctx: &MobilityContext,
         cfg: &MtShareConfig,
-        cache: &PathCache,
         from: NodeId,
         to: NodeId,
     ) -> Option<Path> {
         if let Some((_, _, leg)) = self.leg_memo.iter().find(|(a, b, _)| *a == from && *b == to) {
             return Some(leg.clone());
         }
-        let leg = self.basic_leg(graph, ctx, cfg, cache, from, to)?;
+        let exact_cost_s = world.oracle.cost(from, to)?;
+        let leg = {
+            let _span = self.obs.stage(Stage::Routing);
+            self.basic_leg_priced(world.graph, ctx, cfg, world.cache, from, to, exact_cost_s)?
+        };
         self.leg_memo.push((from, to, leg.clone()));
         Some(leg)
     }
@@ -156,12 +162,15 @@ impl SegmentRouter {
         to: NodeId,
     ) -> Option<Path> {
         let _span = self.obs.stage(Stage::Routing);
-        self.basic_leg_inner(graph, ctx, cfg, cache, from, to)
+        let exact_cost_s = cache.cost(from, to)?;
+        self.basic_leg_priced(graph, ctx, cfg, cache, from, to, exact_cost_s)
     }
 
-    /// [`SegmentRouter::basic_leg`] without the stage span, so the
-    /// probabilistic fallback path does not double-count routing time.
-    fn basic_leg_inner(
+    /// Algorithm 3 body given the leg's exact shortest cost: no search for
+    /// it, and no stage span, so the probabilistic fallback path does not
+    /// double-count routing time.
+    #[allow(clippy::too_many_arguments)]
+    fn basic_leg_priced(
         &mut self,
         graph: &RoadNetwork,
         ctx: &MobilityContext,
@@ -169,6 +178,7 @@ impl SegmentRouter {
         cache: &PathCache,
         from: NodeId,
         to: NodeId,
+        exact_cost: f64,
     ) -> Option<Path> {
         if from == to {
             return Some(Path::trivial(from));
@@ -177,13 +187,13 @@ impl SegmentRouter {
             filter_partitions_observed(graph, ctx, from, to, cfg.lambda, cfg.epsilon, &self.obs);
         self.allow_partitions(ctx, &filtered.partitions);
         let sub = self.masked.path_masked(graph, from, to, &self.mask, None);
-        let exact_cost = cache.cost(from, to)?;
         match sub {
-            // Both engines search in f32, so an optimal filtered path can
-            // sit up to ~1 ulp (≈1e-4 s at city scale) from the cached
-            // cost; genuine suboptimality is whole seconds. Snap accepted
-            // legs to the canonical cached cost so every consumer sees the
-            // exact value the feasibility evaluation assumed.
+            // Dyadic edge costs make every engine's f32 path sum exact
+            // (forward, backward and bidirectional search are proptested
+            // bit-equal in `tests/routing_properties.rs`): an optimal
+            // filtered path costs `exact_cost` to the bit and a suboptimal
+            // one at least a cost quantum more. The tolerance is slack,
+            // not a correction; the snap is a no-op kept as the contract.
             Some(mut p) if p.cost_s <= exact_cost + 1e-3 => {
                 self.stats.filtered_hits += 1;
                 p.cost_s = exact_cost;
@@ -214,6 +224,25 @@ impl SegmentRouter {
         to: NodeId,
         taxi_dir: (f64, f64),
         budget_s: f64,
+    ) -> Option<Path> {
+        self.probabilistic_leg_priced(graph, ctx, cfg, cache, from, to, taxi_dir, budget_s, None)
+    }
+
+    /// [`SegmentRouter::probabilistic_leg`] with the leg's exact shortest
+    /// cost when the caller holds it; only the basic-leg fallback needs
+    /// it, so `None` searches for it lazily.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn probabilistic_leg_priced(
+        &mut self,
+        graph: &RoadNetwork,
+        ctx: &MobilityContext,
+        cfg: &MtShareConfig,
+        cache: &PathCache,
+        from: NodeId,
+        to: NodeId,
+        taxi_dir: (f64, f64),
+        budget_s: f64,
+        exact_cost_s: Option<f64>,
     ) -> Option<Path> {
         if from == to {
             return Some(Path::trivial(from));
@@ -296,7 +325,8 @@ impl SegmentRouter {
         }
         // No valid probabilistic route: fall back to the basic leg.
         self.stats.prob_fallbacks += 1;
-        self.basic_leg_inner(graph, ctx, cfg, cache, from, to)
+        let exact_cost_s = exact_cost_s.or_else(|| cache.cost(from, to))?;
+        self.basic_leg_priced(graph, ctx, cfg, cache, from, to, exact_cost_s)
     }
 }
 

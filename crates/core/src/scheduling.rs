@@ -28,13 +28,6 @@ pub(crate) struct ScoredSlot {
     detour_s: f64,
 }
 
-/// One feasible schedule instance selected for materialization.
-#[derive(Debug, Clone)]
-struct Instance {
-    taxi: TaxiId,
-    schedule: Schedule,
-}
-
 /// How many ranked instances to try materializing before giving up (only
 /// probabilistic routing can invalidate an instance at materialization).
 const MATERIALIZE_TRIES: usize = 8;
@@ -62,18 +55,6 @@ pub fn schedule_best(
     engine: &dyn ScheduleEngine,
     router: &mut SegmentRouter,
 ) -> (Option<Assignment>, usize, usize) {
-    // Under the CH backend, batch every candidate's position→pickup cost
-    // through the bucket many-to-one kernel so the materialization
-    // probes below hit a primed memo (one downward sweep instead of one
-    // search per candidate). The installed values are bit-identical to
-    // per-pair queries, and the call is a no-op under the bidirectional
-    // backend, so dispatch decisions cannot depend on the router.
-    if !candidates.is_empty() {
-        let positions: Vec<NodeId> =
-            candidates.iter().map(|&t| world.taxi(t).position_at(now)).collect();
-        world.cache.prime_many_to_one(&positions, req.origin);
-    }
-
     // Per candidate, the optimal schedule instance via the configured
     // engine — the O(m²) slack DP or the incremental dynamic tree, with
     // bit-identical results either way (identical to brute-force
@@ -109,12 +90,9 @@ pub fn schedule_best(
     router.begin_leg_memo();
     let mut assignment = None;
     for slot in slots.iter().take(MATERIALIZE_TRIES) {
-        let inst = Instance {
-            taxi: slot.taxi,
-            schedule: world.taxi(slot.taxi).schedule.with_insertion(req, slot.i, slot.j),
-        };
-        if let Some(a) = materialize(req, &inst, now, world, ctx, cfg, router) {
-            assignment = Some(a);
+        let schedule = world.taxi(slot.taxi).schedule.with_insertion(req, slot.i, slot.j);
+        assignment = materialize(slot.taxi, schedule, now, world, ctx, cfg, router);
+        if assignment.is_some() {
             break;
         }
     }
@@ -122,26 +100,25 @@ pub fn schedule_best(
     (assignment, candidates.len(), feasible)
 }
 
-/// Routes every leg of the instance (Algorithms 3/4) and re-verifies the
-/// schedule against the *actual* leg costs.
+/// Routes every leg of the schedule instance (Algorithms 3/4) and
+/// re-verifies it against the *actual* leg costs.
 fn materialize(
-    _req: &RideRequest,
-    inst: &Instance,
+    taxi_id: TaxiId,
+    schedule: Schedule,
     now: Time,
     world: &World<'_>,
     ctx: &MobilityContext,
     cfg: &MtShareConfig,
     router: &mut SegmentRouter,
 ) -> Option<Assignment> {
-    let taxi = world.taxi(inst.taxi);
+    let taxi = world.taxi(taxi_id);
     let pos = taxi.position_at(now);
     let probabilistic = probabilistic_enabled(taxi, cfg, world);
 
     // Travel direction of the (hypothetical) taxi serving this schedule:
     // from its position toward the centroid of all scheduled drop-offs.
     let taxi_dir = if probabilistic {
-        let drops: Vec<NodeId> = inst
-            .schedule
+        let drops: Vec<NodeId> = schedule
             .events()
             .iter()
             .filter(|e| e.kind == mtshare_model::EventKind::Dropoff)
@@ -172,15 +149,24 @@ fn materialize(
         capacity: taxi.capacity as u32,
         requests: &lookup,
     };
-    let mut legs: Vec<Path> = Vec::with_capacity(inst.schedule.len());
-    if probabilistic {
-        let base = evaluate_schedule(&inst.schedule, &ectx, |a, b| world.oracle.cost(a, b))?;
-        let n = inst.schedule.len();
+    // Basic mode (Algorithm 3): every leg routed at its oracle price.
+    let basic_legs = |router: &mut SegmentRouter| {
+        let mut from = pos;
+        let route = |ev: &mtshare_model::ScheduleEvent| {
+            let leg = router.basic_leg_memo(world, ctx, cfg, from, ev.node);
+            from = ev.node;
+            leg
+        };
+        schedule.events().iter().map(route).collect::<Option<Vec<Path>>>()
+    };
+    let mut legs = if probabilistic {
+        let base = evaluate_schedule(&schedule, &ectx, |a, b| world.oracle.cost(a, b))?;
+        let n = schedule.len();
         // slack_suffix[k] = max delay injectable before event k without
         // missing any later drop-off deadline.
         let mut slack_suffix = vec![f64::INFINITY; n + 1];
         for k in (0..n).rev() {
-            let ev = &inst.schedule.events()[k];
+            let ev = &schedule.events()[k];
             let own = match ev.kind {
                 mtshare_model::EventKind::Dropoff => {
                     world.requests.get(ev.request).deadline - base.arrival_times[k]
@@ -189,14 +175,15 @@ fn materialize(
             };
             slack_suffix[k] = own.min(slack_suffix[k + 1]);
         }
+        let mut legs: Vec<Path> = Vec::with_capacity(n);
         let mut extra_used = 0.0f64;
         let mut from = pos;
-        for (k, ev) in inst.schedule.events().iter().enumerate() {
+        for (k, ev) in schedule.events().iter().enumerate() {
             let shortest = world.oracle.cost(from, ev.node)?;
             let available = (slack_suffix[k] - extra_used).max(0.0);
             // Cap wandering even when slack is huge.
             let budget = shortest + available.min(shortest * (1.0 + cfg.epsilon));
-            let leg = router.probabilistic_leg(
+            let leg = router.probabilistic_leg_priced(
                 world.graph,
                 ctx,
                 cfg,
@@ -205,41 +192,31 @@ fn materialize(
                 ev.node,
                 taxi_dir,
                 budget,
+                Some(shortest),
             )?;
             extra_used += (leg.cost_s - shortest).max(0.0);
             from = ev.node;
             legs.push(leg);
         }
+        legs
     } else {
-        let mut from = pos;
-        for ev in inst.schedule.events() {
-            let leg = router.basic_leg_memo(world.graph, ctx, cfg, world.cache, from, ev.node)?;
-            from = ev.node;
-            legs.push(leg);
-        }
-    }
+        basic_legs(router)?
+    };
 
     // Re-verify with the actual leg costs; if a probabilistic plan still
     // misses a deadline (numerical edge), fall back to shortest legs,
     // which realize exactly the costs the enumeration proved feasible.
     let mut k = 0usize;
-    let eval = match evaluate_schedule(&inst.schedule, &ectx, |_, _| {
+    let eval = match evaluate_schedule(&schedule, &ectx, |_, _| {
         let c = legs.get(k).map(|l| l.cost_s);
         k += 1;
         c
     }) {
         Some(e) => e,
         None => {
-            legs.clear();
-            let mut from = pos;
-            for ev in inst.schedule.events() {
-                let leg =
-                    router.basic_leg_memo(world.graph, ctx, cfg, world.cache, from, ev.node)?;
-                from = ev.node;
-                legs.push(leg);
-            }
+            legs = basic_legs(router)?;
             let mut k = 0usize;
-            evaluate_schedule(&inst.schedule, &ectx, |_, _| {
+            evaluate_schedule(&schedule, &ectx, |_, _| {
                 let c = legs.get(k).map(|l| l.cost_s);
                 k += 1;
                 c
@@ -248,12 +225,7 @@ fn materialize(
     };
 
     let remaining = taxi.route.as_ref().map(|r| (r.end_time() - now).max(0.0)).unwrap_or(0.0);
-    Some(Assignment {
-        taxi: inst.taxi,
-        schedule: inst.schedule.clone(),
-        legs,
-        detour_cost_s: eval.total_cost_s - remaining,
-    })
+    Some(Assignment { taxi: taxi_id, schedule, legs, detour_cost_s: eval.total_cost_s - remaining })
 }
 
 #[cfg(test)]

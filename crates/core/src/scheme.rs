@@ -4,7 +4,7 @@ use crate::candidates::candidate_taxis;
 use crate::config::MtShareConfig;
 use crate::context::MobilityContext;
 use crate::index::{MobilityClusterIndex, PartitionTaxiIndex};
-use crate::routing::{RouterStats, SegmentRouter};
+use crate::routing::SegmentRouter;
 use crate::scheduling::schedule_best;
 use mtshare_model::{
     make_engine, DispatchOutcome, DispatchScheme, EngineStats, RideRequest, ScheduleEngine,
@@ -81,11 +81,6 @@ impl MtShare {
         &self.cfg
     }
 
-    /// Routing counters (filter hits/fallbacks, probabilistic legs).
-    pub fn router_stats(&self) -> RouterStats {
-        self.router.stats()
-    }
-
     fn reindex(&mut self, taxi: &Taxi, now: Time, world: &World<'_>) {
         self.pindex.update_taxi(taxi, &self.ctx, now, self.cfg.tmp_horizon_s);
         self.mindex.update_taxi(taxi, world.graph, world.requests, now);
@@ -134,9 +129,7 @@ impl MtShare {
     /// (`∞` when no deadline-feasible instance exists). Pure with respect
     /// to `(req, now, world)` — no scratch state survives the call — so
     /// rows computed by parallel workers and by the sequential fallback
-    /// are bit-identical. Taxi→pickup costs are primed through the CH
-    /// bucket many-to-one kernel so the per-candidate DP probes (and the
-    /// winner's later materialization) hit a warm memo.
+    /// are bit-identical.
     fn score_row(&self, req: &RideRequest, now: Time, world: &World<'_>) -> WindowRow {
         let candidates = {
             let _span = self.obs.stage(Stage::CandidateSearch);
@@ -144,11 +137,6 @@ impl MtShare {
         };
         let candidate_versions: Vec<u64> =
             candidates.iter().map(|&t| world.taxi(t).route_version).collect();
-        if !candidates.is_empty() {
-            let positions: Vec<_> =
-                candidates.iter().map(|&t| world.taxi(t).position_at(now)).collect();
-            world.cache.prime_many_to_one(&positions, req.origin);
-        }
         let mut costs = Vec::with_capacity(candidates.len());
         let mut feasible = 0usize;
         {
@@ -169,6 +157,47 @@ impl MtShare {
             self.obs.add_insertions(candidates.len() as u64, feasible as u64);
         }
         WindowRow { candidates, candidate_versions, costs, feasible }
+    }
+
+    /// Maps `f` over `0..n` on `workers` speculative workers (each with a
+    /// private router, grown lazily) sharing `&self` read-only, then folds
+    /// the routers' counters into `self.router` — totals are determined by
+    /// the work set, not by which worker did what. `None` when an item
+    /// panicked: the routers are scratch but may be mid-mutation, so the
+    /// pool is discarded; recorded as a profiling counter, never a trace
+    /// event — the trace must stay byte-identical across parallelism.
+    fn par_score<T: Send>(
+        &mut self,
+        workers: usize,
+        n: usize,
+        world: &World<'_>,
+        f: impl Fn(&Self, usize, &mut SegmentRouter) -> T + Sync,
+    ) -> Option<Vec<T>> {
+        while self.spec_workers.len() < workers {
+            let mut router = SegmentRouter::new(world.graph);
+            router.set_obs(self.obs.clone());
+            self.spec_workers.push(SpecWorker { router, items: 0 });
+        }
+        // Move the pool out so the workers can share `&self` read-only
+        // while each mutates its own router.
+        let mut pool = std::mem::take(&mut self.spec_workers);
+        let this = &*self;
+        let result = try_par_map_with(&mut pool[..workers], n, |i, w| {
+            w.items += 1;
+            f(this, i, &mut w.router)
+        });
+        let Ok(outs) = result else {
+            self.obs.record_degraded_batch();
+            return None;
+        };
+        self.obs.record_batch(n as u64);
+        for (idx, w) in pool.iter_mut().enumerate() {
+            let s = w.router.take_stats();
+            self.router.absorb_stats(s);
+            self.obs.record_worker_items(idx, std::mem::take(&mut w.items));
+        }
+        self.spec_workers = pool;
+        Some(outs)
     }
 }
 
@@ -336,45 +365,12 @@ impl DispatchScheme for MtShare {
         reqs: &[RideRequest],
         world: &World<'_>,
     ) -> Option<Vec<SpeculativeOutcome>> {
+        // On a worker panic `None` makes the simulator degrade this batch
+        // to its sequential arrival path.
         let workers = self.cfg.parallelism.max(1).min(reqs.len().max(1));
-        while self.spec_workers.len() < workers {
-            let mut router = SegmentRouter::new(world.graph);
-            router.set_obs(self.obs.clone());
-            self.spec_workers.push(SpecWorker { router, items: 0 });
-        }
-        // Move the worker pool out so the workers can share `&self`
-        // read-only while each mutates its own router.
-        let mut pool = std::mem::take(&mut self.spec_workers);
-        let result = {
-            let this = &*self;
-            try_par_map_with(&mut pool[..workers], reqs.len(), |i, w| {
-                w.items += 1;
-                this.speculate_one(&reqs[i], world, &mut w.router)
-            })
-        };
-        match result {
-            Ok(outs) => {
-                self.obs.record_batch(reqs.len() as u64);
-                for (idx, w) in pool.iter_mut().enumerate() {
-                    let s = w.router.take_stats();
-                    self.router.absorb_stats(s);
-                    self.obs.record_worker_items(idx, std::mem::take(&mut w.items));
-                }
-                self.spec_workers = pool;
-                Some(outs)
-            }
-            Err(_) => {
-                // A worker item panicked. The routers are scratch (rebuilt
-                // per batch is fine) but may be mid-mutation: discard the
-                // pool entirely and report `None` so the simulator degrades
-                // this batch to its sequential arrival path. Recorded as a
-                // profiling counter, never a trace event — the trace must
-                // stay byte-identical across parallelism levels.
-                self.obs.record_degraded_batch();
-                self.spec_workers.clear();
-                None
-            }
-        }
+        self.par_score(workers, reqs.len(), world, |this, i, router| {
+            this.speculate_one(&reqs[i], world, router)
+        })
     }
 
     fn validate_speculative(
@@ -411,40 +407,16 @@ impl DispatchScheme for MtShare {
         }
         let workers = self.cfg.parallelism.max(1).min(reqs.len());
         if workers > 1 {
-            while self.spec_workers.len() < workers {
-                let mut router = SegmentRouter::new(world.graph);
-                router.set_obs(self.obs.clone());
-                self.spec_workers.push(SpecWorker { router, items: 0 });
-            }
-            let mut pool = std::mem::take(&mut self.spec_workers);
-            let result = {
-                let this = &*self;
-                try_par_map_with(&mut pool[..workers], reqs.len(), |i, w| {
-                    w.items += 1;
-                    this.score_row(&reqs[i], now, world)
-                })
-            };
-            match result {
-                Ok(rows) => {
-                    self.obs.record_batch(reqs.len() as u64);
-                    for (idx, w) in pool.iter_mut().enumerate() {
-                        let s = w.router.take_stats();
-                        self.router.absorb_stats(s);
-                        self.obs.record_worker_items(idx, std::mem::take(&mut w.items));
-                    }
-                    self.spec_workers = pool;
-                    return Some(rows);
-                }
-                Err(_) => {
-                    // A worker item panicked; discard the pool and re-score
-                    // the window sequentially below. `score_row` is a pure
-                    // function of the frozen window, so the fallback rows
-                    // are identical — recorded as a profiling counter only.
-                    self.obs.record_degraded_batch();
-                    self.spec_workers.clear();
-                }
+            let rows = self.par_score(workers, reqs.len(), world, |this, i, _| {
+                this.score_row(&reqs[i], now, world)
+            });
+            if rows.is_some() {
+                return rows;
             }
         }
+        // Sequential path, also the fallback after a worker panic:
+        // `score_row` is a pure function of the frozen window, so the
+        // re-scored rows are identical.
         Some(reqs.iter().map(|r| self.score_row(r, now, world)).collect())
     }
 

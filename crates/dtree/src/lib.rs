@@ -393,10 +393,7 @@ impl DTree {
             s.arrivals[0] = probe.now;
             for k in 0..m {
                 let c = if k == 0 {
-                    let c = match cost(probe.pos, spine[0].node) {
-                        Some(c) => c,
-                        None => return None, // replicates the DP's `?` abort
-                    };
+                    let c = cost(probe.pos, spine[0].node)?; // the DP's `?` abort
                     s.pos_leg = c;
                     c
                 } else {
@@ -417,8 +414,7 @@ impl DTree {
 
             // Load after each prefix.
             s.loads[0] = probe.initial_load;
-            for k in 0..m {
-                let st = &spine[k];
+            for (k, st) in spine.iter().enumerate().take(m) {
                 s.loads[k + 1] = if st.pickup {
                     s.loads[k] + st.riders
                 } else {
@@ -667,7 +663,7 @@ mod tests {
         let filled = t.stats.legs_filled;
         let _ = t.score(&p, &mut |_| 1e9, &mut |a, b| line(a, b));
         assert_eq!(t.stats.legs_filled, filled, "surviving leg stays cached");
-        assert_eq!(t.stats.legs_reused >= 1, true);
+        assert!(t.stats.legs_reused >= 1);
     }
 
     #[test]

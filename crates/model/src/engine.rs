@@ -207,7 +207,7 @@ impl ScheduleEngine for DpEngine {
         world: &World<'_>,
         cost: &mut dyn FnMut(NodeId, NodeId) -> Option<f64>,
     ) -> Option<BestInsertion> {
-        best_insertion(taxi, req, now, world, |a, b| cost(a, b))
+        best_insertion(taxi, req, now, world, cost)
     }
 }
 
@@ -366,7 +366,7 @@ impl ScheduleEngine for DtreeEngine {
     ) -> Option<BestInsertion> {
         let Some(mut tree) = self.lock(taxi.id.index()) else {
             // Fleet grew past the configured size: score via the DP.
-            return best_insertion(taxi, req, now, world, |a, b| cost(a, b));
+            return best_insertion(taxi, req, now, world, cost);
         };
         sync_tree(&mut tree, taxi, world);
         let probe = Probe {

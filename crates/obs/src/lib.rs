@@ -715,11 +715,9 @@ impl Obs {
             json::fmt_f64(cache_ratio)
         );
         let oracle_hits = ext.oracle_vector_hits + ext.oracle_memo_hits;
-        let oracle_ratio = if ext.oracle_searches == 0 {
-            0.0
-        } else {
-            oracle_hits as f64 / ext.oracle_searches as f64
-        };
+        let oracle_lookups = oracle_hits + ext.oracle_searches;
+        let oracle_ratio =
+            if oracle_lookups == 0 { 0.0 } else { oracle_hits as f64 / oracle_lookups as f64 };
         let _ = write!(
             s,
             r#""oracle":{{"vector_hits":{},"memo_hits":{},"searches":{},"pin_computes":{},"evictions":{},"hit_ratio":{}}},"#,
@@ -928,11 +926,49 @@ mod tests {
             prof.get("path_cache").and_then(|c| c.get("hit_ratio")).and_then(|n| n.as_num()),
             Some(0.9)
         );
+        // No oracle lookups at all: the ratio is defined as 0.
+        let oracle_ratio = |v: &json::Value| {
+            v.get("profiling")
+                .and_then(|p| p.get("oracle"))
+                .and_then(|o| o.get("hit_ratio"))
+                .and_then(|n| n.as_num())
+        };
+        assert_eq!(oracle_ratio(&v), Some(0.0));
         // Stripping `profiling` leaves the deterministic core only.
         let mut stripped = v.clone();
         stripped.strip_key("profiling");
         assert!(stripped.get("profiling").is_none());
         assert!(stripped.get("rejections").is_some());
+    }
+
+    #[test]
+    fn oracle_hit_ratio_is_hits_over_lookups() {
+        let ratio_for = |ext: ExternalStats| {
+            let obs = Obs::enabled();
+            obs.set_external_stats(ext);
+            let text = obs.summary_json().unwrap();
+            schema::validate_summary(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+            let v = json::parse(&text).unwrap();
+            let oracle = v.get("profiling").and_then(|p| p.get("oracle")).cloned().unwrap();
+            oracle.get("hit_ratio").and_then(|n| n.as_num()).unwrap()
+        };
+        // Every lookup answered from a vector or the memo: 100 %, not 0.
+        let all_hits = ExternalStats {
+            oracle_vector_hits: 2_260_000,
+            oracle_memo_hits: 5,
+            ..ExternalStats::default()
+        };
+        assert_eq!(ratio_for(all_hits), 1.0);
+        let mixed = ExternalStats {
+            oracle_vector_hits: 6,
+            oracle_memo_hits: 3,
+            oracle_searches: 3,
+            ..ExternalStats::default()
+        };
+        assert_eq!(ratio_for(mixed), 0.75);
+        let only_misses = ExternalStats { oracle_searches: 4, ..ExternalStats::default() };
+        assert_eq!(ratio_for(only_misses), 0.0);
+        assert_eq!(ratio_for(ExternalStats::default()), 0.0);
     }
 
     #[test]

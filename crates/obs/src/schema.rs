@@ -310,8 +310,19 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
         require_num(cache, "path_cache", f)?;
     }
     let oracle = prof.get("oracle").ok_or("profiling: missing \"oracle\"")?;
-    for f in ["vector_hits", "memo_hits", "searches", "pin_computes", "evictions", "hit_ratio"] {
+    for f in ["pin_computes", "evictions"] {
         require_num(oracle, "oracle", f)?;
+    }
+    // hit_ratio = hits / lookups: in [0, 1], and exactly 1 when nothing
+    // missed (it used to read 0 there — hits were divided by searches).
+    let num = |f| require_num(oracle, "oracle", f);
+    let (hits, searches, ratio) =
+        (num("vector_hits")? + num("memo_hits")?, num("searches")?, num("hit_ratio")?);
+    if !(0.0..=1.0).contains(&ratio) {
+        return Err(format!("oracle: hit_ratio {ratio} outside [0, 1]"));
+    }
+    if searches == 0.0 && hits > 0.0 && ratio != 1.0 {
+        return Err(format!("oracle: hit_ratio {ratio} with {hits} hits and no searches"));
     }
     let ch = prof.get("ch").ok_or("profiling: missing \"ch\"")?;
     for f in ["p2p_queries", "bucket_sweeps", "bucket_sources", "shortcuts"] {
@@ -564,5 +575,21 @@ mod tests {
         // Forge the total.
         let forged = summary.replace("\"total\":1", "\"total\":2");
         assert!(validate_summary(&forged).is_err());
+    }
+
+    #[test]
+    fn oracle_hit_ratio_must_be_one_when_nothing_missed() {
+        let obs = Obs::enabled();
+        obs.set_external_stats(ExternalStats { oracle_vector_hits: 9, ..Default::default() });
+        let summary = obs.summary_json().unwrap();
+        validate_summary(&summary).unwrap_or_else(|e| panic!("{e}\n{summary}"));
+        // The pre-fix writer's output (hits / searches → 0) is refused,
+        // and so is anything outside [0, 1].
+        let needle = "\"evictions\":0,\"hit_ratio\":1}";
+        assert!(summary.contains(needle), "{summary}");
+        for bad in ["0", "1.5"] {
+            let forged = summary.replace(needle, &format!("\"evictions\":0,\"hit_ratio\":{bad}}}"));
+            assert!(validate_summary(&forged).is_err(), "hit_ratio {bad} accepted");
+        }
     }
 }

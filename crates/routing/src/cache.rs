@@ -23,11 +23,16 @@
 //! [`CustomizableCh`]. All are exact, and because edge costs live on the
 //! dyadic grid (`mtshare_road::COST_QUANTUM_S`) they return
 //! *bit-identical* values, so switching backends can never change
-//! simulator behaviour — only speed. Under the CH/CCH backends,
-//! [`PathCache::prime_many_to_one`] additionally batches "K taxi
-//! positions → one pickup" probes through a bucket kernel
-//! ([`ChBuckets`] / [`CchBuckets`]) — one downward sweep instead of K
-//! searches.
+//! simulator behaviour — only speed.
+//!
+//! The cache is the *cold* half of the leg-cost layer: dispatch prices
+//! legs from [`crate::HotNodeOracle`] and hands that value to commit-time
+//! routing, so the simulator loop asks this cache for paths, plus costs
+//! on the cold paths around it (ingestion, rejection classification,
+//! re-dispatch). The bucket kernel behind
+//! [`PathCache::prime_many_to_one`] ([`ChBuckets`] / [`CchBuckets`]) is
+//! kept for the benches; no dispatch path calls it
+//! (`tests/lazy_leg_costs.rs` pins the sweep count at zero).
 //!
 //! Paths always come from bidirectional Dijkstra, regardless of backend:
 //! when several shortest paths tie, CH unpacking and bidirectional search
@@ -69,17 +74,6 @@ pub enum RouterBackend {
     /// [`RoadNetwork`] the cache serves; metric re-customizable at run
     /// time via [`PathCache::recustomize`]).
     Cch(Arc<CustomizableCh>),
-}
-
-impl RouterBackend {
-    /// Stable name for CLI/observability output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RouterBackend::Bidir => "bidir",
-            RouterBackend::Ch(_) => "ch",
-            RouterBackend::Cch(_) => "cch",
-        }
-    }
 }
 
 /// The shared bucket many-to-one kernel of the active backend.
@@ -205,17 +199,6 @@ impl PathCache {
         }
     }
 
-    /// Name of the active backend (`"bidir"`, `"ch"`, or `"cch"`).
-    pub fn backend_name(&self) -> &'static str {
-        if self.hierarchy.is_some() {
-            "ch"
-        } else if self.cch.is_some() {
-            "cch"
-        } else {
-            "bidir"
-        }
-    }
-
     /// The shared hierarchy when the backend is [`RouterBackend::Ch`].
     pub fn hierarchy(&self) -> Option<&Arc<ContractionHierarchy>> {
         self.hierarchy.as_ref()
@@ -323,7 +306,8 @@ impl PathCache {
 
     /// Batch-primes the memo with the costs from every `source` to
     /// `target` using the bucket many-to-one kernel — one downward sweep
-    /// instead of one search per source. No-op (returns 0) under the
+    /// instead of one search per source (bench/probe entry point, see the
+    /// module docs). No-op (returns 0) under the
     /// bidirectional backend, where there is nothing cheaper than the
     /// per-pair search the memo already does; the values installed are
     /// bit-identical to what per-pair queries would produce, so callers
@@ -537,9 +521,7 @@ mod tests {
         let ch = Arc::new(crate::ch::ContractionHierarchy::build(&g, 2));
         let bidir = PathCache::new(g.clone());
         let cached = PathCache::with_backend(g.clone(), RouterBackend::Ch(ch));
-        assert_eq!(bidir.backend_name(), "bidir");
-        assert_eq!(cached.backend_name(), "ch");
-        assert!(cached.hierarchy().is_some());
+        assert!(bidir.hierarchy().is_none() && cached.hierarchy().is_some());
 
         // Bucket priming installs exactly the values per-pair queries find.
         let sources: Vec<NodeId> = (0..32).map(|i| NodeId(i * 7 % 400)).collect();
@@ -576,7 +558,6 @@ mod tests {
         let cch = Arc::new(crate::cch::CustomizableCh::build(&g));
         let cached = PathCache::with_backend(g.clone(), RouterBackend::Cch(cch));
         let bidir = PathCache::new(g.clone());
-        assert_eq!(cached.backend_name(), "cch");
         assert!(cached.customizable().is_some());
         assert!(cached.is_recustomizable() && bidir.is_recustomizable());
         assert!(cached.ch_stats().is_none());

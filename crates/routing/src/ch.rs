@@ -28,7 +28,11 @@
 //! which also assigns ranks. No two selected vertices are adjacent, so a
 //! simulation never sees a peer's edits: the applied shortcuts — and
 //! therefore the artifact bytes — are identical at any worker count.
-//! Witness searches simulated one round stale can at worst miss a newly
+//! The round emulates that sequential order, so a witness for `v` may
+//! not pass through a same-round vertex with a **smaller id** — it is
+//! gone when `v`'s turn comes (else two selected vertices on equal-cost
+//! alternatives witness each other and both omit the shortcut). Witness
+//! searches simulated one round stale can otherwise at worst miss a newly
 //! cheaper witness, costing a redundant shortcut, never correctness.
 //! Small tails (≤ `SEQ_TAIL` vertices) contract one-by-one — the exact
 //! same rule with a singleton set — to skip per-round overhead where
@@ -76,7 +80,8 @@ const ARTIFACT_TAG: &[u8; 4] = b"MTCH";
 /// Inner payload version of the persisted artifact. v2 added the metric
 /// generation counter (always 0 for a plain CH, which bakes the metric
 /// into the hierarchy; customizable hierarchies count customizations).
-const ARTIFACT_VERSION: u32 = 2;
+/// v3 = same layout; refuses files of the v2 builder (dropped tie shortcuts).
+const ARTIFACT_VERSION: u32 = 3;
 
 /// Below this many remaining vertices, contraction proceeds one vertex
 /// per round: per-round fan-out overhead exceeds the win on tiny tails.
@@ -142,11 +147,34 @@ pub struct ContractionHierarchy {
     stats: AtomicChStats,
 }
 
-/// Scratch state of one bounded witness search.
-#[derive(Default)]
+/// Scratch state of one bounded witness search: a dense tentative-cost
+/// array (∞ = unreached) reset through the list of vertices it touched,
+/// and the marks of the vertices the search is looking for.
 struct WitnessScratch {
-    dist: FxHashMap<u32, f32>,
+    dist: Vec<f32>,
+    touched: Vec<u32>,
+    target: Vec<bool>,
     heap: BinaryHeap<Reverse<HeapEntry>>,
+}
+
+impl WitnessScratch {
+    fn new(n: usize) -> Self {
+        Self {
+            dist: vec![f32::INFINITY; n],
+            touched: Vec::new(),
+            target: vec![false; n],
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    #[inline]
+    fn reach(&mut self, node: u32, cost: f32) {
+        if self.dist[node as usize] == f32::INFINITY {
+            self.touched.push(node);
+        }
+        self.dist[node as usize] = cost;
+        self.heap.push(Reverse(HeapEntry { cost, node: NodeId(node) }));
+    }
 }
 
 /// Mutable preprocessing state: the overlay graph of uncontracted
@@ -155,6 +183,8 @@ struct Builder {
     fwd: Vec<Vec<OverlayEdge>>,
     bwd: Vec<Vec<OverlayEdge>>,
     deleted_neighbors: Vec<u32>,
+    /// Selected in the round being simulated (all false while keying).
+    in_round: Vec<bool>,
 }
 
 impl Builder {
@@ -183,19 +213,30 @@ impl Builder {
                 bwd[v as usize].push(OverlayEdge { node: u.0, w, via: NO_VIA, hops: 1 });
             }
         }
-        Self { fwd, bwd, deleted_neighbors: vec![0; n] }
+        Self { fwd, bwd, deleted_neighbors: vec![0; n], in_round: vec![false; n] }
     }
 
-    /// Bounded Dijkstra from `from` on the overlay, skipping `avoid`,
-    /// pruned at `cap`. Populates `scratch.dist`.
-    fn witness_search(&self, from: u32, avoid: u32, cap: f32, scratch: &mut WitnessScratch) {
-        scratch.dist.clear();
+    /// Bounded Dijkstra from `from` on the overlay, skipping `avoid` and
+    /// same-round vertices applied before it (smaller id), pruned at
+    /// `cap`; stops once `targets` vertices marked in `scratch.target`
+    /// (other than `from`) are settled — their costs are final, so
+    /// stopping early cannot change a result. Populates `scratch.dist`.
+    fn witness_search(
+        &self,
+        from: u32,
+        avoid: u32,
+        cap: f32,
+        mut targets: usize,
+        scratch: &mut WitnessScratch,
+    ) {
+        for t in scratch.touched.drain(..) {
+            scratch.dist[t as usize] = f32::INFINITY;
+        }
         scratch.heap.clear();
-        scratch.dist.insert(from, 0.0);
-        scratch.heap.push(Reverse(HeapEntry { cost: 0.0, node: NodeId(from) }));
+        scratch.reach(from, 0.0);
         let mut settled = 0usize;
         while let Some(Reverse(HeapEntry { cost, node })) = scratch.heap.pop() {
-            if cost > scratch.dist.get(&node.0).copied().unwrap_or(f32::INFINITY) {
+            if cost > scratch.dist[node.index()] {
                 continue;
             }
             if cost > cap {
@@ -205,14 +246,19 @@ impl Builder {
             if settled > WITNESS_SETTLE_LIMIT {
                 break;
             }
+            if scratch.target[node.index()] && node.0 != from {
+                targets -= 1;
+                if targets == 0 {
+                    break;
+                }
+            }
             for e in &self.fwd[node.index()] {
-                if e.node == avoid {
+                if e.node == avoid || (e.node < avoid && self.in_round[e.node as usize]) {
                     continue;
                 }
                 let nc = cost + e.w;
-                if nc <= cap && nc < scratch.dist.get(&e.node).copied().unwrap_or(f32::INFINITY) {
-                    scratch.dist.insert(e.node, nc);
-                    scratch.heap.push(Reverse(HeapEntry { cost: nc, node: NodeId(e.node) }));
+                if nc <= cap && nc < scratch.dist[e.node as usize] {
+                    scratch.reach(e.node, nc);
                 }
             }
         }
@@ -228,19 +274,23 @@ impl Builder {
             return (Vec::new(), removed);
         }
         let mut shortcuts = Vec::new();
+        for e in outs {
+            scratch.target[e.node as usize] = true;
+        }
         for ein in ins {
-            let cap = outs
-                .iter()
-                .filter(|e| e.node != ein.node)
-                .map(|e| ein.w + e.w)
-                .fold(0.0f32, f32::max);
-            self.witness_search(ein.node, v, cap, scratch);
+            let others = outs.iter().filter(|e| e.node != ein.node);
+            let cap = others.clone().map(|e| ein.w + e.w).fold(0.0f32, f32::max);
+            let targets = others.count();
+            if targets == 0 {
+                continue;
+            }
+            self.witness_search(ein.node, v, cap, targets, scratch);
             for eout in outs {
                 if eout.node == ein.node {
                     continue;
                 }
                 let through = ein.w + eout.w;
-                let witness = scratch.dist.get(&eout.node).copied().unwrap_or(f32::INFINITY);
+                let witness = scratch.dist[eout.node as usize];
                 if witness > through {
                     shortcuts.push(Shortcut {
                         from: ein.node,
@@ -250,6 +300,9 @@ impl Builder {
                     });
                 }
             }
+        }
+        for e in outs {
+            scratch.target[e.node as usize] = false;
         }
         (shortcuts, removed)
     }
@@ -316,7 +369,7 @@ impl ContractionHierarchy {
         let original_edges: u64 = builder.fwd.iter().map(|a| a.len() as u64).sum();
 
         let mut states: Vec<WitnessScratch> =
-            (0..workers.max(1)).map(|_| WitnessScratch::default()).collect();
+            (0..workers.max(1)).map(|_| WitnessScratch::new(n)).collect();
 
         // Initial keys: one independent, read-only simulation per vertex.
         let mut keys = {
@@ -368,6 +421,9 @@ impl ContractionHierarchy {
             // overlay (read-only, parallel). Selected vertices are
             // pairwise non-adjacent, so no simulation can observe another
             // selected vertex's edits.
+            for &v in &selected {
+                builder.in_round[v as usize] = true;
+            }
             let sims: Vec<Vec<Shortcut>> = {
                 let b = &builder;
                 let sel = &selected;
@@ -375,6 +431,9 @@ impl ContractionHierarchy {
                     b.shortcuts_for(sel[i], scratch).0
                 })
             };
+            for &v in &selected {
+                builder.in_round[v as usize] = false;
+            }
 
             // Apply sequentially in ascending vertex id; ranks follow the
             // application order. Mark the star dirty first: those
@@ -555,7 +614,7 @@ impl ContractionHierarchy {
 
     // ---- persistence ----------------------------------------------------
 
-    /// Canonical artifact payload (v2): tag, version, graph digest,
+    /// Canonical artifact payload (v3): tag, version, graph digest,
     /// metric generation, then every array with an explicit length.
     fn encode(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
@@ -1279,26 +1338,30 @@ mod tests {
         let g = tiny();
 
         // A healthy frame from a *previous* format version: correct tag,
-        // matching graph digest, but version 1. The loader must fail with
-        // the typed version error — not a decode panic — and
-        // load_or_build must refuse to overwrite the file.
-        let mut enc = Encoder::new();
-        enc.bytes(ARTIFACT_TAG);
-        enc.u32(1);
-        enc.u64(g.digest());
-        enc.u32(g.node_count() as u32);
-        write_snapshot(&path, &enc.into_bytes()).unwrap();
-        let before = std::fs::read(&path).unwrap();
+        // matching graph digest, but version 1 — or version 2, whose
+        // builder could drop tie shortcuts and must not be trusted. The
+        // loader must fail with the typed version error — not a decode
+        // panic — and load_or_build must refuse to overwrite the file.
+        for old in [1u32, 2] {
+            let mut enc = Encoder::new();
+            enc.bytes(ARTIFACT_TAG);
+            enc.u32(old);
+            enc.u64(g.digest());
+            enc.u32(g.node_count() as u32);
+            write_snapshot(&path, &enc.into_bytes()).unwrap();
+            let before = std::fs::read(&path).unwrap();
 
-        assert!(matches!(
-            ContractionHierarchy::load(&path, &g),
-            Err(PersistError::UnsupportedVersion { found: 1, expected: ARTIFACT_VERSION })
-        ));
-        assert!(matches!(
-            ContractionHierarchy::load_or_build(&path, &g, 1),
-            Err(PersistError::UnsupportedVersion { .. })
-        ));
-        assert_eq!(std::fs::read(&path).unwrap(), before, "stale artifact must stay intact");
+            assert!(matches!(
+                ContractionHierarchy::load(&path, &g),
+                Err(PersistError::UnsupportedVersion { found, expected: ARTIFACT_VERSION })
+                    if found == old
+            ));
+            assert!(matches!(
+                ContractionHierarchy::load_or_build(&path, &g, 1),
+                Err(PersistError::UnsupportedVersion { .. })
+            ));
+            assert_eq!(std::fs::read(&path).unwrap(), before, "stale artifact must stay intact");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,10 +7,13 @@
 //! position or a scheduled event node *to* another event node, and event
 //! nodes are exactly the origins/destinations of active requests.
 //!
-//! So we pin, per hot node, one forward and one backward one-to-all
-//! distance vector (two Dijkstras). While a request is active, every leg
-//! cost involving its endpoints is a single array read — the amortized
-//! equivalent of the paper's cache, shared by all schemes for fairness.
+//! So we pin, per hot node, one backward distance vector (one Dijkstra
+//! on the reverse graph: the cost from every vertex *to* the node). While
+//! a request is active, every leg cost *into* one of its endpoints is a
+//! single array read — the amortized equivalent of the paper's cache,
+//! shared by all schemes for fairness. No forward vector is kept: every
+//! leg dispatch prices ends at a pinned event node, so a forward vector
+//! would be computed per pin and never read.
 //!
 //! # Concurrency and determinism
 //!
@@ -21,14 +24,15 @@
 //! and exclusive), counters are atomics, and the search memo is
 //! lock-striped by source node like [`crate::PathCache`].
 //!
-//! Canonical lookup order: the **backward vector of `b` is consulted
-//! before the forward vector of `a`**. The two vectors come from
-//! independent f32 Dijkstra runs and may disagree by an ulp; scheduling
-//! queries always have their *target* pinned (it is a schedule event
-//! node), while the source may be an arbitrary taxi position that only
-//! coincidentally matches some other request's pinned endpoint. bwd-first
-//! therefore makes the answer a function of `(a, b)` alone — pinning
-//! extra nodes (as the batch path does) can never change a result.
+//! Canonical lookup rule: the **backward vector of the target `b`, else
+//! the memo / bidirectional search**. Edge costs sit on the dyadic grid
+//! (`mtshare_road::COST_QUANTUM_S`), so every f32 path sum is exact and
+//! the vector entry, the memo entry and a fresh search are the same bits
+//! (`tests/routing_properties.rs::one_to_all_all_to_one_and_bidir_agree_bit_for_bit`).
+//! The answer is therefore a function of `(a, b)` alone — pinning extra
+//! nodes (as the batch path does) can never change a result. A query whose
+//! *source* alone is pinned takes the memo/search path like any other
+//! unpinned pair.
 
 use crate::bidirectional::BidirDijkstra;
 use crate::dijkstra::Dijkstra;
@@ -44,9 +48,7 @@ const MEMO_SHARDS: usize = 16;
 #[derive(Debug)]
 struct PinnedEntry {
     refs: u32,
-    /// Forward: cost from the pinned node to every vertex.
-    fwd: Vec<f32>,
-    /// Backward: cost from every vertex to the pinned node.
+    /// Cost from every vertex to the pinned node.
     bwd: Vec<f32>,
 }
 
@@ -137,29 +139,23 @@ impl HotNodeOracle {
         let mut engine = self.pin_engine.lock();
         for v in nodes {
             let e = pinned.get_mut(&v).expect("key collected above");
-            engine.one_to_all(&self.graph, NodeId(v), &mut e.fwd);
             engine.all_to_one(&self.graph, NodeId(v), &mut e.bwd);
-            self.stats.pin_computes.fetch_add(2, Relaxed);
+            self.stats.pin_computes.fetch_add(1, Relaxed);
         }
     }
 
-    /// Pins `node`, computing its forward + backward distance vectors if
-    /// not already resident. Pins are reference-counted.
+    /// Pins `node`, computing its backward distance vector if not already
+    /// resident. Pins are reference-counted.
     pub fn pin(&self, node: NodeId) {
         let mut pinned = self.pinned.write();
         if let Some(e) = pinned.get_mut(&node.0) {
             e.refs += 1;
             return;
         }
-        let mut fwd = Vec::new();
         let mut bwd = Vec::new();
-        {
-            let mut engine = self.pin_engine.lock();
-            engine.one_to_all(&self.graph, node, &mut fwd);
-            engine.all_to_one(&self.graph, node, &mut bwd);
-        }
-        self.stats.pin_computes.fetch_add(2, Relaxed);
-        pinned.insert(node.0, PinnedEntry { refs: 1, fwd, bwd });
+        self.pin_engine.lock().all_to_one(&self.graph, node, &mut bwd);
+        self.stats.pin_computes.fetch_add(1, Relaxed);
+        pinned.insert(node.0, PinnedEntry { refs: 1, bwd });
     }
 
     /// Releases one pin of `node`; vectors are freed when the count drops
@@ -176,27 +172,13 @@ impl HotNodeOracle {
     }
 
     /// Shortest-path cost from `a` to `b` in seconds, `None` if
-    /// unreachable. O(1) when either endpoint is pinned; otherwise a
-    /// memoized bidirectional search. All stored values are f32-quantized,
-    /// and the pinned lookup is bwd-first (see the module docs), so the
-    /// answer for a pair is canonical: independent of pin state, lookup
-    /// history, and thread interleaving.
+    /// unreachable. O(1) when the target `b` is pinned; otherwise a
+    /// memoized bidirectional search. Both return the same exact bits (see
+    /// the module docs), so the answer for a pair is canonical:
+    /// independent of pin state, lookup history, and thread interleaving.
     pub fn cost(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        if a == b {
-            return Some(0.0);
-        }
-        {
-            let pinned = self.pinned.read();
-            if let Some(e) = pinned.get(&b.0) {
-                let c = e.bwd[a.index()];
-                self.stats.vector_hits.fetch_add(1, Relaxed);
-                return c.is_finite().then_some(c as f64);
-            }
-            if let Some(e) = pinned.get(&a.0) {
-                let c = e.fwd[b.index()];
-                self.stats.vector_hits.fetch_add(1, Relaxed);
-                return c.is_finite().then_some(c as f64);
-            }
+        if let Some(c) = self.batch(|r| r.pinned_cost(a, b)) {
+            return c;
         }
         let key = ((a.0 as u64) << 32) | b.0 as u64;
         let mut shard = self.memo[a.0 as usize & (MEMO_SHARDS - 1)].lock();
@@ -248,7 +230,7 @@ impl HotNodeOracle {
 
     /// Approximate resident memory in bytes (pinned vectors + memo).
     pub fn memory_bytes(&self) -> usize {
-        self.pinned.read().len() * (2 * self.graph.node_count() * 4 + 16)
+        self.pinned.read().len() * (self.graph.node_count() * 4 + 16)
             + self.memo.iter().map(|s| s.lock().memo.capacity() * 14).sum::<usize>()
     }
 }
@@ -261,10 +243,9 @@ pub struct PinnedReader<'a> {
 }
 
 impl PinnedReader<'_> {
-    /// The `cost()` fast path: `Some(answer)` when `a == b` or either
-    /// endpoint is pinned, reading the exact same vector entry in the
-    /// exact same bwd-first order as [`HotNodeOracle::cost`] — the
-    /// answer is bit-identical. Returns `None` when the pair would need
+    /// The `cost()` fast path: `Some(answer)` when `a == b` or the target
+    /// `b` is pinned, reading the exact same vector entry as
+    /// [`HotNodeOracle::cost`]. Returns `None` when the pair would need
     /// the memo/search path; the caller falls back to its full cost
     /// function (nested `cost()` reads are safe — see [`HotNodeOracle::batch`]).
     #[inline]
@@ -275,11 +256,6 @@ impl PinnedReader<'_> {
         if let Some(e) = self.pinned.get(&b.0) {
             self.hits += 1;
             let c = e.bwd[a.index()];
-            return Some(c.is_finite().then_some(c as f64));
-        }
-        if let Some(e) = self.pinned.get(&a.0) {
-            self.hits += 1;
-            let c = e.fwd[b.index()];
             return Some(c.is_finite().then_some(c as f64));
         }
         None
@@ -299,12 +275,18 @@ mod tests {
     fn pinned_costs_match_searches() {
         let o = oracle();
         let free = o.cost(NodeId(0), NodeId(399)).unwrap();
-        o.pin(NodeId(0));
+        o.pin(NodeId(399));
         let pinned = o.cost(NodeId(0), NodeId(399)).unwrap();
-        assert!((free - pinned).abs() < 1e-2);
+        assert_eq!(free.to_bits(), pinned.to_bits());
         let s = o.stats();
-        assert_eq!(s.searches, 1);
-        assert!(s.vector_hits >= 1);
+        assert_eq!((s.searches, s.vector_hits), (1, 1));
+        // Only the target's vector answers: a pinned *source* takes the
+        // memo/search path (and still returns the same bits).
+        let back = o.cost(NodeId(399), NodeId(0)).unwrap();
+        o.pin(NodeId(0));
+        assert_eq!(o.cost(NodeId(399), NodeId(0)).unwrap().to_bits(), back.to_bits());
+        let s = o.stats();
+        assert_eq!((s.searches, s.vector_hits), (2, 2));
     }
 
     #[test]
@@ -327,7 +309,7 @@ mod tests {
         let o = oracle();
         o.pin(NodeId(399));
         let canonical = o.cost(NodeId(17), NodeId(399));
-        o.pin(NodeId(17)); // source becomes pinned too: bwd-first must win
+        o.pin(NodeId(17)); // source becomes pinned too: still the target's vector
         assert_eq!(o.cost(NodeId(17), NodeId(399)), canonical);
         o.pin(NodeId(250)); // unrelated pin
         assert_eq!(o.cost(NodeId(17), NodeId(399)), canonical);
@@ -340,7 +322,7 @@ mod tests {
         o.pin(NodeId(7));
         assert_eq!(o.pinned_count(), 1);
         let computes = o.stats().pin_computes;
-        assert_eq!(computes, 2); // one fwd + one bwd, second pin free
+        assert_eq!(computes, 1); // one backward vector, second pin free
         o.unpin(NodeId(7));
         assert_eq!(o.pinned_count(), 1);
         assert_eq!(o.stats().evictions, 0);
@@ -357,16 +339,18 @@ mod tests {
         let o = oracle();
         o.pin(NodeId(0));
         o.pin(NodeId(399));
-        let pairs = [(NodeId(5), NodeId(5)), (NodeId(17), NodeId(399)), (NodeId(0), NodeId(250))];
+        let pairs = [(NodeId(5), NodeId(5)), (NodeId(17), NodeId(399)), (NodeId(250), NodeId(0))];
         for (a, b) in pairs {
             let want = o.cost(a, b);
-            let got = o.batch(|r| r.pinned_cost(a, b)).expect("either endpoint pinned or a == b");
+            let got = o.batch(|r| r.pinned_cost(a, b)).expect("target pinned or a == b");
             assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{a:?}->{b:?}");
         }
-        // Neither endpoint pinned: the reader defers to the full path.
+        // Target not pinned (source pinned or neither): the reader defers
+        // to the full path.
+        assert!(o.batch(|r| r.pinned_cost(NodeId(0), NodeId(250))).is_none());
         assert!(o.batch(|r| r.pinned_cost(NodeId(40), NodeId(41))).is_none());
         // Hits were folded into the shared stats exactly once per answer.
-        assert_eq!(o.stats().vector_hits, 2 * 2); // (17,399) and (0,250), via cost + batch
+        assert_eq!(o.stats().vector_hits, 2 * 2); // (17,399) and (250,0), via cost + batch
     }
 
     #[test]
@@ -389,6 +373,7 @@ mod tests {
         o.retarget(shifted.clone());
         assert_eq!(o.graph().digest(), shifted.digest());
         assert_eq!(o.pinned_count(), 1);
+        assert_eq!(o.stats().pin_computes, 2); // the pin + its one recompute
 
         // Pinned fast path and memo/search path both answer on the new
         // metric, bit-identical to a fresh oracle over the shifted graph.

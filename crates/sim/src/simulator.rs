@@ -725,9 +725,9 @@ impl Simulator {
     fn process_batch(&mut self, ids: &[RequestId], scheme: &mut dyn DispatchScheme) -> bool {
         let reqs: Vec<RideRequest> = ids.iter().map(|&id| self.requests.get(id).clone()).collect();
         // Pin every batch endpoint up front (infrastructure, untimed — as
-        // in `try_dispatch`). The oracle's bwd-first canonical lookup
-        // guarantees the extra pins cannot change any cost the sequential
-        // path would read.
+        // in `try_dispatch`). The oracle's answers are exact whether read
+        // from a vector or searched, so the extra pins cannot change any
+        // cost the sequential path would read.
         for r in &reqs {
             self.oracle.pin(r.origin);
             self.oracle.pin(r.destination);

@@ -49,6 +49,32 @@ fn ch_costs_equal_both_dijkstras_on_every_shape() {
     }
 }
 
+/// Regression for the parallel builder's same-round tie: on the default
+/// 64×64 seed-7 city two non-adjacent vertices selected in one round each
+/// took the other as an equal-cost witness and both omitted the shortcut,
+/// over-pricing ~0.1 % of pairs (1788→1226 by 1.1875 s).
+#[test]
+fn ch_is_exact_on_the_64x64_seed_7_city() {
+    let cfg = GridCityConfig { rows: 64, cols: 64, seed: 7, ..GridCityConfig::default() };
+    let graph = Arc::new(grid_city(&cfg).unwrap());
+    let mut q = ChQuery::new(Arc::new(ContractionHierarchy::build(&graph, 2)));
+    let mut d = Dijkstra::new(&graph);
+    let (s, t) = (NodeId(1788), NodeId(1226));
+    assert_eq!(d.cost(&graph, s, t), Some(1702.90625));
+    assert_eq!(q.cost(s, t), Some(1702.90625), "the pair PR 12's bench found");
+
+    // Strided one-to-all sweep: every 97th source against every 13th
+    // target, ~13 k pairs spread over the whole city.
+    let mut want = Vec::new();
+    for s in graph.nodes().step_by(97) {
+        d.one_to_all(&graph, s, &mut want);
+        for t in graph.nodes().step_by(13) {
+            let w = want[t.index()];
+            assert_eq!(q.cost(s, t), w.is_finite().then_some(f64::from(w)), "{s}->{t}");
+        }
+    }
+}
+
 #[test]
 fn unpacked_ch_paths_are_exact_walks_on_every_shape() {
     for (name, graph) in shapes() {

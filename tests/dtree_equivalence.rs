@@ -319,7 +319,7 @@ proptest! {
                 }
                 // Complete the front stop (no version bump — advance).
                 2 => {
-                    if taxi.schedule.len() == 0 {
+                    if taxi.schedule.is_empty() {
                         continue;
                     }
                     taxi.schedule.pop_front();

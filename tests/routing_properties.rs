@@ -1,20 +1,40 @@
 //! Property tests for the routing substrate: all engines agree with the
-//! Bellman-Ford oracle, costs obey the triangle inequality, and caches are
-//! transparent.
+//! Bellman-Ford oracle, costs obey the triangle inequality, caches are
+//! transparent, the three exact searches the leg-cost layer mixes agree
+//! bit for bit, and the contraction hierarchy is exact on the large
+//! seed-7 grids where same-round cost ties occur.
 
-use mt_share::road::{grid_city, GridCityConfig, NodeId, RoadNetwork};
+use mt_share::road::{
+    apply_traffic_shifts, grid_city, ring_radial_city, GridCityConfig, NodeId, RingRadialConfig,
+    RoadNetwork, TrafficShiftSpec,
+};
 use mt_share::routing::{
-    bellman_ford_cost, AStar, Alt, BidirDijkstra, Dijkstra, HotNodeOracle, MaskedDijkstra,
-    NodeMask, PathCache,
+    bellman_ford_cost, AStar, Alt, BidirDijkstra, ChQuery, ContractionHierarchy, Dijkstra,
+    HotNodeOracle, MaskedDijkstra, NodeMask, PathCache,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 fn city(seed: u64) -> Arc<RoadNetwork> {
     Arc::new(
         grid_city(&GridCityConfig { rows: 12, cols: 12, seed, ..GridCityConfig::default() })
             .unwrap(),
     )
+}
+
+/// The default-seed (7) grids on which a parallel build used to drop
+/// shortcuts when two same-round vertices witnessed each other on a cost
+/// tie. Built once per shape: the proptest samples sources, not cities.
+fn seed7_grid(shape: usize) -> &'static (Arc<RoadNetwork>, Arc<ContractionHierarchy>) {
+    static BUILT: [OnceLock<(Arc<RoadNetwork>, Arc<ContractionHierarchy>)>; 2] =
+        [OnceLock::new(), OnceLock::new()];
+    BUILT[shape].get_or_init(|| {
+        let side = [64, 80][shape];
+        let cfg = GridCityConfig { rows: side, cols: side, seed: 7, ..GridCityConfig::default() };
+        let g = Arc::new(grid_city(&cfg).unwrap());
+        let ch = Arc::new(ContractionHierarchy::build(&g, 2));
+        (g, ch)
+    })
 }
 
 proptest! {
@@ -74,6 +94,82 @@ proptest! {
         let oracle = HotNodeOracle::new(g);
         if pin_src { oracle.pin(NodeId(s)); } else { oracle.pin(NodeId(t)); }
         prop_assert!((oracle.cost(NodeId(s), NodeId(t)).unwrap() - want).abs() < 1e-2);
+    }
+
+    /// The single-vector oracle contract: a leg cost is read from the
+    /// target's backward vector when pinned and searched for otherwise,
+    /// and commit-time routing snaps to whichever the caller holds — sound
+    /// only if forward Dijkstra, backward Dijkstra and bidirectional
+    /// search return the *same bits*. Dyadic edge costs make every f32
+    /// path sum exact, on base and traffic-shifted (re-quantized) metrics.
+    #[test]
+    fn one_to_all_all_to_one_and_bidir_agree_bit_for_bit(
+        ring in proptest::bool::ANY,
+        seed in 0u64..10_000,
+        a in 0u32..10_000,
+        b in 0u32..10_000,
+        shifted in proptest::bool::ANY,
+        center in 0u32..10_000,
+        radius_m in 150.0f64..2500.0,
+        factor_x100 in 110u32..=500,
+    ) {
+        let base = if ring {
+            ring_radial_city(&RingRadialConfig { seed, ..RingRadialConfig::default() }).unwrap()
+        } else {
+            grid_city(&GridCityConfig { rows: 12, cols: 12, seed, ..GridCityConfig::default() })
+                .unwrap()
+        };
+        let n = base.node_count() as u32;
+        let g = if shifted {
+            let spec = TrafficShiftSpec {
+                center: NodeId(center % n),
+                radius_m,
+                factor: f64::from(factor_x100) / 100.0,
+                start_s: 0.0,
+                duration_s: 1.0,
+            };
+            apply_traffic_shifts(&base, &[spec]).unwrap()
+        } else {
+            base
+        };
+        let (a, b) = (NodeId(a % n), NodeId(b % n));
+        let mut d = Dijkstra::new(&g);
+        let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
+        d.one_to_all(&g, a, &mut fwd);
+        d.all_to_one(&g, b, &mut bwd);
+        prop_assert_eq!(fwd[b.index()].to_bits(), bwd[a.index()].to_bits(), "{}->{}", a, b);
+        let finite = |c: f32| c.is_finite().then_some(f64::from(c));
+        let mut bi = BidirDijkstra::new(&g);
+        prop_assert_eq!(bi.cost(&g, a, b), finite(bwd[a.index()]), "bidir {}->{}", a, b);
+        // ... and the full vectors against each other, the other way round.
+        for v in g.nodes().step_by(7) {
+            let mut col = Vec::new();
+            d.all_to_one(&g, v, &mut col);
+            prop_assert_eq!(col[a.index()].to_bits(), fwd[v.index()].to_bits(), "{}->{}", a, v);
+        }
+    }
+
+    /// CH vs Dijkstra on the 64×64 and 80×80 seed-7 grids: one exact
+    /// one-to-all per case, compared against a strided sweep of CH queries.
+    #[test]
+    fn ch_matches_dijkstra_on_large_seed7_grids(
+        shape in 0usize..2,
+        s in 0u32..4096,
+        offset in 0usize..61,
+    ) {
+        let (g, ch) = seed7_grid(shape);
+        let mut q = ChQuery::new(ch.clone());
+        let mut d = Dijkstra::new(g);
+        let mut want = Vec::new();
+        d.one_to_all(g, NodeId(s), &mut want);
+        for t in g.nodes().skip(offset).step_by(61) {
+            let w = want[t.index()];
+            prop_assert_eq!(
+                q.cost(NodeId(s), t),
+                w.is_finite().then_some(f64::from(w)),
+                "shape {} {}->{}", shape, s, t
+            );
+        }
     }
 
     #[test]
