@@ -1,14 +1,13 @@
 //! Routing microbenches + the partition-filtering ablation (DESIGN.md
-//! decision #2): full-graph Dijkstra vs bidirectional vs A* vs the
-//! filtered-subgraph search, and cold-vs-warm cache behaviour.
+//! decision #2): full-graph Dijkstra vs bidirectional vs the contraction
+//! hierarchy vs the filtered-subgraph search, and cold-vs-warm cache
+//! behaviour.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mtshare_core::{MobilityContext, MtShareConfig, PartitionStrategy, SegmentRouter};
 use mtshare_mobility::Trip;
 use mtshare_road::{grid_city, GridCityConfig, NodeId};
-use mtshare_routing::{
-    AStar, Alt, BidirDijkstra, ChQuery, ContractionHierarchy, Dijkstra, PathCache,
-};
+use mtshare_routing::{BidirDijkstra, ChQuery, ContractionHierarchy, Dijkstra, PathCache};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::sync::Arc;
 
@@ -44,29 +43,6 @@ fn bench_point_to_point(c: &mut Criterion) {
             let (s, t) = pairs[i % pairs.len()];
             i += 1;
             bi.cost(&graph, s, t)
-        })
-    });
-
-    let mut a = AStar::new(&graph);
-    group.bench_function("astar", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            let (s, t) = pairs[i % pairs.len()];
-            i += 1;
-            a.cost(&graph, s, t)
-        })
-    });
-
-    // ALT with a 16-landmark grid spread (precompute excluded from timing).
-    let n = graph.node_count() as u32;
-    let landmarks: Vec<NodeId> = (0..16u32).map(|k| NodeId(k * (n / 16) + n / 32)).collect();
-    let mut alt = Alt::with_landmarks(&graph, &landmarks);
-    group.bench_function("alt_16_landmarks", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            let (s, t) = pairs[i % pairs.len()];
-            i += 1;
-            alt.cost(&graph, s, t)
         })
     });
 

@@ -187,10 +187,12 @@ impl Histogram {
     }
 
     /// Approximate `q`-quantile: the representative value of the bucket
-    /// holding the nearest-rank observation. 0 when empty.
+    /// holding the nearest-rank observation, clamped to [`Histogram::max`]
+    /// (a bucket midpoint can lie above everything recorded in it). 0 when
+    /// empty.
     pub fn quantile(&self, q: f64) -> f64 {
         let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        Self::quantile_of(&counts, q)
+        Self::quantile_of(&counts, q).min(self.max())
     }
 
     fn quantile_of(counts: &[u64], q: f64) -> f64 {
@@ -224,8 +226,9 @@ impl Histogram {
     }
 
     /// Approximate `q`-quantile over only the observations recorded
-    /// since `prev` was taken (0 when the interval is empty). Buckets
-    /// are monotone, so the delta is a well-formed histogram.
+    /// since `prev` was taken (0 when the interval is empty), clamped to
+    /// the all-time maximum like [`Histogram::quantile`]. Buckets are
+    /// monotone, so the delta is a well-formed histogram.
     pub fn quantile_since(&self, prev: &HistogramSnapshot, q: f64) -> f64 {
         let counts: Vec<u64> = self
             .buckets
@@ -233,7 +236,7 @@ impl Histogram {
             .zip(&prev.counts)
             .map(|(b, &p)| b.load(Ordering::Relaxed).saturating_sub(p))
             .collect();
-        Self::quantile_of(&counts, q)
+        Self::quantile_of(&counts, q).min(self.max())
     }
 }
 
@@ -300,6 +303,19 @@ mod tests {
         assert!(p50 > 0.5 / 1.4 && p50 < 0.5 * 1.4, "p50 = {p50}");
         let p99 = h.quantile(0.99);
         assert!(p99 > 0.99 / 1.4 && p99 < 0.99 * 1.4, "p99 = {p99}");
+    }
+
+    #[test]
+    fn histogram_quantiles_never_exceed_the_recorded_maximum() {
+        // 0.317 s sits in the lower half of its bucket: the midpoint
+        // representative (~0.324) used to be reported as p50 > max.
+        let h = Histogram::new();
+        let snap = h.snapshot();
+        h.record(0.317);
+        for q in [0.5, 0.99] {
+            assert_eq!(h.quantile(q), h.max(), "q = {q}");
+            assert_eq!(h.quantile_since(&snap, q), h.max(), "q = {q} over the interval");
+        }
     }
 
     #[test]

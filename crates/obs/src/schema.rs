@@ -248,11 +248,17 @@ fn require_stat_block(v: &Value, key: &str) -> Result<(), String> {
 
 fn require_hist_block(v: &Value, key: &str, unit: &str) -> Result<(), String> {
     let block = v.get(key).ok_or_else(|| format!("missing histogram block \"{key}\""))?;
-    require_num(block, key, "count")?;
+    let count = require_num(block, key, "count")?;
     require_num(block, key, "total_s")?;
+    // Quantiles are clamped to the recorded maximum, so a populated block
+    // must read p50 ≤ p95 ≤ p99 ≤ max (a bucket midpoint used to exceed it).
+    let mut prev = ("", 0.0);
     for q in ["p50", "p95", "p99", "max"] {
-        let field = format!("{q}_{unit}");
-        require_num(block, key, &field)?;
+        let value = require_num(block, key, &format!("{q}_{unit}"))?;
+        if count > 0.0 && value < prev.1 {
+            return Err(format!("{key}: {q}_{unit} {value} < {}_{unit} {}", prev.0, prev.1));
+        }
+        prev = (q, value);
     }
     Ok(())
 }
@@ -575,6 +581,22 @@ mod tests {
         // Forge the total.
         let forged = summary.replace("\"total\":1", "\"total\":2");
         assert!(validate_summary(&forged).is_err());
+    }
+
+    #[test]
+    fn stage_quantiles_must_be_ordered_below_the_maximum() {
+        let obs = Obs::enabled();
+        drop(obs.stage(Stage::Commit));
+        let summary = obs.summary_json().unwrap();
+        validate_summary(&summary).unwrap_or_else(|e| panic!("{e}\n{summary}"));
+        // A populated stage whose maximum reads below its quantiles (the
+        // unclamped writer's `p50 324 ms > max 317 ms`) is refused.
+        let block = summary.find("\"commit\":{\"count\":1,").expect("commit stage recorded");
+        let max = block + summary[block..].find("\"max_us\":").unwrap() + "\"max_us\":".len();
+        let end = max + summary[max..].find('}').unwrap();
+        let forged = format!("{}-1{}", &summary[..max], &summary[end..]);
+        let err = validate_summary(&forged).unwrap_err();
+        assert!(err.contains("commit: max_us"), "{err}");
     }
 
     #[test]

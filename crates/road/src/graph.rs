@@ -17,8 +17,8 @@ use mtshare_persist::Fnv64;
 /// Dijkstra, contraction-hierarchy queries whose shortcut weights are
 /// sums of sums — returns bit-identical costs for the same pair. The
 /// determinism contracts of the caches and the trace-equivalence suite
-/// build on this. Costs round *up* so the geometric lower bound used by
-/// A* (distance / max speed) stays admissible.
+/// build on this. Costs round *up*, so a quantized cost never undercuts
+/// the physical travel time (length / speed).
 pub const COST_QUANTUM_S: f64 = 1.0 / 64.0;
 
 /// Rounds a travel cost in seconds up to the dyadic grid (see
@@ -112,7 +112,6 @@ pub struct RoadNetwork {
     // Edge endpoints in insertion order, addressable by EdgeId.
     edge_endpoints: Vec<(NodeId, NodeId)>,
     bbox: BoundingBox,
-    max_speed_mps: f64,
 }
 
 impl RoadNetwork {
@@ -182,7 +181,6 @@ impl RoadNetwork {
         }
 
         let bbox = BoundingBox::of(&points);
-        let max_speed_mps = edges.iter().map(|e| e.speed_kmh / 3.6).fold(0.0f64, f64::max);
 
         Ok(Self {
             points,
@@ -196,7 +194,6 @@ impl RoadNetwork {
             in_costs,
             edge_endpoints,
             bbox,
-            max_speed_mps,
         })
     }
 
@@ -279,13 +276,6 @@ impl RoadNetwork {
     #[inline]
     pub fn bbox(&self) -> BoundingBox {
         self.bbox
-    }
-
-    /// Highest edge speed in metres per second; used by A* as an admissible
-    /// heuristic divisor.
-    #[inline]
-    pub fn max_speed_mps(&self) -> f64 {
-        self.max_speed_mps
     }
 
     /// Whether the graph is strongly connected (every vertex reaches every

@@ -25,14 +25,16 @@
 //! *bit-identical* values, so switching backends can never change
 //! simulator behaviour — only speed.
 //!
-//! The cache is the *cold* half of the leg-cost layer: dispatch prices
-//! legs from [`crate::HotNodeOracle`] and hands that value to commit-time
-//! routing, so the simulator loop asks this cache for paths, plus costs
-//! on the cold paths around it (ingestion, rejection classification,
-//! re-dispatch). The bucket kernel behind
-//! [`PathCache::prime_many_to_one`] ([`ChBuckets`] / [`CchBuckets`]) is
-//! kept for the benches; no dispatch path calls it
-//! (`tests/lazy_leg_costs.rs` pins the sweep count at zero).
+//! The cache is the *cold* half of the leg-cost layer, and its only memo
+//! and only miss path: dispatch prices legs from the pinned vectors of
+//! [`crate::HotNodeOracle`], which sits in front of this cache and falls
+//! through to [`PathCache::cost`] for an unpinned target, so whatever the
+//! vectors cannot answer is answered — and memoized — here, by the
+//! configured backend. The simulator loop otherwise asks this cache for
+//! paths, plus costs on the cold paths around dispatch (ingestion,
+//! rejection classification, re-dispatch). The bucket kernel behind
+//! [`PathCache::prime_many_to_one`] is kept for the benches; no dispatch
+//! path calls it (`tests/lazy_leg_costs.rs` pins the sweep count at zero).
 //!
 //! Paths always come from bidirectional Dijkstra, regardless of backend:
 //! when several shortest paths tie, CH unpacking and bidirectional search
@@ -52,9 +54,10 @@
 //! [`PathCache::is_recustomizable`].
 
 use crate::bidirectional::BidirDijkstra;
-use crate::cch::{CchBuckets, CchQuery, CchStats, CustomizableCh};
-use crate::ch::{ChBuckets, ChQuery, ChStats, ContractionHierarchy};
+use crate::cch::{CchStats, CustomizableCh};
+use crate::ch::{ChStats, ContractionHierarchy};
 use crate::path::Path;
+use crate::upward::{UpwardBuckets, UpwardGraph, UpwardQuery};
 use mtshare_road::{NodeId, RoadNetwork};
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
@@ -76,16 +79,38 @@ pub enum RouterBackend {
     Cch(Arc<CustomizableCh>),
 }
 
-/// The shared bucket many-to-one kernel of the active backend.
-#[derive(Debug)]
-enum BucketKernel {
-    Ch(ChBuckets),
-    Cch(CchBuckets),
-}
-
 /// Number of lock stripes. Power of two so the shard pick is a mask; 16
 /// comfortably exceeds the worker counts the batch dispatcher uses.
 const SHARDS: usize = 16;
+
+/// Everything a cache keeps per hierarchy: the shared structure, one query
+/// scratch per memo stripe (a miss locks its stripe's scratch while it
+/// holds the stripe, so misses on other stripes proceed), and the bucket
+/// kernel.
+#[derive(Debug)]
+struct Scratch<H: UpwardGraph> {
+    hierarchy: Arc<H>,
+    queries: [Mutex<UpwardQuery<H>>; SHARDS],
+    buckets: Mutex<UpwardBuckets<H>>,
+}
+
+impl<H: UpwardGraph> Scratch<H> {
+    fn new(hierarchy: Arc<H>) -> Self {
+        Self {
+            queries: std::array::from_fn(|_| Mutex::new(UpwardQuery::new(hierarchy.clone()))),
+            buckets: Mutex::new(UpwardBuckets::new(hierarchy.clone())),
+            hierarchy,
+        }
+    }
+}
+
+/// The state behind a [`RouterBackend`].
+#[derive(Debug)]
+enum Backend {
+    Bidir,
+    Ch(Scratch<ContractionHierarchy>),
+    Cch(Scratch<CustomizableCh>),
+}
 
 /// Hit/miss/evict counters of a [`PathCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,8 +119,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Queries that ran a graph search.
     pub misses: u64,
-    /// Entries dropped by [`PathCache::trim_to`]. Zero unless a caller
-    /// bounds the memo (the default policy caches forever).
+    /// Entries dropped to bound the memo. Always zero: the policy is to
+    /// cache until the metric changes.
     pub evictions: u64,
 }
 
@@ -114,11 +139,9 @@ impl CacheStats {
 #[derive(Debug)]
 struct CacheShard {
     costs: FxHashMap<u64, f32>,
+    /// Answers paths under every backend, and cost misses under
+    /// [`RouterBackend::Bidir`].
     engine: BidirDijkstra,
-    /// CH query scratch when the backend is [`RouterBackend::Ch`].
-    ch: Option<ChQuery>,
-    /// CCH query scratch when the backend is [`RouterBackend::Cch`].
-    cch: Option<CchQuery>,
     stats: CacheStats,
 }
 
@@ -136,9 +159,7 @@ pub struct PathCache {
     /// [`PathCache::recustomize`]; readers snapshot the `Arc`.
     live: Arc<RwLock<Arc<RoadNetwork>>>,
     shards: Arc<[Mutex<CacheShard>; SHARDS]>,
-    hierarchy: Option<Arc<ContractionHierarchy>>,
-    cch: Option<Arc<CustomizableCh>>,
-    buckets: Option<Arc<Mutex<BucketKernel>>>,
+    backend: Arc<Backend>,
 }
 
 impl PathCache {
@@ -150,15 +171,15 @@ impl PathCache {
 
     /// Creates an empty cache over `graph` answering misses with `backend`.
     pub fn with_backend(graph: Arc<RoadNetwork>, backend: RouterBackend) -> Self {
-        let (hierarchy, cch) = match &backend {
-            RouterBackend::Bidir => (None, None),
+        let backend = match backend {
+            RouterBackend::Bidir => Backend::Bidir,
             RouterBackend::Ch(ch) => {
                 assert_eq!(
                     ch.graph_digest(),
                     graph.digest(),
                     "contraction hierarchy was built for a different graph"
                 );
-                (Some(ch.clone()), None)
+                Backend::Ch(Scratch::new(ch))
             }
             RouterBackend::Cch(cch) => {
                 assert_eq!(
@@ -171,59 +192,54 @@ impl PathCache {
                     graph.digest(),
                     "customizable hierarchy carries a metric for a different graph"
                 );
-                (None, Some(cch.clone()))
+                Backend::Cch(Scratch::new(cch))
             }
         };
         let shards = std::array::from_fn(|_| {
             Mutex::new(CacheShard {
                 costs: FxHashMap::default(),
                 engine: BidirDijkstra::new(&graph),
-                ch: hierarchy.as_ref().map(|h| ChQuery::new(h.clone())),
-                cch: cch.as_ref().map(|h| CchQuery::new(h.clone())),
                 stats: CacheStats::default(),
             })
         });
-        let buckets = match (&hierarchy, &cch) {
-            (Some(h), _) => Some(Arc::new(Mutex::new(BucketKernel::Ch(ChBuckets::new(h.clone()))))),
-            (_, Some(h)) => {
-                Some(Arc::new(Mutex::new(BucketKernel::Cch(CchBuckets::new(h.clone())))))
-            }
-            _ => None,
-        };
         Self {
             live: Arc::new(RwLock::new(graph)),
             shards: Arc::new(shards),
-            hierarchy,
-            cch,
-            buckets,
+            backend: Arc::new(backend),
         }
     }
 
     /// The shared hierarchy when the backend is [`RouterBackend::Ch`].
     pub fn hierarchy(&self) -> Option<&Arc<ContractionHierarchy>> {
-        self.hierarchy.as_ref()
+        match &*self.backend {
+            Backend::Ch(k) => Some(&k.hierarchy),
+            _ => None,
+        }
     }
 
     /// The shared hierarchy when the backend is [`RouterBackend::Cch`].
     pub fn customizable(&self) -> Option<&Arc<CustomizableCh>> {
-        self.cch.as_ref()
+        match &*self.backend {
+            Backend::Cch(k) => Some(&k.hierarchy),
+            _ => None,
+        }
     }
 
     /// CH query/bucket counters, when the backend is [`RouterBackend::Ch`].
     pub fn ch_stats(&self) -> Option<ChStats> {
-        self.hierarchy.as_ref().map(|h| h.stats())
+        self.hierarchy().map(|h| h.stats())
     }
 
     /// CCH query/customization counters, when the backend is
     /// [`RouterBackend::Cch`].
     pub fn cch_stats(&self) -> Option<CchStats> {
-        self.cch.as_ref().map(|h| h.stats())
+        self.customizable().map(|h| h.stats())
     }
 
     /// Whether [`PathCache::recustomize`] is supported (every backend
     /// except plain CH, whose order and weights bake in the metric).
     pub fn is_recustomizable(&self) -> bool {
-        self.hierarchy.is_none()
+        self.hierarchy().is_none()
     }
 
     /// Swaps the metric: all subsequent answers are exact on `graph`
@@ -251,7 +267,7 @@ impl PathCache {
             self.live.read().node_count(),
             "re-customization graph must share the topology"
         );
-        let generation = self.cch.as_ref().map(|h| h.customize(&graph));
+        let generation = self.customizable().map(|h| h.customize(&graph));
         *self.live.write() = graph;
         for shard in self.shards.iter() {
             shard.lock().costs.clear();
@@ -275,8 +291,13 @@ impl PathCache {
     /// legs mostly start from distinct sources, so they land on distinct
     /// locks.
     #[inline]
+    fn stripe(a: NodeId) -> usize {
+        a.0 as usize & (SHARDS - 1)
+    }
+
+    #[inline]
     fn shard(&self, a: NodeId) -> &Mutex<CacheShard> {
-        &self.shards[a.0 as usize & (SHARDS - 1)]
+        &self.shards[Self::stripe(a)]
     }
 
     /// Shortest-path cost in seconds from `a` to `b`, or `None` when
@@ -292,13 +313,13 @@ impl PathCache {
             return c.is_finite().then_some(c as f64);
         }
         shard.stats.misses += 1;
-        let cost = if let Some(q) = shard.ch.as_mut() {
-            q.cost(a, b)
-        } else if let Some(q) = shard.cch.as_mut() {
-            q.cost(a, b)
-        } else {
-            let graph = self.live.read().clone();
-            shard.engine.cost(&graph, a, b)
+        let cost = match &*self.backend {
+            Backend::Bidir => {
+                let graph = self.live.read().clone();
+                shard.engine.cost(&graph, a, b)
+            }
+            Backend::Ch(k) => k.queries[Self::stripe(a)].lock().cost(a, b),
+            Backend::Cch(k) => k.queries[Self::stripe(a)].lock().cost(a, b),
         };
         shard.costs.insert(key, cost.map_or(f32::INFINITY, |c| c as f32));
         cost
@@ -314,9 +335,6 @@ impl PathCache {
     /// never observe which path filled the memo. Returns the number of
     /// pairs computed (already-memoized pairs are skipped).
     pub fn prime_many_to_one(&self, sources: &[NodeId], target: NodeId) -> usize {
-        let Some(buckets) = &self.buckets else {
-            return 0;
-        };
         let mut missing: Vec<NodeId> = Vec::with_capacity(sources.len());
         for &s in sources {
             if s == target {
@@ -331,9 +349,10 @@ impl PathCache {
         if missing.is_empty() {
             return 0;
         }
-        let costs = match &mut *buckets.lock() {
-            BucketKernel::Ch(b) => b.many_to_one(&missing, target),
-            BucketKernel::Cch(b) => b.many_to_one(&missing, target),
+        let costs = match &*self.backend {
+            Backend::Bidir => return 0,
+            Backend::Ch(k) => k.buckets.lock().many_to_one(&missing, target),
+            Backend::Cch(k) => k.buckets.lock().many_to_one(&missing, target),
         };
         for (&s, c) in missing.iter().zip(&costs) {
             let mut shard = self.shard(s).lock();
@@ -374,32 +393,6 @@ impl PathCache {
             total.evictions += s.evictions;
         }
         total
-    }
-
-    /// Bounds the memo to at most `max_entries`, dropping whole shards'
-    /// overflow (entries are evicted in unspecified order; the memo only
-    /// accelerates, it never changes answers). Returns how many entries
-    /// were evicted. Deployments replaying city-scale traces call this
-    /// between episodes to cap resident memory.
-    pub fn trim_to(&self, max_entries: usize) -> u64 {
-        let per_shard = max_entries / SHARDS;
-        let mut evicted = 0u64;
-        for shard in self.shards.iter() {
-            let mut s = shard.lock();
-            if s.costs.len() > per_shard {
-                let excess = (s.costs.len() - per_shard) as u64;
-                if per_shard == 0 {
-                    s.costs.clear();
-                } else {
-                    let keep: Vec<u64> = s.costs.keys().copied().take(per_shard).collect();
-                    let kept: FxHashMap<u64, f32> = keep.iter().map(|k| (*k, s.costs[k])).collect();
-                    s.costs = kept;
-                }
-                s.stats.evictions += excess;
-                evicted += excess;
-            }
-        }
-        evicted
     }
 
     /// Number of memoized entries.
@@ -492,27 +485,6 @@ mod tests {
         assert_eq!(c.len(), 4);
         assert!(!c.is_empty());
         assert!(c.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn trim_to_counts_evictions_and_keeps_answers_correct() {
-        let (g, c) = cache();
-        let sources: Vec<NodeId> = (0..8).map(NodeId).collect();
-        let targets: Vec<NodeId> = (390..399).map(NodeId).collect();
-        c.warm(&sources, &targets);
-        let before = c.len();
-        assert!(before > 0);
-        let evicted = c.trim_to(0);
-        assert_eq!(evicted, before as u64);
-        assert_eq!(c.stats().evictions, evicted);
-        assert!(c.is_empty());
-        // A re-query after eviction still returns the canonical value.
-        let mut d = Dijkstra::new(&g);
-        let want = d.cost(&g, NodeId(0), NodeId(390)).unwrap();
-        let got = c.cost(NodeId(0), NodeId(390)).unwrap();
-        assert!((got - want).abs() < 1e-2);
-        // Trimming to a generous bound evicts nothing.
-        assert_eq!(c.trim_to(1 << 20), 0);
     }
 
     #[test]

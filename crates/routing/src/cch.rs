@@ -22,7 +22,9 @@
 //! 3. **Query** (per pair, microseconds): a bidirectional *upward*
 //!    search over the fixed skeleton — forward relaxes upward weights,
 //!    backward relaxes downward weights — joined at the cheapest
-//!    meeting vertex with μ-pruning and a smallest-id tie-break.
+//!    meeting vertex with μ-pruning and a smallest-id tie-break. The
+//!    search is the kernel shared with the plain CH (`upward.rs`); this
+//!    module only tells it which arcs a vertex has under which metric.
 //!    Stall-on-demand is deliberately **omitted**: its classic proof
 //!    needs shortcut weights that equal exact distances, which basic
 //!    customization does not guarantee (weights are upper bounds that
@@ -48,14 +50,12 @@
 //! so all concurrent dispatch probes within one event batch read one
 //! consistent generation.
 
-use crate::dijkstra::HeapEntry;
 use crate::order::NodeOrder;
+use crate::upward::{SearchCounters, UpwardBuckets, UpwardGraph, UpwardQuery};
 use mtshare_persist::{fnv1a_64, read_snapshot, write_snapshot, Decoder, Encoder, PersistError};
-use mtshare_road::{NodeId, RoadNetwork};
+use mtshare_road::RoadNetwork;
 use parking_lot::RwLock;
 use rustc_hash::FxHashSet;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -77,14 +77,6 @@ pub struct CchStats {
     pub bucket_sources: u64,
     /// Metric customizations performed (including the base one).
     pub customizations: u64,
-}
-
-#[derive(Debug, Default)]
-struct AtomicCchStats {
-    p2p_queries: AtomicU64,
-    bucket_sweeps: AtomicU64,
-    bucket_sources: AtomicU64,
-    customizations: AtomicU64,
 }
 
 /// One customized metric over the fixed skeleton. Immutable; swapped in
@@ -141,7 +133,8 @@ pub struct CustomizableCh {
     triangles: Vec<(u32, u32, u32)>,
     metric: RwLock<Arc<CchMetric>>,
     next_generation: AtomicU64,
-    stats: AtomicCchStats,
+    stats: SearchCounters,
+    customizations: AtomicU64,
 }
 
 impl CustomizableCh {
@@ -166,7 +159,8 @@ impl CustomizableCh {
                 down_w: Vec::new(),
             })),
             next_generation: AtomicU64::new(0),
-            stats: AtomicCchStats::default(),
+            stats: SearchCounters::default(),
+            customizations: AtomicU64::new(0),
         };
         cch.customize(graph);
         cch
@@ -225,7 +219,7 @@ impl CustomizableCh {
         let generation = self.next_generation.fetch_add(1, Relaxed);
         *self.metric.write() =
             Arc::new(CchMetric { generation, graph_digest: graph.digest(), up_w, down_w });
-        self.stats.customizations.fetch_add(1, Relaxed);
+        self.customizations.fetch_add(1, Relaxed);
         generation
     }
 
@@ -276,7 +270,7 @@ impl CustomizableCh {
             p2p_queries: self.stats.p2p_queries.load(Relaxed),
             bucket_sweeps: self.stats.bucket_sweeps.load(Relaxed),
             bucket_sources: self.stats.bucket_sources.load(Relaxed),
-            customizations: self.stats.customizations.load(Relaxed),
+            customizations: self.customizations.load(Relaxed),
         }
     }
 
@@ -428,7 +422,8 @@ impl CustomizableCh {
                 down_w,
             })),
             next_generation: AtomicU64::new(generation + 1),
-            stats: AtomicCchStats::default(),
+            stats: SearchCounters::default(),
+            customizations: AtomicU64::new(0),
         })
     }
 
@@ -529,300 +524,62 @@ fn skeleton(graph: &RoadNetwork, order: &[u32]) -> (Vec<u32>, Vec<u32>, u64) {
     (up_offsets, up_targets, fill)
 }
 
+impl UpwardGraph for CustomizableCh {
+    /// A pinned snapshot: a query in flight keeps one consistent metric
+    /// across a concurrent re-customization.
+    type Metric = Arc<CchMetric>;
+
+    /// Customized weights are upper bounds, not distances (module docs).
+    const STALL_ON_DEMAND: bool = false;
+
+    fn node_count(&self) -> usize {
+        self.rank.len()
+    }
+
+    fn counters(&self) -> &SearchCounters {
+        &self.stats
+    }
+
+    fn snapshot(&self) -> Arc<CchMetric> {
+        self.metric()
+    }
+
+    fn refresh(&self, held: &mut Arc<CchMetric>) {
+        if held.generation != self.generation() {
+            *held = self.metric();
+        }
+    }
+
+    #[inline]
+    fn arcs(
+        &self,
+        metric: &Arc<CchMetric>,
+        forward: bool,
+        v: u32,
+    ) -> impl Iterator<Item = (u32, f32)> {
+        let r = self.up_range(v);
+        let weights = if forward { &metric.up_w } else { &metric.down_w };
+        self.up_targets[r.clone()].iter().copied().zip(weights[r].iter().copied())
+    }
+}
+
 /// Reusable point-to-point query scratch over a shared [`CustomizableCh`].
 ///
 /// Cost-only: paths come from the cache's bidirectional engine like
-/// every other backend. The scratch pins a metric snapshot and refreshes
-/// it when the hierarchy's generation moves.
-#[derive(Debug)]
-pub struct CchQuery {
-    cch: Arc<CustomizableCh>,
-    metric: Arc<CchMetric>,
-    dist_f: Vec<f32>,
-    dist_b: Vec<f32>,
-    epoch_of_f: Vec<u32>,
-    epoch_of_b: Vec<u32>,
-    epoch: u32,
-    heap_f: BinaryHeap<Reverse<HeapEntry>>,
-    heap_b: BinaryHeap<Reverse<HeapEntry>>,
-    settled: usize,
-}
+/// every other backend.
+pub type CchQuery = UpwardQuery<CustomizableCh>;
 
-impl CchQuery {
-    /// Creates query scratch sized for `cch`.
-    pub fn new(cch: Arc<CustomizableCh>) -> Self {
-        let n = cch.node_count();
-        let metric = cch.metric();
-        Self {
-            cch,
-            metric,
-            dist_f: vec![f32::INFINITY; n],
-            dist_b: vec![f32::INFINITY; n],
-            epoch_of_f: vec![0; n],
-            epoch_of_b: vec![0; n],
-            epoch: 0,
-            heap_f: BinaryHeap::new(),
-            heap_b: BinaryHeap::new(),
-            settled: 0,
-        }
-    }
-
-    /// The shared hierarchy.
-    #[inline]
-    pub fn hierarchy(&self) -> &Arc<CustomizableCh> {
-        &self.cch
-    }
-
-    fn begin(&mut self) {
-        if self.metric.generation != self.cch.generation() {
-            self.metric = self.cch.metric();
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.epoch_of_f.iter_mut().for_each(|e| *e = 0);
-            self.epoch_of_b.iter_mut().for_each(|e| *e = 0);
-            self.epoch = 1;
-        }
-        self.settled = 0;
-    }
-
-    #[inline]
-    fn dist(&self, forward: bool, v: u32) -> f32 {
-        let (epochs, dist) = if forward {
-            (&self.epoch_of_f, &self.dist_f)
-        } else {
-            (&self.epoch_of_b, &self.dist_b)
-        };
-        if epochs[v as usize] == self.epoch {
-            dist[v as usize]
-        } else {
-            f32::INFINITY
-        }
-    }
-
-    /// One settle step of the upward search in `forward` direction, with
-    /// μ-pruning (always safe: a push at cost ≥ μ can never improve the
-    /// meeting). See the module docs for why there is no stalling.
-    fn step(&mut self, forward: bool, best: &mut f32, meet: &mut u32) {
-        let popped = if forward { self.heap_f.pop() } else { self.heap_b.pop() };
-        let Some(Reverse(HeapEntry { cost, node })) = popped else { return };
-        let v = node.0;
-        if cost > self.dist(forward, v) {
-            return;
-        }
-        let other = self.dist(!forward, v);
-        if other.is_finite() {
-            let cand = cost + other;
-            if cand < *best || (cand == *best && v < *meet) {
-                *best = cand;
-                *meet = v;
-            }
-        }
-        self.settled += 1;
-        let r = self.cch.up_range(v);
-        for i in r {
-            let w = if forward { self.metric.up_w[i] } else { self.metric.down_w[i] };
-            if !w.is_finite() {
-                continue;
-            }
-            let t = self.cch.up_targets[i];
-            let nc = cost + w;
-            if nc < self.dist(forward, t) && nc < *best {
-                if forward {
-                    self.epoch_of_f[t as usize] = self.epoch;
-                    self.dist_f[t as usize] = nc;
-                    self.heap_f.push(Reverse(HeapEntry { cost: nc, node: NodeId(t) }));
-                } else {
-                    self.epoch_of_b[t as usize] = self.epoch;
-                    self.dist_b[t as usize] = nc;
-                    self.heap_b.push(Reverse(HeapEntry { cost: nc, node: NodeId(t) }));
-                }
-            }
-        }
-    }
-
-    /// Exact shortest-path cost on the *customized* graph, or `None`
-    /// when unreachable. Bit-identical to Dijkstra on that graph.
-    pub fn cost(&mut self, source: NodeId, target: NodeId) -> Option<f64> {
-        self.cch.stats.p2p_queries.fetch_add(1, Relaxed);
-        if source == target {
-            return Some(0.0);
-        }
-        self.begin();
-        self.heap_f.clear();
-        self.heap_b.clear();
-        self.epoch_of_f[source.index()] = self.epoch;
-        self.dist_f[source.index()] = 0.0;
-        self.heap_f.push(Reverse(HeapEntry { cost: 0.0, node: source }));
-        self.epoch_of_b[target.index()] = self.epoch;
-        self.dist_b[target.index()] = 0.0;
-        self.heap_b.push(Reverse(HeapEntry { cost: 0.0, node: target }));
-
-        let mut best = f32::INFINITY;
-        let mut meet = u32::MAX;
-        loop {
-            let f_top = self.heap_f.peek().map(|e| e.0.cost);
-            let b_top = self.heap_b.peek().map(|e| e.0.cost);
-            let f_live = f_top.is_some_and(|c| c < best);
-            let b_live = b_top.is_some_and(|c| c < best);
-            let forward = match (f_live, b_live) {
-                (false, false) => break,
-                (true, false) => true,
-                (false, true) => false,
-                (true, true) => f_top <= b_top,
-            };
-            self.step(forward, &mut best, &mut meet);
-        }
-        (meet != u32::MAX).then_some(best as f64)
-    }
-
-    /// Vertices settled by the last query (for the speedup benches).
-    pub fn last_settled(&self) -> usize {
-        self.settled
-    }
-}
-
-/// Bucket-based many-to-one kernel over the CCH skeleton: the analog of
-/// [`crate::ChBuckets`] on the customized metric — K upward sweeps
-/// deposit `(source, dist)` buckets, one downward-direction sweep from
-/// the target scans them.
-#[derive(Debug)]
-pub struct CchBuckets {
-    cch: Arc<CustomizableCh>,
-    metric: Arc<CchMetric>,
-    buckets: Vec<Vec<(u32, f32)>>,
-    touched: Vec<u32>,
-    dist: Vec<f32>,
-    epoch_of: Vec<u32>,
-    epoch: u32,
-    heap: BinaryHeap<Reverse<HeapEntry>>,
-    settled: Vec<u32>,
-}
-
-impl CchBuckets {
-    /// Creates bucket scratch sized for `cch`.
-    pub fn new(cch: Arc<CustomizableCh>) -> Self {
-        let n = cch.node_count();
-        let metric = cch.metric();
-        Self {
-            cch,
-            metric,
-            buckets: vec![Vec::new(); n],
-            touched: Vec::new(),
-            dist: vec![f32::INFINITY; n],
-            epoch_of: vec![0; n],
-            epoch: 0,
-            heap: BinaryHeap::new(),
-            settled: Vec::new(),
-        }
-    }
-
-    /// The shared hierarchy.
-    #[inline]
-    pub fn hierarchy(&self) -> &Arc<CustomizableCh> {
-        &self.cch
-    }
-
-    fn begin(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.epoch_of.iter_mut().for_each(|e| *e = 0);
-            self.epoch = 1;
-        }
-        self.heap.clear();
-        self.settled.clear();
-    }
-
-    #[inline]
-    fn dist_at(&self, v: u32) -> f32 {
-        if self.epoch_of[v as usize] == self.epoch {
-            self.dist[v as usize]
-        } else {
-            f32::INFINITY
-        }
-    }
-
-    /// One upward sweep from `start`; `forward` picks the weight array.
-    fn sweep(&mut self, forward: bool, start: u32) {
-        self.begin();
-        self.epoch_of[start as usize] = self.epoch;
-        self.dist[start as usize] = 0.0;
-        self.heap.push(Reverse(HeapEntry { cost: 0.0, node: NodeId(start) }));
-        while let Some(Reverse(HeapEntry { cost, node })) = self.heap.pop() {
-            let v = node.0;
-            if cost > self.dist_at(v) {
-                continue;
-            }
-            self.settled.push(v);
-            let r = self.cch.up_range(v);
-            for i in r {
-                let w = if forward { self.metric.up_w[i] } else { self.metric.down_w[i] };
-                if !w.is_finite() {
-                    continue;
-                }
-                let t = self.cch.up_targets[i];
-                let nc = cost + w;
-                if nc < self.dist_at(t) {
-                    self.epoch_of[t as usize] = self.epoch;
-                    self.dist[t as usize] = nc;
-                    self.heap.push(Reverse(HeapEntry { cost: nc, node: NodeId(t) }));
-                }
-            }
-        }
-    }
-
-    /// Exact shortest-path costs from every source to `target` on the
-    /// customized graph (`None` = unreachable). Bit-identical to
-    /// per-pair Dijkstra on that graph.
-    pub fn many_to_one(&mut self, sources: &[NodeId], target: NodeId) -> Vec<Option<f64>> {
-        if self.metric.generation != self.cch.generation() {
-            self.metric = self.cch.metric();
-        }
-        self.cch.stats.bucket_sweeps.fetch_add(1, Relaxed);
-        self.cch.stats.bucket_sources.fetch_add(sources.len() as u64, Relaxed);
-        for &v in &self.touched {
-            self.buckets[v as usize].clear();
-        }
-        self.touched.clear();
-
-        for (i, &s) in sources.iter().enumerate() {
-            self.sweep(true, s.0);
-            for k in 0..self.settled.len() {
-                let v = self.settled[k];
-                if self.buckets[v as usize].is_empty() {
-                    self.touched.push(v);
-                }
-                self.buckets[v as usize].push((i as u32, self.dist[v as usize]));
-            }
-        }
-
-        let mut best = vec![f32::INFINITY; sources.len()];
-        self.sweep(false, target.0);
-        for k in 0..self.settled.len() {
-            let v = self.settled[k];
-            let dt = self.dist[v as usize];
-            for &(i, ds) in &self.buckets[v as usize] {
-                let cand = ds + dt;
-                if cand < best[i as usize] {
-                    best[i as usize] = cand;
-                }
-            }
-        }
-        sources
-            .iter()
-            .zip(best)
-            .map(|(&s, b)| if s == target { Some(0.0) } else { b.is_finite().then_some(b as f64) })
-            .collect()
-    }
-}
+/// Bucket many-to-one kernel over the CCH skeleton, on the customized
+/// metric.
+pub type CchBuckets = UpwardBuckets<CustomizableCh>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dijkstra::Dijkstra;
     use mtshare_road::{
-        apply_traffic_shifts, grid_city, ring_radial_city, GridCityConfig, RingRadialConfig,
-        TrafficShiftSpec,
+        apply_traffic_shifts, grid_city, ring_radial_city, GridCityConfig, NodeId,
+        RingRadialConfig, TrafficShiftSpec,
     };
     use rand::{rngs::SmallRng, Rng, SeedableRng};
 

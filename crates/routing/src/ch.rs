@@ -7,7 +7,9 @@
 //! vertices: forward from the source over the upward graph, backward from
 //! the target over the downward graph, joined at the best meeting vertex.
 //! On city grids this settles a few hundred vertices where bidirectional
-//! Dijkstra settles tens of thousands.
+//! Dijkstra settles tens of thousands. The search itself (and the bucket
+//! many-to-one sweep) is the kernel shared with the customizable
+//! hierarchy (`upward.rs`); this module builds, persists and unpacks.
 //!
 //! # Node ordering and parallel construction
 //!
@@ -55,13 +57,13 @@
 
 use crate::dijkstra::HeapEntry;
 use crate::path::Path;
+use crate::upward::{SearchCounters, UpwardBuckets, UpwardGraph, UpwardQuery};
 use mtshare_persist::{fnv1a_64, read_snapshot, write_snapshot, Decoder, Encoder, PersistError};
 use mtshare_road::{NodeId, RoadNetwork};
 use rustc_hash::FxHashMap;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::atomic::Ordering::Relaxed;
 
 /// `via` marker for original (non-shortcut) edges.
 const NO_VIA: u32 = u32::MAX;
@@ -98,13 +100,6 @@ pub struct ChStats {
     pub bucket_sweeps: u64,
     /// Total sources across all bucket sweeps.
     pub bucket_sources: u64,
-}
-
-#[derive(Debug, Default)]
-struct AtomicChStats {
-    p2p_queries: AtomicU64,
-    bucket_sweeps: AtomicU64,
-    bucket_sources: AtomicU64,
 }
 
 /// One edge of the preprocessing overlay graph.
@@ -144,7 +139,7 @@ pub struct ContractionHierarchy {
     down_weights: Vec<f32>,
     down_via: Vec<u32>,
     shortcuts: u64,
-    stats: AtomicChStats,
+    stats: SearchCounters,
 }
 
 /// Scratch state of one bounded witness search: a dense tentative-cost
@@ -527,7 +522,7 @@ impl ContractionHierarchy {
             down_weights,
             down_via,
             shortcuts: total_edges.saturating_sub(original_edges),
-            stats: AtomicChStats::default(),
+            stats: SearchCounters::default(),
         }
     }
 
@@ -566,37 +561,30 @@ impl ContractionHierarchy {
             + self.down_sources.len() * 12
     }
 
+    /// The arcs the `forward` (up-graph) or backward (down-graph) search
+    /// relaxes, all indexed by their *lower* endpoint: CSR offsets, the
+    /// higher endpoints, weights and shortcut middle vertices.
     #[inline]
-    fn up_range(&self, v: u32) -> std::ops::Range<usize> {
-        self.up_offsets[v as usize] as usize..self.up_offsets[v as usize + 1] as usize
+    fn csr(&self, forward: bool) -> (&[u32], &[u32], &[f32], &[u32]) {
+        if forward {
+            (&self.up_offsets, &self.up_targets, &self.up_weights, &self.up_via)
+        } else {
+            (&self.down_offsets, &self.down_sources, &self.down_weights, &self.down_via)
+        }
     }
 
-    #[inline]
-    fn down_range(&self, v: u32) -> std::ops::Range<usize> {
-        self.down_offsets[v as usize] as usize..self.down_offsets[v as usize + 1] as usize
-    }
-
-    /// `via` of the hierarchy edge `source -> lower` (a downward edge of
-    /// `lower`). Panics if absent: unpacking only asks for edges the
-    /// preprocessing inserted.
-    fn down_via_of(&self, lower: u32, source: u32) -> u32 {
-        let r = self.down_range(lower);
-        let i = self.down_sources[r.clone()]
+    /// `via` of the hierarchy edge between `lower` and its higher-ranked
+    /// neighbour `higher`: `lower -> higher` in the up-graph when
+    /// `forward`, `higher -> lower` in the down-graph otherwise. Panics if
+    /// absent: unpacking only asks for edges the preprocessing inserted.
+    fn via_of(&self, forward: bool, lower: u32, higher: u32) -> u32 {
+        let (offsets, heads, _, via) = self.csr(forward);
+        let r = offsets[lower as usize] as usize..offsets[lower as usize + 1] as usize;
+        let i = heads[r.clone()]
             .iter()
-            .position(|&s| s == source)
-            .expect("constituent downward edge exists");
-        self.down_via[r.start + i]
-    }
-
-    /// `via` of the hierarchy edge `lower -> target` (an upward edge of
-    /// `lower`).
-    fn up_via_of(&self, lower: u32, target: u32) -> u32 {
-        let r = self.up_range(lower);
-        let i = self.up_targets[r.clone()]
-            .iter()
-            .position(|&t| t == target)
-            .expect("constituent upward edge exists");
-        self.up_via[r.start + i]
+            .position(|&h| h == higher)
+            .expect("constituent hierarchy edge exists");
+        via[r.start + i]
     }
 
     /// Appends the original vertices of hierarchy edge `u -> v` (strictly
@@ -608,8 +596,8 @@ impl ContractionHierarchy {
         }
         // u -> via descends in rank, via -> v ascends; both live in the
         // adjacency of the contracted middle vertex.
-        self.unpack_append(u, via, self.down_via_of(via, u), out);
-        self.unpack_append(via, v, self.up_via_of(via, v), out);
+        self.unpack_append(u, via, self.via_of(false, via, u), out);
+        self.unpack_append(via, v, self.via_of(true, via, v), out);
     }
 
     // ---- persistence ----------------------------------------------------
@@ -738,7 +726,7 @@ impl ContractionHierarchy {
             down_weights,
             down_via,
             shortcuts,
-            stats: AtomicChStats::default(),
+            stats: SearchCounters::default(),
         })
     }
 
@@ -766,376 +754,67 @@ impl ContractionHierarchy {
     }
 }
 
-/// Reusable point-to-point query state over a shared hierarchy.
-#[derive(Debug)]
-pub struct ChQuery {
-    ch: Arc<ContractionHierarchy>,
-    dist_f: Vec<f32>,
-    dist_b: Vec<f32>,
-    parent_f: Vec<u32>,
-    parent_b: Vec<u32>,
-    via_f: Vec<u32>,
-    via_b: Vec<u32>,
-    epoch_of_f: Vec<u32>,
-    epoch_of_b: Vec<u32>,
-    epoch: u32,
-    heap_f: BinaryHeap<Reverse<HeapEntry>>,
-    heap_b: BinaryHeap<Reverse<HeapEntry>>,
-    settled_f: Vec<u32>,
-    settled_b: Vec<u32>,
+impl UpwardGraph for ContractionHierarchy {
+    /// Order and shortcut weights bake the metric in.
+    type Metric = ();
+
+    /// Witness searches make every shortcut weight an exact distance.
+    const STALL_ON_DEMAND: bool = true;
+
+    fn node_count(&self) -> usize {
+        self.rank.len()
+    }
+
+    fn counters(&self) -> &SearchCounters {
+        &self.stats
+    }
+
+    fn snapshot(&self) {}
+
+    fn refresh(&self, _: &mut ()) {}
+
+    #[inline]
+    fn arcs(&self, _: &(), forward: bool, v: u32) -> impl Iterator<Item = (u32, f32)> {
+        let (offsets, heads, weights, _) = self.csr(forward);
+        let r = offsets[v as usize] as usize..offsets[v as usize + 1] as usize;
+        heads[r.clone()].iter().copied().zip(weights[r].iter().copied())
+    }
 }
 
+/// Reusable point-to-point query state over a shared hierarchy.
+pub type ChQuery = UpwardQuery<ContractionHierarchy>;
+
+/// Bucket many-to-one kernel over a shared hierarchy.
+pub type ChBuckets = UpwardBuckets<ContractionHierarchy>;
+
 impl ChQuery {
-    /// Creates query scratch sized for `ch`.
-    pub fn new(ch: Arc<ContractionHierarchy>) -> Self {
-        let n = ch.node_count();
-        Self {
-            ch,
-            dist_f: vec![f32::INFINITY; n],
-            dist_b: vec![f32::INFINITY; n],
-            parent_f: vec![NO_VIA; n],
-            parent_b: vec![NO_VIA; n],
-            via_f: vec![NO_VIA; n],
-            via_b: vec![NO_VIA; n],
-            epoch_of_f: vec![0; n],
-            epoch_of_b: vec![0; n],
-            epoch: 0,
-            heap_f: BinaryHeap::new(),
-            heap_b: BinaryHeap::new(),
-            settled_f: Vec::new(),
-            settled_b: Vec::new(),
-        }
-    }
-
-    /// The shared hierarchy.
-    #[inline]
-    pub fn hierarchy(&self) -> &Arc<ContractionHierarchy> {
-        &self.ch
-    }
-
-    fn begin(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.epoch_of_f.iter_mut().for_each(|e| *e = 0);
-            self.epoch_of_b.iter_mut().for_each(|e| *e = 0);
-            self.epoch = 1;
-        }
-        self.settled_f.clear();
-        self.settled_b.clear();
-    }
-
-    #[inline]
-    fn dist(&self, forward: bool, v: u32) -> f32 {
-        let (epochs, dist) = if forward {
-            (&self.epoch_of_f, &self.dist_f)
-        } else {
-            (&self.epoch_of_b, &self.dist_b)
-        };
-        if epochs[v as usize] == self.epoch {
-            dist[v as usize]
-        } else {
-            f32::INFINITY
-        }
-    }
-
-    /// One settle step of the `forward` (up-graph) or backward (down-graph)
-    /// search, with stall-on-demand and μ-pruning: relaxations that cannot
-    /// beat the best meeting cost found so far are skipped entirely.
-    fn step(&mut self, forward: bool, best: &mut f32, meet: &mut u32) {
-        let popped = if forward { self.heap_f.pop() } else { self.heap_b.pop() };
-        let Some(Reverse(HeapEntry { cost, node })) = popped else { return };
-        let v = node.0;
-        if cost > self.dist(forward, v) {
-            return;
-        }
-        // Stall-on-demand: a strictly cheaper entry via an edge from a
-        // higher-ranked vertex proves v is off every shortest up-down
-        // path through this direction.
-        let stalled = if forward {
-            let r = self.ch.down_range(v);
-            self.ch.down_sources[r.clone()]
-                .iter()
-                .zip(&self.ch.down_weights[r])
-                .any(|(&u, &w)| self.dist(true, u) + w < cost)
-        } else {
-            let r = self.ch.up_range(v);
-            self.ch.up_targets[r.clone()]
-                .iter()
-                .zip(&self.ch.up_weights[r])
-                .any(|(&u, &w)| self.dist(false, u) + w < cost)
-        };
-        if stalled {
-            return;
-        }
-        // Meeting update on settle. The smallest-id tie-break keeps the
-        // chosen meet (and hence the unpacked path) a pure function of the
-        // hierarchy, independent of heap internals.
-        let other = self.dist(!forward, v);
-        if other.is_finite() {
-            let cand = cost + other;
-            if cand < *best || (cand == *best && v < *meet) {
-                *best = cand;
-                *meet = v;
-            }
-        }
-        if forward {
-            self.settled_f.push(v);
-            let r = self.ch.up_range(v);
-            for i in r {
-                let t = self.ch.up_targets[i];
-                let nc = cost + self.ch.up_weights[i];
-                // nc ≥ μ ⇒ any meet through t costs ≥ μ: prune the push.
-                if nc < self.dist(true, t) && nc < *best {
-                    self.epoch_of_f[t as usize] = self.epoch;
-                    self.dist_f[t as usize] = nc;
-                    self.parent_f[t as usize] = v;
-                    self.via_f[t as usize] = self.ch.up_via[i];
-                    self.heap_f.push(Reverse(HeapEntry { cost: nc, node: NodeId(t) }));
-                }
-            }
-        } else {
-            self.settled_b.push(v);
-            let r = self.ch.down_range(v);
-            for i in r {
-                let s = self.ch.down_sources[i];
-                let nc = cost + self.ch.down_weights[i];
-                if nc < self.dist(false, s) && nc < *best {
-                    self.epoch_of_b[s as usize] = self.epoch;
-                    self.dist_b[s as usize] = nc;
-                    self.parent_b[s as usize] = v;
-                    self.via_b[s as usize] = self.ch.down_via[i];
-                    self.heap_b.push(Reverse(HeapEntry { cost: nc, node: NodeId(s) }));
-                }
-            }
-        }
-    }
-
-    /// Runs the two upward searches interleaved (cheaper frontier first)
-    /// and joins them online, returning `(cost, meet)`. Unlike plain
-    /// bidirectional Dijkstra a CH search cannot stop at the first meeting
-    /// vertex, but each direction *can* stop once its heap minimum reaches
-    /// the best meeting cost μ — no later settle can improve on μ.
-    fn search(&mut self, source: NodeId, target: NodeId) -> Option<(f32, u32)> {
-        self.ch.stats.p2p_queries.fetch_add(1, Relaxed);
-        if source == target {
-            return Some((0.0, source.0));
-        }
-        self.begin();
-        self.heap_f.clear();
-        self.heap_b.clear();
-        self.epoch_of_f[source.index()] = self.epoch;
-        self.dist_f[source.index()] = 0.0;
-        self.parent_f[source.index()] = source.0;
-        self.heap_f.push(Reverse(HeapEntry { cost: 0.0, node: source }));
-        self.epoch_of_b[target.index()] = self.epoch;
-        self.dist_b[target.index()] = 0.0;
-        self.parent_b[target.index()] = target.0;
-        self.heap_b.push(Reverse(HeapEntry { cost: 0.0, node: target }));
-
-        let mut best = f32::INFINITY;
-        let mut meet = NO_VIA;
-        loop {
-            let f_top = self.heap_f.peek().map(|e| e.0.cost);
-            let b_top = self.heap_b.peek().map(|e| e.0.cost);
-            let f_live = f_top.is_some_and(|c| c < best);
-            let b_live = b_top.is_some_and(|c| c < best);
-            let forward = match (f_live, b_live) {
-                (false, false) => break,
-                (true, false) => true,
-                (false, true) => false,
-                // Both live: advance the cheaper frontier, forward on ties.
-                (true, true) => f_top <= b_top,
-            };
-            self.step(forward, &mut best, &mut meet);
-        }
-        (meet != NO_VIA).then_some((best, meet))
-    }
-
-    /// Exact shortest-path cost, or `None` when unreachable. Bit-identical
-    /// to Dijkstra on the same [`RoadNetwork`].
-    pub fn cost(&mut self, source: NodeId, target: NodeId) -> Option<f64> {
-        self.search(source, target).map(|(c, _)| c as f64)
-    }
-
     /// Exact shortest path with shortcuts unpacked to original vertices.
     pub fn path(&mut self, source: NodeId, target: NodeId) -> Option<Path> {
         let (cost, meet) = self.search(source, target)?;
         if source == target {
             return Some(Path::trivial(source));
         }
+        let ch = self.hierarchy();
         // Upward half: source .. meet (hops recorded child-to-parent).
-        let mut hops: Vec<(u32, u32, u32)> = Vec::new();
+        let mut hops: Vec<(u32, u32)> = Vec::new();
         let mut cur = meet;
         while cur != source.0 {
-            let p = self.parent_f[cur as usize];
-            hops.push((p, cur, self.via_f[cur as usize]));
+            let p = self.parent(true, cur);
+            hops.push((p, cur));
             cur = p;
         }
-        hops.reverse();
         let mut nodes = vec![source];
-        for (u, v, via) in hops {
-            self.ch.unpack_append(u, v, via, &mut nodes);
+        for (u, v) in hops.into_iter().rev() {
+            ch.unpack_append(u, v, ch.via_of(true, u, v), &mut nodes);
         }
         // Downward half: meet .. target (parents point toward target).
         let mut cur = meet;
         while cur != target.0 {
-            let nxt = self.parent_b[cur as usize];
-            let via = self.via_b[cur as usize];
-            self.ch.unpack_append(cur, nxt, via, &mut nodes);
+            let nxt = self.parent(false, cur);
+            ch.unpack_append(cur, nxt, ch.via_of(false, nxt, cur), &mut nodes);
             cur = nxt;
         }
         Some(Path { nodes, cost_s: cost as f64 })
-    }
-
-    /// Vertices settled by the last query (for the speedup benches).
-    pub fn last_settled(&self) -> usize {
-        self.settled_f.len() + self.settled_b.len()
-    }
-}
-
-/// Bucket-based many-to-one kernel: exact costs from K sources to one
-/// target in K upward sweeps plus a *single* downward sweep, instead of K
-/// independent bidirectional searches (Knopp et al.'s many-to-many
-/// algorithm, specialized to the dispatcher's "candidate taxis → pickup"
-/// batch shape).
-#[derive(Debug)]
-pub struct ChBuckets {
-    ch: Arc<ContractionHierarchy>,
-    buckets: Vec<Vec<(u32, f32)>>,
-    touched: Vec<u32>,
-    dist: Vec<f32>,
-    epoch_of: Vec<u32>,
-    epoch: u32,
-    heap: BinaryHeap<Reverse<HeapEntry>>,
-    settled: Vec<u32>,
-}
-
-impl ChBuckets {
-    /// Creates bucket scratch sized for `ch`.
-    pub fn new(ch: Arc<ContractionHierarchy>) -> Self {
-        let n = ch.node_count();
-        Self {
-            ch,
-            buckets: vec![Vec::new(); n],
-            touched: Vec::new(),
-            dist: vec![f32::INFINITY; n],
-            epoch_of: vec![0; n],
-            epoch: 0,
-            heap: BinaryHeap::new(),
-            settled: Vec::new(),
-        }
-    }
-
-    /// The shared hierarchy.
-    #[inline]
-    pub fn hierarchy(&self) -> &Arc<ContractionHierarchy> {
-        &self.ch
-    }
-
-    fn begin(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.epoch_of.iter_mut().for_each(|e| *e = 0);
-            self.epoch = 1;
-        }
-        self.heap.clear();
-        self.settled.clear();
-    }
-
-    #[inline]
-    fn dist_at(&self, v: u32) -> f32 {
-        if self.epoch_of[v as usize] == self.epoch {
-            self.dist[v as usize]
-        } else {
-            f32::INFINITY
-        }
-    }
-
-    /// One stalled upward sweep from `start`; `forward` picks the edge
-    /// set. Settled vertices land in `self.settled`.
-    fn sweep(&mut self, forward: bool, start: u32) {
-        self.begin();
-        self.epoch_of[start as usize] = self.epoch;
-        self.dist[start as usize] = 0.0;
-        self.heap.push(Reverse(HeapEntry { cost: 0.0, node: NodeId(start) }));
-        while let Some(Reverse(HeapEntry { cost, node })) = self.heap.pop() {
-            let v = node.0;
-            if cost > self.dist_at(v) {
-                continue;
-            }
-            let stalled = if forward {
-                let r = self.ch.down_range(v);
-                self.ch.down_sources[r.clone()]
-                    .iter()
-                    .zip(&self.ch.down_weights[r])
-                    .any(|(&u, &w)| self.dist_at(u) + w < cost)
-            } else {
-                let r = self.ch.up_range(v);
-                self.ch.up_targets[r.clone()]
-                    .iter()
-                    .zip(&self.ch.up_weights[r])
-                    .any(|(&u, &w)| self.dist_at(u) + w < cost)
-            };
-            if stalled {
-                continue;
-            }
-            self.settled.push(v);
-            let r = if forward { self.ch.up_range(v) } else { self.ch.down_range(v) };
-            for i in r {
-                let t = if forward { self.ch.up_targets[i] } else { self.ch.down_sources[i] };
-                let w = if forward { self.ch.up_weights[i] } else { self.ch.down_weights[i] };
-                let nc = cost + w;
-                if nc < self.dist_at(t) {
-                    self.epoch_of[t as usize] = self.epoch;
-                    self.dist[t as usize] = nc;
-                    self.heap.push(Reverse(HeapEntry { cost: nc, node: NodeId(t) }));
-                }
-            }
-        }
-    }
-
-    /// Exact shortest-path costs from every source to `target`
-    /// (`None` = unreachable). Bit-identical to per-pair Dijkstra.
-    pub fn many_to_one(&mut self, sources: &[NodeId], target: NodeId) -> Vec<Option<f64>> {
-        self.ch.stats.bucket_sweeps.fetch_add(1, Relaxed);
-        self.ch.stats.bucket_sources.fetch_add(sources.len() as u64, Relaxed);
-        // Drop stale buckets from the previous batch.
-        for &v in &self.touched {
-            self.buckets[v as usize].clear();
-        }
-        self.touched.clear();
-
-        // Upward sweeps: each source deposits (index, dist) at every
-        // vertex of its search space.
-        for (i, &s) in sources.iter().enumerate() {
-            self.sweep(true, s.0);
-            for k in 0..self.settled.len() {
-                let v = self.settled[k];
-                if self.buckets[v as usize].is_empty() {
-                    self.touched.push(v);
-                }
-                self.buckets[v as usize].push((i as u32, self.dist[v as usize]));
-            }
-        }
-
-        // One downward sweep from the target scans the buckets it meets.
-        let mut best = vec![f32::INFINITY; sources.len()];
-        self.sweep(false, target.0);
-        for k in 0..self.settled.len() {
-            let v = self.settled[k];
-            let dt = self.dist[v as usize];
-            for &(i, ds) in &self.buckets[v as usize] {
-                let cand = ds + dt;
-                if cand < best[i as usize] {
-                    best[i as usize] = cand;
-                }
-            }
-        }
-        sources
-            .iter()
-            .zip(best)
-            .map(|(&s, b)| if s == target { Some(0.0) } else { b.is_finite().then_some(b as f64) })
-            .collect()
     }
 }
 
@@ -1146,6 +825,7 @@ mod tests {
     use crate::dijkstra::Dijkstra;
     use mtshare_road::{grid_city, ring_radial_city, GridCityConfig, RingRadialConfig};
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn tiny() -> RoadNetwork {
         grid_city(&GridCityConfig::tiny()).unwrap()

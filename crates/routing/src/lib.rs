@@ -4,25 +4,27 @@
 //! (Sec. IV-C2), so this crate provides a family of engines tuned for the
 //! query mix the system issues:
 //!
-//! - [`Dijkstra`]: single-source engine with one-to-all / all-to-one modes;
-//! - [`BidirDijkstra`]: point-to-point queries (backs the shared cache);
-//! - [`AStar`]: goal-directed exact queries with a geographic heuristic;
-//! - [`Alt`]: A* with landmark (triangle-inequality) lower bounds reusing
-//!   the partition landmark tables;
+//! - [`Dijkstra`]: single-source engine with one-to-all / all-to-one modes
+//!   (computes the oracle's pinned vectors);
+//! - [`BidirDijkstra`]: point-to-point queries (the shared cache's paths,
+//!   and its cost misses under the default backend);
 //! - [`MaskedDijkstra`] + [`NodeMask`]: subgraph search for the paper's
 //!   two-phase (partition-filtered) routing, with optional vertex weights
 //!   for probabilistic routing;
-//! - [`ContractionHierarchy`] + [`ChQuery`] + [`ChBuckets`]: preprocessed
-//!   exact engine with bucket many-to-many batch queries, persistable as a
-//!   CRC-framed artifact (see the [`ch`] module docs);
-//! - [`PathCache`]: the memoizing oracle standing in for the paper's cached
-//!   all-pairs table, with a pluggable exact backend ([`RouterBackend`]);
+//! - [`ContractionHierarchy`] and [`CustomizableCh`]: preprocessed exact
+//!   hierarchies, persistable as CRC-framed artifacts (see the [`ch`] and
+//!   [`cch`] module docs). Both are searched by one kernel:
+//!   [`ChQuery`]/[`CchQuery`] alias its bidirectional upward search,
+//!   [`ChBuckets`]/[`CchBuckets`] its bucket many-to-one sweep;
+//! - [`PathCache`]: the one memo and the one miss path standing in for the
+//!   paper's cached all-pairs table, with a pluggable exact backend
+//!   ([`RouterBackend`]);
+//! - [`HotNodeOracle`]: pinned backward vectors in front of that cache —
+//!   O(1) leg costs into active request endpoints;
 //! - [`CostMatrix`]: dense landmark-to-everything cost tables.
 
 #![warn(missing_docs)]
 
-pub mod alt;
-pub mod astar;
 pub mod bidirectional;
 pub mod cache;
 pub mod cch;
@@ -33,9 +35,8 @@ pub mod matrix;
 pub mod oracle;
 pub mod order;
 pub mod path;
+mod upward;
 
-pub use alt::Alt;
-pub use astar::AStar;
 pub use bidirectional::BidirDijkstra;
 pub use cache::{CacheStats, PathCache, RouterBackend};
 pub use cch::{CchBuckets, CchMetric, CchQuery, CchStats, CustomizableCh};

@@ -15,35 +15,44 @@
 //! leg dispatch prices ends at a pinned event node, so a forward vector
 //! would be computed per pin and never read.
 //!
+//! # One memo, one miss path
+//!
+//! The oracle owns no search engine for queries and no memo. It is the
+//! pinned vectors *in front of* the shared [`PathCache`]: a query whose
+//! target is not pinned falls through to [`PathCache::cost`], so the
+//! cache's configured [`crate::RouterBackend`] answers it, the answer is
+//! memoized once (in the cache), and a metric change has one memo to
+//! clear. The simulator builds its oracle over its own cache handle
+//! ([`HotNodeOracle::over`]); [`HotNodeOracle::new`] wraps a private
+//! default cache for tests and benches.
+//!
 //! # Concurrency and determinism
 //!
 //! Speculative batch dispatch probes the oracle from several workers at
 //! once, so reads must be concurrent *and* every query must return one
 //! canonical value regardless of which nodes happen to be pinned. The
 //! pinned map sits behind an `RwLock` (reads share, pins/unpins are rare
-//! and exclusive), counters are atomics, and the search memo is
-//! lock-striped by source node like [`crate::PathCache`].
+//! and exclusive), counters are atomics, and the cache behind it is
+//! lock-striped by source node.
 //!
 //! Canonical lookup rule: the **backward vector of the target `b`, else
-//! the memo / bidirectional search**. Edge costs sit on the dyadic grid
+//! the shared cache**. Edge costs sit on the dyadic grid
 //! (`mtshare_road::COST_QUANTUM_S`), so every f32 path sum is exact and
-//! the vector entry, the memo entry and a fresh search are the same bits
+//! the vector entry, the memo entry and a fresh search by any backend are
+//! the same bits
 //! (`tests/routing_properties.rs::one_to_all_all_to_one_and_bidir_agree_bit_for_bit`).
 //! The answer is therefore a function of `(a, b)` alone — pinning extra
 //! nodes (as the batch path does) can never change a result. A query whose
-//! *source* alone is pinned takes the memo/search path like any other
-//! unpinned pair.
+//! *source* alone is pinned takes the cache path like any other unpinned
+//! pair.
 
-use crate::bidirectional::BidirDijkstra;
+use crate::cache::PathCache;
 use crate::dijkstra::Dijkstra;
 use mtshare_road::{NodeId, RoadNetwork};
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-
-/// Lock stripes of the point memo (power of two, mask-selected).
-const MEMO_SHARDS: usize = 16;
 
 #[derive(Debug)]
 struct PinnedEntry {
@@ -57,9 +66,11 @@ struct PinnedEntry {
 pub struct OracleStats {
     /// Queries answered from a pinned vector.
     pub vector_hits: u64,
-    /// Queries answered from the point memo.
+    /// Always zero: the oracle keeps no memo, a repeated unpinned query
+    /// is a hit of the shared cache and counted there. Kept while the
+    /// summary schema carries `profiling.oracle.memo_hits`.
     pub memo_hits: u64,
-    /// Queries that ran a bidirectional search.
+    /// Queries that fell through to the shared [`PathCache`].
     pub searches: u64,
     /// One-to-all computations performed for pins.
     pub pin_computes: u64,
@@ -70,76 +81,57 @@ pub struct OracleStats {
 #[derive(Debug, Default)]
 struct AtomicStats {
     vector_hits: AtomicU64,
-    memo_hits: AtomicU64,
     searches: AtomicU64,
     pin_computes: AtomicU64,
     evictions: AtomicU64,
 }
 
-#[derive(Debug)]
-struct MemoShard {
-    memo: FxHashMap<u64, f32>,
-    bidi: BidirDijkstra,
-}
-
 /// Thread-safe cost oracle with pinnable hot nodes.
 #[derive(Debug, Clone)]
 pub struct HotNodeOracle {
-    graph: Arc<RoadNetwork>,
+    /// Answers every query the pinned vectors cannot, and names the graph
+    /// pins are computed on.
+    cache: PathCache,
     pinned: Arc<RwLock<FxHashMap<u32, PinnedEntry>>>,
     /// Scratch engine for pin computations (pins are serialized anyway).
     pin_engine: Arc<Mutex<Dijkstra>>,
-    memo: Arc<[Mutex<MemoShard>; MEMO_SHARDS]>,
     stats: Arc<AtomicStats>,
 }
 
 impl HotNodeOracle {
-    /// Creates an empty oracle over `graph`.
-    pub fn new(graph: Arc<RoadNetwork>) -> Self {
-        let memo = std::array::from_fn(|_| {
-            Mutex::new(MemoShard { memo: FxHashMap::default(), bidi: BidirDijkstra::new(&graph) })
-        });
+    /// Creates an empty oracle in front of `cache`: pins are computed on
+    /// the cache's live graph and unpinned queries are the cache's.
+    pub fn over(cache: PathCache) -> Self {
         Self {
-            pin_engine: Arc::new(Mutex::new(Dijkstra::new(&graph))),
-            memo: Arc::new(memo),
+            pin_engine: Arc::new(Mutex::new(Dijkstra::new(&cache.graph()))),
             pinned: Arc::new(RwLock::new(FxHashMap::default())),
             stats: Arc::new(AtomicStats::default()),
-            graph,
+            cache,
         }
     }
 
-    /// The underlying road network.
-    #[inline]
-    pub fn graph(&self) -> &Arc<RoadNetwork> {
-        &self.graph
+    /// Creates an empty oracle over `graph` with a private default cache.
+    pub fn new(graph: Arc<RoadNetwork>) -> Self {
+        Self::over(PathCache::new(graph))
     }
 
-    /// Points the oracle at a re-weighted copy of its road network (same
-    /// topology, e.g. from [`mtshare_road::apply_traffic_shifts`]): the
-    /// point memo is dropped and every pinned vector is recomputed
-    /// eagerly, in ascending node-id order, so answers are exact on the
-    /// new metric and deterministic regardless of pin history. Refcounts
-    /// survive — active requests keep their O(1) fast path.
+    /// Recomputes every pinned vector on the cache's live graph, eagerly
+    /// and in ascending node-id order, so answers are exact on the new
+    /// metric and deterministic regardless of pin history. Call after
+    /// [`PathCache::recustomize`] (which already cleared the one memo).
+    /// Refcounts survive — active requests keep their O(1) fast path.
     ///
     /// Takes `&mut self` so re-targeting is exclusive by construction;
     /// the simulator owns its oracle and re-customizes between events.
-    pub fn retarget(&mut self, graph: Arc<RoadNetwork>) {
-        assert_eq!(
-            graph.node_count(),
-            self.graph.node_count(),
-            "re-target graph must share the topology"
-        );
-        self.graph = graph;
-        for shard in self.memo.iter() {
-            shard.lock().memo.clear();
-        }
+    pub fn retarget(&mut self) {
+        let graph = self.cache.graph();
         let mut pinned = self.pinned.write();
         let mut nodes: Vec<u32> = pinned.keys().copied().collect();
         nodes.sort_unstable();
         let mut engine = self.pin_engine.lock();
         for v in nodes {
             let e = pinned.get_mut(&v).expect("key collected above");
-            engine.all_to_one(&self.graph, NodeId(v), &mut e.bwd);
+            engine.all_to_one(&graph, NodeId(v), &mut e.bwd);
             self.stats.pin_computes.fetch_add(1, Relaxed);
         }
     }
@@ -153,7 +145,7 @@ impl HotNodeOracle {
             return;
         }
         let mut bwd = Vec::new();
-        self.pin_engine.lock().all_to_one(&self.graph, node, &mut bwd);
+        self.pin_engine.lock().all_to_one(&self.cache.graph(), node, &mut bwd);
         self.stats.pin_computes.fetch_add(1, Relaxed);
         pinned.insert(node.0, PinnedEntry { refs: 1, bwd });
     }
@@ -172,24 +164,16 @@ impl HotNodeOracle {
     }
 
     /// Shortest-path cost from `a` to `b` in seconds, `None` if
-    /// unreachable. O(1) when the target `b` is pinned; otherwise a
-    /// memoized bidirectional search. Both return the same exact bits (see
-    /// the module docs), so the answer for a pair is canonical:
+    /// unreachable. O(1) when the target `b` is pinned; otherwise the
+    /// shared cache's (memoized) answer. Both return the same exact bits
+    /// (see the module docs), so the answer for a pair is canonical:
     /// independent of pin state, lookup history, and thread interleaving.
     pub fn cost(&self, a: NodeId, b: NodeId) -> Option<f64> {
         if let Some(c) = self.batch(|r| r.pinned_cost(a, b)) {
             return c;
         }
-        let key = ((a.0 as u64) << 32) | b.0 as u64;
-        let mut shard = self.memo[a.0 as usize & (MEMO_SHARDS - 1)].lock();
-        if let Some(&c) = shard.memo.get(&key) {
-            self.stats.memo_hits.fetch_add(1, Relaxed);
-            return c.is_finite().then_some(c as f64);
-        }
         self.stats.searches.fetch_add(1, Relaxed);
-        let c = shard.bidi.cost(&self.graph, a, b);
-        shard.memo.insert(key, c.map_or(f32::INFINITY, |c| c as f32));
-        c
+        self.cache.cost(a, b)
     }
 
     /// Runs `f` with a [`PinnedReader`]: a borrowed view of the pinned
@@ -216,7 +200,7 @@ impl HotNodeOracle {
     pub fn stats(&self) -> OracleStats {
         OracleStats {
             vector_hits: self.stats.vector_hits.load(Relaxed),
-            memo_hits: self.stats.memo_hits.load(Relaxed),
+            memo_hits: 0,
             searches: self.stats.searches.load(Relaxed),
             pin_computes: self.stats.pin_computes.load(Relaxed),
             evictions: self.stats.evictions.load(Relaxed),
@@ -228,10 +212,9 @@ impl HotNodeOracle {
         self.pinned.read().len()
     }
 
-    /// Approximate resident memory in bytes (pinned vectors + memo).
+    /// Approximate resident memory of the pinned vectors in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.pinned.read().len() * (self.graph.node_count() * 4 + 16)
-            + self.memo.iter().map(|s| s.lock().memo.capacity() * 14).sum::<usize>()
+        self.pinned.read().len() * (self.cache.graph().node_count() * 4 + 16)
     }
 }
 
@@ -246,7 +229,7 @@ impl PinnedReader<'_> {
     /// The `cost()` fast path: `Some(answer)` when `a == b` or the target
     /// `b` is pinned, reading the exact same vector entry as
     /// [`HotNodeOracle::cost`]. Returns `None` when the pair would need
-    /// the memo/search path; the caller falls back to its full cost
+    /// the cache path; the caller falls back to its full cost
     /// function (nested `cost()` reads are safe — see [`HotNodeOracle::batch`]).
     #[inline]
     pub fn pinned_cost(&mut self, a: NodeId, b: NodeId) -> Option<Option<f64>> {
@@ -354,14 +337,10 @@ mod tests {
     }
 
     #[test]
-    fn retarget_recomputes_pins_and_drops_the_memo() {
+    fn unpinned_targets_are_answered_and_memoized_by_the_shared_cache() {
+        use crate::{ContractionHierarchy, CustomizableCh, RouterBackend};
         use mtshare_road::{apply_traffic_shifts, TrafficShiftSpec};
         let g = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
-        let mut o = HotNodeOracle::new(g.clone());
-        o.pin(NodeId(399));
-        let _ = o.cost(NodeId(40), NodeId(41)); // memoized search
-        let before = o.cost(NodeId(0), NodeId(399)).unwrap();
-
         let spec = TrafficShiftSpec {
             center: NodeId(0),
             radius_m: 800.0,
@@ -370,29 +349,55 @@ mod tests {
             duration_s: 1.0,
         };
         let shifted = Arc::new(apply_traffic_shifts(&g, &[spec]).unwrap());
-        o.retarget(shifted.clone());
-        assert_eq!(o.graph().digest(), shifted.digest());
-        assert_eq!(o.pinned_count(), 1);
-        assert_eq!(o.stats().pin_computes, 2); // the pin + its one recompute
+        let (a, b) = (NodeId(0), NodeId(399));
+        for backend in [
+            RouterBackend::Bidir,
+            RouterBackend::Ch(Arc::new(ContractionHierarchy::build(&g, 2))),
+            RouterBackend::Cch(Arc::new(CustomizableCh::build(&g))),
+        ] {
+            let cache = PathCache::with_backend(g.clone(), backend);
+            let mut o = HotNodeOracle::over(cache.clone());
+            let p2p = || {
+                cache.ch_stats().map(|s| s.p2p_queries).or(cache.cch_stats().map(|s| s.p2p_queries))
+            };
 
-        // Pinned fast path and memo/search path both answer on the new
-        // metric, bit-identical to a fresh oracle over the shifted graph.
-        let fresh = HotNodeOracle::new(shifted);
-        let after = o.cost(NodeId(0), NodeId(399)).unwrap();
-        assert!(after > before, "slowdown region must lengthen the trip");
-        assert_eq!(Some(after), fresh.cost(NodeId(0), NodeId(399)));
-        assert_eq!(o.cost(NodeId(40), NodeId(41)), fresh.cost(NodeId(40), NodeId(41)));
+            // Unpinned target: the configured backend answers, once.
+            let free = o.cost(a, b).unwrap();
+            assert_eq!(o.cost(a, b), Some(free));
+            assert_eq!((o.stats().searches, o.stats().memo_hits), (2, 0));
+            let cs = cache.stats();
+            assert_eq!((cs.misses, cs.hits), (1, 1), "one miss, then the cache's own hit");
+            assert!(matches!(p2p(), None | Some(1)), "one hierarchy query: {:?}", p2p());
+            // Pinned target: the vector holds the same bits.
+            o.pin(b);
+            assert_eq!(o.cost(a, b).unwrap().to_bits(), free.to_bits());
+            assert_eq!(o.stats().vector_hits, 1);
+            o.unpin(b);
+
+            if !cache.is_recustomizable() {
+                continue;
+            }
+            // A metric change clears the cache's memo — the only one —
+            // and re-targeting recomputes the pins on the cache's graph.
+            o.pin(NodeId(7));
+            cache.recustomize(shifted.clone());
+            o.retarget();
+            assert_eq!(o.stats().pin_computes, 3, "pin b, pin 7, recompute 7");
+            let mut d = Dijkstra::new(&shifted);
+            let after = o.cost(a, b).unwrap();
+            assert!(after > free, "slowdown region must lengthen the trip");
+            assert_eq!(Some(after), d.cost(&shifted, a, b));
+            assert_eq!(o.cost(a, NodeId(7)), d.cost(&shifted, a, NodeId(7)));
+            assert_eq!(cache.stats().misses, 2);
+        }
     }
 
     #[test]
-    fn self_cost_zero_and_memoization() {
+    fn self_cost_is_zero_and_free() {
         let o = oracle();
         assert_eq!(o.cost(NodeId(5), NodeId(5)), Some(0.0));
-        let _ = o.cost(NodeId(1), NodeId(2));
-        let _ = o.cost(NodeId(1), NodeId(2));
-        let s = o.stats();
-        assert_eq!(s.searches, 1);
-        assert_eq!(s.memo_hits, 1);
+        assert_eq!(o.stats().searches, 0);
+        o.pin(NodeId(1));
         assert!(o.memory_bytes() > 0);
     }
 }

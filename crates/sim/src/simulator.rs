@@ -286,7 +286,7 @@ impl Simulator {
         scenario: &Scenario,
         cfg: SimConfig,
     ) -> Self {
-        let oracle = HotNodeOracle::new(graph.clone());
+        let oracle = HotNodeOracle::over(cache.clone());
         let spatial = SpatialGrid::build(&graph, 250.0);
         let n_taxis = scenario.taxis.len();
         let requests = scenario.request_store();
@@ -613,8 +613,8 @@ impl Simulator {
                 .expect("traffic shift preserves graph validity");
             Arc::new(g)
         };
-        self.cache.recustomize(shifted.clone());
-        self.oracle.retarget(shifted);
+        self.cache.recustomize(shifted);
+        self.oracle.retarget();
         self.metric_shifts = active;
     }
 
@@ -732,16 +732,7 @@ impl Simulator {
             self.oracle.pin(r.origin);
             self.oracle.pin(r.destination);
         }
-        let specs = {
-            let world = World {
-                graph: &self.graph,
-                cache: &self.cache,
-                oracle: &self.oracle,
-                taxis: &self.taxis,
-                requests: &self.requests,
-            };
-            scheme.dispatch_batch_speculative(&reqs, &world)
-        };
+        let specs = scheme.dispatch_batch_speculative(&reqs, &self.world());
         let Some(specs) = specs else {
             // Scheme has no speculative path: hand the first arrival to
             // the sequential route (which re-pins; pins are refcounted).
@@ -776,13 +767,7 @@ impl Simulator {
             self.obs.emit(Event::Arrival { t: now, req: req.id.0, offline: false });
             let t0 = std::time::Instant::now();
             let outcome = {
-                let world = World {
-                    graph: &self.graph,
-                    cache: &self.cache,
-                    oracle: &self.oracle,
-                    taxis: &self.taxis,
-                    requests: &self.requests,
-                };
+                let world = self.world();
                 if scheme.validate_speculative(req, now, &world, &specs[k]) {
                     specs[k].outcome.clone()
                 } else {
@@ -828,14 +813,7 @@ impl Simulator {
         if !self.obs.is_enabled() {
             return;
         }
-        let world = World {
-            graph: &self.graph,
-            cache: &self.cache,
-            oracle: &self.oracle,
-            taxis: &self.taxis,
-            requests: &self.requests,
-        };
-        let reason = classify_rejection(req, &world);
+        let reason = classify_rejection(req, &self.world());
         self.obs.emit(Event::Reject { t: now, req: req.id.0, reason });
     }
 
@@ -891,13 +869,7 @@ impl Simulator {
         self.oracle.pin(req.destination);
         let t0 = std::time::Instant::now();
         let out = {
-            let world = World {
-                graph: &self.graph,
-                cache: &self.cache,
-                oracle: &self.oracle,
-                taxis: &self.taxis,
-                requests: &self.requests,
-            };
+            let world = self.world();
             match encountered_by {
                 Some(t) => scheme.dispatch_offline(req, t, now, &world),
                 None => scheme.dispatch(req, now, &world),
@@ -979,16 +951,7 @@ impl Simulator {
         if let Some(t) = next_event {
             self.push_ev(t, Ev::Taxi { taxi: taxi_id, version });
         }
-        {
-            let world = World {
-                graph: &self.graph,
-                cache: &self.cache,
-                oracle: &self.oracle,
-                taxis: &self.taxis,
-                requests: &self.requests,
-            };
-            scheme.after_assign(&self.taxis[taxi_id.index()], &world);
-        }
+        scheme.after_assign(&self.taxis[taxi_id.index()], &self.world());
 
         // New route may pass pending offline requests.
         self.scan_route_for_offline(taxi_id, now);
@@ -1178,16 +1141,7 @@ impl Simulator {
         if let Some(nt) = next_time {
             self.push_ev(nt, Ev::Taxi { taxi: taxi_id, version });
         }
-        {
-            let world = World {
-                graph: &self.graph,
-                cache: &self.cache,
-                oracle: &self.oracle,
-                taxis: &self.taxis,
-                requests: &self.requests,
-            };
-            scheme.on_taxi_progress(&self.taxis[taxi_id.index()], t, &world);
-        }
+        scheme.on_taxi_progress(&self.taxis[taxi_id.index()], t, &self.world());
     }
 
     fn process_encounter(
@@ -1274,16 +1228,7 @@ impl Simulator {
             taxi: taxi_id.0,
             orphans: (onboard.len() + assigned.len()) as u32,
         });
-        {
-            let world = World {
-                graph: &self.graph,
-                cache: &self.cache,
-                oracle: &self.oracle,
-                taxis: &self.taxis,
-                requests: &self.requests,
-            };
-            scheme.on_taxi_removed(&self.taxis[taxi_id.index()], &world);
-        }
+        scheme.on_taxi_removed(&self.taxis[taxi_id.index()], &self.world());
         let fail_node = self.taxis[taxi_id.index()].location;
         for r in onboard {
             self.enqueue_orphan(r, t, Some(fail_node));
@@ -1505,14 +1450,7 @@ impl Simulator {
         if let Some(nt) = self.taxis[i].next_event_time() {
             self.push_ev(nt, Ev::Taxi { taxi: taxi_id, version });
         }
-        let world = World {
-            graph: &self.graph,
-            cache: &self.cache,
-            oracle: &self.oracle,
-            taxis: &self.taxis,
-            requests: &self.requests,
-        };
-        scheme.on_taxi_progress(&self.taxis[i], now, &world);
+        scheme.on_taxi_progress(&self.taxis[i], now, &self.world());
     }
 
     /// Replaces `taxi_id`'s plan with `schedule`, routing every leg from
@@ -1562,16 +1500,7 @@ impl Simulator {
         if let Some(nt) = self.taxis[i].next_event_time() {
             self.push_ev(nt, Ev::Taxi { taxi: taxi_id, version });
         }
-        {
-            let world = World {
-                graph: &self.graph,
-                cache: &self.cache,
-                oracle: &self.oracle,
-                taxis: &self.taxis,
-                requests: &self.requests,
-            };
-            scheme.after_assign(&self.taxis[i], &world);
-        }
+        scheme.after_assign(&self.taxis[i], &self.world());
         self.scan_route_for_offline(taxi_id, now);
         true
     }
@@ -1633,16 +1562,7 @@ impl Simulator {
             self.oracle.pin(r.destination);
         }
         let t0 = std::time::Instant::now();
-        let rows = {
-            let world = World {
-                graph: &self.graph,
-                cache: &self.cache,
-                oracle: &self.oracle,
-                taxis: &self.taxis,
-                requests: &self.requests,
-            };
-            scheme.score_window(&reqs, t, &world)
-        };
+        let rows = scheme.score_window(&reqs, t, &self.world());
         let Some(rows) = rows else {
             // Scheme has no batch-window path: dispatch the members
             // sequentially at the flush time (re-pins; pins refcount).
@@ -1702,16 +1622,7 @@ impl Simulator {
             // current world anyway (materialization can still fail, which
             // demotes the row to a loser).
             let committed = sol.row_to_col[i].map(|j| cols[j]).is_some_and(|taxi| {
-                let outcome = {
-                    let world = World {
-                        graph: &self.graph,
-                        cache: &self.cache,
-                        oracle: &self.oracle,
-                        taxis: &self.taxis,
-                        requests: &self.requests,
-                    };
-                    scheme.dispatch_to(req, taxi, t, &world)
-                };
+                let outcome = scheme.dispatch_to(req, taxi, t, &self.world());
                 match outcome.assignment {
                     Some(a) => {
                         self.commit(req, a, t, scheme);

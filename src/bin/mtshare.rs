@@ -74,7 +74,7 @@ impl Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mtshare simulate [--scheme no-sharing|t-share|pgreedy-dp|mt-share|mt-share-pro|batch]\n                   [--taxis N] [--requests N] [--nonpeak] [--rows N] [--cols N] [--seed N]\n                   [--capacity N]      # seats per taxi (1-8, default 4)\n                   [--parallelism N]   # dispatch worker threads; results identical to 1\n                   [--scheduler dp|dtree]      # insertion scoring engine; traces identical either way\n                   [--batch-window S]  # rolling-horizon window in sim seconds (with --scheme batch)\n                   [--batch-retries N] # re-queue budget for losing requests (with --scheme batch)\n                   [--router bidir|dijkstra|ch|cch]  # exact cost engine; traces identical across all\n                   [--ch-artifact FILE]        # persist/reuse the preprocessing (with --router ch|cch)\n                   [--metrics-out FILE.json]   # end-of-run summary (stages, caches, rejections)\n                   [--trace-out FILE.jsonl]    # dispatch-lifecycle event stream\n                   [--feed-record FILE.jsonl]  # dump the arrival stream in the serve feed format\n                   [--chaos-seed N]    # inject seeded disruptions (breakdowns/cancels/shifts)\n                   [--disruptions breakdowns=2,cancels=4,shifts=2]  # mix (with --chaos-seed)\n                   [--validate-every SECONDS]  # runtime invariant checker cadence\n                   [--state-dir DIR]   # checkpoint/WAL persistence (crash-consistent restart)\n                   [--checkpoint-every N]      # snapshot cadence in steps (default 256)\n                   [--resume]          # warm-restart from the newest valid checkpoint + WAL\n                   [--crash-at STEP]   # die (exit 42) after STEP steps, for restart testing\n                   [--durability strict|degrade]  # storage-fault policy: fail fast (exit 44) or\n                                                  # quarantine the state dir and keep serving\n                   [--failpoints SPEC] # seeded I/O faults, e.g. wal-sync-fail=1,snap-write-enospc=1\n                                       # (schedule derived from --chaos-seed)\n  mtshare serve    [--feed -|FILE|tcp:ADDR]    # line-delimited JSON request feed (default stdin)\n                   [--queue-capacity N]        # bounded admission queue (default 64)\n                   [--admission block|shed-oldest|reject-new]\n                   [--pace free|QUANTUM_S]     # burst entries per virtual-time quantum (default free)\n                   [--report-out FILE.jsonl]   # periodic steady-state reports\n                   [--report-every SECONDS]    # report cadence in virtual seconds (default 60)\n                   [--heartbeat-file FILE]     # liveness file rewritten every burst\n                   [--supervise]               # watchdog: restart on crash/fault/stall with backoff\n                   [--supervise-max-restarts N] [--supervise-backoff-ms MS] [--supervise-stall-ms MS]\n                   plus the simulate scenario/persistence flags (--taxis, --requests, --scheme,\n                   --state-dir, --resume, ...); a serve run over a recorded feed produces the\n                   one-shot run's exact event trace\n  mtshare partition [--kappa N] [--grid] [--out FILE.geojson|FILE.csv]\n  mtshare stats [--hours N]\n  mtshare trace FILE.csv"
+        "usage:\n  mtshare simulate [--scheme no-sharing|t-share|pgreedy-dp|mt-share|mt-share-pro|batch]\n                   [--taxis N] [--requests N] [--nonpeak] [--rows N] [--cols N] [--seed N]\n                   [--capacity N]      # seats per taxi (1-8, default 4)\n                   [--parallelism N]   # dispatch worker threads; results identical to 1\n                   [--scheduler dp|dtree]      # insertion scoring engine; traces identical either way\n                   [--batch-window S]  # rolling-horizon window in sim seconds (with --scheme batch)\n                   [--batch-retries N] # re-queue budget for losing requests (with --scheme batch)\n                   [--router bidir|ch|cch]      # exact cost engine; traces identical across all\n                   [--ch-artifact FILE]        # persist/reuse the preprocessing (with --router ch|cch)\n                   [--metrics-out FILE.json]   # end-of-run summary (stages, caches, rejections)\n                   [--trace-out FILE.jsonl]    # dispatch-lifecycle event stream\n                   [--feed-record FILE.jsonl]  # dump the arrival stream in the serve feed format\n                   [--chaos-seed N]    # inject seeded disruptions (breakdowns/cancels/shifts)\n                   [--disruptions breakdowns=2,cancels=4,shifts=2]  # mix (with --chaos-seed)\n                   [--validate-every SECONDS]  # runtime invariant checker cadence\n                   [--state-dir DIR]   # checkpoint/WAL persistence (crash-consistent restart)\n                   [--checkpoint-every N]      # snapshot cadence in steps (default 256)\n                   [--resume]          # warm-restart from the newest valid checkpoint + WAL\n                   [--crash-at STEP]   # die (exit 42) after STEP steps, for restart testing\n                   [--durability strict|degrade]  # storage-fault policy: fail fast (exit 44) or\n                                                  # quarantine the state dir and keep serving\n                   [--failpoints SPEC] # seeded I/O faults, e.g. wal-sync-fail=1,snap-write-enospc=1\n                                       # (schedule derived from --chaos-seed)\n  mtshare serve    [--feed -|FILE|tcp:ADDR]    # line-delimited JSON request feed (default stdin)\n                   [--queue-capacity N]        # bounded admission queue (default 64)\n                   [--admission block|shed-oldest|reject-new]\n                   [--pace free|QUANTUM_S]     # burst entries per virtual-time quantum (default free)\n                   [--report-out FILE.jsonl]   # periodic steady-state reports\n                   [--report-every SECONDS]    # report cadence in virtual seconds (default 60)\n                   [--heartbeat-file FILE]     # liveness file rewritten every burst\n                   [--supervise]               # watchdog: restart on crash/fault/stall with backoff\n                   [--supervise-max-restarts N] [--supervise-backoff-ms MS] [--supervise-stall-ms MS]\n                   plus the simulate scenario/persistence flags (--taxis, --requests, --scheme,\n                   --state-dir, --resume, ...); a serve run over a recorded feed produces the\n                   one-shot run's exact event trace\n  mtshare partition [--kappa N] [--grid] [--out FILE.geojson|FILE.csv]\n  mtshare stats [--hours N]\n  mtshare trace FILE.csv"
     );
     std::process::exit(2)
 }
@@ -242,7 +242,7 @@ fn build_cache(
     obs: &mt_share::obs::Obs,
 ) -> PathCache {
     let backend = match args.get("router").unwrap_or("bidir") {
-        "bidir" | "dijkstra" => RouterBackend::Bidir,
+        "bidir" => RouterBackend::Bidir,
         "ch" => {
             let _span = obs.stage(mt_share::obs::Stage::PreprocessCh);
             let ch = match args.get("ch-artifact") {

@@ -228,7 +228,6 @@ fn traces_are_byte_identical_across_routers_and_parallelism() {
     std::fs::create_dir_all(&dir).unwrap();
 
     simulate(&dir, "bidir", "1", "bidir-p1.jsonl");
-    simulate(&dir, "dijkstra", "1", "dijkstra-p1.jsonl");
     simulate(&dir, "ch", "1", "ch-p1.jsonl");
     simulate(&dir, "ch", "4", "ch-p4.jsonl");
     simulate(&dir, "cch", "1", "cch-p1.jsonl");
@@ -236,8 +235,7 @@ fn traces_are_byte_identical_across_routers_and_parallelism() {
 
     let reference = std::fs::read(dir.join("bidir-p1.jsonl")).unwrap();
     assert!(!reference.is_empty(), "baseline trace must not be empty");
-    for other in ["dijkstra-p1.jsonl", "ch-p1.jsonl", "ch-p4.jsonl", "cch-p1.jsonl", "cch-p4.jsonl"]
-    {
+    for other in ["ch-p1.jsonl", "ch-p4.jsonl", "cch-p1.jsonl", "cch-p4.jsonl"] {
         let got = std::fs::read(dir.join(other)).unwrap();
         assert!(got == reference, "{other} diverges from the bidir baseline trace");
     }

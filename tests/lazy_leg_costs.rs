@@ -2,8 +2,9 @@
 //! decision reads. These tests pin that with exact counts so eager work
 //! cannot creep back in unnoticed — no bucket priming sweep, no hierarchy
 //! query and no `PathCache` search that depends on the router backend
-//! inside the loop, and exactly one backward-vector computation per
-//! distinct pinned node. The trace must not notice the backend at all.
+//! inside the loop, no oracle query that misses the pinned vectors, and
+//! exactly one backward-vector computation per distinct pinned node. The
+//! trace must not notice the backend at all.
 
 use mt_share::core::{MtShareConfig, PartitionStrategy};
 use mt_share::model::{
@@ -22,6 +23,7 @@ use std::sync::Arc;
 struct PinAudit {
     inner: Box<dyn DispatchScheme>,
     dispatches: u64,
+    /// Oracle counters after the latest dispatch returned.
     last: OracleStats,
 }
 
@@ -50,7 +52,9 @@ impl DispatchScheme for PinAudit {
     }
     fn dispatch(&mut self, req: &RideRequest, now: Time, world: &World<'_>) -> DispatchOutcome {
         self.audit(world);
-        self.inner.dispatch(req, now, world)
+        let out = self.inner.dispatch(req, now, world);
+        self.last = world.oracle.stats();
+        out
     }
     fn dispatch_offline(
         &mut self,
@@ -60,7 +64,9 @@ impl DispatchScheme for PinAudit {
         world: &World<'_>,
     ) -> DispatchOutcome {
         self.audit(world);
-        self.inner.dispatch_offline(req, encountered_by, now, world)
+        let out = self.inner.dispatch_offline(req, encountered_by, now, world);
+        self.last = world.oracle.stats();
+        out
     }
     fn after_assign(&mut self, taxi: &Taxi, world: &World<'_>) {
         self.inner.after_assign(taxi, world)
@@ -131,6 +137,14 @@ fn no_backend_dependent_work_inside_the_loop() {
         let bidir = run(&graph, RouterBackend::Bidir, kind);
         assert!(bidir.served > 0, "{kind:?}: nothing served");
         assert!(bidir.oracle.vector_hits > 0 && bidir.oracle.pin_computes > 0);
+        // Every leg dispatch priced ended at a pinned node: nothing fell
+        // through to the shared cache, under any backend (`r.oracle ==
+        // bidir.oracle` below).
+        assert_eq!(
+            (bidir.oracle.searches, bidir.oracle.memo_hits),
+            (0, 0),
+            "{kind:?}: dispatch asked the oracle for an unpinned target"
+        );
         for (name, backend) in [("ch", ch.clone()), ("cch", cch.clone())] {
             let r = run(&graph, backend, kind);
             assert_eq!(r.trace, bidir.trace, "{kind:?}/{name}: trace differs from bidir");

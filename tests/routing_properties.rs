@@ -9,8 +9,8 @@ use mt_share::road::{
     RoadNetwork, TrafficShiftSpec,
 };
 use mt_share::routing::{
-    bellman_ford_cost, AStar, Alt, BidirDijkstra, ChQuery, ContractionHierarchy, Dijkstra,
-    HotNodeOracle, MaskedDijkstra, NodeMask, PathCache,
+    bellman_ford_cost, BidirDijkstra, ChQuery, ContractionHierarchy, Dijkstra, HotNodeOracle,
+    MaskedDijkstra, NodeMask, PathCache,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -51,10 +51,8 @@ proptest! {
         let oracle = bellman_ford_cost(&g, s, t).expect("strongly connected");
         let mut d = Dijkstra::new(&g);
         let mut bi = BidirDijkstra::new(&g);
-        let mut a = AStar::new(&g);
         prop_assert!((d.cost(&g, s, t).unwrap() - oracle).abs() < 1e-2);
         prop_assert!((bi.cost(&g, s, t).unwrap() - oracle).abs() < 1e-2);
-        prop_assert!((a.cost(&g, s, t).unwrap() - oracle).abs() < 1e-2);
     }
 
     #[test]
@@ -190,26 +188,6 @@ proptest! {
             total += c.unwrap() as f64;
         }
         prop_assert!((total - p.cost_s).abs() < 1e-2);
-    }
-
-    #[test]
-    fn landmark_lower_bound_is_admissible(
-        seed in 0u64..6,
-        s in 0u32..144,
-        t in 0u32..144,
-    ) {
-        let g = city(seed);
-        // Corners plus centre: a deliberately lopsided landmark set so the
-        // bound is tight along some corridors and slack along others.
-        let landmarks = [0u32, 11, 132, 143, 66].map(NodeId);
-        let mut alt = Alt::with_landmarks(&g, &landmarks);
-        let mut d = Dijkstra::new(&g);
-        let true_cost = d.cost(&g, NodeId(s), NodeId(t)).unwrap();
-        let lb = alt.lower_bound(NodeId(s), NodeId(t));
-        prop_assert!(
-            lb <= true_cost + 1e-3,
-            "landmark bound {lb} exceeds true cost {true_cost} for {s}->{t}"
-        );
     }
 
     #[test]

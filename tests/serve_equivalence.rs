@@ -147,6 +147,7 @@ fn bad_flag_combinations_fail_fast_with_exit_2() {
         (&["simulate", "--batch-retries", "2"], "--batch-retries requires --scheme batch"),
         (&["serve", "--batch-window", "30"], "--batch-window requires --scheme batch"),
         (&["simulate", "--ch-artifact", "ch.bin"], "--ch-artifact requires --router ch"),
+        (&["simulate", "--router", "dijkstra"], "unknown router: dijkstra"),
         (&["simulate", "--disruptions", "cancels=2"], "--disruptions requires --chaos-seed"),
         (&["serve", "--report-every", "30"], "--report-every requires --report-out"),
         (&["serve", "--admission", "block", "--queue-capacity", "0"], "can never admit"),
