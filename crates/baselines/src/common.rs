@@ -15,7 +15,7 @@ pub(crate) fn shortest_legs(
     let mut from = pos;
     for ev in schedule.events() {
         let leg =
-            if from == ev.node { Path::trivial(from) } else { world.cache.path(from, ev.node)? };
+            if from == ev.node { Path::trivial(from) } else { world.oracle.path(from, ev.node)? };
         from = ev.node;
         legs.push(leg);
     }

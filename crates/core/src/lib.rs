@@ -31,6 +31,6 @@ pub use filter::{filter_partitions, filter_partitions_observed, FilteredPartitio
 pub use index::{MobilityClusterIndex, PartitionTaxiIndex};
 pub use payment::{settle_episode, PassengerTrip, PaymentConfig, Settlement};
 pub use prob_wrapper::WithProbabilisticRouting;
-pub use routing::{RouterStats, SegmentRouter};
+pub use routing::SegmentRouter;
 pub use scheduling::{probabilistic_enabled, schedule_best};
 pub use scheme::MtShare;

@@ -6,6 +6,13 @@
 //! probabilistic routing biases the path through partitions with a high
 //! probability of meeting *suitable* offline requests (those travelling in
 //! the taxi's direction), trading detour for encounter probability.
+//!
+//! The paper routes a basic leg from its in-memory all-pairs table, and so
+//! does dispatch: the leg ends at a scheduled stop whose backward vector the
+//! oracle holds, and [`HotNodeOracle::pinned_path`] reads the route off it.
+//! The filtered search answers where that walk declines (shortest paths
+//! tie), inside a traffic-shift window and behind the public entry points;
+//! where both answer they agree, so the arm that ran never shows in a trace.
 
 use crate::config::MtShareConfig;
 use crate::context::MobilityContext;
@@ -14,31 +21,24 @@ use mtshare_mobility::PartitionId;
 use mtshare_model::World;
 use mtshare_obs::{Obs, Stage};
 use mtshare_road::{direction_cosine, NodeId, RoadNetwork};
-use mtshare_routing::{MaskedDijkstra, NodeMask, Path, PathCache};
-
-/// Counters exposed for the routing ablation benches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Basic legs answered by the filtered subgraph search.
-    pub filtered_hits: u64,
-    /// Basic legs that fell back to the full-graph search (filter cut the
-    /// optimal corridor or disconnected the endpoints).
-    pub filtered_fallbacks: u64,
-    /// Probabilistic legs that returned a biased route.
-    pub prob_legs: u64,
-    /// Probabilistic legs that fell back to the shortest path.
-    pub prob_fallbacks: u64,
-}
+use mtshare_routing::{HotNodeOracle, MaskedDijkstra, NodeMask, Path, PathCache};
+use std::sync::Arc;
 
 /// Reusable per-leg router (scratch state sized to the graph).
 pub struct SegmentRouter {
     masked: MaskedDijkstra,
     mask: NodeMask,
-    stats: RouterStats,
     obs: Obs,
-    /// Scratch: per-partition suitability flags for Alg. 4 step ①.
-    dest_flags: Vec<bool>,
+    /// Alg. 4 memo, dropped when `prob_key` — the bits of `taxi_dir`, `λ` and
+    /// the bias weight — changes; nothing else enters what it holds. Vertex
+    /// weights `bias / (1 + ψ)`, valid for members of `weighted` partitions.
     weights: Vec<f32>,
+    prob_key: [u64; 4],
+    /// κ × κ, row `p`: the partitions in the taxi's direction seen from `p`
+    /// (step ①). Valid where `pi_prob[p]`, their summed probability, is set.
+    suitable: Vec<bool>,
+    pi_prob: Vec<Option<f32>>,
+    weighted: Vec<bool>,
     /// Scratch: scored insertion slots, reused across `schedule_best`
     /// calls so Algorithm 1 allocates nothing per candidate.
     slots: Vec<crate::scheduling::ScoredSlot>,
@@ -55,10 +55,12 @@ impl SegmentRouter {
         Self {
             masked: MaskedDijkstra::new(graph),
             mask: NodeMask::new(graph),
-            stats: RouterStats::default(),
             obs: Obs::disabled(),
-            dest_flags: Vec::new(),
             weights: vec![0.0; graph.node_count()],
+            prob_key: [0; 4],
+            suitable: Vec::new(),
+            pi_prob: Vec::new(),
+            weighted: Vec::new(),
             slots: Vec::new(),
             leg_memo: Vec::new(),
         }
@@ -83,11 +85,11 @@ impl SegmentRouter {
 
     /// [`SegmentRouter::basic_leg`] for dispatch: priced with the oracle
     /// cost the schedule was scored with (one read of the target's pinned
-    /// vector, no search) and answered from the per-dispatch memo when the
-    /// same `(from, to)` leg was already routed since the last
-    /// [`SegmentRouter::begin_leg_memo`]. Only basic legs memoize:
-    /// probabilistic legs consume deadline slack statefully, so equal
-    /// endpoints do not imply equal routes there.
+    /// vector), routed off the same vector when it can be, and answered
+    /// from the per-dispatch memo when the same `(from, to)` leg was
+    /// already routed since the last [`SegmentRouter::begin_leg_memo`].
+    /// Only basic legs memoize: probabilistic legs consume deadline slack
+    /// statefully, so equal endpoints do not imply equal routes there.
     pub(crate) fn basic_leg_memo(
         &mut self,
         world: &World<'_>,
@@ -102,7 +104,8 @@ impl SegmentRouter {
         let exact_cost_s = world.oracle.cost(from, to)?;
         let leg = {
             let _span = self.obs.stage(Stage::Routing);
-            self.basic_leg_priced(world.graph, ctx, cfg, world.cache, from, to, exact_cost_s)?
+            let World { graph, cache, oracle, .. } = *world;
+            self.basic_leg_priced(graph, ctx, cfg, cache, Some(oracle), from, to, exact_cost_s)?
         };
         self.leg_memo.push((from, to, leg.clone()));
         Some(leg)
@@ -118,26 +121,6 @@ impl SegmentRouter {
         &self.obs
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> RouterStats {
-        self.stats
-    }
-
-    /// Drains this router's counters to zero, returning the snapshot.
-    pub fn take_stats(&mut self) -> RouterStats {
-        std::mem::take(&mut self.stats)
-    }
-
-    /// Folds another router's drained counters into this one (used to
-    /// merge per-worker routers after a speculative batch; the totals are
-    /// determined by the work set, not by which worker did what).
-    pub fn absorb_stats(&mut self, s: RouterStats) {
-        self.stats.filtered_hits += s.filtered_hits;
-        self.stats.filtered_fallbacks += s.filtered_fallbacks;
-        self.stats.prob_legs += s.prob_legs;
-        self.stats.prob_fallbacks += s.prob_fallbacks;
-    }
-
     fn allow_partitions(&mut self, ctx: &MobilityContext, partitions: &[PartitionId]) {
         self.mask.clear();
         for &p in partitions {
@@ -149,9 +132,9 @@ impl SegmentRouter {
 
     /// Basic routing for one leg (Algorithm 3 body): partition filter, then
     /// Dijkstra on the induced subgraph. Falls back to the exact full-graph
-    /// shortest path when the filtered search misses the optimum (tracked
-    /// in [`RouterStats`]); the returned leg therefore always realizes the
-    /// true shortest cost the feasibility evaluation assumed.
+    /// shortest path when the filtered search misses the optimum; the
+    /// returned leg therefore always realizes the true shortest cost the
+    /// feasibility evaluation assumed.
     pub fn basic_leg(
         &mut self,
         graph: &RoadNetwork,
@@ -163,12 +146,15 @@ impl SegmentRouter {
     ) -> Option<Path> {
         let _span = self.obs.stage(Stage::Routing);
         let exact_cost_s = cache.cost(from, to)?;
-        self.basic_leg_priced(graph, ctx, cfg, cache, from, to, exact_cost_s)
+        self.basic_leg_priced(graph, ctx, cfg, cache, None, from, to, exact_cost_s)
     }
 
     /// Algorithm 3 body given the leg's exact shortest cost: no search for
     /// it, and no stage span, so the probabilistic fallback path does not
-    /// double-count routing time.
+    /// double-count routing time. With an oracle (dispatch) a unique
+    /// shortest path is read off the target's pinned vector — but only
+    /// while `graph` is the cache's live metric: the masked search routes
+    /// on `graph`, the vectors live on the cache's (traffic-shift windows).
     #[allow(clippy::too_many_arguments)]
     fn basic_leg_priced(
         &mut self,
@@ -176,6 +162,7 @@ impl SegmentRouter {
         ctx: &MobilityContext,
         cfg: &MtShareConfig,
         cache: &PathCache,
+        oracle: Option<&HotNodeOracle>,
         from: NodeId,
         to: NodeId,
         exact_cost: f64,
@@ -185,6 +172,12 @@ impl SegmentRouter {
         }
         let filtered =
             filter_partitions_observed(graph, ctx, from, to, cfg.lambda, cfg.epsilon, &self.obs);
+        let walk = oracle
+            .filter(|_| std::ptr::eq(graph, Arc::as_ptr(&cache.graph())))
+            .and_then(|o| o.pinned_path(from, to));
+        if walk.is_some() {
+            return walk;
+        }
         self.allow_partitions(ctx, &filtered.partitions);
         let sub = self.masked.path_masked(graph, from, to, &self.mask, None);
         match sub {
@@ -195,14 +188,10 @@ impl SegmentRouter {
             // one at least a cost quantum more. The tolerance is slack,
             // not a correction; the snap is a no-op kept as the contract.
             Some(mut p) if p.cost_s <= exact_cost + 1e-3 => {
-                self.stats.filtered_hits += 1;
                 p.cost_s = exact_cost;
                 Some(p)
             }
-            _ => {
-                self.stats.filtered_fallbacks += 1;
-                cache.path(from, to)
-            }
+            _ => oracle.map_or_else(|| cache.path(from, to), |o| o.path(from, to)),
         }
     }
 
@@ -225,7 +214,9 @@ impl SegmentRouter {
         taxi_dir: (f64, f64),
         budget_s: f64,
     ) -> Option<Path> {
-        self.probabilistic_leg_priced(graph, ctx, cfg, cache, from, to, taxi_dir, budget_s, None)
+        self.probabilistic_leg_priced(
+            graph, ctx, cfg, cache, None, from, to, taxi_dir, budget_s, None,
+        )
     }
 
     /// [`SegmentRouter::probabilistic_leg`] with the leg's exact shortest
@@ -238,6 +229,7 @@ impl SegmentRouter {
         ctx: &MobilityContext,
         cfg: &MtShareConfig,
         cache: &PathCache,
+        oracle: Option<&HotNodeOracle>,
         from: NodeId,
         to: NodeId,
         taxi_dir: (f64, f64),
@@ -251,29 +243,34 @@ impl SegmentRouter {
         let filtered =
             filter_partitions_observed(graph, ctx, from, to, cfg.lambda, cfg.epsilon, &self.obs);
 
-        // ① probability of meeting suitable requests per retained partition.
         let kappa = ctx.kappa();
+        let bias = cfg.prob_bias_weight_s as f32;
+        let key = [taxi_dir.0, taxi_dir.1, cfg.lambda, cfg.prob_bias_weight_s].map(f64::to_bits);
+        if self.prob_key != key || self.pi_prob.len() != kappa {
+            self.prob_key = key;
+            self.suitable.resize(kappa * kappa, false);
+            self.pi_prob = vec![None; kappa];
+            self.weighted = vec![false; kappa];
+        }
+
+        // ① probability of meeting suitable requests per retained partition.
         let mut pi_prob = vec![0.0f32; filtered.partitions.len()];
         for (idx, &p) in filtered.partitions.iter().enumerate() {
-            self.dest_flags.clear();
-            self.dest_flags.resize(kappa, false);
-            let lp = graph.point(ctx.partitioning.landmark(p));
-            for q in ctx.partitioning.partitions() {
-                if q == p {
-                    continue;
+            let flags = &mut self.suitable[p.index() * kappa..][..kappa];
+            pi_prob[idx] = *self.pi_prob[p.index()].get_or_insert_with(|| {
+                flags.fill(false);
+                let lp = graph.point(ctx.partitioning.landmark(p));
+                for q in ctx.partitioning.partitions().filter(|&q| q != p) {
+                    let lq = graph.point(ctx.partitioning.landmark(q));
+                    flags[q.index()] =
+                        direction_cosine(lp.displacement_m(&lq), taxi_dir) >= cfg.lambda;
                 }
-                let lq = graph.point(ctx.partitioning.landmark(q));
-                if direction_cosine(lp.displacement_m(&lq), taxi_dir) >= cfg.lambda {
-                    self.dest_flags[q.index()] = true;
-                }
-            }
-            let mut prob = 0.0f32;
-            for q in 0..kappa {
-                if self.dest_flags[q] {
+                let mut prob = 0.0f32;
+                for (q, _) in flags.iter().enumerate().filter(|&(_, &suits)| suits) {
                     prob += ctx.partition_prob(p.index(), q);
                 }
-            }
-            pi_prob[idx] = prob;
+                prob
+            });
         }
 
         // ② enumerate landmark paths (partition paths) ranked by
@@ -289,27 +286,20 @@ impl SegmentRouter {
         );
 
         // ③ fine-grained route over each partition path until one is valid.
-        let bias = cfg.prob_bias_weight_s as f32;
         for partition_path in paths.iter().take(cfg.prob_attempts) {
             self.allow_partitions(ctx, partition_path);
             // Vertex weight 1/ψ_c, scaled into edge-cost units so the bias
-            // steers without dwarfing travel costs.
+            // steers without dwarfing travel costs. Every partition of a
+            // path was retained, so step ① left its flags in `suitable`.
             for &p in partition_path {
-                self.dest_flags.clear();
-                self.dest_flags.resize(kappa, false);
-                let lp = graph.point(ctx.partitioning.landmark(p));
-                for q in ctx.partitioning.partitions() {
-                    if q != p {
-                        let lq = graph.point(ctx.partitioning.landmark(q));
-                        if direction_cosine(lp.displacement_m(&lq), taxi_dir) >= cfg.lambda {
-                            self.dest_flags[q.index()] = true;
-                        }
-                    }
+                if std::mem::replace(&mut self.weighted[p.index()], true) {
+                    continue;
                 }
+                let flags = &self.suitable[p.index() * kappa..][..kappa];
                 for &v in ctx.partitioning.members(p) {
                     // ψ_c demand-weighted: expected suitable requests at v.
                     let w = ctx.transitions.observed(v) as f32;
-                    let psi = w * ctx.transitions.prob_to_any(v, &self.dest_flags);
+                    let psi = w * ctx.transitions.prob_to_any(v, flags);
                     self.weights[v.index()] = bias / (1.0 + psi);
                 }
             }
@@ -318,15 +308,13 @@ impl SegmentRouter {
             if let Some(p) = self.masked.path_masked(graph, from, to, &self.mask, Some(&weight_fn))
             {
                 if p.cost_s <= budget_s + 1e-6 {
-                    self.stats.prob_legs += 1;
                     return Some(p);
                 }
             }
         }
         // No valid probabilistic route: fall back to the basic leg.
-        self.stats.prob_fallbacks += 1;
         let exact_cost_s = exact_cost_s.or_else(|| cache.cost(from, to))?;
-        self.basic_leg_priced(graph, ctx, cfg, cache, from, to, exact_cost_s)
+        self.basic_leg_priced(graph, ctx, cfg, cache, oracle, from, to, exact_cost_s)
     }
 }
 
@@ -446,8 +434,83 @@ mod tests {
             assert_eq!(leg.start(), NodeId(s));
             assert_eq!(leg.end(), NodeId(t));
         }
-        let st = r.stats();
-        assert!(st.filtered_hits + st.filtered_fallbacks >= 3);
+    }
+
+    /// Dispatch's entry point against the public search entry point on
+    /// 500 seeded pairs with the target pinned; returns how many legs the
+    /// pinned vector routed.
+    fn memo_legs_equal_searched_legs(
+        g: &Arc<RoadNetwork>,
+        ctx: &MobilityContext,
+        cache: &PathCache,
+    ) -> u64 {
+        let cfg = MtShareConfig::default();
+        let oracle = HotNodeOracle::over(cache.clone());
+        let requests = mtshare_model::RequestStore::new();
+        let world = World { graph: g, cache, oracle: &oracle, taxis: &[], requests: &requests };
+        let (mut memo, mut searched) = (SegmentRouter::new(g), SegmentRouter::new(g));
+        let mut rng = SmallRng::seed_from_u64(17);
+        for _ in 0..500 {
+            let (from, to) = (NodeId(rng.gen_range(0..400)), NodeId(rng.gen_range(0..400)));
+            oracle.pin(to);
+            memo.begin_leg_memo();
+            let got = memo.basic_leg_memo(&world, ctx, &cfg, from, to).unwrap();
+            let want = searched.basic_leg(g, ctx, &cfg, cache, from, to).unwrap();
+            assert_eq!(got.nodes, want.nodes, "{from}->{to}");
+            assert_eq!(got.cost_s.to_bits(), want.cost_s.to_bits(), "{from}->{to}");
+            oracle.unpin(to);
+        }
+        oracle.stats().path_walks
+    }
+
+    #[test]
+    fn dispatch_legs_read_off_the_vector_equal_searched_legs() {
+        let (g, ctx, cache) = setup();
+        let walks = memo_legs_equal_searched_legs(&g, &ctx, &cache);
+        assert!(walks >= 450, "only {walks} of 500 legs came off the pinned vector");
+    }
+
+    #[test]
+    fn inside_a_shift_window_dispatch_legs_are_searched() {
+        use mtshare_road::{apply_traffic_shifts, TrafficShiftSpec};
+        use mtshare_routing::{CustomizableCh, RouterBackend};
+        let (g, ctx, _) = setup();
+        let cache = PathCache::with_backend(
+            g.clone(),
+            RouterBackend::Cch(Arc::new(CustomizableCh::build(&g))),
+        );
+        let spec = TrafficShiftSpec {
+            center: NodeId(210),
+            radius_m: 900.0,
+            factor: 2.5,
+            start_s: 0.0,
+            duration_s: 1.0,
+        };
+        cache.recustomize(Arc::new(apply_traffic_shifts(&g, &[spec]).unwrap()));
+        // The masked search routes on `g` while the vectors hold the shifted
+        // metric: the walk may only serve the full-graph fallback.
+        let walks = memo_legs_equal_searched_legs(&g, &ctx, &cache);
+        assert!(walks < 250, "{walks} of 500 legs walked with the gate closed");
+    }
+
+    /// The Alg. 4 memo is keyed on the travel direction: a router that has
+    /// seen other directions answers like one that has seen none.
+    #[test]
+    fn probabilistic_legs_do_not_depend_on_router_history() {
+        let (g, ctx, cache) = setup();
+        let cfg = MtShareConfig::default().with_probabilistic();
+        let mut used = SegmentRouter::new(&g);
+        let mut rng = SmallRng::seed_from_u64(23);
+        let dirs = [(1.0, 1.0), (-1.0, 0.3), (1.0, 1.0), (0.2, -1.0)];
+        for i in 0..40 {
+            let (from, to) = (NodeId(rng.gen_range(0..400)), NodeId(rng.gen_range(0..400)));
+            let budget = cache.cost(from, to).unwrap() * 1.6;
+            let dir = dirs[i % dirs.len()];
+            let got = used.probabilistic_leg(&g, &ctx, &cfg, &cache, from, to, dir, budget);
+            let want = SegmentRouter::new(&g)
+                .probabilistic_leg(&g, &ctx, &cfg, &cache, from, to, dir, budget);
+            assert_eq!(got, want, "leg {i}: {from}->{to} heading {dir:?}");
+        }
     }
 
     #[test]

@@ -188,6 +188,7 @@ fn materialize(
                 ctx,
                 cfg,
                 world.cache,
+                Some(world.oracle),
                 from,
                 ev.node,
                 taxi_dir,

@@ -160,11 +160,9 @@ impl MtShare {
     }
 
     /// Maps `f` over `0..n` on `workers` speculative workers (each with a
-    /// private router, grown lazily) sharing `&self` read-only, then folds
-    /// the routers' counters into `self.router` — totals are determined by
-    /// the work set, not by which worker did what. `None` when an item
-    /// panicked: the routers are scratch but may be mid-mutation, so the
-    /// pool is discarded; recorded as a profiling counter, never a trace
+    /// private router, grown lazily) sharing `&self` read-only. `None` when
+    /// an item panicked: the routers are scratch but may be mid-mutation, so
+    /// the pool is discarded; recorded as a profiling counter, never a trace
     /// event — the trace must stay byte-identical across parallelism.
     fn par_score<T: Send>(
         &mut self,
@@ -192,8 +190,6 @@ impl MtShare {
         };
         self.obs.record_batch(n as u64);
         for (idx, w) in pool.iter_mut().enumerate() {
-            let s = w.router.take_stats();
-            self.router.absorb_stats(s);
             self.obs.record_worker_items(idx, std::mem::take(&mut w.items));
         }
         self.spec_workers = pool;

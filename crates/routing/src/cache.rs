@@ -31,17 +31,19 @@
 //! through to [`PathCache::cost`] for an unpinned target, so whatever the
 //! vectors cannot answer is answered — and memoized — here, by the
 //! configured backend. The simulator loop otherwise asks this cache for
-//! paths, plus costs on the cold paths around dispatch (ingestion,
-//! rejection classification, re-dispatch). The bucket kernel behind
-//! [`PathCache::prime_many_to_one`] is kept for the benches; no dispatch
-//! path calls it (`tests/lazy_leg_costs.rs` pins the sweep count at zero).
+//! the routes a pinned vector cannot give ([`crate::HotNodeOracle::path`]:
+//! ties, unpinned targets), plus costs on the cold paths around dispatch
+//! (ingestion, rejection classification, re-dispatch). The bucket kernel
+//! behind [`PathCache::prime_many_to_one`] is kept for the benches; no
+//! dispatch path calls it (`tests/lazy_leg_costs.rs` pins the sweep count
+//! at zero).
 //!
-//! Paths always come from bidirectional Dijkstra, regardless of backend:
-//! when several shortest paths tie, CH unpacking and bidirectional search
-//! can legitimately pick different (equal-cost) vertex sequences, and a
-//! different committed route would change taxi trajectories and therefore
-//! trace bytes. Costs are the hot query mix; paths are only materialized
-//! when a schedule commits.
+//! Searched paths always come from bidirectional Dijkstra, regardless of
+//! backend: when several shortest paths tie, CH unpacking and bidirectional
+//! search can legitimately pick different (equal-cost) vertex sequences,
+//! and a different committed route would change taxi trajectories and
+//! therefore trace bytes. Costs are the hot query mix; paths are only
+//! materialized when a schedule commits.
 //!
 //! # Re-customization
 //!

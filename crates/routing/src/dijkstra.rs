@@ -11,6 +11,15 @@ use mtshare_road::{NodeId, RoadNetwork};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// `(cost, node)` packed so that one integer compare orders by cost, then
+/// node id: the bit pattern of a non-negative, non-NaN `f32` (`+0.0` and
+/// `+∞` included) is monotone in its value.
+#[inline]
+fn pack(cost: f32, node: NodeId) -> u64 {
+    debug_assert!(cost.to_bits() <= f32::INFINITY.to_bits(), "negative or NaN cost {cost}");
+    (cost.to_bits() as u64) << 32 | node.0 as u64
+}
+
 /// Heap entry ordered by cost (min-heap via `Reverse`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct HeapEntry {
@@ -23,7 +32,7 @@ impl Eq for HeapEntry {}
 impl Ord for HeapEntry {
     #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.cost.total_cmp(&other.cost).then_with(|| self.node.0.cmp(&other.node.0))
+        pack(self.cost, self.node).cmp(&pack(other.cost, other.node))
     }
 }
 
@@ -42,6 +51,8 @@ pub struct Dijkstra {
     epoch_of: Vec<u32>,
     epoch: u32,
     heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// Packed-key heap of the one-to-all sweep.
+    sweep_heap: BinaryHeap<Reverse<u64>>,
 }
 
 impl Dijkstra {
@@ -54,6 +65,7 @@ impl Dijkstra {
             epoch_of: vec![0; n],
             epoch: 0,
             heap: BinaryHeap::new(),
+            sweep_heap: BinaryHeap::new(),
         }
     }
 
@@ -136,41 +148,39 @@ impl Dijkstra {
     ///
     /// The result is written into `out`, which is resized to the node count.
     pub fn one_to_all(&mut self, graph: &RoadNetwork, source: NodeId, out: &mut Vec<f32>) {
-        out.clear();
-        out.resize(graph.node_count(), f32::INFINITY);
-        self.begin();
-        self.settle(source, 0.0, source);
-        self.heap.push(Reverse(HeapEntry { cost: 0.0, node: source }));
-        while let Some(Reverse(HeapEntry { cost, node })) = self.heap.pop() {
-            if cost > self.dist_of(node) {
-                continue;
-            }
-            out[node.index()] = cost;
-            for (next, w) in graph.out_edges(node) {
-                let nc = cost + w;
-                if self.settle(next, nc, node) {
-                    self.heap.push(Reverse(HeapEntry { cost: nc, node: next }));
-                }
-            }
-        }
+        self.sweep(graph.node_count(), source, out, |v| graph.out_edges(v));
     }
 
     /// Backward distances: cost from every vertex *to* `target`.
     pub fn all_to_one(&mut self, graph: &RoadNetwork, target: NodeId, out: &mut Vec<f32>) {
+        self.sweep(graph.node_count(), target, out, |v| graph.in_edges(v));
+    }
+
+    /// Whole-graph search from `root` over `arcs`, relaxing straight into
+    /// `out` (INFINITY = not reached yet): no epoch marks, no parents. Keys
+    /// in the heap are distinct, so the pop order is the `HeapEntry` order.
+    fn sweep<I: Iterator<Item = (NodeId, f32)>>(
+        &mut self,
+        n: usize,
+        root: NodeId,
+        out: &mut Vec<f32>,
+        arcs: impl Fn(NodeId) -> I,
+    ) {
         out.clear();
-        out.resize(graph.node_count(), f32::INFINITY);
-        self.begin();
-        self.settle(target, 0.0, target);
-        self.heap.push(Reverse(HeapEntry { cost: 0.0, node: target }));
-        while let Some(Reverse(HeapEntry { cost, node })) = self.heap.pop() {
-            if cost > self.dist_of(node) {
+        out.resize(n, f32::INFINITY);
+        out[root.index()] = 0.0;
+        self.sweep_heap.clear();
+        self.sweep_heap.push(Reverse(pack(0.0, root)));
+        while let Some(Reverse(key)) = self.sweep_heap.pop() {
+            let (cost, node) = (f32::from_bits((key >> 32) as u32), NodeId(key as u32));
+            if cost > out[node.index()] {
                 continue;
             }
-            out[node.index()] = cost;
-            for (prev, w) in graph.in_edges(node) {
+            for (next, w) in arcs(node) {
                 let nc = cost + w;
-                if self.settle(prev, nc, node) {
-                    self.heap.push(Reverse(HeapEntry { cost: nc, node: prev }));
+                if nc < out[next.index()] {
+                    out[next.index()] = nc;
+                    self.sweep_heap.push(Reverse(pack(nc, next)));
                 }
             }
         }
@@ -211,6 +221,21 @@ mod tests {
 
     fn city() -> RoadNetwork {
         grid_city(&GridCityConfig::tiny()).unwrap()
+    }
+
+    #[test]
+    fn packed_heap_order_is_cost_then_node_id() {
+        let costs = [0.0f32, 1.0 / 64.0, 0.5, 1.0, 1.5, 1e-30, 262_144.0, f32::MAX, f32::INFINITY];
+        let entries: Vec<HeapEntry> = costs
+            .iter()
+            .flat_map(|&cost| [0, 1, 7, u32::MAX].map(|id| HeapEntry { cost, node: NodeId(id) }))
+            .collect();
+        for x in &entries {
+            for y in &entries {
+                let old = x.cost.total_cmp(&y.cost).then_with(|| x.node.0.cmp(&y.node.0));
+                assert_eq!(x.cmp(y), old, "{x:?} vs {y:?}");
+            }
+        }
     }
 
     #[test]

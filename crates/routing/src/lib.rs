@@ -20,7 +20,7 @@
 //!   paper's cached all-pairs table, with a pluggable exact backend
 //!   ([`RouterBackend`]);
 //! - [`HotNodeOracle`]: pinned backward vectors in front of that cache —
-//!   O(1) leg costs into active request endpoints;
+//!   O(1) leg costs and search-free routes into active request endpoints;
 //! - [`CostMatrix`]: dense landmark-to-everything cost tables.
 
 #![warn(missing_docs)]

@@ -1,4 +1,5 @@
-//! Hot-node cost oracle: O(1) leg-cost probes for active request endpoints.
+//! Hot-node oracle: O(1) leg costs and search-free routes into active
+//! request endpoints.
 //!
 //! The paper assumes every shortest-path query costs O(1) because the
 //! all-pairs table is precomputed and cached in memory (Sec. IV-C, V-A4).
@@ -11,20 +12,24 @@
 //! on the reverse graph: the cost from every vertex *to* the node). While
 //! a request is active, every leg cost *into* one of its endpoints is a
 //! single array read — the amortized equivalent of the paper's cache,
-//! shared by all schemes for fairness. No forward vector is kept: every
-//! leg dispatch prices ends at a pinned event node, so a forward vector
-//! would be computed per pin and never read.
+//! shared by all schemes for fairness — and the vector doubles as the
+//! routing table towards that endpoint ([`HotNodeOracle::pinned_path`]).
+//! No forward vector is kept: every leg dispatch prices ends at a pinned
+//! event node, so a forward vector would be computed per pin and never read.
 //!
 //! # One memo, one miss path
 //!
 //! The oracle owns no search engine for queries and no memo. It is the
-//! pinned vectors *in front of* the shared [`PathCache`]: a query whose
-//! target is not pinned falls through to [`PathCache::cost`], so the
+//! pinned vectors *in front of* the shared [`PathCache`]: a cost query
+//! whose target is not pinned falls through to [`PathCache::cost`], so the
 //! cache's configured [`crate::RouterBackend`] answers it, the answer is
 //! memoized once (in the cache), and a metric change has one memo to
-//! clear. The simulator builds its oracle over its own cache handle
-//! ([`HotNodeOracle::over`]); [`HotNodeOracle::new`] wraps a private
-//! default cache for tests and benches.
+//! clear. Routes go the same way: [`HotNodeOracle::path`] reads the pinned
+//! vector and falls through to [`PathCache::path`] — for an unpinned
+//! target, and wherever two shortest paths tie, because only there does
+//! the answer depend on who searches. The simulator builds its oracle over
+//! its own cache handle ([`HotNodeOracle::over`]); [`HotNodeOracle::new`]
+//! wraps a private default cache for tests and benches.
 //!
 //! # Concurrency and determinism
 //!
@@ -48,6 +53,7 @@
 
 use crate::cache::PathCache;
 use crate::dijkstra::Dijkstra;
+use crate::path::Path;
 use mtshare_road::{NodeId, RoadNetwork};
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
@@ -76,6 +82,10 @@ pub struct OracleStats {
     pub pin_computes: u64,
     /// Pinned vectors freed because their refcount dropped to zero.
     pub evictions: u64,
+    /// Routes read off a pinned vector ([`HotNodeOracle::pinned_path`]).
+    pub path_walks: u64,
+    /// [`HotNodeOracle::path`] calls that fell through to the cache's search.
+    pub path_searches: u64,
 }
 
 #[derive(Debug, Default)]
@@ -84,6 +94,8 @@ struct AtomicStats {
     searches: AtomicU64,
     pin_computes: AtomicU64,
     evictions: AtomicU64,
+    path_walks: AtomicU64,
+    path_searches: AtomicU64,
 }
 
 /// Thread-safe cost oracle with pinnable hot nodes.
@@ -176,6 +188,50 @@ impl HotNodeOracle {
         self.cache.cost(a, b)
     }
 
+    /// The shortest path `a -> b` read off `b`'s pinned vector `d`: from
+    /// `a`, follow the arc `(x, y)` of the cache's live graph with
+    /// `w(x, y) + d[y] == d[x]` (exact on dyadic costs) until `b`. Arc
+    /// costs are positive, so `d` falls at every step and the walk ends.
+    ///
+    /// `None` when `b` is not pinned, `a` cannot reach it (`∞ == ∞` would
+    /// make every arc look tight), or a vertex on the way has two tight
+    /// heads (parallel arcs to one head count once): shortest paths tie
+    /// and a search's pick depends on its settle order. Otherwise the
+    /// shortest path is unique and this is what [`PathCache::path`] finds.
+    pub fn pinned_path(&self, a: NodeId, b: NodeId) -> Option<Path> {
+        let pinned = self.pinned.read_recursive();
+        let d = &pinned.get(&b.0)?.bwd;
+        if !d[a.index()].is_finite() {
+            return None;
+        }
+        let graph = self.cache.graph();
+        let mut nodes = vec![a];
+        let mut x = a;
+        while x != b {
+            let mut head = None;
+            for (y, w) in graph.out_edges(x) {
+                if w + d[y.index()] == d[x.index()] && head.replace(y).is_some_and(|h| h != y) {
+                    return None;
+                }
+            }
+            x = head?;
+            nodes.push(x);
+        }
+        self.stats.path_walks.fetch_add(1, Relaxed);
+        Some(Path { nodes, cost_s: d[a.index()] as f64 })
+    }
+
+    /// Shortest path `a -> b`, `None` if unreachable: the route
+    /// counterpart of [`HotNodeOracle::cost`] — [`Self::pinned_path`], else
+    /// the shared cache's search. Both return the same path whenever the
+    /// first returns one, so the answer is a function of `(a, b)` alone.
+    pub fn path(&self, a: NodeId, b: NodeId) -> Option<Path> {
+        self.pinned_path(a, b).or_else(|| {
+            self.stats.path_searches.fetch_add(1, Relaxed);
+            self.cache.path(a, b)
+        })
+    }
+
     /// Runs `f` with a [`PinnedReader`]: a borrowed view of the pinned
     /// vectors that answers the `cost()` fast path without re-acquiring
     /// the `RwLock` or touching an atomic per query. Vector hits are
@@ -204,6 +260,8 @@ impl HotNodeOracle {
             searches: self.stats.searches.load(Relaxed),
             pin_computes: self.stats.pin_computes.load(Relaxed),
             evictions: self.stats.evictions.load(Relaxed),
+            path_walks: self.stats.path_walks.load(Relaxed),
+            path_searches: self.stats.path_searches.load(Relaxed),
         }
     }
 

@@ -1468,7 +1468,7 @@ impl Simulator {
         let mut legs: Vec<Path> = Vec::with_capacity(schedule.len());
         let mut prev = pos;
         for ev in schedule.events() {
-            match self.cache.path(prev, ev.node) {
+            match self.oracle.path(prev, ev.node) {
                 Some(p) => {
                     legs.push(p);
                     prev = ev.node;

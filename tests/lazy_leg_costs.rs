@@ -2,9 +2,10 @@
 //! decision reads. These tests pin that with exact counts so eager work
 //! cannot creep back in unnoticed — no bucket priming sweep, no hierarchy
 //! query and no `PathCache` search that depends on the router backend
-//! inside the loop, no oracle query that misses the pinned vectors, and
-//! exactly one backward-vector computation per distinct pinned node. The
-//! trace must not notice the backend at all.
+//! inside the loop, no oracle query that misses the pinned vectors,
+//! exactly one backward-vector computation per distinct pinned node, and
+//! routes read off those vectors with a search only on a tie. The trace
+//! must not notice the backend at all.
 
 use mt_share::core::{MtShareConfig, PartitionStrategy};
 use mt_share::model::{
@@ -144,6 +145,14 @@ fn no_backend_dependent_work_inside_the_loop() {
             (bidir.oracle.searches, bidir.oracle.memo_hits),
             (0, 0),
             "{kind:?}: dispatch asked the oracle for an unpinned target"
+        );
+        // Routes come off the same vectors; `HotNodeOracle::path` searches
+        // only where shortest paths tie. (A tie inside `basic_leg_memo`
+        // that the masked search settles counts as neither.)
+        let (walks, searches) = (bidir.oracle.path_walks, bidir.oracle.path_searches);
+        assert!(
+            walks > 0 && searches * 20 <= walks,
+            "{kind:?}: {walks} walks, {searches} searches"
         );
         for (name, backend) in [("ch", ch.clone()), ("cch", cch.clone())] {
             let r = run(&graph, backend, kind);

@@ -1,12 +1,13 @@
 //! Property tests for the routing substrate: all engines agree with the
 //! Bellman-Ford oracle, costs obey the triangle inequality, caches are
 //! transparent, the three exact searches the leg-cost layer mixes agree
-//! bit for bit, and the contraction hierarchy is exact on the large
-//! seed-7 grids where same-round cost ties occur.
+//! bit for bit, the contraction hierarchy is exact on the large seed-7
+//! grids where same-round cost ties occur, and a route read off a pinned
+//! vector is the route the shared cache searches for.
 
 use mt_share::road::{
-    apply_traffic_shifts, grid_city, ring_radial_city, GridCityConfig, NodeId, RingRadialConfig,
-    RoadNetwork, TrafficShiftSpec,
+    apply_traffic_shifts, grid_city, ring_radial_city, EdgeSpec, GeoPoint, GridCityConfig, NodeId,
+    RingRadialConfig, RoadNetwork, TrafficShiftSpec,
 };
 use mt_share::routing::{
     bellman_ford_cost, BidirDijkstra, ChQuery, ContractionHierarchy, Dijkstra, HotNodeOracle,
@@ -37,8 +38,138 @@ fn seed7_grid(shape: usize) -> &'static (Arc<RoadNetwork>, Arc<ContractionHierar
     })
 }
 
+/// A 10×10 two-way lattice with one length and one speed on every arc, so
+/// almost every pair has several shortest paths (`grid_city` jitters every
+/// arc length even at `jitter_frac = 0`).
+fn uniform_lattice() -> RoadNetwork {
+    const SIDE: u32 = 10;
+    let at = |r: u32, c: u32| NodeId(r * SIDE + c);
+    let mut points = Vec::new();
+    let mut edges = Vec::new();
+    for r in 0..SIDE {
+        for c in 0..SIDE {
+            points.push(GeoPoint::new(30.0 + 0.001 * f64::from(r), 104.0 + 0.001 * f64::from(c)));
+            let right = (c + 1 < SIDE).then(|| at(r, c + 1));
+            let up = (r + 1 < SIDE).then(|| at(r + 1, c));
+            for to in right.into_iter().chain(up) {
+                for (from, to) in [(at(r, c), to), (to, at(r, c))] {
+                    edges.push(EdgeSpec { from, to, length_m: 100.0, speed_kmh: 36.0 });
+                }
+            }
+        }
+    }
+    RoadNetwork::new(points, &edges).unwrap()
+}
+
+/// The three shapes the walk is tested on: jittered grid, jittered
+/// ring-radial, uniform lattice.
+fn walk_city(kind: usize, seed: u64) -> RoadNetwork {
+    match kind {
+        0 => grid_city(&GridCityConfig { rows: 12, cols: 12, seed, ..GridCityConfig::default() })
+            .unwrap(),
+        1 => ring_radial_city(&RingRadialConfig { seed, ..RingRadialConfig::default() }).unwrap(),
+        _ => uniform_lattice(),
+    }
+}
+
+/// With `b` pinned, `oracle.path(a, b)` is `cache.path(a, b)` node for node
+/// and cost bit for bit. Returns whether the vector alone answered.
+fn assert_walk_is_the_search(
+    oracle: &HotNodeOracle,
+    cache: &PathCache,
+    a: NodeId,
+    b: NodeId,
+) -> bool {
+    let want = cache.path(a, b).expect("strongly connected");
+    let got = oracle.path(a, b).expect("strongly connected");
+    assert_eq!(got.nodes, want.nodes, "{a}->{b}");
+    assert_eq!(got.cost_s.to_bits(), want.cost_s.to_bits(), "{a}->{b}");
+    let walked = oracle.pinned_path(a, b);
+    assert!(walked.iter().all(|p| *p == want), "{a}->{b}");
+    walked.is_some()
+}
+
+/// Unique shortest paths are the rule on the jittered cities (the walk
+/// answers) and the exception on the lattice (it gives up at the first tie
+/// and the search answers); the oracle counts which arm ran.
+#[test]
+fn pinned_path_walks_jittered_cities_and_gives_up_on_lattice_ties() {
+    for kind in 0..3 {
+        let g = Arc::new(walk_city(kind, 7));
+        let n = g.node_count() as u32;
+        let cache = PathCache::new(g.clone());
+        let oracle = HotNodeOracle::over(cache.clone());
+        let (mut pairs, mut walked) = (0u64, 0u64);
+        for b in (0..n).step_by(7) {
+            oracle.pin(NodeId(b));
+            for a in (0..n).step_by(5).filter(|&a| a != b) {
+                pairs += 1;
+                walked +=
+                    u64::from(assert_walk_is_the_search(&oracle, &cache, NodeId(a), NodeId(b)));
+            }
+            oracle.unpin(NodeId(b));
+        }
+        let stats = oracle.stats();
+        assert_eq!((stats.path_walks, stats.path_searches), (2 * walked, pairs - walked));
+        if kind < 2 {
+            assert!(walked * 10 >= pairs * 9, "kind {kind}: {walked} of {pairs} pairs walked");
+        } else {
+            assert!(walked < pairs, "the lattice has ties on almost every pair");
+        }
+    }
+}
+
+/// The two-vertex one-way graph of `dijkstra::tests::unreachable_returns_none`:
+/// `d[1 -> 0] = ∞`, which must end the walk before `∞ == ∞` makes an arc
+/// look tight.
+#[test]
+fn unreachable_pair_has_no_path_from_walk_or_search() {
+    let pts = vec![GeoPoint::new(30.0, 104.0), GeoPoint::new(30.001, 104.0)];
+    let edges = [EdgeSpec { from: NodeId(0), to: NodeId(1), length_m: 10.0, speed_kmh: 15.0 }];
+    let oracle = HotNodeOracle::new(Arc::new(RoadNetwork::new(pts, &edges).unwrap()));
+    oracle.pin(NodeId(0));
+    oracle.pin(NodeId(1));
+    assert_eq!(oracle.pinned_path(NodeId(1), NodeId(0)), None);
+    assert_eq!(oracle.path(NodeId(1), NodeId(0)), None);
+    assert_eq!(oracle.path(NodeId(0), NodeId(1)).unwrap().nodes, [NodeId(0), NodeId(1)]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The route counterpart of the bit-for-bit cost contract below: the
+    /// pinned vector of the target is a routing table, on the base metric
+    /// and after a traffic shift re-customized the cache and re-targeted
+    /// the pins.
+    #[test]
+    fn oracle_path_is_cache_path_on_base_and_shifted_metrics(
+        kind in 0usize..3,
+        seed in 0u64..10_000,
+        a in 0u32..10_000,
+        b in 0u32..10_000,
+        center in 0u32..10_000,
+        radius_m in 150.0f64..2500.0,
+        factor_x100 in 110u32..=500,
+    ) {
+        let g = Arc::new(walk_city(kind, seed));
+        let n = g.node_count() as u32;
+        let (a, b) = (NodeId(a % n), NodeId(b % n));
+        let cache = PathCache::new(g.clone());
+        let mut oracle = HotNodeOracle::over(cache.clone());
+        oracle.pin(b);
+        assert_walk_is_the_search(&oracle, &cache, a, b);
+
+        let spec = TrafficShiftSpec {
+            center: NodeId(center % n),
+            radius_m,
+            factor: f64::from(factor_x100) / 100.0,
+            start_s: 0.0,
+            duration_s: 1.0,
+        };
+        cache.recustomize(Arc::new(apply_traffic_shifts(&g, &[spec]).unwrap()));
+        oracle.retarget();
+        assert_walk_is_the_search(&oracle, &cache, a, b);
+    }
 
     #[test]
     fn all_engines_agree_with_bellman_ford(
