@@ -2,9 +2,9 @@
 //! candidate searching + taxi scheduling for each scheme against the same
 //! fleet snapshot.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mtshare_core::{MtShareConfig, PartitionStrategy};
-use mtshare_model::{DispatchScheme, RequestStore, RideRequest, World};
+use criterion::{criterion_group, criterion_main, Criterion};
+use mtshare_core::PartitionStrategy;
+use mtshare_model::{DispatchScheme, RequestStore, World};
 use mtshare_road::grid_city;
 use mtshare_routing::{HotNodeOracle, PathCache};
 use mtshare_sim::{build_context, Scenario, ScenarioConfig, SchemeKind};
@@ -64,61 +64,5 @@ fn bench_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Speculative batch scoring, sequential vs parallel workers, over one
-/// fixed window of online requests (the tentpole of the parallel batch
-/// dispatcher: identical outputs, wall-clock scaling with threads).
-fn bench_batch_dispatch(c: &mut Criterion) {
-    let cfg = ScenarioConfig::peak(60);
-    let graph = Arc::new(
-        grid_city(&mtshare_road::GridCityConfig { rows: 60, cols: 60, ..Default::default() })
-            .unwrap(),
-    );
-    let cache = PathCache::new(graph.clone());
-    let scenario = Scenario::generate(graph.clone(), &cache, cfg);
-    let ctx = build_context(&graph, &scenario.historical, 48, PartitionStrategy::Bipartite);
-    let oracle = HotNodeOracle::new(graph.clone());
-
-    let mut requests = RequestStore::new();
-    for r in &scenario.requests {
-        oracle.pin(r.origin);
-        oracle.pin(r.destination);
-        requests.push(r.clone());
-    }
-    let taxis = scenario.taxis.clone();
-    let batch: Vec<RideRequest> =
-        scenario.requests.iter().filter(|r| !r.offline).take(64).cloned().collect();
-
-    let mut group = c.benchmark_group("batch_dispatch_64");
-    for workers in [1usize, 2, 4, 8] {
-        let mt_cfg = MtShareConfig::default().with_parallelism(workers);
-        let mut scheme =
-            SchemeKind::MtShare.build(&graph, taxis.len(), Some(ctx.clone()), Some(mt_cfg));
-        {
-            let world = World {
-                graph: &graph,
-                cache: &cache,
-                oracle: &oracle,
-                taxis: &taxis,
-                requests: &requests,
-            };
-            scheme.install(&world);
-        }
-        let id = if workers == 1 { "seq".to_string() } else { format!("par{workers}") };
-        group.bench_function(BenchmarkId::from_parameter(id), |b| {
-            b.iter(|| {
-                let world = World {
-                    graph: &graph,
-                    cache: &cache,
-                    oracle: &oracle,
-                    taxis: &taxis,
-                    requests: &requests,
-                };
-                scheme.dispatch_batch_speculative(&batch, &world)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_dispatch, bench_batch_dispatch);
+criterion_group!(benches, bench_dispatch);
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Persistence overhead bench: the batch-dispatch scenario with and
+//! Persistence overhead bench: the default peak scenario with and
 //! without checkpoint/WAL persistence, written to `BENCH_persist.json`.
 //!
 //! Reports checkpoint write latency (from the obs persistence
@@ -10,7 +10,7 @@
 //! the workspace root). `MTSHARE_BENCH_RUNS` overrides the per-config
 //! repetition count (default 3; best-of is reported).
 
-use mtshare_core::{MtShareConfig, PartitionStrategy};
+use mtshare_core::PartitionStrategy;
 use mtshare_obs::Obs;
 use mtshare_road::{grid_city, GridCityConfig};
 use mtshare_routing::PathCache;
@@ -21,7 +21,6 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 const TAXIS: usize = 60;
-const PARALLELISM: usize = 4;
 const CHECKPOINT_EVERY: u64 = 256;
 const TARGET_OVERHEAD_PCT: f64 = 5.0;
 
@@ -72,7 +71,7 @@ fn main() {
     let mut json = String::new();
     let _ = write!(
         json,
-        r#"{{"schema":"mtshare-bench-persist/v1","scenario":{{"taxis":{TAXIS},"requests":{},"parallelism":{PARALLELISM},"checkpoint_every":{CHECKPOINT_EVERY}}},"baseline_wall_s":{base_wall:.4},"persist_wall_s":{persist_wall:.4},"overhead_pct":{overhead_pct:.2},"target_overhead_pct":{TARGET_OVERHEAD_PCT},"within_target":{},"checkpoints":{checkpoints},"wal_records":{wal_records},"wal_bytes":{wal_bytes},"checkpoint_bytes":{{"p50":{},"max":{}}},"checkpoint_write_ms":{{"p50":{},"p95":{},"max":{}}}}}"#,
+        r#"{{"schema":"mtshare-bench-persist/v1","scenario":{{"taxis":{TAXIS},"requests":{},"checkpoint_every":{CHECKPOINT_EVERY}}},"baseline_wall_s":{base_wall:.4},"persist_wall_s":{persist_wall:.4},"overhead_pct":{overhead_pct:.2},"target_overhead_pct":{TARGET_OVERHEAD_PCT},"within_target":{},"checkpoints":{checkpoints},"wal_records":{wal_records},"wal_bytes":{wal_bytes},"checkpoint_bytes":{{"p50":{},"max":{}}},"checkpoint_write_ms":{{"p50":{},"p95":{},"max":{}}}}}"#,
         scenario.requests.len(),
         overhead_pct <= TARGET_OVERHEAD_PCT,
         field(bytes_block, "\"p50_b\":"),
@@ -100,10 +99,9 @@ fn run_once(
 ) -> (f64, Option<String>) {
     let obs = Obs::enabled();
     let cache = PathCache::new(graph.clone());
-    let mt_cfg = MtShareConfig::default().with_parallelism(PARALLELISM);
     let mut scheme =
-        SchemeKind::MtShare.build(graph, scenario.taxis.len(), Some(ctx.clone()), Some(mt_cfg));
-    let cfg = SimConfig { parallelism: PARALLELISM, persist, ..SimConfig::default() };
+        SchemeKind::MtShare.build(graph, scenario.taxis.len(), Some(ctx.clone()), None);
+    let cfg = SimConfig { persist, ..SimConfig::default() };
     let report = Simulator::new(graph.clone(), cache, scenario, cfg)
         .with_obs(obs.clone())
         .run(scheme.as_mut());

@@ -6,9 +6,8 @@
 //!
 //! The step counter — not wall clock or sim time — defines the crash
 //! position: one step per committed unit of work in the sequential event
-//! order (a heap event, a consumed arrival, or a validation sweep).
-//! Batched dispatch consumes arrivals in the same sequence, so a step
-//! index names the same world state at any `--parallelism`.
+//! order (a heap event, a consumed arrival, or a validation sweep), so
+//! a step index names the same world state in every run of a scenario.
 
 /// How the simulator should die when the crash step is reached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -13,8 +13,8 @@
 //! consumes by line number.
 //!
 //! Call counters are the determinism coordinate: "the 7th WAL append"
-//! names the same moment at any `--parallelism`, because every durable
-//! I/O call rides the sequential step order.
+//! names the same moment in every run, because every durable I/O call
+//! rides the sequential step order.
 
 use mtshare_persist::fault::{FaultInjector, IoFault, IoOp};
 use rand::{rngs::SmallRng, Rng, SeedableRng};

@@ -10,8 +10,8 @@
 //! - [`plan`]: a seeded, deterministic disruption schedule (breakdowns,
 //!   pre-pickup cancellations, localized traffic shifts) generated from a
 //!   `--chaos-seed` through the workspace `rand` shim. Same seed, same
-//!   plan, any `--parallelism` — the injected events ride the simulator's
-//!   ordinary `(time, seq)` heap order, so determinism is preserved.
+//!   plan — the injected events ride the simulator's ordinary
+//!   `(time, seq)` heap order, so determinism is preserved.
 //! - [`failpoint`]: seeded storage/feed failpoints (`--failpoints`) —
 //!   ENOSPC, lost fsyncs, torn frames, read-back corruption, feed
 //!   disconnects — generated once up front and threaded through the

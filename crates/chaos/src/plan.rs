@@ -2,8 +2,8 @@
 //!
 //! A plan is generated once, up front, from a single seed — never during
 //! the run — so the injected faults are a pure function of
-//! `(seed, mix, fleet size, request count)` and byte-identical traces
-//! survive any `--parallelism`.
+//! `(seed, mix, fleet size, request count)` and a resumed run faces the
+//! faults the interrupted one did.
 
 use mtshare_model::{RequestId, TaxiId, Time};
 use mtshare_road::{NodeId, RoadNetwork, TrafficShiftSpec};

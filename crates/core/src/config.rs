@@ -35,10 +35,6 @@ pub struct MtShareConfig {
     /// detour 10-20% — strong enough to hug demand corridors, weak enough
     /// to stay within the deadline budget.
     pub prob_bias_weight_s: f64,
-    /// Worker threads used to score a speculative dispatch batch
-    /// (candidate generation + Algorithm 1 per request fan out across this
-    /// many threads). `1` scores inline; results are identical either way.
-    pub parallelism: usize,
     /// Rolling-horizon batch assignment (mT-Share_batch): requests are
     /// collected per window and matched jointly through a Kuhn–Munkres
     /// assignment solve instead of greedy per-arrival insertion.
@@ -62,7 +58,6 @@ impl Default for MtShareConfig {
             prob_max_paths: 64,
             prob_max_hops: 12,
             prob_bias_weight_s: 6.0,
-            parallelism: 1,
             batch: false,
             scheduler: SchedulerKind::default(),
         }
@@ -86,13 +81,6 @@ impl MtShareConfig {
     /// The mT-Share_pro variant of this configuration.
     pub fn with_probabilistic(mut self) -> Self {
         self.probabilistic = true;
-        self
-    }
-
-    /// This configuration with `n` speculative-scoring worker threads
-    /// (clamped to at least 1).
-    pub fn with_parallelism(mut self, n: usize) -> Self {
-        self.parallelism = n.max(1);
         self
     }
 
@@ -121,9 +109,6 @@ mod tests {
         assert_eq!(c.taxi_speed_kmh, 15.0);
         assert_eq!(c.max_search_range_m, 2500.0);
         assert!(!c.probabilistic);
-        assert_eq!(c.parallelism, 1);
-        assert_eq!(c.clone().with_parallelism(0).parallelism, 1);
-        assert_eq!(c.clone().with_parallelism(8).parallelism, 8);
         assert!(!c.batch);
         assert!(c.clone().with_batch().batch);
         assert_eq!(c.scheduler, SchedulerKind::Dp);

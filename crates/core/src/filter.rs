@@ -25,8 +25,7 @@ pub struct FilteredPartitions {
 
 /// [`filter_partitions`] with telemetry: times the filter as a
 /// [`Stage::PartitionFilter`] span and records how many of the κ
-/// partitions survived the prune. Safe to call from batch workers (the
-/// counters are sharded).
+/// partitions survived the prune.
 pub fn filter_partitions_observed(
     graph: &RoadNetwork,
     ctx: &MobilityContext,

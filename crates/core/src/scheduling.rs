@@ -79,8 +79,8 @@ pub fn schedule_best(
     // Rank by (detour, taxi id) — the same total order as
     // `mtshare_model::assignment_cmp`. The explicit taxi-id tie-break
     // (rather than relying on stable sort over the sorted candidate list)
-    // is what makes the winner reproducible for the speculative batch
-    // path, whatever order candidates were scored in.
+    // is what makes the winner independent of the order candidates
+    // were scored in.
     slots.sort_by(|a, b| a.detour_s.total_cmp(&b.detour_s).then(a.taxi.cmp(&b.taxi)));
 
     // Materialization attempts within one dispatch share a basic-leg memo:

@@ -7,20 +7,12 @@ use crate::index::{MobilityClusterIndex, PartitionTaxiIndex};
 use crate::routing::SegmentRouter;
 use crate::scheduling::schedule_best;
 use mtshare_model::{
-    make_engine, DispatchOutcome, DispatchScheme, EngineStats, RideRequest, ScheduleEngine,
-    SpeculativeOutcome, Taxi, TaxiId, Time, WindowRow, World,
+    make_engine, DispatchOutcome, DispatchScheme, EngineStats, RideRequest, ScheduleEngine, Taxi,
+    TaxiId, Time, WindowRow, World,
 };
 use mtshare_obs::{Obs, Stage};
-use mtshare_par::try_par_map_with;
 use mtshare_persist::{Decoder, Encoder, Persist};
 use mtshare_road::RoadNetwork;
-
-/// One speculative batch worker: a private router plus the number of
-/// requests this worker scored (reported as per-worker utilization).
-struct SpecWorker {
-    router: SegmentRouter,
-    items: u64,
-}
 
 /// The mT-Share system (Sec. IV). Construct with a prebuilt
 /// [`MobilityContext`] (partitions + landmarks + transition statistics) so
@@ -30,15 +22,10 @@ pub struct MtShare {
     ctx: std::sync::Arc<MobilityContext>,
     pindex: PartitionTaxiIndex,
     mindex: MobilityClusterIndex,
-    /// Insertion-scoring engine behind `--scheduler dp|dtree`. Shared
-    /// (`Arc`) so speculative batch workers can score through it
-    /// concurrently; results are bit-identical across engines.
+    /// Insertion-scoring engine behind `--scheduler dp|dtree`; results
+    /// are bit-identical across engines.
     engine: std::sync::Arc<dyn ScheduleEngine>,
     router: SegmentRouter,
-    /// Per-worker routers for speculative batch scoring, grown lazily to
-    /// `cfg.parallelism`; their counters are folded into `router` after
-    /// every batch.
-    spec_workers: Vec<SpecWorker>,
     obs: Obs,
     name: &'static str,
 }
@@ -63,7 +50,6 @@ impl MtShare {
             mindex: MobilityClusterIndex::new(cfg.lambda, n_taxis),
             engine: make_engine(cfg.scheduler, n_taxis),
             router: SegmentRouter::new(graph),
-            spec_workers: Vec::new(),
             obs: Obs::disabled(),
             cfg,
             ctx,
@@ -86,50 +72,10 @@ impl MtShare {
         self.mindex.update_taxi(taxi, world.graph, world.requests, now);
     }
 
-    /// Scores one request against the snapshot exactly like
-    /// [`MtShare::dispatch`] would, recording the candidate fingerprint
-    /// for commit-time validation. Shared (immutable) state only, so batch
-    /// workers can run it concurrently; the per-worker `router` carries
-    /// all scratch state.
-    fn speculate_one(
-        &self,
-        req: &RideRequest,
-        world: &World<'_>,
-        router: &mut SegmentRouter,
-    ) -> SpeculativeOutcome {
-        let now = req.release_time;
-        let candidates = {
-            let _span = self.obs.stage(Stage::CandidateSearch);
-            candidate_taxis(req, now, world, &self.ctx, &self.cfg, &self.pindex, &self.mindex)
-        };
-        let candidate_versions = candidates.iter().map(|&t| world.taxi(t).route_version).collect();
-        let (assignment, examined, feasible) = schedule_best(
-            req,
-            &candidates,
-            now,
-            world,
-            &self.ctx,
-            &self.cfg,
-            &*self.engine,
-            router,
-        );
-        SpeculativeOutcome {
-            outcome: DispatchOutcome {
-                assignment,
-                candidates_examined: examined,
-                feasible_instances: feasible,
-            },
-            candidates,
-            candidate_versions,
-        }
-    }
-
     /// Scores one batch-window row: the request's candidate set at the
     /// flush time `now` with the marginal insertion detour per candidate
     /// (`∞` when no deadline-feasible instance exists). Pure with respect
-    /// to `(req, now, world)` — no scratch state survives the call — so
-    /// rows computed by parallel workers and by the sequential fallback
-    /// are bit-identical.
+    /// to `(req, now, world)` — no scratch state survives the call.
     fn score_row(&self, req: &RideRequest, now: Time, world: &World<'_>) -> WindowRow {
         let candidates = {
             let _span = self.obs.stage(Stage::CandidateSearch);
@@ -158,43 +104,6 @@ impl MtShare {
         }
         WindowRow { candidates, candidate_versions, costs, feasible }
     }
-
-    /// Maps `f` over `0..n` on `workers` speculative workers (each with a
-    /// private router, grown lazily) sharing `&self` read-only. `None` when
-    /// an item panicked: the routers are scratch but may be mid-mutation, so
-    /// the pool is discarded; recorded as a profiling counter, never a trace
-    /// event — the trace must stay byte-identical across parallelism.
-    fn par_score<T: Send>(
-        &mut self,
-        workers: usize,
-        n: usize,
-        world: &World<'_>,
-        f: impl Fn(&Self, usize, &mut SegmentRouter) -> T + Sync,
-    ) -> Option<Vec<T>> {
-        while self.spec_workers.len() < workers {
-            let mut router = SegmentRouter::new(world.graph);
-            router.set_obs(self.obs.clone());
-            self.spec_workers.push(SpecWorker { router, items: 0 });
-        }
-        // Move the pool out so the workers can share `&self` read-only
-        // while each mutates its own router.
-        let mut pool = std::mem::take(&mut self.spec_workers);
-        let this = &*self;
-        let result = try_par_map_with(&mut pool[..workers], n, |i, w| {
-            w.items += 1;
-            f(this, i, &mut w.router)
-        });
-        let Ok(outs) = result else {
-            self.obs.record_degraded_batch();
-            return None;
-        };
-        self.obs.record_batch(n as u64);
-        for (idx, w) in pool.iter_mut().enumerate() {
-            self.obs.record_worker_items(idx, std::mem::take(&mut w.items));
-        }
-        self.spec_workers = pool;
-        Some(outs)
-    }
 }
 
 impl DispatchScheme for MtShare {
@@ -210,9 +119,6 @@ impl DispatchScheme for MtShare {
 
     fn set_obs(&mut self, obs: Obs) {
         self.router.set_obs(obs.clone());
-        for w in &mut self.spec_workers {
-            w.router.set_obs(obs.clone());
-        }
         self.obs = obs;
     }
 
@@ -356,63 +262,12 @@ impl DispatchScheme for MtShare {
         self.engine.stats()
     }
 
-    fn dispatch_batch_speculative(
-        &mut self,
-        reqs: &[RideRequest],
-        world: &World<'_>,
-    ) -> Option<Vec<SpeculativeOutcome>> {
-        // On a worker panic `None` makes the simulator degrade this batch
-        // to its sequential arrival path.
-        let workers = self.cfg.parallelism.max(1).min(reqs.len().max(1));
-        self.par_score(workers, reqs.len(), world, |this, i, router| {
-            this.speculate_one(&reqs[i], world, router)
-        })
-    }
-
-    fn validate_speculative(
-        &mut self,
-        req: &RideRequest,
-        now: Time,
-        world: &World<'_>,
-        spec: &SpeculativeOutcome,
-    ) -> bool {
-        // The speculative result depends only on the request, the frozen
-        // offline artifacts, the canonical oracle/cache costs, and the
-        // candidates' plans. So it still holds iff the candidate set is
-        // unchanged (same taxis, same deterministic order) and no
-        // candidate was re-planned since the snapshot: any commit touches
-        // a taxi through `set_plan`, which bumps its `route_version`.
-        let candidates =
-            candidate_taxis(req, now, world, &self.ctx, &self.cfg, &self.pindex, &self.mindex);
-        candidates == spec.candidates
-            && spec
-                .candidates
-                .iter()
-                .zip(&spec.candidate_versions)
-                .all(|(&t, &v)| world.taxi(t).route_version == v)
-    }
-
     fn score_window(
         &mut self,
         reqs: &[RideRequest],
         now: Time,
         world: &World<'_>,
     ) -> Option<Vec<WindowRow>> {
-        if reqs.is_empty() {
-            return Some(Vec::new());
-        }
-        let workers = self.cfg.parallelism.max(1).min(reqs.len());
-        if workers > 1 {
-            let rows = self.par_score(workers, reqs.len(), world, |this, i, _| {
-                this.score_row(&reqs[i], now, world)
-            });
-            if rows.is_some() {
-                return rows;
-            }
-        }
-        // Sequential path, also the fallback after a worker panic:
-        // `score_row` is a pure function of the frozen window, so the
-        // re-scored rows are identical.
         Some(reqs.iter().map(|r| self.score_row(r, now, world)).collect())
     }
 

@@ -68,8 +68,8 @@ impl std::fmt::Display for SchedulerKind {
 }
 
 /// Cumulative engine counters for the summary's `profiling.dtree`
-/// block. All zero under the plain DP. Profiling only: totals depend on
-/// worker interleaving (who syncs a tree first), never on results.
+/// block. All zero under the plain DP. Profiling only: the totals never
+/// feed back into results.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineStats {
     /// Insertion scorings served by trees.
@@ -97,10 +97,10 @@ pub struct EngineStats {
 /// A schedule-scoring engine: the strategy object behind
 /// `--scheduler dp|dtree`.
 ///
-/// Engines are shared across dispatch workers (`&self` methods, callers
-/// hold an `Arc`); implementations must be `Send + Sync` and keep any
-/// interior mutability deterministic — results must be a pure function
-/// of the query, independent of worker interleaving.
+/// Engines are queried through `&self` (callers hold an `Arc`);
+/// implementations must be `Send + Sync` and keep any interior
+/// mutability deterministic: results must be a pure function of the
+/// query.
 pub trait ScheduleEngine: Send + Sync {
     /// Which engine this is.
     fn kind(&self) -> SchedulerKind;
@@ -212,10 +212,8 @@ impl ScheduleEngine for DpEngine {
 }
 
 /// The incremental dynamic-tree engine (`--scheduler dtree`): one
-/// [`DTree`] per taxi behind a mutex (scoring runs concurrently across
-/// dispatch workers over disjoint taxis; the sync step is a pure
-/// function of the taxi's current plan, so whichever worker syncs first
-/// produces the same spine).
+/// [`DTree`] per taxi behind a mutex (scoring goes through `&self`; the
+/// sync step is a pure function of the taxi's current plan).
 pub struct DtreeEngine {
     trees: Vec<Mutex<DTree>>,
 }

@@ -77,33 +77,30 @@ impl DispatchOutcome {
 }
 
 /// Deterministic preference order between two scored assignments: lower
-/// detour wins, ties broken by taxi id. Schemes that score candidates in
-/// parallel must rank with this total order (and process requests in
-/// request-id order) so the chosen winner is independent of thread count
-/// and scheduling; `f64::total_cmp` keeps it total even for NaN scores.
+/// detour wins, ties broken by taxi id, so the chosen winner does not
+/// depend on the order candidates were scored in; `f64::total_cmp` keeps
+/// it total even for NaN scores.
 pub fn assignment_cmp(a: &Assignment, b: &Assignment) -> std::cmp::Ordering {
     a.detour_cost_s.total_cmp(&b.detour_cost_s).then(a.taxi.cmp(&b.taxi))
 }
 
-/// One request's speculative dispatch result, scored against a frozen
-/// world snapshot at the start of a batch window, plus the fingerprint
-/// needed to decide at commit time whether the result is still valid.
+/// Result type of the two caller-less speculative trait methods below.
+/// Nothing in the workspace constructs it except `crates/e2e`'s frozen
+/// `TimedScheme`; it leaves with the bench revision of ROADMAP item 1.
 #[derive(Debug, Clone)]
 pub struct SpeculativeOutcome {
-    /// The dispatch result computed against the snapshot.
+    /// A dispatch result.
     pub outcome: DispatchOutcome,
-    /// The candidate set examined, in the scheme's deterministic order.
+    /// The candidate set examined.
     pub candidates: Vec<TaxiId>,
-    /// Each candidate's `route_version` at speculation time, parallel to
-    /// `candidates`. An earlier commit in the batch bumps the version of
-    /// the taxi it re-plans, invalidating dependent speculations.
+    /// Each candidate's `route_version`, parallel to `candidates`.
     pub candidate_versions: Vec<u64>,
 }
 
 /// One scored row of a rolling-horizon batch window's cost matrix: a
 /// request's candidate taxis (in the scheme's deterministic order) with
-/// the marginal insertion cost of each, plus the version fingerprint for
-/// commit-time validation (same contract as [`SpeculativeOutcome`]).
+/// the marginal insertion cost of each, plus each candidate's
+/// `route_version` at scoring time.
 #[derive(Debug, Clone)]
 pub struct WindowRow {
     /// Candidate taxis examined, in the scheme's deterministic order.
@@ -211,14 +208,9 @@ pub trait DispatchScheme {
         crate::EngineStats::default()
     }
 
-    /// Speculatively scores a batch of online requests against the frozen
-    /// `world` snapshot, each at its own release time. Results must be
-    /// *identical* to what a sequence of [`DispatchScheme::dispatch`]
-    /// calls would produce on the same snapshot — the simulator commits
-    /// them in request order, revalidating each via
-    /// [`DispatchScheme::validate_speculative`] first. Returns `None` when
-    /// the scheme has no speculative path (the simulator then falls back
-    /// to sequential dispatch).
+    /// No caller and no implementer: kept only because `crates/e2e`'s
+    /// frozen `TimedScheme` forwards it; leaves with the bench revision
+    /// of ROADMAP item 1.
     fn dispatch_batch_speculative(
         &mut self,
         _reqs: &[RideRequest],
@@ -227,10 +219,8 @@ pub trait DispatchScheme {
         None
     }
 
-    /// Commit-time check for one speculative result: recompute the
-    /// candidate fingerprint against the *current* world and return
-    /// whether `spec` still holds (same candidates, none re-planned since
-    /// speculation). On `false` the simulator re-dispatches sequentially.
+    /// No caller and no implementer; see
+    /// [`DispatchScheme::dispatch_batch_speculative`].
     fn validate_speculative(
         &mut self,
         _req: &RideRequest,
@@ -244,8 +234,8 @@ pub trait DispatchScheme {
     /// Scores a whole batch window against the frozen `world`: one cost
     /// row per request, all evaluated at `now` (the window flush time).
     /// Rows must be a pure function of `(reqs, now, world)` — the
-    /// simulator feeds them to a deterministic assignment solver and the
-    /// trace-equivalence guarantee rides on it. Returns `None` when the
+    /// simulator feeds them to a deterministic assignment solver and a
+    /// resumed run must re-derive the same matches. Returns `None` when the
     /// scheme has no batch-window path (the simulator then dispatches
     /// the window members sequentially).
     fn score_window(
@@ -322,6 +312,9 @@ impl DispatchScheme for Box<dyn DispatchScheme> {
     fn scheduler_stats(&self) -> crate::EngineStats {
         self.as_ref().scheduler_stats()
     }
+    // The two caller-less speculative methods are still forwarded:
+    // `crates/e2e`'s frozen `every_trait_method_reaches_the_inner_scheme`
+    // calls them through a `Box<dyn DispatchScheme>`.
     fn dispatch_batch_speculative(
         &mut self,
         reqs: &[RideRequest],

@@ -1,10 +1,10 @@
 //! Typed dispatch-lifecycle events and their JSONL encoding.
 //!
 //! Determinism contract: every event is stamped with *simulation* time
-//! and emitted from the sequential commit side of the simulator, in
-//! request-commit order. The encoded stream is therefore byte-identical
-//! at any `--parallelism`. Wall-clock never appears here — it lives
-//! only in the summary's strippable `profiling` subtree.
+//! and emitted from the simulator's event loop, in the order it
+//! processes work. The encoded stream is therefore byte-identical across
+//! runs of one scenario. Wall-clock never appears here — it lives only
+//! in the summary's strippable `profiling` subtree.
 
 use crate::json::fmt_f64;
 use std::fmt::Write as _;

@@ -1,33 +1,30 @@
 //! # mtshare-obs — structured observability for the mT-Share pipeline
 //!
 //! A zero-external-dependency telemetry subsystem: typed
-//! dispatch-lifecycle events, lock-free sharded counters, log-bucketed
-//! histograms, stage-span timers, and JSONL/summary sinks.
+//! dispatch-lifecycle events, atomic counters, log-bucketed histograms,
+//! stage-span timers, and JSONL/summary sinks.
 //!
 //! ## Determinism contract
 //!
 //! The event stream and the summary (minus its `profiling` subtree)
-//! are **byte-identical at any worker count**:
+//! are **byte-identical across runs of one scenario** — whatever the
+//! router, the scheduler, or a kill-and-resume in the middle:
 //!
-//! * events carry *simulation* time only and are emitted exclusively
-//!   from the sequential commit side of the simulator, in request
-//!   order;
+//! * events carry *simulation* time only and are emitted by the
+//!   simulator's event loop, in the order it processes work;
 //! * everything measured in wall-clock (stage spans, response
-//!   latencies) or dependent on thread scheduling (cache warming
-//!   patterns, per-worker utilization, speculative-waste counters)
-//!   lives under the summary's single `"profiling"` key, which
-//!   equivalence checks strip before comparing.
+//!   latencies) or dependent on run history (cache warming patterns,
+//!   checkpoint counts) lives under the summary's single `"profiling"`
+//!   key, which equivalence checks strip before comparing.
 //!
 //! ## Overhead contract
 //!
 //! A disabled [`Obs`] (the default) is a `None` behind a pointer-sized
 //! handle: every instrumentation call short-circuits on one branch, no
-//! allocation, no atomics. The `batch_dispatch_64` bench budget is a
-//! ≤ 2 % regression with telemetry disabled.
+//! allocation, no atomics.
 
 #![warn(missing_docs)]
 
-pub mod counters;
 pub mod event;
 pub mod hist;
 pub mod json;
@@ -36,7 +33,6 @@ pub mod sink;
 pub mod span;
 pub mod steady;
 
-pub use counters::ShardedCounter;
 pub use event::{Event, RejectReason, EVENT_KINDS};
 pub use hist::{Histogram, HistogramSnapshot, Series};
 pub use sink::{EventSink, JsonlSink, MemorySink};
@@ -49,10 +45,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Upper bound on tracked dispatch workers; higher worker ids fold
-/// into the last slot.
-const MAX_WORKERS: usize = 64;
-
 /// Summary schema identifier, bumped on breaking layout changes.
 /// v7: `profiling` gained a `faults` block (storage/feed fault counters,
 /// quarantines, tolerated directory-fsync gaps) and three meta event
@@ -64,7 +56,10 @@ const MAX_WORKERS: usize = 64;
 /// v9: `profiling.stages` gained the `customize` span and `profiling`
 /// gained a `cch` block (customizable-hierarchy query/customization
 /// counters; all zero unless `--router cch`).
-pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v9";
+/// v10: dispatch is sequential only — `profiling.parallelism` and
+/// `profiling.workers` are gone, and so is `profiling.oracle.memo_hits`
+/// (the oracle keeps no memo).
+pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v10";
 
 /// Static facts about the run, reported verbatim in the summary.
 #[derive(Debug, Clone, Default)]
@@ -77,9 +72,6 @@ pub struct RunInfo {
     pub n_requests: usize,
     /// Offline requests among them.
     pub n_offline: usize,
-    /// Dispatch worker threads (profiling-only: varies across
-    /// equivalence runs).
-    pub parallelism: usize,
 }
 
 /// End-of-run statistics pulled from the shared routing structures
@@ -95,8 +87,6 @@ pub struct ExternalStats {
     pub cache_evictions: u64,
     /// Oracle answers served from pinned hot-node vectors.
     pub oracle_vector_hits: u64,
-    /// Oracle answers served from the memo table.
-    pub oracle_memo_hits: u64,
     /// Oracle fallback graph searches.
     pub oracle_searches: u64,
     /// Hot-node vector computations (pin events).
@@ -151,7 +141,7 @@ pub struct ExternalStats {
     pub dtree_memo_fills: u64,
 }
 
-/// Deterministic aggregates, updated only from the commit side.
+/// Deterministic aggregates, updated only by [`Obs::emit`].
 #[derive(Default)]
 struct Aggregates {
     event_counts: [u64; EVENT_KINDS.len()],
@@ -197,17 +187,13 @@ struct ObsCore {
     agg: Mutex<Aggregates>,
     run: Mutex<RunInfo>,
     external: Mutex<ExternalStats>,
-    // ---- thread-safe, worker-updated (profiling) ----
+    // ---- updated through `&self` from the schemes (profiling) ----
     stages: [Histogram; Stage::COUNT],
-    filter_considered: ShardedCounter,
-    filter_kept: ShardedCounter,
-    insertions_attempted: ShardedCounter,
-    insertions_feasible: ShardedCounter,
+    filter_considered: AtomicU64,
+    filter_kept: AtomicU64,
+    insertions_attempted: AtomicU64,
+    insertions_feasible: AtomicU64,
     response_s: Histogram,
-    worker_items: Vec<AtomicU64>,
-    batches: AtomicU64,
-    batched_requests: AtomicU64,
-    degraded_batches: AtomicU64,
     // ---- batch assignment solver (profiling) ----
     lap_solves: AtomicU64,
     lap_rows: AtomicU64,
@@ -237,23 +223,17 @@ struct ObsCore {
 
 impl ObsCore {
     fn new() -> Self {
-        let mut worker_items = Vec::with_capacity(MAX_WORKERS);
-        worker_items.resize_with(MAX_WORKERS, || AtomicU64::new(0));
         Self {
             sinks: Mutex::new(Vec::new()),
             agg: Mutex::new(Aggregates::default()),
             run: Mutex::new(RunInfo::default()),
             external: Mutex::new(ExternalStats::default()),
             stages: std::array::from_fn(|_| Histogram::new()),
-            filter_considered: ShardedCounter::new(),
-            filter_kept: ShardedCounter::new(),
-            insertions_attempted: ShardedCounter::new(),
-            insertions_feasible: ShardedCounter::new(),
+            filter_considered: AtomicU64::new(0),
+            filter_kept: AtomicU64::new(0),
+            insertions_attempted: AtomicU64::new(0),
+            insertions_feasible: AtomicU64::new(0),
             response_s: Histogram::new(),
-            worker_items,
-            batches: AtomicU64::new(0),
-            batched_requests: AtomicU64::new(0),
-            degraded_batches: AtomicU64::new(0),
             lap_solves: AtomicU64::new(0),
             lap_rows: AtomicU64::new(0),
             lap_cols: AtomicU64::new(0),
@@ -332,8 +312,8 @@ impl Obs {
     /// Emits one lifecycle event: updates the deterministic aggregates
     /// and forwards the canonical JSONL line to every sink.
     ///
-    /// Must only be called from the sequential commit side, in request
-    /// order — that is what makes the stream reproducible.
+    /// Must only be called from the simulator's event loop — its order
+    /// of work is what makes the stream reproducible.
     pub fn emit(&self, ev: Event) {
         let Some(core) = &self.core else { return };
         if ev.is_meta() {
@@ -494,55 +474,23 @@ impl Obs {
     }
 
     /// Records a partition-filter evaluation: `considered` partitions
-    /// scanned, `kept` surviving the λ/ε prune. Thread-safe.
+    /// scanned, `kept` surviving the λ/ε prune.
     #[inline]
     pub fn add_filter_stats(&self, considered: u64, kept: u64) {
         if let Some(core) = &self.core {
-            core.filter_considered.add(considered);
-            core.filter_kept.add(kept);
+            core.filter_considered.fetch_add(considered, Ordering::Relaxed);
+            core.filter_kept.fetch_add(kept, Ordering::Relaxed);
         }
     }
 
     /// Records insertion-DP work: `attempted` insertion instances
-    /// enumerated, `feasible` passing all deadline checks. Thread-safe.
+    /// enumerated, `feasible` passing all deadline checks.
     #[inline]
     pub fn add_insertions(&self, attempted: u64, feasible: u64) {
         if let Some(core) = &self.core {
-            core.insertions_attempted.add(attempted);
-            core.insertions_feasible.add(feasible);
+            core.insertions_attempted.fetch_add(attempted, Ordering::Relaxed);
+            core.insertions_feasible.fetch_add(feasible, Ordering::Relaxed);
         }
-    }
-
-    /// Records that worker `worker` scored `items` requests of a
-    /// speculative batch. Thread-safe.
-    pub fn record_worker_items(&self, worker: usize, items: u64) {
-        if let Some(core) = &self.core {
-            core.worker_items[worker.min(MAX_WORKERS - 1)].fetch_add(items, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one dispatched batch of `n_requests` requests.
-    pub fn record_batch(&self, n_requests: u64) {
-        if let Some(core) = &self.core {
-            core.batches.fetch_add(1, Ordering::Relaxed);
-            core.batched_requests.fetch_add(n_requests, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a speculative batch degraded to the sequential path
-    /// because a scoring worker panicked. Profiling only: a
-    /// `parallelism 1` run never batches, so this must not surface in
-    /// the deterministic event stream.
-    pub fn record_degraded_batch(&self) {
-        if let Some(core) = &self.core {
-            core.degraded_batches.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Batches degraded to the sequential path after a worker panic
-    /// (profiling).
-    pub fn degraded_batches(&self) -> u64 {
-        self.core.as_ref().map(|c| c.degraded_batches.load(Ordering::Relaxed)).unwrap_or(0)
     }
 
     /// Records one Kuhn–Munkres batch-window solve: matrix shape, rows
@@ -632,19 +580,19 @@ impl Obs {
 
     /// Total insertion instances enumerated (profiling).
     pub fn insertions_attempted(&self) -> u64 {
-        self.core.as_ref().map(|c| c.insertions_attempted.get()).unwrap_or(0)
+        self.core.as_ref().map(|c| c.insertions_attempted.load(Ordering::Relaxed)).unwrap_or(0)
     }
 
     /// Total partitions scanned by the filter (profiling).
     pub fn filter_considered(&self) -> u64 {
-        self.core.as_ref().map(|c| c.filter_considered.get()).unwrap_or(0)
+        self.core.as_ref().map(|c| c.filter_considered.load(Ordering::Relaxed)).unwrap_or(0)
     }
 
     /// Builds the end-of-run summary JSON. `None` when disabled.
     ///
     /// Layout: deterministic outcome metrics first, then one
     /// `"profiling"` subtree holding everything wall-clock- or
-    /// schedule-dependent. Equivalence checks strip that single key.
+    /// history-dependent. Equivalence checks strip that single key.
     pub fn summary_json(&self) -> Option<String> {
         let core = self.core.as_ref()?;
         let agg = core.agg.lock().expect("obs aggregates poisoned");
@@ -685,9 +633,7 @@ impl Obs {
         s.push(',');
 
         // ---- profiling: stripped before determinism comparisons ----
-        s.push_str(r#""profiling":{"#);
-        let _ = write!(s, r#""parallelism":{},"#, run.parallelism);
-        s.push_str(r#""stages":{"#);
+        s.push_str(r#""profiling":{"stages":{"#);
         for (i, stage) in Stage::ALL.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -698,10 +644,10 @@ impl Obs {
         let _ = write!(
             s,
             r#""counters":{{"filter_partitions_considered":{},"filter_partitions_kept":{},"insertions_attempted":{},"insertions_feasible":{}}},"#,
-            core.filter_considered.get(),
-            core.filter_kept.get(),
-            core.insertions_attempted.get(),
-            core.insertions_feasible.get()
+            core.filter_considered.load(Ordering::Relaxed),
+            core.filter_kept.load(Ordering::Relaxed),
+            core.insertions_attempted.load(Ordering::Relaxed),
+            core.insertions_feasible.load(Ordering::Relaxed)
         );
         let cache_total = ext.cache_hits + ext.cache_misses;
         let cache_ratio =
@@ -714,15 +660,16 @@ impl Obs {
             ext.cache_evictions,
             json::fmt_f64(cache_ratio)
         );
-        let oracle_hits = ext.oracle_vector_hits + ext.oracle_memo_hits;
-        let oracle_lookups = oracle_hits + ext.oracle_searches;
-        let oracle_ratio =
-            if oracle_lookups == 0 { 0.0 } else { oracle_hits as f64 / oracle_lookups as f64 };
+        let oracle_lookups = ext.oracle_vector_hits + ext.oracle_searches;
+        let oracle_ratio = if oracle_lookups == 0 {
+            0.0
+        } else {
+            ext.oracle_vector_hits as f64 / oracle_lookups as f64
+        };
         let _ = write!(
             s,
-            r#""oracle":{{"vector_hits":{},"memo_hits":{},"searches":{},"pin_computes":{},"evictions":{},"hit_ratio":{}}},"#,
+            r#""oracle":{{"vector_hits":{},"searches":{},"pin_computes":{},"evictions":{},"hit_ratio":{}}},"#,
             ext.oracle_vector_hits,
-            ext.oracle_memo_hits,
             ext.oracle_searches,
             ext.oracle_pin_computes,
             ext.oracle_evictions,
@@ -742,31 +689,6 @@ impl Obs {
             ext.cch_customizations,
             ext.cch_fill_arcs
         );
-        let workers = run.parallelism.clamp(1, MAX_WORKERS);
-        let batched = core.batched_requests.load(Ordering::Relaxed);
-        let _ = write!(
-            s,
-            r#""workers":{{"batches":{},"batched_requests":{},"degraded_batches":{},"items":["#,
-            core.batches.load(Ordering::Relaxed),
-            batched,
-            core.degraded_batches.load(Ordering::Relaxed)
-        );
-        for w in 0..workers {
-            if w > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{}", core.worker_items[w].load(Ordering::Relaxed));
-        }
-        s.push_str("],\"utilization\":[");
-        for w in 0..workers {
-            if w > 0 {
-                s.push(',');
-            }
-            let items = core.worker_items[w].load(Ordering::Relaxed);
-            let u = if batched == 0 { 0.0 } else { items as f64 / batched as f64 };
-            let _ = write!(s, "{}", json::fmt_f64(u));
-        }
-        s.push_str("]},");
         let _ = write!(
             s,
             r#""persistence":{{"checkpoints":{},"restores":{},"wal_records":{},"wal_bytes":{},"#,
@@ -859,7 +781,6 @@ mod tests {
         obs.emit(Event::Arrival { t: 0.0, req: 0, offline: false });
         obs.add_filter_stats(10, 2);
         obs.add_insertions(5, 1);
-        obs.record_batch(8);
         drop(obs.stage(Stage::Routing));
         assert!(obs.summary_json().is_none());
         assert_eq!(obs.event_counts(), [0; EVENT_KINDS.len()]);
@@ -898,15 +819,12 @@ mod tests {
             n_taxis: 3,
             n_requests: 5,
             n_offline: 1,
-            parallelism: 2,
         });
         obs.emit(Event::Dispatch { t: 0.5, req: 0, candidates: 2, feasible: 1 });
         obs.emit(Event::Commit { t: 0.5, req: 0, taxi: 1, detour_s: 9.0, schedule_len: 2 });
         obs.emit(Event::Pickup { t: 2.0, req: 0, taxi: 1, wait_s: 1.5 });
         obs.add_filter_stats(12, 3);
         obs.add_insertions(7, 2);
-        obs.record_worker_items(0, 3);
-        obs.record_batch(3);
         obs.record_response_s(0.001);
         obs.set_external_stats(ExternalStats {
             cache_hits: 9,
@@ -921,7 +839,12 @@ mod tests {
             Some(1.0)
         );
         let prof = v.get("profiling").expect("profiling subtree");
-        assert_eq!(prof.get("parallelism").and_then(|n| n.as_num()), Some(2.0));
+        assert_eq!(
+            prof.get("counters")
+                .and_then(|c| c.get("insertions_feasible"))
+                .and_then(|n| n.as_num()),
+            Some(2.0)
+        );
         assert_eq!(
             prof.get("path_cache").and_then(|c| c.get("hit_ratio")).and_then(|n| n.as_num()),
             Some(0.9)
@@ -952,19 +875,11 @@ mod tests {
             let oracle = v.get("profiling").and_then(|p| p.get("oracle")).cloned().unwrap();
             oracle.get("hit_ratio").and_then(|n| n.as_num()).unwrap()
         };
-        // Every lookup answered from a vector or the memo: 100 %, not 0.
-        let all_hits = ExternalStats {
-            oracle_vector_hits: 2_260_000,
-            oracle_memo_hits: 5,
-            ..ExternalStats::default()
-        };
+        // Every lookup answered from a vector: 100 %, not 0.
+        let all_hits = ExternalStats { oracle_vector_hits: 2_260_000, ..ExternalStats::default() };
         assert_eq!(ratio_for(all_hits), 1.0);
-        let mixed = ExternalStats {
-            oracle_vector_hits: 6,
-            oracle_memo_hits: 3,
-            oracle_searches: 3,
-            ..ExternalStats::default()
-        };
+        let mixed =
+            ExternalStats { oracle_vector_hits: 9, oracle_searches: 3, ..ExternalStats::default() };
         assert_eq!(ratio_for(mixed), 0.75);
         let only_misses = ExternalStats { oracle_searches: 4, ..ExternalStats::default() };
         assert_eq!(ratio_for(only_misses), 0.0);

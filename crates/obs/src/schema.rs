@@ -297,7 +297,6 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
         require_stat_block(&v, block)?;
     }
     let prof = v.get("profiling").ok_or("missing \"profiling\"")?;
-    require_num(prof, "profiling", "parallelism")?;
     let stages = prof.get("stages").ok_or("profiling: missing \"stages\"")?;
     for stage in Stage::ALL {
         require_hist_block(stages, stage.label(), "us")?;
@@ -322,8 +321,7 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
     // hit_ratio = hits / lookups: in [0, 1], and exactly 1 when nothing
     // missed (it used to read 0 there — hits were divided by searches).
     let num = |f| require_num(oracle, "oracle", f);
-    let (hits, searches, ratio) =
-        (num("vector_hits")? + num("memo_hits")?, num("searches")?, num("hit_ratio")?);
+    let (hits, searches, ratio) = (num("vector_hits")?, num("searches")?, num("hit_ratio")?);
     if !(0.0..=1.0).contains(&ratio) {
         return Err(format!("oracle: hit_ratio {ratio} outside [0, 1]"));
     }
@@ -337,14 +335,6 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
     let cch = prof.get("cch").ok_or("profiling: missing \"cch\"")?;
     for f in ["p2p_queries", "bucket_sweeps", "bucket_sources", "customizations", "fill_arcs"] {
         require_num(cch, "cch", f)?;
-    }
-    let workers = prof.get("workers").ok_or("profiling: missing \"workers\"")?;
-    require_num(workers, "workers", "batches")?;
-    require_num(workers, "workers", "batched_requests")?;
-    require_num(workers, "workers", "degraded_batches")?;
-    match (workers.get("items"), workers.get("utilization")) {
-        (Some(Value::Arr(items)), Some(Value::Arr(util))) if items.len() == util.len() => {}
-        _ => return Err("workers: items/utilization must be equal-length arrays".to_string()),
     }
     let persist = prof.get("persistence").ok_or("profiling: missing \"persistence\"")?;
     for f in ["checkpoints", "restores", "wal_records", "wal_bytes"] {
@@ -521,7 +511,6 @@ mod tests {
             n_taxis: 2,
             n_requests: 3,
             n_offline: 0,
-            parallelism: 1,
         });
         obs.emit(Event::Reject { t: 0.0, req: 0, reason: RejectReason::EmptyFleet });
         obs.set_external_stats(ExternalStats::default());

@@ -1,13 +1,13 @@
-//! Deterministic fork-join helpers for speculative batch dispatch.
+//! Deterministic fork-join helpers for the parallel CH build.
 //!
-//! The batch-dispatch path scores many independent requests concurrently
-//! and then commits the results sequentially, so the only primitive it
-//! needs is an indexed map: run `f(0..n)` on a small worker pool and
-//! return the results **in index order**, independent of which worker
-//! computed what. Work is handed out through a shared atomic counter
-//! (dynamic stealing — long items don't serialize behind a static split),
-//! and each worker tags results with their index so the merge is a plain
-//! sort-free scatter.
+//! Hierarchy construction evaluates many independent vertices
+//! concurrently and then applies the results sequentially, so the only
+//! primitive it needs is an indexed map: run `f(0..n)` on a small worker
+//! pool and return the results **in index order**, independent of which
+//! worker computed what. Work is handed out through a shared atomic
+//! counter (dynamic stealing — long items don't serialize behind a static
+//! split), and each worker tags results with their index so the merge is
+//! a plain sort-free scatter.
 //!
 //! Built on `std::thread::scope` only: no unsafe code, no extra
 //! dependencies, and a `workers <= 1` call degrades to a plain inline
@@ -15,7 +15,6 @@
 
 #![warn(missing_docs)]
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `f(i)` for `i in 0..n` on up to `workers` threads and returns the
@@ -40,34 +39,8 @@ where
 /// # Panics
 ///
 /// Panics if `states` is empty, or if any `f` call panicked (the panic
-/// surfaces on the calling thread after the pool drained). Callers that
-/// must survive a panicking `f` use [`try_par_map_with`].
+/// surfaces on the calling thread once the pool has been joined).
 pub fn par_map_with<S, T, F>(states: &mut [S], n: usize, f: F) -> Vec<T>
-where
-    S: Send,
-    T: Send,
-    F: Fn(usize, &mut S) -> T + Sync,
-{
-    match try_par_map_with(states, n, f) {
-        Ok(out) => out,
-        Err(panicked) => panic!("{panicked} worker item(s) panicked"),
-    }
-}
-
-/// Panic-isolating variant of [`par_map_with`]: every `f` call runs under
-/// [`catch_unwind`], so one panicking item neither aborts the process nor
-/// poisons the pool — the remaining items still execute. Returns
-/// `Err(panicked_items)` if any call panicked (the partial results are
-/// discarded; the caller is expected to degrade to its sequential path).
-///
-/// On `Err` the worker states may have been left mid-mutation by the
-/// panicking call; callers must treat them as tainted scratch (additive
-/// profiling counters are fine, correctness-bearing state is not).
-///
-/// # Panics
-///
-/// Panics if `states` is empty.
-pub fn try_par_map_with<S, T, F>(states: &mut [S], n: usize, f: F) -> Result<Vec<T>, usize>
 where
     S: Send,
     T: Send,
@@ -76,26 +49,16 @@ where
     assert!(!states.is_empty(), "par_map_with needs at least one worker state");
     if states.len() == 1 || n <= 1 {
         let state = &mut states[0];
-        let mut out = Vec::with_capacity(n);
-        let mut panicked = 0usize;
-        for i in 0..n {
-            match catch_unwind(AssertUnwindSafe(|| f(i, &mut *state))) {
-                Ok(v) => out.push(v),
-                Err(_) => panicked += 1,
-            }
-        }
-        return if panicked == 0 { Ok(out) } else { Err(panicked) };
+        return (0..n).map(|i| f(i, &mut *state)).collect();
     }
 
     let next = AtomicUsize::new(0);
-    let panicked = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let tagged: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = states
             .iter_mut()
             .map(|state| {
                 let next = &next;
-                let panicked = &panicked;
                 let f = &f;
                 scope.spawn(move || {
                     let mut local = Vec::new();
@@ -104,27 +67,18 @@ where
                         if i >= n {
                             break;
                         }
-                        match catch_unwind(AssertUnwindSafe(|| f(i, &mut *state))) {
-                            Ok(v) => local.push((i, v)),
-                            Err(_) => {
-                                panicked.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
+                        local.push((i, f(i, &mut *state)));
                     }
                     local
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("worker thread died")).collect()
+        handles.into_iter().map(|h| h.join().expect("worker item panicked")).collect()
     });
-    let n_panicked = panicked.load(Ordering::Relaxed);
-    if n_panicked > 0 {
-        return Err(n_panicked);
-    }
     for (i, v) in tagged.into_iter().flatten() {
         slots[i] = Some(v);
     }
-    Ok(slots.into_iter().map(|s| s.expect("every index produced")).collect())
+    slots.into_iter().map(|s| s.expect("every index produced")).collect()
 }
 
 #[cfg(test)]
@@ -176,59 +130,15 @@ mod tests {
         let _ = par_map_with(&mut states, 3, |i, _| i);
     }
 
-    /// Silences the default panic hook for the duration of `body` so the
-    /// intentionally panicking items don't spam test output. Serialized
-    /// because the hook is process-global.
-    fn with_quiet_panics(body: impl FnOnce()) {
-        use std::sync::Mutex;
-        static HOOK_LOCK: Mutex<()> = Mutex::new(());
-        let _guard = HOOK_LOCK.lock().unwrap();
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        body();
-        std::panic::set_hook(prev);
-    }
-
     #[test]
-    fn try_variant_isolates_panicking_items() {
-        with_quiet_panics(|| {
-            for n_states in [1usize, 4] {
-                let mut states = vec![0u64; n_states];
-                let done = AtomicU64::new(0);
-                let r = try_par_map_with(&mut states, 20, |i, _| {
-                    if i == 7 {
-                        panic!("injected");
-                    }
-                    done.fetch_add(1, Ordering::Relaxed);
-                    i
-                });
-                assert_eq!(r, Err(1), "states={n_states}");
-                // The panic did not take down the other items.
-                assert_eq!(done.load(Ordering::Relaxed), 19, "states={n_states}");
+    #[should_panic(expected = "worker item panicked")]
+    fn a_panicking_item_surfaces_on_the_caller() {
+        let mut states = vec![(); 2];
+        par_map_with(&mut states, 8, |i, _| {
+            if i == 3 {
+                panic!("boom");
             }
-        });
-    }
-
-    #[test]
-    fn try_variant_succeeds_when_nothing_panics() {
-        let mut states = vec![(); 3];
-        let r = try_par_map_with(&mut states, 10, |i, _| i * 3);
-        assert_eq!(r, Ok((0..10).map(|i| i * 3).collect::<Vec<_>>()));
-    }
-
-    #[test]
-    fn par_map_with_still_panics_on_worker_panic() {
-        with_quiet_panics(|| {
-            let caught = std::panic::catch_unwind(|| {
-                let mut states = vec![(); 2];
-                par_map_with(&mut states, 8, |i, _| {
-                    if i == 3 {
-                        panic!("boom");
-                    }
-                    i
-                })
-            });
-            assert!(caught.is_err());
+            i
         });
     }
 }

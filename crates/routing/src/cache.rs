@@ -7,14 +7,15 @@
 //! cache backed by bidirectional Dijkstra, shared by *all* schemes so the
 //! response-time comparison stays fair.
 //!
-//! The memo is split into lock-striped shards keyed by the source node so
-//! that the speculative batch-dispatch workers can probe and fill it
-//! concurrently without serializing on one mutex. Each shard owns its own
-//! search engine (the engine is per-query scratch state, so one per shard
-//! keeps a miss from blocking other shards). Both the search and the memo
-//! quantize costs to `f32`, which makes every answer independent of lookup
-//! history and thread interleaving: hit or miss, a query returns the same
-//! canonical value.
+//! The memo, its counters and the one search engine (per-query scratch
+//! state) sit behind a single mutex. Dispatch is sequential, so the lock
+//! is never contended in a run; it is there because the cache is a cheaply
+//! cloned handle shared through `&self` (simulator, oracle and scenario
+//! generator hold clones of one cache) and must stay `Send + Sync`
+//! (`tests/path_cache_stress.rs` drives one from several threads). Both
+//! the search and the memo quantize costs to `f32`, which makes every
+//! answer independent of lookup history: hit or miss, a query returns the
+//! same canonical value.
 //!
 //! # Pluggable exact backend
 //!
@@ -63,7 +64,6 @@ use crate::upward::{UpwardBuckets, UpwardGraph, UpwardQuery};
 use mtshare_road::{NodeId, RoadNetwork};
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// The exact engine a [`PathCache`] uses to answer cost misses.
@@ -81,25 +81,19 @@ pub enum RouterBackend {
     Cch(Arc<CustomizableCh>),
 }
 
-/// Number of lock stripes. Power of two so the shard pick is a mask; 16
-/// comfortably exceeds the worker counts the batch dispatcher uses.
-const SHARDS: usize = 16;
-
-/// Everything a cache keeps per hierarchy: the shared structure, one query
-/// scratch per memo stripe (a miss locks its stripe's scratch while it
-/// holds the stripe, so misses on other stripes proceed), and the bucket
-/// kernel.
+/// Everything a cache keeps per hierarchy: the shared structure, the
+/// query scratch cost misses run on, and the bucket kernel.
 #[derive(Debug)]
 struct Scratch<H: UpwardGraph> {
     hierarchy: Arc<H>,
-    queries: [Mutex<UpwardQuery<H>>; SHARDS],
+    query: Mutex<UpwardQuery<H>>,
     buckets: Mutex<UpwardBuckets<H>>,
 }
 
 impl<H: UpwardGraph> Scratch<H> {
     fn new(hierarchy: Arc<H>) -> Self {
         Self {
-            queries: std::array::from_fn(|_| Mutex::new(UpwardQuery::new(hierarchy.clone()))),
+            query: Mutex::new(UpwardQuery::new(hierarchy.clone())),
             buckets: Mutex::new(UpwardBuckets::new(hierarchy.clone())),
             hierarchy,
         }
@@ -139,7 +133,7 @@ impl CacheStats {
 }
 
 #[derive(Debug)]
-struct CacheShard {
+struct Memo {
     costs: FxHashMap<u64, f32>,
     /// Answers paths under every backend, and cost misses under
     /// [`RouterBackend::Bidir`].
@@ -160,7 +154,7 @@ pub struct PathCache {
     /// The graph answers are exact on *right now* — swapped wholesale by
     /// [`PathCache::recustomize`]; readers snapshot the `Arc`.
     live: Arc<RwLock<Arc<RoadNetwork>>>,
-    shards: Arc<[Mutex<CacheShard>; SHARDS]>,
+    memo: Arc<Mutex<Memo>>,
     backend: Arc<Backend>,
 }
 
@@ -197,16 +191,14 @@ impl PathCache {
                 Backend::Cch(Scratch::new(cch))
             }
         };
-        let shards = std::array::from_fn(|_| {
-            Mutex::new(CacheShard {
-                costs: FxHashMap::default(),
-                engine: BidirDijkstra::new(&graph),
-                stats: CacheStats::default(),
-            })
-        });
+        let memo = Memo {
+            costs: FxHashMap::default(),
+            engine: BidirDijkstra::new(&graph),
+            stats: CacheStats::default(),
+        };
         Self {
             live: Arc::new(RwLock::new(graph)),
-            shards: Arc::new(shards),
+            memo: Arc::new(Mutex::new(memo)),
             backend: Arc::new(backend),
         }
     }
@@ -271,9 +263,7 @@ impl PathCache {
         );
         let generation = self.customizable().map(|h| h.customize(&graph));
         *self.live.write() = graph;
-        for shard in self.shards.iter() {
-            shard.lock().costs.clear();
-        }
+        self.memo.lock().costs.clear();
         generation
     }
 
@@ -289,19 +279,6 @@ impl PathCache {
         ((a.0 as u64) << 32) | b.0 as u64
     }
 
-    /// Stripe by source node: batch workers probing different requests'
-    /// legs mostly start from distinct sources, so they land on distinct
-    /// locks.
-    #[inline]
-    fn stripe(a: NodeId) -> usize {
-        a.0 as usize & (SHARDS - 1)
-    }
-
-    #[inline]
-    fn shard(&self, a: NodeId) -> &Mutex<CacheShard> {
-        &self.shards[Self::stripe(a)]
-    }
-
     /// Shortest-path cost in seconds from `a` to `b`, or `None` when
     /// unreachable. Unreachability is memoized too.
     pub fn cost(&self, a: NodeId, b: NodeId) -> Option<f64> {
@@ -309,21 +286,21 @@ impl PathCache {
             return Some(0.0);
         }
         let key = Self::key(a, b);
-        let mut shard = self.shard(a).lock();
-        if let Some(&c) = shard.costs.get(&key) {
-            shard.stats.hits += 1;
+        let mut memo = self.memo.lock();
+        if let Some(&c) = memo.costs.get(&key) {
+            memo.stats.hits += 1;
             return c.is_finite().then_some(c as f64);
         }
-        shard.stats.misses += 1;
+        memo.stats.misses += 1;
         let cost = match &*self.backend {
             Backend::Bidir => {
                 let graph = self.live.read().clone();
-                shard.engine.cost(&graph, a, b)
+                memo.engine.cost(&graph, a, b)
             }
-            Backend::Ch(k) => k.queries[Self::stripe(a)].lock().cost(a, b),
-            Backend::Cch(k) => k.queries[Self::stripe(a)].lock().cost(a, b),
+            Backend::Ch(k) => k.query.lock().cost(a, b),
+            Backend::Cch(k) => k.query.lock().cost(a, b),
         };
-        shard.costs.insert(key, cost.map_or(f32::INFINITY, |c| c as f32));
+        memo.costs.insert(key, cost.map_or(f32::INFINITY, |c| c as f32));
         cost
     }
 
@@ -337,15 +314,12 @@ impl PathCache {
     /// never observe which path filled the memo. Returns the number of
     /// pairs computed (already-memoized pairs are skipped).
     pub fn prime_many_to_one(&self, sources: &[NodeId], target: NodeId) -> usize {
-        let mut missing: Vec<NodeId> = Vec::with_capacity(sources.len());
-        for &s in sources {
-            if s == target {
-                continue;
-            }
-            if !self.shard(s).lock().costs.contains_key(&Self::key(s, target)) {
-                missing.push(s);
-            }
-        }
+        let mut memo = self.memo.lock();
+        let mut missing: Vec<NodeId> = sources
+            .iter()
+            .copied()
+            .filter(|&s| s != target && !memo.costs.contains_key(&Self::key(s, target)))
+            .collect();
         missing.sort_unstable();
         missing.dedup();
         if missing.is_empty() {
@@ -357,22 +331,18 @@ impl PathCache {
             Backend::Cch(k) => k.buckets.lock().many_to_one(&missing, target),
         };
         for (&s, c) in missing.iter().zip(&costs) {
-            let mut shard = self.shard(s).lock();
-            if let Entry::Vacant(slot) = shard.costs.entry(Self::key(s, target)) {
-                slot.insert(c.map_or(f32::INFINITY, |c| c as f32));
-                shard.stats.misses += 1;
-            }
+            memo.costs.insert(Self::key(s, target), c.map_or(f32::INFINITY, |c| c as f32));
         }
+        memo.stats.misses += missing.len() as u64;
         missing.len()
     }
 
     /// Shortest path from `a` to `b` (computed fresh; its cost is memoized).
     pub fn path(&self, a: NodeId, b: NodeId) -> Option<Path> {
         let graph = self.live.read().clone();
-        let mut shard = self.shard(a).lock();
-        let p = shard.engine.path(&graph, a, b)?;
-        let key = Self::key(a, b);
-        shard.costs.entry(key).or_insert(p.cost_s as f32);
+        let mut memo = self.memo.lock();
+        let p = memo.engine.path(&graph, a, b)?;
+        memo.costs.entry(Self::key(a, b)).or_insert(p.cost_s as f32);
         Some(p)
     }
 
@@ -385,21 +355,14 @@ impl PathCache {
         }
     }
 
-    /// Snapshot of hit/miss/evict counters, aggregated over all shards.
+    /// Snapshot of hit/miss/evict counters.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in self.shards.iter() {
-            let s = shard.lock().stats;
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-        }
-        total
+        self.memo.lock().stats
     }
 
     /// Number of memoized entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().costs.len()).sum()
+        self.memo.lock().costs.len()
     }
 
     /// Whether the memo is empty.
@@ -410,7 +373,7 @@ impl PathCache {
     /// Approximate resident memory of the memo in bytes.
     pub fn memory_bytes(&self) -> usize {
         // key (8) + value (4) + hashbrown overhead ≈ 1 ctrl byte + padding.
-        self.shards.iter().map(|s| s.lock().costs.capacity() * (8 + 4 + 2)).sum()
+        self.memo.lock().costs.capacity() * (8 + 4 + 2)
     }
 }
 
@@ -581,22 +544,5 @@ mod tests {
         let cached = PathCache::with_backend(g.clone(), RouterBackend::Ch(ch));
         assert!(!cached.is_recustomizable());
         cached.recustomize(g);
-    }
-
-    #[test]
-    fn sources_land_on_distinct_shards_but_answers_agree() {
-        // Sources 0..16 map to all 16 stripes; repeat queries hit their
-        // own shard's memo and aggregate counters stay exact.
-        let (g, c) = cache();
-        let mut d = Dijkstra::new(&g);
-        for src in 0..16u32 {
-            let want = d.cost(&g, NodeId(src), NodeId(399)).unwrap();
-            let got = c.cost(NodeId(src), NodeId(399)).unwrap();
-            assert!((got - want).abs() < 1e-2, "src={src}");
-            assert_eq!(c.cost(NodeId(src), NodeId(399)), Some(got));
-        }
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses), (16, 16));
-        assert_eq!(c.len(), 16);
     }
 }

@@ -31,14 +31,16 @@
 //! its own cache handle ([`HotNodeOracle::over`]); [`HotNodeOracle::new`]
 //! wraps a private default cache for tests and benches.
 //!
-//! # Concurrency and determinism
+//! # Sharing and determinism
 //!
-//! Speculative batch dispatch probes the oracle from several workers at
-//! once, so reads must be concurrent *and* every query must return one
-//! canonical value regardless of which nodes happen to be pinned. The
-//! pinned map sits behind an `RwLock` (reads share, pins/unpins are rare
-//! and exclusive), counters are atomics, and the cache behind it is
-//! lock-striped by source node.
+//! Dispatch is sequential, but the oracle is shared by `&` through
+//! `World` and pinned through `&self`, and it is a cloneable handle that
+//! must stay `Send + Sync`: the pinned map sits behind an `RwLock`
+//! ([`HotNodeOracle::batch`] holds one read guard across a burst of
+//! queries), the pin engine behind a mutex, counters are atomics. Every
+//! query must return one canonical value regardless of which nodes happen
+//! to be pinned — that is what makes a resumed run, whose pin history
+//! differs, equal an uninterrupted one.
 //!
 //! Canonical lookup rule: the **backward vector of the target `b`, else
 //! the shared cache**. Edge costs sit on the dyadic grid
@@ -47,9 +49,8 @@
 //! the same bits
 //! (`tests/routing_properties.rs::one_to_all_all_to_one_and_bidir_agree_bit_for_bit`).
 //! The answer is therefore a function of `(a, b)` alone — pinning extra
-//! nodes (as the batch path does) can never change a result. A query whose
-//! *source* alone is pinned takes the cache path like any other unpinned
-//! pair.
+//! nodes can never change a result. A query whose *source* alone is pinned
+//! takes the cache path like any other unpinned pair.
 
 use crate::cache::PathCache;
 use crate::dijkstra::Dijkstra;
@@ -72,10 +73,6 @@ struct PinnedEntry {
 pub struct OracleStats {
     /// Queries answered from a pinned vector.
     pub vector_hits: u64,
-    /// Always zero: the oracle keeps no memo, a repeated unpinned query
-    /// is a hit of the shared cache and counted there. Kept while the
-    /// summary schema carries `profiling.oracle.memo_hits`.
-    pub memo_hits: u64,
     /// Queries that fell through to the shared [`PathCache`].
     pub searches: u64,
     /// One-to-all computations performed for pins.
@@ -179,7 +176,7 @@ impl HotNodeOracle {
     /// unreachable. O(1) when the target `b` is pinned; otherwise the
     /// shared cache's (memoized) answer. Both return the same exact bits
     /// (see the module docs), so the answer for a pair is canonical:
-    /// independent of pin state, lookup history, and thread interleaving.
+    /// independent of pin state and lookup history.
     pub fn cost(&self, a: NodeId, b: NodeId) -> Option<f64> {
         if let Some(c) = self.batch(|r| r.pinned_cost(a, b)) {
             return c;
@@ -241,8 +238,8 @@ impl HotNodeOracle {
     /// pin set — e.g. scoring one insertion candidate. The read lock is
     /// held for the whole closure, recursion-tolerant, so `f` may fall
     /// back to `cost()` for unpinned pairs; callers must not
-    /// `pin`/`unpin` from inside `f` or concurrently with it (dispatch
-    /// already orders all pinning before scoring).
+    /// `pin`/`unpin` from inside `f` (dispatch already orders all pinning
+    /// before scoring).
     pub fn batch<R>(&self, f: impl FnOnce(&mut PinnedReader<'_>) -> R) -> R {
         let mut reader = PinnedReader { pinned: self.pinned.read_recursive(), hits: 0 };
         let r = f(&mut reader);
@@ -256,7 +253,6 @@ impl HotNodeOracle {
     pub fn stats(&self) -> OracleStats {
         OracleStats {
             vector_hits: self.stats.vector_hits.load(Relaxed),
-            memo_hits: 0,
             searches: self.stats.searches.load(Relaxed),
             pin_computes: self.stats.pin_computes.load(Relaxed),
             evictions: self.stats.evictions.load(Relaxed),
@@ -344,9 +340,9 @@ mod tests {
 
     #[test]
     fn pinning_extra_nodes_never_changes_an_answer() {
-        // The determinism contract of speculative dispatch: the batch path
-        // pins whole batches of endpoints up front, the sequential path
-        // pins one request at a time, and both must read identical costs.
+        // The determinism contract behind warm restart: a resumed run
+        // re-holds its riders in a different order than the crashed run
+        // pinned them, and both must read identical costs.
         let o = oracle();
         o.pin(NodeId(399));
         let canonical = o.cost(NodeId(17), NodeId(399));
@@ -422,7 +418,7 @@ mod tests {
             // Unpinned target: the configured backend answers, once.
             let free = o.cost(a, b).unwrap();
             assert_eq!(o.cost(a, b), Some(free));
-            assert_eq!((o.stats().searches, o.stats().memo_hits), (2, 0));
+            assert_eq!(o.stats().searches, 2);
             let cs = cache.stats();
             assert_eq!((cs.misses, cs.hits), (1, 1), "one miss, then the cache's own hit");
             assert!(matches!(p2p(), None | Some(1)), "one hierarchy query: {:?}", p2p());

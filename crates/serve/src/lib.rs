@@ -16,8 +16,8 @@
 //!   exponential backoff, resuming through the state dir.
 //!
 //! Determinism contract: the event trace of a serve run over a recorded
-//! feed is byte-identical to the one-shot run of the same scenario, at
-//! any `--parallelism`, including across a kill-and-resume. Everything
+//! feed is byte-identical to the one-shot run of the same scenario,
+//! including across a kill-and-resume. Everything
 //! that could differ run-to-run (stage latencies, RSS, queue depth)
 //! lives in the steady-state report stream, which is explicitly
 //! profiling-grade and outside the contract.

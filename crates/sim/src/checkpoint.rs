@@ -3,10 +3,8 @@
 //!
 //! The simulator's position in a run is its **step counter**: one step
 //! per committed unit of sequential work — a popped heap event, a
-//! consumed arrival (each arrival inside a speculative batch counts
-//! individually, in commit order), or a validation sweep. Steps are
-//! parallelism-independent by the batch-dispatch equivalence argument,
-//! so a step index names the same world state at any worker count.
+//! consumed arrival, or a validation sweep. The loop is deterministic,
+//! so a step index names the same world state in every run of a scenario.
 //!
 //! Three artifacts live in the state directory:
 //!
@@ -14,9 +12,9 @@
 //!   step boundary — taxis with their plans, the mutable request store,
 //!   the pending event queue, the disruption plan, money/metric
 //!   accumulators, the scheme's index snapshot and the obs aggregates.
-//!   Derived structures (route-node maps, offline watches, the path
-//!   cache, the hot-node oracle, the spatial grid) are rebuilt cold on
-//!   restore; costs are canonical so cold caches cannot change decisions.
+//!   Derived structures (route-node maps, offline watches, the oracle's
+//!   pins) are rebuilt on restore; the path cache restarts cold — costs
+//!   are canonical, so neither can change a decision.
 //! - `wal.mtwal`: one record per completed step — `step | kind | sim
 //!   time | state digest` — spanning the whole run. Recovery replays the
 //!   records past the newest valid snapshot by *re-executing* the run
@@ -782,11 +780,19 @@ impl Simulator {
     }
 
     /// Rebuilds every derived structure a snapshot deliberately omits:
-    /// per-taxi route-node maps and the offline watch tables. (The path
-    /// cache, hot-node oracle and spatial grid restart cold — refcount
-    /// pins are advisory and costs are canonical, so cold lookups return
-    /// the same answers the warm run saw.)
+    /// per-taxi route-node maps, the offline watch tables and the
+    /// oracle's holds on riders that are assigned or on board — without
+    /// those every leg into their stops would fall through to a search
+    /// for the rest of the run, and their later releases would free
+    /// other requests' vectors early. (The path cache restarts cold;
+    /// costs are canonical, so cold lookups return the same answers the
+    /// warm run saw.)
     fn rebuild_derived(&mut self) {
+        for taxi in &self.taxis {
+            for &r in taxi.assigned.iter().chain(&taxi.onboard) {
+                self.hold(self.requests.get(r));
+            }
+        }
         for i in 0..self.taxis.len() {
             let map = &mut self.route_nodes[i];
             map.clear();

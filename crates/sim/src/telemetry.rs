@@ -4,8 +4,8 @@
 //! (an empty [`mtshare_model::DispatchOutcome`]); the reason taxonomy the
 //! summary JSON breaks rejections down by is recovered here from the world
 //! state the decision was made against. Classification is a pure function
-//! of the request and the world snapshot, so it is deterministic at any
-//! `--parallelism` and adds zero cost on the accept path.
+//! of the request and the world snapshot, so it is deterministic and
+//! adds zero cost on the accept path.
 
 use mtshare_model::{RideRequest, World};
 use mtshare_obs::RejectReason;

@@ -1,14 +1,15 @@
 //! Crash-consistent warm restart: kill a run at an arbitrary step,
 //! resume from the state directory, and require the concatenation of the
 //! two traces to be byte-identical to an uninterrupted run — across
-//! every dispatch scheme and at any `parallelism`, including resuming at
-//! a different worker count than the run that crashed.
+//! every dispatch scheme — and the resumed run to be as warm as the
+//! uninterrupted one (its riders' oracle pins are re-held on restore).
 
 use mtshare_chaos::{ChaosConfig, CrashPoint};
 use mtshare_core::{MobilityContext, PartitionStrategy};
+use mtshare_model::{DispatchOutcome, DispatchScheme, RideRequest, Taxi, TaxiId, Time, World};
 use mtshare_obs::{MemorySink, Obs};
 use mtshare_road::{grid_city, GridCityConfig, RoadNetwork};
-use mtshare_routing::PathCache;
+use mtshare_routing::{HotNodeOracle, PathCache};
 use mtshare_sim::{
     build_context, PersistConfig, RunOutcome, Scenario, ScenarioConfig, SchemeKind, SimConfig,
     Simulator,
@@ -39,15 +40,21 @@ impl TestWorld {
     /// Runs a fresh simulator over the shared scenario, capturing the
     /// canonical JSONL trace.
     fn run(&self, cfg: SimConfig) -> (RunOutcome, String) {
+        self.run_scheme(cfg, self.scheme().as_mut())
+    }
+
+    fn scheme(&self) -> Box<dyn DispatchScheme> {
+        self.kind.build(&self.graph, self.scenario.taxis.len(), self.ctx.clone(), None)
+    }
+
+    fn run_scheme(&self, cfg: SimConfig, scheme: &mut dyn DispatchScheme) -> (RunOutcome, String) {
         let obs = Obs::enabled();
         let (sink, buf) = MemorySink::new();
         obs.add_sink(Box::new(sink));
         let cache = PathCache::new(self.graph.clone());
-        let mut scheme =
-            self.kind.build(&self.graph, self.scenario.taxis.len(), self.ctx.clone(), None);
         let out = Simulator::new(self.graph.clone(), cache, &self.scenario, cfg)
             .with_obs(obs)
-            .run_to_outcome(scheme.as_mut());
+            .run_to_outcome(scheme);
         let trace = buf.lock().unwrap().clone();
         (out, trace)
     }
@@ -55,9 +62,8 @@ impl TestWorld {
 
 /// Chaos + the invariant sweep armed, so recovery replays through
 /// breakdowns, cancels, traffic shifts and validation steps too.
-fn base_cfg(parallelism: usize) -> SimConfig {
+fn base_cfg() -> SimConfig {
     SimConfig {
-        parallelism,
         chaos: Some(ChaosConfig::with_seed(7)),
         validate_every: Some(60.0),
         ..SimConfig::default()
@@ -94,14 +100,14 @@ fn resume_persist(dir: &Path) -> PersistConfig {
 
 /// Kills a run at `crash_step`, resumes it, and checks the concatenated
 /// trace (and the final report) against an uninterrupted baseline run.
-fn crash_and_resume(world: &TestWorld, name: &str, crash_par: usize, resume_par: usize) {
-    let (base_out, base_trace) = world.run(base_cfg(crash_par));
+fn crash_and_resume(world: &TestWorld, name: &str) {
+    let (base_out, base_trace) = world.run(base_cfg());
     let RunOutcome::Finished(base_report) = base_out else {
         panic!("baseline run must finish");
     };
 
     let dir = state_dir(name);
-    let mut cfg = base_cfg(crash_par);
+    let mut cfg = base_cfg();
     cfg.persist = Some(fresh_persist(&dir, 57));
     let (crash_out, head) = world.run(cfg);
     let RunOutcome::Crashed { step } = crash_out else {
@@ -109,7 +115,7 @@ fn crash_and_resume(world: &TestWorld, name: &str, crash_par: usize, resume_par:
     };
     assert_eq!(step, 57);
 
-    let mut cfg = base_cfg(resume_par);
+    let mut cfg = base_cfg();
     cfg.persist = Some(resume_persist(&dir));
     let (resume_out, tail) = world.run(cfg);
     let RunOutcome::Finished(report) = resume_out else {
@@ -138,27 +144,17 @@ fn crash_resume_matrix_over_all_schemes() {
         (SchemeKind::MtShare, "mt-share"),
     ] {
         let world = TestWorld::build(kind);
-        crash_and_resume(&world, &format!("{name}-seq"), 1, 1);
+        crash_and_resume(&world, name);
     }
-}
-
-#[test]
-fn crash_resume_is_parallelism_independent() {
-    let world = TestWorld::build(SchemeKind::MtShare);
-    // Crash a parallel run, resume it sequentially and vice versa: the
-    // step counter (and hence the WAL) is parallelism-independent.
-    crash_and_resume(&world, "mt-share-par", 4, 4);
-    crash_and_resume(&world, "mt-share-par-to-seq", 4, 1);
-    crash_and_resume(&world, "mt-share-seq-to-par", 1, 4);
 }
 
 #[test]
 fn torn_wal_tail_is_truncated_on_recovery() {
     let world = TestWorld::build(SchemeKind::TShare);
-    let (_, base_trace) = world.run(base_cfg(1));
+    let (_, base_trace) = world.run(base_cfg());
 
     let dir = state_dir("torn-tail");
-    let mut cfg = base_cfg(1);
+    let mut cfg = base_cfg();
     cfg.persist = Some(fresh_persist(&dir, 57));
     let (_, head) = world.run(cfg);
 
@@ -170,7 +166,7 @@ fn torn_wal_tail_is_truncated_on_recovery() {
     f.write_all(&[0xde, 0xad, 0xbe]).unwrap();
     drop(f);
 
-    let mut cfg = base_cfg(1);
+    let mut cfg = base_cfg();
     cfg.persist = Some(resume_persist(&dir));
     let (out, tail) = world.run(cfg);
     assert!(matches!(out, RunOutcome::Finished(_)));
@@ -181,10 +177,10 @@ fn torn_wal_tail_is_truncated_on_recovery() {
 #[test]
 fn corrupted_snapshot_falls_back_to_previous_checkpoint() {
     let world = TestWorld::build(SchemeKind::MtShare);
-    let (_, base_trace) = world.run(base_cfg(1));
+    let (_, base_trace) = world.run(base_cfg());
 
     let dir = state_dir("corrupt-snap");
-    let mut cfg = base_cfg(1);
+    let mut cfg = base_cfg();
     cfg.persist = Some(fresh_persist(&dir, 57));
     let (_, head) = world.run(cfg);
 
@@ -204,7 +200,7 @@ fn corrupted_snapshot_falls_back_to_previous_checkpoint() {
     bytes[mid] ^= 0xff;
     std::fs::write(newest, bytes).unwrap();
 
-    let mut cfg = base_cfg(1);
+    let mut cfg = base_cfg();
     cfg.persist = Some(resume_persist(&dir));
     let (out, tail) = world.run(cfg);
     assert!(matches!(out, RunOutcome::Finished(_)));
@@ -225,7 +221,7 @@ fn checkpoint_meta_events_stay_out_of_the_canonical_trace() {
     let cache = PathCache::new(world.graph.clone());
     let mut scheme =
         world.kind.build(&world.graph, world.scenario.taxis.len(), world.ctx.clone(), None);
-    let mut cfg = base_cfg(1);
+    let mut cfg = base_cfg();
     cfg.persist = Some(PersistConfig {
         state_dir: dir.clone(),
         checkpoint_every: 16,
@@ -250,14 +246,108 @@ fn checkpoint_meta_events_stay_out_of_the_canonical_trace() {
 fn resuming_under_a_different_scheme_refuses() {
     let mut world = TestWorld::build(SchemeKind::NoSharing);
     let dir = state_dir("wrong-scheme");
-    let mut cfg = base_cfg(1);
+    let mut cfg = base_cfg();
     cfg.persist = Some(fresh_persist(&dir, 57));
     let _ = world.run(cfg);
 
     // Same scenario, different dispatcher: the manifest check must trip.
     world.kind = SchemeKind::TShare;
     world.ctx = None;
-    let mut cfg = base_cfg(1);
+    let mut cfg = base_cfg();
     cfg.persist = Some(resume_persist(&dir));
     let _ = world.run(cfg);
+}
+
+/// Forwards everything the loop and the checkpoints call, keeps a handle
+/// on the simulator's oracle (handles share state, so it outlives the
+/// run) and checks the pin accounting at every dispatch.
+struct OracleTap {
+    inner: Box<dyn DispatchScheme>,
+    oracle: Option<HotNodeOracle>,
+}
+
+impl OracleTap {
+    fn audit(&self, world: &World<'_>) {
+        let s = world.oracle.stats();
+        assert_eq!(
+            s.pin_computes,
+            s.evictions + world.oracle.pinned_count() as u64,
+            "one vector computation per distinct pin: {s:?}"
+        );
+    }
+}
+
+impl DispatchScheme for OracleTap {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn install(&mut self, world: &World<'_>) {
+        self.oracle = Some(world.oracle.clone());
+        self.inner.install(world)
+    }
+    fn set_obs(&mut self, obs: Obs) {
+        self.inner.set_obs(obs)
+    }
+    fn dispatch(&mut self, req: &RideRequest, now: Time, world: &World<'_>) -> DispatchOutcome {
+        self.audit(world);
+        self.inner.dispatch(req, now, world)
+    }
+    fn dispatch_offline(
+        &mut self,
+        req: &RideRequest,
+        encountered_by: TaxiId,
+        now: Time,
+        world: &World<'_>,
+    ) -> DispatchOutcome {
+        self.audit(world);
+        self.inner.dispatch_offline(req, encountered_by, now, world)
+    }
+    fn after_assign(&mut self, taxi: &Taxi, world: &World<'_>) {
+        self.inner.after_assign(taxi, world)
+    }
+    fn on_taxi_progress(&mut self, taxi: &Taxi, now: Time, world: &World<'_>) {
+        self.inner.on_taxi_progress(taxi, now, world)
+    }
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        self.inner.snapshot_state()
+    }
+    fn restore_state(&mut self, bytes: &[u8], world: &World<'_>) -> Result<(), String> {
+        self.oracle = Some(world.oracle.clone());
+        self.inner.restore_state(bytes, world)
+    }
+}
+
+#[test]
+fn resumed_run_rebuilds_the_oracle_pins_of_riders_in_flight() {
+    // No chaos: every leg an uninterrupted run prices ends at a pinned
+    // endpoint (`tests/lazy_leg_costs.rs`), so any oracle search after a
+    // resume means the restore lost the pins of riders already assigned
+    // or on board.
+    let world = TestWorld::build(SchemeKind::MtShare);
+    let tapped = |cfg: SimConfig| {
+        let mut tap = OracleTap { inner: world.scheme(), oracle: None };
+        let (out, trace) = world.run_scheme(cfg, &mut tap);
+        (out, trace, tap.oracle.expect("install or restore_state ran"))
+    };
+
+    let (out, base_trace, oracle) = tapped(SimConfig::default());
+    assert!(matches!(out, RunOutcome::Finished(_)));
+    assert!(oracle.stats().vector_hits > 0, "scenario must exercise the dispatcher");
+    assert_eq!(oracle.stats().searches, 0, "baseline: {:?}", oracle.stats());
+
+    let dir = state_dir("resume-pins");
+    let cfg = SimConfig { persist: Some(fresh_persist(&dir, 57)), ..SimConfig::default() };
+    let (out, head, _) = tapped(cfg);
+    assert!(matches!(out, RunOutcome::Crashed { step: 57 }), "{out:?}");
+
+    let cfg = SimConfig { persist: Some(resume_persist(&dir)), ..SimConfig::default() };
+    let (out, tail, oracle) = tapped(cfg);
+    assert!(matches!(out, RunOutcome::Finished(_)));
+    assert_eq!(format!("{head}{tail}"), base_trace);
+    let s = oracle.stats();
+    assert!(s.vector_hits > 0, "the resumed run must still dispatch: {s:?}");
+    assert_eq!(s.searches, 0, "a leg into a held rider's stop fell through to a search: {s:?}");
+    assert_eq!(oracle.pinned_count(), 0, "every hold is released by the end of the run");
+    assert_eq!(s.pin_computes, s.evictions, "{s:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

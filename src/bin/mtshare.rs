@@ -33,6 +33,7 @@ use mt_share::sim::{
     build_context, parse_trace, snap_trace, stats, BatchConfig, Durability, RunOutcome, Scenario,
     ScenarioConfig, SchemeKind, SimConfig, SimEngine, Simulator, WorkloadConfig, WorkloadGenerator,
 };
+use std::io::Write as _;
 use std::sync::Arc;
 
 struct Args {
@@ -67,15 +68,26 @@ impl Args {
         self.flags.iter().any(|(n, _)| n == name)
     }
 
+    /// The value of `--name` parsed as `T`, `None` when the flag is
+    /// absent. A flag given without a value, or with one that does not
+    /// parse, exits 2 naming both — never a silent fall-back to a default.
+    fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        let (_, value) = self.flags.iter().find(|(n, _)| n == name)?;
+        let Some(v) = value else { flag_error(&format!("--{name} needs a value")) };
+        Some(v.parse().unwrap_or_else(|_| {
+            flag_error(&format!("--{name}: cannot parse `{v}` as {}", std::any::type_name::<T>()))
+        }))
+    }
+
     fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.get(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+        self.parsed(name).unwrap_or(default)
     }
 }
 
+const USAGE: &str = "usage:\n  mtshare simulate [--scheme no-sharing|t-share|pgreedy-dp|mt-share|mt-share-pro|batch]\n                   [--taxis N] [--requests N] [--nonpeak] [--rows N] [--cols N] [--seed N]\n                   [--capacity N]      # seats per taxi (1-8, default 4)\n                   [--scheduler dp|dtree]      # insertion scoring engine; traces identical either way\n                   [--batch-window S]  # rolling-horizon window in sim seconds (with --scheme batch)\n                   [--batch-retries N] # re-queue budget for losing requests (with --scheme batch)\n                   [--router bidir|ch|cch]      # exact cost engine; traces identical across all\n                   [--ch-artifact FILE]        # persist/reuse the preprocessing (with --router ch|cch)\n                   [--metrics-out FILE.json]   # end-of-run summary (stages, caches, rejections)\n                   [--trace-out FILE.jsonl]    # dispatch-lifecycle event stream\n                   [--feed-record FILE.jsonl]  # dump the arrival stream in the serve feed format\n                   [--chaos-seed N]    # inject seeded disruptions (breakdowns/cancels/shifts)\n                   [--disruptions breakdowns=2,cancels=4,shifts=2]  # mix (with --chaos-seed)\n                   [--validate-every SECONDS]  # runtime invariant checker cadence\n                   [--state-dir DIR]   # checkpoint/WAL persistence (crash-consistent restart)\n                   [--checkpoint-every N]      # snapshot cadence in steps (default 256)\n                   [--resume]          # warm-restart from the newest valid checkpoint + WAL\n                   [--crash-at STEP]   # die (exit 42) after STEP steps, for restart testing\n                   [--durability strict|degrade]  # storage-fault policy: fail fast (exit 44) or\n                                                  # quarantine the state dir and keep serving\n                   [--failpoints SPEC] # seeded I/O faults, e.g. wal-sync-fail=1,snap-write-enospc=1\n                                       # (schedule derived from --chaos-seed)\n  mtshare serve    [--feed -|FILE|tcp:ADDR]    # line-delimited JSON request feed (default stdin)\n                   [--queue-capacity N]        # bounded admission queue (default 64)\n                   [--admission block|shed-oldest|reject-new]\n                   [--pace free|QUANTUM_S]     # burst entries per virtual-time quantum (default free)\n                   [--report-out FILE.jsonl]   # periodic steady-state reports\n                   [--report-every SECONDS]    # report cadence in virtual seconds (default 60)\n                   [--heartbeat-file FILE]     # liveness file rewritten every burst\n                   [--supervise]               # watchdog: restart on crash/fault/stall with backoff\n                   [--supervise-max-restarts N] [--supervise-backoff-ms MS] [--supervise-stall-ms MS]\n                   plus the simulate scenario/persistence flags (--taxis, --requests, --scheme,\n                   --state-dir, --resume, ...); a serve run over a recorded feed produces the\n                   one-shot run's exact event trace\n  mtshare partition [--kappa N] [--grid] [--out FILE.geojson|FILE.csv]\n  mtshare stats [--hours N]\n  mtshare trace FILE.csv";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  mtshare simulate [--scheme no-sharing|t-share|pgreedy-dp|mt-share|mt-share-pro|batch]\n                   [--taxis N] [--requests N] [--nonpeak] [--rows N] [--cols N] [--seed N]\n                   [--capacity N]      # seats per taxi (1-8, default 4)\n                   [--parallelism N]   # dispatch worker threads; results identical to 1\n                   [--scheduler dp|dtree]      # insertion scoring engine; traces identical either way\n                   [--batch-window S]  # rolling-horizon window in sim seconds (with --scheme batch)\n                   [--batch-retries N] # re-queue budget for losing requests (with --scheme batch)\n                   [--router bidir|ch|cch]      # exact cost engine; traces identical across all\n                   [--ch-artifact FILE]        # persist/reuse the preprocessing (with --router ch|cch)\n                   [--metrics-out FILE.json]   # end-of-run summary (stages, caches, rejections)\n                   [--trace-out FILE.jsonl]    # dispatch-lifecycle event stream\n                   [--feed-record FILE.jsonl]  # dump the arrival stream in the serve feed format\n                   [--chaos-seed N]    # inject seeded disruptions (breakdowns/cancels/shifts)\n                   [--disruptions breakdowns=2,cancels=4,shifts=2]  # mix (with --chaos-seed)\n                   [--validate-every SECONDS]  # runtime invariant checker cadence\n                   [--state-dir DIR]   # checkpoint/WAL persistence (crash-consistent restart)\n                   [--checkpoint-every N]      # snapshot cadence in steps (default 256)\n                   [--resume]          # warm-restart from the newest valid checkpoint + WAL\n                   [--crash-at STEP]   # die (exit 42) after STEP steps, for restart testing\n                   [--durability strict|degrade]  # storage-fault policy: fail fast (exit 44) or\n                                                  # quarantine the state dir and keep serving\n                   [--failpoints SPEC] # seeded I/O faults, e.g. wal-sync-fail=1,snap-write-enospc=1\n                                       # (schedule derived from --chaos-seed)\n  mtshare serve    [--feed -|FILE|tcp:ADDR]    # line-delimited JSON request feed (default stdin)\n                   [--queue-capacity N]        # bounded admission queue (default 64)\n                   [--admission block|shed-oldest|reject-new]\n                   [--pace free|QUANTUM_S]     # burst entries per virtual-time quantum (default free)\n                   [--report-out FILE.jsonl]   # periodic steady-state reports\n                   [--report-every SECONDS]    # report cadence in virtual seconds (default 60)\n                   [--heartbeat-file FILE]     # liveness file rewritten every burst\n                   [--supervise]               # watchdog: restart on crash/fault/stall with backoff\n                   [--supervise-max-restarts N] [--supervise-backoff-ms MS] [--supervise-stall-ms MS]\n                   plus the simulate scenario/persistence flags (--taxis, --requests, --scheme,\n                   --state-dir, --resume, ...); a serve run over a recorded feed produces the\n                   one-shot run's exact event trace\n  mtshare partition [--kappa N] [--grid] [--out FILE.geojson|FILE.csv]\n  mtshare stats [--hours N]\n  mtshare trace FILE.csv"
-    );
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
@@ -101,7 +113,6 @@ const SCENARIO_FLAGS: &[&str] = &[
     "seed",
     "kappa",
     "capacity",
-    "parallelism",
     "scheduler",
     "batch-window",
     "batch-retries",
@@ -197,6 +208,12 @@ fn validate_flags(cmd: &str, args: &Args, extra: &[&str]) {
 }
 
 fn main() {
+    if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
+        // Not `println!`: `mtshare --help | head` closes the pipe early,
+        // and that is not worth a panic.
+        let _ = writeln!(std::io::stdout(), "{USAGE}");
+        return;
+    }
     let mut argv = std::env::args().skip(1);
     let Some(cmd) = argv.next() else { usage() };
     let args = Args::parse(argv);
@@ -238,19 +255,22 @@ fn build_obs(args: &Args) -> mt_share::obs::Obs {
 fn build_cache(
     args: &Args,
     graph: &Arc<mt_share::road::RoadNetwork>,
-    parallelism: usize,
     obs: &mt_share::obs::Obs,
 ) -> PathCache {
     let backend = match args.get("router").unwrap_or("bidir") {
         "bidir" => RouterBackend::Bidir,
         "ch" => {
             let _span = obs.stage(mt_share::obs::Stage::PreprocessCh);
+            // CH preprocessing is the one parallel stage left; its
+            // artifacts are byte-identical across worker counts, so the
+            // host decides.
+            let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
             let ch = match args.get("ch-artifact") {
                 Some(path) => {
                     let (ch, rebuilt) = ContractionHierarchy::load_or_build(
                         std::path::Path::new(path),
                         graph,
-                        parallelism,
+                        workers,
                     )
                     .unwrap_or_else(|e| artifact_error(path, e));
                     if rebuilt {
@@ -260,7 +280,7 @@ fn build_cache(
                     }
                     ch
                 }
-                None => ContractionHierarchy::build(graph, parallelism),
+                None => ContractionHierarchy::build(graph, workers),
             };
             RouterBackend::Ch(Arc::new(ch))
         }
@@ -334,16 +354,10 @@ fn scheduler_kind(args: &Args) -> mt_share::model::SchedulerKind {
     }
 }
 
-/// mT-Share configuration overrides accumulated from the CLI
-/// (`--parallelism`, `--scheduler`); `None` when everything is at its
-/// default so scheme construction takes the no-override path.
-fn mt_config(args: &Args, parallelism: usize) -> Option<mt_share::core::MtShareConfig> {
-    let scheduler = scheduler_kind(args);
-    (parallelism > 1 || scheduler != mt_share::model::SchedulerKind::default()).then(|| {
-        mt_share::core::MtShareConfig::default()
-            .with_parallelism(parallelism)
-            .with_scheduler(scheduler)
-    })
+/// The scheme configuration: Table II defaults plus what the CLI can
+/// override (`--scheduler`).
+fn mt_config(args: &Args) -> mt_share::core::MtShareConfig {
+    mt_share::core::MtShareConfig::default().with_scheduler(scheduler_kind(args))
 }
 
 fn scheme_kind(args: &Args) -> SchemeKind {
@@ -387,15 +401,6 @@ fn validate_every(args: &Args) -> Option<f64> {
     })
 }
 
-fn chaos_seed(args: &Args) -> Option<u64> {
-    args.get("chaos-seed").map(|s| {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("--chaos-seed must be an integer, got `{s}`");
-            std::process::exit(2);
-        })
-    })
-}
-
 /// Seeded failpoint plan (`--failpoints`, schedule derived from
 /// `--chaos-seed`): one shared plan drives both the storage-fault
 /// injector and the serve feed faults, so a single seed reproduces the
@@ -404,7 +409,8 @@ fn failpoint_plan(args: &Args) -> Option<Arc<FailpointPlan>> {
     args.get("failpoints").map(|spec| {
         let spec = FailpointSpec::parse(spec)
             .unwrap_or_else(|e| flag_error(&format!("bad --failpoints spec: {e}")));
-        let seed = chaos_seed(args).expect("validated: --failpoints requires --chaos-seed");
+        let seed =
+            args.parsed("chaos-seed").expect("validated: --failpoints requires --chaos-seed");
         let plan = FailpointPlan::generate(seed, &spec);
         if plan.has_storage_faults() && !args.has("state-dir") {
             flag_error("--failpoints with storage faults requires --state-dir");
@@ -424,13 +430,7 @@ fn persist_config(
         if pc.resume {
             eprintln!("resuming from checkpoint state in {dir}");
         }
-        pc.crash_at = args.get("crash-at").map(|s| {
-            let step: u64 = s.parse().unwrap_or_else(|_| {
-                eprintln!("--crash-at must be a step count, got `{s}`");
-                std::process::exit(2);
-            });
-            mt_share::chaos::CrashPoint::exit_at(step)
-        });
+        pc.crash_at = args.parsed("crash-at").map(mt_share::chaos::CrashPoint::exit_at);
         if let Some(s) = args.get("durability") {
             pc.durability = Durability::parse(s).unwrap_or_else(|e| flag_error(&e));
         }
@@ -457,9 +457,8 @@ fn write_metrics(args: &Args, obs: &mt_share::obs::Obs) {
 
 fn simulate(args: &Args) {
     let graph = city(args);
-    let parallelism = args.num("parallelism", 1usize).max(1);
     let obs = build_obs(args);
-    let cache = build_cache(args, &graph, parallelism, &obs);
+    let cache = build_cache(args, &graph, &obs);
     let scenario = Scenario::generate(graph.clone(), &cache, scenario_config(args));
 
     if let Some(path) = args.get("feed-record") {
@@ -480,13 +479,8 @@ fn simulate(args: &Args) {
             PartitionStrategy::Bipartite,
         )
     });
-    let mt_cfg = mt_config(args, parallelism);
-    let mut scheme = kind.build(&graph, scenario.taxis.len(), ctx, mt_cfg);
-    let chaos = args.get("chaos-seed").map(|s| {
-        let seed: u64 = s.parse().unwrap_or_else(|_| {
-            eprintln!("--chaos-seed must be an integer, got `{s}`");
-            std::process::exit(2);
-        });
+    let mut scheme = kind.build(&graph, scenario.taxis.len(), ctx, Some(mt_config(args)));
+    let chaos = args.parsed("chaos-seed").map(|seed| {
         let mut chaos = mt_share::chaos::ChaosConfig::with_seed(seed);
         if let Some(mix) = args.get("disruptions") {
             if let Err(e) = chaos.parse_mix(mix) {
@@ -499,8 +493,7 @@ fn simulate(args: &Args) {
     let validate_every = validate_every(args);
     let persist = persist_config(args, failpoint_plan(args));
     let chaos_on = chaos.is_some();
-    let sim_cfg =
-        SimConfig { parallelism, chaos, validate_every, persist, batch, ..SimConfig::default() };
+    let sim_cfg = SimConfig { chaos, validate_every, persist, batch, ..SimConfig::default() };
 
     let outcome = Simulator::new(graph, cache, &scenario, sim_cfg)
         .with_obs(obs.clone())
@@ -524,7 +517,6 @@ fn simulate(args: &Args) {
     write_metrics(args, &obs);
 
     println!("scheme          {}", report.scheme);
-    println!("parallelism     {parallelism}");
     println!("taxis           {}", report.n_taxis);
     println!("requests        {} ({} offline)", report.n_requests, report.n_offline);
     println!(
@@ -589,11 +581,7 @@ fn supervise_cmd(args: &Args) -> ! {
             base_delay_s: args.num("supervise-backoff-ms", 200u64) as f64 / 1000.0,
             backoff_factor: 2.0,
         },
-        stall_timeout: args.get("supervise-stall-ms").map(|s| {
-            std::time::Duration::from_millis(s.parse().unwrap_or_else(|_| {
-                flag_error(&format!("--supervise-stall-ms must be milliseconds, got `{s}`"))
-            }))
-        }),
+        stall_timeout: args.parsed("supervise-stall-ms").map(std::time::Duration::from_millis),
         heartbeat: args.get("heartbeat-file").map(std::path::PathBuf::from),
     };
     std::process::exit(supervise(exe.as_os_str(), &child_args, &cfg));
@@ -631,9 +619,8 @@ fn serve_cmd(args: &Args) {
     });
 
     let graph = city(args);
-    let parallelism = args.num("parallelism", 1usize).max(1);
     let obs = build_obs(args);
-    let cache = build_cache(args, &graph, parallelism, &obs);
+    let cache = build_cache(args, &graph, &obs);
     // The same generation as `simulate`, so the fleet and historical
     // trips are identical — only the arrival stream is replaced by the
     // feed. The generated requests are discarded.
@@ -650,12 +637,10 @@ fn serve_cmd(args: &Args) {
             PartitionStrategy::Bipartite,
         )
     });
-    let mt_cfg = mt_config(args, parallelism);
-    let mut scheme = kind.build(&graph, scenario.taxis.len(), ctx, mt_cfg);
+    let mut scheme = kind.build(&graph, scenario.taxis.len(), ctx, Some(mt_config(args)));
     let failplan = failpoint_plan(args);
     let feed_faults = failplan.as_ref().map(|p| p.feed_faults()).filter(|f| !f.is_empty());
     let sim_cfg = SimConfig {
-        parallelism,
         validate_every: validate_every(args),
         persist: persist_config(args, failplan),
         batch,
@@ -705,7 +690,6 @@ fn serve_cmd(args: &Args) {
                 eprintln!("wrote steady-state reports to {}", args.get("report-out").unwrap());
             }
             println!("scheme          {}", report.scheme);
-            println!("parallelism     {parallelism}");
             println!("taxis           {}", report.n_taxis);
             println!("requests        {} ({} offline)", report.n_requests, report.n_offline);
             println!("served          {} ({:.1}%)", report.served, report.served_ratio() * 100.0);

@@ -20,8 +20,6 @@
 //!   stage spans, JSONL export) — see DESIGN.md, "Observability";
 //! - [`serve`]: long-lived service runtime (JSONL request feed, bounded
 //!   admission queue, graceful drain) — see DESIGN.md, "Service mode";
-//! - [`par`]: panic-isolating deterministic parallel map used by batch
-//!   dispatch;
 //! - [`chaos`]: seeded disruption plans, retry policy and runtime
 //!   invariant checks — see DESIGN.md, "Fault model & recovery".
 //!
@@ -35,7 +33,6 @@ pub use mtshare_dtree as dtree;
 pub use mtshare_mobility as mobility;
 pub use mtshare_model as model;
 pub use mtshare_obs as obs;
-pub use mtshare_par as par;
 pub use mtshare_persist as persist;
 pub use mtshare_road as road;
 pub use mtshare_routing as routing;

@@ -187,7 +187,7 @@ fn version_mismatched_artifact_exits_2_and_is_left_intact() {
     }
 }
 
-fn simulate(dir: &Path, router: &str, parallelism: &str, trace: &str) {
+fn simulate(dir: &Path, router: &str, trace: &str) {
     let out = Command::new(env!("CARGO_BIN_EXE_mtshare"))
         .current_dir(dir)
         .args([
@@ -205,37 +205,29 @@ fn simulate(dir: &Path, router: &str, parallelism: &str, trace: &str) {
             "--nonpeak",
             "--router",
             router,
-            "--parallelism",
-            parallelism,
             "--trace-out",
             trace,
         ])
         .output()
         .expect("spawn mtshare");
-    assert!(
-        out.status.success(),
-        "router={router} parallelism={parallelism}: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    assert!(out.status.success(), "router={router}: {}", String::from_utf8_lossy(&out.stderr));
 }
 
-/// The end-to-end correctness bar: swapping the exact cost engine (and
-/// the dispatch worker count) must not move a single byte of the trace.
+/// The end-to-end correctness bar: swapping the exact cost engine must
+/// not move a single byte of the trace.
 #[test]
-fn traces_are_byte_identical_across_routers_and_parallelism() {
+fn traces_are_byte_identical_across_routers() {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("ch-trace-diff");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    simulate(&dir, "bidir", "1", "bidir-p1.jsonl");
-    simulate(&dir, "ch", "1", "ch-p1.jsonl");
-    simulate(&dir, "ch", "4", "ch-p4.jsonl");
-    simulate(&dir, "cch", "1", "cch-p1.jsonl");
-    simulate(&dir, "cch", "4", "cch-p4.jsonl");
+    for router in ["bidir", "ch", "cch"] {
+        simulate(&dir, router, &format!("{router}.jsonl"));
+    }
 
-    let reference = std::fs::read(dir.join("bidir-p1.jsonl")).unwrap();
+    let reference = std::fs::read(dir.join("bidir.jsonl")).unwrap();
     assert!(!reference.is_empty(), "baseline trace must not be empty");
-    for other in ["ch-p1.jsonl", "ch-p4.jsonl", "cch-p1.jsonl", "cch-p4.jsonl"] {
+    for other in ["ch.jsonl", "cch.jsonl"] {
         let got = std::fs::read(dir.join(other)).unwrap();
         assert!(got == reference, "{other} diverges from the bidir baseline trace");
     }

@@ -2,10 +2,10 @@
 //! traffic shifts) must be survived end-to-end — every request accounted
 //! in exactly one terminal state, at least one orphan successfully
 //! re-dispatched, zero invariant violations — and the event trace must
-//! stay byte-identical across parallelism levels and same-seed reruns.
+//! stay byte-identical across same-seed reruns.
 
 use mt_share::chaos::ChaosConfig;
-use mt_share::core::{MtShareConfig, PartitionStrategy};
+use mt_share::core::PartitionStrategy;
 use mt_share::obs::{schema, MemorySink, Obs};
 use mt_share::road::{grid_city, GridCityConfig};
 use mt_share::routing::PathCache;
@@ -15,17 +15,16 @@ use mt_share::sim::{
 };
 use std::sync::Arc;
 
-fn chaos_run(chaos_seed: u64, parallelism: usize) -> (SimReport, String) {
-    chaos_run_kind(SchemeKind::MtShare, chaos_seed, parallelism)
+fn chaos_run(chaos_seed: u64) -> (SimReport, String) {
+    chaos_run_kind(SchemeKind::MtShare, chaos_seed)
 }
 
-fn chaos_run_kind(kind: SchemeKind, chaos_seed: u64, parallelism: usize) -> (SimReport, String) {
+fn chaos_run_kind(kind: SchemeKind, chaos_seed: u64) -> (SimReport, String) {
     let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
     let cache = PathCache::new(graph.clone());
     let scenario = Scenario::generate(graph.clone(), &cache, ScenarioConfig::peak(12));
     let ctx = build_context(&graph, &scenario.historical, 12, PartitionStrategy::Bipartite);
-    let mt_cfg = MtShareConfig::default().with_parallelism(parallelism);
-    let mut scheme = kind.build(&graph, scenario.taxis.len(), Some(ctx), Some(mt_cfg));
+    let mut scheme = kind.build(&graph, scenario.taxis.len(), Some(ctx), None);
     let obs = Obs::enabled();
     let (sink, buf) = MemorySink::new();
     obs.add_sink(Box::new(sink));
@@ -34,7 +33,6 @@ fn chaos_run_kind(kind: SchemeKind, chaos_seed: u64, parallelism: usize) -> (Sim
     let batch = (kind == SchemeKind::MtShareBatch)
         .then_some(BatchConfig { window_s: 45.0, max_retries: 2 });
     let cfg = SimConfig {
-        parallelism,
         chaos: Some(ChaosConfig::with_seed(chaos_seed)),
         validate_every: Some(60.0),
         batch,
@@ -63,7 +61,7 @@ fn req_id(line: &str) -> Option<u32> {
 /// scan is deterministic, so the chosen seed is stable across test runs.
 fn interesting_seed() -> u64 {
     for seed in 0..32 {
-        let (report, trace) = chaos_run(seed, 1);
+        let (report, trace) = chaos_run(seed);
         if report.redispatched >= 1
             && count_kind(&trace, "breakdown") >= 1
             && count_kind(&trace, "cancel") >= 1
@@ -77,7 +75,7 @@ fn interesting_seed() -> u64 {
 
 #[test]
 fn seeded_chaos_recovers_and_accounts_every_request() {
-    let (report, trace) = chaos_run(interesting_seed(), 1);
+    let (report, trace) = chaos_run(interesting_seed());
     schema::validate_trace(&trace).expect("chaos trace must be schema-valid");
     assert_eq!(report.served + report.rejected, report.n_requests, "{report:?}");
     assert!(report.redispatched >= 1, "{report:?}");
@@ -98,16 +96,14 @@ fn seeded_chaos_recovers_and_accounts_every_request() {
 }
 
 #[test]
-fn chaos_traces_are_byte_identical_across_parallelism_and_reruns() {
+fn chaos_traces_are_byte_identical_across_reruns() {
     let seed = interesting_seed();
-    let (r1, t1) = chaos_run(seed, 1);
-    let (_, t1b) = chaos_run(seed, 1);
-    let (r4, t4) = chaos_run(seed, 4);
-    assert_eq!(t1, t1b, "same seed, same parallelism must reproduce the trace byte-for-byte");
-    assert_eq!(t1, t4, "parallel dispatch must not change the trace");
+    let (a, trace_a) = chaos_run(seed);
+    let (b, trace_b) = chaos_run(seed);
+    assert_eq!(trace_a, trace_b, "same seed must reproduce the trace byte-for-byte");
     assert_eq!(
-        (r1.served, r1.rejected, r1.cancelled, r1.redispatched),
-        (r4.served, r4.rejected, r4.cancelled, r4.redispatched)
+        (a.served, a.rejected, a.cancelled, a.redispatched),
+        (b.served, b.rejected, b.cancelled, b.redispatched)
     );
 }
 
@@ -118,7 +114,7 @@ fn chaos_traces_are_byte_identical_across_parallelism_and_reruns() {
 /// scan, so the choice is stable.
 fn interesting_batch_seed() -> u64 {
     for seed in 0..32 {
-        let (report, trace) = chaos_run_kind(SchemeKind::MtShareBatch, seed, 1);
+        let (report, trace) = chaos_run_kind(SchemeKind::MtShareBatch, seed);
         let unassigned_cancel = trace
             .lines()
             .any(|l| l.contains("\"ev\":\"cancel\"") && l.contains("\"assigned\":false"));
@@ -136,7 +132,7 @@ fn batch_chaos_open_window_disruptions_terminate_exactly_once() {
     // request in exactly one terminal state — never lost in the window
     // buffer, never double-terminated by both the cancel path and the
     // flush path.
-    let (report, trace) = chaos_run_kind(SchemeKind::MtShareBatch, interesting_batch_seed(), 1);
+    let (report, trace) = chaos_run_kind(SchemeKind::MtShareBatch, interesting_batch_seed());
     schema::validate_trace(&trace).expect("batch chaos trace must be schema-valid");
     assert_eq!(report.served + report.rejected, report.n_requests, "{report:?}");
     assert_eq!(report.invariant_violations, 0, "{report:?}");
@@ -154,15 +150,13 @@ fn batch_chaos_open_window_disruptions_terminate_exactly_once() {
 }
 
 #[test]
-fn batch_chaos_traces_are_byte_identical_across_parallelism_and_reruns() {
+fn batch_chaos_traces_are_byte_identical_across_reruns() {
     let seed = interesting_batch_seed();
-    let (r1, t1) = chaos_run_kind(SchemeKind::MtShareBatch, seed, 1);
-    let (_, t1b) = chaos_run_kind(SchemeKind::MtShareBatch, seed, 1);
-    let (r4, t4) = chaos_run_kind(SchemeKind::MtShareBatch, seed, 4);
-    assert_eq!(t1, t1b, "same seed, same parallelism must reproduce the batch trace");
-    assert_eq!(t1, t4, "parallel window scoring must not change the batch trace");
+    let (a, trace_a) = chaos_run_kind(SchemeKind::MtShareBatch, seed);
+    let (b, trace_b) = chaos_run_kind(SchemeKind::MtShareBatch, seed);
+    assert_eq!(trace_a, trace_b, "same seed must reproduce the batch trace byte-for-byte");
     assert_eq!(
-        (r1.served, r1.rejected, r1.cancelled, r1.redispatched),
-        (r4.served, r4.rejected, r4.cancelled, r4.redispatched)
+        (a.served, a.rejected, a.cancelled, a.redispatched),
+        (b.served, b.rejected, b.cancelled, b.redispatched)
     );
 }

@@ -1,11 +1,25 @@
-//! GitHub rejects a workflow that defines a job key twice, and then none of
-//! its jobs run. Nothing else local parses the file, so this does — as
-//! text: the keys indented by exactly two spaces under `jobs:`.
+//! The CI workflow cannot run here, so what can break it silently is
+//! checked as text. GitHub rejects a workflow that defines a job key twice,
+//! and then none of its jobs run: the keys indented by exactly two spaces
+//! under `jobs:` must be unique. And `mtshare` exits 2 on a flag it does
+//! not know, so a step that still passes a removed flag fails its job.
+
+fn workflow() -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/.github/workflows/ci.yml");
+    std::fs::read_to_string(path).expect("the CI workflow is part of the repo")
+}
+
+#[test]
+fn ci_never_passes_the_removed_parallelism_flag() {
+    let text = workflow();
+    let hits: Vec<(usize, &str)> =
+        text.lines().enumerate().filter(|(_, l)| l.contains("--parallelism")).collect();
+    assert!(hits.is_empty(), "`--parallelism` is an unknown flag (exit 2): {hits:?}");
+}
 
 #[test]
 fn ci_job_keys_are_unique() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/.github/workflows/ci.yml");
-    let text = std::fs::read_to_string(path).expect("the CI workflow is part of the repo");
+    let text = workflow();
     let jobs: Vec<&str> = text
         .lines()
         .skip_while(|line| line.trim_end() != "jobs:")

@@ -29,30 +29,18 @@ fn mtshare(dir: &Path, scheme: &[&str], extra: &[&str]) -> std::process::Output 
         .expect("spawn mtshare")
 }
 
-fn crash_restart_roundtrip(name: &str, par_crash: &str, par_resume: &str) {
-    crash_restart_scheme(name, &["--scheme", "mt-share"], par_crash, par_resume, "80");
-}
-
-fn crash_restart_scheme(
-    name: &str,
-    scheme: &[&str],
-    par_crash: &str,
-    par_resume: &str,
-    crash_at: &str,
-) {
+fn crash_restart_scheme(name: &str, scheme: &[&str], crash_at: &str) {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let full = mtshare(&dir, scheme, &["--parallelism", par_crash, "--trace-out", "full.jsonl"]);
+    let full = mtshare(&dir, scheme, &["--trace-out", "full.jsonl"]);
     assert!(full.status.success(), "baseline: {}", String::from_utf8_lossy(&full.stderr));
 
     let crash = mtshare(
         &dir,
         scheme,
         &[
-            "--parallelism",
-            par_crash,
             "--trace-out",
             "head.jsonl",
             "--state-dir",
@@ -70,19 +58,8 @@ fn crash_restart_scheme(
         String::from_utf8_lossy(&crash.stderr)
     );
 
-    let resume = mtshare(
-        &dir,
-        scheme,
-        &[
-            "--parallelism",
-            par_resume,
-            "--trace-out",
-            "tail.jsonl",
-            "--state-dir",
-            "state",
-            "--resume",
-        ],
-    );
+    let resume =
+        mtshare(&dir, scheme, &["--trace-out", "tail.jsonl", "--state-dir", "state", "--resume"]);
     assert!(resume.status.success(), "resume: {}", String::from_utf8_lossy(&resume.stderr));
 
     let full_trace = std::fs::read(dir.join("full.jsonl")).unwrap();
@@ -97,17 +74,7 @@ fn crash_restart_scheme(
 
 #[test]
 fn process_crash_and_restart_sequential() {
-    crash_restart_roundtrip("seq", "1", "1");
-}
-
-#[test]
-fn process_crash_and_restart_parallel() {
-    crash_restart_roundtrip("par", "4", "4");
-}
-
-#[test]
-fn process_crash_parallel_restart_sequential() {
-    crash_restart_roundtrip("cross", "4", "1");
+    crash_restart_scheme("seq", &["--scheme", "mt-share"], "80");
 }
 
 // The batch scheme keeps an open request window between flushes; a wide
@@ -118,12 +85,7 @@ const BATCH: &[&str] = &["--scheme", "batch", "--batch-window", "45"];
 
 #[test]
 fn batch_crash_and_restart_sequential() {
-    crash_restart_scheme("batch-seq", BATCH, "1", "1", "60");
-}
-
-#[test]
-fn batch_crash_parallel_restart_sequential() {
-    crash_restart_scheme("batch-cross", BATCH, "4", "1", "60");
+    crash_restart_scheme("batch-seq", BATCH, "60");
 }
 
 #[test]
@@ -132,6 +94,6 @@ fn batch_crash_mid_window_various_steps() {
     // buffered and its window's flush — the checkpoint-boundary-mid-window
     // case — regardless of workload drift.
     for (i, step) in ["40", "75", "110"].iter().enumerate() {
-        crash_restart_scheme(&format!("batch-step{i}"), BATCH, "1", "1", step);
+        crash_restart_scheme(&format!("batch-step{i}"), BATCH, step);
     }
 }

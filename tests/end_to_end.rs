@@ -6,7 +6,8 @@ use mt_share::core::PartitionStrategy;
 use mt_share::road::{grid_city, GridCityConfig};
 use mt_share::routing::PathCache;
 use mt_share::sim::{
-    build_context, Scenario, ScenarioConfig, SchemeKind, SimConfig, SimReport, Simulator,
+    build_context, BatchConfig, Scenario, ScenarioConfig, SchemeKind, SimConfig, SimReport,
+    Simulator,
 };
 use std::sync::Arc;
 
@@ -18,8 +19,9 @@ fn run(kind: SchemeKind, cfg: ScenarioConfig) -> (Scenario, SimReport) {
         .needs_context()
         .then(|| build_context(&graph, &scenario.historical, 12, PartitionStrategy::Bipartite));
     let mut scheme = kind.build(&graph, scenario.taxis.len(), ctx, None);
-    let sim = Simulator::new(graph, cache, &scenario, SimConfig::default());
-    let report = sim.run(scheme.as_mut());
+    let batch = (kind == SchemeKind::MtShareBatch).then(BatchConfig::default);
+    let sim_cfg = SimConfig { batch, ..SimConfig::default() };
+    let report = Simulator::new(graph, cache, &scenario, sim_cfg).run(scheme.as_mut());
     (scenario, report)
 }
 
@@ -115,11 +117,24 @@ fn payment_conservation_across_schemes() {
     }
 }
 
-#[test]
-fn deterministic_given_seeds() {
-    let (_, a) = run(SchemeKind::MtShare, ScenarioConfig::peak(10));
-    let (_, b) = run(SchemeKind::MtShare, ScenarioConfig::peak(10));
+fn assert_repeats(kind: SchemeKind, cfg: ScenarioConfig) {
+    let (_, a) = run(kind, cfg.clone());
+    let (_, b) = run(kind, cfg);
+    assert!(a.served > 0, "scenario must exercise the dispatcher: {a:?}");
     assert_eq!(a.served, b.served);
     assert_eq!(a.served_records, b.served_records);
     assert_eq!(a.rejected, b.rejected);
+    assert_eq!(a.total_driver_income, b.total_driver_income);
+}
+
+#[test]
+fn deterministic_given_seeds() {
+    assert_repeats(SchemeKind::MtShare, ScenarioConfig::peak(10));
+}
+
+#[test]
+fn batch_run_repeats_identically() {
+    // Window flushes go through the LAP solve and the revalidated commit
+    // path; they must be as reproducible as greedy dispatch.
+    assert_repeats(SchemeKind::MtShareBatch, ScenarioConfig::peak(12));
 }

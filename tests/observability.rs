@@ -2,36 +2,36 @@
 //! must emit a schema-valid JSONL event stream and a summary whose
 //! numbers are internally consistent with the simulation report.
 
-use mt_share::core::{MtShareConfig, PartitionStrategy};
+use mt_share::core::PartitionStrategy;
 use mt_share::obs::{json, schema, MemorySink, Obs, Stage, EVENT_KINDS};
 use mt_share::road::{grid_city, GridCityConfig};
 use mt_share::routing::PathCache;
 use mt_share::sim::{
-    build_context, Scenario, ScenarioConfig, SchemeKind, SimConfig, SimReport, Simulator,
+    build_context, BatchConfig, Scenario, ScenarioConfig, SchemeKind, SimConfig, SimReport,
+    Simulator,
 };
 use std::sync::Arc;
 
-fn observed_run(
-    kind: SchemeKind,
-    cfg: ScenarioConfig,
-    parallelism: usize,
-) -> (SimReport, Obs, String) {
+fn observed_run(kind: SchemeKind, cfg: ScenarioConfig) -> (SimReport, Obs, String) {
+    let obs = Obs::enabled();
+    let (sink, buf) = MemorySink::new();
+    obs.add_sink(Box::new(sink));
+    let report = run_with(kind, cfg, obs.clone());
+    let trace = buf.lock().unwrap().clone();
+    (report, obs, trace)
+}
+
+fn run_with(kind: SchemeKind, cfg: ScenarioConfig, obs: Obs) -> SimReport {
     let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
     let cache = PathCache::new(graph.clone());
     let scenario = Scenario::generate(graph.clone(), &cache, cfg);
     let ctx = kind
         .needs_context()
         .then(|| build_context(&graph, &scenario.historical, 12, PartitionStrategy::Bipartite));
-    let mt_cfg = MtShareConfig::default().with_parallelism(parallelism);
-    let mut scheme = kind.build(&graph, scenario.taxis.len(), ctx, Some(mt_cfg));
-    let obs = Obs::enabled();
-    let (sink, buf) = MemorySink::new();
-    obs.add_sink(Box::new(sink));
-    let sim_cfg = SimConfig { parallelism, ..SimConfig::default() };
-    let report =
-        Simulator::new(graph, cache, &scenario, sim_cfg).with_obs(obs.clone()).run(scheme.as_mut());
-    let trace = buf.lock().unwrap().clone();
-    (report, obs, trace)
+    let mut scheme = kind.build(&graph, scenario.taxis.len(), ctx, None);
+    let batch = (kind == SchemeKind::MtShareBatch).then(BatchConfig::default);
+    let sim_cfg = SimConfig { batch, ..SimConfig::default() };
+    Simulator::new(graph, cache, &scenario, sim_cfg).with_obs(obs).run(scheme.as_mut())
 }
 
 fn count_kind(trace: &str, kind: &str) -> usize {
@@ -41,7 +41,7 @@ fn count_kind(trace: &str, kind: &str) -> usize {
 
 #[test]
 fn trace_is_schema_valid_and_consistent_with_the_report() {
-    let (report, obs, trace) = observed_run(SchemeKind::MtShare, ScenarioConfig::peak(12), 1);
+    let (report, obs, trace) = observed_run(SchemeKind::MtShare, ScenarioConfig::peak(12));
     let n_events = schema::validate_trace(&trace).expect("schema-valid trace");
     assert!(n_events > 0);
 
@@ -61,7 +61,7 @@ fn trace_is_schema_valid_and_consistent_with_the_report() {
 
 #[test]
 fn summary_reports_stage_quantiles_and_cache_rates() {
-    let (report, obs, _) = observed_run(SchemeKind::MtShare, ScenarioConfig::peak(12), 2);
+    let (report, obs, _) = observed_run(SchemeKind::MtShare, ScenarioConfig::peak(12));
     let summary = obs.summary_json().expect("enabled");
     schema::validate_summary(&summary).expect("schema-valid summary");
     let v = json::parse(&summary).unwrap();
@@ -105,19 +105,30 @@ fn summary_reports_stage_quantiles_and_cache_rates() {
 }
 
 #[test]
-fn parallel_run_reports_worker_utilization() {
-    let (_, obs, _) = observed_run(SchemeKind::MtShare, ScenarioConfig::peak(12), 2);
-    let v = json::parse(&obs.summary_json().unwrap()).unwrap();
-    let workers = v.get("profiling").and_then(|p| p.get("workers")).unwrap();
-    assert!(workers.get("batches").and_then(|n| n.as_num()).unwrap() > 0.0);
-    let batched = workers.get("batched_requests").and_then(|n| n.as_num()).unwrap();
-    assert!(batched > 0.0);
-    let mt_share::obs::json::Value::Arr(items) = workers.get("items").unwrap() else {
-        panic!("items must be an array");
-    };
-    assert_eq!(items.len(), 2, "one slot per worker");
-    let scored: f64 = items.iter().filter_map(|v| v.as_num()).sum();
-    assert!(scored >= batched, "every batched request is scored at least once");
+fn batch_telemetry_is_schema_valid() {
+    // The batch scheme's event stream (window-flush dispatches) and its
+    // summary (profiling.lap block, batch_solve stage histogram) must
+    // satisfy the schemas too.
+    let (_, obs, trace) = observed_run(SchemeKind::MtShareBatch, ScenarioConfig::peak(12));
+    assert!(!trace.is_empty(), "scenario must emit events");
+    schema::validate_trace(&trace).expect("trace schema");
+    schema::validate_summary(&obs.summary_json().expect("enabled")).expect("summary schema");
+    assert!(obs.lap_solves() > 0, "batch runs must record LAP solves");
+}
+
+#[test]
+fn telemetry_does_not_change_outcomes() {
+    // Observing the run must not perturb it: reports with and without
+    // the bus attached agree on every outcome, bit for bit.
+    let cfg = ScenarioConfig::peak(12);
+    let plain = run_with(SchemeKind::MtShare, cfg.clone(), Obs::disabled());
+    let observed = run_with(SchemeKind::MtShare, cfg, Obs::enabled());
+    assert!(plain.served > 0, "scenario must exercise the dispatcher: {plain:?}");
+    assert_eq!(plain.served_records, observed.served_records);
+    assert_eq!(
+        (plain.served, plain.rejected, plain.avg_candidates, plain.total_driver_income),
+        (observed.served, observed.rejected, observed.avg_candidates, observed.total_driver_income)
+    );
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Multi-thread stress test for the sharded [`PathCache`]: many threads
+//! Multi-thread stress test for the shared [`PathCache`]: many threads
 //! hammer one shared cache with overlapping seeded query streams, and
 //! every single answer is checked against an independent per-thread
 //! Dijkstra reference. Afterwards the aggregate stats and the cache's
@@ -28,7 +28,7 @@ fn concurrent_queries_agree_with_dijkstra_reference() {
                 s.spawn(move || {
                     // Overlapping seeds (t / 2): half the threads replay
                     // another thread's exact stream, maximising same-pair
-                    // same-shard contention.
+                    // contention.
                     let mut rng = SmallRng::seed_from_u64(0xC0FFEE + (t / 2) as u64);
                     let mut reference = Dijkstra::new(&graph);
                     let mut seen = Vec::with_capacity(QUERIES_PER_THREAD);

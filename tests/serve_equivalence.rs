@@ -2,8 +2,8 @@
 //!
 //! The core invariant: a recorded feed replayed through `mtshare serve`
 //! produces an event trace byte-identical to the one-shot run of the
-//! same scenario — at any `--parallelism`, under either pacing mode,
-//! and across a kill-and-resume. Admission-queue edge cases (zero
+//! same scenario — under either pacing mode and across a
+//! kill-and-resume. Admission-queue edge cases (zero
 //! capacity, shed-under-burst, drain with an open batch window,
 //! drain-while-resuming) and the fail-fast CLI flag validation ride
 //! along.
@@ -63,35 +63,20 @@ fn recorded_feed_replays_byte_identically_through_serve() {
     let oneshot = std::fs::read(dir.join("oneshot.jsonl")).unwrap();
     assert!(!oneshot.is_empty());
 
-    for par in ["1", "4"] {
-        for pace in ["free", "45"] {
-            let out = format!("serve-{par}-{pace}.jsonl");
-            let run = mtshare(
-                &dir,
-                &[
-                    &["serve"],
-                    SCENARIO,
-                    &[
-                        "--feed",
-                        "feed.jsonl",
-                        "--pace",
-                        pace,
-                        "--parallelism",
-                        par,
-                        "--trace-out",
-                        &out,
-                    ],
-                ]
+    for pace in ["free", "45"] {
+        let out = format!("serve-{pace}.jsonl");
+        let run = mtshare(
+            &dir,
+            &[&["serve"], SCENARIO, &["--feed", "feed.jsonl", "--pace", pace, "--trace-out", &out]]
                 .concat(),
-            );
-            assert!(
-                run.status.success(),
-                "serve par={par} pace={pace}: {}",
-                String::from_utf8_lossy(&run.stderr)
-            );
-            let trace = std::fs::read(dir.join(&out)).unwrap();
-            assert_eq!(trace, oneshot, "serve trace diverged (par={par}, pace={pace})");
-        }
+        );
+        assert!(
+            run.status.success(),
+            "serve pace={pace}: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let trace = std::fs::read(dir.join(&out)).unwrap();
+        assert_eq!(trace, oneshot, "serve trace diverged (pace={pace})");
     }
 }
 
@@ -109,12 +94,9 @@ fn serve_kill_and_resume_joins_byte_identically() {
     );
     assert!(rec.status.success(), "{}", String::from_utf8_lossy(&rec.stderr));
 
-    let common: Vec<&str> = [
-        &["serve"],
-        SCENARIO,
-        &["--feed", "feed.jsonl", "--pace", "45", "--parallelism", "4", "--state-dir", "state"],
-    ]
-    .concat();
+    let common: Vec<&str> =
+        [&["serve"], SCENARIO, &["--feed", "feed.jsonl", "--pace", "45", "--state-dir", "state"]]
+            .concat();
     let crash = mtshare(
         &dir,
         &[
@@ -159,12 +141,32 @@ fn bad_flag_combinations_fail_fast_with_exit_2() {
         (&["serve", "--durability", "degrade"], "--durability requires --state-dir"),
         (&["serve", "--supervise"], "--supervise requires --state-dir"),
         (&["serve", "--supervise-backoff-ms", "10"], "--supervise-backoff-ms requires --supervise"),
+        // Numeric flags never fall back to a default silently.
+        (&["simulate", "--taxis", "abc"], "--taxis: cannot parse `abc`"),
+        (&["simulate", "--requests", "1e3"], "--requests: cannot parse `1e3`"),
+        (&["simulate", "--chaos-seed", "x"], "--chaos-seed: cannot parse `x`"),
+        (&["simulate", "--requests"], "--requests needs a value"),
+        // Dispatch is sequential only; the knob is gone, not ignored.
+        (&["simulate", "--parallelism", "4"], "unknown flag --parallelism"),
+        (&["serve", "--parallelism", "4"], "unknown flag --parallelism"),
     ];
     for (argv, needle) in cases {
         let out = mtshare(&dir, argv);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "`{argv:?}` should exit 2: {stderr}");
         assert!(stderr.contains(needle), "`{argv:?}` stderr missing `{needle}`: {stderr}");
+    }
+}
+
+#[test]
+fn help_prints_the_usage_on_stdout_and_exits_0() {
+    let dir = tmpdir("help");
+    for argv in [&["--help"][..], &["-h"], &["simulate", "--help"]] {
+        let out = mtshare(&dir, argv);
+        assert_eq!(out.status.code(), Some(0), "`{argv:?}`");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage:") && stdout.contains("mtshare serve"), "{stdout}");
+        assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
     }
 }
 
