@@ -59,7 +59,9 @@ use std::time::Instant;
 /// v10: dispatch is sequential only — `profiling.parallelism` and
 /// `profiling.workers` are gone, and so is `profiling.oracle.memo_hits`
 /// (the oracle keeps no memo).
-pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v10";
+/// v11: `profiling.stages` gained the `oracle_pin` span (pin fills, which
+/// no longer count towards `customize`).
+pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v11";
 
 /// Static facts about the run, reported verbatim in the summary.
 #[derive(Debug, Clone, Default)]

@@ -24,13 +24,18 @@ pub enum Stage {
     /// spine sync + memoized insertion scoring.
     DtreeUpdate,
     /// CCH metric re-customization when a traffic-shift window opens or
-    /// closes (`--router cch` under `--disruptions`).
+    /// closes (`--router cch` under `--disruptions`): the hierarchy's own
+    /// work only — re-filling the pins afterwards is [`Stage::OraclePin`].
     Customize,
+    /// Filling pinned vectors in the hot-node oracle, outside the response
+    /// time by design: one span per request held (dispatch, batch flush,
+    /// re-holds after a restore), one per re-targeting after a metric change.
+    OraclePin,
 }
 
 impl Stage {
     /// Number of stages (size of per-stage arrays).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 10;
 
     /// All stages in stable (serialization) order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -43,21 +48,12 @@ impl Stage {
         Stage::BatchSolve,
         Stage::DtreeUpdate,
         Stage::Customize,
+        Stage::OraclePin,
     ];
 
-    /// Index into per-stage arrays.
+    /// Index into per-stage arrays: the position in [`Stage::ALL`].
     pub fn index(self) -> usize {
-        match self {
-            Stage::CandidateSearch => 0,
-            Stage::PartitionFilter => 1,
-            Stage::InsertionDp => 2,
-            Stage::Routing => 3,
-            Stage::Commit => 4,
-            Stage::PreprocessCh => 5,
-            Stage::BatchSolve => 6,
-            Stage::DtreeUpdate => 7,
-            Stage::Customize => 8,
-        }
+        self as usize
     }
 
     /// The snake_case label used in the summary JSON.
@@ -72,6 +68,7 @@ impl Stage {
             Stage::BatchSolve => "batch_solve",
             Stage::DtreeUpdate => "dtree_update",
             Stage::Customize => "customize",
+            Stage::OraclePin => "oracle_pin",
         }
     }
 }

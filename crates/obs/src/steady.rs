@@ -21,7 +21,8 @@ use std::fmt::Write as _;
 
 /// Steady-state report schema identifier.
 /// v2: `stage_p95_us` gained the `dtree_update` stage.
-pub const STEADY_SCHEMA: &str = "mtshare-obs-steady/v2";
+/// v3: `stage_p95_us` gained the `oracle_pin` stage.
+pub const STEADY_SCHEMA: &str = "mtshare-obs-steady/v3";
 
 /// Gauges owned by the serve runtime (not derivable from [`Obs`])
 /// that ride along on each steady line.

@@ -1,10 +1,12 @@
 //! Dijkstra's algorithm (the paper's routing workhorse, its ref. \[14\]) with reusable
-//! search state.
+//! search state. The dispatch loop no longer runs it (point queries go to
+//! [`crate::BidirDijkstra`] or a hierarchy, one-to-all vectors to
+//! [`crate::Sweep`]): [`Dijkstra::cost`] / [`Dijkstra::path`] and
+//! [`bellman_ford_cost`] are what every other engine's tests compare against.
 //!
 //! The engine keeps its distance/parent arrays between queries and clears
 //! them lazily via an epoch counter, so a query allocates nothing after the
-//! first call — important because taxi scheduling issues thousands of
-//! shortest-path queries per ride request.
+//! first call.
 
 use crate::path::Path;
 use mtshare_road::{NodeId, RoadNetwork};
@@ -51,8 +53,6 @@ pub struct Dijkstra {
     epoch_of: Vec<u32>,
     epoch: u32,
     heap: BinaryHeap<Reverse<HeapEntry>>,
-    /// Packed-key heap of the one-to-all sweep.
-    sweep_heap: BinaryHeap<Reverse<u64>>,
 }
 
 impl Dijkstra {
@@ -65,7 +65,6 @@ impl Dijkstra {
             epoch_of: vec![0; n],
             epoch: 0,
             heap: BinaryHeap::new(),
-            sweep_heap: BinaryHeap::new(),
         }
     }
 
@@ -142,48 +141,6 @@ impl Dijkstra {
         }
         nodes.reverse();
         nodes
-    }
-
-    /// Distances from `source` to every vertex (INFINITY = unreachable).
-    ///
-    /// The result is written into `out`, which is resized to the node count.
-    pub fn one_to_all(&mut self, graph: &RoadNetwork, source: NodeId, out: &mut Vec<f32>) {
-        self.sweep(graph.node_count(), source, out, |v| graph.out_edges(v));
-    }
-
-    /// Backward distances: cost from every vertex *to* `target`.
-    pub fn all_to_one(&mut self, graph: &RoadNetwork, target: NodeId, out: &mut Vec<f32>) {
-        self.sweep(graph.node_count(), target, out, |v| graph.in_edges(v));
-    }
-
-    /// Whole-graph search from `root` over `arcs`, relaxing straight into
-    /// `out` (INFINITY = not reached yet): no epoch marks, no parents. Keys
-    /// in the heap are distinct, so the pop order is the `HeapEntry` order.
-    fn sweep<I: Iterator<Item = (NodeId, f32)>>(
-        &mut self,
-        n: usize,
-        root: NodeId,
-        out: &mut Vec<f32>,
-        arcs: impl Fn(NodeId) -> I,
-    ) {
-        out.clear();
-        out.resize(n, f32::INFINITY);
-        out[root.index()] = 0.0;
-        self.sweep_heap.clear();
-        self.sweep_heap.push(Reverse(pack(0.0, root)));
-        while let Some(Reverse(key)) = self.sweep_heap.pop() {
-            let (cost, node) = (f32::from_bits((key >> 32) as u32), NodeId(key as u32));
-            if cost > out[node.index()] {
-                continue;
-            }
-            for (next, w) in arcs(node) {
-                let nc = cost + w;
-                if nc < out[next.index()] {
-                    out[next.index()] = nc;
-                    self.sweep_heap.push(Reverse(pack(nc, next)));
-                }
-            }
-        }
     }
 }
 
@@ -279,30 +236,6 @@ mod tests {
         let _ = d.cost(&g, NodeId(399), NodeId(0)).unwrap();
         let a2 = d.cost(&g, NodeId(0), NodeId(399)).unwrap();
         assert_eq!(a1, a2);
-    }
-
-    #[test]
-    fn one_to_all_consistent_with_point_queries() {
-        let g = city();
-        let mut d = Dijkstra::new(&g);
-        let mut all = Vec::new();
-        d.one_to_all(&g, NodeId(7), &mut all);
-        for t in [0u32, 100, 250, 399] {
-            let pt = d.cost(&g, NodeId(7), NodeId(t)).unwrap();
-            assert!((pt - all[t as usize] as f64).abs() < 1e-2);
-        }
-    }
-
-    #[test]
-    fn all_to_one_is_backward_cost() {
-        let g = city();
-        let mut d = Dijkstra::new(&g);
-        let mut back = Vec::new();
-        d.all_to_one(&g, NodeId(250), &mut back);
-        for s in [0u32, 31, 399] {
-            let fwd = d.cost(&g, NodeId(s), NodeId(250)).unwrap();
-            assert!((fwd - back[s as usize] as f64).abs() < 1e-2);
-        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! (Sec. IV-C2), so this crate provides a family of engines tuned for the
 //! query mix the system issues:
 //!
-//! - [`Dijkstra`]: single-source engine with one-to-all / all-to-one modes
-//!   (computes the oracle's pinned vectors);
+//! - [`Sweep`]: the one one-to-all kernel, a bucket-queue sweep (fills the
+//!   oracle's pinned vectors and the landmark [`CostMatrix`]);
+//! - [`Dijkstra`]: plain point-to-point search, the tests' reference;
 //! - [`BidirDijkstra`]: point-to-point queries (the shared cache's paths,
 //!   and its cost misses under the default backend);
 //! - [`MaskedDijkstra`] + [`NodeMask`]: subgraph search for the paper's
@@ -35,6 +36,7 @@ pub mod matrix;
 pub mod oracle;
 pub mod order;
 pub mod path;
+pub mod sweep;
 mod upward;
 
 pub use bidirectional::BidirDijkstra;
@@ -47,6 +49,7 @@ pub use matrix::CostMatrix;
 pub use oracle::{HotNodeOracle, OracleStats, PinnedReader};
 pub use order::NodeOrder;
 pub use path::Path;
+pub use sweep::Sweep;
 
 // Both are handles, not owners: the simulator, its oracle, the scenario
 // generator, `serve` and `crates/e2e` hold clones of one cache, schemes

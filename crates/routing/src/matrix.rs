@@ -3,10 +3,10 @@
 //! The landmark graph needs exact travel costs between every pair of
 //! landmarks (Sec. IV-B1) and from each landmark to every vertex
 //! (partition filtering, Alg. 2). With κ ≈ 10²–10³ landmarks these are
-//! cheap to precompute: one forward and one backward one-to-all Dijkstra
-//! per landmark.
+//! cheap to precompute: one forward and one backward bucket-queue
+//! [`Sweep`] per landmark.
 
-use crate::dijkstra::Dijkstra;
+use crate::sweep::Sweep;
 use mtshare_road::{NodeId, RoadNetwork};
 use rustc_hash::FxHashMap;
 
@@ -23,7 +23,7 @@ pub struct CostMatrix {
 }
 
 impl CostMatrix {
-    /// Runs 2·|sources| one-to-all searches to build the matrix. Duplicate
+    /// Runs 2·|sources| sweeps (one forward, one backward engine). Duplicate
     /// sources are collapsed to one row (first occurrence keeps its
     /// position), so repeated landmarks don't pay for repeated searches.
     pub fn compute(graph: &RoadNetwork, sources: &[NodeId]) -> Self {
@@ -35,15 +35,15 @@ impl CostMatrix {
                 unique.len() as u32 - 1
             });
         }
-        let mut engine = Dijkstra::new(graph);
+        let (mut forward, mut backward) = (Sweep::forward(graph), Sweep::backward(graph));
         let mut from_rows = Vec::with_capacity(unique.len());
         let mut to_rows = Vec::with_capacity(unique.len());
         for &s in &unique {
             let mut fwd = Vec::new();
-            engine.one_to_all(graph, s, &mut fwd);
+            forward.run(s, &mut fwd);
             from_rows.push(fwd);
             let mut bwd = Vec::new();
-            engine.all_to_one(graph, s, &mut bwd);
+            backward.run(s, &mut bwd);
             to_rows.push(bwd);
         }
         Self { sources: unique, index_of, from_rows, to_rows }
@@ -102,6 +102,7 @@ impl CostMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dijkstra::Dijkstra;
     use mtshare_road::{grid_city, GridCityConfig};
 
     #[test]

@@ -8,9 +8,9 @@
 //! position or a scheduled event node *to* another event node, and event
 //! nodes are exactly the origins/destinations of active requests.
 //!
-//! So we pin, per hot node, one backward distance vector (one Dijkstra
-//! on the reverse graph: the cost from every vertex *to* the node). While
-//! a request is active, every leg cost *into* one of its endpoints is a
+//! So we pin, per hot node, one backward distance vector (one bucket-queue
+//! [`Sweep`] over the in-arcs: the cost from every vertex *to* the node).
+//! While a request is active, every leg cost *into* one of its endpoints is a
 //! single array read — the amortized equivalent of the paper's cache,
 //! shared by all schemes for fairness — and the vector doubles as the
 //! routing table towards that endpoint ([`HotNodeOracle::pinned_path`]).
@@ -53,8 +53,8 @@
 //! takes the cache path like any other unpinned pair.
 
 use crate::cache::PathCache;
-use crate::dijkstra::Dijkstra;
 use crate::path::Path;
+use crate::sweep::Sweep;
 use mtshare_road::{NodeId, RoadNetwork};
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
@@ -102,8 +102,8 @@ pub struct HotNodeOracle {
     /// pins are computed on.
     cache: PathCache,
     pinned: Arc<RwLock<FxHashMap<u32, PinnedEntry>>>,
-    /// Scratch engine for pin computations (pins are serialized anyway).
-    pin_engine: Arc<Mutex<Dijkstra>>,
+    /// Fills pins from its own copy of the arcs; [`Self::retarget`] rebuilds it.
+    pin_engine: Arc<Mutex<Sweep>>,
     stats: Arc<AtomicStats>,
 }
 
@@ -112,7 +112,7 @@ impl HotNodeOracle {
     /// the cache's live graph and unpinned queries are the cache's.
     pub fn over(cache: PathCache) -> Self {
         Self {
-            pin_engine: Arc::new(Mutex::new(Dijkstra::new(&cache.graph()))),
+            pin_engine: Arc::new(Mutex::new(Sweep::backward(&cache.graph()))),
             pinned: Arc::new(RwLock::new(FxHashMap::default())),
             stats: Arc::new(AtomicStats::default()),
             cache,
@@ -124,23 +124,25 @@ impl HotNodeOracle {
         Self::over(PathCache::new(graph))
     }
 
-    /// Recomputes every pinned vector on the cache's live graph, eagerly
-    /// and in ascending node-id order, so answers are exact on the new
-    /// metric and deterministic regardless of pin history. Call after
-    /// [`PathCache::recustomize`] (which already cleared the one memo).
-    /// Refcounts survive — active requests keep their O(1) fast path.
+    /// Rebuilds the pin engine on the cache's live graph and recomputes
+    /// every pinned vector, eagerly and in ascending node-id order, so
+    /// answers are exact on the new metric and deterministic regardless
+    /// of pin history. Call after [`PathCache::recustomize`] (which
+    /// already cleared the one memo) and before the next [`Self::pin`],
+    /// which would still sweep the old metric's arcs. Refcounts survive —
+    /// active requests keep their O(1) fast path.
     ///
     /// Takes `&mut self` so re-targeting is exclusive by construction;
     /// the simulator owns its oracle and re-customizes between events.
     pub fn retarget(&mut self) {
-        let graph = self.cache.graph();
         let mut pinned = self.pinned.write();
         let mut nodes: Vec<u32> = pinned.keys().copied().collect();
         nodes.sort_unstable();
         let mut engine = self.pin_engine.lock();
+        *engine = Sweep::backward(&self.cache.graph());
         for v in nodes {
             let e = pinned.get_mut(&v).expect("key collected above");
-            engine.all_to_one(&graph, NodeId(v), &mut e.bwd);
+            engine.run(NodeId(v), &mut e.bwd);
             self.stats.pin_computes.fetch_add(1, Relaxed);
         }
     }
@@ -154,7 +156,7 @@ impl HotNodeOracle {
             return;
         }
         let mut bwd = Vec::new();
-        self.pin_engine.lock().all_to_one(&self.cache.graph(), node, &mut bwd);
+        self.pin_engine.lock().run(node, &mut bwd);
         self.stats.pin_computes.fetch_add(1, Relaxed);
         pinned.insert(node.0, PinnedEntry { refs: 1, bwd });
     }
@@ -392,7 +394,7 @@ mod tests {
 
     #[test]
     fn unpinned_targets_are_answered_and_memoized_by_the_shared_cache() {
-        use crate::{ContractionHierarchy, CustomizableCh, RouterBackend};
+        use crate::{ContractionHierarchy, CustomizableCh, Dijkstra, RouterBackend};
         use mtshare_road::{apply_traffic_shifts, TrafficShiftSpec};
         let g = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
         let spec = TrafficShiftSpec {

@@ -382,6 +382,7 @@ impl Simulator {
     /// what [`Simulator::rebuild_derived`] re-holds after a restore).
     /// Every hold is balanced by exactly one [`Simulator::release`].
     fn hold(&self, req: &RideRequest) {
+        let _span = self.obs.stage(Stage::OraclePin);
         self.oracle.pin(req.origin);
         self.oracle.pin(req.destination);
     }
@@ -553,7 +554,6 @@ impl Simulator {
         if active == self.metric_shifts {
             return;
         }
-        let _span = self.obs.stage(Stage::Customize);
         let shifted = if active.is_empty() {
             self.graph.clone()
         } else {
@@ -568,7 +568,10 @@ impl Simulator {
                 .expect("traffic shift preserves graph validity");
             Arc::new(g)
         };
+        let span = self.obs.stage(Stage::Customize);
         self.cache.recustomize(shifted);
+        drop(span);
+        let _span = self.obs.stage(Stage::OraclePin);
         self.oracle.retarget();
         self.metric_shifts = active;
     }

@@ -9,7 +9,7 @@
 use mt_share::road::{
     grid_city, ring_radial_city, GridCityConfig, NodeId, RingRadialConfig, RoadNetwork,
 };
-use mt_share::routing::{BidirDijkstra, ChQuery, ContractionHierarchy, Dijkstra};
+use mt_share::routing::{BidirDijkstra, ChQuery, ContractionHierarchy, Dijkstra, Sweep};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -66,8 +66,9 @@ fn ch_is_exact_on_the_64x64_seed_7_city() {
     // Strided one-to-all sweep: every 97th source against every 13th
     // target, ~13 k pairs spread over the whole city.
     let mut want = Vec::new();
+    let mut sweep = Sweep::forward(&graph);
     for s in graph.nodes().step_by(97) {
-        d.one_to_all(&graph, s, &mut want);
+        sweep.run(s, &mut want);
         for t in graph.nodes().step_by(13) {
             let w = want[t.index()];
             assert_eq!(q.cost(s, t), w.is_finite().then_some(f64::from(w)), "{s}->{t}");

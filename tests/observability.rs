@@ -61,7 +61,9 @@ fn trace_is_schema_valid_and_consistent_with_the_report() {
 
 #[test]
 fn summary_reports_stage_quantiles_and_cache_rates() {
+    let started = std::time::Instant::now();
     let (report, obs, _) = observed_run(SchemeKind::MtShare, ScenarioConfig::peak(12));
+    let wall_s = started.elapsed().as_secs_f64();
     let summary = obs.summary_json().expect("enabled");
     schema::validate_summary(&summary).expect("schema-valid summary");
     let v = json::parse(&summary).unwrap();
@@ -83,6 +85,13 @@ fn summary_reports_stage_quantiles_and_cache_rates() {
             assert!(val >= 0.0, "{}::{q}", stage.label());
         }
     }
+
+    // Pins are a timed layer of their own: one span per request held
+    // for dispatch, and their total is real time spent inside the run.
+    let pins = stages.get("oracle_pin").unwrap();
+    let pin_total_s = pins.get("total_s").and_then(|n| n.as_num()).unwrap();
+    assert!(pins.get("count").and_then(|n| n.as_num()).unwrap() >= report.n_requests as f64);
+    assert!(0.0 < pin_total_s && pin_total_s < wall_s, "{pin_total_s} s of {wall_s} s");
 
     // The shared path cache was exercised and its rates surfaced.
     let cache = v.get("profiling").and_then(|p| p.get("path_cache")).unwrap();

@@ -1,9 +1,11 @@
 //! Property tests for the routing substrate: all engines agree with the
 //! Bellman-Ford oracle, costs obey the triangle inequality, caches are
-//! transparent, the three exact searches the leg-cost layer mixes agree
-//! bit for bit, the contraction hierarchy is exact on the large seed-7
-//! grids where same-round cost ties occur, and a route read off a pinned
-//! vector is the route the shared cache searches for.
+//! transparent, the exact searches the leg-cost layer mixes (bucket-queue
+//! sweeps in both directions, bidirectional search) agree bit for bit with
+//! plain Dijkstra on every metric, pins follow the metric through
+//! re-customization, the contraction hierarchy is exact on the large
+//! seed-7 grids where same-round cost ties occur, and a route read off a
+//! pinned vector is the route the shared cache searches for.
 
 use mt_share::road::{
     apply_traffic_shifts, grid_city, ring_radial_city, EdgeSpec, GeoPoint, GridCityConfig, NodeId,
@@ -11,7 +13,7 @@ use mt_share::road::{
 };
 use mt_share::routing::{
     bellman_ford_cost, BidirDijkstra, ChQuery, ContractionHierarchy, Dijkstra, HotNodeOracle,
-    MaskedDijkstra, NodeMask, PathCache,
+    MaskedDijkstra, NodeMask, PathCache, Sweep,
 };
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -69,6 +71,52 @@ fn walk_city(kind: usize, seed: u64) -> RoadNetwork {
             .unwrap(),
         1 => ring_radial_city(&RingRadialConfig { seed, ..RingRadialConfig::default() }).unwrap(),
         _ => uniform_lattice(),
+    }
+}
+
+/// `base` under one of four metrics: itself, a regional ×3.0 slowdown, a
+/// regional ×0.25 speed-up, or `factor` composed with a second ×0.25 region
+/// (arc costs then span ≈ 5–290 s, so the sweep's ring grows past the
+/// cities' 8 buckets).
+fn on_metric(
+    base: RoadNetwork,
+    which: usize,
+    center: u32,
+    radius_m: f64,
+    factor: f64,
+) -> RoadNetwork {
+    let n = base.node_count() as u32;
+    let spec = |center: u32, factor: f64| TrafficShiftSpec {
+        center: NodeId(center % n),
+        radius_m,
+        factor,
+        start_s: 0.0,
+        duration_s: 1.0,
+    };
+    let specs = match which {
+        0 => return base,
+        1 => vec![spec(center, 3.0)],
+        2 => vec![spec(center, 0.25)],
+        _ => vec![spec(center, factor), spec(center / 7, 0.25)],
+    };
+    apply_traffic_shifts(&base, &specs).unwrap()
+}
+
+/// Every cost into the pinned `target` is a vector read, and the vector is
+/// the one a fresh oracle fills on `graph` — entry for entry plain
+/// Dijkstra's answer.
+fn assert_pinned_vector_is_exact_on(
+    oracle: &HotNodeOracle,
+    graph: &Arc<RoadNetwork>,
+    target: NodeId,
+) {
+    let fresh = HotNodeOracle::new(graph.clone());
+    fresh.pin(target);
+    let mut d = Dijkstra::new(graph);
+    for v in graph.nodes() {
+        let got = oracle.cost(v, target);
+        assert_eq!(got, fresh.cost(v, target), "{v}->{target} vs a fresh oracle");
+        assert_eq!(got, d.cost(graph, v, target), "{v}->{target} vs Dijkstra");
     }
 }
 
@@ -132,6 +180,46 @@ fn unreachable_pair_has_no_path_from_walk_or_search() {
     assert_eq!(oracle.pinned_path(NodeId(1), NodeId(0)), None);
     assert_eq!(oracle.path(NodeId(1), NodeId(0)), None);
     assert_eq!(oracle.path(NodeId(0), NodeId(1)).unwrap().nodes, [NodeId(0), NodeId(1)]);
+}
+
+/// Arc costs of one quantum (1/64 s) beside 4 096 s: a ratio of 2¹⁸ would
+/// need that many buckets, so the ring is capped, the buckets grow wider
+/// than the cheapest arc and the sweep label-corrects inside a bucket —
+/// and is still exact. (A zero-cost arc cannot be built: `RoadNetwork::new`
+/// rounds every cost up to at least one quantum; `routing::sweep`'s unit
+/// tests feed the kernel zero-cost arcs directly.)
+#[test]
+fn sweep_is_exact_when_arc_costs_span_a_quantum_to_4096_s() {
+    const N: u32 = 14;
+    let points = (0..N).map(|i| GeoPoint::new(30.0 + 0.001 * f64::from(i), 104.0)).collect();
+    // 1 m/s, so metres are seconds. A cheap one-way chain with dear
+    // shortcuts and way back: shortest paths mix both kinds of arc.
+    let arc = |from: u32, to: u32, length_m: f64| EdgeSpec {
+        from: NodeId(from % N),
+        to: NodeId(to % N),
+        length_m,
+        speed_kmh: 3.6,
+    };
+    let mut edges = Vec::new();
+    for i in 0..N - 1 {
+        edges.push(arc(i, i + 1, if i % 3 == 2 { 4096.0 } else { 1.0 / 64.0 }));
+        edges.push(arc(i + 1, i, 4096.0));
+        edges.push(arc(i, i * 5 + 3, if i % 2 == 0 { 1.0 / 64.0 } else { 4096.0 }));
+    }
+    let g = RoadNetwork::new(points, &edges).unwrap();
+    let costs: Vec<f32> = g.nodes().flat_map(|v| g.out_edges(v).map(|(_, c)| c)).collect();
+    assert!(costs.contains(&(1.0 / 64.0)) && costs.contains(&4096.0));
+    let (mut fwd, mut bwd) = (Sweep::forward(&g), Sweep::backward(&g));
+    let (mut from, mut to) = (Vec::new(), Vec::new());
+    let finite = |c: f32| c.is_finite().then_some(f64::from(c));
+    for root in g.nodes() {
+        fwd.run(root, &mut from);
+        bwd.run(root, &mut to);
+        for v in g.nodes() {
+            assert_eq!(finite(from[v.index()]), bellman_ford_cost(&g, root, v), "{root}->{v}");
+            assert_eq!(finite(to[v.index()]), bellman_ford_cost(&g, v, root), "{v}->{root}");
+        }
+    }
 }
 
 proptest! {
@@ -228,58 +316,83 @@ proptest! {
     /// The single-vector oracle contract: a leg cost is read from the
     /// target's backward vector when pinned and searched for otherwise,
     /// and commit-time routing snaps to whichever the caller holds — sound
-    /// only if forward Dijkstra, backward Dijkstra and bidirectional
-    /// search return the *same bits*. Dyadic edge costs make every f32
-    /// path sum exact, on base and traffic-shifted (re-quantized) metrics.
+    /// only if the forward sweep, the backward sweep, plain Dijkstra and
+    /// bidirectional search return the *same bits*. Dyadic edge costs make
+    /// every f32 path sum exact and every quanta sum the same number, on
+    /// jittered and all-ties cities, on base and traffic-shifted
+    /// (re-quantized) metrics: every entry of both vectors is the point
+    /// query's answer.
     #[test]
     fn one_to_all_all_to_one_and_bidir_agree_bit_for_bit(
-        ring in proptest::bool::ANY,
+        kind in 0usize..3,
         seed in 0u64..10_000,
         a in 0u32..10_000,
         b in 0u32..10_000,
-        shifted in proptest::bool::ANY,
+        metric in 0usize..4,
         center in 0u32..10_000,
         radius_m in 150.0f64..2500.0,
         factor_x100 in 110u32..=500,
     ) {
-        let base = if ring {
-            ring_radial_city(&RingRadialConfig { seed, ..RingRadialConfig::default() }).unwrap()
-        } else {
-            grid_city(&GridCityConfig { rows: 12, cols: 12, seed, ..GridCityConfig::default() })
-                .unwrap()
-        };
-        let n = base.node_count() as u32;
-        let g = if shifted {
-            let spec = TrafficShiftSpec {
-                center: NodeId(center % n),
-                radius_m,
-                factor: f64::from(factor_x100) / 100.0,
-                start_s: 0.0,
-                duration_s: 1.0,
-            };
-            apply_traffic_shifts(&base, &[spec]).unwrap()
-        } else {
-            base
-        };
+        let g = on_metric(
+            walk_city(kind, seed), metric, center, radius_m, f64::from(factor_x100) / 100.0,
+        );
+        let n = g.node_count() as u32;
         let (a, b) = (NodeId(a % n), NodeId(b % n));
-        let mut d = Dijkstra::new(&g);
-        let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
-        d.one_to_all(&g, a, &mut fwd);
-        d.all_to_one(&g, b, &mut bwd);
-        prop_assert_eq!(fwd[b.index()].to_bits(), bwd[a.index()].to_bits(), "{}->{}", a, b);
+        let (mut from_a, mut to_b) = (Vec::new(), Vec::new());
+        Sweep::forward(&g).run(a, &mut from_a);
+        Sweep::backward(&g).run(b, &mut to_b);
+        prop_assert_eq!((from_a.len(), to_b.len()), (g.node_count(), g.node_count()));
         let finite = |c: f32| c.is_finite().then_some(f64::from(c));
-        let mut bi = BidirDijkstra::new(&g);
-        prop_assert_eq!(bi.cost(&g, a, b), finite(bwd[a.index()]), "bidir {}->{}", a, b);
-        // ... and the full vectors against each other, the other way round.
-        for v in g.nodes().step_by(7) {
-            let mut col = Vec::new();
-            d.all_to_one(&g, v, &mut col);
-            prop_assert_eq!(col[a.index()].to_bits(), fwd[v.index()].to_bits(), "{}->{}", a, v);
+        let mut d = Dijkstra::new(&g);
+        for v in g.nodes() {
+            prop_assert_eq!(finite(from_a[v.index()]), d.cost(&g, a, v), "{}->{}", a, v);
+            prop_assert_eq!(finite(to_b[v.index()]), d.cost(&g, v, b), "{}->{}", v, b);
         }
+        let mut bi = BidirDijkstra::new(&g);
+        prop_assert_eq!(bi.cost(&g, a, b), finite(to_b[a.index()]), "bidir {}->{}", a, b);
     }
 
-    /// CH vs Dijkstra on the 64×64 and 80×80 seed-7 grids: one exact
-    /// one-to-all per case, compared against a strided sweep of CH queries.
+    /// The pin engine sweeps its own copy of the arcs, so the bug to rule
+    /// out is an engine left on the old metric: after `recustomize` +
+    /// `retarget`, vectors that were pinned before *and* vectors pinned
+    /// afterwards equal a fresh oracle's on the live graph, there and back.
+    #[test]
+    fn pins_follow_the_metric_through_recustomize_and_retarget(
+        kind in 0usize..3,
+        seed in 0u64..10_000,
+        before in 0u32..10_000,
+        after in 0u32..10_000,
+        metric in 1usize..4,
+        center in 0u32..10_000,
+        radius_m in 150.0f64..2500.0,
+        factor_x100 in 110u32..=500,
+    ) {
+        let g = Arc::new(walk_city(kind, seed));
+        let shifted = Arc::new(on_metric(
+            (*g).clone(), metric, center, radius_m, f64::from(factor_x100) / 100.0,
+        ));
+        let n = g.node_count() as u32;
+        let (before, after) = (NodeId(before % n), NodeId(after % n));
+        let cache = PathCache::new(g.clone());
+        let mut oracle = HotNodeOracle::over(cache.clone());
+        oracle.pin(before);
+        assert_pinned_vector_is_exact_on(&oracle, &g, before);
+
+        cache.recustomize(shifted.clone());
+        oracle.retarget();
+        oracle.pin(after);
+        assert_pinned_vector_is_exact_on(&oracle, &shifted, before);
+        assert_pinned_vector_is_exact_on(&oracle, &shifted, after);
+
+        cache.recustomize(g.clone());
+        oracle.retarget();
+        assert_pinned_vector_is_exact_on(&oracle, &g, before);
+        assert_pinned_vector_is_exact_on(&oracle, &g, after);
+        prop_assert_eq!(oracle.stats().searches, 0, "every read came off a vector");
+    }
+
+    /// CH vs the one-to-all kernel on the 64×64 and 80×80 seed-7 grids: one
+    /// exact sweep per case, compared against a strided set of CH queries.
     #[test]
     fn ch_matches_dijkstra_on_large_seed7_grids(
         shape in 0usize..2,
@@ -288,9 +401,8 @@ proptest! {
     ) {
         let (g, ch) = seed7_grid(shape);
         let mut q = ChQuery::new(ch.clone());
-        let mut d = Dijkstra::new(g);
         let mut want = Vec::new();
-        d.one_to_all(g, NodeId(s), &mut want);
+        Sweep::forward(g).run(NodeId(s), &mut want);
         for t in g.nodes().skip(offset).step_by(61) {
             let w = want[t.index()];
             prop_assert_eq!(
