@@ -44,13 +44,7 @@ impl<S: DispatchScheme> WithProbabilisticRouting<S> {
         &self.inner
     }
 
-    fn reroute(
-        &mut self,
-        req: &RideRequest,
-        a: Assignment,
-        now: Time,
-        world: &World<'_>,
-    ) -> Assignment {
+    fn reroute(&mut self, a: Assignment, now: Time, world: &World<'_>) -> Assignment {
         let taxi = world.taxi(a.taxi);
         if !probabilistic_enabled(taxi, &self.cfg, world) {
             return a;
@@ -78,15 +72,17 @@ impl<S: DispatchScheme> WithProbabilisticRouting<S> {
         for ev in a.schedule.events() {
             let Some(shortest) = world.oracle.cost(from, ev.node) else { return a };
             let budget = shortest * (1.0 + self.cfg.epsilon);
-            let Some(leg) = self.router.probabilistic_leg(
+            let Some(leg) = self.router.probabilistic_leg_priced(
                 world.graph,
                 &self.ctx,
                 &self.cfg,
                 world.cache,
+                Some(world.oracle),
                 from,
                 ev.node,
                 dir,
                 budget,
+                Some(shortest),
             ) else {
                 return a;
             };
@@ -113,7 +109,6 @@ impl<S: DispatchScheme> WithProbabilisticRouting<S> {
             return a;
         };
         let remaining = taxi.route.as_ref().map(|r| (r.end_time() - now).max(0.0)).unwrap_or(0.0);
-        let _ = req;
         Assignment {
             taxi: a.taxi,
             schedule: a.schedule,
@@ -140,7 +135,7 @@ impl<S: DispatchScheme> DispatchScheme for WithProbabilisticRouting<S> {
     fn dispatch(&mut self, req: &RideRequest, now: Time, world: &World<'_>) -> DispatchOutcome {
         let mut out = self.inner.dispatch(req, now, world);
         if let Some(a) = out.assignment.take() {
-            out.assignment = Some(self.reroute(req, a, now, world));
+            out.assignment = Some(self.reroute(a, now, world));
         }
         out
     }
@@ -154,7 +149,7 @@ impl<S: DispatchScheme> DispatchScheme for WithProbabilisticRouting<S> {
     ) -> DispatchOutcome {
         let mut out = self.inner.dispatch_offline(req, encountered_by, now, world);
         if let Some(a) = out.assignment.take() {
-            out.assignment = Some(self.reroute(req, a, now, world));
+            out.assignment = Some(self.reroute(a, now, world));
         }
         out
     }
@@ -292,5 +287,77 @@ mod tests {
             from = ev.node;
         }
         assert_eq!(wrapped.inner().name(), "direct");
+    }
+
+    /// `reroute` routes through dispatch's entry point — priced by the
+    /// oracle, bounded by the target's pinned vector, the fallback walked
+    /// off it; the public entry point searches all of that. Same legs.
+    #[test]
+    fn reroute_legs_equal_the_public_entry_points_legs() {
+        let graph = std::sync::Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
+        let mut rng = SmallRng::seed_from_u64(29);
+        let mut node = || NodeId(rng.gen_range(0..400));
+        let trips: Vec<_> =
+            (0..600).map(|_| Trip { origin: node(), destination: node() }).collect();
+        let ctx = MobilityContext::build(&graph, &trips, 16, 4, 7, PartitionStrategy::Bipartite);
+        let cfg = MtShareConfig::default();
+        let mut wrapped = WithProbabilisticRouting::new(Direct, &graph, ctx.clone(), cfg.clone());
+        let cfg = cfg.with_probabilistic();
+        let mut public = SegmentRouter::new(&graph);
+        let cache = PathCache::new(graph.clone());
+        let oracle = HotNodeOracle::over(cache.clone());
+        let mut biased = 0;
+        for i in 0..200 {
+            let (start, origin, destination) = (node(), node(), node());
+            let taxis = vec![Taxi::new(TaxiId(0), 4, start)];
+            let Some(direct_cost_s) =
+                cache.cost(origin, destination).filter(|_| origin != destination)
+            else {
+                continue;
+            };
+            let req = RideRequest {
+                id: RequestId(0),
+                release_time: 0.0,
+                origin,
+                destination,
+                passengers: 1,
+                deadline: 1e9,
+                direct_cost_s,
+                offline: false,
+            };
+            let mut requests = RequestStore::new();
+            requests.push(req.clone());
+            oracle.pin(origin);
+            oracle.pin(destination);
+            let world = World {
+                graph: &graph,
+                cache: &cache,
+                oracle: &oracle,
+                taxis: &taxis,
+                requests: &requests,
+            };
+            let got = wrapped.dispatch(&req, 0.0, &world).assignment.unwrap();
+            let dir = graph.point(start).displacement_m(&graph.point(destination));
+            let mut from = start;
+            for (leg, to) in got.legs.iter().zip([origin, destination]) {
+                let shortest = cache.cost(from, to).unwrap();
+                let budget = shortest * (1.0 + cfg.epsilon);
+                let want = public
+                    .probabilistic_leg(&graph, &ctx, &cfg, &cache, from, to, dir, budget)
+                    .unwrap();
+                assert_eq!(leg.nodes, want.nodes, "request {i}: {from}->{to}");
+                assert_eq!(
+                    leg.cost_s.to_bits(),
+                    want.cost_s.to_bits(),
+                    "request {i}: {from}->{to}"
+                );
+                biased += usize::from(leg.cost_s > shortest);
+                from = to;
+            }
+            oracle.unpin(origin);
+            oracle.unpin(destination);
+        }
+        assert!(biased >= 20, "only {biased} legs left the shortest path");
+        assert!(oracle.stats().path_walks >= 40, "fallbacks were not walked: {:?}", oracle.stats());
     }
 }

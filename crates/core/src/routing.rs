@@ -17,7 +17,7 @@
 use crate::config::MtShareConfig;
 use crate::context::MobilityContext;
 use crate::filter::filter_partitions_observed;
-use mtshare_mobility::PartitionId;
+use mtshare_mobility::{LandmarkGraph, PartitionId};
 use mtshare_model::World;
 use mtshare_obs::{Obs, Stage};
 use mtshare_road::{direction_cosine, NodeId, RoadNetwork};
@@ -31,14 +31,16 @@ pub struct SegmentRouter {
     obs: Obs,
     /// Alg. 4 memo, dropped when `prob_key` — the bits of `taxi_dir`, `λ` and
     /// the bias weight — changes; nothing else enters what it holds. Vertex
-    /// weights `bias / (1 + ψ)`, valid for members of `weighted` partitions.
+    /// weights `bias / (1 + ψ)`, valid for the vertices of `weighted`: a
+    /// search fills them as it first touches them.
     weights: Vec<f32>,
+    weighted: NodeMask,
     prob_key: [u64; 4],
     /// κ × κ, row `p`: the partitions in the taxi's direction seen from `p`
     /// (step ①). Valid where `pi_prob[p]`, their summed probability, is set.
     suitable: Vec<bool>,
     pi_prob: Vec<Option<f32>>,
-    weighted: Vec<bool>,
+    paths: PartitionPaths,
     /// Scratch: scored insertion slots, reused across `schedule_best`
     /// calls so Algorithm 1 allocates nothing per candidate.
     slots: Vec<crate::scheduling::ScoredSlot>,
@@ -57,10 +59,11 @@ impl SegmentRouter {
             mask: NodeMask::new(graph),
             obs: Obs::disabled(),
             weights: vec![0.0; graph.node_count()],
+            weighted: NodeMask::new(graph),
             prob_key: [0; 4],
             suitable: Vec::new(),
             pi_prob: Vec::new(),
-            weighted: Vec::new(),
+            paths: PartitionPaths::default(),
             slots: Vec::new(),
             leg_memo: Vec::new(),
         }
@@ -121,11 +124,11 @@ impl SegmentRouter {
         &self.obs
     }
 
-    fn allow_partitions(&mut self, ctx: &MobilityContext, partitions: &[PartitionId]) {
-        self.mask.clear();
+    fn allow_partitions(mask: &mut NodeMask, ctx: &MobilityContext, partitions: &[PartitionId]) {
+        mask.clear();
         for &p in partitions {
             for &v in ctx.partitioning.members(p) {
-                self.mask.allow(v);
+                mask.allow(v);
             }
         }
     }
@@ -178,8 +181,8 @@ impl SegmentRouter {
         if walk.is_some() {
             return walk;
         }
-        self.allow_partitions(ctx, &filtered.partitions);
-        let sub = self.masked.path_masked(graph, from, to, &self.mask, None);
+        Self::allow_partitions(&mut self.mask, ctx, &filtered.partitions);
+        let sub = self.masked.path_masked(graph, from, to, &self.mask);
         match sub {
             // Dyadic edge costs make every engine's f32 path sum exact
             // (forward, backward and bidirectional search are proptested
@@ -249,15 +252,15 @@ impl SegmentRouter {
         if self.prob_key != key || self.pi_prob.len() != kappa {
             self.prob_key = key;
             self.suitable.resize(kappa * kappa, false);
-            self.pi_prob = vec![None; kappa];
-            self.weighted = vec![false; kappa];
+            self.pi_prob.clear();
+            self.pi_prob.resize(kappa, None);
+            self.weighted.clear();
         }
 
         // ① probability of meeting suitable requests per retained partition.
-        let mut pi_prob = vec![0.0f32; filtered.partitions.len()];
-        for (idx, &p) in filtered.partitions.iter().enumerate() {
+        for &p in &filtered.partitions {
             let flags = &mut self.suitable[p.index() * kappa..][..kappa];
-            pi_prob[idx] = *self.pi_prob[p.index()].get_or_insert_with(|| {
+            self.pi_prob[p.index()].get_or_insert_with(|| {
                 flags.fill(false);
                 let lp = graph.point(ctx.partitioning.landmark(p));
                 for q in ctx.partitioning.partitions().filter(|&q| q != p) {
@@ -275,42 +278,55 @@ impl SegmentRouter {
 
         // ② enumerate landmark paths (partition paths) ranked by
         // accumulated probability.
-        let paths = enumerate_partition_paths(
-            ctx,
+        self.paths.enumerate(
+            &ctx.landmarks,
             &filtered.partitions,
-            &pi_prob,
-            ctx.partitioning.partition_of(from),
-            ctx.partitioning.partition_of(to),
+            &self.pi_prob,
+            (ctx.partitioning.partition_of(from), ctx.partitioning.partition_of(to)),
             cfg.prob_max_hops,
             cfg.prob_max_paths,
         );
 
-        // ③ fine-grained route over each partition path until one is valid.
-        for partition_path in paths.iter().take(cfg.prob_attempts) {
-            self.allow_partitions(ctx, partition_path);
-            // Vertex weight 1/ψ_c, scaled into edge-cost units so the bias
-            // steers without dwarfing travel costs. Every partition of a
-            // path was retained, so step ① left its flags in `suitable`.
-            for &p in partition_path {
-                if std::mem::replace(&mut self.weighted[p.index()], true) {
-                    continue;
-                }
-                let flags = &self.suitable[p.index() * kappa..][..kappa];
-                for &v in ctx.partitioning.members(p) {
-                    // ψ_c demand-weighted: expected suitable requests at v.
-                    let w = ctx.transitions.observed(v) as f32;
-                    let psi = w * ctx.transitions.prob_to_any(v, flags);
-                    self.weights[v.index()] = bias / (1.0 + psi);
-                }
+        // ③ fine-grained route over each partition path until one is within
+        // budget — judged inside the search, against the exact costs to `to`
+        // where its pinned vector is on the metric the search routes on.
+        let Self { masked, mask, weights, weighted, suitable, paths, .. } = self;
+        // Vertex weight 1/ψ_c, scaled into edge-cost units so the bias steers
+        // without dwarfing travel costs. A masked vertex lies in a retained
+        // partition, so step ① left its flags in `suitable`.
+        let mut weight = |v: NodeId| {
+            if !weighted.contains(v) {
+                weighted.allow(v);
+                let flags = &suitable[ctx.partitioning.partition_of(v).index() * kappa..][..kappa];
+                // ψ_c demand-weighted: expected suitable requests at v.
+                let w = ctx.transitions.observed(v) as f32;
+                let psi = w * ctx.transitions.prob_to_any(v, flags);
+                weights[v.index()] = bias / (1.0 + psi);
             }
-            let weights = &self.weights;
-            let weight_fn = |n: NodeId| weights[n.index()];
-            if let Some(p) = self.masked.path_masked(graph, from, to, &self.mask, Some(&weight_fn))
-            {
-                if p.cost_s <= budget_s + 1e-6 {
-                    return Some(p);
+            weights[v.index()]
+        };
+        let (mut unreachable, mut searches) = (0, 0);
+        let mut attempts = |lower: Option<&[f32]>| {
+            paths.ranked.iter().take(cfg.prob_attempts).find_map(|&(_, i)| {
+                let corridor = &paths.hops[paths.ends[i]..paths.ends[i + 1]];
+                // Adjacent partitions need not join up: a corridor whose
+                // pieces leave `from` and `to` apart has no route to find.
+                if !ctx.landmarks.connects(from, to, corridor) {
+                    unreachable += 1;
+                    return None;
                 }
-            }
+                searches += 1;
+                Self::allow_partitions(mask, ctx, corridor);
+                masked.path_within_budget(graph, from, to, mask, &mut weight, lower, budget_s)
+            })
+        };
+        let biased = match oracle.filter(|_| std::ptr::eq(graph, Arc::as_ptr(&cache.graph()))) {
+            Some(o) => o.with_vector(to, attempts),
+            None => attempts(None),
+        };
+        self.obs.add_alg4(unreachable, searches, biased.is_some());
+        if biased.is_some() {
+            return biased;
         }
         // No valid probabilistic route: fall back to the basic leg.
         let exact_cost_s = exact_cost_s.or_else(|| cache.cost(from, to))?;
@@ -318,82 +334,79 @@ impl SegmentRouter {
     }
 }
 
-/// DFS enumeration of simple partition paths from `src` to `dst` over the
-/// adjacency restricted to `allowed`, returning up to `max_paths` paths
-/// sorted by accumulated probability (descending) — Alg. 4 step ②.
-fn enumerate_partition_paths(
-    ctx: &MobilityContext,
-    allowed: &[PartitionId],
-    probs: &[f32],
-    src: PartitionId,
-    dst: PartitionId,
-    max_hops: usize,
-    max_paths: usize,
-) -> Vec<Vec<PartitionId>> {
-    use rustc_hash::FxHashMap;
-    let index_of: FxHashMap<PartitionId, usize> =
-        allowed.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-    if !index_of.contains_key(&src) || !index_of.contains_key(&dst) {
-        return Vec::new();
-    }
-    let mut out: Vec<(f32, Vec<PartitionId>)> = Vec::new();
-    let mut stack = vec![src];
-    let mut on_path = vec![false; allowed.len()];
-    on_path[index_of[&src]] = true;
+/// Alg. 4 step ②: the simple partition paths of one leg, flat — path `i`
+/// is `hops[ends[i]..ends[i + 1]]` — and the order to try them in.
+#[derive(Default)]
+struct PartitionPaths {
+    hops: Vec<PartitionId>,
+    ends: Vec<usize>,
+    /// `(accumulated probability, path)`, best first.
+    ranked: Vec<(f32, usize)>,
+    /// DFS state: the allowed partitions not on the path so far.
+    free: Vec<bool>,
+}
 
-    #[allow(clippy::too_many_arguments)] // recursive helper threading search state
-    fn dfs(
-        ctx: &MobilityContext,
-        index_of: &rustc_hash::FxHashMap<PartitionId, usize>,
-        probs: &[f32],
-        dst: PartitionId,
+impl PartitionPaths {
+    /// DFS in neighbour order over the simple paths `ends.0 → ends.1`
+    /// through `allowed` partitions with at most `max_hops` hops, cut off at
+    /// `4 × max_paths` paths; then ranks them by the probabilities `prob` of
+    /// their partitions summed in path order, descending, ties in DFS order,
+    /// and keeps the best `max_paths`.
+    fn enumerate(
+        &mut self,
+        landmarks: &LandmarkGraph,
+        allowed: &[PartitionId],
+        prob: &[Option<f32>],
+        ends: (PartitionId, PartitionId),
         max_hops: usize,
         max_paths: usize,
-        stack: &mut Vec<PartitionId>,
-        on_path: &mut Vec<bool>,
-        acc: f32,
-        out: &mut Vec<(f32, Vec<PartitionId>)>,
     ) {
-        if out.len() >= max_paths * 4 {
-            return; // enumeration cap (we keep the best max_paths below)
+        self.hops.clear();
+        self.ends.clear();
+        self.ends.push(0);
+        self.free.clear();
+        self.free.resize(landmarks.len(), false);
+        allowed.iter().for_each(|p| self.free[p.index()] = true);
+        if self.free[ends.0.index()] && self.free[ends.1.index()] {
+            self.free[ends.0.index()] = false;
+            self.hops.push(ends.0);
+            self.dfs(landmarks, ends.1, max_hops, 4 * max_paths);
         }
-        let cur = *stack.last().expect("non-empty");
+        let Self { hops, ends, ranked, .. } = self;
+        let of = |p: &PartitionId| prob[p.index()].expect("step ① priced every retained partition");
+        ranked.clear();
+        ranked.extend(ends.windows(2).enumerate().map(|(i, w)| {
+            let path = &hops[w[0]..w[1]];
+            (path[1..].iter().fold(of(&path[0]), |acc, p| acc + of(p)), i)
+        }));
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+        ranked.truncate(max_paths);
+    }
+
+    /// The DFS stack is the unfinished tail of `hops`, past the last end.
+    fn dfs(&mut self, landmarks: &LandmarkGraph, dst: PartitionId, max_hops: usize, cap: usize) {
+        let (start, len) = (self.ends[self.ends.len() - 1], self.hops.len());
+        if self.ends.len() > cap {
+            return;
+        }
+        let cur = self.hops[len - 1];
         if cur == dst {
-            out.push((acc, stack.clone()));
+            self.hops.extend_from_within(start..);
+            self.ends.push(len);
             return;
         }
-        if stack.len() > max_hops {
+        if len - start > max_hops {
             return;
         }
-        for &next in ctx.landmarks.neighbors(cur) {
-            if let Some(&i) = index_of.get(&next) {
-                if !on_path[i] {
-                    on_path[i] = true;
-                    stack.push(next);
-                    dfs(
-                        ctx,
-                        index_of,
-                        probs,
-                        dst,
-                        max_hops,
-                        max_paths,
-                        stack,
-                        on_path,
-                        acc + probs[i],
-                        out,
-                    );
-                    stack.pop();
-                    on_path[i] = false;
-                }
+        for &next in landmarks.neighbors(cur) {
+            if std::mem::replace(&mut self.free[next.index()], false) {
+                self.hops.push(next);
+                self.dfs(landmarks, dst, max_hops, cap);
+                self.hops.pop();
+                self.free[next.index()] = true;
             }
         }
     }
-
-    let acc0 = probs[index_of[&src]];
-    dfs(ctx, &index_of, probs, dst, max_hops, max_paths, &mut stack, &mut on_path, acc0, &mut out);
-    out.sort_by(|a, b| b.0.total_cmp(&a.0));
-    out.truncate(max_paths);
-    out.into_iter().map(|(_, p)| p).collect()
 }
 
 #[cfg(test)]
@@ -403,6 +416,7 @@ mod tests {
     use crate::filter::filter_partitions;
     use mtshare_mobility::Trip;
     use mtshare_road::{grid_city, GridCityConfig};
+    use proptest::prelude::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
     use std::sync::Arc;
 
@@ -546,20 +560,166 @@ mod tests {
         assert!((leg.cost_s - shortest).abs() < 1e-6);
     }
 
+    /// The new step ②, as `probabilistic_leg_priced` runs it: the ranked
+    /// paths, best first.
+    fn enumerate_partition_paths(
+        ctx: &MobilityContext,
+        allowed: &[PartitionId],
+        probs: &[f32],
+        (src, dst): (PartitionId, PartitionId),
+        max_hops: usize,
+        max_paths: usize,
+    ) -> Vec<Vec<PartitionId>> {
+        let mut prob = vec![None; ctx.kappa()];
+        for (&p, &x) in allowed.iter().zip(probs) {
+            prob[p.index()] = Some(x);
+        }
+        let mut paths = PartitionPaths::default();
+        paths.enumerate(&ctx.landmarks, allowed, &prob, (src, dst), max_hops, max_paths);
+        paths
+            .ranked
+            .iter()
+            .map(|&(_, i)| paths.hops[paths.ends[i]..paths.ends[i + 1]].to_vec())
+            .collect()
+    }
+
+    /// Step ② as it stood before the flat buffer: a hash map of the allowed
+    /// partitions and a `Vec` clone per path, ranked and truncated here. Oracle
+    /// of `flat_enumeration_tries_the_same_paths_in_the_same_order`.
+    fn old_enumerate_partition_paths(
+        ctx: &MobilityContext,
+        allowed: &[PartitionId],
+        probs: &[f32],
+        src: PartitionId,
+        dst: PartitionId,
+        max_hops: usize,
+        max_paths: usize,
+    ) -> Vec<Vec<PartitionId>> {
+        use rustc_hash::FxHashMap;
+        let index_of: FxHashMap<PartitionId, usize> =
+            allowed.iter().enumerate().map(|(i, &p)| (p, i)).collect();
+        if !index_of.contains_key(&src) || !index_of.contains_key(&dst) {
+            return Vec::new();
+        }
+        let mut out: Vec<(f32, Vec<PartitionId>)> = Vec::new();
+        let mut stack = vec![src];
+        let mut on_path = vec![false; allowed.len()];
+        on_path[index_of[&src]] = true;
+
+        #[allow(clippy::too_many_arguments)] // recursive helper threading search state
+        fn dfs(
+            ctx: &MobilityContext,
+            index_of: &rustc_hash::FxHashMap<PartitionId, usize>,
+            probs: &[f32],
+            dst: PartitionId,
+            max_hops: usize,
+            max_paths: usize,
+            stack: &mut Vec<PartitionId>,
+            on_path: &mut Vec<bool>,
+            acc: f32,
+            out: &mut Vec<(f32, Vec<PartitionId>)>,
+        ) {
+            if out.len() >= max_paths * 4 {
+                return; // enumeration cap (we keep the best max_paths below)
+            }
+            let cur = *stack.last().expect("non-empty");
+            if cur == dst {
+                out.push((acc, stack.clone()));
+                return;
+            }
+            if stack.len() > max_hops {
+                return;
+            }
+            for &next in ctx.landmarks.neighbors(cur) {
+                if let Some(&i) = index_of.get(&next) {
+                    if !on_path[i] {
+                        on_path[i] = true;
+                        stack.push(next);
+                        dfs(
+                            ctx,
+                            index_of,
+                            probs,
+                            dst,
+                            max_hops,
+                            max_paths,
+                            stack,
+                            on_path,
+                            acc + probs[i],
+                            out,
+                        );
+                        stack.pop();
+                        on_path[i] = false;
+                    }
+                }
+            }
+        }
+
+        let acc0 = probs[index_of[&src]];
+        dfs(
+            ctx,
+            &index_of,
+            probs,
+            dst,
+            max_hops,
+            max_paths,
+            &mut stack,
+            &mut on_path,
+            acc0,
+            &mut out,
+        );
+        out.sort_by(|a, b| b.0.total_cmp(&a.0));
+        out.truncate(max_paths);
+        out.into_iter().map(|(_, p)| p).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random retained sets, endpoints, hop and path caps and
+        /// probabilities — a third of the cases all equal, so ranking is
+        /// pure DFS order, another third drawn from three values, so ties
+        /// are common: the flat enumeration ranks the very paths the old
+        /// function returned, element for element.
+        #[test]
+        fn flat_enumeration_tries_the_same_paths_in_the_same_order(seed in 0u64..1_000_000) {
+            static CTX: std::sync::OnceLock<Arc<MobilityContext>> = std::sync::OnceLock::new();
+            let ctx = CTX.get_or_init(|| setup().1);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let all: Vec<_> = ctx.partitioning.partitions().collect();
+            let pick = |rng: &mut SmallRng| all[rng.gen_range(0..all.len())];
+            let (src, dst) = (pick(&mut rng), pick(&mut rng));
+            let keep = rng.gen_range(0.3..1.0);
+            let mut allowed: Vec<_> = all.iter().copied().filter(|_| rng.gen_bool(keep)).collect();
+            for end in [src, dst] {
+                if !allowed.contains(&end) && rng.gen_bool(0.9) {
+                    allowed.push(end);
+                }
+            }
+            let style = rng.gen_range(0..3);
+            let probs: Vec<f32> = (0..allowed.len())
+                .map(|_| match style {
+                    0 => 0.25,
+                    1 => [0.0f32, 0.125, 0.5][rng.gen_range(0..3usize)],
+                    _ => rng.gen_range(0.0f32..1.0),
+                })
+                .collect();
+            let (max_hops, max_paths) = (rng.gen_range(1..=12), rng.gen_range(1..=64));
+            let got =
+                enumerate_partition_paths(ctx, &allowed, &probs, (src, dst), max_hops, max_paths);
+            let want =
+                old_enumerate_partition_paths(ctx, &allowed, &probs, src, dst, max_hops, max_paths);
+            prop_assert_eq!(got, want, "{}->{} in {:?}, {} hops, {} paths", src, dst, allowed, max_hops, max_paths);
+        }
+    }
+
     #[test]
     fn partition_path_enumeration_connects_endpoints() {
         let (g, ctx, _) = setup();
         let filtered = filter_partitions(&g, &ctx, NodeId(0), NodeId(399), -1.0, 5.0);
         let probs = vec![1.0f32; filtered.partitions.len()];
-        let paths = enumerate_partition_paths(
-            &ctx,
-            &filtered.partitions,
-            &probs,
-            ctx.partitioning.partition_of(NodeId(0)),
-            ctx.partitioning.partition_of(NodeId(399)),
-            12,
-            16,
-        );
+        let ends =
+            (ctx.partitioning.partition_of(NodeId(0)), ctx.partitioning.partition_of(NodeId(399)));
+        let paths = enumerate_partition_paths(&ctx, &filtered.partitions, &probs, ends, 12, 16);
         assert!(!paths.is_empty());
         for p in &paths {
             assert_eq!(*p.first().unwrap(), ctx.partitioning.partition_of(NodeId(0)));
@@ -583,15 +743,9 @@ mod tests {
         if probs.len() > 3 {
             probs[2] = 100.0;
         }
-        let paths = enumerate_partition_paths(
-            &ctx,
-            &filtered.partitions,
-            &probs,
-            ctx.partitioning.partition_of(NodeId(0)),
-            ctx.partitioning.partition_of(NodeId(399)),
-            12,
-            8,
-        );
+        let ends =
+            (ctx.partitioning.partition_of(NodeId(0)), ctx.partitioning.partition_of(NodeId(399)));
+        let paths = enumerate_partition_paths(&ctx, &filtered.partitions, &probs, ends, 12, 8);
         if paths.len() >= 2 {
             let score = |p: &Vec<PartitionId>| -> f32 {
                 p.iter()

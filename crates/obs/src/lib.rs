@@ -61,7 +61,13 @@ use std::time::Instant;
 /// (the oracle keeps no memo).
 /// v11: `profiling.stages` gained the `oracle_pin` span (pin fills, which
 /// no longer count towards `customize`).
-pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v11";
+/// v12: `profiling` gained an `alg4` block (probabilistic-routing corridor
+/// counters), the first block present only when its feature ran.
+pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v12";
+
+/// Fields of `profiling.alg4`, in the order [`Obs::add_alg4`] counts them.
+pub(crate) const ALG4_FIELDS: [&str; 6] =
+    ["legs", "corridors", "unreachable", "searches", "accepted", "fallbacks"];
 
 /// Static facts about the run, reported verbatim in the summary.
 #[derive(Debug, Clone, Default)]
@@ -195,6 +201,7 @@ struct ObsCore {
     filter_kept: AtomicU64,
     insertions_attempted: AtomicU64,
     insertions_feasible: AtomicU64,
+    alg4: [AtomicU64; 6],
     response_s: Histogram,
     // ---- batch assignment solver (profiling) ----
     lap_solves: AtomicU64,
@@ -235,6 +242,7 @@ impl ObsCore {
             filter_kept: AtomicU64::new(0),
             insertions_attempted: AtomicU64::new(0),
             insertions_feasible: AtomicU64::new(0),
+            alg4: Default::default(),
             response_s: Histogram::new(),
             lap_solves: AtomicU64::new(0),
             lap_rows: AtomicU64::new(0),
@@ -482,6 +490,21 @@ impl Obs {
         if let Some(core) = &self.core {
             core.filter_considered.fetch_add(considered, Ordering::Relaxed);
             core.filter_kept.fetch_add(kept, Ordering::Relaxed);
+        }
+    }
+
+    /// Records one Alg. 4 leg: of the partition paths (corridors) it tried,
+    /// `unreachable` were skipped on the piece graph and `searches` searched;
+    /// `accepted` when a biased route fit the budget, else it fell back to
+    /// the basic leg.
+    #[inline]
+    pub fn add_alg4(&self, unreachable: u64, searches: u64, accepted: bool) {
+        if let Some(core) = &self.core {
+            let tried = unreachable + searches;
+            let leg = [1, tried, unreachable, searches, accepted as u64, !accepted as u64];
+            for (total, n) in core.alg4.iter().zip(leg) {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 
@@ -737,6 +760,14 @@ impl Obs {
             ext.dtree_memo_reuses,
             ext.dtree_memo_fills
         );
+        if core.alg4[0].load(Ordering::Relaxed) > 0 {
+            s.push_str(r#""alg4":{"#);
+            for (name, n) in ALG4_FIELDS.iter().zip(&core.alg4) {
+                let _ = write!(s, r#""{name}":{},"#, n.load(Ordering::Relaxed));
+            }
+            s.pop();
+            s.push_str("},");
+        }
         write_histogram(&mut s, "response_ms", &core.response_s, 1e3, "ms");
         s.push_str("}}");
         Some(s)

@@ -7,7 +7,7 @@
 use crate::event::{RejectReason, EVENT_KINDS};
 use crate::json::{self, Value};
 use crate::span::Stage;
-use crate::{STEADY_SCHEMA, SUMMARY_SCHEMA};
+use crate::{ALG4_FIELDS, STEADY_SCHEMA, SUMMARY_SCHEMA};
 
 /// Field spec: name, expected type.
 #[derive(Clone, Copy)]
@@ -366,6 +366,16 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
     ] {
         require_num(dtree, "dtree", f)?;
     }
+    // Present only when Alg. 4 routed a leg.
+    if let Some(alg4) = prof.get("alg4") {
+        let mut n = [0.0; 6];
+        for (slot, f) in n.iter_mut().zip(ALG4_FIELDS) {
+            *slot = require_num(alg4, "alg4", f)?;
+        }
+        if n[0] == 0.0 || n[1] != n[2] + n[3] || n[0] != n[4] + n[5] {
+            return Err(format!("alg4: {n:?} breaks legs > 0, corridors == unreachable + searches or legs == accepted + fallbacks"));
+        }
+    }
     require_hist_block(prof, "response_ms", "ms")?;
     Ok(())
 }
@@ -570,6 +580,26 @@ mod tests {
         // Forge the total.
         let forged = summary.replace("\"total\":1", "\"total\":2");
         assert!(validate_summary(&forged).is_err());
+    }
+
+    #[test]
+    fn alg4_block_is_present_only_after_a_leg_and_holds_its_identities() {
+        let obs = Obs::enabled();
+        let quiet = obs.summary_json().unwrap();
+        assert!(!quiet.contains("\"alg4\""), "{quiet}");
+        validate_summary(&quiet).unwrap();
+        obs.add_alg4(2, 3, false);
+        obs.add_alg4(1, 1, true);
+        let summary = obs.summary_json().unwrap();
+        let block = r#""alg4":{"legs":2,"corridors":7,"unreachable":3,"searches":4,"accepted":1,"fallbacks":1},"#;
+        assert!(summary.contains(block), "{summary}");
+        validate_summary(&summary).unwrap_or_else(|e| panic!("{e}\n{summary}"));
+        for forged in ["\"searches\":5", "\"fallbacks\":0", "\"legs\":0"] {
+            let field = &forged[..forged.len() - 1];
+            let at = summary.rfind(field).unwrap();
+            let bad = format!("{}{forged}{}", &summary[..at], &summary[at + forged.len()..]);
+            assert!(validate_summary(&bad).unwrap_err().starts_with("alg4:"), "{bad}");
+        }
     }
 
     #[test]

@@ -231,6 +231,12 @@ impl HotNodeOracle {
         })
     }
 
+    /// Runs `f` on `b`'s pinned backward vector (`None` when `b` is not
+    /// pinned) under one read lock, without a copy; counts nothing.
+    pub fn with_vector<R>(&self, b: NodeId, f: impl FnOnce(Option<&[f32]>) -> R) -> R {
+        f(self.pinned.read_recursive().get(&b.0).map(|e| &e.bwd[..]))
+    }
+
     /// Runs `f` with a [`PinnedReader`]: a borrowed view of the pinned
     /// vectors that answers the `cost()` fast path without re-acquiring
     /// the `RwLock` or touching an atomic per query. Vector hits are

@@ -141,6 +141,36 @@ fn telemetry_does_not_change_outcomes() {
 }
 
 #[test]
+fn alg4_block_appears_only_when_probabilistic_routing_ran() {
+    let field = |summary: &str, name: &str| {
+        let v = json::parse(summary).unwrap();
+        let alg4 = v.get("profiling").and_then(|p| p.get("alg4").cloned())?;
+        alg4.get(name).and_then(|n| n.as_num())
+    };
+    // mT-Share_pro on a non-peak day plans probabilistic legs: the block is
+    // there and its two identities hold (the schema validator checks them
+    // too — this is the test that it is given a block to check).
+    let cfg = ScenarioConfig::nonpeak(12);
+    let (report, obs, _) = observed_run(SchemeKind::MtSharePro, cfg.clone());
+    let summary = obs.summary_json().expect("enabled");
+    schema::validate_summary(&summary).expect("schema-valid summary");
+    let n = |name| field(&summary, name).unwrap_or_else(|| panic!("alg4.{name} in {summary}"));
+    assert!(n("legs") > 0.0 && n("searches") > 0.0 && n("accepted") > 0.0, "{summary}");
+    assert_eq!(n("corridors"), n("unreachable") + n("searches"));
+    assert_eq!(n("legs"), n("accepted") + n("fallbacks"));
+    // Counting the corridors does not move a route.
+    let plain = run_with(SchemeKind::MtSharePro, cfg, Obs::disabled());
+    assert_eq!(plain.served_records, report.served_records);
+    assert_eq!(plain.total_driver_income, report.total_driver_income);
+    // Plain mT-Share never runs Alg. 4: no block, not a block of zeros.
+    let (_, obs, _) = observed_run(SchemeKind::MtShare, ScenarioConfig::nonpeak(12));
+    let summary = obs.summary_json().expect("enabled");
+    schema::validate_summary(&summary).expect("schema-valid summary");
+    assert_eq!(field(&summary, "legs"), None, "{summary}");
+    assert!(!summary.contains("alg4"), "{summary}");
+}
+
+#[test]
 fn disabled_bus_emits_nothing() {
     let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
     let cache = PathCache::new(graph.clone());

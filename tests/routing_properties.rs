@@ -454,7 +454,7 @@ proptest! {
         let mut md = MaskedDijkstra::new(&g);
         let mut d = Dijkstra::new(&g);
         let free = d.cost(&g, NodeId(s), NodeId(t)).unwrap();
-        if let Some(p) = md.path_masked(&g, NodeId(s), NodeId(t), &mask, None) {
+        if let Some(p) = md.path_masked(&g, NodeId(s), NodeId(t), &mask) {
             prop_assert!(p.cost_s >= free - 1e-2, "masked {} < free {}", p.cost_s, free);
         }
     }
