@@ -32,12 +32,19 @@ fn main() {
         for r in &results {
             println!("{r}");
         }
-        let md = render_markdown(scale.name, &results);
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .ancestors()
-            .nth(2)
-            .expect("workspace root")
-            .join("EXPERIMENTS.md");
+        let root =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).expect("workspace");
+        // The commit whose code produced the numbers; `unknown` without git.
+        let describe = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .current_dir(root)
+            .output();
+        let commit = match &describe {
+            Ok(out) if out.status.success() => String::from_utf8_lossy(&out.stdout),
+            _ => "unknown".into(),
+        };
+        let md = render_markdown(scale.name, commit.trim(), &results);
+        let path = root.join("EXPERIMENTS.md");
         std::fs::write(&path, md).expect("write EXPERIMENTS.md");
         eprintln!(
             "[experiments] wrote {} ({} results) in {:.1}s",

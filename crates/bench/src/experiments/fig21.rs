@@ -57,7 +57,7 @@ pub fn run(env: &Env) -> ExperimentResult {
         let (we_exec, we_resp, _) =
             run_hours(env, SchemeKind::MtSharePro, h, &profile, 1.0 / 3.0, 78);
         eprintln!(
-            "[fig21] {h}h: mT {wd_exec:.1}s/{wd_resp:.2}ms, pro {we_exec:.1}s/{we_resp:.2}ms"
+            "[fig21] {h}h: mT {wd_exec:.1}s/{wd_resp:.3}ms, pro {we_exec:.1}s/{we_resp:.3}ms"
         );
         execs.push((h, wd_exec));
         resp_last = (wd_resp, we_resp);
@@ -79,7 +79,7 @@ pub fn run(env: &Env) -> ExperimentResult {
                 .into(),
         table,
         notes: vec![format!(
-            "execution-time growth {:.2}x over a {:.1}x data increase (linear ⇒ ratios match); final response times {:.2} / {:.2} ms",
+            "execution-time growth {:.2}x over a {:.1}x data increase (linear ⇒ ratios match); final response times {:.3} / {:.3} ms",
             e1 / e0.max(1e-9),
             h1 as f64 / h0 as f64,
             resp_last.0,

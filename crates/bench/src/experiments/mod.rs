@@ -109,7 +109,8 @@ const REPRODUCTION_STATUS: &str = "\
   leads the sharing baselines.
 - Figs. 8/12 — detour ordering: T-Share ≲ mT-Share < pGreedyDP.
 - Figs. 9/13 — waiting: decreasing in fleet; |mT-Share − pGreedyDP| < 0.5 min.
-- Fig. 11 — mT-Share_pro responds ~2-3x slower than mT-Share (paper 2.5-4.5x).
+- Fig. 11 — mT-Share_pro responds slower than mT-Share, by the ratio in the
+  fig11 note (paper 2.5-4.5x).
 - Fig. 14(b) — capacity ⇒ served, monotone (stronger than the paper's +12%).
 - Figs. 17/18 — waiting and detour grow with ρ; served saturates.
 - Fig. 19 — ridesharing saves rider fares and raises driver income; the
@@ -129,8 +130,9 @@ const REPRODUCTION_STATUS: &str = "\
   dominance once every scheme matches near the feasibility ceiling.
 - Fig. 7 — response ordering: with the shared O(1) oracle, per-request cost
   tracks candidate-set size times insertion cost for every scheme, so
-  pGreedyDP is no longer 4-10x slower than mT-Share (all schemes answer in
-  well under a millisecond at this scale).
+  pGreedyDP is nowhere near the paper's 4-10x slower than mT-Share (the
+  fig7 note has the measured ratio; all schemes answer in well under a
+  millisecond at this scale).
 - Fig. 16 / Fig. 10 (mT-Share_pro): probabilistic routing's offline gain
   is mechanical in the paper's sparse-coverage regime but our ~30x smaller
   map is route-saturated — basic routes already pass the demand corridors,
@@ -143,12 +145,13 @@ const REPRODUCTION_STATUS: &str = "\
 ";
 
 /// Renders all results into the EXPERIMENTS.md body.
-pub fn render_markdown(scale_name: &str, results: &[ExperimentResult]) -> String {
+pub fn render_markdown(scale_name: &str, commit: &str, results: &[ExperimentResult]) -> String {
     let mut md = String::new();
     md.push_str("# EXPERIMENTS — paper vs. measured\n\n");
     md.push_str(&format!(
         "Regenerated by `cargo run --release -p mtshare-bench --bin experiments -- all`\n\
-         at scale `{scale_name}` (see DESIGN.md for the scaling substitutions).\n\n"
+         at scale `{scale_name}` from commit `{commit}` (see DESIGN.md for the scaling\n\
+         substitutions).\n\n"
     ));
     md.push_str(REPRODUCTION_STATUS);
     for r in results {

@@ -76,7 +76,7 @@ pub fn run(env: &Env) -> Vec<ExperimentResult> {
             id: "fig11",
             title: "response time in the non-peak scenario (ms)".into(),
             paper_expectation: "similar to peak for the four basic schemes; mT-Share_pro is 2.5-4.5x slower than mT-Share but still faster than pGreedyDP".into(),
-            table: mk_table("resp ms", &|r| fmt(r.avg_response_ms, 2)),
+            table: mk_table("resp ms", &|r| fmt(r.avg_response_ms, 3)),
             notes: vec![format!(
                 "at max fleet: pro/mT response ratio = {:.2} (paper 2.5-4.5); pGreedyDP/pro = {:.2} (paper >1)",
                 pro.avg_response_ms / mt.avg_response_ms.max(1e-9),

@@ -22,7 +22,7 @@ pub fn run_kappa(env: &Env) -> ExperimentResult {
             kappa.to_string(),
             r.served.to_string(),
             fmt(r.avg_candidates, 1),
-            fmt(r.avg_response_ms, 2),
+            fmt(r.avg_response_ms, 3),
         ]);
     }
     let best = served_by_kappa.iter().max_by_key(|(_, s)| *s).copied().unwrap_or((0, 0));

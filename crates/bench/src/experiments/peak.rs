@@ -73,7 +73,7 @@ pub fn run(env: &Env) -> Vec<ExperimentResult> {
             id: "fig7",
             title: "response time in the peak scenario (ms)".into(),
             paper_expectation: "No-Sharing < T-Share < mT-Share ≪ pGreedyDP (mT-Share 4-10x faster than pGreedyDP); grows with fleet".into(),
-            table: mk_table("resp ms", &|r| fmt(r.avg_response_ms, 2)),
+            table: mk_table("resp ms", &|r| fmt(r.avg_response_ms, 3)),
             notes: vec![format!(
                 "at max fleet: pGreedyDP/mT-Share response ratio = {:.2} (paper 4-10)",
                 pg.avg_response_ms / mt.avg_response_ms.max(1e-9)

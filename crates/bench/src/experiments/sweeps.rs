@@ -193,13 +193,13 @@ pub fn run_lambda(env: &Env) -> ExperimentResult {
         let lambda = theta_deg.to_radians().cos();
         let cfg = MtShareConfig { lambda, ..Default::default() };
         let r = env.run(&scenario, SchemeKind::MtShare, Some(ctx.clone()), Some(cfg));
-        eprintln!("[fig20] theta {theta_deg}: served {} resp {:.2}ms", r.served, r.avg_response_ms);
+        eprintln!("[fig20] theta {theta_deg}: served {} resp {:.3}ms", r.served, r.avg_response_ms);
         series.push((r.served, r.avg_response_ms, r.avg_candidates));
         table.row(vec![
             fmt(theta_deg, 0),
             fmt(lambda, 3),
             r.served.to_string(),
-            fmt(r.avg_response_ms, 2),
+            fmt(r.avg_response_ms, 3),
             fmt(r.avg_candidates, 1),
         ]);
     }
@@ -211,7 +211,7 @@ pub fn run_lambda(env: &Env) -> ExperimentResult {
                 .into(),
         table,
         notes: vec![format!(
-            "served 30°→75°: {} → {}; response {:.2} → {:.2} ms",
+            "served 30°→75°: {} → {}; response {:.3} → {:.3} ms",
             series[0].0,
             series[3].0,
             series[0].1,

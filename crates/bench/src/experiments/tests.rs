@@ -59,8 +59,9 @@ fn unknown_id_panics_with_catalogue() {
 fn markdown_rendering_includes_status_and_tables() {
     let env = tiny_env();
     let results = vec![fig05::run(&env)];
-    let md = render_markdown("small", &results);
+    let md = render_markdown("small", "abc1234-dirty", &results);
     assert!(md.starts_with("# EXPERIMENTS"));
+    assert!(md.contains("from commit `abc1234-dirty`"));
     assert!(md.contains("Reproduction status"));
     assert!(md.contains("## fig5"));
     assert!(md.contains("**Paper:**"));

@@ -794,13 +794,7 @@ impl Simulator {
             }
         }
         for i in 0..self.taxis.len() {
-            let map = &mut self.route_nodes[i];
-            map.clear();
-            if let Some(route) = &self.taxis[i].route {
-                for (n, t) in route.nodes.iter().zip(&route.arrival_s) {
-                    map.entry(n.0).or_insert(*t);
-                }
-            }
+            self.refill_route_nodes(i);
         }
         self.offline_watch.clear();
         self.watched_nodes.clear();

@@ -778,26 +778,34 @@ impl Simulator {
         taxi.assigned.push(req.id);
         let route = TimedRoute::build_on(&self.graph, pos, now, &a.legs, &a.schedule);
         taxi.set_plan(a.schedule, route, now);
-        let version = taxi.route_version;
-        let next_event = taxi.next_event_time();
-        let taxi_id = a.taxi;
+        self.arm_route(a.taxi);
+        scheme.after_assign(&self.taxis[a.taxi.index()], &self.world());
 
-        // Rebuild the future-node map for encounter detection.
-        let map = &mut self.route_nodes[taxi_id.index()];
+        // New route may pass pending offline requests.
+        self.scan_route_for_offline(a.taxi, now);
+    }
+
+    /// Refills the future-node map encounter detection reads from taxi
+    /// `i`'s current route (first arrival per node).
+    fn refill_route_nodes(&mut self, i: usize) {
+        let map = &mut self.route_nodes[i];
         map.clear();
-        if let Some(route) = &self.taxis[taxi_id.index()].route {
+        if let Some(route) = &self.taxis[i].route {
             for (n, t) in route.nodes.iter().zip(&route.arrival_s) {
                 map.entry(n.0).or_insert(*t);
             }
         }
+    }
 
-        if let Some(t) = next_event {
+    /// After `taxi_id`'s plan changed: refreshes its encounter map and
+    /// queues its next schedule event under the current route version.
+    fn arm_route(&mut self, taxi_id: TaxiId) {
+        let i = taxi_id.index();
+        self.refill_route_nodes(i);
+        let version = self.taxis[i].route_version;
+        if let Some(t) = self.taxis[i].next_event_time() {
             self.push_ev(t, Ev::Taxi { taxi: taxi_id, version });
         }
-        scheme.after_assign(&self.taxis[taxi_id.index()], &self.world());
-
-        // New route may pass pending offline requests.
-        self.scan_route_for_offline(taxi_id, now);
     }
 
     /// Pushes encounter events for pending offline requests on this
@@ -878,16 +886,7 @@ impl Simulator {
 
     fn drop_offline_watch(&mut self, id: RequestId) {
         self.pending_offline.remove(&id);
-        if let Some(nodes) = self.watched_nodes.remove(&id) {
-            for n in nodes {
-                if let Some(v) = self.offline_watch.get_mut(&n) {
-                    v.retain(|&r| r != id);
-                    if v.is_empty() {
-                        self.offline_watch.remove(&n);
-                    }
-                }
-            }
-        }
+        self.drop_offline_watch_only(id);
     }
 
     fn process_event(&mut self, q: QueuedEv, scheme: &mut dyn DispatchScheme) {
@@ -1276,17 +1275,7 @@ impl Simulator {
     fn rearm_stretched(&mut self, taxi_id: TaxiId, now: Time, scheme: &mut dyn DispatchScheme) {
         let i = taxi_id.index();
         self.taxis[i].route_version += 1;
-        let version = self.taxis[i].route_version;
-        let map = &mut self.route_nodes[i];
-        map.clear();
-        if let Some(route) = &self.taxis[i].route {
-            for (n, tt) in route.nodes.iter().zip(&route.arrival_s) {
-                map.entry(n.0).or_insert(*tt);
-            }
-        }
-        if let Some(nt) = self.taxis[i].next_event_time() {
-            self.push_ev(nt, Ev::Taxi { taxi: taxi_id, version });
-        }
+        self.arm_route(taxi_id);
         scheme.on_taxi_progress(&self.taxis[i], now, &self.world());
     }
 
@@ -1326,17 +1315,7 @@ impl Simulator {
                 taxi.set_plan(schedule, route, now);
             }
         }
-        let map = &mut self.route_nodes[i];
-        map.clear();
-        if let Some(route) = &self.taxis[i].route {
-            for (n, tt) in route.nodes.iter().zip(&route.arrival_s) {
-                map.entry(n.0).or_insert(*tt);
-            }
-        }
-        let version = self.taxis[i].route_version;
-        if let Some(nt) = self.taxis[i].next_event_time() {
-            self.push_ev(nt, Ev::Taxi { taxi: taxi_id, version });
-        }
+        self.arm_route(taxi_id);
         scheme.after_assign(&self.taxis[i], &self.world());
         self.scan_route_for_offline(taxi_id, now);
         true

@@ -84,10 +84,134 @@ impl Args {
     }
 }
 
-const USAGE: &str = "usage:\n  mtshare simulate [--scheme no-sharing|t-share|pgreedy-dp|mt-share|mt-share-pro|batch]\n                   [--taxis N] [--requests N] [--nonpeak] [--rows N] [--cols N] [--seed N]\n                   [--capacity N]      # seats per taxi (1-8, default 4)\n                   [--scheduler dp|dtree]      # insertion scoring engine; traces identical either way\n                   [--batch-window S]  # rolling-horizon window in sim seconds (with --scheme batch)\n                   [--batch-retries N] # re-queue budget for losing requests (with --scheme batch)\n                   [--router bidir|ch|cch]      # exact cost engine; traces identical across all\n                   [--ch-artifact FILE]        # persist/reuse the preprocessing (with --router ch|cch)\n                   [--metrics-out FILE.json]   # end-of-run summary (stages, caches, rejections)\n                   [--trace-out FILE.jsonl]    # dispatch-lifecycle event stream\n                   [--feed-record FILE.jsonl]  # dump the arrival stream in the serve feed format\n                   [--chaos-seed N]    # inject seeded disruptions (breakdowns/cancels/shifts)\n                   [--disruptions breakdowns=2,cancels=4,shifts=2]  # mix (with --chaos-seed)\n                   [--validate-every SECONDS]  # runtime invariant checker cadence\n                   [--state-dir DIR]   # checkpoint/WAL persistence (crash-consistent restart)\n                   [--checkpoint-every N]      # snapshot cadence in steps (default 256)\n                   [--resume]          # warm-restart from the newest valid checkpoint + WAL\n                   [--crash-at STEP]   # die (exit 42) after STEP steps, for restart testing\n                   [--durability strict|degrade]  # storage-fault policy: fail fast (exit 44) or\n                                                  # quarantine the state dir and keep serving\n                   [--failpoints SPEC] # seeded I/O faults, e.g. wal-sync-fail=1,snap-write-enospc=1\n                                       # (schedule derived from --chaos-seed)\n  mtshare serve    [--feed -|FILE|tcp:ADDR]    # line-delimited JSON request feed (default stdin)\n                   [--queue-capacity N]        # bounded admission queue (default 64)\n                   [--admission block|shed-oldest|reject-new]\n                   [--pace free|QUANTUM_S]     # burst entries per virtual-time quantum (default free)\n                   [--report-out FILE.jsonl]   # periodic steady-state reports\n                   [--report-every SECONDS]    # report cadence in virtual seconds (default 60)\n                   [--heartbeat-file FILE]     # liveness file rewritten every burst\n                   [--supervise]               # watchdog: restart on crash/fault/stall with backoff\n                   [--supervise-max-restarts N] [--supervise-backoff-ms MS] [--supervise-stall-ms MS]\n                   plus the simulate scenario/persistence flags (--taxis, --requests, --scheme,\n                   --state-dir, --resume, ...); a serve run over a recorded feed produces the\n                   one-shot run's exact event trace\n  mtshare partition [--kappa N] [--grid] [--out FILE.geojson|FILE.csv]\n  mtshare stats [--hours N]\n  mtshare trace FILE.csv";
+/// An accepted flag: name, value placeholder (empty for a switch) and the
+/// comment `--help` prints beside it.
+type Flag = (&'static str, &'static str, &'static str);
+
+/// Every subcommand builds the synthetic city.
+const CITY: &[Flag] = &[
+    ("rows", "N", "grid rows (default 40)"),
+    ("cols", "N", "grid columns (default 40)"),
+    ("seed", "N", "city seed (default 7)"),
+];
+
+/// Scenario, telemetry and persistence flags of `simulate` and `serve`.
+const SCENARIO: &[Flag] = &[
+    ("scheme", "no-sharing|t-share|pgreedy-dp|mt-share|mt-share-pro|batch", ""),
+    ("taxis", "N", "fleet size (default 60)"),
+    ("requests", "N", "default 10 per taxi, 5 with --nonpeak"),
+    ("nonpeak", "", "weekend demand, a third of the riders hailing offline"),
+    ("rho", "X", "deadline flexibility factor (default 1.3)"),
+    ("kappa", "N", "map partitions (default 24)"),
+    ("capacity", "N", "seats per taxi (1-8, default 4)"),
+    ("scheduler", "dp|dtree", "insertion scoring engine; traces identical either way"),
+    ("batch-window", "S", "rolling-horizon window in sim seconds (with --scheme batch)"),
+    ("batch-retries", "N", "re-queue budget for losing requests (with --scheme batch)"),
+    ("router", "bidir|ch|cch", "exact cost engine; traces identical across all"),
+    ("ch-artifact", "FILE", "persist/reuse the preprocessing (with --router ch|cch)"),
+    ("metrics-out", "FILE.json", "end-of-run summary (stages, caches, rejections)"),
+    ("trace-out", "FILE.jsonl", "dispatch-lifecycle event stream"),
+    ("chaos-seed", "N", "inject seeded disruptions (breakdowns/cancels/shifts)"),
+    ("validate-every", "SECONDS", "runtime invariant checker cadence"),
+    ("state-dir", "DIR", "checkpoint/WAL persistence (crash-consistent restart)"),
+    ("checkpoint-every", "N", "snapshot cadence in steps (default 256)"),
+    ("resume", "", "warm-restart from the newest valid checkpoint + WAL"),
+    ("crash-at", "STEP", "die (exit 42) after STEP steps, for restart testing"),
+    ("durability", "strict|degrade", "on a storage fault: exit 44, or quarantine and go on"),
+    ("failpoints", "SPEC", "seeded I/O faults, e.g. wal-sync-fail=1,snap-write-enospc=1"),
+];
+
+const SIMULATE: &[Flag] = &[
+    ("feed-record", "FILE.jsonl", "dump the arrival stream in the serve feed format"),
+    ("disruptions", "breakdowns=2,cancels=4,shifts=2", "mix (with --chaos-seed)"),
+];
+
+/// Over a recorded feed `serve` produces the one-shot run's exact trace.
+const SERVE: &[Flag] = &[
+    ("feed", "-|FILE|tcp:ADDR", "line-delimited JSON request feed (default stdin)"),
+    ("queue-capacity", "N", "bounded admission queue (default 64)"),
+    ("admission", "block|shed-oldest|reject-new", ""),
+    ("pace", "free|QUANTUM_S", "burst entries per virtual-time quantum (default free)"),
+    ("report-out", "FILE.jsonl", "periodic steady-state reports"),
+    ("report-every", "SECONDS", "report cadence in virtual seconds (default 60)"),
+    ("heartbeat-file", "FILE", "liveness file rewritten every burst"),
+    ("supervise", "", "watchdog: restart on crash/fault/stall with backoff"),
+    ("supervise-max-restarts", "N", ""),
+    ("supervise-backoff-ms", "MS", ""),
+    ("supervise-stall-ms", "MS", ""),
+];
+
+const PARTITION: &[Flag] = &[
+    ("kappa", "N", "map partitions (default 24)"),
+    ("grid", "", "uniform grid instead of bipartite partitioning"),
+    ("historical", "N", "historical trips to learn from (default 5000)"),
+    ("out", "FILE.geojson|FILE.csv", "default partitions.geojson"),
+];
+
+const STATS: &[Flag] = &[
+    ("hours", "N", "hours of the workday to report (default 24)"),
+    ("taxis", "N", "fleet size utilization is measured against (default 300)"),
+];
+
+/// A subcommand accepts `own`, `CITY` and, if `scenario`, `SCENARIO`;
+/// the flag check and `--help` both read that from here.
+struct Command {
+    name: &'static str,
+    operand: &'static str,
+    own: &'static [Flag],
+    scenario: bool,
+    run: fn(&Args),
+}
+
+const COMMANDS: &[Command] = &[
+    Command { name: "simulate", operand: "", own: SIMULATE, scenario: true, run: simulate },
+    Command { name: "serve", operand: "", own: SERVE, scenario: true, run: serve_cmd },
+    Command { name: "partition", operand: "", own: PARTITION, scenario: false, run: partition },
+    Command { name: "stats", operand: "", own: STATS, scenario: false, run: stats_cmd },
+    // Snaps a GAIA-format trace onto the city and reports coverage.
+    Command { name: "trace", operand: " FILE.csv", own: &[], scenario: false, run: trace_cmd },
+];
+
+/// `(flag, needs, why)`: `--flag` without `--needs` exits 2.
+const REQUIRES: &[(&str, &str, &str)] = &[
+    ("resume", "state-dir", " (there is no checkpoint to resume from)"),
+    ("checkpoint-every", "state-dir", ""),
+    ("crash-at", "state-dir", ""),
+    ("disruptions", "chaos-seed", ""),
+    ("failpoints", "chaos-seed", " (fault schedules are seeded)"),
+    ("durability", "state-dir", " (there is no storage to protect)"),
+    ("report-every", "report-out", " (there is nowhere to write reports)"),
+    ("supervise", "state-dir", " (restarts resume from the checkpoint state)"),
+    ("supervise-max-restarts", "supervise", ""),
+    ("supervise-backoff-ms", "supervise", ""),
+    ("supervise-stall-ms", "supervise", ""),
+    ("supervise-stall-ms", "heartbeat-file", " (the stall watchdog watches it)"),
+];
+
+fn usage_text() -> String {
+    fn list(out: &mut String, flags: &[Flag]) {
+        for (name, value, help) in flags {
+            let sep = if value.is_empty() { "" } else { " " };
+            let head = format!("[--{name}{sep}{value}]");
+            let line = if help.is_empty() { head } else { format!("{head:<30} # {help}") };
+            out.push_str(&format!("      {line}\n"));
+        }
+    }
+    let mut out = String::from("usage:\n");
+    for c in COMMANDS {
+        let scenario = if c.scenario { " [scenario flags]" } else { "" };
+        out.push_str(&format!("  mtshare {}{}{scenario} [city flags]\n", c.name, c.operand));
+        list(&mut out, c.own);
+    }
+    out.push_str("  scenario flags:\n");
+    list(&mut out, SCENARIO);
+    out.push_str("  city flags:\n");
+    list(&mut out, CITY);
+    out
+}
 
 fn usage() -> ! {
-    eprintln!("{USAGE}");
+    eprint!("{}", usage_text());
     std::process::exit(2)
 }
 
@@ -101,51 +225,6 @@ fn city(args: &Args) -> Arc<mt_share::road::RoadNetwork> {
     Arc::new(grid_city(&cfg).expect("valid city config"))
 }
 
-/// Scenario-construction flags shared by `simulate` and `serve`.
-const SCENARIO_FLAGS: &[&str] = &[
-    "scheme",
-    "taxis",
-    "requests",
-    "nonpeak",
-    "rho",
-    "rows",
-    "cols",
-    "seed",
-    "kappa",
-    "capacity",
-    "scheduler",
-    "batch-window",
-    "batch-retries",
-    "router",
-    "ch-artifact",
-    "metrics-out",
-    "trace-out",
-    "validate-every",
-    "state-dir",
-    "checkpoint-every",
-    "resume",
-    "crash-at",
-    "chaos-seed",
-    "durability",
-    "failpoints",
-];
-
-const SIMULATE_FLAGS: &[&str] = &["feed-record", "disruptions"];
-
-const SERVE_FLAGS: &[&str] = &[
-    "feed",
-    "queue-capacity",
-    "admission",
-    "pace",
-    "report-out",
-    "report-every",
-    "heartbeat-file",
-    "supervise",
-    "supervise-max-restarts",
-    "supervise-backoff-ms",
-    "supervise-stall-ms",
-];
-
 /// Exits 2 with a clear message: `why` names the flag combination that
 /// cannot work.
 fn flag_error(why: &str) -> ! {
@@ -156,19 +235,17 @@ fn flag_error(why: &str) -> ! {
 /// Early validation of flag names and combinations, before any
 /// expensive construction: unknown flags and impossible combinations
 /// fail in milliseconds with a message naming the offending flags.
-fn validate_flags(cmd: &str, args: &Args, extra: &[&str]) {
+fn validate_flags(cmd: &Command, args: &Args) {
+    let scenario = if cmd.scenario { SCENARIO } else { &[] };
     for (name, _) in &args.flags {
-        if !SCENARIO_FLAGS.contains(&name.as_str()) && !extra.contains(&name.as_str()) {
-            eprintln!("unknown flag --{name} for `mtshare {cmd}`");
+        if !cmd.own.iter().chain(CITY).chain(scenario).any(|f| f.0 == name) {
+            eprintln!("unknown flag --{name} for `mtshare {}`", cmd.name);
             usage();
         }
     }
-    if args.has("resume") && !args.has("state-dir") {
-        flag_error("--resume requires --state-dir (there is no checkpoint to resume from)");
-    }
-    for f in ["checkpoint-every", "crash-at"] {
-        if args.has(f) && !args.has("state-dir") {
-            flag_error(&format!("--{f} requires --state-dir"));
+    for (flag, needs, why) in REQUIRES {
+        if args.has(flag) && !args.has(needs) {
+            flag_error(&format!("--{flag} requires --{needs}{why}"));
         }
     }
     let batch_scheme = matches!(args.get("scheme"), Some("batch" | "mt-share-batch"));
@@ -180,57 +257,22 @@ fn validate_flags(cmd: &str, args: &Args, extra: &[&str]) {
     if args.has("ch-artifact") && !matches!(args.get("router"), Some("ch" | "cch")) {
         flag_error("--ch-artifact requires --router ch or --router cch");
     }
-    if args.has("disruptions") && !args.has("chaos-seed") {
-        flag_error("--disruptions requires --chaos-seed");
-    }
-    if args.has("failpoints") && !args.has("chaos-seed") {
-        flag_error("--failpoints requires --chaos-seed (fault schedules are seeded)");
-    }
-    if args.has("durability") && !args.has("state-dir") {
-        flag_error("--durability requires --state-dir (there is no storage to protect)");
-    }
-    if args.has("report-every") && !args.has("report-out") {
-        flag_error("--report-every requires --report-out (there is nowhere to write reports)");
-    }
-    if args.has("supervise") && !args.has("state-dir") {
-        flag_error("--supervise requires --state-dir (restarts resume from the checkpoint state)");
-    }
-    for f in ["supervise-max-restarts", "supervise-backoff-ms", "supervise-stall-ms"] {
-        if args.has(f) && !args.has("supervise") {
-            flag_error(&format!("--{f} requires --supervise"));
-        }
-    }
-    if args.has("supervise-stall-ms") && !args.has("heartbeat-file") {
-        flag_error(
-            "--supervise-stall-ms requires --heartbeat-file (the stall watchdog watches it)",
-        );
-    }
 }
 
 fn main() {
     if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
         // Not `println!`: `mtshare --help | head` closes the pipe early,
         // and that is not worth a panic.
-        let _ = writeln!(std::io::stdout(), "{USAGE}");
+        let _ = write!(std::io::stdout(), "{}", usage_text());
         return;
     }
     let mut argv = std::env::args().skip(1);
-    let Some(cmd) = argv.next() else { usage() };
+    let Some(cmd) = argv.next().and_then(|c| COMMANDS.iter().find(|k| k.name == c)) else {
+        usage()
+    };
     let args = Args::parse(argv);
-    match cmd.as_str() {
-        "simulate" => {
-            validate_flags("simulate", &args, SIMULATE_FLAGS);
-            simulate(&args)
-        }
-        "serve" => {
-            validate_flags("serve", &args, SERVE_FLAGS);
-            serve_cmd(&args)
-        }
-        "partition" => partition(&args),
-        "stats" => stats_cmd(&args),
-        "trace" => trace_cmd(&args),
-        _ => usage(),
-    }
+    validate_flags(cmd, &args);
+    (cmd.run)(&args)
 }
 
 /// Telemetry bus: enabled iff at least one output was asked for.
@@ -375,6 +417,19 @@ fn scheme_kind(args: &Args) -> SchemeKind {
     }
 }
 
+fn build_scheme(
+    args: &Args,
+    kind: SchemeKind,
+    graph: &Arc<mt_share::road::RoadNetwork>,
+    scenario: &Scenario,
+) -> Box<dyn mt_share::model::DispatchScheme> {
+    let kappa = args.num("kappa", 24usize);
+    let ctx = kind
+        .needs_context()
+        .then(|| build_context(graph, &scenario.historical, kappa, PartitionStrategy::Bipartite));
+    kind.build(graph, scenario.taxis.len(), ctx, Some(mt_config(args)))
+}
+
 fn batch_config(args: &Args, kind: SchemeKind) -> Option<BatchConfig> {
     (kind == SchemeKind::MtShareBatch).then(|| {
         let mut bc = BatchConfig::default();
@@ -471,15 +526,7 @@ fn simulate(args: &Args) {
 
     let kind = scheme_kind(args);
     let batch = batch_config(args, kind);
-    let ctx = kind.needs_context().then(|| {
-        build_context(
-            &graph,
-            &scenario.historical,
-            args.num("kappa", 24usize),
-            PartitionStrategy::Bipartite,
-        )
-    });
-    let mut scheme = kind.build(&graph, scenario.taxis.len(), ctx, Some(mt_config(args)));
+    let mut scheme = build_scheme(args, kind, &graph, &scenario);
     let chaos = args.parsed("chaos-seed").map(|seed| {
         let mut chaos = mt_share::chaos::ChaosConfig::with_seed(seed);
         if let Some(mix) = args.get("disruptions") {
@@ -629,15 +676,7 @@ fn serve_cmd(args: &Args) {
 
     let kind = scheme_kind(args);
     let batch = batch_config(args, kind);
-    let ctx = kind.needs_context().then(|| {
-        build_context(
-            &graph,
-            &scenario.historical,
-            args.num("kappa", 24usize),
-            PartitionStrategy::Bipartite,
-        )
-    });
-    let mut scheme = kind.build(&graph, scenario.taxis.len(), ctx, Some(mt_config(args)));
+    let mut scheme = build_scheme(args, kind, &graph, &scenario);
     let failplan = failpoint_plan(args);
     let feed_faults = failplan.as_ref().map(|p| p.feed_faults()).filter(|f| !f.is_empty());
     let sim_cfg = SimConfig {

@@ -2,7 +2,43 @@
 //! checked as text. GitHub rejects a workflow that defines a job key twice,
 //! and then none of its jobs run: the keys indented by exactly two spaces
 //! under `jobs:` must be unique. And `mtshare` exits 2 on a flag it does
-//! not know, so a step that still passes a removed flag fails its job.
+//! not know, so a step that still passes a removed flag fails its job — as
+//! does a step that names a binary, test, example or package that has
+//! been deleted.
+
+use std::path::{Path, PathBuf};
+
+/// The root package's directory and every `crates/*` member's.
+fn package_dirs() -> Vec<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let members = std::fs::read_dir(root.join("crates")).expect("crates/").flatten();
+    std::iter::once(root.to_path_buf()).chain(members.map(|e| e.path())).collect()
+}
+
+/// File stems of the `.rs` files under `dir` of every package: the
+/// auto-discovered (and here also the declared) `--bin` / `--test` /
+/// `--example` targets.
+fn targets(dir: &str) -> Vec<String> {
+    let files = package_dirs().into_iter().filter_map(|p| std::fs::read_dir(p.join(dir)).ok());
+    files
+        .flat_map(|entries| entries.flatten().map(|e| e.path()))
+        .filter(|f| f.extension().is_some_and(|x| x == "rs"))
+        .filter_map(|f| Some(f.file_stem()?.to_str()?.to_string()))
+        .collect()
+}
+
+/// The first `name = "…"` of every manifest, which is `[package]`'s.
+fn packages() -> Vec<String> {
+    let manifests = package_dirs()
+        .into_iter()
+        .filter_map(|p| std::fs::read_to_string(p.join("Cargo.toml")).ok());
+    manifests
+        .filter_map(|m| {
+            let name = m.lines().find_map(|l| l.strip_prefix("name = \""))?;
+            Some(name.trim_end_matches('"').to_string())
+        })
+        .collect()
+}
 
 fn workflow() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/.github/workflows/ci.yml");
@@ -33,4 +69,25 @@ fn ci_job_keys_are_unique() {
     unique.sort_unstable();
     unique.dedup();
     assert_eq!(unique.len(), jobs.len(), "duplicate job key among {jobs:?}");
+}
+
+#[test]
+fn ci_names_only_targets_and_packages_of_this_workspace() {
+    let text = workflow();
+    let words: Vec<&str> = text.split_whitespace().collect();
+    for pair in words.windows(2) {
+        let known = match pair[0] {
+            "--bin" => targets("src/bin"),
+            "--test" => targets("tests"),
+            "--example" => targets("examples"),
+            "-p" => packages(),
+            _ => continue,
+        };
+        assert!(
+            known.iter().any(|k| k == pair[1]),
+            "ci.yml says `{} {}`, which is none of {known:?}",
+            pair[0],
+            pair[1]
+        );
+    }
 }

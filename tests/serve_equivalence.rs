@@ -149,6 +149,13 @@ fn bad_flag_combinations_fail_fast_with_exit_2() {
         // Dispatch is sequential only; the knob is gone, not ignored.
         (&["simulate", "--parallelism", "4"], "unknown flag --parallelism"),
         (&["serve", "--parallelism", "4"], "unknown flag --parallelism"),
+        // Every subcommand checks its flags against its own table.
+        (&["stats", "--hourz", "1"], "unknown flag --hourz for `mtshare stats`"),
+        (&["partition", "--kapa", "3"], "unknown flag --kapa for `mtshare partition`"),
+        (&["trace", "f.csv", "--bogus"], "unknown flag --bogus for `mtshare trace`"),
+        (&["stats", "--scheme", "t-share"], "unknown flag --scheme for `mtshare stats`"),
+        (&["stats", "--hours", "two"], "--hours: cannot parse `two`"),
+        (&["partition", "--historical", "many"], "--historical: cannot parse `many`"),
     ];
     for (argv, needle) in cases {
         let out = mtshare(&dir, argv);
@@ -166,6 +173,11 @@ fn help_prints_the_usage_on_stdout_and_exits_0() {
         assert_eq!(out.status.code(), Some(0), "`{argv:?}`");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.starts_with("usage:") && stdout.contains("mtshare serve"), "{stdout}");
+        // Accepted long before they were listed: the usage text is now
+        // generated from the tables the flag check reads.
+        for flag in ["[--rho X]", "[--kappa N]", "[--historical N]", "[--taxis N]", "[--rows N]"] {
+            assert!(stdout.contains(flag), "`{flag}` missing from {stdout}");
+        }
         assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
     }
 }
