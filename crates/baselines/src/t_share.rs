@@ -11,16 +11,14 @@
 use crate::common::{committed_load, remaining_cost, shortest_legs};
 use crate::grid_index::GridTaxiIndex;
 use mtshare_model::{
-    Assignment, DispatchOutcome, DispatchScheme, DpEngine, EngineStats, RideRequest,
-    ScheduleEngine, Taxi, TaxiId, Time, World,
+    first_feasible, Assignment, DispatchOutcome, DispatchScheme, RideRequest, Taxi, TaxiId, Time,
+    World,
 };
 use mtshare_road::RoadNetwork;
-use std::sync::Arc;
 
 /// The T-Share baseline.
 pub struct TShare {
     index: GridTaxiIndex,
-    engine: Arc<dyn ScheduleEngine>,
     gamma_m: f64,
     speed_mps: f64,
 }
@@ -33,19 +31,7 @@ impl TShare {
 
     /// Creates the scheme with explicit parameters.
     pub fn with_params(graph: &RoadNetwork, n_taxis: usize, gamma_m: f64, speed_mps: f64) -> Self {
-        Self {
-            index: GridTaxiIndex::new(graph, 500.0, n_taxis),
-            engine: Arc::new(DpEngine),
-            gamma_m,
-            speed_mps,
-        }
-    }
-
-    /// This scheme scoring through `engine` (`--scheduler dp|dtree`);
-    /// results are bit-identical across engines.
-    pub fn with_engine(mut self, engine: Arc<dyn ScheduleEngine>) -> Self {
-        self.engine = engine;
-        self
+        Self { index: GridTaxiIndex::new(graph, 500.0, n_taxis), gamma_m, speed_mps }
     }
 }
 
@@ -112,13 +98,13 @@ impl DispatchScheme for TShare {
         // First valid candidate wins; within a candidate, the first
         // feasible insertion in pinned `(i, j)` order wins (no min-detour
         // optimization). Rejecting an instance whose legs cannot be routed
-        // abandons pickup position `i` — the engine's `first_feasible`
+        // abandons pickup position `i` — `first_feasible`
         // replicates the historical `continue 'positions` behaviour.
         for &(_, id) in &candidates {
             let taxi = world.taxi(id);
             let pos = taxi.position_at(now);
             let mut routed = None;
-            let found = self.engine.first_feasible(taxi, req, now, world, &mut |schedule, _| {
+            let found = first_feasible(taxi, req, now, world, |schedule, _| {
                 match shortest_legs(world, pos, schedule) {
                     Some(legs) => {
                         routed = Some(legs);
@@ -144,17 +130,14 @@ impl DispatchScheme for TShare {
     }
 
     fn after_assign(&mut self, taxi: &Taxi, world: &World<'_>) {
-        self.engine.after_assign(taxi, world);
         self.index.update_taxi(taxi, world.graph, taxi.location_time);
     }
 
     fn on_taxi_progress(&mut self, taxi: &Taxi, now: Time, world: &World<'_>) {
-        self.engine.on_taxi_progress(taxi, world);
         self.index.update_taxi(taxi, world.graph, now);
     }
 
     fn on_taxi_removed(&mut self, taxi: &Taxi, _world: &World<'_>) {
-        self.engine.on_taxi_removed(taxi);
         self.index.remove_taxi(taxi.id);
     }
 
@@ -167,16 +150,11 @@ impl DispatchScheme for TShare {
     }
 
     fn restore_state(&mut self, bytes: &[u8], _world: &World<'_>) -> Result<(), String> {
-        self.engine.invalidate_all();
         self.index.restore_occupancy(bytes)
     }
 
     fn index_memory_bytes(&self) -> usize {
         self.index.memory_bytes()
-    }
-
-    fn scheduler_stats(&self) -> EngineStats {
-        self.engine.stats()
     }
 }
 

@@ -37,7 +37,11 @@ pub fn filter_partitions_observed(
 ) -> FilteredPartitions {
     let _span = obs.stage(Stage::PartitionFilter);
     let out = filter_partitions(graph, ctx, from, to, lambda, epsilon);
-    obs.add_filter_stats(ctx.kappa() as u64, out.partitions.len() as u64);
+    let (considered, kept) = (ctx.kappa() as u64, out.partitions.len() as u64);
+    obs.add(
+        "counters",
+        &[("filter_partitions_considered", considered), ("filter_partitions_kept", kept)],
+    );
     out
 }
 

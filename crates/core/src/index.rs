@@ -190,12 +190,6 @@ impl MobilityClusterIndex {
         }
     }
 
-    /// The cluster a request's mobility vector matches best (`C_a`), if any
-    /// live cluster is within λ.
-    pub fn cluster_for(&self, v: &MobilityVector) -> Option<ClusterId> {
-        self.clusterer.best_match(v)
-    }
-
     /// Every live cluster whose general vector is within λ of `v`.
     ///
     /// Incremental clustering can fragment one travel direction into
@@ -412,10 +406,10 @@ mod tests {
         assert_eq!(idx.cluster_of(TaxiId(1)), Some(c0));
         // A request with the same direction finds this cluster.
         let v = MobilityVector::new(g.point(NodeId(1)), g.point(NodeId(399)));
-        assert_eq!(idx.cluster_for(&v), Some(c0));
+        assert_eq!(idx.clusters_for(&v), [c0]);
         // An opposite request does not.
         let v_opp = MobilityVector::new(g.point(NodeId(399)), g.point(NodeId(0)));
-        assert_eq!(idx.cluster_for(&v_opp), None);
+        assert_eq!(idx.clusters_for(&v_opp), []);
         assert!(idx.memory_bytes() > 0);
     }
 }

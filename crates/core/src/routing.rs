@@ -324,7 +324,17 @@ impl SegmentRouter {
             Some(o) => o.with_vector(to, attempts),
             None => attempts(None),
         };
-        self.obs.add_alg4(unreachable, searches, biased.is_some());
+        self.obs.add(
+            "alg4",
+            &[
+                ("legs", 1),
+                ("corridors", unreachable + searches),
+                ("unreachable", unreachable),
+                ("searches", searches),
+                ("accepted", biased.is_some() as u64),
+                ("fallbacks", biased.is_none() as u64),
+            ],
+        );
         if biased.is_some() {
             return biased;
         }

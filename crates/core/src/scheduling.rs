@@ -13,6 +13,7 @@ use mtshare_model::{
     evaluate_schedule, Assignment, EvalContext, RideRequest, Schedule, ScheduleEngine, Taxi,
     TaxiId, Time, World,
 };
+use mtshare_obs::Obs;
 use mtshare_road::NodeId;
 use mtshare_routing::Path;
 
@@ -31,6 +32,13 @@ pub(crate) struct ScoredSlot {
 /// How many ranked instances to try materializing before giving up (only
 /// probabilistic routing can invalidate an instance at materialization).
 const MATERIALIZE_TRIES: usize = 8;
+
+/// Counts one scoring pass in the summary: `attempted` candidate schedules
+/// enumerated, `feasible` of them passing every deadline check.
+pub(crate) fn count_insertions(obs: &Obs, attempted: usize, feasible: usize) {
+    let (attempted, feasible) = (attempted as u64, feasible as u64);
+    obs.add("counters", &[("insertions_attempted", attempted), ("insertions_feasible", feasible)]);
+}
 
 /// Whether `taxi` plans probabilistic routes under `cfg` ("a taxi with half
 /// of the capacity in idle will enable the probabilistic routing",
@@ -72,7 +80,7 @@ pub fn schedule_best(
                 slots.push(ScoredSlot { taxi: taxi_id, i: ins.i, j: ins.j, detour_s: ins.delta_s });
             }
         }
-        router.obs().add_insertions(candidates.len() as u64, slots.len() as u64);
+        count_insertions(router.obs(), candidates.len(), slots.len());
     }
     let feasible = slots.len();
 

@@ -5,7 +5,7 @@ use crate::config::MtShareConfig;
 use crate::context::MobilityContext;
 use crate::index::{MobilityClusterIndex, PartitionTaxiIndex};
 use crate::routing::SegmentRouter;
-use crate::scheduling::schedule_best;
+use crate::scheduling::{count_insertions, schedule_best};
 use mtshare_model::{
     make_engine, DispatchOutcome, DispatchScheme, EngineStats, RideRequest, ScheduleEngine, Taxi,
     TaxiId, Time, WindowRow, World,
@@ -100,7 +100,7 @@ impl MtShare {
                     None => costs.push(f64::INFINITY),
                 }
             }
-            self.obs.add_insertions(candidates.len() as u64, feasible as u64);
+            count_insertions(&self.obs, candidates.len(), feasible);
         }
         WindowRow { candidates, candidate_versions, costs, feasible }
     }

@@ -73,19 +73,6 @@ pub struct LapSolution {
     pub stats: LapStats,
 }
 
-impl LapSolution {
-    /// Inverse view: for each column, the row assigned to it (if any).
-    pub fn col_to_row(&self, n_cols: usize) -> Vec<Option<usize>> {
-        let mut out = vec![None; n_cols];
-        for (i, j) in self.row_to_col.iter().enumerate() {
-            if let Some(j) = j {
-                out[*j] = Some(i);
-            }
-        }
-        out
-    }
-}
-
 /// Solves the rectangular assignment problem over `cost`, a row-major
 /// `n_rows × n_cols` matrix. `f64::INFINITY` entries are forbidden;
 /// every finite entry must be a non-NaN real.

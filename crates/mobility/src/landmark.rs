@@ -142,12 +142,6 @@ impl LandmarkGraph {
         self.costs.cost_from_idx(self.row_of[from.index()] as usize, self.landmark_of[to.index()])
     }
 
-    /// Travel cost from partition `p`'s landmark to any vertex.
-    #[inline]
-    pub fn cost_from_landmark(&self, p: PartitionId, v: NodeId) -> f32 {
-        self.costs.cost_from_idx(self.row_of[p.index()] as usize, v)
-    }
-
     /// Travel cost from any vertex to partition `p`'s landmark.
     #[inline]
     pub fn cost_to_landmark(&self, v: NodeId, p: PartitionId) -> f32 {
@@ -221,8 +215,6 @@ mod tests {
         for v in [NodeId(3), NodeId(250), NodeId(399)] {
             let want_to = d.cost(&g, v, lg.landmark(q)).unwrap();
             assert!((lg.cost_to_landmark(v, q) as f64 - want_to).abs() < 1e-2);
-            let want_from = d.cost(&g, lg.landmark(q), v).unwrap();
-            assert!((lg.cost_from_landmark(q, v) as f64 - want_from).abs() < 1e-2);
         }
     }
 

@@ -1,10 +1,9 @@
 //! The pluggable schedule-scoring engine behind `--scheduler dp|dtree`.
 //!
-//! Every dispatch scheme scores candidate taxis through a
-//! [`ScheduleEngine`]: mT-Share and pGreedyDP via
-//! [`ScheduleEngine::best_insertion`] (minimum-detour position pair),
-//! T-Share and NoSharing via [`ScheduleEngine::first_feasible`]
-//! (first-valid enumeration). Two engines exist:
+//! The minimum-detour schemes (mT-Share, pGreedyDP, batch) score
+//! candidate taxis through [`ScheduleEngine::best_insertion`]; T-Share and
+//! NoSharing take the first valid instance instead
+//! ([`crate::first_feasible`]) and hold no engine. Two engines exist:
 //!
 //! - [`DpEngine`] — the stateless per-request insertion DP
 //!   (`crate::best_insertion`), re-enumerating every candidate schedule
@@ -22,9 +21,7 @@
 
 use crate::insertion::{best_insertion, BestInsertion};
 use crate::request::{RequestId, RideRequest};
-use crate::schedule::{
-    evaluate_schedule, EvalContext, EventKind, Schedule, ScheduleEvaluation, ScheduleEvent,
-};
+use crate::schedule::{EventKind, ScheduleEvent};
 use crate::taxi::Taxi;
 use crate::{Time, World};
 use mtshare_dtree::{DTree, Insertion, Probe, Stop};
@@ -94,6 +91,25 @@ pub struct EngineStats {
     pub memo_fills: u64,
 }
 
+impl EngineStats {
+    /// The counters under their names in the summary's `profiling.dtree`
+    /// block, ready for `Obs::add`.
+    pub fn counters(&self) -> [(&'static str, u64); 10] {
+        [
+            ("scores", self.scores),
+            ("rebuilds", self.rebuilds),
+            ("advances", self.advances),
+            ("commits", self.commits),
+            ("removes", self.removes),
+            ("retimes", self.retimes),
+            ("legs_reused", self.legs_reused),
+            ("legs_filled", self.legs_filled),
+            ("memo_reuses", self.memo_reuses),
+            ("memo_fills", self.memo_fills),
+        ]
+    }
+}
+
 /// A schedule-scoring engine: the strategy object behind
 /// `--scheduler dp|dtree`.
 ///
@@ -120,49 +136,6 @@ pub trait ScheduleEngine: Send + Sync {
         world: &World<'_>,
         cost: &mut dyn FnMut(NodeId, NodeId) -> Option<f64>,
     ) -> Option<BestInsertion>;
-
-    /// First-valid insertion enumeration shared by the T-Share and
-    /// NoSharing baselines: walks `(i, j)` pairs in pinned order,
-    /// evaluates each instance over the oracle, and offers feasible ones
-    /// to `accept`. Returning `true` accepts (the pair is the result);
-    /// returning `false` abandons the pickup position `i` and advances
-    /// to `i + 1` (the baselines' historical `continue 'positions` when
-    /// leg materialization fails).
-    fn first_feasible(
-        &self,
-        taxi: &Taxi,
-        req: &RideRequest,
-        now: Time,
-        world: &World<'_>,
-        accept: &mut dyn FnMut(&Schedule, &ScheduleEvaluation) -> bool,
-    ) -> Option<(Schedule, ScheduleEvaluation)> {
-        let pos = taxi.position_at(now);
-        let requests = world.requests;
-        let lookup = |r| requests.get(r);
-        let ectx = EvalContext {
-            start_node: pos,
-            start_time: now,
-            initial_load: taxi.onboard_load(world.requests),
-            capacity: taxi.capacity as u32,
-            requests: &lookup,
-        };
-        let m = taxi.schedule.len();
-        for i in 0..=m {
-            for j in (i + 1)..=(m + 1) {
-                let schedule = taxi.schedule.with_insertion(req, i, j);
-                let Some(eval) =
-                    evaluate_schedule(&schedule, &ectx, |a, b| world.oracle.cost(a, b))
-                else {
-                    continue;
-                };
-                if accept(&schedule, &eval) {
-                    return Some((schedule, eval));
-                }
-                break; // abandon this pickup position
-            }
-        }
-        None
-    }
 
     /// `taxi`'s plan changed (assignment committed, chaos repair,
     /// retiming). Stateless engines ignore this; the dtree engine syncs
@@ -449,6 +422,7 @@ pub fn make_engine(kind: SchedulerKind, n_taxis: usize) -> Arc<dyn ScheduleEngin
 mod tests {
     use super::*;
     use crate::request::RequestStore;
+    use crate::schedule::Schedule;
     use crate::taxi::TaxiId;
     use mtshare_road::{grid_city, GridCityConfig};
     use mtshare_routing::{HotNodeOracle, PathCache};

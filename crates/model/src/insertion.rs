@@ -10,7 +10,7 @@
 //! (property-tested in `tests/insertion_oracle.rs`).
 
 use crate::request::RideRequest;
-use crate::schedule::EventKind;
+use crate::schedule::{evaluate_schedule, EvalContext, EventKind, Schedule, ScheduleEvaluation};
 use crate::taxi::Taxi;
 use crate::{Time, World};
 use mtshare_road::NodeId;
@@ -164,6 +164,45 @@ pub fn best_insertion(
         }
     }
     best
+}
+
+/// First-valid insertion enumeration shared by the T-Share and NoSharing
+/// baselines: walks `(i, j)` pairs in pinned order, evaluates each instance
+/// over the oracle, and offers feasible ones to `accept`. Returning `true`
+/// accepts (the pair is the result); returning `false` abandons the pickup
+/// position `i` and advances to `i + 1` (the baselines' historical
+/// `continue 'positions` when leg materialization fails).
+pub fn first_feasible(
+    taxi: &Taxi,
+    req: &RideRequest,
+    now: Time,
+    world: &World<'_>,
+    mut accept: impl FnMut(&Schedule, &ScheduleEvaluation) -> bool,
+) -> Option<(Schedule, ScheduleEvaluation)> {
+    let requests = world.requests;
+    let lookup = |r| requests.get(r);
+    let ectx = EvalContext {
+        start_node: taxi.position_at(now),
+        start_time: now,
+        initial_load: taxi.onboard_load(world.requests),
+        capacity: taxi.capacity as u32,
+        requests: &lookup,
+    };
+    let m = taxi.schedule.len();
+    for i in 0..=m {
+        for j in (i + 1)..=(m + 1) {
+            let schedule = taxi.schedule.with_insertion(req, i, j);
+            let Some(eval) = evaluate_schedule(&schedule, &ectx, |a, b| world.oracle.cost(a, b))
+            else {
+                continue;
+            };
+            if accept(&schedule, &eval) {
+                return Some((schedule, eval));
+            }
+            break; // abandon this pickup position
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -118,11 +118,6 @@ impl Schedule {
         true
     }
 
-    /// Request ids touched by this schedule.
-    pub fn request_ids(&self) -> impl Iterator<Item = RequestId> + '_ {
-        self.events.iter().map(|e| e.request)
-    }
-
     /// A copy of the schedule with every event of `req` removed — the
     /// repair step for cancellations and disruption-dropped riders.
     /// Removing events never breaks precedence for the remaining
@@ -286,7 +281,7 @@ mod tests {
         let s = Schedule::new().with_insertion(&r1, 0, 1).with_insertion(&r2, 1, 2);
         let repaired = s.without_request(RequestId(2));
         assert_eq!(repaired.len(), 2);
-        assert!(repaired.request_ids().all(|r| r == RequestId(1)));
+        assert!(repaired.events().iter().all(|e| e.request == RequestId(1)));
         assert!(repaired.precedence_ok());
         // Removing a request not present is a no-op copy.
         assert_eq!(s.without_request(RequestId(9)), s);

@@ -85,24 +85,6 @@ impl Taxi {
         (self.capacity as u32).saturating_sub(self.onboard_load(requests))
     }
 
-    /// Peak load over the remaining schedule (current load plus scheduled
-    /// pick-ups minus drop-offs, tracked event by event).
-    pub fn peak_load(&self, requests: &RequestStore) -> u32 {
-        let mut load = self.onboard_load(requests);
-        let mut peak = load;
-        for ev in self.schedule.events() {
-            let p = requests.get(ev.request).passengers as u32;
-            match ev.kind {
-                EventKind::Pickup => {
-                    load += p;
-                    peak = peak.max(load);
-                }
-                EventKind::Dropoff => load = load.saturating_sub(p),
-            }
-        }
-        peak
-    }
-
     /// The vertex the taxi occupies at time `now` (reads the route; idle
     /// taxis stay parked).
     pub fn position_at(&self, now: Time) -> NodeId {
@@ -276,19 +258,5 @@ mod tests {
         assert_eq!(t.location, NodeId(1));
         assert_eq!(t.position_at(1e9), NodeId(1));
         assert_eq!(t.next_event_time(), None);
-    }
-
-    #[test]
-    fn peak_load_tracks_schedule() {
-        let r1 = mkreq(0, 2, 6, 2);
-        let r2 = mkreq(1, 3, 5, 2);
-        let reqs = store_with(vec![r1.clone(), r2.clone()]);
-        let mut t = Taxi::new(TaxiId(0), 4, NodeId(0));
-        // P1 P2 D2 D1: peak 4.
-        t.schedule = Schedule::new().with_insertion(&r1, 0, 1).with_insertion(&r2, 1, 2);
-        assert_eq!(t.peak_load(&reqs), 4);
-        // Sequential: peak 2.
-        t.schedule = Schedule::new().with_insertion(&r1, 0, 1).with_insertion(&r2, 2, 3);
-        assert_eq!(t.peak_load(&reqs), 2);
     }
 }

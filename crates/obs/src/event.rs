@@ -6,8 +6,7 @@
 //! runs of one scenario. Wall-clock never appears here — it lives only
 //! in the summary's strippable `profiling` subtree.
 
-use crate::json::fmt_f64;
-use std::fmt::Write as _;
+use crate::schema::{write_fields, Val, EVENT_SCHEMA};
 
 /// Why a request could not be served. The order of variants is the
 /// classification order: the first failing precondition names the
@@ -48,62 +47,49 @@ pub enum RejectReason {
     DrainRejected,
 }
 
+/// Every reason with its snake_case label, in stable (serialization)
+/// order — which is also declaration order, so a variant's discriminant
+/// is its position here.
+const REASONS: [(RejectReason, &str); 12] = [
+    (RejectReason::EmptyFleet, "empty_fleet"),
+    (RejectReason::UnreachableOd, "unreachable_od"),
+    (RejectReason::InfeasibleDeadline, "infeasible_deadline"),
+    (RejectReason::ZeroCapacity, "zero_capacity"),
+    (RejectReason::NoFeasibleInsertion, "no_feasible_insertion"),
+    (RejectReason::OfflineExpired, "offline_expired"),
+    (RejectReason::CancelledByPassenger, "cancelled_by_passenger"),
+    (RejectReason::TaxiFailed, "taxi_failed"),
+    (RejectReason::RetriesExhausted, "retries_exhausted"),
+    (RejectReason::QueueShed, "queue_shed"),
+    (RejectReason::QueueRejected, "queue_rejected"),
+    (RejectReason::DrainRejected, "drain_rejected"),
+];
+
 impl RejectReason {
     /// All variants in stable (serialization) order.
-    pub const ALL: [RejectReason; 12] = [
-        RejectReason::EmptyFleet,
-        RejectReason::UnreachableOd,
-        RejectReason::InfeasibleDeadline,
-        RejectReason::ZeroCapacity,
-        RejectReason::NoFeasibleInsertion,
-        RejectReason::OfflineExpired,
-        RejectReason::CancelledByPassenger,
-        RejectReason::TaxiFailed,
-        RejectReason::RetriesExhausted,
-        RejectReason::QueueShed,
-        RejectReason::QueueRejected,
-        RejectReason::DrainRejected,
-    ];
+    pub const ALL: [RejectReason; REASONS.len()] = {
+        let mut all = [RejectReason::EmptyFleet; REASONS.len()];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = REASONS[i].0;
+            i += 1;
+        }
+        all
+    };
 
     /// The snake_case label used in JSONL events and the summary.
     pub fn label(self) -> &'static str {
-        match self {
-            RejectReason::EmptyFleet => "empty_fleet",
-            RejectReason::UnreachableOd => "unreachable_od",
-            RejectReason::InfeasibleDeadline => "infeasible_deadline",
-            RejectReason::ZeroCapacity => "zero_capacity",
-            RejectReason::NoFeasibleInsertion => "no_feasible_insertion",
-            RejectReason::OfflineExpired => "offline_expired",
-            RejectReason::CancelledByPassenger => "cancelled_by_passenger",
-            RejectReason::TaxiFailed => "taxi_failed",
-            RejectReason::RetriesExhausted => "retries_exhausted",
-            RejectReason::QueueShed => "queue_shed",
-            RejectReason::QueueRejected => "queue_rejected",
-            RejectReason::DrainRejected => "drain_rejected",
-        }
+        REASONS[self.index()].1
     }
 
     /// Index into [`RejectReason::ALL`] (and the counter array).
     pub fn index(self) -> usize {
-        match self {
-            RejectReason::EmptyFleet => 0,
-            RejectReason::UnreachableOd => 1,
-            RejectReason::InfeasibleDeadline => 2,
-            RejectReason::ZeroCapacity => 3,
-            RejectReason::NoFeasibleInsertion => 4,
-            RejectReason::OfflineExpired => 5,
-            RejectReason::CancelledByPassenger => 6,
-            RejectReason::TaxiFailed => 7,
-            RejectReason::RetriesExhausted => 8,
-            RejectReason::QueueShed => 9,
-            RejectReason::QueueRejected => 10,
-            RejectReason::DrainRejected => 11,
-        }
+        self as usize
     }
 
     /// Inverse of [`RejectReason::label`].
     pub fn from_label(s: &str) -> Option<RejectReason> {
-        RejectReason::ALL.iter().copied().find(|r| r.label() == s)
+        REASONS.iter().find(|(_, label)| *label == s).map(|(r, _)| *r)
     }
 }
 
@@ -316,29 +302,17 @@ pub enum Event {
     },
 }
 
-/// Event kinds, for counting. Order matches serialization labels; the
-/// persistence meta kinds sit at the end so pre-existing indices are
-/// stable.
-pub const EVENT_KINDS: [&str; 18] = [
-    "arrival",
-    "dispatch",
-    "commit",
-    "reject",
-    "encounter",
-    "pickup",
-    "dropoff",
-    "breakdown",
-    "cancel",
-    "traffic_shift",
-    "reroute",
-    "redispatch",
-    "invariant_violation",
-    "checkpoint",
-    "restore",
-    "storage_fault",
-    "durability_degraded",
-    "feed_fault",
-];
+/// Event kind labels in [`Event::kind_index`] order, for counting: the
+/// labels of the [`EVENT_SCHEMA`] rows.
+pub const EVENT_KINDS: [&str; EVENT_SCHEMA.len()] = {
+    let mut kinds = [""; EVENT_SCHEMA.len()];
+    let mut i = 0;
+    while i < kinds.len() {
+        kinds[i] = EVENT_SCHEMA[i].label;
+        i += 1;
+    }
+    kinds
+};
 
 impl Event {
     /// Simulation timestamp of the event.
@@ -365,184 +339,77 @@ impl Event {
         }
     }
 
+    /// Calls `f` with the variant's row of [`EVENT_SCHEMA`] and its field
+    /// values in that row's key order. The one per-variant list of the
+    /// encoding: labels, keys and the meta flag come from the table.
+    fn with_row<R>(&self, f: impl FnOnce(usize, &[Val<'_>]) -> R) -> R {
+        use Val::{B, F, S, U};
+        let n = |v: &u32| U(u64::from(*v));
+        match self {
+            Event::Arrival { t, req, offline } => f(0, &[F(*t), n(req), B(*offline)]),
+            Event::Dispatch { t, req, candidates, feasible } => {
+                f(1, &[F(*t), n(req), n(candidates), n(feasible)])
+            }
+            Event::Commit { t, req, taxi, detour_s, schedule_len } => {
+                f(2, &[F(*t), n(req), n(taxi), F(*detour_s), n(schedule_len)])
+            }
+            Event::Reject { t, req, reason } => f(3, &[F(*t), n(req), S(reason.label())]),
+            Event::Encounter { t, req, taxi } => f(4, &[F(*t), n(req), n(taxi)]),
+            Event::Pickup { t, req, taxi, wait_s } => f(5, &[F(*t), n(req), n(taxi), F(*wait_s)]),
+            Event::Dropoff { t, req, taxi, detour_s } => {
+                f(6, &[F(*t), n(req), n(taxi), F(*detour_s)])
+            }
+            Event::Breakdown { t, taxi, orphans } => f(7, &[F(*t), n(taxi), n(orphans)]),
+            Event::Cancel { t, req, assigned } => f(8, &[F(*t), n(req), B(*assigned)]),
+            Event::TrafficShift { t, node, radius_m, factor, duration_s } => {
+                f(9, &[F(*t), n(node), F(*radius_m), F(*factor), F(*duration_s)])
+            }
+            Event::Reroute { t, taxi, renegotiated, dropped } => {
+                f(10, &[F(*t), n(taxi), n(renegotiated), n(dropped)])
+            }
+            Event::Redispatch { t, req, attempt, ok } => {
+                f(11, &[F(*t), n(req), n(attempt), B(*ok)])
+            }
+            Event::InvariantViolation { t, check } => f(12, &[F(*t), S(check)]),
+            Event::Checkpoint { t, step, bytes } => f(13, &[F(*t), U(*step), U(*bytes)]),
+            Event::Restore { t, step, snapshot_step, wal_replayed } => {
+                f(14, &[F(*t), U(*step), U(*snapshot_step), U(*wal_replayed)])
+            }
+            Event::StorageFault { t, step, op, class } => {
+                f(15, &[F(*t), U(*step), S(op), S(class)])
+            }
+            Event::DurabilityDegraded { t, step, quarantined } => {
+                f(16, &[F(*t), U(*step), B(*quarantined)])
+            }
+            Event::FeedFault { t, line, kind } => f(17, &[F(*t), U(*line), S(kind)]),
+        }
+    }
+
     /// Index into [`EVENT_KINDS`].
     pub fn kind_index(&self) -> usize {
-        match self {
-            Event::Arrival { .. } => 0,
-            Event::Dispatch { .. } => 1,
-            Event::Commit { .. } => 2,
-            Event::Reject { .. } => 3,
-            Event::Encounter { .. } => 4,
-            Event::Pickup { .. } => 5,
-            Event::Dropoff { .. } => 6,
-            Event::Breakdown { .. } => 7,
-            Event::Cancel { .. } => 8,
-            Event::TrafficShift { .. } => 9,
-            Event::Reroute { .. } => 10,
-            Event::Redispatch { .. } => 11,
-            Event::InvariantViolation { .. } => 12,
-            Event::Checkpoint { .. } => 13,
-            Event::Restore { .. } => 14,
-            Event::StorageFault { .. } => 15,
-            Event::DurabilityDegraded { .. } => 16,
-            Event::FeedFault { .. } => 17,
-        }
+        self.with_row(|kind, _| kind)
     }
 
     /// Whether this is a persistence/fault meta event: emitted through
     /// the meta path only, never part of the canonical deterministic
     /// stream or aggregates.
     pub fn is_meta(&self) -> bool {
-        matches!(
-            self,
-            Event::Checkpoint { .. }
-                | Event::Restore { .. }
-                | Event::StorageFault { .. }
-                | Event::DurabilityDegraded { .. }
-                | Event::FeedFault { .. }
-        )
+        EVENT_SCHEMA[self.kind_index()].meta
     }
 
     /// Encodes the event as one JSONL line (no trailing newline), with
     /// a fixed key order per kind so the byte stream is canonical.
     pub fn to_jsonl(&self) -> String {
-        let mut s = String::with_capacity(64);
-        match self {
-            Event::Arrival { t, req, offline } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"arrival","t":{},"req":{req},"offline":{offline}}}"#,
-                    fmt_f64(*t)
-                );
-            }
-            Event::Dispatch { t, req, candidates, feasible } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"dispatch","t":{},"req":{req},"candidates":{candidates},"feasible":{feasible}}}"#,
-                    fmt_f64(*t)
-                );
-            }
-            Event::Commit { t, req, taxi, detour_s, schedule_len } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"commit","t":{},"req":{req},"taxi":{taxi},"detour_s":{},"schedule_len":{schedule_len}}}"#,
-                    fmt_f64(*t),
-                    fmt_f64(*detour_s)
-                );
-            }
-            Event::Reject { t, req, reason } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"reject","t":{},"req":{req},"reason":"{}"}}"#,
-                    fmt_f64(*t),
-                    reason.label()
-                );
-            }
-            Event::Encounter { t, req, taxi } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"encounter","t":{},"req":{req},"taxi":{taxi}}}"#,
-                    fmt_f64(*t)
-                );
-            }
-            Event::Pickup { t, req, taxi, wait_s } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"pickup","t":{},"req":{req},"taxi":{taxi},"wait_s":{}}}"#,
-                    fmt_f64(*t),
-                    fmt_f64(*wait_s)
-                );
-            }
-            Event::Dropoff { t, req, taxi, detour_s } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"dropoff","t":{},"req":{req},"taxi":{taxi},"detour_s":{}}}"#,
-                    fmt_f64(*t),
-                    fmt_f64(*detour_s)
-                );
-            }
-            Event::Breakdown { t, taxi, orphans } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"breakdown","t":{},"taxi":{taxi},"orphans":{orphans}}}"#,
-                    fmt_f64(*t)
-                );
-            }
-            Event::Cancel { t, req, assigned } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"cancel","t":{},"req":{req},"assigned":{assigned}}}"#,
-                    fmt_f64(*t)
-                );
-            }
-            Event::TrafficShift { t, node, radius_m, factor, duration_s } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"traffic_shift","t":{},"node":{node},"radius_m":{},"factor":{},"duration_s":{}}}"#,
-                    fmt_f64(*t),
-                    fmt_f64(*radius_m),
-                    fmt_f64(*factor),
-                    fmt_f64(*duration_s)
-                );
-            }
-            Event::Reroute { t, taxi, renegotiated, dropped } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"reroute","t":{},"taxi":{taxi},"renegotiated":{renegotiated},"dropped":{dropped}}}"#,
-                    fmt_f64(*t)
-                );
-            }
-            Event::Redispatch { t, req, attempt, ok } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"redispatch","t":{},"req":{req},"attempt":{attempt},"ok":{ok}}}"#,
-                    fmt_f64(*t)
-                );
-            }
-            Event::InvariantViolation { t, check } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"invariant_violation","t":{},"check":"{check}"}}"#,
-                    fmt_f64(*t)
-                );
-            }
-            Event::Checkpoint { t, step, bytes } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"checkpoint","t":{},"step":{step},"bytes":{bytes}}}"#,
-                    fmt_f64(*t)
-                );
-            }
-            Event::Restore { t, step, snapshot_step, wal_replayed } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"restore","t":{},"step":{step},"snapshot_step":{snapshot_step},"wal_replayed":{wal_replayed}}}"#,
-                    fmt_f64(*t)
-                );
-            }
-            Event::StorageFault { t, step, op, class } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"storage_fault","t":{},"step":{step},"op":"{op}","class":"{class}"}}"#,
-                    fmt_f64(*t)
-                );
-            }
-            Event::DurabilityDegraded { t, step, quarantined } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"durability_degraded","t":{},"step":{step},"quarantined":{quarantined}}}"#,
-                    fmt_f64(*t)
-                );
-            }
-            Event::FeedFault { t, line, kind } => {
-                let _ = write!(
-                    s,
-                    r#"{{"ev":"feed_fault","t":{},"line":{line},"kind":"{kind}"}}"#,
-                    fmt_f64(*t)
-                );
-            }
-        }
-        s
+        self.with_row(|kind, vals| {
+            let row = &EVENT_SCHEMA[kind];
+            let mut s = String::with_capacity(96);
+            s.push_str(r#"{"ev":""#);
+            s.push_str(row.label);
+            s.push_str("\",");
+            write_fields(&mut s, row.fields, vals);
+            s.push('}');
+            s
+        })
     }
 }
 
@@ -553,39 +420,115 @@ mod tests {
 
     #[test]
     fn jsonl_is_valid_json_with_expected_keys() {
+        // One instance of every kind against its exact line: the byte
+        // stream is a contract (`cmp`-identical traces across arms).
         let evs = [
-            Event::Arrival { t: 1.5, req: 7, offline: true },
-            Event::Dispatch { t: 1.5, req: 7, candidates: 12, feasible: 3 },
-            Event::Commit { t: 1.5, req: 7, taxi: 2, detour_s: 30.25, schedule_len: 4 },
-            Event::Reject { t: 2.0, req: 8, reason: RejectReason::UnreachableOd },
-            Event::Encounter { t: 3.0, req: 9, taxi: 1 },
-            Event::Pickup { t: 4.0, req: 7, taxi: 2, wait_s: 61.5 },
-            Event::Dropoff { t: 5.0, req: 7, taxi: 2, detour_s: 30.25 },
-            Event::Breakdown { t: 6.0, taxi: 2, orphans: 3 },
-            Event::Cancel { t: 6.5, req: 10, assigned: true },
-            Event::TrafficShift {
-                t: 7.0,
-                node: 42,
-                radius_m: 600.0,
-                factor: 0.5,
-                duration_s: 900.0,
-            },
-            Event::Reroute { t: 7.5, taxi: 1, renegotiated: 1, dropped: 2 },
-            Event::Redispatch { t: 8.0, req: 9, attempt: 2, ok: false },
-            Event::InvariantViolation { t: 9.0, check: "seat_accounting".to_string() },
-            Event::Checkpoint { t: 10.0, step: 512, bytes: 20480 },
-            Event::Restore { t: 10.5, step: 700, snapshot_step: 512, wal_replayed: 188 },
-            Event::StorageFault { t: 11.0, step: 710, op: "wal_append", class: "no_space" },
-            Event::DurabilityDegraded { t: 11.0, step: 710, quarantined: true },
-            Event::FeedFault { t: 11.5, line: 4021, kind: "disconnect" },
+            (
+                Event::Arrival { t: 1.5, req: 7, offline: true },
+                r#"{"ev":"arrival","t":1.5,"req":7,"offline":true}"#,
+            ),
+            (
+                Event::Dispatch { t: 1.5, req: 7, candidates: 12, feasible: 3 },
+                r#"{"ev":"dispatch","t":1.5,"req":7,"candidates":12,"feasible":3}"#,
+            ),
+            (
+                Event::Commit { t: 1.5, req: 7, taxi: 2, detour_s: 30.25, schedule_len: 4 },
+                r#"{"ev":"commit","t":1.5,"req":7,"taxi":2,"detour_s":30.25,"schedule_len":4}"#,
+            ),
+            (
+                Event::Reject { t: 2.0, req: 8, reason: RejectReason::UnreachableOd },
+                r#"{"ev":"reject","t":2,"req":8,"reason":"unreachable_od"}"#,
+            ),
+            (
+                Event::Encounter { t: 3.0, req: 9, taxi: 1 },
+                r#"{"ev":"encounter","t":3,"req":9,"taxi":1}"#,
+            ),
+            (
+                Event::Pickup { t: 4.0, req: 7, taxi: 2, wait_s: 61.5 },
+                r#"{"ev":"pickup","t":4,"req":7,"taxi":2,"wait_s":61.5}"#,
+            ),
+            (
+                Event::Dropoff { t: 5.0, req: 7, taxi: 2, detour_s: 30.25 },
+                r#"{"ev":"dropoff","t":5,"req":7,"taxi":2,"detour_s":30.25}"#,
+            ),
+            (
+                Event::Breakdown { t: 6.0, taxi: 2, orphans: 3 },
+                r#"{"ev":"breakdown","t":6,"taxi":2,"orphans":3}"#,
+            ),
+            (
+                Event::Cancel { t: 6.5, req: 10, assigned: true },
+                r#"{"ev":"cancel","t":6.5,"req":10,"assigned":true}"#,
+            ),
+            (
+                Event::TrafficShift {
+                    t: 7.0,
+                    node: 42,
+                    radius_m: 600.0,
+                    factor: 0.5,
+                    duration_s: 900.0,
+                },
+                r#"{"ev":"traffic_shift","t":7,"node":42,"radius_m":600,"factor":0.5,"duration_s":900}"#,
+            ),
+            (
+                Event::Reroute { t: 7.5, taxi: 1, renegotiated: 1, dropped: 2 },
+                r#"{"ev":"reroute","t":7.5,"taxi":1,"renegotiated":1,"dropped":2}"#,
+            ),
+            (
+                Event::Redispatch { t: 8.0, req: 9, attempt: 2, ok: false },
+                r#"{"ev":"redispatch","t":8,"req":9,"attempt":2,"ok":false}"#,
+            ),
+            (
+                Event::InvariantViolation { t: 9.0, check: "seat_accounting".to_string() },
+                r#"{"ev":"invariant_violation","t":9,"check":"seat_accounting"}"#,
+            ),
+            (
+                Event::Checkpoint { t: 10.0, step: 512, bytes: 20480 },
+                r#"{"ev":"checkpoint","t":10,"step":512,"bytes":20480}"#,
+            ),
+            (
+                Event::Restore { t: 10.5, step: 700, snapshot_step: 512, wal_replayed: 188 },
+                r#"{"ev":"restore","t":10.5,"step":700,"snapshot_step":512,"wal_replayed":188}"#,
+            ),
+            (
+                Event::StorageFault { t: 11.0, step: 710, op: "wal_append", class: "no_space" },
+                r#"{"ev":"storage_fault","t":11,"step":710,"op":"wal_append","class":"no_space"}"#,
+            ),
+            (
+                Event::DurabilityDegraded { t: 11.0, step: 710, quarantined: true },
+                r#"{"ev":"durability_degraded","t":11,"step":710,"quarantined":true}"#,
+            ),
+            (
+                Event::FeedFault { t: 11.5, line: 4021, kind: "disconnect" },
+                r#"{"ev":"feed_fault","t":11.5,"line":4021,"kind":"disconnect"}"#,
+            ),
         ];
-        for (i, ev) in evs.iter().enumerate() {
+        assert_eq!(evs.len(), EVENT_KINDS.len());
+        for (i, (ev, golden)) in evs.iter().enumerate() {
             let line = ev.to_jsonl();
+            assert_eq!(line, *golden);
             let v = json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(v.get("ev").and_then(|v| v.as_str()), Some(EVENT_KINDS[i]));
             assert_eq!(v.get("t").and_then(|v| v.as_num()), Some(ev.t()));
             assert_eq!(ev.kind_index(), i);
+            assert_eq!(ev.is_meta(), i >= 13, "{line}");
+            // The values each variant yields fill its table row, type for type.
+            let row_tys: Vec<_> = EVENT_SCHEMA[i].fields.iter().map(|f| f.1).collect();
+            assert_eq!(
+                ev.with_row(|_, vals| vals.iter().map(Val::ty).collect::<Vec<_>>()),
+                row_tys
+            );
         }
+    }
+
+    #[test]
+    fn string_fields_are_escaped() {
+        // `check` used to be written raw: a quote or backslash in an
+        // invariant's name made the whole line invalid JSON.
+        let check = "a \"quoted\" \\ name";
+        let line = Event::InvariantViolation { t: 9.0, check: check.to_string() }.to_jsonl();
+        let v = json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        assert_eq!(v.get("check").and_then(|c| c.as_str()), Some(check));
+        crate::schema::validate_event_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
     }
 
     #[test]

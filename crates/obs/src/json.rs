@@ -14,12 +14,17 @@ use std::fmt::Write as _;
 /// mapped to `0` (JSON has no NaN/Inf; telemetry never produces them in
 /// practice).
 pub fn fmt_f64(v: f64) -> String {
+    let mut s = String::new();
+    write_f64(&mut s, v);
+    s
+}
+
+/// Appends [`fmt_f64`]`(v)` to `out` without the intermediate string.
+pub(crate) fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let mut s = String::new();
-        let _ = write!(s, "{v}");
-        s
+        let _ = write!(out, "{v}");
     } else {
-        "0".to_string()
+        out.push('0');
     }
 }
 

@@ -40,6 +40,7 @@ pub use span::Stage;
 pub use steady::{rss_bytes, SteadyExtra, SteadyTracker, STEADY_SCHEMA};
 
 use mtshare_persist::{DecodeError, Decoder, Encoder, Persist};
+use schema::Extra;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -65,10 +66,6 @@ use std::time::Instant;
 /// counters), the first block present only when its feature ran.
 pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v12";
 
-/// Fields of `profiling.alg4`, in the order [`Obs::add_alg4`] counts them.
-pub(crate) const ALG4_FIELDS: [&str; 6] =
-    ["legs", "corridors", "unreachable", "searches", "accepted", "fallbacks"];
-
 /// Static facts about the run, reported verbatim in the summary.
 #[derive(Debug, Clone, Default)]
 pub struct RunInfo {
@@ -80,73 +77,6 @@ pub struct RunInfo {
     pub n_requests: usize,
     /// Offline requests among them.
     pub n_offline: usize,
-}
-
-/// End-of-run statistics pulled from the shared routing structures
-/// (`PathCache`, `HotNodeOracle`). Plain integers so this crate does
-/// not depend on `mtshare-routing`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExternalStats {
-    /// Path-cache hits.
-    pub cache_hits: u64,
-    /// Path-cache misses.
-    pub cache_misses: u64,
-    /// Path-cache evictions.
-    pub cache_evictions: u64,
-    /// Oracle answers served from pinned hot-node vectors.
-    pub oracle_vector_hits: u64,
-    /// Oracle fallback graph searches.
-    pub oracle_searches: u64,
-    /// Hot-node vector computations (pin events).
-    pub oracle_pin_computes: u64,
-    /// Hot-node vectors freed (refcount reached zero).
-    pub oracle_evictions: u64,
-    /// Contraction-hierarchy point-to-point queries (0 under the
-    /// bidirectional router).
-    pub ch_p2p_queries: u64,
-    /// Bucket many-to-one sweeps.
-    pub ch_bucket_sweeps: u64,
-    /// Total sources across all bucket sweeps.
-    pub ch_bucket_sources: u64,
-    /// Shortcut edges in the loaded/built hierarchy.
-    pub ch_shortcuts: u64,
-    /// Customizable-hierarchy point-to-point queries (0 unless
-    /// `--router cch`).
-    pub cch_p2p_queries: u64,
-    /// Customizable-hierarchy bucket many-to-one sweeps.
-    pub cch_bucket_sweeps: u64,
-    /// Total sources across all CCH bucket sweeps.
-    pub cch_bucket_sources: u64,
-    /// Metric customizations performed (1 for the base metric, plus one
-    /// per traffic-shift boundary crossed).
-    pub cch_customizations: u64,
-    /// Skeleton arcs the nested-dissection elimination added beyond the
-    /// original edges (fill-in).
-    pub cch_fill_arcs: u64,
-    /// Dynamic-tree scheduler: insertion scorings served by trees.
-    pub dtree_scores: u64,
-    /// Dynamic-tree scheduler: full spine rebuilds.
-    pub dtree_rebuilds: u64,
-    /// Dynamic-tree scheduler: completed-stop advances.
-    pub dtree_advances: u64,
-    /// Dynamic-tree scheduler: winning-branch promotions (splice-ins).
-    pub dtree_commits: u64,
-    /// Dynamic-tree scheduler: request splice-outs (cancel/repair).
-    pub dtree_removes: u64,
-    /// Dynamic-tree scheduler: version refreshes after retiming.
-    pub dtree_retimes: u64,
-    /// Dynamic-tree scheduler: committed-leg costs served from spine
-    /// caches.
-    pub dtree_legs_reused: u64,
-    /// Dynamic-tree scheduler: committed-leg costs filled by a fresh
-    /// oracle query.
-    pub dtree_legs_filled: u64,
-    /// Dynamic-tree scheduler: per-evaluation memo hits (queries the
-    /// insertion DP would have re-issued).
-    pub dtree_memo_reuses: u64,
-    /// Dynamic-tree scheduler: per-evaluation memo fills (distinct
-    /// oracle queries).
-    pub dtree_memo_fills: u64,
 }
 
 /// Deterministic aggregates, updated only by [`Obs::emit`].
@@ -194,40 +124,19 @@ struct ObsCore {
     sinks: Mutex<Vec<Box<dyn EventSink>>>,
     agg: Mutex<Aggregates>,
     run: Mutex<RunInfo>,
-    external: Mutex<ExternalStats>,
     // ---- updated through `&self` from the schemes (profiling) ----
     stages: [Histogram; Stage::COUNT],
-    filter_considered: AtomicU64,
-    filter_kept: AtomicU64,
-    insertions_attempted: AtomicU64,
-    insertions_feasible: AtomicU64,
-    alg4: [AtomicU64; 6],
+    /// Every counter of every `profiling` block, flat in
+    /// [`schema::BLOCKS`] order ([`schema::slot`]).
+    counters: [AtomicU64; schema::N_COUNTERS],
     response_s: Histogram,
-    // ---- batch assignment solver (profiling) ----
-    lap_solves: AtomicU64,
-    lap_rows: AtomicU64,
-    lap_cols: AtomicU64,
-    lap_assigned: AtomicU64,
-    lap_augmentations: AtomicU64,
-    lap_relaxations: AtomicU64,
-    lap_skipped_rows: AtomicU64,
     // ---- persistence (profiling) ----
     /// While set, `emit` updates aggregates but suppresses sink
     /// forwarding: WAL replay after a warm restart re-executes events
     /// that the pre-crash run already wrote to its trace.
     muted: AtomicBool,
-    checkpoints: AtomicU64,
-    restores: AtomicU64,
-    wal_records: AtomicU64,
-    wal_bytes: AtomicU64,
     checkpoint_bytes: Histogram,
     checkpoint_write_s: Histogram,
-    // ---- storage/feed faults (profiling) ----
-    wal_faults: AtomicU64,
-    snapshot_faults: AtomicU64,
-    feed_faults: AtomicU64,
-    dir_sync_unsupported: AtomicU64,
-    quarantines: AtomicU64,
 }
 
 impl ObsCore {
@@ -236,33 +145,12 @@ impl ObsCore {
             sinks: Mutex::new(Vec::new()),
             agg: Mutex::new(Aggregates::default()),
             run: Mutex::new(RunInfo::default()),
-            external: Mutex::new(ExternalStats::default()),
             stages: std::array::from_fn(|_| Histogram::new()),
-            filter_considered: AtomicU64::new(0),
-            filter_kept: AtomicU64::new(0),
-            insertions_attempted: AtomicU64::new(0),
-            insertions_feasible: AtomicU64::new(0),
-            alg4: Default::default(),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             response_s: Histogram::new(),
-            lap_solves: AtomicU64::new(0),
-            lap_rows: AtomicU64::new(0),
-            lap_cols: AtomicU64::new(0),
-            lap_assigned: AtomicU64::new(0),
-            lap_augmentations: AtomicU64::new(0),
-            lap_relaxations: AtomicU64::new(0),
-            lap_skipped_rows: AtomicU64::new(0),
             muted: AtomicBool::new(false),
-            checkpoints: AtomicU64::new(0),
-            restores: AtomicU64::new(0),
-            wal_records: AtomicU64::new(0),
-            wal_bytes: AtomicU64::new(0),
             checkpoint_bytes: Histogram::new(),
             checkpoint_write_s: Histogram::new(),
-            wal_faults: AtomicU64::new(0),
-            snapshot_faults: AtomicU64::new(0),
-            feed_faults: AtomicU64::new(0),
-            dir_sync_unsupported: AtomicU64::new(0),
-            quarantines: AtomicU64::new(0),
         }
     }
 }
@@ -394,68 +282,13 @@ impl Obs {
         self.core.as_ref().map(|c| c.muted.load(Ordering::Relaxed)).unwrap_or(false)
     }
 
-    /// Records one snapshot write: payload size in bytes and wall-clock
-    /// write latency in seconds (profiling).
+    /// Records one snapshot write into the `persistence` histograms:
+    /// payload size in bytes and wall-clock write latency in seconds
+    /// (profiling; the count is the `persistence.checkpoints` counter).
     pub fn record_checkpoint(&self, bytes: u64, write_s: f64) {
         if let Some(core) = &self.core {
-            core.checkpoints.fetch_add(1, Ordering::Relaxed);
             core.checkpoint_bytes.record(bytes as f64);
             core.checkpoint_write_s.record(write_s);
-        }
-    }
-
-    /// Records one warm restart from persisted state (profiling).
-    pub fn record_restore(&self) {
-        if let Some(core) = &self.core {
-            core.restores.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one appended WAL record of `bytes` payload bytes
-    /// (profiling).
-    pub fn record_wal_append(&self, bytes: u64) {
-        if let Some(core) = &self.core {
-            core.wal_records.fetch_add(1, Ordering::Relaxed);
-            core.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one mid-run storage fault on operation `op`
-    /// (`wal_append`, `wal_sync`, `snapshot_write`, `snapshot_read`,
-    /// `dir_sync`): WAL ops count against the `wal` bucket, everything
-    /// else against `snapshot` (profiling).
-    pub fn record_storage_fault(&self, op: &str) {
-        if let Some(core) = &self.core {
-            if op.starts_with("wal") {
-                core.wal_faults.fetch_add(1, Ordering::Relaxed);
-            } else {
-                core.snapshot_faults.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Records one feed-transport fault (disconnect, oversized or
-    /// malformed line) observed by the serve loop (profiling).
-    pub fn record_feed_fault(&self) {
-        if let Some(core) = &self.core {
-            core.feed_faults.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one tolerated "this filesystem cannot fsync a directory"
-    /// outcome of a snapshot rename (profiling). Real directory-fsync
-    /// failures surface as storage faults instead.
-    pub fn record_dir_sync_unsupported(&self) {
-        if let Some(core) = &self.core {
-            core.dir_sync_unsupported.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one quarantined state-dir generation — the degrade
-    /// durability policy moved the bad generation aside (profiling).
-    pub fn record_quarantine(&self) {
-        if let Some(core) = &self.core {
-            core.quarantines.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -483,69 +316,29 @@ impl Obs {
         StageSpan { inner: self.core.as_ref().map(|c| (Instant::now(), c.clone(), stage)) }
     }
 
-    /// Records a partition-filter evaluation: `considered` partitions
-    /// scanned, `kept` surviving the λ/ε prune.
+    /// Adds to counters of one `profiling` block of the summary, named as
+    /// in that block's [`schema::BLOCKS`] row — the one way a count gets
+    /// into the summary (profiling: never part of the trace contract).
+    ///
+    /// # Panics
+    /// On a name the table does not have: the producer and the table
+    /// disagree, and the summary would fail `obs_check` anyway.
     #[inline]
-    pub fn add_filter_stats(&self, considered: u64, kept: u64) {
+    pub fn add(&self, block: &str, counters: &[(&str, u64)]) {
         if let Some(core) = &self.core {
-            core.filter_considered.fetch_add(considered, Ordering::Relaxed);
-            core.filter_kept.fetch_add(kept, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one Alg. 4 leg: of the partition paths (corridors) it tried,
-    /// `unreachable` were skipped on the piece graph and `searches` searched;
-    /// `accepted` when a biased route fit the budget, else it fell back to
-    /// the basic leg.
-    #[inline]
-    pub fn add_alg4(&self, unreachable: u64, searches: u64, accepted: bool) {
-        if let Some(core) = &self.core {
-            let tried = unreachable + searches;
-            let leg = [1, tried, unreachable, searches, accepted as u64, !accepted as u64];
-            for (total, n) in core.alg4.iter().zip(leg) {
-                total.fetch_add(n, Ordering::Relaxed);
+            for (name, n) in counters {
+                let slot = schema::slot(block, name)
+                    .unwrap_or_else(|| panic!("no summary counter {block}.{name}"));
+                core.counters[slot].fetch_add(*n, Ordering::Relaxed);
             }
         }
     }
 
-    /// Records insertion-DP work: `attempted` insertion instances
-    /// enumerated, `feasible` passing all deadline checks.
-    #[inline]
-    pub fn add_insertions(&self, attempted: u64, feasible: u64) {
-        if let Some(core) = &self.core {
-            core.insertions_attempted.fetch_add(attempted, Ordering::Relaxed);
-            core.insertions_feasible.fetch_add(feasible, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one Kuhn–Munkres batch-window solve: matrix shape, rows
-    /// matched, and the solver's internal work counters (profiling —
-    /// the resulting assignment is deterministic, the wall-clock and
-    /// aggregate work are not part of the trace contract).
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_lap(
-        &self,
-        rows: u64,
-        cols: u64,
-        assigned: u64,
-        augmentations: u64,
-        relaxations: u64,
-        skipped_rows: u64,
-    ) {
-        if let Some(core) = &self.core {
-            core.lap_solves.fetch_add(1, Ordering::Relaxed);
-            core.lap_rows.fetch_add(rows, Ordering::Relaxed);
-            core.lap_cols.fetch_add(cols, Ordering::Relaxed);
-            core.lap_assigned.fetch_add(assigned, Ordering::Relaxed);
-            core.lap_augmentations.fetch_add(augmentations, Ordering::Relaxed);
-            core.lap_relaxations.fetch_add(relaxations, Ordering::Relaxed);
-            core.lap_skipped_rows.fetch_add(skipped_rows, Ordering::Relaxed);
-        }
-    }
-
-    /// Batch-window assignment solves recorded so far (profiling).
-    pub fn lap_solves(&self) -> u64 {
-        self.core.as_ref().map(|c| c.lap_solves.load(Ordering::Relaxed)).unwrap_or(0)
+    /// Current value of one summary counter (tests, CLI). 0 when disabled
+    /// or unknown.
+    pub fn counter(&self, block: &str, name: &str) -> u64 {
+        let slot = schema::slot(block, name);
+        self.core.as_ref().zip(slot).map_or(0, |(c, i)| c.counters[i].load(Ordering::Relaxed))
     }
 
     /// Records one dispatcher response latency in seconds (wall-clock;
@@ -560,13 +353,6 @@ impl Obs {
     pub fn set_run_info(&self, info: RunInfo) {
         if let Some(core) = &self.core {
             *core.run.lock().expect("obs run info poisoned") = info;
-        }
-    }
-
-    /// Sets the end-of-run cache/oracle statistics.
-    pub fn set_external_stats(&self, stats: ExternalStats) {
-        if let Some(core) = &self.core {
-            *core.external.lock().expect("obs external poisoned") = stats;
         }
     }
 
@@ -603,16 +389,6 @@ impl Obs {
         self.core.as_ref().map(|c| c.stages[stage.index()].count()).unwrap_or(0)
     }
 
-    /// Total insertion instances enumerated (profiling).
-    pub fn insertions_attempted(&self) -> u64 {
-        self.core.as_ref().map(|c| c.insertions_attempted.load(Ordering::Relaxed)).unwrap_or(0)
-    }
-
-    /// Total partitions scanned by the filter (profiling).
-    pub fn filter_considered(&self) -> u64 {
-        self.core.as_ref().map(|c| c.filter_considered.load(Ordering::Relaxed)).unwrap_or(0)
-    }
-
     /// Builds the end-of-run summary JSON. `None` when disabled.
     ///
     /// Layout: deterministic outcome metrics first, then one
@@ -622,7 +398,6 @@ impl Obs {
         let core = self.core.as_ref()?;
         let agg = core.agg.lock().expect("obs aggregates poisoned");
         let run = core.run.lock().expect("obs run info poisoned").clone();
-        let ext = *core.external.lock().expect("obs external poisoned");
 
         let mut s = String::with_capacity(2048);
         s.push('{');
@@ -666,109 +441,36 @@ impl Obs {
             write_histogram(&mut s, stage.label(), &core.stages[stage.index()], 1e6, "us");
         }
         s.push_str("},");
-        let _ = write!(
-            s,
-            r#""counters":{{"filter_partitions_considered":{},"filter_partitions_kept":{},"insertions_attempted":{},"insertions_feasible":{}}},"#,
-            core.filter_considered.load(Ordering::Relaxed),
-            core.filter_kept.load(Ordering::Relaxed),
-            core.insertions_attempted.load(Ordering::Relaxed),
-            core.insertions_feasible.load(Ordering::Relaxed)
-        );
-        let cache_total = ext.cache_hits + ext.cache_misses;
-        let cache_ratio =
-            if cache_total == 0 { 0.0 } else { ext.cache_hits as f64 / cache_total as f64 };
-        let _ = write!(
-            s,
-            r#""path_cache":{{"hits":{},"misses":{},"evictions":{},"hit_ratio":{}}},"#,
-            ext.cache_hits,
-            ext.cache_misses,
-            ext.cache_evictions,
-            json::fmt_f64(cache_ratio)
-        );
-        let oracle_lookups = ext.oracle_vector_hits + ext.oracle_searches;
-        let oracle_ratio = if oracle_lookups == 0 {
-            0.0
-        } else {
-            ext.oracle_vector_hits as f64 / oracle_lookups as f64
-        };
-        let _ = write!(
-            s,
-            r#""oracle":{{"vector_hits":{},"searches":{},"pin_computes":{},"evictions":{},"hit_ratio":{}}},"#,
-            ext.oracle_vector_hits,
-            ext.oracle_searches,
-            ext.oracle_pin_computes,
-            ext.oracle_evictions,
-            json::fmt_f64(oracle_ratio)
-        );
-        let _ = write!(
-            s,
-            r#""ch":{{"p2p_queries":{},"bucket_sweeps":{},"bucket_sources":{},"shortcuts":{}}},"#,
-            ext.ch_p2p_queries, ext.ch_bucket_sweeps, ext.ch_bucket_sources, ext.ch_shortcuts
-        );
-        let _ = write!(
-            s,
-            r#""cch":{{"p2p_queries":{},"bucket_sweeps":{},"bucket_sources":{},"customizations":{},"fill_arcs":{}}},"#,
-            ext.cch_p2p_queries,
-            ext.cch_bucket_sweeps,
-            ext.cch_bucket_sources,
-            ext.cch_customizations,
-            ext.cch_fill_arcs
-        );
-        let _ = write!(
-            s,
-            r#""persistence":{{"checkpoints":{},"restores":{},"wal_records":{},"wal_bytes":{},"#,
-            core.checkpoints.load(Ordering::Relaxed),
-            core.restores.load(Ordering::Relaxed),
-            core.wal_records.load(Ordering::Relaxed),
-            core.wal_bytes.load(Ordering::Relaxed)
-        );
-        write_histogram(&mut s, "checkpoint_bytes", &core.checkpoint_bytes, 1.0, "b");
-        s.push(',');
-        write_histogram(&mut s, "checkpoint_write_ms", &core.checkpoint_write_s, 1e3, "ms");
-        s.push_str("},");
-        let _ = write!(
-            s,
-            r#""faults":{{"wal":{},"snapshot":{},"feed":{},"dir_sync_unsupported":{},"quarantines":{}}},"#,
-            core.wal_faults.load(Ordering::Relaxed),
-            core.snapshot_faults.load(Ordering::Relaxed),
-            core.feed_faults.load(Ordering::Relaxed),
-            core.dir_sync_unsupported.load(Ordering::Relaxed),
-            core.quarantines.load(Ordering::Relaxed)
-        );
-        let _ = write!(
-            s,
-            r#""lap":{{"solves":{},"rows":{},"cols":{},"assigned":{},"augmentations":{},"relaxations":{},"skipped_rows":{}}},"#,
-            core.lap_solves.load(Ordering::Relaxed),
-            core.lap_rows.load(Ordering::Relaxed),
-            core.lap_cols.load(Ordering::Relaxed),
-            core.lap_assigned.load(Ordering::Relaxed),
-            core.lap_augmentations.load(Ordering::Relaxed),
-            core.lap_relaxations.load(Ordering::Relaxed),
-            core.lap_skipped_rows.load(Ordering::Relaxed)
-        );
-        let _ = write!(
-            s,
-            r#""dtree":{{"scores":{},"rebuilds":{},"advances":{},"commits":{},"removes":{},"retimes":{},"legs_reused":{},"legs_filled":{},"memo_reuses":{},"memo_fills":{}}},"#,
-            ext.dtree_scores,
-            ext.dtree_rebuilds,
-            ext.dtree_advances,
-            ext.dtree_commits,
-            ext.dtree_removes,
-            ext.dtree_retimes,
-            ext.dtree_legs_reused,
-            ext.dtree_legs_filled,
-            ext.dtree_memo_reuses,
-            ext.dtree_memo_fills
-        );
-        if core.alg4[0].load(Ordering::Relaxed) > 0 {
-            s.push_str(r#""alg4":{"#);
-            for (name, n) in ALG4_FIELDS.iter().zip(&core.alg4) {
-                let _ = write!(s, r#""{name}":{},"#, n.load(Ordering::Relaxed));
+        let mut counters = core.counters.iter().map(|n| n.load(Ordering::Relaxed));
+        for block in &schema::BLOCKS {
+            let c: Vec<u64> = counters.by_ref().take(block.counters.len()).collect();
+            if block.when_active && c[0] == 0 {
+                continue;
             }
-            s.pop();
+            let _ = write!(s, r#""{}":{{"#, block.name);
+            for (name, n) in block.counters.iter().zip(&c) {
+                let _ = write!(s, r#""{name}":{n},"#);
+            }
+            match block.extra {
+                Extra::None => drop(s.pop()),
+                Extra::HitRatio => {
+                    let lookups = c[0] + c[1];
+                    let ratio = if lookups == 0 { 0.0 } else { c[0] as f64 / lookups as f64 };
+                    let _ = write!(s, r#""{}":{}"#, schema::HIT_RATIO, json::fmt_f64(ratio));
+                }
+                Extra::CheckpointHists => {
+                    let hists = [&core.checkpoint_bytes, &core.checkpoint_write_s];
+                    for ((key, scale, unit), h) in schema::CHECKPOINT_HISTS.iter().zip(hists) {
+                        write_histogram(&mut s, key, h, *scale, unit);
+                        s.push(',');
+                    }
+                    s.pop();
+                }
+            }
             s.push_str("},");
         }
-        write_histogram(&mut s, "response_ms", &core.response_s, 1e3, "ms");
+        let (key, scale, unit) = schema::RESPONSE_HIST;
+        write_histogram(&mut s, key, &core.response_s, scale, unit);
         s.push_str("}}");
         Some(s)
     }
@@ -812,8 +514,8 @@ mod tests {
     fn disabled_handle_is_inert() {
         let obs = Obs::disabled();
         obs.emit(Event::Arrival { t: 0.0, req: 0, offline: false });
-        obs.add_filter_stats(10, 2);
-        obs.add_insertions(5, 1);
+        obs.add("counters", &[("filter_partitions_considered", 10), ("insertions_feasible", 1)]);
+        assert_eq!(obs.counter("counters", "insertions_feasible"), 0);
         drop(obs.stage(Stage::Routing));
         assert!(obs.summary_json().is_none());
         assert_eq!(obs.event_counts(), [0; EVENT_KINDS.len()]);
@@ -856,14 +558,10 @@ mod tests {
         obs.emit(Event::Dispatch { t: 0.5, req: 0, candidates: 2, feasible: 1 });
         obs.emit(Event::Commit { t: 0.5, req: 0, taxi: 1, detour_s: 9.0, schedule_len: 2 });
         obs.emit(Event::Pickup { t: 2.0, req: 0, taxi: 1, wait_s: 1.5 });
-        obs.add_filter_stats(12, 3);
-        obs.add_insertions(7, 2);
+        obs.add("counters", &[("filter_partitions_considered", 12), ("filter_partitions_kept", 3)]);
+        obs.add("counters", &[("insertions_attempted", 7), ("insertions_feasible", 2)]);
         obs.record_response_s(0.001);
-        obs.set_external_stats(ExternalStats {
-            cache_hits: 9,
-            cache_misses: 1,
-            ..ExternalStats::default()
-        });
+        obs.add("path_cache", &[("hits", 9), ("misses", 1)]);
         let text = obs.summary_json().unwrap();
         let v = json::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
         assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some(SUMMARY_SCHEMA));
@@ -899,9 +597,9 @@ mod tests {
 
     #[test]
     fn oracle_hit_ratio_is_hits_over_lookups() {
-        let ratio_for = |ext: ExternalStats| {
+        let ratio_for = |hits: u64, searches: u64| {
             let obs = Obs::enabled();
-            obs.set_external_stats(ext);
+            obs.add("oracle", &[("vector_hits", hits), ("searches", searches)]);
             let text = obs.summary_json().unwrap();
             schema::validate_summary(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
             let v = json::parse(&text).unwrap();
@@ -909,14 +607,16 @@ mod tests {
             oracle.get("hit_ratio").and_then(|n| n.as_num()).unwrap()
         };
         // Every lookup answered from a vector: 100 %, not 0.
-        let all_hits = ExternalStats { oracle_vector_hits: 2_260_000, ..ExternalStats::default() };
-        assert_eq!(ratio_for(all_hits), 1.0);
-        let mixed =
-            ExternalStats { oracle_vector_hits: 9, oracle_searches: 3, ..ExternalStats::default() };
-        assert_eq!(ratio_for(mixed), 0.75);
-        let only_misses = ExternalStats { oracle_searches: 4, ..ExternalStats::default() };
-        assert_eq!(ratio_for(only_misses), 0.0);
-        assert_eq!(ratio_for(ExternalStats::default()), 0.0);
+        assert_eq!(ratio_for(2_260_000, 0), 1.0);
+        assert_eq!(ratio_for(9, 3), 0.75);
+        assert_eq!(ratio_for(0, 4), 0.0);
+        assert_eq!(ratio_for(0, 0), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no summary counter lap.solved")]
+    fn a_counter_the_table_does_not_have_is_a_bug() {
+        Obs::enabled().add("lap", &[("solved", 1)]);
     }
 
     #[test]
@@ -986,10 +686,10 @@ mod tests {
         let obs = Obs::enabled();
         obs.record_checkpoint(4096, 0.002);
         obs.record_checkpoint(8192, 0.004);
-        obs.record_restore();
-        obs.record_wal_append(64);
-        obs.record_wal_append(32);
-        obs.record_wal_append(32);
+        obs.add("persistence", &[("checkpoints", 2), ("restores", 1)]);
+        for bytes in [64, 32, 32] {
+            obs.add("persistence", &[("wal_records", 1), ("wal_bytes", bytes)]);
+        }
         let v = json::parse(&obs.summary_json().unwrap()).unwrap();
         let p = v.get("profiling").unwrap().get("persistence").expect("persistence block");
         assert_eq!(p.get("checkpoints").and_then(|n| n.as_num()), Some(2.0));

@@ -1,22 +1,253 @@
-//! Validators for the documented telemetry schema (see DESIGN.md).
+//! The telemetry formats — one table each — and their validators.
 //!
-//! Used by the `obs_check` CLI binary and the CI observability job to
-//! confirm that an emitted trace/summary pair matches the contract
-//! before it is archived as a perf-trajectory artifact.
+//! What a trace line, a `profiling` counter block of the summary and a
+//! steady line look like is decided here and nowhere else:
+//! [`EVENT_SCHEMA`], [`BLOCKS`] and [`STEADY_FIELDS`] are the source, the
+//! writers (`Event::to_jsonl`, `Obs::summary_json`,
+//! `SteadyTracker::report_line`) and the validators below walk the same
+//! rows. A new event key or counter is one row here plus the one call
+//! that supplies its value (see DESIGN.md, "Event schema" and "Summary
+//! layout").
+//!
+//! The validators back the `obs_check` CLI binary and the CI
+//! observability job, which confirm that an emitted trace/summary pair
+//! matches the contract before it is archived as a perf-trajectory
+//! artifact.
 
-use crate::event::{RejectReason, EVENT_KINDS};
+use crate::event::RejectReason;
 use crate::json::{self, Value};
 use crate::span::Stage;
-use crate::{ALG4_FIELDS, STEADY_SCHEMA, SUMMARY_SCHEMA};
+use crate::{STEADY_SCHEMA, SUMMARY_SCHEMA};
+use std::fmt::Write as _;
+use Ty::{Bool, Num, Obj, Str};
 
-/// Field spec: name, expected type.
-#[derive(Clone, Copy)]
-enum Ty {
+/// JSON type of a documented field.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Ty {
     Num,
     Bool,
     Str,
     Obj,
 }
+
+/// One field value on its way into a line; its key comes from a table.
+#[derive(Clone, Copy)]
+pub(crate) enum Val<'a> {
+    /// A float, in [`json::fmt_f64`] form.
+    F(f64),
+    /// A counter or id.
+    U(u64),
+    B(bool),
+    /// A string, escaped on the way out.
+    S(&'a str),
+    /// An object already rendered as JSON.
+    Raw(&'a str),
+}
+
+impl Val<'_> {
+    pub(crate) fn ty(&self) -> Ty {
+        match self {
+            Val::F(_) | Val::U(_) => Ty::Num,
+            Val::B(_) => Ty::Bool,
+            Val::S(_) => Ty::Str,
+            Val::Raw(_) => Ty::Obj,
+        }
+    }
+}
+
+/// Appends `"key":value` for each row field, comma-separated, no braces.
+pub(crate) fn write_fields(out: &mut String, fields: &[(&str, Ty)], vals: &[Val<'_>]) {
+    debug_assert_eq!(fields.len(), vals.len(), "values do not fill the row");
+    for (i, ((key, ty), val)) in fields.iter().zip(vals).enumerate() {
+        debug_assert_eq!(val.ty(), *ty, "value of the wrong type for \"{key}\"");
+        // Plain pushes, not one `write!` per field: this runs per event.
+        out.push_str(if i > 0 { ",\"" } else { "\"" });
+        out.push_str(key);
+        out.push_str("\":");
+        match *val {
+            Val::F(v) => json::write_f64(out, v),
+            Val::U(v) => drop(write!(out, "{v}")),
+            Val::B(v) => out.push_str(if v { "true" } else { "false" }),
+            Val::S(v) => drop(write!(out, "\"{}\"", json::escape(v))),
+            Val::Raw(v) => out.push_str(v),
+        }
+    }
+}
+
+/// One event kind: its `"ev"` label, whether it is a persistence/fault
+/// meta kind, and its keys after `"ev"` in serialization order.
+pub(crate) struct KindSpec {
+    pub label: &'static str,
+    pub meta: bool,
+    pub fields: &'static [(&'static str, Ty)],
+}
+
+const fn kind(label: &'static str, fields: &'static [(&'static str, Ty)]) -> KindSpec {
+    KindSpec { label, meta: false, fields }
+}
+
+const fn meta(label: &'static str, fields: &'static [(&'static str, Ty)]) -> KindSpec {
+    KindSpec { label, meta: true, fields }
+}
+
+/// The trace format. Row order is `Event::kind_index` and the order of
+/// the summary's `events` table; the meta kinds sit at the end so the
+/// indices of the canonical kinds (and the snapshot encoding of their
+/// counts) are stable. `Event::with_row` supplies each row's values.
+pub(crate) const EVENT_SCHEMA: [KindSpec; 18] = [
+    kind("arrival", &[("t", Num), ("req", Num), ("offline", Bool)]),
+    kind("dispatch", &[("t", Num), ("req", Num), ("candidates", Num), ("feasible", Num)]),
+    kind(
+        "commit",
+        &[("t", Num), ("req", Num), ("taxi", Num), ("detour_s", Num), ("schedule_len", Num)],
+    ),
+    kind("reject", &[("t", Num), ("req", Num), ("reason", Str)]),
+    kind("encounter", &[("t", Num), ("req", Num), ("taxi", Num)]),
+    kind("pickup", &[("t", Num), ("req", Num), ("taxi", Num), ("wait_s", Num)]),
+    kind("dropoff", &[("t", Num), ("req", Num), ("taxi", Num), ("detour_s", Num)]),
+    kind("breakdown", &[("t", Num), ("taxi", Num), ("orphans", Num)]),
+    kind("cancel", &[("t", Num), ("req", Num), ("assigned", Bool)]),
+    kind(
+        "traffic_shift",
+        &[("t", Num), ("node", Num), ("radius_m", Num), ("factor", Num), ("duration_s", Num)],
+    ),
+    kind("reroute", &[("t", Num), ("taxi", Num), ("renegotiated", Num), ("dropped", Num)]),
+    kind("redispatch", &[("t", Num), ("req", Num), ("attempt", Num), ("ok", Bool)]),
+    kind("invariant_violation", &[("t", Num), ("check", Str)]),
+    meta("checkpoint", &[("t", Num), ("step", Num), ("bytes", Num)]),
+    meta("restore", &[("t", Num), ("step", Num), ("snapshot_step", Num), ("wal_replayed", Num)]),
+    meta("storage_fault", &[("t", Num), ("step", Num), ("op", Str), ("class", Str)]),
+    meta("durability_degraded", &[("t", Num), ("step", Num), ("quarantined", Bool)]),
+    meta("feed_fault", &[("t", Num), ("line", Num), ("kind", Str)]),
+];
+
+/// What a `profiling` counter block carries after its counters.
+#[derive(Clone, Copy)]
+pub(crate) enum Extra {
+    None,
+    /// `hit_ratio` = first counter / (first + second), 0 when both are 0.
+    HitRatio,
+    /// The two snapshot histograms, [`CHECKPOINT_HISTS`].
+    CheckpointHists,
+}
+
+/// One `profiling` block of counters, in summary order.
+#[derive(Clone, Copy)]
+pub(crate) struct BlockSpec {
+    pub name: &'static str,
+    pub counters: &'static [&'static str],
+    /// Written only once its first counter is non-zero.
+    pub when_active: bool,
+    /// Identities `counters[a] == counters[b] + counters[c]`, as `[a, b, c]`.
+    pub sums: &'static [[usize; 3]],
+    pub extra: Extra,
+}
+
+const fn block(name: &'static str, counters: &'static [&'static str]) -> BlockSpec {
+    BlockSpec { name, counters, when_active: false, sums: &[], extra: Extra::None }
+}
+
+/// Key of the derived ratio of an [`Extra::HitRatio`] block.
+pub(crate) const HIT_RATIO: &str = "hit_ratio";
+
+/// `(key, scale, unit)` of the histograms closing the `persistence` block.
+pub(crate) const CHECKPOINT_HISTS: [(&str, f64, &str); 2] =
+    [("checkpoint_bytes", 1.0, "b"), ("checkpoint_write_ms", 1e3, "ms")];
+
+/// `(key, scale, unit)` of the histogram closing `profiling`.
+pub(crate) const RESPONSE_HIST: (&str, f64, &str) = ("response_ms", 1e3, "ms");
+
+/// The counter blocks of `profiling`, between `stages` and `response_ms`.
+/// `Obs::add(block, &[(counter, n)])` is the one way in; the counters live
+/// in one flat array in this order.
+pub(crate) const BLOCKS: [BlockSpec; 10] = [
+    block(
+        "counters",
+        &[
+            "filter_partitions_considered",
+            "filter_partitions_kept",
+            "insertions_attempted",
+            "insertions_feasible",
+        ],
+    ),
+    BlockSpec { extra: Extra::HitRatio, ..block("path_cache", &["hits", "misses", "evictions"]) },
+    BlockSpec {
+        extra: Extra::HitRatio,
+        ..block("oracle", &["vector_hits", "searches", "pin_computes", "evictions"])
+    },
+    block("ch", &["p2p_queries", "bucket_sweeps", "bucket_sources", "shortcuts"]),
+    block(
+        "cch",
+        &["p2p_queries", "bucket_sweeps", "bucket_sources", "customizations", "fill_arcs"],
+    ),
+    BlockSpec {
+        extra: Extra::CheckpointHists,
+        ..block("persistence", &["checkpoints", "restores", "wal_records", "wal_bytes"])
+    },
+    block("faults", &["wal", "snapshot", "feed", "dir_sync_unsupported", "quarantines"]),
+    block(
+        "lap",
+        &["solves", "rows", "cols", "assigned", "augmentations", "relaxations", "skipped_rows"],
+    ),
+    block(
+        "dtree",
+        &[
+            "scores",
+            "rebuilds",
+            "advances",
+            "commits",
+            "removes",
+            "retimes",
+            "legs_reused",
+            "legs_filled",
+            "memo_reuses",
+            "memo_fills",
+        ],
+    ),
+    // Probabilistic routing: corridors == unreachable + searches and
+    // legs == accepted + fallbacks. The first block present only when its
+    // feature ran; the others follow once `crates/e2e` reads them as
+    // optional (ROADMAP item 5(c)).
+    BlockSpec {
+        when_active: true,
+        sums: &[[1, 2, 3], [0, 4, 5]],
+        ..block("alg4", &["legs", "corridors", "unreachable", "searches", "accepted", "fallbacks"])
+    },
+];
+
+/// Counters in all of [`BLOCKS`].
+pub(crate) const N_COUNTERS: usize = {
+    let (mut n, mut i) = (0, 0);
+    while i < BLOCKS.len() {
+        n += BLOCKS[i].counters.len();
+        i += 1;
+    }
+    n
+};
+
+/// Position of `counter` in the flat counter array, for a counter of the
+/// block called `block`; `None` when the tables have no such pair.
+pub(crate) fn slot(block: &str, counter: &str) -> Option<usize> {
+    let at = BLOCKS.iter().position(|b| b.name == block)?;
+    let base: usize = BLOCKS[..at].iter().map(|b| b.counters.len()).sum();
+    BLOCKS[at].counters.iter().position(|c| *c == counter).map(|i| base + i)
+}
+
+/// The steady line, in key order.
+pub(crate) const STEADY_FIELDS: [(&str, Ty); 12] = [
+    ("schema", Str),
+    ("t", Num),
+    ("interval_s", Num),
+    ("arrivals", Num),
+    ("commits", Num),
+    ("rejects", Num),
+    ("shed", Num),
+    ("queue_peak", Num),
+    ("ingested", Num),
+    ("steps", Num),
+    ("stage_p95_us", Obj),
+    ("rss_bytes", Num),
+];
 
 fn check_fields(v: &Value, required: &[(&str, Ty)], context: &str) -> Result<(), String> {
     let Some(fields) = v.as_obj() else {
@@ -46,169 +277,25 @@ fn check_fields(v: &Value, required: &[(&str, Ty)], context: &str) -> Result<(),
     Ok(())
 }
 
-/// Validates one JSONL trace line against the event schema.
+/// Validates one JSONL trace line against its [`EVENT_SCHEMA`] row.
 pub fn validate_event_line(line: &str) -> Result<(), String> {
     let v = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
     let kind = v
         .get("ev")
         .and_then(|k| k.as_str())
-        .ok_or_else(|| "missing string field \"ev\"".to_string())?
-        .to_string();
-    match kind.as_str() {
-        "arrival" => check_fields(
-            &v,
-            &[("ev", Ty::Str), ("t", Ty::Num), ("req", Ty::Num), ("offline", Ty::Bool)],
-            "arrival",
-        ),
-        "dispatch" => check_fields(
-            &v,
-            &[
-                ("ev", Ty::Str),
-                ("t", Ty::Num),
-                ("req", Ty::Num),
-                ("candidates", Ty::Num),
-                ("feasible", Ty::Num),
-            ],
-            "dispatch",
-        ),
-        "commit" => check_fields(
-            &v,
-            &[
-                ("ev", Ty::Str),
-                ("t", Ty::Num),
-                ("req", Ty::Num),
-                ("taxi", Ty::Num),
-                ("detour_s", Ty::Num),
-                ("schedule_len", Ty::Num),
-            ],
-            "commit",
-        ),
-        "reject" => {
-            check_fields(
-                &v,
-                &[("ev", Ty::Str), ("t", Ty::Num), ("req", Ty::Num), ("reason", Ty::Str)],
-                "reject",
-            )?;
-            let reason = v.get("reason").and_then(|r| r.as_str()).unwrap_or("");
-            if RejectReason::from_label(reason).is_none() {
-                return Err(format!("reject: unknown reason \"{reason}\""));
-            }
-            Ok(())
+        .ok_or_else(|| "missing string field \"ev\"".to_string())?;
+    let row = EVENT_SCHEMA
+        .iter()
+        .find(|row| row.label == kind)
+        .ok_or_else(|| format!("unknown event kind \"{kind}\""))?;
+    let mut fields = vec![("ev", Ty::Str)];
+    fields.extend_from_slice(row.fields);
+    check_fields(&v, &fields, kind)?;
+    match v.get("reason").and_then(|r| r.as_str()) {
+        Some(reason) if RejectReason::from_label(reason).is_none() => {
+            Err(format!("{kind}: unknown reason \"{reason}\""))
         }
-        "encounter" => check_fields(
-            &v,
-            &[("ev", Ty::Str), ("t", Ty::Num), ("req", Ty::Num), ("taxi", Ty::Num)],
-            "encounter",
-        ),
-        "pickup" => check_fields(
-            &v,
-            &[
-                ("ev", Ty::Str),
-                ("t", Ty::Num),
-                ("req", Ty::Num),
-                ("taxi", Ty::Num),
-                ("wait_s", Ty::Num),
-            ],
-            "pickup",
-        ),
-        "dropoff" => check_fields(
-            &v,
-            &[
-                ("ev", Ty::Str),
-                ("t", Ty::Num),
-                ("req", Ty::Num),
-                ("taxi", Ty::Num),
-                ("detour_s", Ty::Num),
-            ],
-            "dropoff",
-        ),
-        "breakdown" => check_fields(
-            &v,
-            &[("ev", Ty::Str), ("t", Ty::Num), ("taxi", Ty::Num), ("orphans", Ty::Num)],
-            "breakdown",
-        ),
-        "cancel" => check_fields(
-            &v,
-            &[("ev", Ty::Str), ("t", Ty::Num), ("req", Ty::Num), ("assigned", Ty::Bool)],
-            "cancel",
-        ),
-        "traffic_shift" => check_fields(
-            &v,
-            &[
-                ("ev", Ty::Str),
-                ("t", Ty::Num),
-                ("node", Ty::Num),
-                ("radius_m", Ty::Num),
-                ("factor", Ty::Num),
-                ("duration_s", Ty::Num),
-            ],
-            "traffic_shift",
-        ),
-        "reroute" => check_fields(
-            &v,
-            &[
-                ("ev", Ty::Str),
-                ("t", Ty::Num),
-                ("taxi", Ty::Num),
-                ("renegotiated", Ty::Num),
-                ("dropped", Ty::Num),
-            ],
-            "reroute",
-        ),
-        "redispatch" => check_fields(
-            &v,
-            &[
-                ("ev", Ty::Str),
-                ("t", Ty::Num),
-                ("req", Ty::Num),
-                ("attempt", Ty::Num),
-                ("ok", Ty::Bool),
-            ],
-            "redispatch",
-        ),
-        "invariant_violation" => check_fields(
-            &v,
-            &[("ev", Ty::Str), ("t", Ty::Num), ("check", Ty::Str)],
-            "invariant_violation",
-        ),
-        "checkpoint" => check_fields(
-            &v,
-            &[("ev", Ty::Str), ("t", Ty::Num), ("step", Ty::Num), ("bytes", Ty::Num)],
-            "checkpoint",
-        ),
-        "restore" => check_fields(
-            &v,
-            &[
-                ("ev", Ty::Str),
-                ("t", Ty::Num),
-                ("step", Ty::Num),
-                ("snapshot_step", Ty::Num),
-                ("wal_replayed", Ty::Num),
-            ],
-            "restore",
-        ),
-        "storage_fault" => check_fields(
-            &v,
-            &[
-                ("ev", Ty::Str),
-                ("t", Ty::Num),
-                ("step", Ty::Num),
-                ("op", Ty::Str),
-                ("class", Ty::Str),
-            ],
-            "storage_fault",
-        ),
-        "durability_degraded" => check_fields(
-            &v,
-            &[("ev", Ty::Str), ("t", Ty::Num), ("step", Ty::Num), ("quarantined", Ty::Bool)],
-            "durability_degraded",
-        ),
-        "feed_fault" => check_fields(
-            &v,
-            &[("ev", Ty::Str), ("t", Ty::Num), ("line", Ty::Num), ("kind", Ty::Str)],
-            "feed_fault",
-        ),
-        other => Err(format!("unknown event kind \"{other}\"")),
+        _ => Ok(()),
     }
 }
 
@@ -263,6 +350,43 @@ fn require_hist_block(v: &Value, key: &str, unit: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Checks one `profiling` counter block against its [`BLOCKS`] row: every
+/// counter a number, the row's identities, and what follows the counters.
+fn check_block(block: &Value, b: &BlockSpec) -> Result<(), String> {
+    let name = b.name;
+    let mut c = Vec::with_capacity(b.counters.len());
+    for f in b.counters {
+        c.push(require_num(block, name, f)?);
+    }
+    if b.when_active && c[0] == 0.0 {
+        return Err(format!("{name}: present with {} == 0", b.counters[0]));
+    }
+    if let Some(&[t, x, y]) = b.sums.iter().find(|&&[t, x, y]| c[t] != c[x] + c[y]) {
+        let n = b.counters;
+        return Err(format!("{name}: {c:?} breaks {} == {} + {}", n[t], n[x], n[y]));
+    }
+    match b.extra {
+        Extra::None => {}
+        // hit_ratio = hits / lookups: in [0, 1], and exactly 1 when nothing
+        // missed (it used to read 0 there — hits were divided by searches).
+        Extra::HitRatio => {
+            let ratio = require_num(block, name, HIT_RATIO)?;
+            if !(0.0..=1.0).contains(&ratio) {
+                return Err(format!("{name}: {HIT_RATIO} {ratio} outside [0, 1]"));
+            }
+            if c[1] == 0.0 && c[0] > 0.0 && ratio != 1.0 {
+                return Err(format!("{name}: {HIT_RATIO} {ratio} with {} hits, no misses", c[0]));
+            }
+        }
+        Extra::CheckpointHists => {
+            for (key, _, unit) in CHECKPOINT_HISTS {
+                require_hist_block(block, key, unit)?;
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Validates a summary JSON document against the documented layout.
 pub fn validate_summary(text: &str) -> Result<(), String> {
     let v = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
@@ -279,8 +403,8 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
         require_num(run, "run", f)?;
     }
     let events = v.get("events").ok_or("missing \"events\"")?;
-    for kind in EVENT_KINDS {
-        require_num(events, "events", kind)?;
+    for kind in &EVENT_SCHEMA {
+        require_num(events, "events", kind.label)?;
     }
     let rej = v.get("rejections").ok_or("missing \"rejections\"")?;
     let mut total = 0.0;
@@ -301,82 +425,14 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
     for stage in Stage::ALL {
         require_hist_block(stages, stage.label(), "us")?;
     }
-    let counters = prof.get("counters").ok_or("profiling: missing \"counters\"")?;
-    for f in [
-        "filter_partitions_considered",
-        "filter_partitions_kept",
-        "insertions_attempted",
-        "insertions_feasible",
-    ] {
-        require_num(counters, "counters", f)?;
-    }
-    let cache = prof.get("path_cache").ok_or("profiling: missing \"path_cache\"")?;
-    for f in ["hits", "misses", "evictions", "hit_ratio"] {
-        require_num(cache, "path_cache", f)?;
-    }
-    let oracle = prof.get("oracle").ok_or("profiling: missing \"oracle\"")?;
-    for f in ["pin_computes", "evictions"] {
-        require_num(oracle, "oracle", f)?;
-    }
-    // hit_ratio = hits / lookups: in [0, 1], and exactly 1 when nothing
-    // missed (it used to read 0 there — hits were divided by searches).
-    let num = |f| require_num(oracle, "oracle", f);
-    let (hits, searches, ratio) = (num("vector_hits")?, num("searches")?, num("hit_ratio")?);
-    if !(0.0..=1.0).contains(&ratio) {
-        return Err(format!("oracle: hit_ratio {ratio} outside [0, 1]"));
-    }
-    if searches == 0.0 && hits > 0.0 && ratio != 1.0 {
-        return Err(format!("oracle: hit_ratio {ratio} with {hits} hits and no searches"));
-    }
-    let ch = prof.get("ch").ok_or("profiling: missing \"ch\"")?;
-    for f in ["p2p_queries", "bucket_sweeps", "bucket_sources", "shortcuts"] {
-        require_num(ch, "ch", f)?;
-    }
-    let cch = prof.get("cch").ok_or("profiling: missing \"cch\"")?;
-    for f in ["p2p_queries", "bucket_sweeps", "bucket_sources", "customizations", "fill_arcs"] {
-        require_num(cch, "cch", f)?;
-    }
-    let persist = prof.get("persistence").ok_or("profiling: missing \"persistence\"")?;
-    for f in ["checkpoints", "restores", "wal_records", "wal_bytes"] {
-        require_num(persist, "persistence", f)?;
-    }
-    require_hist_block(persist, "checkpoint_bytes", "b")?;
-    require_hist_block(persist, "checkpoint_write_ms", "ms")?;
-    let faults = prof.get("faults").ok_or("profiling: missing \"faults\"")?;
-    for f in ["wal", "snapshot", "feed", "dir_sync_unsupported", "quarantines"] {
-        require_num(faults, "faults", f)?;
-    }
-    let lap = prof.get("lap").ok_or("profiling: missing \"lap\"")?;
-    for f in ["solves", "rows", "cols", "assigned", "augmentations", "relaxations", "skipped_rows"]
-    {
-        require_num(lap, "lap", f)?;
-    }
-    let dtree = prof.get("dtree").ok_or("profiling: missing \"dtree\"")?;
-    for f in [
-        "scores",
-        "rebuilds",
-        "advances",
-        "commits",
-        "removes",
-        "retimes",
-        "legs_reused",
-        "legs_filled",
-        "memo_reuses",
-        "memo_fills",
-    ] {
-        require_num(dtree, "dtree", f)?;
-    }
-    // Present only when Alg. 4 routed a leg.
-    if let Some(alg4) = prof.get("alg4") {
-        let mut n = [0.0; 6];
-        for (slot, f) in n.iter_mut().zip(ALG4_FIELDS) {
-            *slot = require_num(alg4, "alg4", f)?;
-        }
-        if n[0] == 0.0 || n[1] != n[2] + n[3] || n[0] != n[4] + n[5] {
-            return Err(format!("alg4: {n:?} breaks legs > 0, corridors == unreachable + searches or legs == accepted + fallbacks"));
+    for b in &BLOCKS {
+        match prof.get(b.name) {
+            Some(block) => check_block(block, b)?,
+            None if b.when_active => {}
+            None => return Err(format!("profiling: missing \"{}\"", b.name)),
         }
     }
-    require_hist_block(prof, "response_ms", "ms")?;
+    require_hist_block(prof, RESPONSE_HIST.0, RESPONSE_HIST.2)?;
     Ok(())
 }
 
@@ -388,24 +444,7 @@ pub fn validate_steady_line(line: &str) -> Result<(), String> {
         Some(other) => return Err(format!("unknown steady schema \"{other}\"")),
         None => return Err("missing \"schema\"".to_string()),
     }
-    check_fields(
-        &v,
-        &[
-            ("schema", Ty::Str),
-            ("t", Ty::Num),
-            ("interval_s", Ty::Num),
-            ("arrivals", Ty::Num),
-            ("commits", Ty::Num),
-            ("rejects", Ty::Num),
-            ("shed", Ty::Num),
-            ("queue_peak", Ty::Num),
-            ("ingested", Ty::Num),
-            ("steps", Ty::Num),
-            ("stage_p95_us", Ty::Obj),
-            ("rss_bytes", Ty::Num),
-        ],
-        "steady",
-    )?;
+    check_fields(&v, &STEADY_FIELDS, "steady")?;
     let stages = v.get("stage_p95_us").expect("checked above");
     for stage in Stage::ALL {
         require_num(stages, "stage_p95_us", stage.label())?;
@@ -446,7 +485,7 @@ mod tests {
     use super::*;
     use crate::event::Event;
     use crate::steady::{SteadyExtra, SteadyTracker};
-    use crate::{ExternalStats, Obs, RunInfo};
+    use crate::{Obs, RunInfo};
 
     #[test]
     fn writer_output_passes_event_validation() {
@@ -523,7 +562,6 @@ mod tests {
             n_offline: 0,
         });
         obs.emit(Event::Reject { t: 0.0, req: 0, reason: RejectReason::EmptyFleet });
-        obs.set_external_stats(ExternalStats::default());
         let summary = obs.summary_json().unwrap();
         validate_summary(&summary).unwrap_or_else(|e| panic!("{e}\n{summary}"));
     }
@@ -588,8 +626,18 @@ mod tests {
         let quiet = obs.summary_json().unwrap();
         assert!(!quiet.contains("\"alg4\""), "{quiet}");
         validate_summary(&quiet).unwrap();
-        obs.add_alg4(2, 3, false);
-        obs.add_alg4(1, 1, true);
+        let leg = |unreachable, searches, accepted| {
+            [
+                ("legs", 1),
+                ("corridors", unreachable + searches),
+                ("unreachable", unreachable),
+                ("searches", searches),
+                ("accepted", accepted),
+                ("fallbacks", 1 - accepted),
+            ]
+        };
+        obs.add("alg4", &leg(2, 3, 0));
+        obs.add("alg4", &leg(1, 1, 1));
         let summary = obs.summary_json().unwrap();
         let block = r#""alg4":{"legs":2,"corridors":7,"unreachable":3,"searches":4,"accepted":1,"fallbacks":1},"#;
         assert!(summary.contains(block), "{summary}");
@@ -621,7 +669,7 @@ mod tests {
     #[test]
     fn oracle_hit_ratio_must_be_one_when_nothing_missed() {
         let obs = Obs::enabled();
-        obs.set_external_stats(ExternalStats { oracle_vector_hits: 9, ..Default::default() });
+        obs.add("oracle", &[("vector_hits", 9)]);
         let summary = obs.summary_json().unwrap();
         validate_summary(&summary).unwrap_or_else(|e| panic!("{e}\n{summary}"));
         // The pre-fix writer's output (hits / searches → 0) is refused,

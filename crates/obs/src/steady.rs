@@ -15,6 +15,7 @@
 use crate::event::{RejectReason, EVENT_KINDS};
 use crate::hist::HistogramSnapshot;
 use crate::json;
+use crate::schema::{write_fields, Val, STEADY_FIELDS};
 use crate::span::Stage;
 use crate::Obs;
 use std::fmt::Write as _;
@@ -73,33 +74,38 @@ impl SteadyTracker {
         let events = obs.event_counts();
         let shed = shed_total(obs);
 
-        let mut s = String::with_capacity(512);
-        s.push('{');
-        let _ = write!(s, r#""schema":"{STEADY_SCHEMA}","#);
-        let _ = write!(s, r#""t":{},"#, json::fmt_f64(t));
-        let _ = write!(s, r#""interval_s":{},"#, json::fmt_f64(t - self.last_t));
         let delta = |kind: usize| events[kind].saturating_sub(self.prev_events[kind]);
-        let _ = write!(s, r#""arrivals":{},"#, delta(0));
-        let _ = write!(s, r#""commits":{},"#, delta(2));
-        let _ = write!(s, r#""rejects":{},"#, delta(3));
-        let _ = write!(s, r#""shed":{},"#, shed.saturating_sub(self.prev_shed));
-        let _ = write!(s, r#""queue_peak":{},"#, extra.queue_peak);
-        let _ = write!(s, r#""ingested":{},"#, extra.ingested);
-        let _ = write!(s, r#""steps":{},"#, extra.steps);
-        s.push_str(r#""stage_p95_us":{"#);
+        let mut stages = String::from("{");
         for (i, stage) in Stage::ALL.iter().enumerate() {
             if i > 0 {
-                s.push(',');
+                stages.push(',');
             }
             let h = &core.stages[stage.index()];
             let p95 = match self.prev_stages.as_ref() {
                 Some(snaps) => h.quantile_since(&snaps[stage.index()], 0.95),
                 None => h.quantile(0.95),
             };
-            let _ = write!(s, r#""{}":{}"#, stage.label(), json::fmt_f64(p95 * 1e6));
+            let _ = write!(stages, r#""{}":{}"#, stage.label(), json::fmt_f64(p95 * 1e6));
         }
-        s.push_str("},");
-        let _ = write!(s, r#""rss_bytes":{}"#, rss_bytes());
+        stages.push('}');
+        // In `STEADY_FIELDS` order.
+        let vals = [
+            Val::S(STEADY_SCHEMA),
+            Val::F(t),
+            Val::F(t - self.last_t),
+            Val::U(delta(0)),
+            Val::U(delta(2)),
+            Val::U(delta(3)),
+            Val::U(shed.saturating_sub(self.prev_shed)),
+            Val::U(extra.queue_peak as u64),
+            Val::U(extra.ingested),
+            Val::U(extra.steps),
+            Val::Raw(&stages),
+            Val::U(rss_bytes()),
+        ];
+        let mut s = String::with_capacity(512);
+        s.push('{');
+        write_fields(&mut s, &STEADY_FIELDS, &vals);
         s.push('}');
 
         self.last_t = t;
@@ -156,6 +162,17 @@ mod tests {
         obs.emit(Event::Reject { t: 5.0, req: 1, reason: RejectReason::QueueShed });
         let extra = SteadyExtra { queue_peak: 3, ingested: 2, steps: 40 };
         let line = tracker.report_line(&obs, 10.0, &extra).expect("enabled");
+        // The exact line, up to the one value that is a fact about the OS.
+        let golden = concat!(
+            r#"{"schema":"mtshare-obs-steady/v3","t":10,"interval_s":10,"arrivals":1,"commits":0,"#,
+            r#""rejects":1,"shed":1,"queue_peak":3,"ingested":2,"steps":40,"stage_p95_us":{"#,
+            r#""candidate_search":0,"partition_filter":0,"insertion_dp":0,"routing":0,"commit":0,"#,
+            r#""preprocess_ch":0,"batch_solve":0,"dtree_update":0,"customize":0,"oracle_pin":0},"#,
+            r#""rss_bytes":"#
+        );
+        let (head, rss) = line.rsplit_once(':').expect("a JSON object");
+        assert_eq!(format!("{head}:"), golden);
+        assert!(rss.strip_suffix('}').is_some_and(|n| n.parse::<u64>().is_ok()), "{rss}");
         let v = json::parse(&line).unwrap_or_else(|e| panic!("{e}\n{line}"));
         assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some(STEADY_SCHEMA));
         assert_eq!(v.get("t").and_then(|n| n.as_num()), Some(10.0));

@@ -76,7 +76,6 @@ fn scan(bytes: &[u8]) -> WalRecovery {
 #[derive(Debug)]
 pub struct WalWriter {
     out: BufWriter<std::fs::File>,
-    appended: u64,
     injector: Option<Arc<dyn FaultInjector>>,
 }
 
@@ -85,7 +84,7 @@ impl WalWriter {
     /// writer — the start-of-run path.
     pub fn create(path: &Path) -> Result<Self, PersistError> {
         let f = OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(Self { out: BufWriter::new(f), appended: 0, injector: None })
+        Ok(Self { out: BufWriter::new(f), injector: None })
     }
 
     /// Installs a fault injector consulted before every append/sync.
@@ -109,7 +108,7 @@ impl WalWriter {
             f.sync_all()?;
         }
         f.seek(SeekFrom::Start(recovery.valid_len))?;
-        Ok((recovery, Self { out: BufWriter::new(f), appended: 0, injector: None }))
+        Ok((recovery, Self { out: BufWriter::new(f), injector: None }))
     }
 
     /// Appends one record. Buffered — call [`WalWriter::sync`] to make
@@ -122,7 +121,6 @@ impl WalWriter {
         self.out.write_all(&(payload.len() as u32).to_le_bytes())?;
         self.out.write_all(&crc32(payload).to_le_bytes())?;
         self.out.write_all(payload)?;
-        self.appended += (RECORD_HEADER + payload.len()) as u64;
         Ok(())
     }
 
@@ -164,11 +162,6 @@ impl WalWriter {
         }
         self.out.get_ref().sync_all().map_err(PersistError::SyncFailed)?;
         Ok(())
-    }
-
-    /// Bytes appended through this writer (not counting recovered ones).
-    pub fn appended_bytes(&self) -> u64 {
-        self.appended
     }
 }
 

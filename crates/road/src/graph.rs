@@ -255,12 +255,6 @@ impl RoadNetwork {
         self.in_sources[lo..hi].iter().copied().zip(self.in_costs[lo..hi].iter().copied())
     }
 
-    /// Out-degree of a vertex.
-    #[inline]
-    pub fn out_degree(&self, node: NodeId) -> usize {
-        (self.out_offsets[node.index() + 1] - self.out_offsets[node.index()]) as usize
-    }
-
     /// Endpoints `(from, to)` of an edge by id.
     #[inline]
     pub fn edge_endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {

@@ -29,4 +29,4 @@ pub use graph::{quantize_cost_s, EdgeSpec, GraphError, RoadNetwork, COST_QUANTUM
 pub use ids::{EdgeId, NodeId};
 pub use spatial::SpatialGrid;
 pub use synthetic::{grid_city, ring_radial_city, GridCityConfig, RingRadialConfig};
-pub use traffic::{apply_traffic, apply_traffic_shifts, HourlyTrafficProfile, TrafficShiftSpec};
+pub use traffic::{apply_traffic, apply_traffic_shifts, TrafficShiftSpec};

@@ -63,12 +63,6 @@ impl GridCityConfig {
         Self { rows: 20, cols: 20, ..Self::default() }
     }
 
-    /// The default experiment graph (~10 k nodes), the scaled stand-in for
-    /// the paper's 214 k-vertex Chengdu network.
-    pub fn chengdu_like() -> Self {
-        Self::default()
-    }
-
     /// A larger graph for scalability experiments.
     pub fn large() -> Self {
         Self { rows: 200, cols: 200, ..Self::default() }

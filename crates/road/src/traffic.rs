@@ -3,81 +3,19 @@
 //! The paper assumes stable traffic ("the travel cost of each edge is
 //! constant") but notes the system "could easily extend to run with
 //! real-time traffic conditions" (Sec. III-A). This module provides that
-//! extension point: an [`HourlyTrafficProfile`] of per-hour speed factors
-//! and [`apply_traffic`], which derives a re-weighted [`RoadNetwork`] for
-//! a time slice. Deriving a graph per slice keeps every downstream
-//! component (caches, cost matrices, oracles) valid within the slice —
-//! the same quasi-static model traffic-aware dispatch systems use in
-//! practice.
+//! extension point: [`apply_traffic`] derives a re-weighted
+//! [`RoadNetwork`] for a time slice. Deriving a graph per slice keeps
+//! every downstream component (caches, cost matrices, oracles) valid
+//! within the slice — the same quasi-static model traffic-aware dispatch
+//! systems use in practice.
 
 use crate::graph::{EdgeSpec, GraphError, RoadNetwork};
-
-/// Per-hour speed factors: effective speed = base speed × factor.
-/// A factor below 1 models congestion, above 1 free flow.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HourlyTrafficProfile {
-    factors: [f64; 24],
-}
-
-impl Default for HourlyTrafficProfile {
-    fn default() -> Self {
-        Self::free_flow()
-    }
-}
-
-impl HourlyTrafficProfile {
-    /// No congestion at any hour.
-    pub fn free_flow() -> Self {
-        Self { factors: [1.0; 24] }
-    }
-
-    /// A workday shape: morning (7-9) and evening (17-19) rush hours slow
-    /// traffic to ~60%, shoulders to ~80%, night free-flows slightly above
-    /// nominal.
-    pub fn workday() -> Self {
-        let mut factors = [1.0f64; 24];
-        for (h, f) in factors.iter_mut().enumerate() {
-            *f = match h {
-                7..=9 => 0.6,
-                10..=16 => 0.85,
-                17..=19 => 0.6,
-                20..=22 => 0.9,
-                _ => 1.1,
-            };
-        }
-        Self { factors }
-    }
-
-    /// Builds a profile from explicit factors.
-    ///
-    /// # Panics
-    /// Panics when any factor is non-positive or non-finite.
-    pub fn from_factors(factors: [f64; 24]) -> Self {
-        assert!(
-            factors.iter().all(|f| f.is_finite() && *f > 0.0),
-            "speed factors must be positive"
-        );
-        Self { factors }
-    }
-
-    /// The speed factor in effect at simulation time `t` seconds (hours
-    /// wrap modulo 24).
-    pub fn factor_at(&self, t_s: f64) -> f64 {
-        let h = ((t_s / 3600.0).floor() as i64).rem_euclid(24) as usize;
-        self.factors[h]
-    }
-
-    /// Slowest factor of the profile.
-    pub fn worst(&self) -> f64 {
-        self.factors.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-}
 
 /// A localized, time-windowed travel-time shift: while active, travel
 /// within `radius_m` of `center` takes `factor`× its base time (`factor`
 /// above 1 models a sudden slowdown — an incident, closure-induced spill —
-/// below 1 a clearing). Unlike [`HourlyTrafficProfile`], which re-weights
-/// the whole network per slice, a shift perturbs committed routes in
+/// below 1 a clearing). Unlike [`apply_traffic`], which re-weights the
+/// whole network for a slice, a shift perturbs committed routes in
 /// place: the simulator stretches the affected span of each taxi's timed
 /// route and then repairs the schedules the stretch invalidated.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -182,26 +120,6 @@ mod tests {
     use super::*;
     use crate::ids::NodeId;
     use crate::synthetic::{grid_city, GridCityConfig};
-
-    #[test]
-    fn profile_factor_lookup_wraps() {
-        let p = HourlyTrafficProfile::workday();
-        assert_eq!(p.factor_at(8.0 * 3600.0), 0.6);
-        assert_eq!(p.factor_at(3.0 * 3600.0), 1.1);
-        // Hour 32 == hour 8 next day.
-        assert_eq!(p.factor_at(32.0 * 3600.0), 0.6);
-        assert_eq!(p.worst(), 0.6);
-        assert_eq!(HourlyTrafficProfile::free_flow().factor_at(0.0), 1.0);
-        assert_eq!(HourlyTrafficProfile::default(), HourlyTrafficProfile::free_flow());
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn rejects_zero_factor() {
-        let mut f = [1.0; 24];
-        f[3] = 0.0;
-        let _ = HourlyTrafficProfile::from_factors(f);
-    }
 
     #[test]
     fn congestion_scales_costs_inversely() {

@@ -251,12 +251,6 @@ impl CustomizableCh {
         self.rank.len()
     }
 
-    /// Number of skeleton arcs (each carries an up and a down weight).
-    #[inline]
-    pub fn arc_count(&self) -> u64 {
-        self.up_targets.len() as u64
-    }
-
     /// Arcs the elimination added beyond the original undirected edges —
     /// the CCH analog of a plain CH's shortcut count.
     #[inline]
@@ -681,7 +675,6 @@ mod tests {
         let a = CustomizableCh::build(&g);
         let b = CustomizableCh::build(&g);
         assert_eq!(a.artifact_digest(), b.artifact_digest());
-        assert!(a.arc_count() > 0);
         assert!(a.fill_arc_count() > 0);
         assert!(a.memory_bytes() > 0);
     }

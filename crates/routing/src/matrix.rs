@@ -68,12 +68,6 @@ impl CostMatrix {
         self.from_rows[self.index_of[&s] as usize][v.index()]
     }
 
-    /// Cost from any vertex `v` to source `s` (must be in the set).
-    #[inline]
-    pub fn cost_to(&self, v: NodeId, s: NodeId) -> f32 {
-        self.to_rows[self.index_of[&s] as usize][v.index()]
-    }
-
     /// Cost between two sources.
     #[inline]
     pub fn between(&self, a: NodeId, b: NodeId) -> f32 {
@@ -116,7 +110,8 @@ mod tests {
                 let want = d.cost(&g, s, t).unwrap();
                 assert!((m.cost_from(s, t) as f64 - want).abs() < 1e-2);
                 let back = d.cost(&g, t, s).unwrap();
-                assert!((m.cost_to(t, s) as f64 - back).abs() < 1e-2);
+                let row = m.source_index(s).unwrap();
+                assert!((m.cost_to_idx(t, row) as f64 - back).abs() < 1e-2);
             }
         }
     }
@@ -133,7 +128,7 @@ mod tests {
         assert_eq!(m.source_index(NodeId(399)), Some(2));
         for t in [NodeId(5), NodeId(123), NodeId(398)] {
             assert_eq!(m.cost_from(NodeId(0), t), clean.cost_from(NodeId(0), t));
-            assert_eq!(m.cost_to(t, NodeId(399)), clean.cost_to(t, NodeId(399)));
+            assert_eq!(m.cost_to_idx(t, 2), clean.cost_to_idx(t, 2));
         }
     }
 

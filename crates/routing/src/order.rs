@@ -61,12 +61,6 @@ impl NodeOrder {
         self.rank[v as usize]
     }
 
-    /// Vertex eliminated at position `k`.
-    #[inline]
-    pub fn node_at(&self, k: u32) -> u32 {
-        self.order[k as usize]
-    }
-
     /// The rank array, indexed by vertex id.
     #[inline]
     pub fn ranks(&self) -> &[u32] {
@@ -96,8 +90,8 @@ mod tests {
         let ord = NodeOrder::nested_dissection(&g);
         assert_eq!(ord.len(), g.node_count());
         assert!(!ord.is_empty());
-        for k in 0..ord.len() as u32 {
-            assert_eq!(ord.rank(ord.node_at(k)), k);
+        for (k, &v) in ord.order.iter().enumerate() {
+            assert_eq!(ord.rank(v), k as u32);
         }
     }
 

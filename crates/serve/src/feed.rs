@@ -234,12 +234,6 @@ impl<R: BufRead> FeedReader<R> {
         self
     }
 
-    /// Whether the stream ended with an explicit drain command (as
-    /// opposed to plain EOF).
-    pub fn drain_commanded(&self) -> bool {
-        self.drain_seen
-    }
-
     /// 1-based number of the last feed line consumed (0 before the
     /// first) — error reporting context for the serve loop.
     pub fn line(&self) -> u64 {
@@ -437,7 +431,7 @@ mod tests {
         assert_eq!(r.next_burst().unwrap().unwrap().len(), 1);
         assert_eq!(r.next_burst().unwrap().unwrap().len(), 1);
         assert!(r.next_burst().unwrap().is_none());
-        assert!(!r.drain_commanded());
+        assert!(!r.drain_seen);
     }
 
     #[test]
@@ -477,7 +471,7 @@ mod tests {
         let mut r = FeedReader::new(Cursor::new(feed), Pace::Free, 10, 0);
         assert_eq!(r.next_burst().unwrap().unwrap().len(), 1);
         assert!(r.next_burst().unwrap().is_none());
-        assert!(r.drain_commanded());
+        assert!(r.drain_seen);
         let left = r.leftovers().unwrap();
         assert_eq!(left.len(), 2);
         assert!(left.iter().all(|(_, r)| *r == RejectReason::DrainRejected));

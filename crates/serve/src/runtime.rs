@@ -201,7 +201,7 @@ pub fn serve<R: BufRead>(
 /// the state dir is crash-consistent, and builds the typed error.
 fn feed_fault(engine: &mut SimEngine, obs: &Obs, line: u64, msg: String) -> ServeError {
     let kind = classify_feed_error(&msg);
-    obs.record_feed_fault();
+    obs.add("faults", &[("feed", 1)]);
     obs.emit_meta(Event::FeedFault { t: engine.clock(), line, kind });
     engine.sync_persistence();
     ServeError::Feed { line, kind, msg }

@@ -327,7 +327,7 @@ impl Simulator {
 
         let replay = if records.is_empty() {
             // The snapshot already is the newest state: no re-execution.
-            self.obs.record_restore();
+            self.obs.add("persistence", &[("restores", 1)]);
             self.obs.emit_meta(Event::Restore {
                 t: self.clock,
                 step: self.step,
@@ -431,7 +431,10 @@ impl Simulator {
             WalRecord { step, kind, t, digest }.encode(&mut enc);
             let rec = enc.into_bytes();
             match rt.wal.append(&rec) {
-                Ok(()) => self.obs.record_wal_append(rec.len() as u64),
+                Ok(()) => {
+                    let bytes = rec.len() as u64;
+                    self.obs.add("persistence", &[("wal_records", 1), ("wal_bytes", bytes)]);
+                }
                 Err(e) => {
                     // Mid-step fault: the step's effects are already in
                     // the trace but its WAL record is not, so a strict
@@ -444,7 +447,7 @@ impl Simulator {
         }
         if let Some((snapshot_step, wal_replayed)) = finished_replay {
             self.obs.set_muted(false);
-            self.obs.record_restore();
+            self.obs.add("persistence", &[("restores", 1)]);
             self.obs.emit_meta(Event::Restore { t: clock, step, snapshot_step, wal_replayed });
         }
 
@@ -478,7 +481,10 @@ impl Simulator {
     ///   for post-mortem, drop persistence, keep serving from memory.
     pub(super) fn handle_persist_error(&mut self, op: &'static str, err: PersistError) {
         let class = err.class().label();
-        self.obs.record_storage_fault(op);
+        // WAL ops count against the `wal` bucket, everything else (snapshot
+        // read/write, directory sync) against `snapshot`.
+        let bucket = if op.starts_with("wal") { "wal" } else { "snapshot" };
+        self.obs.add("faults", &[(bucket, 1)]);
         self.obs.emit_meta(Event::StorageFault { t: self.clock, step: self.step, op, class });
         let durability = self.cfg.persist.as_ref().map(|pc| pc.durability).unwrap_or_default();
         match durability {
@@ -493,7 +499,7 @@ impl Simulator {
                     None => false,
                 };
                 if quarantined {
-                    self.obs.record_quarantine();
+                    self.obs.add("faults", &[("quarantines", 1)]);
                 }
                 self.obs.emit_meta(Event::DurabilityDegraded {
                     t: self.clock,
@@ -566,8 +572,9 @@ impl Simulator {
             Ok(stats) => {
                 self.persist.as_mut().expect("synced above").last_checkpoint_step = step;
                 if stats.dir_sync_unsupported {
-                    self.obs.record_dir_sync_unsupported();
+                    self.obs.add("faults", &[("dir_sync_unsupported", 1)]);
                 }
+                self.obs.add("persistence", &[("checkpoints", 1)]);
                 self.obs.record_checkpoint(stats.bytes, t0.elapsed().as_secs_f64());
                 self.obs.emit_meta(Event::Checkpoint { t: self.clock, step, bytes: stats.bytes });
             }

@@ -32,7 +32,7 @@ pub use scenario::{
     build_context, materialize, Scenario, ScenarioConfig, ScenarioKind, SchemeKind,
 };
 pub use simulator::{BatchConfig, PersistConfig, RunOutcome, SimConfig, Simulator, StepOutcome};
-pub use telemetry::{classify_rejection, classify_rejection_with_cause, RejectCause};
+pub use telemetry::classify_rejection;
 pub use trace::{parse_trace, snap_trace, SnappedTrace, TraceParse, TraceRecord, MAX_TRACE_ERRORS};
 pub use workload::{
     weekend_profile, workday_profile, RawRequest, WorkloadConfig, WorkloadGenerator,

@@ -217,29 +217,23 @@ impl SchemeKind {
         mt_cfg: Option<MtShareConfig>,
     ) -> Box<dyn DispatchScheme> {
         let base_cfg = mt_cfg.unwrap_or_default();
-        // All four schemes score insertions through the same engine
-        // (`--scheduler dp|dtree`); mT-Share builds its own from the
-        // config, the grid baselines take it explicitly.
-        let engine = || mtshare_model::make_engine(base_cfg.scheduler, n_taxis);
+        // The minimum-detour schemes score insertions through one engine
+        // (`--scheduler dp|dtree`): mT-Share builds its own from the config,
+        // pGreedyDP takes it explicitly. No-Sharing and T-Share take the
+        // first valid instance and hold none.
         match self {
-            SchemeKind::NoSharing => Box::new(
-                NoSharing::with_params(
-                    graph,
-                    n_taxis,
-                    base_cfg.max_search_range_m,
-                    base_cfg.speed_mps(),
-                )
-                .with_engine(engine()),
-            ),
-            SchemeKind::TShare => Box::new(
-                TShare::with_params(
-                    graph,
-                    n_taxis,
-                    base_cfg.max_search_range_m,
-                    base_cfg.speed_mps(),
-                )
-                .with_engine(engine()),
-            ),
+            SchemeKind::NoSharing => Box::new(NoSharing::with_params(
+                graph,
+                n_taxis,
+                base_cfg.max_search_range_m,
+                base_cfg.speed_mps(),
+            )),
+            SchemeKind::TShare => Box::new(TShare::with_params(
+                graph,
+                n_taxis,
+                base_cfg.max_search_range_m,
+                base_cfg.speed_mps(),
+            )),
             SchemeKind::PGreedyDp => Box::new(
                 PGreedyDp::with_params(
                     graph,
@@ -247,7 +241,7 @@ impl SchemeKind {
                     base_cfg.max_search_range_m,
                     base_cfg.speed_mps(),
                 )
-                .with_engine(engine()),
+                .with_engine(mtshare_model::make_engine(base_cfg.scheduler, n_taxis)),
             ),
             SchemeKind::MtShare => {
                 let ctx = ctx.expect("mT-Share needs a mobility context");

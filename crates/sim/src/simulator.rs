@@ -14,19 +14,21 @@ use crate::telemetry::classify_rejection;
 use mtshare_chaos::{check_taxi, ChaosConfig, Disruption, DisruptionPlan, RetryPolicy};
 use mtshare_core::{settle_episode, PassengerTrip, PaymentConfig};
 use mtshare_model::{
-    DispatchScheme, EventKind, RequestId, RequestStore, RideRequest, Schedule, Taxi, TaxiId, Time,
+    DispatchScheme, EventKind, RequestId, RequestStore, RideRequest, Taxi, TaxiId, Time,
     TimedRoute, World,
 };
-use mtshare_obs::{Event, ExternalStats, Obs, RejectReason, RunInfo, Stage};
-use mtshare_road::{apply_traffic_shifts, NodeId, RoadNetwork, SpatialGrid, TrafficShiftSpec};
-use mtshare_routing::{HotNodeOracle, Path, PathCache};
+use mtshare_obs::{Event, Obs, RejectReason, RunInfo, Stage};
+use mtshare_road::{apply_traffic_shifts, RoadNetwork, SpatialGrid, TrafficShiftSpec};
+use mtshare_routing::{HotNodeOracle, PathCache};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+mod batch;
 #[path = "checkpoint.rs"]
 mod checkpoint;
+mod recovery;
 pub use checkpoint::{PersistConfig, RunOutcome};
 
 /// Simulator knobs.
@@ -86,10 +88,6 @@ impl Default for SimConfig {
         }
     }
 }
-
-/// Extra slack granted when an orphaned rider's deadline is renegotiated:
-/// the new deadline is at least `now + RENEG_SLACK × direct`.
-const RENEG_SLACK: f64 = 1.5;
 
 /// What one [`Simulator::step_once`] call did. The service runtime
 /// ([`crate::engine::SimEngine`]) paces its feed consumption off these;
@@ -1040,424 +1038,6 @@ impl Simulator {
         }
     }
 
-    // --- disruption injection & recovery -------------------------------
-
-    fn process_disruption(&mut self, t: Time, idx: usize, scheme: &mut dyn DispatchScheme) {
-        match self.plan.events[idx].disruption {
-            Disruption::Breakdown { taxi } => self.process_breakdown(t, taxi, scheme),
-            Disruption::Cancel { request } => self.process_cancel(t, request, scheme),
-            Disruption::TrafficShift(spec) => self.process_traffic_shift(t, spec, scheme),
-        }
-    }
-
-    /// A taxi drops out of service: park it, settle its episode, reconcile
-    /// it out of the scheme's indexes and re-enqueue its stranded riders.
-    fn process_breakdown(&mut self, t: Time, taxi_id: TaxiId, scheme: &mut dyn DispatchScheme) {
-        if !self.taxis[taxi_id.index()].alive {
-            return;
-        }
-        // Close the running occupancy window before the plan is torn down
-        // so the episode settles over the cost actually driven.
-        if let Some(since) = self.episodes[taxi_id.index()].onboard_since.take() {
-            self.episodes[taxi_id.index()].onboard_cost_s += t - since;
-        }
-        let (onboard, assigned) = self.taxis[taxi_id.index()].fail(t);
-        self.route_nodes[taxi_id.index()].clear();
-        self.settle_taxi(taxi_id);
-        self.obs.emit(Event::Breakdown {
-            t,
-            taxi: taxi_id.0,
-            orphans: (onboard.len() + assigned.len()) as u32,
-        });
-        scheme.on_taxi_removed(&self.taxis[taxi_id.index()], &self.world());
-        let fail_node = self.taxis[taxi_id.index()].location;
-        for r in onboard {
-            self.enqueue_orphan(r, t, Some(fail_node));
-        }
-        for r in assigned {
-            self.enqueue_orphan(r, t, None);
-        }
-    }
-
-    /// Detaches an orphaned rider from its (gone) plan and schedules the
-    /// first bounded-retry re-dispatch attempt. Riders already picked up
-    /// pass the node they are stranded at: the request re-enters the
-    /// queue from there, with its deadline renegotiated to keep the
-    /// remaining trip feasible.
-    fn enqueue_orphan(&mut self, request: RequestId, now: Time, stranded_at: Option<NodeId>) {
-        if self.resolved[request.index()] {
-            return;
-        }
-        // Balance the commit-time hold; each retry attempt holds again.
-        self.release(self.requests.get(request));
-        self.pickup_time.remove(&request);
-        let direct = {
-            let req = self.requests.get(request);
-            let origin = stranded_at.unwrap_or(req.origin);
-            self.cache.cost(origin, req.destination)
-        };
-        let Some(direct) = direct else {
-            // No road leads onward from the breakdown position.
-            self.reject_with(request, now, RejectReason::TaxiFailed);
-            return;
-        };
-        {
-            let req = self.requests.get_mut(request);
-            if let Some(node) = stranded_at {
-                req.origin = node;
-            }
-            req.direct_cost_s = direct;
-            req.deadline = req.deadline.max(now + RENEG_SLACK * direct);
-        }
-        if !self.taxis.iter().any(|x| x.alive) {
-            // Nothing is left to retry against, and nothing will revive.
-            self.reject_with(request, now, RejectReason::TaxiFailed);
-            return;
-        }
-        self.push_ev(now + self.cfg.retry.delay_s(1), Ev::Redispatch { request, attempt: 1 });
-    }
-
-    /// A rider withdraws before pickup. The terminal accounting is a
-    /// `CancelledByPassenger` rejection (so `served + rejected` still
-    /// covers every request); an informational `cancel` event precedes it.
-    fn process_cancel(&mut self, t: Time, request: RequestId, scheme: &mut dyn DispatchScheme) {
-        if self.resolved[request.index()] || self.pickup_time.contains_key(&request) {
-            return; // already terminal, or onboard: too late to cancel
-        }
-        let req = self.requests.get(request).clone();
-        if req.release_time > t {
-            // Not yet released: reject at arrival, keeping the event
-            // stream in request order.
-            self.cancelled_pre_release.insert(request);
-            self.obs.emit(Event::Cancel { t, req: request.0, assigned: false });
-            return;
-        }
-        if self.pending_offline.contains(&request) {
-            self.drop_offline_watch(request);
-            self.obs.emit(Event::Cancel { t, req: request.0, assigned: false });
-            self.reject_with(request, t, RejectReason::CancelledByPassenger);
-            return;
-        }
-        match self.taxis.iter().position(|x| x.assigned.contains(&request)) {
-            Some(i) => {
-                let taxi_id = TaxiId(i as u32);
-                self.taxis[i].assigned.retain(|&r| r != request);
-                let schedule = self.taxis[i].schedule.without_request(request);
-                if !self.rebuild_plan(taxi_id, schedule, t, scheme) {
-                    self.taxis[i].assigned.push(request);
-                    return; // repair impossible; the committed plan stands
-                }
-                self.release(&req);
-                self.obs.emit(Event::Cancel { t, req: request.0, assigned: true });
-                self.reject_with(request, t, RejectReason::CancelledByPassenger);
-            }
-            None => {
-                // Waiting unassigned (an orphan between retry attempts):
-                // terminal now, the pending retry no-ops via `resolved`.
-                self.obs.emit(Event::Cancel { t, req: request.0, assigned: false });
-                self.reject_with(request, t, RejectReason::CancelledByPassenger);
-            }
-        }
-    }
-
-    /// A localized slowdown: committed routes through the region stretch
-    /// in place (quasi-static repair — window membership is judged on the
-    /// pre-stretch timetable, and repaired or newly committed routes use
-    /// base costs; see DESIGN.md, "Fault model & recovery"). Riders whose
-    /// deadlines the delay breaks are renegotiated or re-enqueued.
-    fn process_traffic_shift(
-        &mut self,
-        t: Time,
-        spec: TrafficShiftSpec,
-        scheme: &mut dyn DispatchScheme,
-    ) {
-        self.obs.emit(Event::TrafficShift {
-            t,
-            node: spec.center.0,
-            radius_m: spec.radius_m,
-            factor: spec.factor,
-            duration_s: spec.duration_s,
-        });
-        for i in 0..self.taxis.len() {
-            if !self.taxis[i].alive || self.taxis[i].route.is_none() {
-                continue;
-            }
-            let taxi_id = TaxiId(i as u32);
-            let delay = {
-                let graph = &self.graph;
-                let route = self.taxis[i].route.as_mut().expect("checked");
-                route.stretch(t, spec.end_s(), spec.factor, |n| spec.covers(graph, n))
-            };
-            if delay <= 1e-9 {
-                continue;
-            }
-            // Audit the stretched timetable: unpicked riders whose pickup
-            // deadline is now missed get dropped and re-dispatched;
-            // late-running onboard riders get their deadlines extended.
-            let mut dropped: Vec<RequestId> = Vec::new();
-            let mut late_dropoffs: Vec<(RequestId, Time)> = Vec::new();
-            {
-                let taxi = &self.taxis[i];
-                let route = taxi.route.as_ref().expect("checked");
-                for (k, ev) in taxi.schedule.events().iter().enumerate() {
-                    let when = route.event_time(k);
-                    match ev.kind {
-                        EventKind::Pickup => {
-                            if when > self.requests.get(ev.request).pickup_deadline() {
-                                dropped.push(ev.request);
-                            }
-                        }
-                        EventKind::Dropoff => {
-                            if !dropped.contains(&ev.request)
-                                && when > self.requests.get(ev.request).deadline
-                            {
-                                late_dropoffs.push((ev.request, when));
-                            }
-                        }
-                    }
-                }
-            }
-            let mut renegotiated = 0u32;
-            for (r, when) in late_dropoffs {
-                let req = self.requests.get_mut(r);
-                if req.deadline < when + 1.0 {
-                    req.deadline = when + 1.0;
-                    renegotiated += 1;
-                }
-            }
-            let n_dropped;
-            if dropped.is_empty() {
-                n_dropped = 0;
-                self.rearm_stretched(taxi_id, t, scheme);
-            } else {
-                let mut schedule = self.taxis[i].schedule.clone();
-                for &r in &dropped {
-                    schedule = schedule.without_request(r);
-                    self.taxis[i].assigned.retain(|&x| x != r);
-                }
-                if self.rebuild_plan(taxi_id, schedule, t, scheme) {
-                    for &r in &dropped {
-                        self.enqueue_orphan(r, t, None);
-                    }
-                    n_dropped = dropped.len() as u32;
-                } else {
-                    // Repair impossible: keep the stretched plan and
-                    // extend the affected riders' deadlines instead.
-                    let mut extend: Vec<(RequestId, Time)> = Vec::new();
-                    {
-                        let taxi = &mut self.taxis[i];
-                        taxi.assigned.extend(dropped.iter().copied());
-                        let route = taxi.route.as_ref().expect("checked");
-                        for (k, ev) in taxi.schedule.events().iter().enumerate() {
-                            if ev.kind == EventKind::Dropoff && dropped.contains(&ev.request) {
-                                extend.push((ev.request, route.event_time(k)));
-                            }
-                        }
-                    }
-                    for (r, when) in extend {
-                        let req = self.requests.get_mut(r);
-                        if req.deadline < when + 1.0 {
-                            req.deadline = when + 1.0;
-                            renegotiated += 1;
-                        }
-                    }
-                    n_dropped = 0;
-                    self.rearm_stretched(taxi_id, t, scheme);
-                }
-            }
-            self.obs.emit(Event::Reroute { t, taxi: taxi_id.0, renegotiated, dropped: n_dropped });
-        }
-    }
-
-    /// Re-arms a taxi whose route timetable was stretched in place: bumps
-    /// the version (queued events carry stale times), refreshes the
-    /// encounter map and re-queues the next schedule event.
-    fn rearm_stretched(&mut self, taxi_id: TaxiId, now: Time, scheme: &mut dyn DispatchScheme) {
-        let i = taxi_id.index();
-        self.taxis[i].route_version += 1;
-        self.arm_route(taxi_id);
-        scheme.on_taxi_progress(&self.taxis[i], now, &self.world());
-    }
-
-    /// Replaces `taxi_id`'s plan with `schedule`, routing every leg from
-    /// its position at `now` over base costs. Returns `false` — world
-    /// untouched — when some leg cannot be routed.
-    fn rebuild_plan(
-        &mut self,
-        taxi_id: TaxiId,
-        schedule: Schedule,
-        now: Time,
-        scheme: &mut dyn DispatchScheme,
-    ) -> bool {
-        let i = taxi_id.index();
-        let pos = self.taxis[i].position_at(now);
-        let mut legs: Vec<Path> = Vec::with_capacity(schedule.len());
-        let mut prev = pos;
-        for ev in schedule.events() {
-            match self.oracle.path(prev, ev.node) {
-                Some(p) => {
-                    legs.push(p);
-                    prev = ev.node;
-                }
-                None => return false,
-            }
-        }
-        {
-            let taxi = &mut self.taxis[i];
-            taxi.location = pos;
-            taxi.location_time = now;
-            if schedule.is_empty() {
-                taxi.schedule = Schedule::new();
-                taxi.route = None;
-                taxi.route_version += 1;
-            } else {
-                let route = TimedRoute::build_on(&self.graph, pos, now, &legs, &schedule);
-                taxi.set_plan(schedule, route, now);
-            }
-        }
-        self.arm_route(taxi_id);
-        scheme.after_assign(&self.taxis[i], &self.world());
-        self.scan_route_for_offline(taxi_id, now);
-        true
-    }
-
-    /// One bounded-retry re-dispatch attempt for an orphaned rider.
-    fn process_redispatch(
-        &mut self,
-        t: Time,
-        request: RequestId,
-        attempt: u32,
-        scheme: &mut dyn DispatchScheme,
-    ) {
-        if self.resolved[request.index()] {
-            return; // cancelled (or otherwise settled) while waiting
-        }
-        let req = self.requests.get(request).clone();
-        let ok = self.try_dispatch(&req, t, None, false, scheme);
-        self.obs.emit(Event::Redispatch { t, req: request.0, attempt, ok });
-        if ok {
-            self.redispatched += 1;
-        } else if self.cfg.retry.exhausted(attempt + 1) {
-            self.reject_with(request, t, RejectReason::RetriesExhausted);
-        } else {
-            let next = attempt + 1;
-            self.push_ev(
-                t + self.cfg.retry.delay_s(next),
-                Ev::Redispatch { request, attempt: next },
-            );
-        }
-    }
-
-    /// Drains the open batch window at its flush time `t`: scores one
-    /// cost row per live member, solves the rectangular assignment with
-    /// the Kuhn–Munkres solver (`mtshare-lap`) and commits each winner
-    /// through the scheme's revalidated [`DispatchScheme::dispatch_to`]
-    /// path. Losers re-enter the next window until their retry budget
-    /// runs out. One heap step, like any other event — the whole flush
-    /// is a pure function of the window contents and the frozen world.
-    fn process_batch_flush(&mut self, t: Time, scheme: &mut dyn DispatchScheme) {
-        let window_s = self.cfg.batch.as_ref().expect("flush only queued in batch mode").window_s;
-        let max_retries = self.cfg.batch.as_ref().expect("checked").max_retries;
-        // A member can turn terminal while buffered (a chaos cancel
-        // inside the open window): drop it here so it is matched — and
-        // accounted — exactly zero more times.
-        let members: Vec<(RequestId, u32)> = std::mem::take(&mut self.window)
-            .into_iter()
-            .filter(|&(id, _)| !self.resolved[id.index()])
-            .collect();
-        if members.is_empty() {
-            return;
-        }
-        let reqs: Vec<RideRequest> =
-            members.iter().map(|&(id, _)| self.requests.get(id).clone()).collect();
-        // Pin every window endpoint before the solve (infrastructure,
-        // untimed — the same contract as `try_dispatch`).
-        reqs.iter().for_each(|r| self.hold(r));
-        let t0 = std::time::Instant::now();
-        let rows = scheme.score_window(&reqs, t, &self.world());
-        let Some(rows) = rows else {
-            // Scheme has no batch-window path: dispatch the members
-            // sequentially at the flush time (each takes its own hold).
-            reqs.iter().for_each(|r| self.release(r));
-            for r in &reqs {
-                self.try_dispatch(r, t, None, true, scheme);
-            }
-            return;
-        };
-        debug_assert_eq!(rows.len(), reqs.len(), "one cost row per window member");
-
-        // Columns: the sorted union of candidate taxis across rows. The
-        // matrix entry is the marginal insertion detour, ∞ where a taxi
-        // is not a (feasible) candidate of that row's request.
-        let mut cols: Vec<TaxiId> =
-            rows.iter().flat_map(|r| r.candidates.iter().copied()).collect();
-        cols.sort_unstable();
-        cols.dedup();
-        let (n_rows, n_cols) = (rows.len(), cols.len());
-        let mut cost = vec![f64::INFINITY; n_rows * n_cols];
-        for (i, row) in rows.iter().enumerate() {
-            for (c, taxi) in row.candidates.iter().enumerate() {
-                let j = cols.binary_search(taxi).expect("columns built from candidates");
-                cost[i * n_cols + j] = row.costs[c];
-            }
-        }
-        let sol = {
-            let _span = self.obs.stage(Stage::BatchSolve);
-            mtshare_lap::solve(n_rows, n_cols, &cost)
-        };
-        self.obs.record_lap(
-            n_rows as u64,
-            n_cols as u64,
-            sol.assigned as u64,
-            sol.stats.augmentations,
-            sol.stats.relaxations,
-            sol.stats.skipped_rows,
-        );
-        let per_req_s = t0.elapsed().as_secs_f64() / n_rows as f64;
-
-        for (i, (&(id, attempt), req)) in members.iter().zip(&reqs).enumerate() {
-            self.response_ms.push(per_req_s * 1000.0);
-            self.obs.record_response_s(per_req_s);
-            self.candidates.push(rows[i].candidates.len() as f64);
-            self.obs.emit(Event::Dispatch {
-                t,
-                req: id.0,
-                candidates: rows[i].candidates.len() as u32,
-                feasible: rows[i].feasible as u32,
-            });
-            // The LAP guarantees pairwise-distinct winners, so earlier
-            // commits in this flush never touch a later winner's taxi —
-            // each `dispatch_to` re-derives and re-verifies against the
-            // current world anyway (materialization can still fail, which
-            // demotes the row to a loser).
-            let committed = sol.row_to_col[i].map(|j| cols[j]).is_some_and(|taxi| {
-                let outcome = scheme.dispatch_to(req, taxi, t, &self.world());
-                match outcome.assignment {
-                    Some(a) => {
-                        self.commit(req, a, t, scheme);
-                        true
-                    }
-                    None => false,
-                }
-            });
-            if !committed {
-                self.release(req);
-                if attempt >= max_retries {
-                    self.rejected += 1;
-                    self.resolved[id.index()] = true;
-                    self.emit_reject(req, t);
-                } else {
-                    self.window.push((id, attempt + 1));
-                }
-            }
-        }
-        // Losers re-queued above re-arm the next flush (the window was
-        // drained at entry, so they are its only members right now).
-        if !self.window.is_empty() {
-            self.push_ev(t + window_s, Ev::BatchFlush);
-        }
-    }
-
     /// Runtime invariant sweep: per-taxi consistency (`mtshare-chaos`),
     /// passenger conservation across the fleet, and index/world
     /// agreement. Violations are emitted as events and counted; healthy
@@ -1552,43 +1132,50 @@ impl Simulator {
                 n_requests: self.requests.len(),
                 n_offline,
             });
+            // End-of-run totals of the shared structures, one `profiling`
+            // block each, named as in its row of `obs::schema::BLOCKS`.
+            let obs = &self.obs;
             let cs = self.cache.stats();
+            obs.add(
+                "path_cache",
+                &[("hits", cs.hits), ("misses", cs.misses), ("evictions", cs.evictions)],
+            );
             let os = self.oracle.stats();
-            let ch = self.cache.ch_stats().unwrap_or_default();
-            let ch_shortcuts =
-                self.cache.hierarchy().map(|h| h.shortcut_count()).unwrap_or_default();
-            let cch = self.cache.cch_stats().unwrap_or_default();
-            let cch_fill_arcs =
-                self.cache.customizable().map(|h| h.fill_arc_count()).unwrap_or_default();
-            let es = scheme.scheduler_stats();
-            self.obs.set_external_stats(ExternalStats {
-                cache_hits: cs.hits,
-                cache_misses: cs.misses,
-                cache_evictions: cs.evictions,
-                oracle_vector_hits: os.vector_hits,
-                oracle_searches: os.searches,
-                oracle_pin_computes: os.pin_computes,
-                oracle_evictions: os.evictions,
-                ch_p2p_queries: ch.p2p_queries,
-                ch_bucket_sweeps: ch.bucket_sweeps,
-                ch_bucket_sources: ch.bucket_sources,
-                ch_shortcuts,
-                cch_p2p_queries: cch.p2p_queries,
-                cch_bucket_sweeps: cch.bucket_sweeps,
-                cch_bucket_sources: cch.bucket_sources,
-                cch_customizations: cch.customizations,
-                cch_fill_arcs,
-                dtree_scores: es.scores,
-                dtree_rebuilds: es.rebuilds,
-                dtree_advances: es.advances,
-                dtree_commits: es.commits,
-                dtree_removes: es.removes,
-                dtree_retimes: es.retimes,
-                dtree_legs_reused: es.legs_reused,
-                dtree_legs_filled: es.legs_filled,
-                dtree_memo_reuses: es.memo_reuses,
-                dtree_memo_fills: es.memo_fills,
-            });
+            obs.add(
+                "oracle",
+                &[
+                    ("vector_hits", os.vector_hits),
+                    ("searches", os.searches),
+                    ("pin_computes", os.pin_computes),
+                    ("evictions", os.evictions),
+                ],
+            );
+            if let Some(h) = self.cache.hierarchy() {
+                let ch = h.stats();
+                obs.add(
+                    "ch",
+                    &[
+                        ("p2p_queries", ch.p2p_queries),
+                        ("bucket_sweeps", ch.bucket_sweeps),
+                        ("bucket_sources", ch.bucket_sources),
+                        ("shortcuts", h.shortcut_count()),
+                    ],
+                );
+            }
+            if let Some(h) = self.cache.customizable() {
+                let cch = h.stats();
+                obs.add(
+                    "cch",
+                    &[
+                        ("p2p_queries", cch.p2p_queries),
+                        ("bucket_sweeps", cch.bucket_sweeps),
+                        ("bucket_sources", cch.bucket_sources),
+                        ("customizations", cch.customizations),
+                        ("fill_arcs", h.fill_arc_count()),
+                    ],
+                );
+            }
+            obs.add("dtree", &scheme.scheduler_stats().counters());
             self.obs.flush();
         }
 
@@ -1630,7 +1217,7 @@ mod tests {
     use super::*;
     use crate::scenario::{build_context, Scenario, ScenarioConfig, SchemeKind};
     use mtshare_core::PartitionStrategy;
-    use mtshare_road::{grid_city, GridCityConfig};
+    use mtshare_road::{grid_city, GridCityConfig, NodeId};
 
     fn run_kind(kind: SchemeKind, scenario_cfg: ScenarioConfig) -> SimReport {
         let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());

@@ -1,0 +1,331 @@
+//! Disruption injection and recovery: breakdowns, cancellations, traffic
+//! shifts and the bounded re-dispatch of the riders they strand (see
+//! DESIGN.md, "Fault model & recovery"). An `impl Simulator` child module
+//! like `checkpoint.rs`: it reads and repairs the simulator's state in
+//! place and commits through the parent's `try_dispatch` / `arm_route`.
+
+use super::{Ev, Simulator};
+use mtshare_chaos::Disruption;
+use mtshare_model::{
+    DispatchScheme, EventKind, RequestId, RequestStore, Schedule, TaxiId, Time, TimedRoute,
+};
+use mtshare_obs::{Event, RejectReason};
+use mtshare_road::{NodeId, TrafficShiftSpec};
+use mtshare_routing::Path;
+
+/// Extra slack granted when an orphaned rider's deadline is renegotiated:
+/// the new deadline is at least `now + RENEG_SLACK × direct`.
+const RENEG_SLACK: f64 = 1.5;
+
+impl Simulator {
+    pub(super) fn process_disruption(
+        &mut self,
+        t: Time,
+        idx: usize,
+        scheme: &mut dyn DispatchScheme,
+    ) {
+        match self.plan.events[idx].disruption {
+            Disruption::Breakdown { taxi } => self.process_breakdown(t, taxi, scheme),
+            Disruption::Cancel { request } => self.process_cancel(t, request, scheme),
+            Disruption::TrafficShift(spec) => self.process_traffic_shift(t, spec, scheme),
+        }
+    }
+
+    /// A taxi drops out of service: park it, settle its episode, reconcile
+    /// it out of the scheme's indexes and re-enqueue its stranded riders.
+    fn process_breakdown(&mut self, t: Time, taxi_id: TaxiId, scheme: &mut dyn DispatchScheme) {
+        if !self.taxis[taxi_id.index()].alive {
+            return;
+        }
+        // Close the running occupancy window before the plan is torn down
+        // so the episode settles over the cost actually driven.
+        if let Some(since) = self.episodes[taxi_id.index()].onboard_since.take() {
+            self.episodes[taxi_id.index()].onboard_cost_s += t - since;
+        }
+        let (onboard, assigned) = self.taxis[taxi_id.index()].fail(t);
+        self.route_nodes[taxi_id.index()].clear();
+        self.settle_taxi(taxi_id);
+        self.obs.emit(Event::Breakdown {
+            t,
+            taxi: taxi_id.0,
+            orphans: (onboard.len() + assigned.len()) as u32,
+        });
+        scheme.on_taxi_removed(&self.taxis[taxi_id.index()], &self.world());
+        let fail_node = self.taxis[taxi_id.index()].location;
+        for r in onboard {
+            self.enqueue_orphan(r, t, Some(fail_node));
+        }
+        for r in assigned {
+            self.enqueue_orphan(r, t, None);
+        }
+    }
+
+    /// Detaches an orphaned rider from its (gone) plan and schedules the
+    /// first bounded-retry re-dispatch attempt. Riders already picked up
+    /// pass the node they are stranded at: the request re-enters the
+    /// queue from there, with its deadline renegotiated to keep the
+    /// remaining trip feasible.
+    fn enqueue_orphan(&mut self, request: RequestId, now: Time, stranded_at: Option<NodeId>) {
+        if self.resolved[request.index()] {
+            return;
+        }
+        // Balance the commit-time hold; each retry attempt holds again.
+        self.release(self.requests.get(request));
+        self.pickup_time.remove(&request);
+        let direct = {
+            let req = self.requests.get(request);
+            let origin = stranded_at.unwrap_or(req.origin);
+            self.cache.cost(origin, req.destination)
+        };
+        let Some(direct) = direct else {
+            // No road leads onward from the breakdown position.
+            self.reject_with(request, now, RejectReason::TaxiFailed);
+            return;
+        };
+        {
+            let req = self.requests.get_mut(request);
+            if let Some(node) = stranded_at {
+                req.origin = node;
+            }
+            req.direct_cost_s = direct;
+            req.deadline = req.deadline.max(now + RENEG_SLACK * direct);
+        }
+        if !self.taxis.iter().any(|x| x.alive) {
+            // Nothing is left to retry against, and nothing will revive.
+            self.reject_with(request, now, RejectReason::TaxiFailed);
+            return;
+        }
+        self.push_ev(now + self.cfg.retry.delay_s(1), Ev::Redispatch { request, attempt: 1 });
+    }
+
+    /// A rider withdraws before pickup. The terminal accounting is a
+    /// `CancelledByPassenger` rejection (so `served + rejected` still
+    /// covers every request); an informational `cancel` event precedes it.
+    fn process_cancel(&mut self, t: Time, request: RequestId, scheme: &mut dyn DispatchScheme) {
+        if self.resolved[request.index()] || self.pickup_time.contains_key(&request) {
+            return; // already terminal, or onboard: too late to cancel
+        }
+        let req = self.requests.get(request).clone();
+        if req.release_time > t {
+            // Not yet released: reject at arrival, keeping the event
+            // stream in request order.
+            self.cancelled_pre_release.insert(request);
+            self.obs.emit(Event::Cancel { t, req: request.0, assigned: false });
+            return;
+        }
+        if self.pending_offline.contains(&request) {
+            self.drop_offline_watch(request);
+            self.obs.emit(Event::Cancel { t, req: request.0, assigned: false });
+            self.reject_with(request, t, RejectReason::CancelledByPassenger);
+            return;
+        }
+        match self.taxis.iter().position(|x| x.assigned.contains(&request)) {
+            Some(i) => {
+                let taxi_id = TaxiId(i as u32);
+                self.taxis[i].assigned.retain(|&r| r != request);
+                let schedule = self.taxis[i].schedule.without_request(request);
+                if !self.rebuild_plan(taxi_id, schedule, t, scheme) {
+                    self.taxis[i].assigned.push(request);
+                    return; // repair impossible; the committed plan stands
+                }
+                self.release(&req);
+                self.obs.emit(Event::Cancel { t, req: request.0, assigned: true });
+                self.reject_with(request, t, RejectReason::CancelledByPassenger);
+            }
+            None => {
+                // Waiting unassigned (an orphan between retry attempts):
+                // terminal now, the pending retry no-ops via `resolved`.
+                self.obs.emit(Event::Cancel { t, req: request.0, assigned: false });
+                self.reject_with(request, t, RejectReason::CancelledByPassenger);
+            }
+        }
+    }
+
+    /// A localized slowdown: committed routes through the region stretch
+    /// in place (quasi-static repair — window membership is judged on the
+    /// pre-stretch timetable, and repaired or newly committed routes use
+    /// base costs; see DESIGN.md, "Fault model & recovery"). Riders whose
+    /// deadlines the delay breaks are renegotiated or re-enqueued.
+    fn process_traffic_shift(
+        &mut self,
+        t: Time,
+        spec: TrafficShiftSpec,
+        scheme: &mut dyn DispatchScheme,
+    ) {
+        self.obs.emit(Event::TrafficShift {
+            t,
+            node: spec.center.0,
+            radius_m: spec.radius_m,
+            factor: spec.factor,
+            duration_s: spec.duration_s,
+        });
+        // Moves each late rider's deadline just past the stretched
+        // drop-off; returns how many deadlines it renegotiated.
+        let extend_to = |requests: &mut RequestStore, late: Vec<(RequestId, Time)>| {
+            let mut renegotiated = 0u32;
+            for (r, when) in late {
+                let req = requests.get_mut(r);
+                if req.deadline < when + 1.0 {
+                    req.deadline = when + 1.0;
+                    renegotiated += 1;
+                }
+            }
+            renegotiated
+        };
+        for i in 0..self.taxis.len() {
+            if !self.taxis[i].alive || self.taxis[i].route.is_none() {
+                continue;
+            }
+            let taxi_id = TaxiId(i as u32);
+            let delay = {
+                let graph = &self.graph;
+                let route = self.taxis[i].route.as_mut().expect("checked");
+                route.stretch(t, spec.end_s(), spec.factor, |n| spec.covers(graph, n))
+            };
+            if delay <= 1e-9 {
+                continue;
+            }
+            // Audit the stretched timetable: unpicked riders whose pickup
+            // deadline is now missed get dropped and re-dispatched;
+            // late-running onboard riders get their deadlines extended.
+            let mut dropped: Vec<RequestId> = Vec::new();
+            let mut late_dropoffs: Vec<(RequestId, Time)> = Vec::new();
+            {
+                let taxi = &self.taxis[i];
+                let route = taxi.route.as_ref().expect("checked");
+                for (k, ev) in taxi.schedule.events().iter().enumerate() {
+                    let when = route.event_time(k);
+                    match ev.kind {
+                        EventKind::Pickup => {
+                            if when > self.requests.get(ev.request).pickup_deadline() {
+                                dropped.push(ev.request);
+                            }
+                        }
+                        EventKind::Dropoff => {
+                            if !dropped.contains(&ev.request)
+                                && when > self.requests.get(ev.request).deadline
+                            {
+                                late_dropoffs.push((ev.request, when));
+                            }
+                        }
+                    }
+                }
+            }
+            let mut renegotiated = extend_to(&mut self.requests, late_dropoffs);
+            let n_dropped;
+            if dropped.is_empty() {
+                n_dropped = 0;
+                self.rearm_stretched(taxi_id, t, scheme);
+            } else {
+                let mut schedule = self.taxis[i].schedule.clone();
+                for &r in &dropped {
+                    schedule = schedule.without_request(r);
+                    self.taxis[i].assigned.retain(|&x| x != r);
+                }
+                if self.rebuild_plan(taxi_id, schedule, t, scheme) {
+                    for &r in &dropped {
+                        self.enqueue_orphan(r, t, None);
+                    }
+                    n_dropped = dropped.len() as u32;
+                } else {
+                    // Repair impossible: keep the stretched plan and
+                    // extend the affected riders' deadlines instead.
+                    let mut extend: Vec<(RequestId, Time)> = Vec::new();
+                    {
+                        let taxi = &mut self.taxis[i];
+                        taxi.assigned.extend(dropped.iter().copied());
+                        let route = taxi.route.as_ref().expect("checked");
+                        for (k, ev) in taxi.schedule.events().iter().enumerate() {
+                            if ev.kind == EventKind::Dropoff && dropped.contains(&ev.request) {
+                                extend.push((ev.request, route.event_time(k)));
+                            }
+                        }
+                    }
+                    renegotiated += extend_to(&mut self.requests, extend);
+                    n_dropped = 0;
+                    self.rearm_stretched(taxi_id, t, scheme);
+                }
+            }
+            self.obs.emit(Event::Reroute { t, taxi: taxi_id.0, renegotiated, dropped: n_dropped });
+        }
+    }
+
+    /// Re-arms a taxi whose route timetable was stretched in place: bumps
+    /// the version (queued events carry stale times), refreshes the
+    /// encounter map and re-queues the next schedule event.
+    fn rearm_stretched(&mut self, taxi_id: TaxiId, now: Time, scheme: &mut dyn DispatchScheme) {
+        let i = taxi_id.index();
+        self.taxis[i].route_version += 1;
+        self.arm_route(taxi_id);
+        scheme.on_taxi_progress(&self.taxis[i], now, &self.world());
+    }
+
+    /// Replaces `taxi_id`'s plan with `schedule`, routing every leg from
+    /// its position at `now` over base costs. Returns `false` — world
+    /// untouched — when some leg cannot be routed.
+    fn rebuild_plan(
+        &mut self,
+        taxi_id: TaxiId,
+        schedule: Schedule,
+        now: Time,
+        scheme: &mut dyn DispatchScheme,
+    ) -> bool {
+        let i = taxi_id.index();
+        let pos = self.taxis[i].position_at(now);
+        let mut legs: Vec<Path> = Vec::with_capacity(schedule.len());
+        let mut prev = pos;
+        for ev in schedule.events() {
+            match self.oracle.path(prev, ev.node) {
+                Some(p) => {
+                    legs.push(p);
+                    prev = ev.node;
+                }
+                None => return false,
+            }
+        }
+        {
+            let taxi = &mut self.taxis[i];
+            taxi.location = pos;
+            taxi.location_time = now;
+            if schedule.is_empty() {
+                taxi.schedule = Schedule::new();
+                taxi.route = None;
+                taxi.route_version += 1;
+            } else {
+                let route = TimedRoute::build_on(&self.graph, pos, now, &legs, &schedule);
+                taxi.set_plan(schedule, route, now);
+            }
+        }
+        self.arm_route(taxi_id);
+        scheme.after_assign(&self.taxis[i], &self.world());
+        self.scan_route_for_offline(taxi_id, now);
+        true
+    }
+
+    /// One bounded-retry re-dispatch attempt for an orphaned rider.
+    pub(super) fn process_redispatch(
+        &mut self,
+        t: Time,
+        request: RequestId,
+        attempt: u32,
+        scheme: &mut dyn DispatchScheme,
+    ) {
+        if self.resolved[request.index()] {
+            return; // cancelled (or otherwise settled) while waiting
+        }
+        let req = self.requests.get(request).clone();
+        let ok = self.try_dispatch(&req, t, None, false, scheme);
+        self.obs.emit(Event::Redispatch { t, req: request.0, attempt, ok });
+        if ok {
+            self.redispatched += 1;
+        } else if self.cfg.retry.exhausted(attempt + 1) {
+            self.reject_with(request, t, RejectReason::RetriesExhausted);
+        } else {
+            let next = attempt + 1;
+            self.push_ev(
+                t + self.cfg.retry.delay_s(next),
+                Ev::Redispatch { request, attempt: next },
+            );
+        }
+    }
+}

@@ -45,35 +45,6 @@ pub fn classify_rejection(req: &RideRequest, world: &World<'_>) -> RejectReason 
     RejectReason::NoFeasibleInsertion
 }
 
-/// A known external cause for a rejection, carried by the disruption /
-/// recovery layer. Unlike the classified reasons, these are facts about
-/// what *happened* to the request, not inferences from the world state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RejectCause {
-    /// The rider withdrew the request before pickup.
-    Cancelled,
-    /// The assigned taxi failed and recovery was impossible.
-    TaxiFailed,
-    /// The bounded re-dispatch retry budget ran out.
-    RetriesExhausted,
-}
-
-/// Like [`classify_rejection`], but a known cause short-circuits the
-/// world-state inference: a cancelled rider is `cancelled_by_passenger`
-/// even if its deadline also happened to be infeasible.
-pub fn classify_rejection_with_cause(
-    req: &RideRequest,
-    world: &World<'_>,
-    cause: Option<RejectCause>,
-) -> RejectReason {
-    match cause {
-        Some(RejectCause::Cancelled) => RejectReason::CancelledByPassenger,
-        Some(RejectCause::TaxiFailed) => RejectReason::TaxiFailed,
-        Some(RejectCause::RetriesExhausted) => RejectReason::RetriesExhausted,
-        None => classify_rejection(req, world),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,30 +123,5 @@ mod tests {
 
         let plain = req(0, 399, direct, 600.0);
         assert_eq!(classify_rejection(&plain, &w), RejectReason::NoFeasibleInsertion);
-    }
-
-    #[test]
-    fn known_cause_short_circuits_classification() {
-        let g = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
-        let cache = PathCache::new(g.clone());
-        let oracle = HotNodeOracle::new(g.clone());
-        let requests = RequestStore::new();
-        // Empty fleet: the strongest structural reason — a known cause
-        // must still win over it.
-        let w = world_over(&g, &cache, &oracle, &[], &requests);
-        let r = req(0, 399, 100.0, -5.0);
-        assert_eq!(
-            classify_rejection_with_cause(&r, &w, Some(RejectCause::Cancelled)),
-            RejectReason::CancelledByPassenger
-        );
-        assert_eq!(
-            classify_rejection_with_cause(&r, &w, Some(RejectCause::TaxiFailed)),
-            RejectReason::TaxiFailed
-        );
-        assert_eq!(
-            classify_rejection_with_cause(&r, &w, Some(RejectCause::RetriesExhausted)),
-            RejectReason::RetriesExhausted
-        );
-        assert_eq!(classify_rejection_with_cause(&r, &w, None), RejectReason::EmptyFleet);
     }
 }

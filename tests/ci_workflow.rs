@@ -3,8 +3,8 @@
 //! and then none of its jobs run: the keys indented by exactly two spaces
 //! under `jobs:` must be unique. And `mtshare` exits 2 on a flag it does
 //! not know, so a step that still passes a removed flag fails its job — as
-//! does a step that names a binary, test, example or package that has
-//! been deleted.
+//! does a step that names a binary, test, example, package or `tools/`
+//! script that has been deleted (or a script that lost its executable bit).
 
 use std::path::{Path, PathBuf};
 
@@ -89,5 +89,19 @@ fn ci_names_only_targets_and_packages_of_this_workspace() {
             pair[0],
             pair[1]
         );
+    }
+}
+
+#[test]
+fn ci_runs_only_tool_scripts_that_exist_and_are_executable() {
+    use std::os::unix::fs::PermissionsExt;
+    let text = workflow();
+    let scripts: Vec<&str> =
+        text.split_whitespace().filter(|w| w.starts_with("tools/") && w.ends_with(".sh")).collect();
+    assert!(scripts.contains(&"tools/size.sh"), "the lint job prints the size metric");
+    for script in scripts {
+        let meta = std::fs::metadata(Path::new(env!("CARGO_MANIFEST_DIR")).join(script))
+            .unwrap_or_else(|e| panic!("ci.yml runs `{script}`: {e}"));
+        assert!(meta.permissions().mode() & 0o111 != 0, "`{script}` is not executable");
     }
 }

@@ -109,8 +109,8 @@ fn summary_reports_stage_quantiles_and_cache_rates() {
     assert_eq!(rej.get("total").and_then(|n| n.as_num()), Some(report.rejected as f64));
 
     // The partition filter and insertion DP recorded work.
-    assert!(obs.filter_considered() > 0);
-    assert!(obs.insertions_attempted() > 0);
+    assert!(obs.counter("counters", "filter_partitions_considered") > 0);
+    assert!(obs.counter("counters", "insertions_attempted") > 0);
 }
 
 #[test]
@@ -122,7 +122,7 @@ fn batch_telemetry_is_schema_valid() {
     assert!(!trace.is_empty(), "scenario must emit events");
     schema::validate_trace(&trace).expect("trace schema");
     schema::validate_summary(&obs.summary_json().expect("enabled")).expect("summary schema");
-    assert!(obs.lap_solves() > 0, "batch runs must record LAP solves");
+    assert!(obs.counter("lap", "solves") > 0, "batch runs must record LAP solves");
 }
 
 #[test]
@@ -168,6 +168,62 @@ fn alg4_block_appears_only_when_probabilistic_routing_ran() {
     schema::validate_summary(&summary).expect("schema-valid summary");
     assert_eq!(field(&summary, "legs"), None, "{summary}");
     assert!(!summary.contains("alg4"), "{summary}");
+}
+
+/// Every key of `v` in document order, objects as `key{...}`.
+fn shape(v: &json::Value) -> String {
+    let fields = v.as_obj().expect("an object");
+    let keys = fields.iter().map(|(k, v)| match v.as_obj() {
+        Some(_) => format!("{k}{{{}}}", shape(v)),
+        None => k.clone(),
+    });
+    keys.collect::<Vec<_>>().join(" ")
+}
+
+#[test]
+fn summary_key_paths_are_golden() {
+    // The full key sequence, deterministic part and `profiling`, in order —
+    // consumers (`crates/e2e`, archived perf trajectories) read by path.
+    let stat = "count mean p50 p95 p99 min max";
+    let hist = |u: &str| format!("count total_s p50_{u} p95_{u} p99_{u} max_{u}");
+    let stages = Stage::ALL.map(|s| format!("{}{{{}}}", s.label(), hist("us"))).join(" ");
+    let golden = |alg4: &str| {
+        format!(
+            "schema run{{scheme taxis requests offline}} \
+             events{{arrival dispatch commit reject encounter pickup dropoff breakdown cancel \
+             traffic_shift reroute redispatch invariant_violation checkpoint restore \
+             storage_fault durability_degraded feed_fault}} \
+             rejections{{empty_fleet unreachable_od infeasible_deadline zero_capacity \
+             no_feasible_insertion offline_expired cancelled_by_passenger taxi_failed \
+             retries_exhausted queue_shed queue_rejected drain_rejected total}} \
+             candidates{{{stat}}} feasible{{{stat}}} waiting_s{{{stat}}} detour_s{{{stat}}} \
+             profiling{{stages{{{stages}}} \
+             counters{{filter_partitions_considered filter_partitions_kept \
+             insertions_attempted insertions_feasible}} \
+             path_cache{{hits misses evictions hit_ratio}} \
+             oracle{{vector_hits searches pin_computes evictions hit_ratio}} \
+             ch{{p2p_queries bucket_sweeps bucket_sources shortcuts}} \
+             cch{{p2p_queries bucket_sweeps bucket_sources customizations fill_arcs}} \
+             persistence{{checkpoints restores wal_records wal_bytes \
+             checkpoint_bytes{{{}}} checkpoint_write_ms{{{}}}}} \
+             faults{{wal snapshot feed dir_sync_unsupported quarantines}} \
+             lap{{solves rows cols assigned augmentations relaxations skipped_rows}} \
+             dtree{{scores rebuilds advances commits removes retimes legs_reused legs_filled \
+             memo_reuses memo_fills}} \
+             {alg4}response_ms{{{}}}}}",
+            hist("b"),
+            hist("ms"),
+            hist("ms")
+        )
+    };
+    let shape_of = |kind| {
+        let (_, obs, _) = observed_run(kind, ScenarioConfig::nonpeak(12));
+        shape(&json::parse(&obs.summary_json().expect("enabled")).unwrap())
+    };
+    let alg4 = "alg4{legs corridors unreachable searches accepted fallbacks} ";
+    assert_eq!(shape_of(SchemeKind::MtSharePro), golden(alg4));
+    // No Alg. 4 leg, no block.
+    assert_eq!(shape_of(SchemeKind::MtShare), golden(""));
 }
 
 #[test]
