@@ -12,7 +12,7 @@ use crate::common::{remaining_cost, shortest_legs};
 use crate::grid_index::GridTaxiIndex;
 use mtshare_model::{
     Assignment, DispatchOutcome, DispatchScheme, DpEngine, EngineStats, RideRequest,
-    ScheduleEngine, Taxi, TaxiId, Time, World,
+    ScheduleEngine, Scored, Taxi, TaxiId, Time, World,
 };
 use mtshare_road::RoadNetwork;
 use std::sync::Arc;
@@ -79,9 +79,9 @@ impl DispatchScheme for PGreedyDp {
         let mut best: Option<(TaxiId, BestInsertion)> = None;
         for &id in &candidates {
             let taxi = world.taxi(id);
-            if let Some(ins) = self
-                .engine
-                .best_insertion(taxi, req, now, world, &mut |a, b| world.oracle.cost(a, b))
+            if let Scored::Feasible(ins) =
+                self.engine
+                    .best_insertion(taxi, req, now, world, &mut |a, b| world.oracle.cost(a, b))
             {
                 if best.is_none_or(|(_, b)| ins.delta_s < b.delta_s) {
                     best = Some((id, ins));

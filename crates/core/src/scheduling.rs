@@ -10,8 +10,8 @@ use crate::config::MtShareConfig;
 use crate::context::MobilityContext;
 use crate::routing::SegmentRouter;
 use mtshare_model::{
-    evaluate_schedule, Assignment, EvalContext, RideRequest, Schedule, ScheduleEngine, Taxi,
-    TaxiId, Time, World,
+    evaluate_schedule, Assignment, EvalContext, RideRequest, Schedule, ScheduleEngine, Scored,
+    Taxi, TaxiId, Time, World,
 };
 use mtshare_obs::Obs;
 use mtshare_road::NodeId;
@@ -33,11 +33,19 @@ pub(crate) struct ScoredSlot {
 /// probabilistic routing can invalidate an instance at materialization).
 const MATERIALIZE_TRIES: usize = 8;
 
-/// Counts one scoring pass in the summary: `attempted` candidate schedules
-/// enumerated, `feasible` of them passing every deadline check.
-pub(crate) fn count_insertions(obs: &Obs, attempted: usize, feasible: usize) {
-    let (attempted, feasible) = (attempted as u64, feasible as u64);
-    obs.add("counters", &[("insertions_attempted", attempted), ("insertions_feasible", feasible)]);
+/// Counts one scoring pass in the summary: `attempted` candidate taxis
+/// scored, `feasible` of them with an insertion passing every deadline
+/// check, `pruned` of them ruled out by the reach bound before any DP or
+/// tree work.
+pub(crate) fn count_insertions(obs: &Obs, attempted: usize, feasible: usize, pruned: usize) {
+    obs.add(
+        "counters",
+        &[
+            ("insertions_attempted", attempted as u64),
+            ("insertions_feasible", feasible as u64),
+            ("insertions_pruned", pruned as u64),
+        ],
+    );
 }
 
 /// Whether `taxi` plans probabilistic routes under `cfg` ("a taxi with half
@@ -72,15 +80,22 @@ pub fn schedule_best(
     let mut slots = router.take_slots();
     {
         let _span = router.obs().stage(engine.stage());
+        let mut pruned = 0;
         for &taxi_id in candidates {
             let taxi = world.taxi(taxi_id);
-            if let Some(ins) =
-                engine.best_insertion(taxi, req, now, world, &mut |a, b| world.oracle.cost(a, b))
+            match engine.best_insertion(taxi, req, now, world, &mut |a, b| world.oracle.cost(a, b))
             {
-                slots.push(ScoredSlot { taxi: taxi_id, i: ins.i, j: ins.j, detour_s: ins.delta_s });
+                Scored::Feasible(ins) => slots.push(ScoredSlot {
+                    taxi: taxi_id,
+                    i: ins.i,
+                    j: ins.j,
+                    detour_s: ins.delta_s,
+                }),
+                Scored::OutOfReach => pruned += 1,
+                Scored::Infeasible => {}
             }
         }
-        count_insertions(router.obs(), candidates.len(), slots.len());
+        count_insertions(router.obs(), candidates.len(), slots.len(), pruned);
     }
     let feasible = slots.len();
 

@@ -7,8 +7,8 @@ use crate::index::{MobilityClusterIndex, PartitionTaxiIndex};
 use crate::routing::SegmentRouter;
 use crate::scheduling::{count_insertions, schedule_best};
 use mtshare_model::{
-    make_engine, DispatchOutcome, DispatchScheme, EngineStats, RideRequest, ScheduleEngine, Taxi,
-    TaxiId, Time, WindowRow, World,
+    make_engine, DispatchOutcome, DispatchScheme, EngineStats, RideRequest, ScheduleEngine, Scored,
+    Taxi, TaxiId, Time, WindowRow, World,
 };
 use mtshare_obs::{Obs, Stage};
 use mtshare_persist::{Decoder, Encoder, Persist};
@@ -84,23 +84,22 @@ impl MtShare {
         let candidate_versions: Vec<u64> =
             candidates.iter().map(|&t| world.taxi(t).route_version).collect();
         let mut costs = Vec::with_capacity(candidates.len());
-        let mut feasible = 0usize;
+        let (mut feasible, mut pruned) = (0usize, 0usize);
         {
             let _span = self.obs.stage(self.engine.stage());
             for &taxi_id in &candidates {
                 let taxi = world.taxi(taxi_id);
-                match self
+                let scored = self
                     .engine
-                    .best_insertion(taxi, req, now, world, &mut |a, b| world.oracle.cost(a, b))
-                {
-                    Some(ins) => {
-                        costs.push(ins.delta_s);
-                        feasible += 1;
-                    }
-                    None => costs.push(f64::INFINITY),
+                    .best_insertion(taxi, req, now, world, &mut |a, b| world.oracle.cost(a, b));
+                match scored {
+                    Scored::Feasible(_) => feasible += 1,
+                    Scored::OutOfReach => pruned += 1,
+                    Scored::Infeasible => {}
                 }
+                costs.push(scored.best().map_or(f64::INFINITY, |ins| ins.delta_s));
             }
-            count_insertions(&self.obs, candidates.len(), feasible);
+            count_insertions(&self.obs, candidates.len(), feasible, pruned);
         }
         WindowRow { candidates, candidate_versions, costs, feasible }
     }

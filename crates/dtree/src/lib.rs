@@ -123,6 +123,22 @@ impl TreeStats {
     }
 }
 
+/// Whether a pickup arrival is late at its spine position *and at every
+/// later one*: past `pickup_deadline` by more than the 1e-6 s feasibility
+/// tolerance plus 1e-7 s.
+///
+/// In exact arithmetic pickup arrivals `a_{i-1} + d(n_{i-1}, o)` never
+/// fall along a spine (`d(n_{i-1}, o) <= d(n_{i-1}, n_i) + d(n_i, o)`),
+/// and `now + d(pos, o)` — driving straight there — is the least of
+/// them. Leg costs are exact dyadic sums but `now` is not, so the f64
+/// arrival sums round; below 10^6 s and 100 stops that moves an arrival
+/// by < 1e-8 s, which the extra 1e-7 s absorbs. So the verdict holds for
+/// the computed arrivals the feasibility checks compare, not only for the
+/// real-valued ones.
+pub fn late_for_good(arrival: f64, pickup_deadline: f64) -> bool {
+    arrival > pickup_deadline + (1e-6 + 1e-7)
+}
+
 /// Leg/memo cell encoding: `NaN` = not yet queried, `+∞` = queried and
 /// unreachable, finite = cached cost.
 const UNKNOWN: f64 = f64::NAN;
@@ -346,7 +362,9 @@ impl DTree {
     /// This is a line-for-line transcription of
     /// `mtshare-model::best_insertion` over the cached spine: identical
     /// floating-point operation order, identical abort/skip semantics,
-    /// identical tie-breaking. Only the *number* of oracle queries
+    /// identical tie-breaking, the same two exact cuts — the reach bound
+    /// before any spine work and the break at the first pickup position
+    /// that is [`late_for_good`]. Only the *number* of oracle queries
     /// changes (Θ(m²) → Θ(m) distinct, each issued at most once).
     pub fn score(
         &mut self,
@@ -363,6 +381,33 @@ impl DTree {
 
         // nodes[0] = vehicle position, nodes[k ≥ 1] = spine stop k − 1.
         let node = |k: usize| if k == 0 { probe.pos } else { spine[k - 1].node };
+
+        // Lazy memo lookup: fill a table cell with one oracle query on
+        // first touch, reuse it afterwards. `None` exactly where the DP
+        // sees `None`.
+        macro_rules! memo {
+            ($tbl:ident, $k:expr, $a:expr, $b:expr) => {{
+                let slot = &mut s.$tbl[$k];
+                if slot.is_nan() {
+                    stats.memo_fills += 1;
+                    *slot = cost($a, $b).unwrap_or(f64::INFINITY);
+                } else {
+                    stats.memo_reuses += 1;
+                }
+                if slot.is_finite() {
+                    Some(*slot)
+                } else {
+                    None
+                }
+            }};
+        }
+
+        // The reach bound: a vehicle that cannot make the pickup driving
+        // straight there makes it at no position.
+        match memo!(to_origin, 0, probe.pos, probe.origin) {
+            Some(d) if !late_for_good(probe.now + d, probe.pickup_deadline) => {}
+            _ => return None,
+        }
 
         // The arrival/load prefix is a pure function of the spine and
         // (position, now, initial load): when the key matches the
@@ -457,55 +502,29 @@ impl DTree {
             }
         }
 
-        // Lazy memo lookup: fill a table cell with one oracle query on
-        // first touch, reuse it afterwards. `None` exactly where the DP
-        // sees `None`.
-        macro_rules! memo {
-            ($tbl:ident, $k:expr, $a:expr, $b:expr) => {{
-                let slot = &mut s.$tbl[$k];
-                if slot.is_nan() {
-                    stats.memo_fills += 1;
-                    *slot = cost($a, $b).unwrap_or(f64::INFINITY);
-                } else {
-                    stats.memo_reuses += 1;
-                }
-                if slot.is_finite() {
-                    Some(*slot)
-                } else {
-                    None
-                }
-            }};
-        }
-
         let mut best: Option<Insertion> = None;
 
         for i in 1..=m + 1 {
             if s.loads[i - 1] + p > capacity {
                 continue;
             }
-            // pickup_delta, clamped like the DP (a tiny negative means
-            // the origin sits on the shortest path).
-            let dp_opt = if i <= m {
-                (|| {
-                    Some(
-                        memo!(to_origin, i - 1, node(i - 1), probe.origin)?
-                            + memo!(from_origin, i, probe.origin, node(i))?
-                            - committed_leg(s, leg_cost, i - 1),
-                    )
-                })()
-            } else {
-                memo!(to_origin, m, node(m), probe.origin)
-            };
-            let Some(dp) = dp_opt else { continue };
-            let dp = dp.max(0.0);
-            let arrival_pickup = if i <= m {
-                s.arrivals[i - 1] + memo!(to_origin, i - 1, node(i - 1), probe.origin)?
-            } else {
-                s.arrivals[m] + memo!(to_origin, m, node(m), probe.origin)?
-            };
+            let Some(to_o) = memo!(to_origin, i - 1, node(i - 1), probe.origin) else { continue };
+            let arrival_pickup = s.arrivals[i - 1] + to_o;
             if arrival_pickup > probe.pickup_deadline + 1e-6 {
+                if late_for_good(arrival_pickup, probe.pickup_deadline) {
+                    break; // and so is every later position
+                }
                 continue;
             }
+            // pickup_delta, clamped like the DP (a tiny negative means
+            // the origin sits on the shortest path).
+            let dp = if i <= m {
+                let Some(from_o) = memo!(from_origin, i, probe.origin, node(i)) else { continue };
+                to_o + from_o - committed_leg(s, leg_cost, i - 1)
+            } else {
+                to_o
+            };
+            let dp = dp.max(0.0);
 
             // j == i: drop-off immediately after pickup.
             {
@@ -520,13 +539,11 @@ impl DTree {
                 }
                 let leg_od = s.leg_od;
                 let (pair_delta, arrive_d) = if i <= m {
-                    let d = memo!(to_origin, i - 1, node(i - 1), probe.origin)?
-                        + leg_od
-                        + memo!(from_dest, i, probe.destination, node(i))?
+                    let d = to_o + leg_od + memo!(from_dest, i, probe.destination, node(i))?
                         - committed_leg(s, leg_cost, i - 1);
                     (d, arrival_pickup + leg_od)
                 } else {
-                    (memo!(to_origin, m, node(m), probe.origin)? + leg_od, arrival_pickup + leg_od)
+                    (to_o + leg_od, arrival_pickup + leg_od)
                 };
                 let ok = arrive_d <= probe.deadline + 1e-6 && pair_delta <= s.slack[i] + 1e-6;
                 if ok && best.is_none_or(|b| pair_delta < b.delta_s) {
@@ -544,16 +561,14 @@ impl DTree {
                     if !mid_slack_ok {
                         break;
                     }
+                    let to_d = memo!(to_dest, j - 1, node(j - 1), probe.destination)?;
                     let dd = if j <= m {
-                        memo!(to_dest, j - 1, node(j - 1), probe.destination)?
-                            + memo!(from_dest, j, probe.destination, node(j))?
+                        to_d + memo!(from_dest, j, probe.destination, node(j))?
                             - committed_leg(s, leg_cost, j - 1)
                     } else {
-                        memo!(to_dest, m, node(m), probe.destination)?
+                        to_d
                     };
-                    let arrive_d = s.arrivals[j - 1]
-                        + dp
-                        + memo!(to_dest, j - 1, node(j - 1), probe.destination)?;
+                    let arrive_d = s.arrivals[j - 1] + dp + to_d;
                     let total = dp + dd.max(0.0);
                     let ok = arrive_d <= probe.deadline + 1e-6 && total <= s.slack[j] + 1e-6;
                     if ok && best.is_none_or(|b| total < b.delta_s) {

@@ -18,8 +18,14 @@
 //! order exactly (property-tested in `tests/dtree_equivalence.rs`) — so
 //! the engine choice affects only the profiling subtree of a run's
 //! telemetry, never its trace.
+//!
+//! Both apply the reach bound ([`crate::reaches_pickup`]) first, on the
+//! same lookup, so both rule out the same taxis ([`Scored::OutOfReach`])
+//! before any DP or tree work, and both score through the oracle's
+//! batched pinned reader: one read lock per taxi, every leg into a
+//! pinned endpoint a direct vector read.
 
-use crate::insertion::{best_insertion, BestInsertion};
+use crate::insertion::{insertion_dp, reaches_pickup, score_insertion, BestInsertion, Scored};
 use crate::request::{RequestId, RideRequest};
 use crate::schedule::{EventKind, ScheduleEvent};
 use crate::taxi::Taxi;
@@ -127,7 +133,8 @@ pub trait ScheduleEngine: Send + Sync {
 
     /// Finds the minimum-added-cost feasible insertion of `req` into
     /// `taxi`'s schedule — same contract as [`crate::best_insertion`],
-    /// and bit-identical results across engines.
+    /// and bit-identical results across engines — and says whether the
+    /// reach bound ruled the taxi out before it was scored.
     fn best_insertion(
         &self,
         taxi: &Taxi,
@@ -135,7 +142,7 @@ pub trait ScheduleEngine: Send + Sync {
         now: Time,
         world: &World<'_>,
         cost: &mut dyn FnMut(NodeId, NodeId) -> Option<f64>,
-    ) -> Option<BestInsertion>;
+    ) -> Scored;
 
     /// `taxi`'s plan changed (assignment committed, chaos repair,
     /// retiming). Stateless engines ignore this; the dtree engine syncs
@@ -179,8 +186,13 @@ impl ScheduleEngine for DpEngine {
         now: Time,
         world: &World<'_>,
         cost: &mut dyn FnMut(NodeId, NodeId) -> Option<f64>,
-    ) -> Option<BestInsertion> {
-        best_insertion(taxi, req, now, world, cost)
+    ) -> Scored {
+        // The batched reader, as in `DtreeEngine::best_insertion`.
+        world.oracle.batch(|fast| {
+            score_insertion(taxi, req, now, world, |a, b| {
+                fast.pinned_cost(a, b).unwrap_or_else(|| cost(a, b))
+            })
+        })
     }
 }
 
@@ -334,36 +346,43 @@ impl ScheduleEngine for DtreeEngine {
         now: Time,
         world: &World<'_>,
         cost: &mut dyn FnMut(NodeId, NodeId) -> Option<f64>,
-    ) -> Option<BestInsertion> {
-        let Some(mut tree) = self.lock(taxi.id.index()) else {
-            // Fleet grew past the configured size: score via the DP.
-            return best_insertion(taxi, req, now, world, cost);
-        };
-        sync_tree(&mut tree, taxi, world);
-        let probe = Probe {
-            origin: req.origin.0,
-            destination: req.destination.0,
-            passengers: req.passengers as u32,
-            deadline: req.deadline,
-            pickup_deadline: req.pickup_deadline(),
-            now,
-            pos: taxi.position_at(now).0,
-            initial_load: taxi.onboard_load(world.requests),
-            capacity: taxi.capacity as u32,
-        };
+    ) -> Scored {
         // Score through the oracle's batched reader: every leg against a
         // pinned endpoint (in steady state, all of them — active request
         // endpoints are pinned) is a direct vector read with the lock
         // taken once, bit-identical to `oracle.cost`. Anything else
         // falls back to the caller's cost function, so custom cost
         // closures (tests, alternate backends) keep exact dp parity.
-        let ins = world.oracle.batch(|fast| {
-            tree.score(&probe, &mut |r| world.requests.get(RequestId(r)).deadline, &mut |a, b| {
-                let (a, b) = (NodeId(a), NodeId(b));
-                fast.pinned_cost(a, b).unwrap_or_else(|| cost(a, b))
-            })
-        })?;
-        Some(BestInsertion { i: ins.i, j: ins.j, delta_s: ins.delta_s })
+        world.oracle.batch(|fast| {
+            let mut cost = |a, b| fast.pinned_cost(a, b).unwrap_or_else(|| cost(a, b));
+            // The reach bound before the tree is locked or synced: most
+            // candidates stop here.
+            if !reaches_pickup(taxi, req, now, &mut cost) {
+                return Scored::OutOfReach;
+            }
+            let Some(mut tree) = self.lock(taxi.id.index()) else {
+                // Fleet grew past the configured size: score via the DP.
+                return insertion_dp(taxi, req, now, world, cost).into();
+            };
+            sync_tree(&mut tree, taxi, world);
+            let probe = Probe {
+                origin: req.origin.0,
+                destination: req.destination.0,
+                passengers: req.passengers as u32,
+                deadline: req.deadline,
+                pickup_deadline: req.pickup_deadline(),
+                now,
+                pos: taxi.position_at(now).0,
+                initial_load: taxi.onboard_load(world.requests),
+                capacity: taxi.capacity as u32,
+            };
+            let ins = tree.score(
+                &probe,
+                &mut |r| world.requests.get(RequestId(r)).deadline,
+                &mut |a, b| cost(NodeId(a), NodeId(b)),
+            );
+            ins.map(|ins| BestInsertion { i: ins.i, j: ins.j, delta_s: ins.delta_s }).into()
+        })
     }
 
     fn after_assign(&self, taxi: &Taxi, world: &World<'_>) {
@@ -492,12 +511,11 @@ mod tests {
             let b = dtree
                 .best_insertion(&taxis[0], &r1, 0.0, &world, &mut |x, y| world.oracle.cost(x, y));
             match (a, b) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
+                (Scored::Feasible(a), Scored::Feasible(b)) => {
                     assert_eq!((a.i, a.j), (b.i, b.j));
                     assert_eq!(a.delta_s.to_bits(), b.delta_s.to_bits());
                 }
-                (a, b) => panic!("engines disagree: {a:?} vs {b:?}"),
+                (a, b) => assert_eq!(a, b, "engines disagree"),
             }
         }
         let stats = dtree.stats();
@@ -569,8 +587,8 @@ mod tests {
                 world.oracle.cost(x, y)
             });
             assert_eq!(
-                a.map(|v| (v.i, v.j, v.delta_s.to_bits())),
-                b.map(|v| (v.i, v.j, v.delta_s.to_bits()))
+                a.best().map(|v| (v.i, v.j, v.delta_s.to_bits())),
+                b.best().map(|v| (v.i, v.j, v.delta_s.to_bits()))
             );
         }
         assert_eq!(engine.stats().advances, 1);

@@ -29,7 +29,7 @@ pub type Time = f64;
 
 pub use engine::{make_engine, DpEngine, DtreeEngine, EngineStats, ScheduleEngine, SchedulerKind};
 pub use fare::FareTable;
-pub use insertion::{best_insertion, first_feasible, BestInsertion};
+pub use insertion::{best_insertion, first_feasible, reaches_pickup, BestInsertion, Scored};
 pub use reorder::{best_reordering, BestReorder};
 pub use request::{RequestId, RequestStore, RideRequest};
 pub use route::TimedRoute;

@@ -64,7 +64,9 @@ use std::time::Instant;
 /// no longer count towards `customize`).
 /// v12: `profiling` gained an `alg4` block (probabilistic-routing corridor
 /// counters), the first block present only when its feature ran.
-pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v12";
+/// v13: `profiling.counters` gained `insertions_pruned` (candidate taxis
+/// the reach bound ruled out before any DP or tree work).
+pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v13";
 
 /// Static facts about the run, reported verbatim in the summary.
 #[derive(Debug, Clone, Default)]

@@ -140,11 +140,13 @@ pub(crate) struct BlockSpec {
     pub when_active: bool,
     /// Identities `counters[a] == counters[b] + counters[c]`, as `[a, b, c]`.
     pub sums: &'static [[usize; 3]],
+    /// Bounds `counters[a] >= counters[b] + counters[c]`, as `[a, b, c]`.
+    pub parts: &'static [[usize; 3]],
     pub extra: Extra,
 }
 
 const fn block(name: &'static str, counters: &'static [&'static str]) -> BlockSpec {
-    BlockSpec { name, counters, when_active: false, sums: &[], extra: Extra::None }
+    BlockSpec { name, counters, when_active: false, sums: &[], parts: &[], extra: Extra::None }
 }
 
 /// Key of the derived ratio of an [`Extra::HitRatio`] block.
@@ -161,15 +163,22 @@ pub(crate) const RESPONSE_HIST: (&str, f64, &str) = ("response_ms", 1e3, "ms");
 /// `Obs::add(block, &[(counter, n)])` is the one way in; the counters live
 /// in one flat array in this order.
 pub(crate) const BLOCKS: [BlockSpec; 10] = [
-    block(
-        "counters",
-        &[
-            "filter_partitions_considered",
-            "filter_partitions_kept",
-            "insertions_attempted",
-            "insertions_feasible",
-        ],
-    ),
+    // Of the candidate taxis scored (`insertions_attempted`), some had a
+    // feasible insertion and some were ruled out by the reach bound
+    // before any DP or tree work (`insertions_pruned`); never both.
+    BlockSpec {
+        parts: &[[2, 3, 4]],
+        ..block(
+            "counters",
+            &[
+                "filter_partitions_considered",
+                "filter_partitions_kept",
+                "insertions_attempted",
+                "insertions_feasible",
+                "insertions_pruned",
+            ],
+        )
+    },
     BlockSpec { extra: Extra::HitRatio, ..block("path_cache", &["hits", "misses", "evictions"]) },
     BlockSpec {
         extra: Extra::HitRatio,
@@ -361,9 +370,12 @@ fn check_block(block: &Value, b: &BlockSpec) -> Result<(), String> {
     if b.when_active && c[0] == 0.0 {
         return Err(format!("{name}: present with {} == 0", b.counters[0]));
     }
+    let n = b.counters;
     if let Some(&[t, x, y]) = b.sums.iter().find(|&&[t, x, y]| c[t] != c[x] + c[y]) {
-        let n = b.counters;
         return Err(format!("{name}: {c:?} breaks {} == {} + {}", n[t], n[x], n[y]));
+    }
+    if let Some(&[t, x, y]) = b.parts.iter().find(|&&[t, x, y]| c[t] < c[x] + c[y]) {
+        return Err(format!("{name}: {c:?} breaks {} >= {} + {}", n[t], n[x], n[y]));
     }
     match b.extra {
         Extra::None => {}
@@ -648,6 +660,19 @@ mod tests {
             let bad = format!("{}{forged}{}", &summary[..at], &summary[at + forged.len()..]);
             assert!(validate_summary(&bad).unwrap_err().starts_with("alg4:"), "{bad}");
         }
+    }
+
+    #[test]
+    fn pruned_and_feasible_taxis_are_parts_of_the_attempted() {
+        let obs = Obs::enabled();
+        let counts =
+            [("insertions_attempted", 5), ("insertions_feasible", 2), ("insertions_pruned", 3)];
+        obs.add("counters", &counts);
+        let summary = obs.summary_json().unwrap();
+        validate_summary(&summary).unwrap_or_else(|e| panic!("{e}\n{summary}"));
+        let forged = summary.replace("\"insertions_pruned\":3", "\"insertions_pruned\":4");
+        let err = validate_summary(&forged).unwrap_err();
+        assert!(err.contains("insertions_attempted >= insertions_feasible + insertions_pruned"));
     }
 
     #[test]

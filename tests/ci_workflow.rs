@@ -5,6 +5,7 @@
 //! not know, so a step that still passes a removed flag fails its job — as
 //! does a step that names a binary, test, example, package or `tools/`
 //! script that has been deleted (or a script that lost its executable bit).
+//! The A/B tool's awk reading of BENCHMARK.json's gate is held to the file.
 
 use std::path::{Path, PathBuf};
 
@@ -90,6 +91,46 @@ fn ci_names_only_targets_and_packages_of_this_workspace() {
             pair[1]
         );
     }
+}
+
+#[test]
+fn e2e_ab_reads_the_benchmark_gate_from_benchmark_json() {
+    // `tools/e2e_ab.sh` parses BENCHMARK.json with awk: what `--bounds`
+    // prints must be the `end_to_end` entries (name, direction, bound) and
+    // the workload order `all` runs in.
+    use mt_share::obs::json::{self, Value};
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let out = std::process::Command::new("bash")
+        .arg(root.join("tools/e2e_ab.sh"))
+        .arg("--bounds")
+        .output()
+        .expect("bash runs");
+    assert!(out.status.success(), "{out:?}");
+    let printed = String::from_utf8(out.stdout).expect("utf-8");
+    let mut lines: Vec<&str> = printed.lines().collect();
+    let workloads = lines.pop().and_then(|l| l.strip_prefix("workloads ")).expect("workloads row");
+    let got: Vec<(String, String, f64)> = lines
+        .iter()
+        .map(|l| match l.split(' ').collect::<Vec<_>>()[..] {
+            [name, better, bound] => (name.into(), better.into(), bound.parse().expect("a number")),
+            _ => panic!("not a `metric better bound` row: {l:?}"),
+        })
+        .collect();
+
+    let text = std::fs::read_to_string(root.join("BENCHMARK.json")).expect("BENCHMARK.json");
+    let bench = json::parse(&text).expect("BENCHMARK.json parses");
+    let entries = |key| match bench.get(key) {
+        Some(Value::Arr(entries)) => entries.clone(),
+        other => panic!("BENCHMARK.json `{key}`: {other:?}"),
+    };
+    let field = |e: &Value, key: &str| e.get(key).and_then(Value::as_str).unwrap().to_string();
+    let want: Vec<(String, String, f64)> = entries("end_to_end")
+        .iter()
+        .map(|e| (field(e, "name"), field(e, "better"), e.get("bound").unwrap().as_num().unwrap()))
+        .collect();
+    assert_eq!(got, want);
+    let names: Vec<String> = entries("workloads").iter().map(|e| field(e, "name")).collect();
+    assert_eq!(workloads, names.join(" "));
 }
 
 #[test]

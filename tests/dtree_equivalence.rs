@@ -4,13 +4,16 @@
 //! for arbitrary fleets, committed plans, and splice histories. This is
 //! what entitles `--scheduler dtree` to byte-identical traces.
 
+use mt_share::core::{MtShareConfig, PartitionStrategy};
 use mt_share::dtree::{DTree, Stop};
 use mt_share::model::{
     BestInsertion, DpEngine, DtreeEngine, EventKind, RequestId, RequestStore, RideRequest,
-    ScheduleEngine, Taxi, TaxiId, World,
+    ScheduleEngine, SchedulerKind, Scored, Taxi, TaxiId, World,
 };
+use mt_share::obs::Obs;
 use mt_share::road::{grid_city, GridCityConfig, NodeId, RoadNetwork};
 use mt_share::routing::{HotNodeOracle, PathCache};
+use mt_share::sim::{build_context, Scenario, ScenarioConfig, SchemeKind, SimConfig, Simulator};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -63,9 +66,10 @@ impl Fixture {
     }
 }
 
-/// Collapses an engine answer to a bit-comparable key.
-fn key(b: Option<BestInsertion>) -> Option<(usize, usize, u64)> {
-    b.map(|v| (v.i, v.j, v.delta_s.to_bits()))
+/// Collapses an engine answer to a bit-comparable key: whether the reach
+/// bound ruled the taxi out, and the winning slot with its cost's bits.
+fn key(s: Scored) -> (bool, Option<(usize, usize, u64)>) {
+    (s == Scored::OutOfReach, s.best().map(|v| (v.i, v.j, v.delta_s.to_bits())))
 }
 
 /// The spine stop a schedule event maps to.
@@ -141,8 +145,8 @@ proptest! {
                     *slot = Some(entry);
                 }
             };
-            if let Some(v) = a { consider(&mut winner_dp, v); }
-            if let Some(v) = b { consider(&mut winner_dt, v); }
+            if let Some(v) = a.best() { consider(&mut winner_dp, v); }
+            if let Some(v) = b.best() { consider(&mut winner_dt, v); }
         }
         prop_assert_eq!(winner_dp, winner_dt);
 
@@ -157,6 +161,83 @@ proptest! {
             prop_assert!(pair[0].pickup && !pair[1].pickup);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Late evaluations, where the reach bound rules most taxis out and
+    /// the pickup-tail break cuts the rest short: both engines still agree
+    /// bit for bit, and on which taxis the bound ruled out (the `key`
+    /// carries that verdict, so `insertions_pruned` counts equal).
+    #[test]
+    fn engines_agree_where_the_reach_bound_fires(
+        positions in proptest::collection::vec(0u32..400, 1..7),
+        existing in proptest::collection::vec((0u32..400, 0u32..400, 0usize..6), 0..12),
+        probe in (0u32..400, 0u32..400),
+        rho_pct in 115u32..250,
+        spent_pct in 0u32..100,
+    ) {
+        let mut f = Fixture::new();
+        let rho = rho_pct as f64 / 100.0;
+        let mut taxis: Vec<Taxi> = positions
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| Taxi::new(TaxiId(i as u32), 4, NodeId(p)))
+            .collect();
+        for &(o, d, pick) in existing.iter() {
+            if o == d {
+                continue;
+            }
+            let req = f.add_party(o, d, rho + 4.0, 0.0, 1);
+            let taxi = &mut taxis[pick % positions.len()];
+            let m = taxi.schedule.len();
+            taxi.schedule = taxi.schedule.with_insertion(&req, m, m + 1);
+            taxi.assigned.push(req.id);
+            taxi.route_version += 1;
+        }
+        let (po, pd) = probe;
+        prop_assume!(po != pd);
+        let req = f.add_party(po, pd, rho, 0.0, 1);
+        // `spent_pct` % of the pickup budget is gone when the fleet is scored.
+        let now = req.pickup_deadline() * spent_pct as f64 / 100.0;
+
+        let dtree = DtreeEngine::new(taxis.len());
+        let world = f.world(&taxis);
+        for (idx, taxi) in taxis.iter().enumerate() {
+            let a = DpEngine.best_insertion(taxi, &req, now, &world, &mut |x, y| f.cache.cost(x, y));
+            let b = dtree.best_insertion(taxi, &req, now, &world, &mut |x, y| f.cache.cost(x, y));
+            prop_assert_eq!(key(a), key(b), "engines disagree on taxi {}", idx);
+        }
+    }
+}
+
+/// Whole runs: mT-Share under either engine rules the same taxis out by
+/// the reach bound — `insertions_pruned` is equal, and not zero — and
+/// serves the same riders.
+#[test]
+fn both_engines_prune_the_same_taxis_in_a_run() {
+    let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
+    let scenario =
+        Scenario::generate(graph.clone(), &PathCache::new(graph.clone()), ScenarioConfig::peak(12));
+    let ctx = build_context(&graph, &scenario.historical, 12, PartitionStrategy::Bipartite);
+    let run = |scheduler| {
+        let cfg = MtShareConfig::default().with_scheduler(scheduler);
+        let n = scenario.taxis.len();
+        let mut scheme = SchemeKind::MtShare.build(&graph, n, Some(ctx.clone()), Some(cfg));
+        let obs = Obs::enabled();
+        let cache = PathCache::new(graph.clone());
+        let report = Simulator::new(graph.clone(), cache, &scenario, SimConfig::default())
+            .with_obs(obs.clone())
+            .run(scheme.as_mut());
+        let count = |name| obs.counter("counters", name);
+        let counts =
+            ["insertions_attempted", "insertions_feasible", "insertions_pruned"].map(count);
+        (report.served_records, counts)
+    };
+    let (dp, dtree) = (run(SchedulerKind::Dp), run(SchedulerKind::Dtree));
+    assert!(dp.1[2] > 0, "the reach bound never fired: {:?}", dp.1);
+    assert_eq!(dp, dtree);
 }
 
 proptest! {
@@ -301,6 +382,7 @@ proptest! {
                         let taxis = std::slice::from_ref(&taxi);
                         let world = f.world(taxis);
                         dp.best_insertion(&taxi, &req, 0.0, &world, &mut |x, y| f.cache.cost(x, y))
+                            .best()
                     };
                     if let Some(v) = won {
                         taxi.schedule = taxi.schedule.with_insertion(&req, v.i, v.j);

@@ -3,8 +3,8 @@
 //! arbitrary committed schedules.
 
 use mt_share::model::{
-    best_insertion, best_reordering, evaluate_schedule, EvalContext, RequestId, RequestStore,
-    RideRequest, Taxi, TaxiId, World,
+    best_insertion, best_reordering, evaluate_schedule, reaches_pickup, EvalContext, RequestId,
+    RequestStore, RideRequest, Taxi, TaxiId, World,
 };
 use mt_share::road::{grid_city, GridCityConfig, NodeId, RoadNetwork};
 use mt_share::routing::{HotNodeOracle, PathCache};
@@ -269,15 +269,60 @@ proptest! {
             (None, None) => {}
             (d, b) => prop_assert!(false, "feasibility disagreement: dp={d:?} brute={b:?}"),
         }
-        // Cross-backend: the oracle and the cache run different f32 search
-        // engines, so a deadline sitting within their ~1e-3 disagreement
-        // can legitimately flip feasibility; but when both deem the probe
-        // feasible the minimum added cost must agree closely.
+        // Cross-backend: edge costs are dyadic, so the pinned vector, the
+        // cache's memo and its search return the same bits for every pair
+        // (see the `oracle` module docs) — the verdict must agree too, and
+        // so must the minimum added cost.
         let bf_cache = brute_force(&taxi, &req, 0.0, &world, |a, b| f.cache.cost(a, b));
-        if let (Some(d), Some(b)) = (dp, bf_cache) {
-            prop_assert!((d.delta_s - b).abs() < 1.0,
-                "oracle dp {} vs cache brute force {}", d.delta_s, b);
+        match (dp, bf_cache) {
+            (Some(d), Some(b)) => prop_assert!((d.delta_s - b).abs() < 1e-6,
+                "oracle dp {} vs cache brute force {}", d.delta_s, b),
+            (None, None) => {}
+            (d, b) => prop_assert!(false, "cross-backend disagreement: dp={d:?} brute={b:?}"),
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A taxi evaluated after its last chance to drive straight to the
+    /// origin in time: the reach bound rules it out, and brute force over
+    /// every insertion of its schedule agrees there is nothing to find.
+    #[test]
+    fn taxi_beyond_the_pickup_budget_has_no_insertion(
+        taxi_pos in 0u32..400,
+        existing in proptest::collection::vec((0u32..400, 0u32..400), 0..3),
+        probe in (0u32..400, 0u32..400),
+        rho_pct in 110u32..250,
+        late_s in 0u32..600,
+    ) {
+        let mut f = Fixture::new();
+        let rho = rho_pct as f64 / 100.0;
+        let mut taxi = Taxi::new(TaxiId(0), 4, NodeId(taxi_pos));
+        for &(o, d) in existing.iter() {
+            if o == d { continue; }
+            let req = f.add_request(o, d, rho + 10.0, 0.0);
+            let m = taxi.schedule.len();
+            taxi.schedule = taxi.schedule.with_insertion(&req, m, m + 1);
+            taxi.assigned.push(req.id);
+        }
+        let (po, pd) = probe;
+        prop_assume!(po != pd);
+        let req = f.add_request(po, pd, rho, 0.0);
+        let straight = f.cache.cost(NodeId(taxi_pos), req.origin).unwrap_or(0.0);
+        let now = req.pickup_deadline() - straight + 1e-3 + late_s as f64;
+
+        let world = World {
+            graph: &f.graph,
+            cache: &f.cache,
+            oracle: &f.oracle,
+            taxis: std::slice::from_ref(&taxi),
+            requests: &f.requests,
+        };
+        prop_assert!(!reaches_pickup(&taxi, &req, now, |a, b| f.cache.cost(a, b)));
+        prop_assert_eq!(best_insertion(&taxi, &req, now, &world, |a, b| f.cache.cost(a, b)), None);
+        prop_assert_eq!(brute_force(&taxi, &req, now, &world, |a, b| f.cache.cost(a, b)), None);
     }
 }
 
