@@ -15,12 +15,11 @@ use mtshare_model::{
     ScheduleEngine, Scored, Taxi, TaxiId, Time, World,
 };
 use mtshare_road::RoadNetwork;
-use std::sync::Arc;
 
 /// The pGreedyDP baseline.
 pub struct PGreedyDp {
     index: GridTaxiIndex,
-    engine: Arc<dyn ScheduleEngine>,
+    engine: Box<dyn ScheduleEngine>,
     gamma_m: f64,
     speed_mps: f64,
 }
@@ -37,7 +36,7 @@ impl PGreedyDp {
     pub fn with_params(graph: &RoadNetwork, n_taxis: usize, gamma_m: f64, speed_mps: f64) -> Self {
         Self {
             index: GridTaxiIndex::new(graph, 500.0, n_taxis),
-            engine: Arc::new(DpEngine),
+            engine: Box::new(DpEngine),
             gamma_m,
             speed_mps,
         }
@@ -45,7 +44,7 @@ impl PGreedyDp {
 
     /// This scheme scoring through `engine` (`--scheduler dp|dtree`);
     /// results are bit-identical across engines.
-    pub fn with_engine(mut self, engine: Arc<dyn ScheduleEngine>) -> Self {
+    pub fn with_engine(mut self, engine: Box<dyn ScheduleEngine>) -> Self {
         self.engine = engine;
         self
     }

@@ -18,8 +18,8 @@
 
 use mtshare_persist::fault::{FaultInjector, IoFault, IoOp};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The fault kinds a `--failpoints` spec can request, in the fixed
 /// generation order (spec order does not matter; generation order
@@ -186,7 +186,7 @@ pub struct FailpointPlan {
     /// `schedules[op.index()]` maps a 1-based call number to its fault.
     schedules: [BTreeMap<u32, IoFault>; 5],
     /// Live call counters, one per [`IoOp`].
-    counters: [AtomicU32; 5],
+    counters: [Cell<u32>; 5],
     feed: FeedFaultPlan,
 }
 
@@ -250,14 +250,15 @@ impl FailpointPlan {
 
     /// Calls observed so far for `op`.
     pub fn calls(&self, op: IoOp) -> u32 {
-        self.counters[op.index()].load(Ordering::Relaxed)
+        self.counters[op.index()].get()
     }
 }
 
 impl FaultInjector for FailpointPlan {
     fn check(&self, op: IoOp) -> Option<IoFault> {
-        let call = self.counters[op.index()].fetch_add(1, Ordering::Relaxed) + 1;
-        self.schedules[op.index()].get(&call).copied()
+        let calls = &self.counters[op.index()];
+        calls.set(calls.get() + 1);
+        self.schedules[op.index()].get(&calls.get()).copied()
     }
 }
 

@@ -68,7 +68,7 @@ pub fn schedule_best(
     world: &World<'_>,
     ctx: &MobilityContext,
     cfg: &MtShareConfig,
-    engine: &dyn ScheduleEngine,
+    engine: &mut dyn ScheduleEngine,
     router: &mut SegmentRouter,
 ) -> (Option<Assignment>, usize, usize) {
     // Per candidate, the optimal schedule instance via the configured
@@ -339,7 +339,7 @@ mod tests {
             &f.world(),
             &f.ctx,
             &f.cfg,
-            &DpEngine,
+            &mut DpEngine,
             &mut router,
         );
         let a = a.expect("assignment");
@@ -371,7 +371,7 @@ mod tests {
             &f.world(),
             &f.ctx,
             &f.cfg,
-            &DpEngine,
+            &mut DpEngine,
             &mut router,
         );
         assert_eq!(examined, 2);
@@ -405,7 +405,7 @@ mod tests {
             &f.world(),
             &f.ctx,
             &f.cfg,
-            &DpEngine,
+            &mut DpEngine,
             &mut router,
         );
         // Any feasible instance must drop the onboard passenger first; if
@@ -430,7 +430,7 @@ mod tests {
             &f.world(),
             &f.ctx,
             &f.cfg,
-            &DpEngine,
+            &mut DpEngine,
             &mut router,
         );
         assert!(a.is_none());
@@ -452,7 +452,7 @@ mod tests {
             &f.world(),
             &f.ctx,
             &f.cfg,
-            &DpEngine,
+            &mut DpEngine,
             &mut router,
         );
         let a1 = a1.unwrap();
@@ -469,7 +469,7 @@ mod tests {
             &f.world(),
             &f.ctx,
             &f.cfg,
-            &DpEngine,
+            &mut DpEngine,
             &mut router,
         );
         let a2 = a2.expect("aligned request should share");

@@ -24,7 +24,7 @@ pub struct MtShare {
     mindex: MobilityClusterIndex,
     /// Insertion-scoring engine behind `--scheduler dp|dtree`; results
     /// are bit-identical across engines.
-    engine: std::sync::Arc<dyn ScheduleEngine>,
+    engine: Box<dyn ScheduleEngine>,
     router: SegmentRouter,
     obs: Obs,
     name: &'static str,
@@ -76,7 +76,7 @@ impl MtShare {
     /// flush time `now` with the marginal insertion detour per candidate
     /// (`∞` when no deadline-feasible instance exists). Pure with respect
     /// to `(req, now, world)` — no scratch state survives the call.
-    fn score_row(&self, req: &RideRequest, now: Time, world: &World<'_>) -> WindowRow {
+    fn score_row(&mut self, req: &RideRequest, now: Time, world: &World<'_>) -> WindowRow {
         let candidates = {
             let _span = self.obs.stage(Stage::CandidateSearch);
             candidate_taxis(req, now, world, &self.ctx, &self.cfg, &self.pindex, &self.mindex)
@@ -133,7 +133,7 @@ impl DispatchScheme for MtShare {
             world,
             &self.ctx,
             &self.cfg,
-            &*self.engine,
+            &mut *self.engine,
             &mut self.router,
         );
         DispatchOutcome { assignment, candidates_examined: examined, feasible_instances: feasible }
@@ -156,7 +156,7 @@ impl DispatchScheme for MtShare {
             world,
             &self.ctx,
             &self.cfg,
-            &*self.engine,
+            &mut *self.engine,
             &mut self.router,
         );
         if let Some(a) = direct {
@@ -288,7 +288,7 @@ impl DispatchScheme for MtShare {
             world,
             &self.ctx,
             &self.cfg,
-            &*self.engine,
+            &mut *self.engine,
             &mut self.router,
         );
         DispatchOutcome { assignment, candidates_examined: examined, feasible_instances: feasible }

@@ -22,8 +22,8 @@
 //! Both apply the reach bound ([`crate::reaches_pickup`]) first, on the
 //! same lookup, so both rule out the same taxis ([`Scored::OutOfReach`])
 //! before any DP or tree work, and both score through the oracle's
-//! batched pinned reader: one read lock per taxi, every leg into a
-//! pinned endpoint a direct vector read.
+//! batched pinned reader: one borrow per taxi, every leg into a pinned
+//! endpoint a direct vector read.
 
 use crate::insertion::{insertion_dp, reaches_pickup, score_insertion, BestInsertion, Scored};
 use crate::request::{RequestId, RideRequest};
@@ -33,7 +33,6 @@ use crate::{Time, World};
 use mtshare_dtree::{DTree, Insertion, Probe, Stop};
 use mtshare_obs::Stage;
 use mtshare_road::NodeId;
-use std::sync::{Arc, Mutex};
 
 /// Which scheduling engine scores insertions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -119,11 +118,9 @@ impl EngineStats {
 /// A schedule-scoring engine: the strategy object behind
 /// `--scheduler dp|dtree`.
 ///
-/// Engines are queried through `&self` (callers hold an `Arc`);
-/// implementations must be `Send + Sync` and keep any interior
-/// mutability deterministic: results must be a pure function of the
-/// query.
-pub trait ScheduleEngine: Send + Sync {
+/// Each scheme owns its engine. Any state an engine keeps must stay
+/// deterministic: results must be a pure function of the query.
+pub trait ScheduleEngine {
     /// Which engine this is.
     fn kind(&self) -> SchedulerKind;
 
@@ -136,7 +133,7 @@ pub trait ScheduleEngine: Send + Sync {
     /// and bit-identical results across engines — and says whether the
     /// reach bound ruled the taxi out before it was scored.
     fn best_insertion(
-        &self,
+        &mut self,
         taxi: &Taxi,
         req: &RideRequest,
         now: Time,
@@ -147,18 +144,18 @@ pub trait ScheduleEngine: Send + Sync {
     /// `taxi`'s plan changed (assignment committed, chaos repair,
     /// retiming). Stateless engines ignore this; the dtree engine syncs
     /// the taxi's spine eagerly so the next score starts warm.
-    fn after_assign(&self, _taxi: &Taxi, _world: &World<'_>) {}
+    fn after_assign(&mut self, _taxi: &Taxi, _world: &World<'_>) {}
 
     /// `taxi` completed a schedule event (front of plan popped).
-    fn on_taxi_progress(&self, _taxi: &Taxi, _world: &World<'_>) {}
+    fn on_taxi_progress(&mut self, _taxi: &Taxi, _world: &World<'_>) {}
 
     /// `taxi` permanently left service.
-    fn on_taxi_removed(&self, _taxi: &Taxi) {}
+    fn on_taxi_removed(&mut self, _taxi: &Taxi) {}
 
     /// Drops all incremental state (checkpoint restore: trees are
     /// rebuilt lazily from the restored plans, keeping the snapshot
     /// format unchanged).
-    fn invalidate_all(&self) {}
+    fn invalidate_all(&mut self) {}
 
     /// Cumulative counters.
     fn stats(&self) -> EngineStats {
@@ -180,7 +177,7 @@ impl ScheduleEngine for DpEngine {
     }
 
     fn best_insertion(
-        &self,
+        &mut self,
         taxi: &Taxi,
         req: &RideRequest,
         now: Time,
@@ -197,22 +194,18 @@ impl ScheduleEngine for DpEngine {
 }
 
 /// The incremental dynamic-tree engine (`--scheduler dtree`): one
-/// [`DTree`] per taxi behind a mutex (scoring goes through `&self`; the
-/// sync step is a pure function of the taxi's current plan).
+/// [`DTree`] per taxi (the sync step is a pure function of the taxi's
+/// current plan).
 pub struct DtreeEngine {
-    trees: Vec<Mutex<DTree>>,
+    trees: Vec<DTree>,
 }
 
 impl DtreeEngine {
     /// One empty tree per fleet slot.
     pub fn new(n_taxis: usize) -> Self {
         let mut trees = Vec::with_capacity(n_taxis);
-        trees.resize_with(n_taxis, || Mutex::new(DTree::new()));
+        trees.resize_with(n_taxis, DTree::new);
         Self { trees }
-    }
-
-    fn lock(&self, idx: usize) -> Option<std::sync::MutexGuard<'_, DTree>> {
-        self.trees.get(idx).map(|m| m.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
 
@@ -340,7 +333,7 @@ impl ScheduleEngine for DtreeEngine {
     }
 
     fn best_insertion(
-        &self,
+        &mut self,
         taxi: &Taxi,
         req: &RideRequest,
         now: Time,
@@ -349,22 +342,22 @@ impl ScheduleEngine for DtreeEngine {
     ) -> Scored {
         // Score through the oracle's batched reader: every leg against a
         // pinned endpoint (in steady state, all of them — active request
-        // endpoints are pinned) is a direct vector read with the lock
-        // taken once, bit-identical to `oracle.cost`. Anything else
+        // endpoints are pinned) is a direct vector read with the map
+        // borrowed once, bit-identical to `oracle.cost`. Anything else
         // falls back to the caller's cost function, so custom cost
         // closures (tests, alternate backends) keep exact dp parity.
         world.oracle.batch(|fast| {
             let mut cost = |a, b| fast.pinned_cost(a, b).unwrap_or_else(|| cost(a, b));
-            // The reach bound before the tree is locked or synced: most
-            // candidates stop here.
+            // The reach bound before the tree is synced: most candidates
+            // stop here.
             if !reaches_pickup(taxi, req, now, &mut cost) {
                 return Scored::OutOfReach;
             }
-            let Some(mut tree) = self.lock(taxi.id.index()) else {
+            let Some(tree) = self.trees.get_mut(taxi.id.index()) else {
                 // Fleet grew past the configured size: score via the DP.
                 return insertion_dp(taxi, req, now, world, cost).into();
             };
-            sync_tree(&mut tree, taxi, world);
+            sync_tree(tree, taxi, world);
             let probe = Probe {
                 origin: req.origin.0,
                 destination: req.destination.0,
@@ -385,34 +378,31 @@ impl ScheduleEngine for DtreeEngine {
         })
     }
 
-    fn after_assign(&self, taxi: &Taxi, world: &World<'_>) {
-        if let Some(mut tree) = self.lock(taxi.id.index()) {
-            sync_tree(&mut tree, taxi, world);
+    fn after_assign(&mut self, taxi: &Taxi, world: &World<'_>) {
+        if let Some(tree) = self.trees.get_mut(taxi.id.index()) {
+            sync_tree(tree, taxi, world);
         }
     }
 
-    fn on_taxi_progress(&self, taxi: &Taxi, world: &World<'_>) {
-        if let Some(mut tree) = self.lock(taxi.id.index()) {
-            sync_tree(&mut tree, taxi, world);
+    fn on_taxi_progress(&mut self, taxi: &Taxi, world: &World<'_>) {
+        if let Some(tree) = self.trees.get_mut(taxi.id.index()) {
+            sync_tree(tree, taxi, world);
         }
     }
 
-    fn on_taxi_removed(&self, taxi: &Taxi) {
-        if let Some(mut tree) = self.lock(taxi.id.index()) {
+    fn on_taxi_removed(&mut self, taxi: &Taxi) {
+        if let Some(tree) = self.trees.get_mut(taxi.id.index()) {
             tree.clear();
         }
     }
 
-    fn invalidate_all(&self) {
-        for slot in &self.trees {
-            slot.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
+    fn invalidate_all(&mut self) {
+        self.trees.iter_mut().for_each(DTree::clear);
     }
 
     fn stats(&self) -> EngineStats {
         let mut out = EngineStats::default();
-        for slot in &self.trees {
-            let tree = slot.lock().unwrap_or_else(|e| e.into_inner());
+        for tree in &self.trees {
             let s = &tree.stats;
             out.scores += s.scores;
             out.rebuilds += s.rebuilds;
@@ -430,10 +420,10 @@ impl ScheduleEngine for DtreeEngine {
 }
 
 /// Builds the engine for `kind` over a fleet of `n_taxis`.
-pub fn make_engine(kind: SchedulerKind, n_taxis: usize) -> Arc<dyn ScheduleEngine> {
+pub fn make_engine(kind: SchedulerKind, n_taxis: usize) -> Box<dyn ScheduleEngine> {
     match kind {
-        SchedulerKind::Dp => Arc::new(DpEngine),
-        SchedulerKind::Dtree => Arc::new(DtreeEngine::new(n_taxis)),
+        SchedulerKind::Dp => Box::new(DpEngine),
+        SchedulerKind::Dtree => Box::new(DtreeEngine::new(n_taxis)),
     }
 }
 
@@ -445,6 +435,7 @@ mod tests {
     use crate::taxi::TaxiId;
     use mtshare_road::{grid_city, GridCityConfig};
     use mtshare_routing::{HotNodeOracle, PathCache};
+    use std::sync::Arc;
 
     struct Fixture {
         graph: Arc<mtshare_road::RoadNetwork>,
@@ -496,8 +487,8 @@ mod tests {
         let r0 = f.add_request(21, 200, 3.0);
         let r1 = f.add_request(42, 210, 3.0);
         let mut taxi = Taxi::new(TaxiId(0), 4, NodeId(0));
-        let dp = DpEngine;
-        let dtree = DtreeEngine::new(1);
+        let mut dp = DpEngine;
+        let mut dtree = DtreeEngine::new(1);
         for busy in [false, true] {
             if busy {
                 taxi.schedule = Schedule::new().with_insertion(&r0, 0, 1);
@@ -529,7 +520,7 @@ mod tests {
         let r0 = f.add_request(21, 200, 4.0);
         let r1 = f.add_request(42, 210, 4.0);
         let mut taxi = Taxi::new(TaxiId(0), 4, NodeId(0));
-        let engine = DtreeEngine::new(1);
+        let mut engine = DtreeEngine::new(1);
         let probe_req = f.add_request(60, 150, 4.0);
 
         // Initial build.

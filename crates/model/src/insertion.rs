@@ -403,7 +403,7 @@ mod tests {
         assert!(reaches_pickup(&taxis[0], &probe, 0.0, cost));
         let want = BestInsertion { i: 0, j: 1, delta_s: 20.0 };
         assert_eq!(best_insertion(&taxis[0], &probe, 0.0, &world, cost), Some(want));
-        let dtree = DtreeEngine::new(1);
+        let mut dtree = DtreeEngine::new(1);
         let scored = dtree.best_insertion(&taxis[0], &probe, 0.0, &world, &mut |a, b| cost(a, b));
         assert_eq!(scored, Scored::Feasible(want));
 

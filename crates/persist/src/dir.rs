@@ -20,7 +20,7 @@ use crate::snapshot::{read_snapshot_with, write_snapshot_with, SnapshotStats};
 use crate::PersistError;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Extension of snapshot files.
 const SNAP_EXT: &str = "mtsnap";
@@ -31,7 +31,7 @@ const WAL_NAME: &str = "wal.mtwal";
 #[derive(Debug, Clone)]
 pub struct StateDir {
     root: PathBuf,
-    injector: Option<Arc<dyn FaultInjector>>,
+    injector: Option<Rc<dyn FaultInjector>>,
 }
 
 impl StateDir {
@@ -43,7 +43,7 @@ impl StateDir {
     }
 
     /// Installs a fault injector consulted by snapshot reads/writes.
-    pub fn with_fault_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
+    pub fn with_fault_injector(mut self, injector: Rc<dyn FaultInjector>) -> Self {
         self.injector = Some(injector);
         self
     }

@@ -94,7 +94,7 @@ pub enum IoFault {
 /// `Some(fault)` makes that call fail as described by the fault. The
 /// injector owns whatever call-counting it needs — the storage layer
 /// carries no schedule state.
-pub trait FaultInjector: Send + Sync + fmt::Debug {
+pub trait FaultInjector: fmt::Debug {
     /// Returns the fault the current `op` call should suffer, if any.
     fn check(&self, op: IoOp) -> Option<IoFault>;
 }

@@ -19,7 +19,7 @@ use crate::PersistError;
 use std::fs::OpenOptions;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Per-record header bytes.
 const RECORD_HEADER: usize = 8;
@@ -76,7 +76,7 @@ fn scan(bytes: &[u8]) -> WalRecovery {
 #[derive(Debug)]
 pub struct WalWriter {
     out: BufWriter<std::fs::File>,
-    injector: Option<Arc<dyn FaultInjector>>,
+    injector: Option<Rc<dyn FaultInjector>>,
 }
 
 impl WalWriter {
@@ -88,7 +88,7 @@ impl WalWriter {
     }
 
     /// Installs a fault injector consulted before every append/sync.
-    pub fn set_fault_injector(&mut self, injector: Arc<dyn FaultInjector>) {
+    pub fn set_fault_injector(&mut self, injector: Rc<dyn FaultInjector>) {
         self.injector = Some(injector);
     }
 

@@ -7,15 +7,13 @@
 //! cache backed by bidirectional Dijkstra, shared by *all* schemes so the
 //! response-time comparison stays fair.
 //!
-//! The memo, its counters and the one search engine (per-query scratch
-//! state) sit behind a single mutex. Dispatch is sequential, so the lock
-//! is never contended in a run; it is there because the cache is a cheaply
-//! cloned handle shared through `&self` (simulator, oracle and scenario
-//! generator hold clones of one cache) and must stay `Send + Sync`
-//! (`tests/path_cache_stress.rs` drives one from several threads). Both
-//! the search and the memo quantize costs to `f32`, which makes every
-//! answer independent of lookup history: hit or miss, a query returns the
-//! same canonical value.
+//! The cache is a cheaply cloned single-thread handle (`Rc`): the
+//! simulator, its oracle and the scenario generator hold clones of one
+//! cache, which keeps the memo, its counters and the one search engine in
+//! a `RefCell`. Both the search and the memo quantize costs to `f32`, which
+//! makes every answer independent of lookup history: hit or miss, a query
+//! returns the same canonical value. That is what lets a warm restart,
+//! whose memo starts empty, replay an uninterrupted run byte for byte.
 //!
 //! # Pluggable exact backend
 //!
@@ -62,8 +60,9 @@ use crate::ch::{ChStats, ContractionHierarchy};
 use crate::path::Path;
 use crate::upward::{UpwardBuckets, UpwardGraph, UpwardQuery};
 use mtshare_road::{NodeId, RoadNetwork};
-use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// The exact engine a [`PathCache`] uses to answer cost misses.
@@ -86,15 +85,15 @@ pub enum RouterBackend {
 #[derive(Debug)]
 struct Scratch<H: UpwardGraph> {
     hierarchy: Arc<H>,
-    query: Mutex<UpwardQuery<H>>,
-    buckets: Mutex<UpwardBuckets<H>>,
+    query: RefCell<UpwardQuery<H>>,
+    buckets: RefCell<UpwardBuckets<H>>,
 }
 
 impl<H: UpwardGraph> Scratch<H> {
     fn new(hierarchy: Arc<H>) -> Self {
         Self {
-            query: Mutex::new(UpwardQuery::new(hierarchy.clone())),
-            buckets: Mutex::new(UpwardBuckets::new(hierarchy.clone())),
+            query: RefCell::new(UpwardQuery::new(hierarchy.clone())),
+            buckets: RefCell::new(UpwardBuckets::new(hierarchy.clone())),
             hierarchy,
         }
     }
@@ -141,7 +140,7 @@ struct Memo {
     stats: CacheStats,
 }
 
-/// Thread-safe memoizing shortest-path oracle over a road network.
+/// Memoizing shortest-path oracle over a road network.
 ///
 /// Costs are cached until the metric changes: the paper assumes static
 /// traffic (Sec. III-A), and under `--disruptions` a regional traffic
@@ -153,9 +152,9 @@ struct Memo {
 pub struct PathCache {
     /// The graph answers are exact on *right now* — swapped wholesale by
     /// [`PathCache::recustomize`]; readers snapshot the `Arc`.
-    live: Arc<RwLock<Arc<RoadNetwork>>>,
-    memo: Arc<Mutex<Memo>>,
-    backend: Arc<Backend>,
+    live: Rc<RefCell<Arc<RoadNetwork>>>,
+    memo: Rc<RefCell<Memo>>,
+    backend: Rc<Backend>,
 }
 
 impl PathCache {
@@ -197,9 +196,9 @@ impl PathCache {
             stats: CacheStats::default(),
         };
         Self {
-            live: Arc::new(RwLock::new(graph)),
-            memo: Arc::new(Mutex::new(memo)),
-            backend: Arc::new(backend),
+            live: Rc::new(RefCell::new(graph)),
+            memo: Rc::new(RefCell::new(memo)),
+            backend: Rc::new(backend),
         }
     }
 
@@ -242,10 +241,8 @@ impl PathCache {
     /// CCH metric when that backend is active and clears the memo.
     /// Returns the CCH metric generation, if any.
     ///
-    /// Answers already handed out were exact on the previous metric;
-    /// in-flight probes in other threads may still read it — callers
-    /// serialize re-customization against dispatch (the simulator does
-    /// this naturally: shifts apply between events).
+    /// Answers already handed out were exact on the previous metric
+    /// (the simulator applies shifts between events).
     ///
     /// # Panics
     /// Panics under the plain-CH backend (gate on
@@ -258,12 +255,12 @@ impl PathCache {
         );
         assert_eq!(
             graph.node_count(),
-            self.live.read().node_count(),
+            self.live.borrow().node_count(),
             "re-customization graph must share the topology"
         );
         let generation = self.customizable().map(|h| h.customize(&graph));
-        *self.live.write() = graph;
-        self.memo.lock().costs.clear();
+        *self.live.borrow_mut() = graph;
+        self.memo.borrow_mut().costs.clear();
         generation
     }
 
@@ -271,7 +268,7 @@ impl PathCache {
     /// cache may re-customize after this returns).
     #[inline]
     pub fn graph(&self) -> Arc<RoadNetwork> {
-        self.live.read().clone()
+        self.live.borrow().clone()
     }
 
     #[inline]
@@ -286,19 +283,16 @@ impl PathCache {
             return Some(0.0);
         }
         let key = Self::key(a, b);
-        let mut memo = self.memo.lock();
+        let mut memo = self.memo.borrow_mut();
         if let Some(&c) = memo.costs.get(&key) {
             memo.stats.hits += 1;
             return c.is_finite().then_some(c as f64);
         }
         memo.stats.misses += 1;
         let cost = match &*self.backend {
-            Backend::Bidir => {
-                let graph = self.live.read().clone();
-                memo.engine.cost(&graph, a, b)
-            }
-            Backend::Ch(k) => k.query.lock().cost(a, b),
-            Backend::Cch(k) => k.query.lock().cost(a, b),
+            Backend::Bidir => memo.engine.cost(&self.live.borrow(), a, b),
+            Backend::Ch(k) => k.query.borrow_mut().cost(a, b),
+            Backend::Cch(k) => k.query.borrow_mut().cost(a, b),
         };
         memo.costs.insert(key, cost.map_or(f32::INFINITY, |c| c as f32));
         cost
@@ -314,7 +308,7 @@ impl PathCache {
     /// never observe which path filled the memo. Returns the number of
     /// pairs computed (already-memoized pairs are skipped).
     pub fn prime_many_to_one(&self, sources: &[NodeId], target: NodeId) -> usize {
-        let mut memo = self.memo.lock();
+        let mut memo = self.memo.borrow_mut();
         let mut missing: Vec<NodeId> = sources
             .iter()
             .copied()
@@ -327,8 +321,8 @@ impl PathCache {
         }
         let costs = match &*self.backend {
             Backend::Bidir => return 0,
-            Backend::Ch(k) => k.buckets.lock().many_to_one(&missing, target),
-            Backend::Cch(k) => k.buckets.lock().many_to_one(&missing, target),
+            Backend::Ch(k) => k.buckets.borrow_mut().many_to_one(&missing, target),
+            Backend::Cch(k) => k.buckets.borrow_mut().many_to_one(&missing, target),
         };
         for (&s, c) in missing.iter().zip(&costs) {
             memo.costs.insert(Self::key(s, target), c.map_or(f32::INFINITY, |c| c as f32));
@@ -339,30 +333,20 @@ impl PathCache {
 
     /// Shortest path from `a` to `b` (computed fresh; its cost is memoized).
     pub fn path(&self, a: NodeId, b: NodeId) -> Option<Path> {
-        let graph = self.live.read().clone();
-        let mut memo = self.memo.lock();
-        let p = memo.engine.path(&graph, a, b)?;
+        let mut memo = self.memo.borrow_mut();
+        let p = memo.engine.path(&self.live.borrow(), a, b)?;
         memo.costs.entry(Self::key(a, b)).or_insert(p.cost_s as f32);
         Some(p)
     }
 
-    /// Pre-warms the memo with all pairs from `sources` × `targets`.
-    pub fn warm(&self, sources: &[NodeId], targets: &[NodeId]) {
-        for &s in sources {
-            for &t in targets {
-                let _ = self.cost(s, t);
-            }
-        }
-    }
-
     /// Snapshot of hit/miss/evict counters.
     pub fn stats(&self) -> CacheStats {
-        self.memo.lock().stats
+        self.memo.borrow().stats
     }
 
     /// Number of memoized entries.
     pub fn len(&self) -> usize {
-        self.memo.lock().costs.len()
+        self.memo.borrow().costs.len()
     }
 
     /// Whether the memo is empty.
@@ -373,7 +357,7 @@ impl PathCache {
     /// Approximate resident memory of the memo in bytes.
     pub fn memory_bytes(&self) -> usize {
         // key (8) + value (4) + hashbrown overhead ≈ 1 ctrl byte + padding.
-        self.memo.lock().costs.capacity() * (8 + 4 + 2)
+        self.memo.borrow().costs.capacity() * (8 + 4 + 2)
     }
 }
 
@@ -396,12 +380,15 @@ mod tests {
         let want = d.cost(&g, NodeId(0), NodeId(399)).unwrap();
         let got1 = c.cost(NodeId(0), NodeId(399)).unwrap();
         let got2 = c.cost(NodeId(0), NodeId(399)).unwrap();
-        assert!((got1 - want).abs() < 1e-2);
-        assert_eq!(got1, got2);
+        assert_eq!(got1.to_bits(), want.to_bits());
+        assert_eq!(got1.to_bits(), got2.to_bits());
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
         assert!((s.hit_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(c.len(), 1);
+        assert!(!c.is_empty());
+        assert!(c.memory_bytes() > 0);
     }
 
     #[test]
@@ -426,7 +413,7 @@ mod tests {
         let (_, c) = cache();
         let p = c.path(NodeId(3), NodeId(200)).unwrap();
         let cost = c.cost(NodeId(3), NodeId(200)).unwrap();
-        assert!((p.cost_s - cost).abs() < 1e-2);
+        assert_eq!(p.cost_s.to_bits(), cost.to_bits());
     }
 
     #[test]
@@ -441,15 +428,6 @@ mod tests {
         assert_eq!(c.cost(NodeId(1), NodeId(0)), None);
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-    }
-
-    #[test]
-    fn warm_fills_the_memo() {
-        let (_, c) = cache();
-        c.warm(&[NodeId(0), NodeId(1)], &[NodeId(10), NodeId(11)]);
-        assert_eq!(c.len(), 4);
-        assert!(!c.is_empty());
-        assert!(c.memory_bytes() > 0);
     }
 
     #[test]

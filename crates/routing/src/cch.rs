@@ -40,24 +40,23 @@
 //! customization are pure functions of their inputs with no parallelism
 //! or randomness, so artifacts are byte-identical across runs.
 //!
-//! # Concurrency
+//! # Metric swaps
 //!
 //! The skeleton is immutable after construction. The metric lives
-//! behind an `RwLock<Arc<CchMetric>>` with a generation counter:
-//! re-customization installs a fresh `Arc` (readers keep their pinned
+//! behind a `std::sync::RwLock<Arc<CchMetric>>` with a generation
+//! counter: re-customization installs a fresh `Arc` (readers keep their
 //! snapshot), and query scratch refreshes its snapshot when the
-//! generation moves. The simulator re-customizes only between events,
-//! so all concurrent dispatch probes within one event batch read one
-//! consistent generation.
+//! generation moves. The simulator re-customizes only between events.
+//! The lock (not a `RefCell`) keeps the hierarchy `Sync`, so it can be
+//! shared by `Arc` like the plain CH.
 
 use crate::order::NodeOrder;
 use crate::upward::{SearchCounters, UpwardBuckets, UpwardGraph, UpwardQuery};
 use mtshare_persist::{fnv1a_64, read_snapshot, write_snapshot, Decoder, Encoder, PersistError};
 use mtshare_road::RoadNetwork;
-use parking_lot::RwLock;
 use rustc_hash::FxHashSet;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Inner payload tag of the persisted artifact.
 const ARTIFACT_TAG: &[u8; 4] = b"MTCC";
@@ -217,7 +216,7 @@ impl CustomizableCh {
             }
         }
         let generation = self.next_generation.fetch_add(1, Relaxed);
-        *self.metric.write() =
+        *self.metric.write().expect("no metric writer panics") =
             Arc::new(CchMetric { generation, graph_digest: graph.digest(), up_w, down_w });
         self.customizations.fetch_add(1, Relaxed);
         generation
@@ -226,17 +225,17 @@ impl CustomizableCh {
     /// The current metric snapshot (readers keep it consistent across a
     /// concurrent re-customization).
     pub fn metric(&self) -> Arc<CchMetric> {
-        self.metric.read().clone()
+        self.metric.read().expect("no metric writer panics").clone()
     }
 
     /// Generation of the current metric (0 = base).
     pub fn generation(&self) -> u64 {
-        self.metric.read().generation
+        self.metric.read().expect("no metric writer panics").generation
     }
 
     /// Digest of the road network the current metric was customized from.
     pub fn metric_graph_digest(&self) -> u64 {
-        self.metric.read().graph_digest
+        self.metric().graph_digest
     }
 
     /// Digest of the base road network the skeleton was built from.
@@ -273,7 +272,7 @@ impl CustomizableCh {
         (self.order.len() + self.rank.len() + self.up_offsets.len()) * 4
             + self.up_targets.len() * 4
             + self.triangles.len() * std::mem::size_of::<(u32, u32, u32)>()
-            + self.metric.read().up_w.len() * 8
+            + self.metric().up_w.len() * 8
     }
 
     #[inline]
@@ -293,7 +292,7 @@ impl CustomizableCh {
     /// Canonical artifact payload: tag, version, base digest, metric
     /// generation + digest, order, skeleton CSR, weight bit patterns.
     fn encode(&self) -> Vec<u8> {
-        let metric = self.metric.read();
+        let metric = self.metric();
         let mut enc = Encoder::new();
         enc.bytes(ARTIFACT_TAG);
         enc.u32(ARTIFACT_VERSION);

@@ -50,15 +50,3 @@ pub use oracle::{HotNodeOracle, OracleStats, PinnedReader};
 pub use order::NodeOrder;
 pub use path::Path;
 pub use sweep::Sweep;
-
-// Both are handles, not owners: the simulator, its oracle, the scenario
-// generator, `serve` and `crates/e2e` hold clones of one cache, schemes
-// reach both through `&` in `World`, and `tests/path_cache_stress.rs`
-// drives one cache from several threads. Dispatch itself is sequential,
-// so the locks inside look idle — this keeps them from being "simplified"
-// away.
-const _: () = {
-    const fn shared_handle<T: Clone + Send + Sync>() {}
-    shared_handle::<PathCache>();
-    shared_handle::<HotNodeOracle>();
-};

@@ -31,13 +31,12 @@
 //! its own cache handle ([`HotNodeOracle::over`]); [`HotNodeOracle::new`]
 //! wraps a private default cache for tests and benches.
 //!
-//! # Sharing and determinism
+//! # Ownership and determinism
 //!
-//! Dispatch is sequential, but the oracle is shared by `&` through
-//! `World` and pinned through `&self`, and it is a cloneable handle that
-//! must stay `Send + Sync`: the pinned map sits behind an `RwLock`
-//! ([`HotNodeOracle::batch`] holds one read guard across a burst of
-//! queries), the pin engine behind a mutex, counters are atomics. Every
+//! The simulator owns its oracle and drives it from one thread. Schemes
+//! see it by `&` through `World`, so pins, queries and their counters
+//! are interior state (`RefCell` / `Cell`); [`HotNodeOracle::batch`] holds
+//! one shared borrow of the pinned map across a burst of queries. Every
 //! query must return one canonical value regardless of which nodes happen
 //! to be pinned — that is what makes a resumed run, whose pin history
 //! differs, equal an uninterrupted one.
@@ -56,9 +55,8 @@ use crate::cache::PathCache;
 use crate::path::Path;
 use crate::sweep::Sweep;
 use mtshare_road::{NodeId, RoadNetwork};
-use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::{Cell, Ref, RefCell};
 use std::sync::Arc;
 
 #[derive(Debug)]
@@ -86,25 +84,29 @@ pub struct OracleStats {
 }
 
 #[derive(Debug, Default)]
-struct AtomicStats {
-    vector_hits: AtomicU64,
-    searches: AtomicU64,
-    pin_computes: AtomicU64,
-    evictions: AtomicU64,
-    path_walks: AtomicU64,
-    path_searches: AtomicU64,
+struct StatCells {
+    vector_hits: Cell<u64>,
+    searches: Cell<u64>,
+    pin_computes: Cell<u64>,
+    evictions: Cell<u64>,
+    path_walks: Cell<u64>,
+    path_searches: Cell<u64>,
 }
 
-/// Thread-safe cost oracle with pinnable hot nodes.
-#[derive(Debug, Clone)]
+fn bump(counter: &Cell<u64>, n: u64) {
+    counter.set(counter.get() + n);
+}
+
+/// Cost oracle with pinnable hot nodes, owned by one simulator.
+#[derive(Debug)]
 pub struct HotNodeOracle {
     /// Answers every query the pinned vectors cannot, and names the graph
     /// pins are computed on.
     cache: PathCache,
-    pinned: Arc<RwLock<FxHashMap<u32, PinnedEntry>>>,
+    pinned: RefCell<FxHashMap<u32, PinnedEntry>>,
     /// Fills pins from its own copy of the arcs; [`Self::retarget`] rebuilds it.
-    pin_engine: Arc<Mutex<Sweep>>,
-    stats: Arc<AtomicStats>,
+    pin_engine: RefCell<Sweep>,
+    stats: StatCells,
 }
 
 impl HotNodeOracle {
@@ -112,9 +114,9 @@ impl HotNodeOracle {
     /// the cache's live graph and unpinned queries are the cache's.
     pub fn over(cache: PathCache) -> Self {
         Self {
-            pin_engine: Arc::new(Mutex::new(Sweep::backward(&cache.graph()))),
-            pinned: Arc::new(RwLock::new(FxHashMap::default())),
-            stats: Arc::new(AtomicStats::default()),
+            pin_engine: RefCell::new(Sweep::backward(&cache.graph())),
+            pinned: RefCell::default(),
+            stats: StatCells::default(),
             cache,
         }
     }
@@ -135,41 +137,41 @@ impl HotNodeOracle {
     /// Takes `&mut self` so re-targeting is exclusive by construction;
     /// the simulator owns its oracle and re-customizes between events.
     pub fn retarget(&mut self) {
-        let mut pinned = self.pinned.write();
+        let pinned = self.pinned.get_mut();
         let mut nodes: Vec<u32> = pinned.keys().copied().collect();
         nodes.sort_unstable();
-        let mut engine = self.pin_engine.lock();
+        let engine = self.pin_engine.get_mut();
         *engine = Sweep::backward(&self.cache.graph());
         for v in nodes {
             let e = pinned.get_mut(&v).expect("key collected above");
             engine.run(NodeId(v), &mut e.bwd);
-            self.stats.pin_computes.fetch_add(1, Relaxed);
+            bump(&self.stats.pin_computes, 1);
         }
     }
 
     /// Pins `node`, computing its backward distance vector if not already
     /// resident. Pins are reference-counted.
     pub fn pin(&self, node: NodeId) {
-        let mut pinned = self.pinned.write();
+        let mut pinned = self.pinned.borrow_mut();
         if let Some(e) = pinned.get_mut(&node.0) {
             e.refs += 1;
             return;
         }
         let mut bwd = Vec::new();
-        self.pin_engine.lock().run(node, &mut bwd);
-        self.stats.pin_computes.fetch_add(1, Relaxed);
+        self.pin_engine.borrow_mut().run(node, &mut bwd);
+        bump(&self.stats.pin_computes, 1);
         pinned.insert(node.0, PinnedEntry { refs: 1, bwd });
     }
 
     /// Releases one pin of `node`; vectors are freed when the count drops
     /// to zero. Unpinning an unpinned node is a no-op.
     pub fn unpin(&self, node: NodeId) {
-        let mut pinned = self.pinned.write();
+        let mut pinned = self.pinned.borrow_mut();
         if let Some(e) = pinned.get_mut(&node.0) {
             e.refs -= 1;
             if e.refs == 0 {
                 pinned.remove(&node.0);
-                self.stats.evictions.fetch_add(1, Relaxed);
+                bump(&self.stats.evictions, 1);
             }
         }
     }
@@ -183,7 +185,7 @@ impl HotNodeOracle {
         if let Some(c) = self.batch(|r| r.pinned_cost(a, b)) {
             return c;
         }
-        self.stats.searches.fetch_add(1, Relaxed);
+        bump(&self.stats.searches, 1);
         self.cache.cost(a, b)
     }
 
@@ -198,7 +200,7 @@ impl HotNodeOracle {
     /// and a search's pick depends on its settle order. Otherwise the
     /// shortest path is unique and this is what [`PathCache::path`] finds.
     pub fn pinned_path(&self, a: NodeId, b: NodeId) -> Option<Path> {
-        let pinned = self.pinned.read_recursive();
+        let pinned = self.pinned.borrow();
         let d = &pinned.get(&b.0)?.bwd;
         if !d[a.index()].is_finite() {
             return None;
@@ -216,7 +218,7 @@ impl HotNodeOracle {
             x = head?;
             nodes.push(x);
         }
-        self.stats.path_walks.fetch_add(1, Relaxed);
+        bump(&self.stats.path_walks, 1);
         Some(Path { nodes, cost_s: d[a.index()] as f64 })
     }
 
@@ -226,64 +228,62 @@ impl HotNodeOracle {
     /// first returns one, so the answer is a function of `(a, b)` alone.
     pub fn path(&self, a: NodeId, b: NodeId) -> Option<Path> {
         self.pinned_path(a, b).or_else(|| {
-            self.stats.path_searches.fetch_add(1, Relaxed);
+            bump(&self.stats.path_searches, 1);
             self.cache.path(a, b)
         })
     }
 
     /// Runs `f` on `b`'s pinned backward vector (`None` when `b` is not
-    /// pinned) under one read lock, without a copy; counts nothing.
+    /// pinned) without a copy; counts nothing.
     pub fn with_vector<R>(&self, b: NodeId, f: impl FnOnce(Option<&[f32]>) -> R) -> R {
-        f(self.pinned.read_recursive().get(&b.0).map(|e| &e.bwd[..]))
+        f(self.pinned.borrow().get(&b.0).map(|e| &e.bwd[..]))
     }
 
     /// Runs `f` with a [`PinnedReader`]: a borrowed view of the pinned
-    /// vectors that answers the `cost()` fast path without re-acquiring
-    /// the `RwLock` or touching an atomic per query. Vector hits are
-    /// counted locally and folded into the stats once at the end.
+    /// vectors that answers the `cost()` fast path without re-borrowing
+    /// the map per query. Vector hits are counted locally and folded into
+    /// the stats once at the end.
     ///
     /// Intended for query bursts that probe many legs against the same
-    /// pin set — e.g. scoring one insertion candidate. The read lock is
-    /// held for the whole closure, recursion-tolerant, so `f` may fall
-    /// back to `cost()` for unpinned pairs; callers must not
-    /// `pin`/`unpin` from inside `f` (dispatch already orders all pinning
-    /// before scoring).
+    /// pin set — e.g. scoring one insertion candidate. The reader holds a
+    /// shared borrow for the whole closure, and shared borrows nest, so
+    /// `f` may fall back to `cost()` for unpinned pairs; a `pin`/`unpin`
+    /// from inside `f` panics (dispatch already orders all pinning before
+    /// scoring).
     pub fn batch<R>(&self, f: impl FnOnce(&mut PinnedReader<'_>) -> R) -> R {
-        let mut reader = PinnedReader { pinned: self.pinned.read_recursive(), hits: 0 };
+        let mut reader = PinnedReader { pinned: self.pinned.borrow(), hits: 0 };
         let r = f(&mut reader);
-        if reader.hits > 0 {
-            self.stats.vector_hits.fetch_add(reader.hits, Relaxed);
-        }
+        bump(&self.stats.vector_hits, reader.hits);
         r
     }
 
     /// Snapshot of the query counters.
     pub fn stats(&self) -> OracleStats {
         OracleStats {
-            vector_hits: self.stats.vector_hits.load(Relaxed),
-            searches: self.stats.searches.load(Relaxed),
-            pin_computes: self.stats.pin_computes.load(Relaxed),
-            evictions: self.stats.evictions.load(Relaxed),
-            path_walks: self.stats.path_walks.load(Relaxed),
-            path_searches: self.stats.path_searches.load(Relaxed),
+            vector_hits: self.stats.vector_hits.get(),
+            searches: self.stats.searches.get(),
+            pin_computes: self.stats.pin_computes.get(),
+            evictions: self.stats.evictions.get(),
+            path_walks: self.stats.path_walks.get(),
+            path_searches: self.stats.path_searches.get(),
         }
     }
 
     /// Number of currently pinned nodes.
     pub fn pinned_count(&self) -> usize {
-        self.pinned.read().len()
+        self.pinned.borrow().len()
     }
 
     /// Approximate resident memory of the pinned vectors in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.pinned.read().len() * (self.cache.graph().node_count() * 4 + 16)
+        self.pinned.borrow().len() * (self.cache.graph().node_count() * 4 + 16)
     }
 }
 
 /// Borrowed fast-path view of the oracle's pinned vectors — see
 /// [`HotNodeOracle::batch`].
 pub struct PinnedReader<'a> {
-    pinned: parking_lot::RwLockReadGuard<'a, FxHashMap<u32, PinnedEntry>>,
+    pinned: Ref<'a, FxHashMap<u32, PinnedEntry>>,
     hits: u64,
 }
 
@@ -343,7 +343,7 @@ mod tests {
         // Cross-check against an unpinned fresh oracle.
         let o2 = oracle();
         let want = o2.cost(NodeId(0), NodeId(399)).unwrap();
-        assert!((got - want).abs() < 1e-2);
+        assert_eq!(got.to_bits(), want.to_bits());
     }
 
     #[test]

@@ -40,7 +40,7 @@ use mtshare_persist::{
 };
 use std::cmp::Reverse;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// WAL record kind: a popped heap event.
 pub(super) const KIND_HEAP: u8 = 0;
@@ -70,7 +70,7 @@ pub struct PersistConfig {
     pub durability: Durability,
     /// Deterministic fault injection seam consulted by every WAL and
     /// snapshot operation (`--failpoints`); `None` in production.
-    pub fault_injector: Option<Arc<dyn FaultInjector>>,
+    pub fault_injector: Option<Rc<dyn FaultInjector>>,
 }
 
 impl PersistConfig {

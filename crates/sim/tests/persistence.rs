@@ -7,9 +7,9 @@
 use mtshare_chaos::{ChaosConfig, CrashPoint};
 use mtshare_core::{MobilityContext, PartitionStrategy};
 use mtshare_model::{DispatchOutcome, DispatchScheme, RideRequest, Taxi, TaxiId, Time, World};
-use mtshare_obs::{MemorySink, Obs};
+use mtshare_obs::{json, MemorySink, Obs};
 use mtshare_road::{grid_city, GridCityConfig, RoadNetwork};
-use mtshare_routing::{HotNodeOracle, PathCache};
+use mtshare_routing::PathCache;
 use mtshare_sim::{
     build_context, PersistConfig, RunOutcome, Scenario, ScenarioConfig, SchemeKind, SimConfig,
     Simulator,
@@ -40,23 +40,28 @@ impl TestWorld {
     /// Runs a fresh simulator over the shared scenario, capturing the
     /// canonical JSONL trace.
     fn run(&self, cfg: SimConfig) -> (RunOutcome, String) {
-        self.run_scheme(cfg, self.scheme().as_mut())
+        let (out, trace, _) = self.run_scheme(cfg, self.scheme().as_mut());
+        (out, trace)
     }
 
     fn scheme(&self) -> Box<dyn DispatchScheme> {
         self.kind.build(&self.graph, self.scenario.taxis.len(), self.ctx.clone(), None)
     }
 
-    fn run_scheme(&self, cfg: SimConfig, scheme: &mut dyn DispatchScheme) -> (RunOutcome, String) {
+    fn run_scheme(
+        &self,
+        cfg: SimConfig,
+        scheme: &mut dyn DispatchScheme,
+    ) -> (RunOutcome, String, Obs) {
         let obs = Obs::enabled();
         let (sink, buf) = MemorySink::new();
         obs.add_sink(Box::new(sink));
         let cache = PathCache::new(self.graph.clone());
         let out = Simulator::new(self.graph.clone(), cache, &self.scenario, cfg)
-            .with_obs(obs)
+            .with_obs(obs.clone())
             .run_to_outcome(scheme);
         let trace = buf.lock().unwrap().clone();
-        (out, trace)
+        (out, trace, obs)
     }
 }
 
@@ -258,12 +263,10 @@ fn resuming_under_a_different_scheme_refuses() {
     let _ = world.run(cfg);
 }
 
-/// Forwards everything the loop and the checkpoints call, keeps a handle
-/// on the simulator's oracle (handles share state, so it outlives the
-/// run) and checks the pin accounting at every dispatch.
+/// Forwards everything the loop and the checkpoints call and checks the
+/// pin accounting at every dispatch.
 struct OracleTap {
     inner: Box<dyn DispatchScheme>,
-    oracle: Option<HotNodeOracle>,
 }
 
 impl OracleTap {
@@ -282,7 +285,6 @@ impl DispatchScheme for OracleTap {
         self.inner.name()
     }
     fn install(&mut self, world: &World<'_>) {
-        self.oracle = Some(world.oracle.clone());
         self.inner.install(world)
     }
     fn set_obs(&mut self, obs: Obs) {
@@ -312,7 +314,6 @@ impl DispatchScheme for OracleTap {
         self.inner.snapshot_state()
     }
     fn restore_state(&mut self, bytes: &[u8], world: &World<'_>) -> Result<(), String> {
-        self.oracle = Some(world.oracle.clone());
         self.inner.restore_state(bytes, world)
     }
 }
@@ -324,16 +325,20 @@ fn resumed_run_rebuilds_the_oracle_pins_of_riders_in_flight() {
     // resume means the restore lost the pins of riders already assigned
     // or on board.
     let world = TestWorld::build(SchemeKind::MtShare);
+    // The run's `profiling.oracle` summary block.
     let tapped = |cfg: SimConfig| {
-        let mut tap = OracleTap { inner: world.scheme(), oracle: None };
-        let (out, trace) = world.run_scheme(cfg, &mut tap);
-        (out, trace, tap.oracle.expect("install or restore_state ran"))
+        let mut tap = OracleTap { inner: world.scheme() };
+        let (out, trace, obs) = world.run_scheme(cfg, &mut tap);
+        let summary = json::parse(&obs.summary_json().expect("enabled")).unwrap();
+        let oracle = summary.get("profiling").and_then(|p| p.get("oracle")).cloned().unwrap();
+        let count = move |name: &str| oracle.get(name).and_then(|n| n.as_num()).unwrap() as u64;
+        (out, trace, count)
     };
 
     let (out, base_trace, oracle) = tapped(SimConfig::default());
     assert!(matches!(out, RunOutcome::Finished(_)));
-    assert!(oracle.stats().vector_hits > 0, "scenario must exercise the dispatcher");
-    assert_eq!(oracle.stats().searches, 0, "baseline: {:?}", oracle.stats());
+    assert!(oracle("vector_hits") > 0, "scenario must exercise the dispatcher");
+    assert_eq!(oracle("searches"), 0, "baseline");
 
     let dir = state_dir("resume-pins");
     let cfg = SimConfig { persist: Some(fresh_persist(&dir, 57)), ..SimConfig::default() };
@@ -344,10 +349,10 @@ fn resumed_run_rebuilds_the_oracle_pins_of_riders_in_flight() {
     let (out, tail, oracle) = tapped(cfg);
     assert!(matches!(out, RunOutcome::Finished(_)));
     assert_eq!(format!("{head}{tail}"), base_trace);
-    let s = oracle.stats();
-    assert!(s.vector_hits > 0, "the resumed run must still dispatch: {s:?}");
-    assert_eq!(s.searches, 0, "a leg into a held rider's stop fell through to a search: {s:?}");
-    assert_eq!(oracle.pinned_count(), 0, "every hold is released by the end of the run");
-    assert_eq!(s.pin_computes, s.evictions, "{s:?}");
+    assert!(oracle("vector_hits") > 0, "the resumed run must still dispatch");
+    assert_eq!(oracle("searches"), 0, "a leg into a held rider's stop fell through to a search");
+    // Pinned at the end is `pin_computes - evictions`: every hold is
+    // released by the end of the run.
+    assert_eq!(oracle("pin_computes"), oracle("evictions"));
     let _ = std::fs::remove_dir_all(&dir);
 }

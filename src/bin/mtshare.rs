@@ -34,6 +34,7 @@ use mt_share::sim::{
     ScenarioConfig, SchemeKind, SimConfig, SimEngine, Simulator, WorkloadConfig, WorkloadGenerator,
 };
 use std::io::Write as _;
+use std::rc::Rc;
 use std::sync::Arc;
 
 struct Args {
@@ -460,7 +461,7 @@ fn validate_every(args: &Args) -> Option<f64> {
 /// `--chaos-seed`): one shared plan drives both the storage-fault
 /// injector and the serve feed faults, so a single seed reproduces the
 /// whole fault schedule.
-fn failpoint_plan(args: &Args) -> Option<Arc<FailpointPlan>> {
+fn failpoint_plan(args: &Args) -> Option<Rc<FailpointPlan>> {
     args.get("failpoints").map(|spec| {
         let spec = FailpointSpec::parse(spec)
             .unwrap_or_else(|e| flag_error(&format!("bad --failpoints spec: {e}")));
@@ -470,13 +471,13 @@ fn failpoint_plan(args: &Args) -> Option<Arc<FailpointPlan>> {
         if plan.has_storage_faults() && !args.has("state-dir") {
             flag_error("--failpoints with storage faults requires --state-dir");
         }
-        Arc::new(plan)
+        Rc::new(plan)
     })
 }
 
 fn persist_config(
     args: &Args,
-    injector: Option<Arc<FailpointPlan>>,
+    injector: Option<Rc<FailpointPlan>>,
 ) -> Option<mt_share::sim::PersistConfig> {
     args.get("state-dir").map(|dir| {
         let mut pc = mt_share::sim::PersistConfig::new(dir);

@@ -6,6 +6,7 @@
 //! does a step that names a binary, test, example, package or `tools/`
 //! script that has been deleted (or a script that lost its executable bit).
 //! The A/B tool's awk reading of BENCHMARK.json's gate is held to the file.
+//! And the program runs on one thread, so its code takes no locks.
 
 use std::path::{Path, PathBuf};
 
@@ -145,4 +146,58 @@ fn ci_runs_only_tool_scripts_that_exist_and_are_executable() {
             .unwrap_or_else(|e| panic!("ci.yml runs `{script}`: {e}"));
         assert!(meta.permissions().mode() & 0o111 != 0, "`{script}` is not executable");
     }
+}
+
+/// Non-test code outside these paths is single-owner: one thread, so no
+/// locks, atomics or `Send + Sync` bounds. Each exclusion says why.
+const SHARED_ACROSS_THREADS: [(&str, &str); 6] = [
+    ("crates/routing/src/cch.rs", "`crates/e2e` shares the hierarchy by `Arc`, so it stays `Sync`"),
+    ("crates/routing/src/upward.rs", "hierarchy counters, shared as `cch.rs` is"),
+    ("crates/routing/src/ch.rs", "reads `upward.rs`'s atomic counters"),
+    ("crates/obs/", "`ObsCore` waits for the nested-span rewrite"),
+    ("crates/par/", "the worker pool of the CH build"),
+    ("crates/e2e/", "the benchmark, which changes on its own schedule"),
+];
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn single_owner_code_takes_no_locks() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("src"), &mut files);
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/").flatten() {
+        rust_files(&krate.path().join("src"), &mut files);
+    }
+    let shared = |line: &str| {
+        ["Mutex", "RwLock", "Relaxed", "Send + Sync"].iter().any(|w| line.contains(w))
+            || line.match_indices("Atomic").any(|(i, _)| {
+                line[i + "Atomic".len()..].starts_with(|c: char| c.is_ascii_uppercase())
+            })
+    };
+    let mut hits = Vec::new();
+    for file in files {
+        let rel = file.strip_prefix(root).unwrap().to_string_lossy().into_owned();
+        if SHARED_ACROSS_THREADS.iter().any(|(prefix, _)| rel.starts_with(prefix)) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&file).unwrap();
+        // `tools/size.sh`'s rule: code before the first `#[cfg(test)]`.
+        let code = text.lines().take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"));
+        hits.extend(
+            code.enumerate()
+                .filter(|(_, l)| shared(l))
+                .map(|(i, l)| format!("{rel}:{}: {}", i + 1, l.trim())),
+        );
+    }
+    assert!(hits.is_empty(), "thread-safety in single-owner code:\n{}", hits.join("\n"));
 }

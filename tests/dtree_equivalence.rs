@@ -123,8 +123,8 @@ proptest! {
         prop_assume!(po != pd);
         let req = f.add_party(po, pd, rho, 0.0, seats);
 
-        let dp = DpEngine;
-        let dtree = DtreeEngine::new(taxis.len());
+        let mut dp = DpEngine;
+        let mut dtree = DtreeEngine::new(taxis.len());
         let world = f.world(&taxis);
 
         let mut winner_dp: Option<(u64, usize, usize, usize)> = None;
@@ -202,7 +202,7 @@ proptest! {
         // `spent_pct` % of the pickup budget is gone when the fleet is scored.
         let now = req.pickup_deadline() * spent_pct as f64 / 100.0;
 
-        let dtree = DtreeEngine::new(taxis.len());
+        let mut dtree = DtreeEngine::new(taxis.len());
         let world = f.world(&taxis);
         for (idx, taxi) in taxis.iter().enumerate() {
             let a = DpEngine.best_insertion(taxi, &req, now, &world, &mut |x, y| f.cache.cost(x, y));
@@ -355,8 +355,8 @@ proptest! {
         let mut f = Fixture::new();
         let rho = rho_pct as f64 / 100.0;
         let mut taxi = Taxi::new(TaxiId(0), 4, NodeId(taxi_pos));
-        let dp = DpEngine;
-        let dtree = DtreeEngine::new(1);
+        let mut dp = DpEngine;
+        let mut dtree = DtreeEngine::new(1);
 
         // Seed one committed request so every op kind has work to do.
         let seed = f.add_party(taxi_pos.wrapping_add(1) % 400, taxi_pos.wrapping_add(57) % 400, rho + 2.0, 0.0, 1);

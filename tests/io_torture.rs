@@ -32,6 +32,7 @@ use mt_share::sim::{
 };
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 use std::sync::Arc;
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -164,7 +165,7 @@ fn checkpoint_boundary_faults_stop_typed_and_resume_byte_identically() {
     for (name, op, fault) in cases {
         let dir = tmpdir(&format!("boundary-{name}"));
         let mut pc = fresh(&dir);
-        pc.fault_injector = Some(Arc::new(FailpointPlan::exact(&[(*op, 2, *fault)])));
+        pc.fault_injector = Some(Rc::new(FailpointPlan::exact(&[(*op, 2, *fault)])));
         let (out, head) = w.run(Some(pc));
         let RunOutcome::StorageFault { step } = out else {
             panic!("{name}: strict durability must stop on the fault, got {out:?}")
@@ -191,7 +192,7 @@ fn midstep_append_fault_strict_stops_and_resume_recovers_the_report() {
     let dir = tmpdir("midstep-strict");
     let mut pc = fresh(&dir);
     pc.fault_injector =
-        Some(Arc::new(FailpointPlan::exact(&[(IoOp::WalAppend, 11, IoFault::NoSpace)])));
+        Some(Rc::new(FailpointPlan::exact(&[(IoOp::WalAppend, 11, IoFault::NoSpace)])));
     let (out, _) = w.run(Some(pc));
     let RunOutcome::StorageFault { step } = out else {
         panic!("strict durability must stop on ENOSPC, got {out:?}")
@@ -215,7 +216,7 @@ fn degrade_mode_quarantines_and_finishes_with_the_canonical_trace() {
     let mut pc = fresh(&dir);
     pc.durability = Durability::Degrade;
     pc.fault_injector =
-        Some(Arc::new(FailpointPlan::exact(&[(IoOp::WalAppend, 11, IoFault::NoSpace)])));
+        Some(Rc::new(FailpointPlan::exact(&[(IoOp::WalAppend, 11, IoFault::NoSpace)])));
     let (out, trace) = w.run(Some(pc));
     let RunOutcome::Finished(report) = out else {
         panic!("degrade mode must ride out the fault, got {out:?}")
@@ -319,7 +320,7 @@ fn drain_continues_while_wal_is_wedged_under_degrade() {
     let mid_drain = close_step + (done_step - close_step) / 2;
     let mut pc = fresh(&dir);
     pc.durability = Durability::Degrade;
-    pc.fault_injector = Some(Arc::new(FailpointPlan::exact(&[(
+    pc.fault_injector = Some(Rc::new(FailpointPlan::exact(&[(
         IoOp::WalAppend,
         mid_drain as u32,
         IoFault::NoSpace,

@@ -295,22 +295,42 @@ proptest! {
         s in 0u32..144,
         t in 0u32..144,
         pin_src in proptest::bool::ANY,
+        // Pairs over six vertices, so a sequence repeats pairs.
+        queries in proptest::collection::vec((0u32..6, 0u32..6), 1..48),
     ) {
         let g = city(seed);
         let mut d = Dijkstra::new(&g);
         let want = d.cost(&g, NodeId(s), NodeId(t)).unwrap();
 
         let cache = PathCache::new(g.clone());
-        prop_assert!((cache.cost(NodeId(s), NodeId(t)).unwrap() - want).abs() < 1e-2);
+        prop_assert_eq!(cache.cost(NodeId(s), NodeId(t)).unwrap().to_bits(), want.to_bits());
         // Second query must return the identical memoized value.
         prop_assert_eq!(
-            cache.cost(NodeId(s), NodeId(t)).unwrap(),
-            cache.cost(NodeId(s), NodeId(t)).unwrap()
+            cache.cost(NodeId(s), NodeId(t)).unwrap().to_bits(),
+            cache.cost(NodeId(s), NodeId(t)).unwrap().to_bits()
         );
 
-        let oracle = HotNodeOracle::new(g);
+        let oracle = HotNodeOracle::new(g.clone());
         if pin_src { oracle.pin(NodeId(s)); } else { oracle.pin(NodeId(t)); }
-        prop_assert!((oracle.cost(NodeId(s), NodeId(t)).unwrap() - want).abs() < 1e-2);
+        prop_assert_eq!(oracle.cost(NodeId(s), NodeId(t)).unwrap().to_bits(), want.to_bits());
+
+        // On a fresh cache: every answer is Dijkstra's bits, every
+        // non-self query is one hit or one miss, each miss adds one memo
+        // entry, and a replay is all hits with the same bits.
+        let cache = PathCache::new(g.clone());
+        let pairs: Vec<_> = queries.iter().map(|&(a, b)| (NodeId(a * 23), NodeId(b * 23))).collect();
+        let asked = pairs.iter().filter(|(a, b)| a != b).count() as u64;
+        let mut first_misses = None;
+        for round in 1..=2 {
+            for &(a, b) in &pairs {
+                let got = cache.cost(a, b).map(f64::to_bits);
+                prop_assert_eq!(got, d.cost(&g, a, b).map(f64::to_bits), "{}->{}", a, b);
+            }
+            let stats = cache.stats();
+            prop_assert_eq!(stats.hits + stats.misses, asked * round);
+            prop_assert_eq!(cache.len() as u64, stats.misses);
+            prop_assert_eq!(*first_misses.get_or_insert(stats.misses), stats.misses, "replay missed");
+        }
     }
 
     /// The single-vector oracle contract: a leg cost is read from the
