@@ -249,10 +249,11 @@ pub(crate) fn insertion_dp(
 
 /// First-valid insertion enumeration shared by the T-Share and NoSharing
 /// baselines: walks `(i, j)` pairs in pinned order, evaluates each instance
-/// over the oracle, and offers feasible ones to `accept`. Returning `true`
-/// accepts (the pair is the result); returning `false` abandons the pickup
-/// position `i` and advances to `i + 1` (the baselines' historical
-/// `continue 'positions` when leg materialization fails).
+/// over the oracle's batched reader, and offers feasible ones to `accept`.
+/// Returning `true` accepts (the pair is the result); returning `false`
+/// abandons the pickup position `i` and advances to `i + 1` (the
+/// baselines' historical `continue 'positions` when leg materialization
+/// fails).
 pub fn first_feasible(
     taxi: &Taxi,
     req: &RideRequest,
@@ -270,20 +271,24 @@ pub fn first_feasible(
         requests: &lookup,
     };
     let m = taxi.schedule.len();
-    for i in 0..=m {
-        for j in (i + 1)..=(m + 1) {
-            let schedule = taxi.schedule.with_insertion(req, i, j);
-            let Some(eval) = evaluate_schedule(&schedule, &ectx, |a, b| world.oracle.cost(a, b))
-            else {
-                continue;
-            };
-            if accept(&schedule, &eval) {
-                return Some((schedule, eval));
+    // Through the batched reader, as the engines score: a leg past its
+    // pin's radius reads a lower bound that is late, as the exact cost is.
+    world.oracle.batch(|fast| {
+        let mut cost = |a, b| fast.pinned_cost(a, b).unwrap_or_else(|| world.oracle.cost(a, b));
+        for i in 0..=m {
+            for j in (i + 1)..=(m + 1) {
+                let schedule = taxi.schedule.with_insertion(req, i, j);
+                let Some(eval) = evaluate_schedule(&schedule, &ectx, &mut cost) else {
+                    continue;
+                };
+                if accept(&schedule, &eval) {
+                    return Some((schedule, eval));
+                }
+                break; // abandon this pickup position
             }
-            break; // abandon this pickup position
         }
-    }
-    None
+        None
+    })
 }
 
 #[cfg(test)]

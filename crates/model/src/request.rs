@@ -2,7 +2,20 @@
 
 use crate::Time;
 use mtshare_mobility::MobilityVector;
-use mtshare_road::{NodeId, RoadNetwork};
+use mtshare_road::{NodeId, RoadNetwork, COST_QUANTUM_S};
+use mtshare_routing::HotNodeOracle;
+
+/// Headroom added to every pin radius, past the budget rounded up to
+/// whole quanta: one quantum, far above `late_for_good`'s 1.1e-6 s and the
+/// f64 and f32 rounding of a budget below 2^18 s (DESIGN.md, "Pins stop
+/// at the deadline").
+const PIN_MARGIN_S: f64 = COST_QUANTUM_S;
+
+/// The pin radius for a time budget: rounded up to whole quanta, plus
+/// [`PIN_MARGIN_S`]; a spent budget still pins the node itself.
+fn pin_radius(budget_s: f64) -> f32 {
+    ((budget_s.max(0.0) / COST_QUANTUM_S).ceil() * COST_QUANTUM_S + PIN_MARGIN_S) as f32
+}
 
 /// Identifier of a ride request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,6 +77,29 @@ impl RideRequest {
     #[inline]
     pub fn is_feasible(&self) -> bool {
         self.direct_cost_s.is_finite() && self.deadline >= self.release_time + self.direct_cost_s
+    }
+
+    /// Pins the request's endpoints in `oracle` out to the radii a
+    /// schedule can still use at `now` (DESIGN.md, "Pins stop at the
+    /// deadline"): the destination to the trip budget `deadline − now`,
+    /// the origin to the wait budget `pickup_deadline − now`. The origin's
+    /// budget is `deadline − now − cost(o, d)` wherever the current metric
+    /// prices the trip below `direct_cost_s` (a direct cost priced during
+    /// a traffic shift that has since ended), so that a committed pickup
+    /// read past the radius is late through its drop-off. Balance with
+    /// [`Self::release`].
+    pub fn hold(&self, oracle: &HotNodeOracle, now: Time) {
+        let trip = self.deadline - now;
+        oracle.pin_within(self.destination, pin_radius(trip));
+        let od = oracle.with_vector(self.destination, |d| d.map(|d| d[self.origin.index()]));
+        let od = od.map_or(self.direct_cost_s, |od| self.direct_cost_s.min(od as f64));
+        oracle.pin_within(self.origin, pin_radius(trip - od));
+    }
+
+    /// Drops the pins [`Self::hold`] took.
+    pub fn release(&self, oracle: &HotNodeOracle) {
+        oracle.unpin(self.origin);
+        oracle.unpin(self.destination);
     }
 
     /// The request's mobility vector (Def. 9).

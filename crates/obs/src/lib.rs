@@ -66,7 +66,9 @@ use std::time::Instant;
 /// counters), the first block present only when its feature ran.
 /// v13: `profiling.counters` gained `insertions_pruned` (candidate taxis
 /// the reach bound ruled out before any DP or tree work).
-pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v13";
+/// v14: `profiling.oracle` gained `regrows` (resident pins re-swept in
+/// full because a new holder needed them farther than they were swept).
+pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v14";
 
 /// Static facts about the run, reported verbatim in the summary.
 #[derive(Debug, Clone, Default)]

@@ -140,8 +140,8 @@ pub(crate) struct BlockSpec {
     pub when_active: bool,
     /// Identities `counters[a] == counters[b] + counters[c]`, as `[a, b, c]`.
     pub sums: &'static [[usize; 3]],
-    /// Bounds `counters[a] >= counters[b] + counters[c]`, as `[a, b, c]`.
-    pub parts: &'static [[usize; 3]],
+    /// Bounds `counters[a] >= sum of counters[b]`, as `(a, &[b, ...])`.
+    pub parts: &'static [(usize, &'static [usize])],
     pub extra: Extra,
 }
 
@@ -167,7 +167,7 @@ pub(crate) const BLOCKS: [BlockSpec; 10] = [
     // feasible insertion and some were ruled out by the reach bound
     // before any DP or tree work (`insertions_pruned`); never both.
     BlockSpec {
-        parts: &[[2, 3, 4]],
+        parts: &[(2, &[3, 4])],
         ..block(
             "counters",
             &[
@@ -180,9 +180,12 @@ pub(crate) const BLOCKS: [BlockSpec; 10] = [
         )
     },
     BlockSpec { extra: Extra::HitRatio, ..block("path_cache", &["hits", "misses", "evictions"]) },
+    // Every eviction frees a vector some pin computed; a pin re-swept for
+    // a farther holder is a regrow, not a compute.
     BlockSpec {
         extra: Extra::HitRatio,
-        ..block("oracle", &["vector_hits", "searches", "pin_computes", "evictions"])
+        parts: &[(2, &[4])],
+        ..block("oracle", &["vector_hits", "searches", "pin_computes", "regrows", "evictions"])
     },
     block("ch", &["p2p_queries", "bucket_sweeps", "bucket_sources", "shortcuts"]),
     block(
@@ -374,8 +377,9 @@ fn check_block(block: &Value, b: &BlockSpec) -> Result<(), String> {
     if let Some(&[t, x, y]) = b.sums.iter().find(|&&[t, x, y]| c[t] != c[x] + c[y]) {
         return Err(format!("{name}: {c:?} breaks {} == {} + {}", n[t], n[x], n[y]));
     }
-    if let Some(&[t, x, y]) = b.parts.iter().find(|&&[t, x, y]| c[t] < c[x] + c[y]) {
-        return Err(format!("{name}: {c:?} breaks {} >= {} + {}", n[t], n[x], n[y]));
+    if let Some((t, xs)) = b.parts.iter().find(|(t, xs)| c[*t] < xs.iter().map(|&x| c[x]).sum()) {
+        let xs: Vec<&str> = xs.iter().map(|&x| n[x]).collect();
+        return Err(format!("{name}: {c:?} breaks {} >= {}", n[*t], xs.join(" + ")));
     }
     match b.extra {
         Extra::None => {}
@@ -705,5 +709,16 @@ mod tests {
             let forged = summary.replace(needle, &format!("\"evictions\":0,\"hit_ratio\":{bad}}}"));
             assert!(validate_summary(&forged).is_err(), "hit_ratio {bad} accepted");
         }
+    }
+
+    #[test]
+    fn oracle_evictions_never_outnumber_pin_computes() {
+        let obs = Obs::enabled();
+        obs.add("oracle", &[("pin_computes", 3), ("regrows", 2), ("evictions", 3)]);
+        let summary = obs.summary_json().unwrap();
+        validate_summary(&summary).unwrap_or_else(|e| panic!("{e}\n{summary}"));
+        let forged = summary.replace("\"evictions\":3", "\"evictions\":4");
+        let err = validate_summary(&forged).unwrap_err();
+        assert!(err.contains("oracle: ") && err.contains("pin_computes >= evictions"), "{err}");
     }
 }

@@ -375,7 +375,7 @@ mod tests {
             let weight = |v: NodeId| weights[v.index()];
             let mut md = MaskedDijkstra::new(&g);
             let mut mask = NodeMask::new(&g);
-            let mut exact = Vec::new();
+            let (mut exact, mut bounded) = (Vec::new(), Vec::new());
             for _ in 0..6 {
                 let (s, t) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
                 if s == t {
@@ -392,9 +392,12 @@ mod tests {
                 Sweep::backward(&g).run(t, &mut exact);
                 let zeros = vec![0.0f32; n as usize];
                 let at = want.as_ref().map_or(100.0, |p| p.cost_s);
+                // A pin swept part of the way: exact near `t`, a lower bound past it.
+                let radius = exact[s.index()].min(at as f32) * rng.gen_range(0.0f32..1.5);
+                Sweep::backward(&g).run_within(t, radius, &mut bounded);
                 for budget in [at, at * rng.gen_range(1.0..3.0), at - 0.01, at * 0.7, f64::INFINITY] {
                     let fits = want.clone().filter(|p| p.cost_s <= budget + 1e-6);
-                    for lower in [Some(&exact[..]), Some(&zeros[..]), None] {
+                    for lower in [Some(&exact[..]), Some(&bounded[..]), Some(&zeros[..]), None] {
                         let got = md.path_within_budget(&g, s, t, &mask, weight, lower, budget);
                         prop_assert_eq!(
                             got.as_ref().map(|p| (&p.nodes, p.cost_s.to_bits())),

@@ -41,8 +41,24 @@
 //! to be pinned — that is what makes a resumed run, whose pin history
 //! differs, equal an uninterrupted one.
 //!
-//! Canonical lookup rule: the **backward vector of the target `b`, else
-//! the shared cache**. Edge costs sit on the dyadic grid
+//! # Pins stop at the deadline
+//!
+//! A holder pins a node with the radius it can still use (the simulator:
+//! the request's remaining wait or trip budget), and the vector is swept
+//! only that far ([`Sweep::run_within`]): entries up to the pin's
+//! `covered` are exact, the rest read `covered` plus one quantum, a lower
+//! bound. The batched reader ([`PinnedReader::pinned_cost`]) returns an
+//! entry as stored, because every scheduling read past the radius is late
+//! and the bound gives the same verdict; the public answers below treat
+//! such an entry as not pinned. A pin a later holder needs farther is
+//! re-swept in full. Bounds need a strongly connected graph — elsewhere
+//! "past the radius" could be "unreachable", a different verdict — so on
+//! any other graph every pin covers the whole graph. DESIGN.md, "Pins
+//! stop at the deadline".
+//!
+//! Canonical lookup rule: the **backward vector of the target `b` where
+//! the source lies within its radius, else the shared cache**. Edge costs
+//! sit on the dyadic grid
 //! (`mtshare_road::COST_QUANTUM_S`), so every f32 path sum is exact and
 //! the vector entry, the memo entry and a fresh search by any backend are
 //! the same bits
@@ -62,6 +78,9 @@ use std::sync::Arc;
 #[derive(Debug)]
 struct PinnedEntry {
     refs: u32,
+    /// Entries of `bwd` up to here are exact, the rest lower bounds
+    /// ([`Sweep::run_within`]); `INFINITY` = the whole graph.
+    covered: f32,
     /// Cost from every vertex to the pinned node.
     bwd: Vec<f32>,
 }
@@ -75,6 +94,9 @@ pub struct OracleStats {
     pub searches: u64,
     /// One-to-all computations performed for pins.
     pub pin_computes: u64,
+    /// Resident pins re-swept in full because a new holder needed them
+    /// farther than they were swept.
+    pub regrows: u64,
     /// Pinned vectors freed because their refcount dropped to zero.
     pub evictions: u64,
     /// Routes read off a pinned vector ([`HotNodeOracle::pinned_path`]).
@@ -88,6 +110,7 @@ struct StatCells {
     vector_hits: Cell<u64>,
     searches: Cell<u64>,
     pin_computes: Cell<u64>,
+    regrows: Cell<u64>,
     evictions: Cell<u64>,
     path_walks: Cell<u64>,
     path_searches: Cell<u64>,
@@ -106,6 +129,10 @@ pub struct HotNodeOracle {
     pinned: RefCell<FxHashMap<u32, PinnedEntry>>,
     /// Fills pins from its own copy of the arcs; [`Self::retarget`] rebuilds it.
     pin_engine: RefCell<Sweep>,
+    /// Whether pins honour their radius: only where every vertex reaches
+    /// every other, so that an entry past `covered` is never "unreachable"
+    /// (module docs).
+    bounded: bool,
     stats: StatCells,
 }
 
@@ -113,8 +140,10 @@ impl HotNodeOracle {
     /// Creates an empty oracle in front of `cache`: pins are computed on
     /// the cache's live graph and unpinned queries are the cache's.
     pub fn over(cache: PathCache) -> Self {
+        let graph = cache.graph();
         Self {
-            pin_engine: RefCell::new(Sweep::backward(&cache.graph())),
+            pin_engine: RefCell::new(Sweep::backward(&graph)),
+            bounded: graph.is_strongly_connected(),
             pinned: RefCell::default(),
             stats: StatCells::default(),
             cache,
@@ -127,12 +156,13 @@ impl HotNodeOracle {
     }
 
     /// Rebuilds the pin engine on the cache's live graph and recomputes
-    /// every pinned vector, eagerly and in ascending node-id order, so
-    /// answers are exact on the new metric and deterministic regardless
-    /// of pin history. Call after [`PathCache::recustomize`] (which
-    /// already cleared the one memo) and before the next [`Self::pin`],
-    /// which would still sweep the old metric's arcs. Refcounts survive —
-    /// active requests keep their O(1) fast path.
+    /// every pinned vector out to its own `covered` (a distance, so still
+    /// the radius its holders asked for), eagerly and in ascending node-id
+    /// order, so answers are exact on the new metric and deterministic
+    /// regardless of pin history. Call after [`PathCache::recustomize`]
+    /// (which already cleared the one memo) and before the next
+    /// [`Self::pin`], which would still sweep the old metric's arcs.
+    /// Refcounts survive — active requests keep their O(1) fast path.
     ///
     /// Takes `&mut self` so re-targeting is exclusive by construction;
     /// the simulator owns its oracle and re-customizes between events.
@@ -144,23 +174,37 @@ impl HotNodeOracle {
         *engine = Sweep::backward(&self.cache.graph());
         for v in nodes {
             let e = pinned.get_mut(&v).expect("key collected above");
-            engine.run(NodeId(v), &mut e.bwd);
+            e.covered = engine.run_within(NodeId(v), e.covered, &mut e.bwd);
             bump(&self.stats.pin_computes, 1);
         }
     }
 
-    /// Pins `node`, computing its backward distance vector if not already
-    /// resident. Pins are reference-counted.
+    /// Pins `node` over the whole graph: [`Self::pin_within`] at `INFINITY`.
     pub fn pin(&self, node: NodeId) {
+        self.pin_within(node, f32::INFINITY);
+    }
+
+    /// Pins `node` for a holder that reads its vector out to `radius`
+    /// seconds, sweeping the backward distance vector if not already
+    /// resident. Pins are reference-counted. A resident pin swept short of
+    /// `radius` is re-swept in full (DESIGN.md, "Pins stop at the
+    /// deadline").
+    pub fn pin_within(&self, node: NodeId, radius: f32) {
+        let radius = if self.bounded { radius } else { f32::INFINITY };
         let mut pinned = self.pinned.borrow_mut();
         if let Some(e) = pinned.get_mut(&node.0) {
             e.refs += 1;
+            if radius > e.covered {
+                e.covered =
+                    self.pin_engine.borrow_mut().run_within(node, f32::INFINITY, &mut e.bwd);
+                bump(&self.stats.regrows, 1);
+            }
             return;
         }
         let mut bwd = Vec::new();
-        self.pin_engine.borrow_mut().run(node, &mut bwd);
+        let covered = self.pin_engine.borrow_mut().run_within(node, radius, &mut bwd);
         bump(&self.stats.pin_computes, 1);
-        pinned.insert(node.0, PinnedEntry { refs: 1, bwd });
+        pinned.insert(node.0, PinnedEntry { refs: 1, covered, bwd });
     }
 
     /// Releases one pin of `node`; vectors are freed when the count drops
@@ -177,12 +221,13 @@ impl HotNodeOracle {
     }
 
     /// Shortest-path cost from `a` to `b` in seconds, `None` if
-    /// unreachable. O(1) when the target `b` is pinned; otherwise the
-    /// shared cache's (memoized) answer. Both return the same exact bits
-    /// (see the module docs), so the answer for a pair is canonical:
-    /// independent of pin state and lookup history.
+    /// unreachable. O(1) when the target `b` is pinned and `a` lies within
+    /// its `covered` radius; otherwise the shared cache's (memoized)
+    /// answer. Both return the same exact bits (see the module docs), so
+    /// the answer for a pair is canonical: independent of pin state and
+    /// lookup history.
     pub fn cost(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        if let Some(c) = self.batch(|r| r.pinned_cost(a, b)) {
+        if let Some(c) = self.batch(|r| r.read(a, b, false)) {
             return c;
         }
         bump(&self.stats.searches, 1);
@@ -195,14 +240,17 @@ impl HotNodeOracle {
     /// costs are positive, so `d` falls at every step and the walk ends.
     ///
     /// `None` when `b` is not pinned, `a` cannot reach it (`∞ == ∞` would
-    /// make every arc look tight), or a vertex on the way has two tight
+    /// make every arc look tight) or lies past `covered` (a lower bound
+    /// is no distance to walk down), or a vertex on the way has two tight
     /// heads (parallel arcs to one head count once): shortest paths tie
     /// and a search's pick depends on its settle order. Otherwise the
     /// shortest path is unique and this is what [`PathCache::path`] finds.
     pub fn pinned_path(&self, a: NodeId, b: NodeId) -> Option<Path> {
         let pinned = self.pinned.borrow();
-        let d = &pinned.get(&b.0)?.bwd;
-        if !d[a.index()].is_finite() {
+        let PinnedEntry { covered, bwd: d, .. } = pinned.get(&b.0)?;
+        // Every vertex the walk enters is nearer `b` than `a`, so exact too,
+        // and an entry past `covered` exceeds every exact one: it is never tight.
+        if !(d[a.index()].is_finite() && d[a.index()] <= *covered) {
             return None;
         }
         let graph = self.cache.graph();
@@ -234,7 +282,8 @@ impl HotNodeOracle {
     }
 
     /// Runs `f` on `b`'s pinned backward vector (`None` when `b` is not
-    /// pinned) without a copy; counts nothing.
+    /// pinned) without a copy; counts nothing. Every entry is a lower
+    /// bound on the cost into `b`, exact within the pin's radius.
     pub fn with_vector<R>(&self, b: NodeId, f: impl FnOnce(Option<&[f32]>) -> R) -> R {
         f(self.pinned.borrow().get(&b.0).map(|e| &e.bwd[..]))
     }
@@ -263,6 +312,7 @@ impl HotNodeOracle {
             vector_hits: self.stats.vector_hits.get(),
             searches: self.stats.searches.get(),
             pin_computes: self.stats.pin_computes.get(),
+            regrows: self.stats.regrows.get(),
             evictions: self.stats.evictions.get(),
             path_walks: self.stats.path_walks.get(),
             path_searches: self.stats.path_searches.get(),
@@ -288,22 +338,34 @@ pub struct PinnedReader<'a> {
 }
 
 impl PinnedReader<'_> {
-    /// The `cost()` fast path: `Some(answer)` when `a == b` or the target
-    /// `b` is pinned, reading the exact same vector entry as
-    /// [`HotNodeOracle::cost`]. Returns `None` when the pair would need
-    /// the cache path; the caller falls back to its full cost
-    /// function (nested `cost()` reads are safe — see [`HotNodeOracle::batch`]).
+    /// The scheduling fast path: `Some(answer)` when `a == b` or the
+    /// target `b` is pinned, the vector entry as stored. Within the pin's
+    /// radius that is [`HotNodeOracle::cost`]'s answer; past it, a lower
+    /// bound at least one quantum beyond the radius, which every
+    /// scheduling check reads as "late", the verdict the exact cost gives
+    /// (DESIGN.md, "Pins stop at the deadline"). Returns `None` when the
+    /// pair would need the cache path; the caller falls back to its full
+    /// cost function (nested `cost()` reads are safe — see
+    /// [`HotNodeOracle::batch`]).
     #[inline]
     pub fn pinned_cost(&mut self, a: NodeId, b: NodeId) -> Option<Option<f64>> {
+        self.read(a, b, true)
+    }
+
+    /// The vector entry for `a -> b`, `None` when `b` is not pinned or,
+    /// unless `past_radius`, the entry lies past the pin's `covered`.
+    #[inline]
+    fn read(&mut self, a: NodeId, b: NodeId, past_radius: bool) -> Option<Option<f64>> {
         if a == b {
             return Some(Some(0.0));
         }
-        if let Some(e) = self.pinned.get(&b.0) {
-            self.hits += 1;
-            let c = e.bwd[a.index()];
-            return Some(c.is_finite().then_some(c as f64));
+        let e = self.pinned.get(&b.0)?;
+        let c = e.bwd[a.index()];
+        if !past_radius && c > e.covered {
+            return None;
         }
-        None
+        self.hits += 1;
+        Some(c.is_finite().then_some(c as f64))
     }
 }
 
@@ -358,6 +420,43 @@ mod tests {
         assert_eq!(o.cost(NodeId(17), NodeId(399)), canonical);
         o.pin(NodeId(250)); // unrelated pin
         assert_eq!(o.cost(NodeId(17), NodeId(399)), canonical);
+    }
+
+    #[test]
+    fn bounded_pins_answer_every_pair_as_an_unpinned_oracle_does() {
+        let free = oracle();
+        let o = oracle();
+        let (mut past, mut reader_past) = (0, 0);
+        for (b, radius) in [(399u32, 0.0f32), (17, 120.0), (250, 300.0), (7, 900.0)] {
+            let b = NodeId(b);
+            o.pin_within(b, radius);
+            for a in o.cache.graph().nodes() {
+                let want = free.cost(a, b);
+                let searches = o.stats().searches;
+                assert_eq!(o.cost(a, b), want, "{a}->{b}");
+                past += (o.stats().searches > searches) as usize;
+                assert_eq!(o.path(a, b), free.path(a, b), "{a}->{b}");
+                // The reader returns the entry as stored: exact within the
+                // radius, a lower bound past the quantum-rounded radius.
+                let stored = o.batch(|r| r.pinned_cost(a, b)).unwrap().unwrap();
+                let want = want.unwrap();
+                assert!(stored <= want, "{a}->{b}: {stored} > {want}");
+                if stored != want {
+                    assert!(stored > radius as f64, "{a}->{b}: {stored} within {radius}");
+                    reader_past += 1;
+                }
+            }
+        }
+        assert!(reader_past > 0 && past >= reader_past, "{past} misses, {reader_past} bounds");
+        // A holder needing a pin farther regrows it over the whole graph.
+        let s = o.stats();
+        o.pin_within(NodeId(399), 60.0);
+        assert_eq!((o.stats().pin_computes, o.stats().regrows), (s.pin_computes, 1));
+        o.pin_within(NodeId(399), 30.0);
+        assert_eq!(o.stats().regrows, 1, "a full pin covers every radius");
+        let searches = o.stats().searches;
+        assert_eq!(o.cost(NodeId(0), NodeId(399)), free.cost(NodeId(0), NodeId(399)));
+        assert_eq!(o.stats().searches, searches);
     }
 
     #[test]

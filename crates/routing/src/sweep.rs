@@ -81,14 +81,30 @@ impl Sweep {
     /// Writes the distance in seconds between `root` and every vertex into
     /// `out` (resized to the vertex count; `INFINITY` = unreachable).
     pub fn run(&mut self, root: NodeId, out: &mut Vec<f32>) {
+        self.run_within(root, f32::INFINITY, out);
+    }
+
+    /// [`Self::run`] that stops once the next bucket starts past `radius`
+    /// seconds, and returns `covered`: the end of the last drained bucket,
+    /// `INFINITY` when the sweep ran out of vertices first. Entries at or
+    /// below `covered` are exact; every other entry, unreachable ones
+    /// included, reads `covered + COST_QUANTUM_S`, a lower bound on its
+    /// distance (quanta are whole, so a distance past `covered` is at
+    /// least one quantum past it). DESIGN.md, "Pins stop at the deadline".
+    pub fn run_within(&mut self, root: NodeId, radius: f32, out: &mut Vec<f32>) -> f32 {
         let Self { first, arcs, shift, ring, dist } = self;
         let mask = ring.len() - 1;
+        let radius = (radius.max(0.0) as f64 / COST_QUANTUM_S).ceil().min(u32::MAX as f64) as u64;
         dist.fill(UNREACHED);
         dist[root.index()] = 0;
         ring[0].push(root.0 as u64);
         // `bucket` and `last` are absolute bucket numbers (`dist >> shift`).
         let (mut bucket, mut last) = (0usize, 0usize);
         while bucket <= last {
+            if (bucket as u64) << *shift > radius {
+                ring.iter_mut().for_each(Vec::clear);
+                break;
+            }
             let slot = bucket & mask;
             let mut i = 0;
             while let Some(&entry) = ring[slot].get(i) {
@@ -110,11 +126,17 @@ impl Sweep {
             ring[slot].clear();
             bucket += 1;
         }
+        // The first undrained bucket's start, in quanta: every distance
+        // below it is final. `None` when the sweep ran out of vertices.
+        let beyond = (bucket <= last).then(|| (bucket as u64) << *shift);
+        let seconds = |d: u64| d as f32 * COST_QUANTUM_S as f32;
         out.clear();
-        out.extend(dist.iter().map(|&d| match d {
-            UNREACHED => f32::INFINITY,
-            d => d as f32 * COST_QUANTUM_S as f32,
+        out.extend(dist.iter().map(|&d| match beyond {
+            None if d == UNREACHED => f32::INFINITY,
+            Some(b) if d == UNREACHED || d as u64 >= b => seconds(b),
+            _ => seconds(d as u64),
         }));
+        beyond.map_or(f32::INFINITY, |b| seconds(b - 1))
     }
 }
 
@@ -212,7 +234,7 @@ mod tests {
     #[test]
     fn any_bucket_width_is_exact_zero_cost_arcs_and_the_ring_cap_included() {
         let mut rng = SmallRng::seed_from_u64(21);
-        let mut out = Vec::new();
+        let (mut out, mut stopped) = (Vec::new(), 0);
         // (cost menu, whether the ring cap must have widened the buckets
         // past the cheapest arc — the label-correcting path).
         let menus: [(&[u32], bool); 4] = [
@@ -227,11 +249,24 @@ mod tests {
                 assert!(e.ring.len() <= MAX_RING && e.ring.len().is_power_of_two());
                 assert_eq!(1u32 << e.shift > costs.iter().copied().min().unwrap().max(1), capped);
                 for root in [0usize, 17, 59] {
+                    let want = reference(&e, root);
                     e.run(NodeId(root as u32), &mut out);
-                    assert_eq!(bits(&out), bits(&reference(&e, root)), "{costs:?} root {root}");
+                    assert_eq!(bits(&out), bits(&want), "{costs:?} root {root}");
+                    // Bounded: exact up to `covered`, one quantum past it beyond.
+                    let finite = want.iter().copied().filter(|d| d.is_finite());
+                    let radius = rng.gen_range(0.0..=finite.fold(0.0, f32::max) * 1.25);
+                    let covered = e.run_within(NodeId(root as u32), radius, &mut out);
+                    assert!(covered >= radius, "{costs:?} root {root}: {covered} < {radius}");
+                    let beyond = covered + COST_QUANTUM_S as f32;
+                    stopped += covered.is_finite() as usize;
+                    for (v, (&got, &want)) in out.iter().zip(&want).enumerate() {
+                        let ok = if want <= covered { got == want } else { got == beyond };
+                        assert!(ok && got <= want, "{costs:?} root {root} v {v}: {got} vs {want}");
+                    }
                 }
             }
         }
+        assert!(stopped > 0, "no random radius stopped a sweep early");
     }
 
     #[test]

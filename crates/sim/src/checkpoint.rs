@@ -795,10 +795,8 @@ impl Simulator {
     /// costs are canonical, so cold lookups return the same answers the
     /// warm run saw.)
     fn rebuild_derived(&mut self) {
-        for taxi in &self.taxis {
-            for &r in taxi.assigned.iter().chain(&taxi.onboard) {
-                self.hold(self.requests.get(r));
-            }
+        for r in self.holders() {
+            self.hold(self.requests.get(r), self.clock);
         }
         for i in 0..self.taxis.len() {
             self.refill_route_nodes(i);

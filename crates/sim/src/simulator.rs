@@ -373,22 +373,41 @@ impl Simulator {
         }
     }
 
-    /// Pins `req`'s endpoints in the hot-node oracle. A request is held
-    /// from the moment a dispatch may read its vectors until it turns
-    /// terminal or loses its taxi — i.e. while it is being dispatched and
-    /// while it sits in some taxi's `assigned` or `onboard` list (which is
-    /// what [`Simulator::rebuild_derived`] re-holds after a restore).
-    /// Every hold is balanced by exactly one [`Simulator::release`].
-    fn hold(&self, req: &RideRequest) {
+    /// Pins `req`'s endpoints in the hot-node oracle, each swept only as
+    /// far as the request's deadlines still let a schedule read it at
+    /// `now` ([`RideRequest::hold`]; DESIGN.md, "Pins stop at the
+    /// deadline"). A radius taken at `now` serves every later read, since
+    /// budgets only shrink — except where a deadline is renegotiated in
+    /// place or the metric changes, and there [`Simulator::rehold`] widens
+    /// the pins. A request is held from the moment a dispatch may read its
+    /// vectors until it turns terminal or loses its taxi — i.e. while it
+    /// is being dispatched and while it sits in some taxi's `assigned` or
+    /// `onboard` list (which is what [`Simulator::rebuild_derived`]
+    /// re-holds after a restore). Every hold is balanced by exactly one
+    /// [`Simulator::release`].
+    fn hold(&self, req: &RideRequest, now: Time) {
         let _span = self.obs.stage(Stage::OraclePin);
-        self.oracle.pin(req.origin);
-        self.oracle.pin(req.destination);
+        req.hold(&self.oracle, now);
     }
 
     /// Drops the hold [`Simulator::hold`] took on `req`'s endpoints.
     fn release(&self, req: &RideRequest) {
-        self.oracle.unpin(req.origin);
-        self.oracle.unpin(req.destination);
+        req.release(&self.oracle);
+    }
+
+    /// The requests holding pins between events: those some taxi has
+    /// assigned or on board.
+    fn holders(&self) -> impl Iterator<Item = RequestId> + '_ {
+        self.taxis.iter().flat_map(|taxi| taxi.assigned.iter().chain(&taxi.onboard).copied())
+    }
+
+    /// Widens every holder's pins to the radii of its deadlines at `now`
+    /// on the current metric (a hold and its release: refcounts stay).
+    fn rehold(&self, now: Time) {
+        for r in self.holders() {
+            self.hold(self.requests.get(r), now);
+            self.release(self.requests.get(r));
+        }
     }
 
     fn push_ev(&mut self, time: Time, ev: Ev) {
@@ -569,8 +588,11 @@ impl Simulator {
         let span = self.obs.stage(Stage::Customize);
         self.cache.recustomize(shifted);
         drop(span);
-        let _span = self.obs.stage(Stage::OraclePin);
+        let span = self.obs.stage(Stage::OraclePin);
         self.oracle.retarget();
+        drop(span);
+        // A faster metric shortens `cost(o, d)` and so widens origin radii.
+        self.rehold(t);
         self.metric_shifts = active;
     }
 
@@ -708,7 +730,7 @@ impl Simulator {
         // the shortest-path cache is already resident (Sec. V-A4), so the
         // per-request vector precomputation is infrastructure, not
         // matching latency. The exclusion applies uniformly to all schemes.
-        self.hold(req);
+        self.hold(req, now);
         let t0 = std::time::Instant::now();
         let out = {
             let world = self.world();
@@ -1147,6 +1169,7 @@ impl Simulator {
                     ("vector_hits", os.vector_hits),
                     ("searches", os.searches),
                     ("pin_computes", os.pin_computes),
+                    ("regrows", os.regrows),
                     ("evictions", os.evictions),
                 ],
             );

@@ -212,6 +212,10 @@ impl Simulator {
                 }
             }
             let mut renegotiated = extend_to(&mut self.requests, late_dropoffs);
+            if renegotiated > 0 {
+                // A later deadline is a longer radius for the pins already held.
+                self.rehold(t);
+            }
             let n_dropped;
             if dropped.is_empty() {
                 n_dropped = 0;
@@ -241,7 +245,11 @@ impl Simulator {
                             }
                         }
                     }
-                    renegotiated += extend_to(&mut self.requests, extend);
+                    let extended = extend_to(&mut self.requests, extend);
+                    if extended > 0 {
+                        self.rehold(t);
+                    }
+                    renegotiated += extended;
                     n_dropped = 0;
                     self.rearm_stretched(taxi_id, t, scheme);
                 }

@@ -7,8 +7,8 @@
 use mt_share::core::{MtShareConfig, PartitionStrategy};
 use mt_share::dtree::{DTree, Stop};
 use mt_share::model::{
-    BestInsertion, DpEngine, DtreeEngine, EventKind, RequestId, RequestStore, RideRequest,
-    ScheduleEngine, SchedulerKind, Scored, Taxi, TaxiId, World,
+    make_engine, BestInsertion, DpEngine, DtreeEngine, EventKind, RequestId, RequestStore,
+    RideRequest, ScheduleEngine, SchedulerKind, Scored, Taxi, TaxiId, World,
 };
 use mt_share::obs::Obs;
 use mt_share::road::{grid_city, GridCityConfig, NodeId, RoadNetwork};
@@ -209,6 +209,67 @@ proptest! {
             let b = dtree.best_insertion(taxi, &req, now, &world, &mut |x, y| f.cache.cost(x, y));
             prop_assert_eq!(key(a), key(b), "engines disagree on taxi {}", idx);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Pins swept only as far as `RideRequest::hold` asks score exactly as
+    /// pins over the whole graph, under both engines: every read past a
+    /// radius is late, and the lower bound it returns is late too
+    /// (DESIGN.md, "Pins stop at the deadline"). Committed riders were
+    /// held earlier than `now`, as in a run, so their radii are wider
+    /// than they need to be at `now`, never narrower.
+    #[test]
+    fn pins_bounded_at_the_hold_radii_score_as_full_pins(
+        positions in proptest::collection::vec(0u32..400, 1..7),
+        existing in proptest::collection::vec((0u32..400, 0u32..400, 0usize..6, 0u32..=100), 0..12),
+        probe in (0u32..400, 0u32..400),
+        rho_pct in 115u32..250,
+        spent_pct in 0u32..100,
+    ) {
+        let mut f = Fixture::new();
+        let bounded = HotNodeOracle::new(f.graph.clone());
+        let rho = rho_pct as f64 / 100.0;
+        let (po, pd) = probe;
+        prop_assume!(po != pd);
+        let req = f.add_party(po, pd, rho, 0.0, 1);
+        let now = req.pickup_deadline() * spent_pct as f64 / 100.0;
+        let mut taxis: Vec<Taxi> = positions
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| Taxi::new(TaxiId(i as u32), 4, NodeId(p)))
+            .collect();
+        for &(o, d, pick, held_pct) in existing.iter() {
+            if o == d {
+                continue;
+            }
+            let committed = f.add_party(o, d, rho + 1.0, 0.0, 1);
+            committed.hold(&bounded, now * held_pct as f64 / 100.0);
+            f.oracle.pin(committed.origin);
+            f.oracle.pin(committed.destination);
+            let taxi = &mut taxis[pick % positions.len()];
+            let m = taxi.schedule.len();
+            taxi.schedule = taxi.schedule.with_insertion(&committed, m, m + 1);
+            taxi.assigned.push(committed.id);
+            taxi.route_version += 1;
+        }
+        req.hold(&bounded, now);
+        f.oracle.pin(req.origin);
+        f.oracle.pin(req.destination);
+
+        let full = f.world(&taxis);
+        let cut = World { oracle: &bounded, ..f.world(&taxis) };
+        for kind in [SchedulerKind::Dp, SchedulerKind::Dtree] {
+            let (mut on_full, mut on_cut) = (make_engine(kind, taxis.len()), make_engine(kind, taxis.len()));
+            for (idx, taxi) in taxis.iter().enumerate() {
+                let a = on_full.best_insertion(taxi, &req, now, &full, &mut |x, y| f.cache.cost(x, y));
+                let b = on_cut.best_insertion(taxi, &req, now, &cut, &mut |x, y| f.cache.cost(x, y));
+                prop_assert_eq!(key(a), key(b), "{:?}: pins disagree on taxi {}", kind, idx);
+            }
+        }
+        prop_assert_eq!(bounded.stats().searches, 0);
     }
 }
 

@@ -133,8 +133,16 @@ fn no_backend_dependent_work_inside_the_loop() {
     let ch = RouterBackend::Ch(Arc::new(ContractionHierarchy::build(&graph, 2)));
     let cch = RouterBackend::Cch(Arc::new(CustomizableCh::build(&graph)));
     // mt-share-pro on a non-peak day covers both Alg. 3 and the Alg. 4
-    // fallback, online and offline dispatch.
-    for kind in [SchemeKind::MtShare, SchemeKind::MtSharePro] {
+    // fallback, online and offline dispatch. The baselines read the oracle
+    // outside the insertion engines too: t-share and no-sharing through
+    // `first_feasible`, pgreedy-dp through its own scheme.
+    for kind in [
+        SchemeKind::MtShare,
+        SchemeKind::MtSharePro,
+        SchemeKind::TShare,
+        SchemeKind::NoSharing,
+        SchemeKind::PGreedyDp,
+    ] {
         let bidir = run(&graph, RouterBackend::Bidir, kind);
         assert!(bidir.served > 0, "{kind:?}: nothing served");
         assert!(bidir.oracle.vector_hits > 0 && bidir.oracle.pin_computes > 0);

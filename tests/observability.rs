@@ -201,7 +201,7 @@ fn summary_key_paths_are_golden() {
              counters{{filter_partitions_considered filter_partitions_kept \
              insertions_attempted insertions_feasible insertions_pruned}} \
              path_cache{{hits misses evictions hit_ratio}} \
-             oracle{{vector_hits searches pin_computes evictions hit_ratio}} \
+             oracle{{vector_hits searches pin_computes regrows evictions hit_ratio}} \
              ch{{p2p_queries bucket_sweeps bucket_sources shortcuts}} \
              cch{{p2p_queries bucket_sweeps bucket_sources customizations fill_arcs}} \
              persistence{{checkpoints restores wal_records wal_bytes \
