@@ -8,7 +8,7 @@ use crate::common::shortest_legs;
 use crate::grid_index::GridTaxiIndex;
 use mtshare_model::{
     first_feasible, Assignment, DispatchOutcome, DispatchScheme, RideRequest, Taxi, TaxiId, Time,
-    World,
+    World, TAXI_SPEED_MPS,
 };
 use mtshare_road::RoadNetwork;
 
@@ -17,25 +17,18 @@ pub struct NoSharing {
     index: GridTaxiIndex,
     /// Searching range γ in metres (paper default 2.5 km).
     gamma_m: f64,
-    /// Constant taxi speed, m/s.
-    speed_mps: f64,
 }
 
 impl NoSharing {
-    /// Creates the scheme with the default γ = 2.5 km at 15 km/h.
-    pub fn new(graph: &RoadNetwork, n_taxis: usize) -> Self {
-        Self::with_params(graph, n_taxis, 2500.0, 15.0 / 3.6)
-    }
-
-    /// Creates the scheme with explicit parameters.
-    pub fn with_params(graph: &RoadNetwork, n_taxis: usize, gamma_m: f64, speed_mps: f64) -> Self {
-        Self { index: GridTaxiIndex::new(graph, 500.0, n_taxis), gamma_m, speed_mps }
+    /// Creates the scheme with the searching range γ capped at `gamma_m`.
+    pub fn new(graph: &RoadNetwork, n_taxis: usize, gamma_m: f64) -> Self {
+        Self { index: GridTaxiIndex::new(graph, 500.0, n_taxis), gamma_m }
     }
 
     /// The searching range γ for a request at `now` (bounded by the rider's
     /// waiting budget like all schemes).
     fn gamma(&self, req: &RideRequest, now: Time) -> f64 {
-        (self.speed_mps * req.wait_budget(now).max(0.0)).min(self.gamma_m)
+        (TAXI_SPEED_MPS * req.wait_budget(now).max(0.0)).min(self.gamma_m)
     }
 }
 
@@ -139,7 +132,7 @@ mod tests {
         let mut b = Bench::new();
         b.add_taxi(NodeId(399)); // far
         b.add_taxi(NodeId(22)); // near
-        let mut s = NoSharing::new(&b.graph, 2);
+        let mut s = NoSharing::new(&b.graph, 2, 2500.0);
         b.install(&mut s);
         let req = b.make_request(21, 200, 0.0, 1.3);
         let out = b.dispatch(&mut s, &req, 0.0);
@@ -152,7 +145,7 @@ mod tests {
     fn busy_taxis_never_selected() {
         let mut b = Bench::new();
         b.add_taxi(NodeId(22));
-        let mut s = NoSharing::new(&b.graph, 1);
+        let mut s = NoSharing::new(&b.graph, 1, 2500.0);
         b.install(&mut s);
         let r1 = b.make_request(21, 399, 0.0, 1.3);
         let out = b.dispatch_and_commit(&mut s, &r1, 0.0);
@@ -167,7 +160,7 @@ mod tests {
     fn respects_search_range() {
         let mut b = Bench::new();
         b.add_taxi(NodeId(399));
-        let mut s = NoSharing::with_params(&b.graph, 1, 150.0, 15.0 / 3.6);
+        let mut s = NoSharing::new(&b.graph, 1, 150.0);
         b.install(&mut s);
         let req = b.make_request(0, 40, 0.0, 2.0);
         let out = b.dispatch(&mut s, &req, 0.0);

@@ -12,7 +12,7 @@ use crate::common::{remaining_cost, shortest_legs};
 use crate::grid_index::GridTaxiIndex;
 use mtshare_model::{
     Assignment, DispatchOutcome, DispatchScheme, DpEngine, EngineStats, RideRequest,
-    ScheduleEngine, Scored, Taxi, TaxiId, Time, World,
+    ScheduleEngine, Scored, Taxi, TaxiId, Time, World, TAXI_SPEED_MPS,
 };
 use mtshare_road::RoadNetwork;
 
@@ -21,24 +21,17 @@ pub struct PGreedyDp {
     index: GridTaxiIndex,
     engine: Box<dyn ScheduleEngine>,
     gamma_m: f64,
-    speed_mps: f64,
 }
 
 pub use mtshare_model::{best_insertion as best_insertion_dp, BestInsertion};
 
 impl PGreedyDp {
-    /// Creates the scheme with the default γ = 2.5 km at 15 km/h.
-    pub fn new(graph: &RoadNetwork, n_taxis: usize) -> Self {
-        Self::with_params(graph, n_taxis, 2500.0, 15.0 / 3.6)
-    }
-
-    /// Creates the scheme with explicit parameters.
-    pub fn with_params(graph: &RoadNetwork, n_taxis: usize, gamma_m: f64, speed_mps: f64) -> Self {
+    /// Creates the scheme with the searching range γ capped at `gamma_m`.
+    pub fn new(graph: &RoadNetwork, n_taxis: usize, gamma_m: f64) -> Self {
         Self {
             index: GridTaxiIndex::new(graph, 500.0, n_taxis),
             engine: Box::new(DpEngine),
             gamma_m,
-            speed_mps,
         }
     }
 
@@ -63,7 +56,7 @@ impl DispatchScheme for PGreedyDp {
 
     fn dispatch(&mut self, req: &RideRequest, now: Time, world: &World<'_>) -> DispatchOutcome {
         let origin_pt = world.graph.point(req.origin);
-        let gamma = (self.speed_mps * req.wait_budget(now).max(0.0)).min(self.gamma_m);
+        let gamma = (TAXI_SPEED_MPS * req.wait_budget(now).max(0.0)).min(self.gamma_m);
         let mut candidates: Vec<TaxiId> = Vec::new();
         self.index.visit_in_range(&origin_pt, gamma, |id| {
             let taxi = world.taxi(id);
@@ -205,7 +198,7 @@ mod tests {
     fn dp_matches_brute_force_on_busy_taxi() {
         let mut b = Bench::new();
         let tid = b.add_taxi(mtshare_road::NodeId(0));
-        let mut s = PGreedyDp::new(&b.graph, 1);
+        let mut s = PGreedyDp::new(&b.graph, 1, 2500.0);
         b.install(&mut s);
         // Build up a schedule with two committed requests.
         let r1 = b.make_request(1, 399, 0.0, 2.0);
@@ -264,7 +257,7 @@ mod tests {
         let mut b = Bench::new();
         b.add_taxi(mtshare_road::NodeId(45));
         b.add_taxi(mtshare_road::NodeId(22));
-        let mut s = PGreedyDp::new(&b.graph, 2);
+        let mut s = PGreedyDp::new(&b.graph, 2, 2500.0);
         b.install(&mut s);
         let req = b.make_request(21, 200, 0.0, 2.0);
         let out = b.dispatch(&mut s, &req, 0.0);
@@ -280,7 +273,7 @@ mod tests {
         // (unlike mT-Share) — it is only rejected if infeasible.
         let mut b = Bench::new();
         let tid = b.add_taxi(mtshare_road::NodeId(22));
-        let mut s = PGreedyDp::new(&b.graph, 1);
+        let mut s = PGreedyDp::new(&b.graph, 1, 2500.0);
         b.install(&mut s);
         let r1 = b.make_request(22, 0, 0.0, 2.0); // heading SW
         assert!(b.dispatch_and_commit(&mut s, &r1, 0.0));

@@ -12,7 +12,7 @@ use crate::common::{committed_load, remaining_cost, shortest_legs};
 use crate::grid_index::GridTaxiIndex;
 use mtshare_model::{
     first_feasible, Assignment, DispatchOutcome, DispatchScheme, RideRequest, Taxi, TaxiId, Time,
-    World,
+    World, TAXI_SPEED_MPS,
 };
 use mtshare_road::RoadNetwork;
 
@@ -20,18 +20,12 @@ use mtshare_road::RoadNetwork;
 pub struct TShare {
     index: GridTaxiIndex,
     gamma_m: f64,
-    speed_mps: f64,
 }
 
 impl TShare {
-    /// Creates the scheme with the default γ = 2.5 km at 15 km/h.
-    pub fn new(graph: &RoadNetwork, n_taxis: usize) -> Self {
-        Self::with_params(graph, n_taxis, 2500.0, 15.0 / 3.6)
-    }
-
-    /// Creates the scheme with explicit parameters.
-    pub fn with_params(graph: &RoadNetwork, n_taxis: usize, gamma_m: f64, speed_mps: f64) -> Self {
-        Self { index: GridTaxiIndex::new(graph, 500.0, n_taxis), gamma_m, speed_mps }
+    /// Creates the scheme with the searching range γ capped at `gamma_m`.
+    pub fn new(graph: &RoadNetwork, n_taxis: usize, gamma_m: f64) -> Self {
+        Self { index: GridTaxiIndex::new(graph, 500.0, n_taxis), gamma_m }
     }
 }
 
@@ -49,10 +43,10 @@ impl DispatchScheme for TShare {
     fn dispatch(&mut self, req: &RideRequest, now: Time, world: &World<'_>) -> DispatchOutcome {
         let origin_pt = world.graph.point(req.origin);
         let dest_pt = world.graph.point(req.destination);
-        let gamma = (self.speed_mps * req.wait_budget(now).max(0.0)).min(self.gamma_m);
+        let gamma = (TAXI_SPEED_MPS * req.wait_budget(now).max(0.0)).min(self.gamma_m);
         // Destination-side reach: how far a taxi may currently be from the
         // destination and still deliver before the deadline.
-        let dest_reach = self.speed_mps * (req.deadline - now).max(0.0);
+        let dest_reach = TAXI_SPEED_MPS * (req.deadline - now).max(0.0);
 
         let mut candidates: Vec<(f64, TaxiId)> = Vec::new();
         self.index.visit_in_range(&origin_pt, gamma, |id| {
@@ -168,7 +162,7 @@ mod tests {
     fn serves_simple_request() {
         let mut b = Bench::new();
         b.add_taxi(NodeId(22));
-        let mut s = TShare::new(&b.graph, 1);
+        let mut s = TShare::new(&b.graph, 1, 2500.0);
         b.install(&mut s);
         let req = b.make_request(21, 120, 0.0, 1.5);
         let out = b.dispatch(&mut s, &req, 0.0);
@@ -182,7 +176,7 @@ mod tests {
         // Taxi 0 sits exactly at the origin; taxi 1 a block away.
         b.add_taxi(NodeId(42));
         b.add_taxi(NodeId(22));
-        let mut s = TShare::new(&b.graph, 2);
+        let mut s = TShare::new(&b.graph, 2, 2500.0);
         b.install(&mut s);
         let req = b.make_request(42, 200, 0.0, 2.0);
         let out = b.dispatch(&mut s, &req, 0.0);
@@ -195,7 +189,7 @@ mod tests {
     fn dual_side_search_removes_far_destination_taxis() {
         let mut b = Bench::new();
         b.add_taxi(NodeId(21));
-        let mut s = TShare::new(&b.graph, 1);
+        let mut s = TShare::new(&b.graph, 1, 2500.0);
         b.install(&mut s);
         // Tight deadline: taxi near the origin but the destination-side
         // window cannot be met from its current position.
@@ -209,7 +203,7 @@ mod tests {
     fn shares_when_capacity_allows() {
         let mut b = Bench::new();
         b.add_taxi(NodeId(0));
-        let mut s = TShare::new(&b.graph, 1);
+        let mut s = TShare::new(&b.graph, 1, 2500.0);
         b.install(&mut s);
         let r1 = b.make_request(1, 399, 0.0, 2.0);
         assert!(b.dispatch_and_commit(&mut s, &r1, 0.0));

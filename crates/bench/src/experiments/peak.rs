@@ -5,6 +5,8 @@ use crate::runner::Env;
 use crate::table::{fmt, Table};
 use mtshare_core::PartitionStrategy;
 use mtshare_sim::{SchemeKind, SimReport};
+use std::cmp::Ordering;
+use std::fmt::Write as _;
 
 /// Runs the peak fleet sweep once and derives all five results.
 pub fn run(env: &Env) -> Vec<ExperimentResult> {
@@ -85,8 +87,8 @@ pub fn run(env: &Env) -> Vec<ExperimentResult> {
             paper_expectation: "No-Sharing < T-Share < mT-Share < pGreedyDP at every fleet size".into(),
             table: mk_table("candidates", &|r| fmt(r.avg_candidates, 1)),
             notes: vec![format!(
-                "at max fleet: NS {:.1} < TS {:.1} ? mT {:.1} < pG {:.1}",
-                ns.avg_candidates, ts.avg_candidates, mt.avg_candidates, pg.avg_candidates
+                "at max fleet: {}",
+                ordering(&["NS", "TS", "mT", "pG"], [ns, ts, mt, pg].map(|r| r.avg_candidates), 1)
             )],
         },
         ExperimentResult {
@@ -95,8 +97,8 @@ pub fn run(env: &Env) -> Vec<ExperimentResult> {
             paper_expectation: "No-Sharing ≈ 0; T-Share smallest among sharing; mT-Share close second; pGreedyDP ≈ 2× T-Share; decreases with fleet".into(),
             table: mk_table("detour min", &|r| fmt(r.avg_detour_min, 2)),
             notes: vec![format!(
-                "at max fleet: T-Share {:.2} ≤ mT-Share {:.2} ≤ pGreedyDP {:.2} min",
-                ts.avg_detour_min, mt.avg_detour_min, pg.avg_detour_min
+                "at max fleet: {} min",
+                ordering(&["T-Share", "mT-Share", "pGreedyDP"], [ts, mt, pg].map(|r| r.avg_detour_min), 2)
             )],
         },
         ExperimentResult {
@@ -110,4 +112,35 @@ pub fn run(env: &Env) -> Vec<ExperimentResult> {
             )],
         },
     ]
+}
+
+/// Each label with its value at `decimals` places, neighbours joined by the
+/// relation their printed values have: a note states the order the run
+/// measured, not the order the paper reports.
+fn ordering<const N: usize>(labels: &[&str; N], values: [f64; N], decimals: usize) -> String {
+    let shown = values.map(|v| fmt(v, decimals));
+    let mut out = format!("{} {}", labels[0], shown[0]);
+    for (i, pair) in shown.windows(2).enumerate() {
+        let [a, b] = [&pair[0], &pair[1]].map(|s| s.parse::<f64>().expect("printed by `fmt`"));
+        let sign = match a.total_cmp(&b) {
+            Ordering::Less => '<',
+            Ordering::Equal => '=',
+            Ordering::Greater => '>',
+        };
+        let _ = write!(out, " {sign} {} {}", labels[i + 1], pair[1]);
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ordering_prints_the_relation_the_numbers_have() {
+        let candidates = ordering(&["NS", "TS", "mT", "pG"], [1.04, 2.0, 5.7, 4.7], 1);
+        assert_eq!(candidates, "NS 1.0 < TS 2.0 < mT 5.7 > pG 4.7");
+        // Equal as printed is `=`, whatever the digits past the last shown.
+        assert_eq!(ordering(&["a", "b"], [0.501, 0.499], 2), "a 0.50 = b 0.50");
+    }
 }

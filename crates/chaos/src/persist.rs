@@ -5,7 +5,6 @@
 //! an RNG cursor — captures the whole random stream exactly.
 
 use crate::plan::{ChaosConfig, Disruption, DisruptionPlan, TimedDisruption};
-use crate::retry::RetryPolicy;
 use mtshare_model::{RequestId, TaxiId};
 use mtshare_persist::{DecodeError, Decoder, Encoder, Persist};
 use mtshare_road::TrafficShiftSpec;
@@ -79,21 +78,6 @@ impl Persist for ChaosConfig {
     }
 }
 
-impl Persist for RetryPolicy {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.u32(self.max_attempts);
-        enc.f64(self.base_delay_s);
-        enc.f64(self.backoff_factor);
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(RetryPolicy {
-            max_attempts: dec.u32()?,
-            base_delay_s: dec.f64()?,
-            backoff_factor: dec.f64()?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,8 +120,6 @@ mod tests {
     fn configs_round_trip() {
         let cfg = ChaosConfig::with_seed(42);
         assert_eq!(ChaosConfig::from_bytes(&cfg.to_bytes()).unwrap(), cfg);
-        let retry = RetryPolicy { max_attempts: 5, base_delay_s: 12.0, backoff_factor: 1.5 };
-        assert_eq!(RetryPolicy::from_bytes(&retry.to_bytes()).unwrap(), retry);
         assert!(Disruption::from_bytes(&[9]).is_err());
     }
 }

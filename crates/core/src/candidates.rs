@@ -20,7 +20,7 @@
 use crate::config::MtShareConfig;
 use crate::context::MobilityContext;
 use crate::index::{MobilityClusterIndex, PartitionTaxiIndex};
-use mtshare_model::{RideRequest, TaxiId, Time, World};
+use mtshare_model::{RideRequest, TaxiId, Time, World, TAXI_SPEED_MPS};
 
 /// A set of taxis, one bit per fleet slot.
 struct TaxiSet(Vec<u64>);
@@ -81,7 +81,7 @@ pub fn candidate_taxis(
     let home = ctx.partitioning.partition_of(req.origin);
     let pickup_deadline = req.pickup_deadline();
     // Slack: crossing the home partition from its landmark.
-    let slack_s = ctx.partitioning.radius_m(home) / cfg.speed_mps();
+    let slack_s = ctx.partitioning.radius_m(home) / TAXI_SPEED_MPS;
     // Rule 3's recorded arrivals, read off `P_home.L_t` once: who is
     // listed, and whose earliest (first) entry makes the deadline.
     let (mut listed, mut on_time) = (TaxiSet::new(fleet), TaxiSet::new(fleet));
@@ -134,6 +134,7 @@ pub fn candidate_taxis(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TMP_HORIZON_S;
     use crate::context::{MobilityContext, PartitionStrategy};
     use mtshare_mobility::Trip;
     use mtshare_model::{RequestId, RequestStore, RideRequest, Schedule, Taxi, TimedRoute};
@@ -178,7 +179,7 @@ mod tests {
         }
         let home = ctx.partitioning.partition_of(req.origin);
         let pickup_deadline = req.pickup_deadline();
-        let slack_s = ctx.partitioning.radius_m(home) / cfg.speed_mps();
+        let slack_s = ctx.partitioning.radius_m(home) / TAXI_SPEED_MPS;
         let mut out = Vec::with_capacity(base.len().min(64));
         for taxi_id in base {
             let taxi = world.taxi(taxi_id);
@@ -285,11 +286,11 @@ mod tests {
         }
     }
 
-    fn indexes(f: &Fixture) -> (PartitionTaxiIndex, MobilityClusterIndex) {
+    fn indexes(f: &Fixture, horizon_s: f64) -> (PartitionTaxiIndex, MobilityClusterIndex) {
         let mut p = PartitionTaxiIndex::new(f.ctx.kappa(), f.taxis.len());
         let mut m = MobilityClusterIndex::new(f.cfg.lambda, f.taxis.len());
         for t in &f.taxis {
-            p.update_taxi(t, &f.ctx, 0.0, f.cfg.tmp_horizon_s);
+            p.update_taxi(t, &f.ctx, 0.0, horizon_s);
             m.update_taxi(t, &f.graph, &f.requests, 0.0);
         }
         (p, m)
@@ -300,7 +301,7 @@ mod tests {
         let mut f = Fixture::new();
         f.taxis.push(Taxi::new(TaxiId(0), 4, NodeId(21))); // near origin 0
         let req = f.request(0, 399, 0.0);
-        let (p, m) = indexes(&f);
+        let (p, m) = indexes(&f, TMP_HORIZON_S);
         let c = candidate_taxis(&req, 0.0, &f.world(), &f.ctx, &f.cfg, &p, &m);
         assert_eq!(c, vec![TaxiId(0)]);
     }
@@ -312,7 +313,7 @@ mod tests {
         f.cfg.max_search_range_m = 200.0;
         f.taxis.push(Taxi::new(TaxiId(0), 4, NodeId(399))); // opposite corner
         let req = f.request(0, 20, 0.0);
-        let (p, m) = indexes(&f);
+        let (p, m) = indexes(&f, TMP_HORIZON_S);
         let c = candidate_taxis(&req, 0.0, &f.world(), &f.ctx, &f.cfg, &p, &m);
         assert!(c.is_empty());
     }
@@ -327,8 +328,8 @@ mod tests {
         t.onboard.push(onboard.id);
         f.taxis[0] = t;
         let req = f.request(0, 399, 0.0);
-        let (mut p, mut m) = indexes(&f);
-        p.update_taxi(&f.taxis[0], &f.ctx, 0.0, f.cfg.tmp_horizon_s);
+        let (mut p, mut m) = indexes(&f, TMP_HORIZON_S);
+        p.update_taxi(&f.taxis[0], &f.ctx, 0.0, TMP_HORIZON_S);
         m.update_taxi(&f.taxis[0], &f.graph, &f.requests, 0.0);
         let c = candidate_taxis(&req, 0.0, &f.world(), &f.ctx, &f.cfg, &p, &m);
         assert!(c.is_empty());
@@ -345,8 +346,8 @@ mod tests {
         f.taxis[0] = t;
         // Request near the taxi but heading NE (opposite).
         let req = f.request(357, 399, 0.0);
-        let (mut p, mut m) = indexes(&f);
-        p.update_taxi(&f.taxis[0], &f.ctx, 0.0, f.cfg.tmp_horizon_s);
+        let (mut p, mut m) = indexes(&f, TMP_HORIZON_S);
+        p.update_taxi(&f.taxis[0], &f.ctx, 0.0, TMP_HORIZON_S);
         m.update_taxi(&f.taxis[0], &f.graph, &f.requests, 0.0);
         let c = candidate_taxis(&req, 0.0, &f.world(), &f.ctx, &f.cfg, &p, &m);
         assert!(c.is_empty(), "opposite-direction taxi must be filtered, got {c:?}");
@@ -361,8 +362,8 @@ mod tests {
         t.onboard.push(onboard.id);
         f.taxis[0] = t;
         let req = f.request(0, 398, 0.0); // also NE
-        let (mut p, mut m) = indexes(&f);
-        p.update_taxi(&f.taxis[0], &f.ctx, 0.0, f.cfg.tmp_horizon_s);
+        let (mut p, mut m) = indexes(&f, TMP_HORIZON_S);
+        p.update_taxi(&f.taxis[0], &f.ctx, 0.0, TMP_HORIZON_S);
         m.update_taxi(&f.taxis[0], &f.graph, &f.requests, 0.0);
         let c = candidate_taxis(&req, 0.0, &f.world(), &f.ctx, &f.cfg, &p, &m);
         assert_eq!(c, vec![TaxiId(0)]);
@@ -373,7 +374,7 @@ mod tests {
         let mut f = Fixture::new();
         f.taxis.push(Taxi::new(TaxiId(0), 4, NodeId(0)));
         let req = f.request(0, 399, 0.0);
-        let (p, m) = indexes(&f);
+        let (p, m) = indexes(&f, TMP_HORIZON_S);
         // Query long after the pickup deadline has passed.
         let late = req.deadline + 100.0;
         let c = candidate_taxis(&req, late, &f.world(), &f.ctx, &f.cfg, &p, &m);
@@ -422,12 +423,12 @@ mod tests {
                 }
                 f.taxis.push(t);
             }
-            f.cfg.tmp_horizon_s = [120.0, 600.0, 3600.0][rng.gen_range(0..3usize)];
-            let (mut p, mut m) = indexes(&f);
+            let horizon_s = [120.0, 600.0, 3600.0][rng.gen_range(0..3usize)];
+            let (mut p, mut m) = indexes(&f, horizon_s);
             let later = rng.gen_range(1.0..300.0);
             for i in 0..f.taxis.len() {
                 if rng.gen_bool(0.5) {
-                    p.update_taxi(&f.taxis[i], &f.ctx, later, f.cfg.tmp_horizon_s);
+                    p.update_taxi(&f.taxis[i], &f.ctx, later, horizon_s);
                     m.update_taxi(&f.taxis[i], &f.graph, &f.requests, later);
                 }
                 if rng.gen_bool(0.12) {

@@ -1,6 +1,36 @@
-//! Configuration of the mT-Share scheme (Table II defaults).
+//! Configuration of the mT-Share scheme (Table II defaults), and the
+//! parameters the paper fixes, as constants.
 
-use mtshare_model::SchedulerKind;
+use mtshare_model::{SchedulerKind, TAXI_SPEED_MPS};
+
+/// Partition-index horizon `T_mp` in seconds: a taxi is indexed in every
+/// partition it will reach within this long (Sec. IV-B3, whose example
+/// uses 1 h).
+pub const TMP_HORIZON_S: f64 = 3600.0;
+
+/// A taxi plans probabilistic routes only when at least this fraction of
+/// its seats is idle (Sec. V-A1: half the capacity).
+pub const PROB_IDLE_FRACTION: f64 = 0.5;
+
+/// Partition paths Alg. 4 tries for a valid probabilistic leg before it
+/// falls back to the basic route (Alg. 4, Sec. IV-C2: five).
+pub const PROB_ATTEMPTS: usize = 5;
+
+/// Cap on enumerated landmark paths per leg in Alg. 4 step ②. Not a paper
+/// parameter: it bounds the enumeration on large κ.
+pub const PROB_MAX_PATHS: usize = 64;
+
+/// Hop cap for the landmark-path enumeration. Not a paper parameter: it
+/// keeps the DFS bounded on adversarial partition shapes.
+pub const PROB_MAX_HOPS: usize = 12;
+
+/// Per-vertex bias weight (seconds) of probabilistic routing: entering a
+/// zero-demand vertex costs this much extra in the weighted search, a
+/// demand-rich vertex close to nothing. The paper weights vertices by
+/// `1/ψ_c` (Sec. IV-C2) without a scale; this one is calibrated so biased
+/// routes detour 10-20% — strong enough to hug demand corridors, weak
+/// enough to stay within the deadline budget.
+pub const PROB_BIAS_WEIGHT_S: f32 = 6.0;
 
 /// Tunables of mT-Share. Defaults follow Table II of the paper.
 #[derive(Debug, Clone)]
@@ -9,32 +39,11 @@ pub struct MtShareConfig {
     pub lambda: f64,
     /// Partition-filter travel-cost slack ε (default 1.0).
     pub epsilon: f64,
-    /// Constant taxi speed in km/h (default 15, Sec. V-A4).
-    pub taxi_speed_kmh: f64,
     /// Cap on the candidate searching range γ in metres (paper default
     /// 2.5 km, equivalent to Δt = 10 min at 15 km/h).
     pub max_search_range_m: f64,
-    /// Partition-index horizon `T_mp`: taxis are indexed in every partition
-    /// they will reach within this many seconds (paper example: 1 h).
-    pub tmp_horizon_s: f64,
     /// Enable probabilistic routing (mT-Share_pro).
     pub probabilistic: bool,
-    /// A taxi plans probabilistic routes only when at least this fraction
-    /// of its seats is idle (paper: half the capacity).
-    pub prob_idle_fraction: f64,
-    /// Retry attempts for a valid probabilistic leg (paper: 5).
-    pub prob_attempts: usize,
-    /// Cap on enumerated landmark paths per leg in Alg. 4 step ②.
-    pub prob_max_paths: usize,
-    /// Hop cap for the landmark-path enumeration (keeps the DFS bounded on
-    /// adversarial partition shapes).
-    pub prob_max_hops: usize,
-    /// Per-vertex bias weight (seconds) of probabilistic routing: entering
-    /// a zero-demand vertex costs this much extra in the weighted search,
-    /// a demand-rich vertex close to nothing. Calibrated so biased routes
-    /// detour 10-20% — strong enough to hug demand corridors, weak enough
-    /// to stay within the deadline budget.
-    pub prob_bias_weight_s: f64,
     /// Rolling-horizon batch assignment (mT-Share_batch): requests are
     /// collected per window and matched jointly through a Kuhn–Munkres
     /// assignment solve instead of greedy per-arrival insertion.
@@ -49,15 +58,8 @@ impl Default for MtShareConfig {
         Self {
             lambda: std::f64::consts::FRAC_1_SQRT_2,
             epsilon: 1.0,
-            taxi_speed_kmh: 15.0,
             max_search_range_m: 2500.0,
-            tmp_horizon_s: 3600.0,
             probabilistic: false,
-            prob_idle_fraction: 0.5,
-            prob_attempts: 5,
-            prob_max_paths: 64,
-            prob_max_hops: 12,
-            prob_bias_weight_s: 6.0,
             batch: false,
             scheduler: SchedulerKind::default(),
         }
@@ -65,17 +67,11 @@ impl Default for MtShareConfig {
 }
 
 impl MtShareConfig {
-    /// Constant taxi speed in metres per second.
-    #[inline]
-    pub fn speed_mps(&self) -> f64 {
-        self.taxi_speed_kmh / 3.6
-    }
-
     /// The searching range γ for a waiting budget `Δt` (Eq. 2):
     /// `γ = speed × Δt`, capped at [`MtShareConfig::max_search_range_m`].
     #[inline]
     pub fn search_range_m(&self, wait_budget_s: f64) -> f64 {
-        (self.speed_mps() * wait_budget_s.max(0.0)).min(self.max_search_range_m)
+        (TAXI_SPEED_MPS * wait_budget_s.max(0.0)).min(self.max_search_range_m)
     }
 
     /// The mT-Share_pro variant of this configuration.
@@ -106,7 +102,6 @@ mod tests {
         let c = MtShareConfig::default();
         assert!((c.lambda - 0.707).abs() < 1e-3);
         assert_eq!(c.epsilon, 1.0);
-        assert_eq!(c.taxi_speed_kmh, 15.0);
         assert_eq!(c.max_search_range_m, 2500.0);
         assert!(!c.probabilistic);
         assert!(!c.batch);
@@ -125,11 +120,5 @@ mod tests {
         assert_eq!(c.search_range_m(6000.0), 2500.0);
         // Negative budget clamps to zero.
         assert_eq!(c.search_range_m(-5.0), 0.0);
-    }
-
-    #[test]
-    fn speed_conversion() {
-        let c = MtShareConfig::default();
-        assert!((c.speed_mps() - 4.1667).abs() < 1e-3);
     }
 }

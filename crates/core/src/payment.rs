@@ -18,13 +18,11 @@ pub struct PaymentConfig {
     pub eta: f64,
     /// Regular taxi tariff.
     pub fare: FareTable,
-    /// Constant taxi speed (converts travel seconds to metres).
-    pub speed_mps: f64,
 }
 
 impl Default for PaymentConfig {
     fn default() -> Self {
-        Self { beta: 0.8, eta: 0.01, fare: FareTable::default(), speed_mps: 15.0 / 3.6 }
+        Self { beta: 0.8, eta: 0.01, fare: FareTable::default() }
     }
 }
 
@@ -86,9 +84,8 @@ pub fn settle_episode(
     shared_route_cost_s: f64,
     cfg: &PaymentConfig,
 ) -> Settlement {
-    let no_share_total: f64 =
-        trips.iter().map(|t| cfg.fare.fare_for_cost(t.direct_cost_s, cfg.speed_mps)).sum();
-    let shared_route_fare = cfg.fare.fare_for_cost(shared_route_cost_s.max(0.0), cfg.speed_mps);
+    let no_share_total: f64 = trips.iter().map(|t| cfg.fare.fare_for_cost(t.direct_cost_s)).sum();
+    let shared_route_fare = cfg.fare.fare_for_cost(shared_route_cost_s.max(0.0));
     let benefit = (no_share_total - shared_route_fare).max(0.0);
 
     let sigma: Vec<f64> = trips.iter().map(|t| t.detour_rate(cfg.eta)).collect();
@@ -98,7 +95,7 @@ pub fn settle_episode(
         .iter()
         .zip(&sigma)
         .map(|(t, &s)| {
-            let solo = cfg.fare.fare_for_cost(t.direct_cost_s, cfg.speed_mps);
+            let solo = cfg.fare.fare_for_cost(t.direct_cost_s);
             let rebate = if sigma_sum > 0.0 { cfg.beta * benefit * s / sigma_sum } else { 0.0 };
             (t.request, (solo - rebate).max(0.0))
         })
@@ -142,7 +139,7 @@ mod tests {
         let s = settle_episode(&trips, 2400.0, &cfg());
         let c = cfg();
         for (t, (_, fare)) in trips.iter().zip(&s.fares) {
-            let solo = c.fare.fare_for_cost(t.direct_cost_s, c.speed_mps);
+            let solo = c.fare.fare_for_cost(t.direct_cost_s);
             assert!(*fare <= solo + 1e-9, "rider pays {fare} > solo {solo}");
             assert!(*fare > 0.0);
         }
@@ -153,7 +150,7 @@ mod tests {
         let trips = [trip(0, 1400.0, 960.0), trip(1, 980.0, 960.0)];
         let c = cfg();
         let s = settle_episode(&trips, 1700.0, &c);
-        let solo0 = c.fare.fare_for_cost(960.0, c.speed_mps);
+        let solo0 = c.fare.fare_for_cost(960.0);
         let rebate0 = solo0 - s.fares[0].1;
         let rebate1 = solo0 - s.fares[1].1;
         assert!(rebate0 > rebate1, "rebates {rebate0} vs {rebate1}");
@@ -176,7 +173,7 @@ mod tests {
         let c = cfg();
         let s = settle_episode(&trips, 20_000.0, &c);
         assert_eq!(s.benefit, 0.0);
-        let solo = c.fare.fare_for_cost(960.0, c.speed_mps);
+        let solo = c.fare.fare_for_cost(960.0);
         assert!((s.fares[0].1 - solo).abs() < 1e-9);
         assert!((s.driver_income - s.no_share_total).abs() < 1e-9);
     }
@@ -188,7 +185,7 @@ mod tests {
         let c = cfg();
         let s = settle_episode(&trips, 960.0, &c);
         assert!(s.benefit > 0.0, "two solo fares vs one route fare");
-        let solo = c.fare.fare_for_cost(960.0, c.speed_mps);
+        let solo = c.fare.fare_for_cost(960.0);
         for (_, f) in &s.fares {
             assert!(*f < solo, "η must distribute the benefit");
         }

@@ -14,7 +14,9 @@
 //! tie), inside a traffic-shift window and behind the public entry points;
 //! where both answer they agree, so the arm that ran never shows in a trace.
 
-use crate::config::MtShareConfig;
+use crate::config::{
+    MtShareConfig, PROB_ATTEMPTS, PROB_BIAS_WEIGHT_S, PROB_MAX_HOPS, PROB_MAX_PATHS,
+};
 use crate::context::MobilityContext;
 use crate::filter::filter_partitions_observed;
 use mtshare_mobility::{LandmarkGraph, PartitionId};
@@ -29,13 +31,13 @@ pub struct SegmentRouter {
     masked: MaskedDijkstra,
     mask: NodeMask,
     obs: Obs,
-    /// Alg. 4 memo, dropped when `prob_key` — the bits of `taxi_dir`, `λ` and
-    /// the bias weight — changes; nothing else enters what it holds. Vertex
-    /// weights `bias / (1 + ψ)`, valid for the vertices of `weighted`: a
+    /// Alg. 4 memo, dropped when `prob_key` — the bits of `taxi_dir` and `λ`
+    /// — changes; nothing else enters what it holds. Vertex weights
+    /// `PROB_BIAS_WEIGHT_S / (1 + ψ)`, valid for the vertices of `weighted`: a
     /// search fills them as it first touches them.
     weights: Vec<f32>,
     weighted: NodeMask,
-    prob_key: [u64; 4],
+    prob_key: [u64; 3],
     /// κ × κ, row `p`: the partitions in the taxi's direction seen from `p`
     /// (step ①). Valid where `pi_prob[p]`, their summed probability, is set.
     suitable: Vec<bool>,
@@ -60,7 +62,7 @@ impl SegmentRouter {
             obs: Obs::disabled(),
             weights: vec![0.0; graph.node_count()],
             weighted: NodeMask::new(graph),
-            prob_key: [0; 4],
+            prob_key: [0; 3],
             suitable: Vec::new(),
             pi_prob: Vec::new(),
             paths: PartitionPaths::default(),
@@ -204,7 +206,7 @@ impl SegmentRouter {
     /// the acceptable leg cost (validity proxy for the deadline check the
     /// caller re-runs on the whole schedule). Returns the biased leg, or
     /// the basic leg when no valid biased route exists within
-    /// `cfg.prob_attempts` partition paths.
+    /// [`PROB_ATTEMPTS`] partition paths.
     #[allow(clippy::too_many_arguments)]
     pub fn probabilistic_leg(
         &mut self,
@@ -247,8 +249,7 @@ impl SegmentRouter {
             filter_partitions_observed(graph, ctx, from, to, cfg.lambda, cfg.epsilon, &self.obs);
 
         let kappa = ctx.kappa();
-        let bias = cfg.prob_bias_weight_s as f32;
-        let key = [taxi_dir.0, taxi_dir.1, cfg.lambda, cfg.prob_bias_weight_s].map(f64::to_bits);
+        let key = [taxi_dir.0, taxi_dir.1, cfg.lambda].map(f64::to_bits);
         if self.prob_key != key || self.pi_prob.len() != kappa {
             self.prob_key = key;
             self.suitable.resize(kappa * kappa, false);
@@ -283,8 +284,8 @@ impl SegmentRouter {
             &filtered.partitions,
             &self.pi_prob,
             (ctx.partitioning.partition_of(from), ctx.partitioning.partition_of(to)),
-            cfg.prob_max_hops,
-            cfg.prob_max_paths,
+            PROB_MAX_HOPS,
+            PROB_MAX_PATHS,
         );
 
         // ③ fine-grained route over each partition path until one is within
@@ -301,13 +302,13 @@ impl SegmentRouter {
                 // ψ_c demand-weighted: expected suitable requests at v.
                 let w = ctx.transitions.observed(v) as f32;
                 let psi = w * ctx.transitions.prob_to_any(v, flags);
-                weights[v.index()] = bias / (1.0 + psi);
+                weights[v.index()] = PROB_BIAS_WEIGHT_S / (1.0 + psi);
             }
             weights[v.index()]
         };
         let (mut unreachable, mut searches) = (0, 0);
         let mut attempts = |lower: Option<&[f32]>| {
-            paths.ranked.iter().take(cfg.prob_attempts).find_map(|&(_, i)| {
+            paths.ranked.iter().take(PROB_ATTEMPTS).find_map(|&(_, i)| {
                 let corridor = &paths.hops[paths.ends[i]..paths.ends[i + 1]];
                 // Adjacent partitions need not join up: a corridor whose
                 // pieces leave `from` and `to` apart has no route to find.

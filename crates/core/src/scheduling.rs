@@ -6,7 +6,7 @@
 //! oracle, then materialize the best instance into actual routed legs
 //! (basic or probabilistic mode) and re-verify before committing.
 
-use crate::config::MtShareConfig;
+use crate::config::{MtShareConfig, PROB_IDLE_FRACTION};
 use crate::context::MobilityContext;
 use crate::routing::SegmentRouter;
 use mtshare_model::{
@@ -53,7 +53,7 @@ pub(crate) fn count_insertions(obs: &Obs, attempted: usize, feasible: usize, pru
 /// Sec. V-A1).
 pub fn probabilistic_enabled(taxi: &Taxi, cfg: &MtShareConfig, world: &World<'_>) -> bool {
     cfg.probabilistic
-        && taxi.idle_seats(world.requests) as f64 >= cfg.prob_idle_fraction * taxi.capacity as f64
+        && taxi.idle_seats(world.requests) as f64 >= PROB_IDLE_FRACTION * taxi.capacity as f64
 }
 
 /// Runs Algorithm 1: finds the candidate taxi and schedule instance with

@@ -1,7 +1,7 @@
 //! The mT-Share dispatch scheme: dual indexing + mobility-aware matching.
 
 use crate::candidates::candidate_taxis;
-use crate::config::MtShareConfig;
+use crate::config::{MtShareConfig, TMP_HORIZON_S};
 use crate::context::MobilityContext;
 use crate::index::{MobilityClusterIndex, PartitionTaxiIndex};
 use crate::routing::SegmentRouter;
@@ -68,7 +68,7 @@ impl MtShare {
     }
 
     fn reindex(&mut self, taxi: &Taxi, now: Time, world: &World<'_>) {
-        self.pindex.update_taxi(taxi, &self.ctx, now, self.cfg.tmp_horizon_s);
+        self.pindex.update_taxi(taxi, &self.ctx, now, TMP_HORIZON_S);
         self.mindex.update_taxi(taxi, world.graph, world.requests, now);
     }
 

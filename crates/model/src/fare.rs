@@ -34,10 +34,10 @@ impl FareTable {
         }
     }
 
-    /// Fare for a travel cost in seconds at constant speed `speed_mps`
-    /// (the paper fixes 15 km/h, Sec. V-A4).
-    pub fn fare_for_cost(&self, cost_s: f64, speed_mps: f64) -> f64 {
-        self.fare_for_distance(cost_s * speed_mps)
+    /// Fare for a travel cost in seconds at the constant
+    /// [`TAXI_SPEED_MPS`](crate::TAXI_SPEED_MPS).
+    pub fn fare_for_cost(&self, cost_s: f64) -> f64 {
+        self.fare_for_distance(cost_s * crate::TAXI_SPEED_MPS)
     }
 }
 
@@ -74,9 +74,8 @@ mod tests {
     #[test]
     fn fare_for_cost_converts_speed() {
         let f = FareTable::default();
-        let speed = 15.0 / 3.6; // 15 km/h in m/s
-                                // 960 s at 15 km/h = 4 km.
-        let got = f.fare_for_cost(960.0, speed);
+        // 960 s at 15 km/h = 4 km.
+        let got = f.fare_for_cost(960.0);
         assert!((got - f.fare_for_distance(4000.0)).abs() < 1e-9);
     }
 

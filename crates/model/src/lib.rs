@@ -27,6 +27,11 @@ pub mod taxi;
 /// Simulation time in seconds since scenario start.
 pub type Time = f64;
 
+/// Constant taxi speed in metres per second: 15 km/h (Sec. V-A4). It turns
+/// a waiting budget into a search radius and a travel cost into a fare
+/// distance.
+pub const TAXI_SPEED_MPS: f64 = 15.0 / 3.6;
+
 pub use engine::{make_engine, DpEngine, DtreeEngine, EngineStats, ScheduleEngine, SchedulerKind};
 pub use fare::FareTable;
 pub use insertion::{best_insertion, first_feasible, reaches_pickup, BestInsertion, Scored};

@@ -4,12 +4,11 @@
 //!   quantiles via a lazily rebuilt sorted cache. Used for the
 //!   deterministic outcome metrics (candidates, waiting, detour) where
 //!   bit-exact statistics matter.
-//! * [`Histogram`] — log-bucketed atomic counters, safe to record into
-//!   from any worker thread without locks. Used for wall-clock stage
-//!   timings where approximate quantiles are fine and contention is not.
+//! * [`Histogram`] — log-bucketed counts in fixed memory. Used for
+//!   wall-clock stage timings, where approximate quantiles are fine and
+//!   the number of observations is unbounded.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Simple accumulator for a scalar metric with exact quantiles.
 ///
@@ -105,18 +104,12 @@ const MIN_EXP: f64 = -30.0;
 /// histogram, allocated only behind an enabled `Obs`.
 const BUCKETS: usize = 2048;
 
-/// Lock-free log-bucketed histogram of non-negative f64 observations.
-///
-/// `record` is wait-free (one relaxed `fetch_add` each on a bucket and
-/// two scalar accumulators); quantile reads race benignly with writers.
+/// Log-bucketed histogram of non-negative f64 observations.
 pub struct Histogram {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    /// Sum in fixed-point nanounits (u64 nanoseconds when recording
-    /// seconds) so it can be atomic without CAS loops.
-    sum_nanos: AtomicU64,
-    /// Max as f64 bits; monotone CAS.
-    max_bits: AtomicU64,
+    buckets: Vec<u64>,
+    count: u64,
+    sum: f64,
+    max: f64,
 }
 
 impl Default for Histogram {
@@ -128,14 +121,7 @@ impl Default for Histogram {
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        let mut buckets = Vec::with_capacity(BUCKETS);
-        buckets.resize_with(BUCKETS, || AtomicU64::new(0));
-        Self {
-            buckets,
-            count: AtomicU64::new(0),
-            sum_nanos: AtomicU64::new(0),
-            max_bits: AtomicU64::new(0), // 0.0f64.to_bits() == 0
-        }
+        Self { buckets: vec![0; BUCKETS], count: 0, sum: 0.0, max: 0.0 }
     }
 
     fn index(v: f64) -> usize {
@@ -153,39 +139,27 @@ impl Histogram {
 
     /// Records one non-negative observation.
     #[inline]
-    pub fn record(&self, v: f64) {
+    pub fn record(&mut self, v: f64) {
         let v = if v.is_finite() && v > 0.0 { v } else { 0.0 };
-        self.buckets[Self::index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_nanos.fetch_add((v * 1e9) as u64, Ordering::Relaxed);
-        let bits = v.to_bits(); // non-negative f64 bits order like the values
-        let mut cur = self.max_bits.load(Ordering::Relaxed);
-        while bits > cur {
-            match self.max_bits.compare_exchange_weak(
-                cur,
-                bits,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
+        self.buckets[Self::index(v)] += 1;
+        self.count += 1;
+        self.sum += v;
+        self.max = self.max.max(v);
     }
 
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.count
     }
 
-    /// Sum of observations (resolution 1e-9).
+    /// Sum of observations.
     pub fn sum(&self) -> f64 {
-        self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9
+        self.sum
     }
 
     /// Largest recorded observation.
     pub fn max(&self) -> f64 {
-        f64::from_bits(self.max_bits.load(Ordering::Relaxed))
+        self.max
     }
 
     /// Approximate `q`-quantile: the representative value of the bucket
@@ -193,8 +167,7 @@ impl Histogram {
     /// (a bucket midpoint can lie above everything recorded in it). 0 when
     /// empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        Self::quantile_of(&counts, q).min(self.max())
+        Self::quantile_of(&self.buckets, q).min(self.max)
     }
 
     fn quantile_of(counts: &[u64], q: f64) -> f64 {
@@ -217,9 +190,7 @@ impl Histogram {
     /// queries (steady-state reports subtract two snapshots to get the
     /// distribution of just the last interval).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-        }
+        HistogramSnapshot { counts: self.buckets.clone() }
     }
 
     /// Approximate `q`-quantile over only the observations recorded
@@ -227,13 +198,9 @@ impl Histogram {
     /// the all-time maximum like [`Histogram::quantile`]. Buckets are
     /// monotone, so the delta is a well-formed histogram.
     pub fn quantile_since(&self, prev: &HistogramSnapshot, q: f64) -> f64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .zip(&prev.counts)
-            .map(|(b, &p)| b.load(Ordering::Relaxed).saturating_sub(p))
-            .collect();
-        Self::quantile_of(&counts, q).min(self.max())
+        let counts: Vec<u64> =
+            self.buckets.iter().zip(&prev.counts).map(|(&b, &p)| b.saturating_sub(p)).collect();
+        Self::quantile_of(&counts, q).min(self.max)
     }
 }
 
@@ -252,7 +219,6 @@ impl std::fmt::Debug for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn series_statistics_match_previous_behavior() {
@@ -287,7 +253,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_are_within_bucket_error() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for i in 1..=1000 {
             h.record(i as f64 / 1000.0); // 1ms .. 1s
         }
@@ -306,7 +272,7 @@ mod tests {
     fn distributions_a_tenth_apart_differ_in_p95_and_p99() {
         // Two unrelated stages used to report identical p95 *and* p99
         // because both tails fell into the same ~19 %-wide buckets.
-        let (a, b) = (Histogram::new(), Histogram::new());
+        let (mut a, mut b) = (Histogram::new(), Histogram::new());
         for i in 1..=1000 {
             let v = 50e-6 + 134e-6 * i as f64 / 1000.0; // 50 .. 184 µs
             a.record(v);
@@ -328,7 +294,7 @@ mod tests {
     fn histogram_quantiles_never_exceed_the_recorded_maximum() {
         // 0.311 s sits in the lower half of its bucket: unclamped, the
         // midpoint representative (~0.314) would be reported as p50 > max.
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         let snap = h.snapshot();
         h.record(0.311);
         for q in [0.5, 0.99] {
@@ -339,7 +305,7 @@ mod tests {
 
     #[test]
     fn histogram_handles_degenerate_inputs() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         assert_eq!(h.quantile(0.5), 0.0);
         h.record(0.0);
         h.record(-1.0);
@@ -350,7 +316,7 @@ mod tests {
 
     #[test]
     fn histogram_snapshot_deltas_cover_only_the_interval() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for _ in 0..100 {
             h.record(0.001); // 1 ms
         }
@@ -363,24 +329,5 @@ mod tests {
         assert!(p95 > 1.0 / 1.03 && p95 <= 1.0, "interval p95 = {p95}");
         // The cumulative quantile still sees the old mass.
         assert!(h.quantile(0.5) < 0.01);
-    }
-
-    #[test]
-    fn histogram_concurrent_records_are_counted() {
-        let h = Arc::new(Histogram::new());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let h = h.clone();
-                std::thread::spawn(move || {
-                    for i in 0..5_000 {
-                        h.record(1e-6 * (1 + i % 100) as f64);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(h.count(), 20_000);
     }
 }

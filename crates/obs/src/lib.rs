@@ -1,8 +1,8 @@
 //! # mtshare-obs — structured observability for the mT-Share pipeline
 //!
 //! A zero-external-dependency telemetry subsystem: typed
-//! dispatch-lifecycle events, atomic counters, log-bucketed histograms,
-//! stage-span timers, and JSONL/summary sinks.
+//! dispatch-lifecycle events, counters, log-bucketed histograms,
+//! stage-span timers, and JSONL/summary sinks, owned by one thread.
 //!
 //! ## Determinism contract
 //!
@@ -21,7 +21,7 @@
 //!
 //! A disabled [`Obs`] (the default) is a `None` behind a pointer-sized
 //! handle: every instrumentation call short-circuits on one branch, no
-//! allocation, no atomics.
+//! allocation.
 
 #![warn(missing_docs)]
 
@@ -41,9 +41,9 @@ pub use steady::{rss_bytes, SteadyExtra, SteadyTracker, STEADY_SCHEMA};
 
 use mtshare_persist::{DecodeError, Decoder, Encoder, Persist};
 use schema::Extra;
+use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::time::Instant;
 
 /// Summary schema identifier, bumped on breaking layout changes.
@@ -123,38 +123,39 @@ impl Persist for Aggregates {
     }
 }
 
-/// The shared telemetry state behind an enabled [`Obs`].
+/// The state behind an enabled [`Obs`]. A sink may read the bus from its
+/// `on_event`, so no borrow but that of `sinks` is held across a sink call.
 struct ObsCore {
-    sinks: Mutex<Vec<Box<dyn EventSink>>>,
-    agg: Mutex<Aggregates>,
-    run: Mutex<RunInfo>,
+    sinks: RefCell<Vec<Box<dyn EventSink>>>,
+    agg: RefCell<Aggregates>,
+    run: RefCell<RunInfo>,
     // ---- updated through `&self` from the schemes (profiling) ----
-    stages: [Histogram; Stage::COUNT],
+    stages: [RefCell<Histogram>; Stage::COUNT],
     /// Every counter of every `profiling` block, flat in
     /// [`schema::BLOCKS`] order ([`schema::slot`]).
-    counters: [AtomicU64; schema::N_COUNTERS],
-    response_s: Histogram,
+    counters: [Cell<u64>; schema::N_COUNTERS],
+    response_s: RefCell<Histogram>,
     // ---- persistence (profiling) ----
     /// While set, `emit` updates aggregates but suppresses sink
     /// forwarding: WAL replay after a warm restart re-executes events
     /// that the pre-crash run already wrote to its trace.
-    muted: AtomicBool,
-    checkpoint_bytes: Histogram,
-    checkpoint_write_s: Histogram,
+    muted: Cell<bool>,
+    checkpoint_bytes: RefCell<Histogram>,
+    checkpoint_write_s: RefCell<Histogram>,
 }
 
 impl ObsCore {
     fn new() -> Self {
         Self {
-            sinks: Mutex::new(Vec::new()),
-            agg: Mutex::new(Aggregates::default()),
-            run: Mutex::new(RunInfo::default()),
-            stages: std::array::from_fn(|_| Histogram::new()),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            response_s: Histogram::new(),
-            muted: AtomicBool::new(false),
-            checkpoint_bytes: Histogram::new(),
-            checkpoint_write_s: Histogram::new(),
+            sinks: RefCell::default(),
+            agg: RefCell::default(),
+            run: RefCell::default(),
+            stages: Default::default(),
+            counters: std::array::from_fn(|_| Cell::new(0)),
+            response_s: RefCell::default(),
+            muted: Cell::new(false),
+            checkpoint_bytes: RefCell::default(),
+            checkpoint_write_s: RefCell::default(),
         }
     }
 }
@@ -163,13 +164,13 @@ impl ObsCore {
 /// histogram on drop. Obtained from [`Obs::stage`]; a span from a
 /// disabled `Obs` is inert.
 pub struct StageSpan {
-    inner: Option<(Instant, Arc<ObsCore>, Stage)>,
+    inner: Option<(Instant, Rc<ObsCore>, Stage)>,
 }
 
 impl Drop for StageSpan {
     fn drop(&mut self) {
         if let Some((t0, core, stage)) = self.inner.take() {
-            core.stages[stage.index()].record(t0.elapsed().as_secs_f64());
+            core.stages[stage.index()].borrow_mut().record(t0.elapsed().as_secs_f64());
         }
     }
 }
@@ -178,7 +179,7 @@ impl Drop for StageSpan {
 /// *disabled*: every call is a single branch on a `None`.
 #[derive(Clone, Default)]
 pub struct Obs {
-    core: Option<Arc<ObsCore>>,
+    core: Option<Rc<ObsCore>>,
 }
 
 impl std::fmt::Debug for Obs {
@@ -196,7 +197,7 @@ impl Obs {
     /// An enabled bus with no sinks yet (aggregates and counters still
     /// collect; attach sinks with [`Obs::add_sink`]).
     pub fn enabled() -> Self {
-        Self { core: Some(Arc::new(ObsCore::new())) }
+        Self { core: Some(Rc::new(ObsCore::new())) }
     }
 
     /// Whether telemetry is collected at all.
@@ -207,7 +208,7 @@ impl Obs {
     /// Attaches an event sink. No-op when disabled.
     pub fn add_sink(&self, sink: Box<dyn EventSink>) {
         if let Some(core) = &self.core {
-            core.sinks.lock().expect("obs sinks poisoned").push(sink);
+            core.sinks.borrow_mut().push(sink);
         }
     }
 
@@ -225,7 +226,7 @@ impl Obs {
             return self.emit_meta(ev);
         }
         {
-            let mut agg = core.agg.lock().expect("obs aggregates poisoned");
+            let mut agg = core.agg.borrow_mut();
             agg.event_counts[ev.kind_index()] += 1;
             match &ev {
                 Event::Dispatch { candidates, feasible, .. } => {
@@ -240,13 +241,13 @@ impl Obs {
                 _ => {}
             }
         }
-        if core.muted.load(Ordering::Relaxed) {
+        if core.muted.get() {
             // WAL replay: aggregates re-accumulate toward the pre-crash
             // state, but the trace lines were already written by the
             // interrupted run — forwarding again would duplicate them.
             return;
         }
-        let mut sinks = core.sinks.lock().expect("obs sinks poisoned");
+        let mut sinks = core.sinks.borrow_mut();
         if !sinks.is_empty() {
             let line = ev.to_jsonl();
             for s in sinks.iter_mut() {
@@ -261,7 +262,7 @@ impl Obs {
     /// diagnostics survive even during replay.
     pub fn emit_meta(&self, ev: Event) {
         let Some(core) = &self.core else { return };
-        let mut sinks = core.sinks.lock().expect("obs sinks poisoned");
+        let mut sinks = core.sinks.borrow_mut();
         if sinks.iter().any(|s| s.wants_meta()) {
             let line = ev.to_jsonl();
             for s in sinks.iter_mut() {
@@ -277,13 +278,13 @@ impl Obs {
     /// rebuild aggregates without duplicating trace lines.
     pub fn set_muted(&self, muted: bool) {
         if let Some(core) = &self.core {
-            core.muted.store(muted, Ordering::Relaxed);
+            core.muted.set(muted);
         }
     }
 
     /// Whether sink forwarding is currently suppressed for replay.
     pub fn is_muted(&self) -> bool {
-        self.core.as_ref().map(|c| c.muted.load(Ordering::Relaxed)).unwrap_or(false)
+        self.core.as_ref().is_some_and(|c| c.muted.get())
     }
 
     /// Records one snapshot write into the `persistence` histograms:
@@ -291,8 +292,8 @@ impl Obs {
     /// (profiling; the count is the `persistence.checkpoints` counter).
     pub fn record_checkpoint(&self, bytes: u64, write_s: f64) {
         if let Some(core) = &self.core {
-            core.checkpoint_bytes.record(bytes as f64);
-            core.checkpoint_write_s.record(write_s);
+            core.checkpoint_bytes.borrow_mut().record(bytes as f64);
+            core.checkpoint_write_s.borrow_mut().record(write_s);
         }
     }
 
@@ -300,7 +301,7 @@ impl Obs {
     /// the four outcome series) for a checkpoint. `None` when disabled.
     pub fn snapshot_aggregates(&self) -> Option<Vec<u8>> {
         let core = self.core.as_ref()?;
-        Some(core.agg.lock().expect("obs aggregates poisoned").to_bytes())
+        Some(core.agg.borrow().to_bytes())
     }
 
     /// Replaces the deterministic aggregates with a snapshot taken by
@@ -309,7 +310,7 @@ impl Obs {
         let Some(core) = &self.core else { return Ok(()) };
         let agg =
             Aggregates::from_bytes(bytes).map_err(|e| format!("obs aggregate snapshot: {e}"))?;
-        *core.agg.lock().expect("obs aggregates poisoned") = agg;
+        *core.agg.borrow_mut() = agg;
         Ok(())
     }
 
@@ -333,7 +334,8 @@ impl Obs {
             for (name, n) in counters {
                 let slot = schema::slot(block, name)
                     .unwrap_or_else(|| panic!("no summary counter {block}.{name}"));
-                core.counters[slot].fetch_add(*n, Ordering::Relaxed);
+                let c = &core.counters[slot];
+                c.set(c.get() + n);
             }
         }
     }
@@ -342,28 +344,28 @@ impl Obs {
     /// or unknown.
     pub fn counter(&self, block: &str, name: &str) -> u64 {
         let slot = schema::slot(block, name);
-        self.core.as_ref().zip(slot).map_or(0, |(c, i)| c.counters[i].load(Ordering::Relaxed))
+        self.core.as_ref().zip(slot).map_or(0, |(c, i)| c.counters[i].get())
     }
 
     /// Records one dispatcher response latency in seconds (wall-clock;
     /// profiling only).
     pub fn record_response_s(&self, secs: f64) {
         if let Some(core) = &self.core {
-            core.response_s.record(secs);
+            core.response_s.borrow_mut().record(secs);
         }
     }
 
     /// Sets the static run facts reported in the summary.
     pub fn set_run_info(&self, info: RunInfo) {
         if let Some(core) = &self.core {
-            *core.run.lock().expect("obs run info poisoned") = info;
+            *core.run.borrow_mut() = info;
         }
     }
 
     /// Flushes all sinks.
     pub fn flush(&self) {
         if let Some(core) = &self.core {
-            for s in core.sinks.lock().expect("obs sinks poisoned").iter_mut() {
+            for s in core.sinks.borrow_mut().iter_mut() {
                 s.flush();
             }
         }
@@ -373,24 +375,18 @@ impl Obs {
 
     /// Count of rejections classified as `reason`. 0 when disabled.
     pub fn reject_count(&self, reason: RejectReason) -> u64 {
-        self.core
-            .as_ref()
-            .map(|c| c.agg.lock().expect("obs aggregates poisoned").reject_counts[reason.index()])
-            .unwrap_or(0)
+        self.core.as_ref().map_or(0, |c| c.agg.borrow().reject_counts[reason.index()])
     }
 
     /// Per-kind event counts in [`EVENT_KINDS`] order. Zeros when
     /// disabled.
     pub fn event_counts(&self) -> [u64; EVENT_KINDS.len()] {
-        self.core
-            .as_ref()
-            .map(|c| c.agg.lock().expect("obs aggregates poisoned").event_counts)
-            .unwrap_or_default()
+        self.core.as_ref().map(|c| c.agg.borrow().event_counts).unwrap_or_default()
     }
 
     /// Wall-clock observations recorded for `stage` (profiling).
     pub fn stage_count(&self, stage: Stage) -> u64 {
-        self.core.as_ref().map(|c| c.stages[stage.index()].count()).unwrap_or(0)
+        self.core.as_ref().map_or(0, |c| c.stages[stage.index()].borrow().count())
     }
 
     /// Builds the end-of-run summary JSON. `None` when disabled.
@@ -400,8 +396,8 @@ impl Obs {
     /// history-dependent. Equivalence checks strip that single key.
     pub fn summary_json(&self) -> Option<String> {
         let core = self.core.as_ref()?;
-        let agg = core.agg.lock().expect("obs aggregates poisoned");
-        let run = core.run.lock().expect("obs run info poisoned").clone();
+        let agg = core.agg.borrow();
+        let run = core.run.borrow();
 
         let mut s = String::with_capacity(2048);
         s.push('{');
@@ -442,10 +438,10 @@ impl Obs {
             if i > 0 {
                 s.push(',');
             }
-            write_histogram(&mut s, stage.label(), &core.stages[stage.index()], 1e6, "us");
+            write_histogram(&mut s, stage.label(), &core.stages[stage.index()].borrow(), 1e6, "us");
         }
         s.push_str("},");
-        let mut counters = core.counters.iter().map(|n| n.load(Ordering::Relaxed));
+        let mut counters = core.counters.iter().map(Cell::get);
         for block in &schema::BLOCKS {
             let c: Vec<u64> = counters.by_ref().take(block.counters.len()).collect();
             if block.when_active && c[0] == 0 {
@@ -465,7 +461,7 @@ impl Obs {
                 Extra::CheckpointHists => {
                     let hists = [&core.checkpoint_bytes, &core.checkpoint_write_s];
                     for ((key, scale, unit), h) in schema::CHECKPOINT_HISTS.iter().zip(hists) {
-                        write_histogram(&mut s, key, h, *scale, unit);
+                        write_histogram(&mut s, key, &h.borrow(), *scale, unit);
                         s.push(',');
                     }
                     s.pop();
@@ -474,7 +470,7 @@ impl Obs {
             s.push_str("},");
         }
         let (key, scale, unit) = schema::RESPONSE_HIST;
-        write_histogram(&mut s, key, &core.response_s, scale, unit);
+        write_histogram(&mut s, key, &core.response_s.borrow(), scale, unit);
         s.push_str("}}");
         Some(s)
     }
@@ -536,7 +532,39 @@ mod tests {
         assert_eq!(obs.event_counts()[0], 1);
         assert_eq!(obs.reject_count(RejectReason::NoFeasibleInsertion), 1);
         assert_eq!(obs.reject_count(RejectReason::EmptyFleet), 0);
-        assert_eq!(buf.lock().unwrap().lines().count(), 3);
+        assert_eq!(buf.borrow().lines().count(), 3);
+    }
+
+    #[test]
+    fn a_sink_may_read_the_bus_it_listens_to() {
+        // `emit` forwards holding no borrow but the sink list's, so a sink
+        // that reads counts from inside `on_event` does not panic.
+        struct Reader(Obs, Rc<RefCell<Vec<[u64; 3]>>>);
+        impl EventSink for Reader {
+            fn on_event(&mut self, _: &Event, _: &str) {
+                let obs = &self.0;
+                self.1.borrow_mut().push([
+                    obs.event_counts().iter().sum(),
+                    obs.counter("counters", "insertions_feasible"),
+                    obs.stage_count(Stage::Commit),
+                ]);
+            }
+        }
+        let obs = Obs::enabled();
+        let seen = Rc::default();
+        // The sink's handle keeps the bus alive: the cycle leaks, which a
+        // test can afford.
+        obs.add_sink(Box::new(Reader(obs.clone(), Rc::clone(&seen))));
+        obs.add("counters", &[("insertions_feasible", 2)]);
+        drop(obs.stage(Stage::Commit));
+        obs.emit(Event::Arrival { t: 1.0, req: 0, offline: false });
+        obs.emit(Event::Dispatch { t: 1.0, req: 0, candidates: 4, feasible: 2 });
+        assert_eq!(*seen.borrow(), [[1, 2, 1], [2, 2, 1]]);
+        // A live span holds no borrow either.
+        let span = obs.stage(Stage::Routing);
+        assert!(obs.summary_json().is_some());
+        drop(span);
+        assert_eq!(obs.stage_count(Stage::Routing), 1);
     }
 
     #[test]
@@ -635,8 +663,8 @@ mod tests {
         obs.emit(Event::Checkpoint { t: 5.0, step: 10, bytes: 1024 });
         obs.emit_meta(Event::Restore { t: 5.0, step: 10, snapshot_step: 4, wal_replayed: 6 });
         obs.emit(Event::Arrival { t: 6.0, req: 0, offline: false });
-        assert_eq!(plain_buf.lock().unwrap().lines().count(), 1, "canonical trace: arrival only");
-        assert_eq!(meta_buf.lock().unwrap().lines().count(), 3, "meta sink sees everything");
+        assert_eq!(plain_buf.borrow().lines().count(), 1, "canonical trace: arrival only");
+        assert_eq!(meta_buf.borrow().lines().count(), 3, "meta sink sees everything");
         let counts = obs.event_counts();
         assert_eq!(counts.iter().sum::<u64>(), 1, "meta events never counted");
     }
@@ -650,11 +678,11 @@ mod tests {
         assert!(obs.is_muted());
         obs.emit(Event::Pickup { t: 1.0, req: 0, taxi: 1, wait_s: 2.5 });
         obs.emit(Event::Reject { t: 1.0, req: 1, reason: RejectReason::EmptyFleet });
-        assert_eq!(buf.lock().unwrap().len(), 0, "replay must not duplicate trace lines");
+        assert_eq!(buf.borrow().len(), 0, "replay must not duplicate trace lines");
         assert_eq!(obs.reject_count(RejectReason::EmptyFleet), 1);
         obs.set_muted(false);
         obs.emit(Event::Arrival { t: 2.0, req: 2, offline: false });
-        assert_eq!(buf.lock().unwrap().lines().count(), 1);
+        assert_eq!(buf.borrow().lines().count(), 1);
         let counts = obs.event_counts();
         assert_eq!(counts.iter().sum::<u64>(), 3);
     }

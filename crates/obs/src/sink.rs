@@ -1,13 +1,14 @@
 //! Event sinks: where the canonical JSONL stream goes.
 
 use crate::event::Event;
+use std::cell::RefCell;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Consumes the ordered event stream. Implementations receive both the
 /// typed event and its canonical JSONL encoding (rendered once by the
 /// bus) so writers don't re-serialize.
-pub trait EventSink: Send {
+pub trait EventSink {
     /// Called for every emitted event, in commit order.
     fn on_event(&mut self, ev: &Event, line: &str);
     /// Called once at end of run.
@@ -23,11 +24,11 @@ pub trait EventSink: Send {
 
 /// Writes one JSONL line per event to any `io::Write` (file, stdout,
 /// in-memory buffer).
-pub struct JsonlSink<W: Write + Send> {
+pub struct JsonlSink<W: Write> {
     w: W,
 }
 
-impl<W: Write + Send> JsonlSink<W> {
+impl<W: Write> JsonlSink<W> {
     /// Wraps a writer. Callers wanting buffering should pass a
     /// `BufWriter` themselves.
     pub fn new(w: W) -> Self {
@@ -35,7 +36,7 @@ impl<W: Write + Send> JsonlSink<W> {
     }
 }
 
-impl<W: Write + Send> EventSink for JsonlSink<W> {
+impl<W: Write> EventSink for JsonlSink<W> {
     fn on_event(&mut self, _ev: &Event, line: &str) {
         // Telemetry must never take the sim down; drop on I/O error.
         let _ = self.w.write_all(line.as_bytes());
@@ -48,32 +49,32 @@ impl<W: Write + Send> EventSink for JsonlSink<W> {
 }
 
 /// Captures the JSONL stream into a shared string — used by the
-/// determinism tests to compare byte-identical traces across worker
-/// counts without touching the filesystem.
+/// determinism tests to compare byte-identical traces across routers,
+/// schedulers and restarts without touching the filesystem.
 pub struct MemorySink {
-    buf: Arc<Mutex<String>>,
+    buf: Rc<RefCell<String>>,
     meta: bool,
 }
 
 impl MemorySink {
     /// Returns the sink and a handle to the buffer it fills.
-    pub fn new() -> (Self, Arc<Mutex<String>>) {
-        let buf = Arc::new(Mutex::new(String::new()));
+    pub fn new() -> (Self, Rc<RefCell<String>>) {
+        let buf = Rc::new(RefCell::new(String::new()));
         (Self { buf: buf.clone(), meta: false }, buf)
     }
 
     /// Like [`MemorySink::new`] but also receiving persistence meta
     /// events (checkpoint/restore) — used by tests that assert on the
     /// meta stream.
-    pub fn new_with_meta() -> (Self, Arc<Mutex<String>>) {
-        let buf = Arc::new(Mutex::new(String::new()));
+    pub fn new_with_meta() -> (Self, Rc<RefCell<String>>) {
+        let buf = Rc::new(RefCell::new(String::new()));
         (Self { buf: buf.clone(), meta: true }, buf)
     }
 }
 
 impl EventSink for MemorySink {
     fn on_event(&mut self, _ev: &Event, line: &str) {
-        let mut buf = self.buf.lock().expect("memory sink poisoned");
+        let mut buf = self.buf.borrow_mut();
         buf.push_str(line);
         buf.push('\n');
     }
@@ -109,6 +110,6 @@ mod tests {
         let line = ev.to_jsonl();
         sink.on_event(&ev, &line);
         sink.on_event(&ev, &line);
-        assert_eq!(buf.lock().unwrap().lines().count(), 2);
+        assert_eq!(buf.borrow().lines().count(), 2);
     }
 }

@@ -80,7 +80,7 @@ impl SteadyTracker {
             if i > 0 {
                 stages.push(',');
             }
-            let h = &core.stages[stage.index()];
+            let h = core.stages[stage.index()].borrow();
             let p95 = match self.prev_stages.as_ref() {
                 Some(snaps) => h.quantile_since(&snaps[stage.index()], 0.95),
                 None => h.quantile(0.95),
@@ -122,7 +122,7 @@ fn shed_total(obs: &Obs) -> u64 {
 
 fn stage_snapshots(obs: &Obs) -> Option<Vec<HistogramSnapshot>> {
     let core = obs.core.as_ref()?;
-    Some(Stage::ALL.iter().map(|s| core.stages[s.index()].snapshot()).collect())
+    Some(Stage::ALL.iter().map(|s| core.stages[s.index()].borrow().snapshot()).collect())
 }
 
 /// Resident-set estimate in bytes from `/proc/self/statm` (second

@@ -28,7 +28,7 @@
 //! come from the last checkpoint plus the log, which is exactly what the
 //! crash-restart CI job exercises.
 
-use super::{Episode, Ev, QueuedEv, Simulator};
+use super::{Episode, Ev, QueuedEv, Simulator, ENCOUNTER_RADIUS_M};
 use crate::metrics::{Series, ServedRecord, SimReport};
 use mtshare_chaos::{ChaosConfig, CrashMode, CrashPoint, DisruptionPlan, CRASH_EXIT_CODE};
 use mtshare_core::PassengerTrip;
@@ -807,8 +807,7 @@ impl Simulator {
         pending.sort_unstable();
         for id in pending {
             let origin_pt = self.graph.point(self.requests.get(id).origin);
-            let nodes =
-                self.spatial.nodes_within(&self.graph, &origin_pt, self.cfg.encounter_radius_m);
+            let nodes = self.spatial.nodes_within(&self.graph, &origin_pt, ENCOUNTER_RADIUS_M);
             let mut watched = Vec::with_capacity(nodes.len());
             for n in nodes {
                 self.offline_watch.entry(n.0).or_default().push(id);

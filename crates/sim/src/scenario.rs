@@ -217,31 +217,17 @@ impl SchemeKind {
         mt_cfg: Option<MtShareConfig>,
     ) -> Box<dyn DispatchScheme> {
         let base_cfg = mt_cfg.unwrap_or_default();
+        let gamma_m = base_cfg.max_search_range_m;
         // The minimum-detour schemes score insertions through one engine
         // (`--scheduler dp|dtree`): mT-Share builds its own from the config,
         // pGreedyDP takes it explicitly. No-Sharing and T-Share take the
         // first valid instance and hold none.
         match self {
-            SchemeKind::NoSharing => Box::new(NoSharing::with_params(
-                graph,
-                n_taxis,
-                base_cfg.max_search_range_m,
-                base_cfg.speed_mps(),
-            )),
-            SchemeKind::TShare => Box::new(TShare::with_params(
-                graph,
-                n_taxis,
-                base_cfg.max_search_range_m,
-                base_cfg.speed_mps(),
-            )),
+            SchemeKind::NoSharing => Box::new(NoSharing::new(graph, n_taxis, gamma_m)),
+            SchemeKind::TShare => Box::new(TShare::new(graph, n_taxis, gamma_m)),
             SchemeKind::PGreedyDp => Box::new(
-                PGreedyDp::with_params(
-                    graph,
-                    n_taxis,
-                    base_cfg.max_search_range_m,
-                    base_cfg.speed_mps(),
-                )
-                .with_engine(mtshare_model::make_engine(base_cfg.scheduler, n_taxis)),
+                PGreedyDp::new(graph, n_taxis, gamma_m)
+                    .with_engine(mtshare_model::make_engine(base_cfg.scheduler, n_taxis)),
             ),
             SchemeKind::MtShare => {
                 let ctx = ctx.expect("mT-Share needs a mobility context");

@@ -11,7 +11,7 @@
 use crate::metrics::{Series, ServedRecord, SimReport};
 use crate::scenario::Scenario;
 use crate::telemetry::classify_rejection;
-use mtshare_chaos::{check_taxi, ChaosConfig, Disruption, DisruptionPlan, RetryPolicy};
+use mtshare_chaos::{check_taxi, ChaosConfig, Disruption, DisruptionPlan};
 use mtshare_core::{settle_episode, PassengerTrip, PaymentConfig};
 use mtshare_model::{
     DispatchScheme, EventKind, RequestId, RequestStore, RideRequest, Taxi, TaxiId, Time,
@@ -31,19 +31,18 @@ mod checkpoint;
 mod recovery;
 pub use checkpoint::{PersistConfig, RunOutcome};
 
-/// Simulator knobs.
-#[derive(Debug, Clone)]
+/// A taxi perceives an offline request when its route passes within this
+/// distance of the request origin, metres: half a default grid-city block.
+const ENCOUNTER_RADIUS_M: f64 = 60.0;
+
+/// Simulator knobs. Fares settle with [`PaymentConfig::default`] and
+/// orphaned riders are re-dispatched under
+/// [`RetryPolicy::default`](mtshare_chaos::RetryPolicy::default).
+#[derive(Debug, Clone, Default)]
 pub struct SimConfig {
-    /// A taxi perceives an offline request when its route passes within
-    /// this distance of the request origin, metres.
-    pub encounter_radius_m: f64,
-    /// Payment-model parameters.
-    pub payment: PaymentConfig,
     /// Seeded disruption injection (breakdowns, cancellations, traffic
     /// shifts). `None` runs a fault-free simulation.
     pub chaos: Option<ChaosConfig>,
-    /// Retry/backoff budget for re-dispatching orphaned riders.
-    pub retry: RetryPolicy,
     /// Cadence (simulation seconds) of the runtime invariant checker;
     /// `None` disables it. Violations are reported through `mtshare-obs`
     /// and counted in the report.
@@ -72,20 +71,6 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         Self { window_s: 30.0, max_retries: 2 }
-    }
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        Self {
-            encounter_radius_m: 60.0,
-            payment: PaymentConfig::default(),
-            chaos: None,
-            retry: RetryPolicy::default(),
-            validate_every: None,
-            persist: None,
-            batch: None,
-        }
     }
 }
 
@@ -862,7 +847,7 @@ impl Simulator {
 
     fn register_offline(&mut self, req: &RideRequest) {
         let origin_pt = self.graph.point(req.origin);
-        let nodes = self.spatial.nodes_within(&self.graph, &origin_pt, self.cfg.encounter_radius_m);
+        let nodes = self.spatial.nodes_within(&self.graph, &origin_pt, ENCOUNTER_RADIUS_M);
         self.pending_offline.insert(req.id);
         let mut watched = Vec::with_capacity(nodes.len());
         for n in nodes {
@@ -883,7 +868,7 @@ impl Simulator {
             let version = taxi.route_version;
             if taxi.route.is_none() {
                 let pos = taxi.position_at(now);
-                if self.graph.point(pos).distance_m(&origin_pt) <= self.cfg.encounter_radius_m {
+                if self.graph.point(pos).distance_m(&origin_pt) <= ENCOUNTER_RADIUS_M {
                     self.push_ev(now, Ev::Encounter { taxi: id, request: req.id, version });
                 }
             } else {
@@ -1106,7 +1091,7 @@ impl Simulator {
         if ep.trips.is_empty() {
             return;
         }
-        let s = settle_episode(&ep.trips, ep.onboard_cost_s, &self.cfg.payment);
+        let s = settle_episode(&ep.trips, ep.onboard_cost_s, &PaymentConfig::default());
         self.fares_paid += s.fares.iter().map(|(_, f)| f).sum::<f64>();
         self.fares_solo += s.no_share_total;
         self.driver_income += s.driver_income;
@@ -1410,7 +1395,7 @@ mod tests {
             .with_obs(obs.clone())
             .with_disruptions(plan)
             .run(scheme.as_mut());
-        let trace = buf.lock().unwrap().clone();
+        let trace = buf.borrow().clone();
         (report, trace)
     }
 
@@ -1452,7 +1437,7 @@ mod tests {
             .with_obs(obs.clone())
             .with_disruptions(plan)
             .run(scheme.as_mut());
-        let trace = buf.lock().unwrap().clone();
+        let trace = buf.borrow().clone();
         assert_eq!((r.served, r.rejected, r.invariant_violations), (2, 0, 0), "{trace}");
         // Base build + shift open + shift close (restore) = 3 customizations,
         // ending on metric generation 2.

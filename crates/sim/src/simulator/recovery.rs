@@ -5,7 +5,7 @@
 //! place and commits through the parent's `try_dispatch` / `arm_route`.
 
 use super::{Ev, Simulator};
-use mtshare_chaos::Disruption;
+use mtshare_chaos::{Disruption, RetryPolicy};
 use mtshare_model::{
     DispatchScheme, EventKind, RequestId, RequestStore, Schedule, TaxiId, Time, TimedRoute,
 };
@@ -95,7 +95,10 @@ impl Simulator {
             self.reject_with(request, now, RejectReason::TaxiFailed);
             return;
         }
-        self.push_ev(now + self.cfg.retry.delay_s(1), Ev::Redispatch { request, attempt: 1 });
+        self.push_ev(
+            now + RetryPolicy::default().delay_s(1),
+            Ev::Redispatch { request, attempt: 1 },
+        );
     }
 
     /// A rider withdraws before pickup. The terminal accounting is a
@@ -326,12 +329,12 @@ impl Simulator {
         self.obs.emit(Event::Redispatch { t, req: request.0, attempt, ok });
         if ok {
             self.redispatched += 1;
-        } else if self.cfg.retry.exhausted(attempt + 1) {
+        } else if RetryPolicy::default().exhausted(attempt + 1) {
             self.reject_with(request, t, RejectReason::RetriesExhausted);
         } else {
             let next = attempt + 1;
             self.push_ev(
-                t + self.cfg.retry.delay_s(next),
+                t + RetryPolicy::default().delay_s(next),
                 Ev::Redispatch { request, attempt: next },
             );
         }

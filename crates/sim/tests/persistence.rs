@@ -60,7 +60,7 @@ impl TestWorld {
         let out = Simulator::new(self.graph.clone(), cache, &self.scenario, cfg)
             .with_obs(obs.clone())
             .run_to_outcome(scheme);
-        let trace = buf.lock().unwrap().clone();
+        let trace = buf.borrow().clone();
         (out, trace, obs)
     }
 }
@@ -239,8 +239,8 @@ fn checkpoint_meta_events_stay_out_of_the_canonical_trace() {
         .run_to_outcome(scheme.as_mut());
     assert!(matches!(out, RunOutcome::Finished(_)));
 
-    let canonical = canonical.lock().unwrap().clone();
-    let meta = meta.lock().unwrap().clone();
+    let canonical = canonical.borrow().clone();
+    let meta = meta.borrow().clone();
     assert!(!canonical.contains(r#""ev":"checkpoint""#), "meta leaked into canonical trace");
     assert!(meta.contains(r#""ev":"checkpoint""#), "meta sink must see checkpoints:\n{meta}");
     let _ = std::fs::remove_dir_all(&dir);

@@ -46,7 +46,7 @@ fn main() {
     println!("ridesharing benefit B = {:.2}\n", s.benefit);
 
     for (t, (id, fare)) in trips.iter().zip(&s.fares) {
-        let solo = cfg.fare.fare_for_cost(t.direct_cost_s, cfg.speed_mps);
+        let solo = cfg.fare.fare_for_cost(t.direct_cost_s);
         println!(
             "rider {id}: detour rate σ = {:.3}  solo fare {:>6.2} → shared fare {:>6.2} (saves {:>4.1}%)",
             t.detour_rate(cfg.eta),

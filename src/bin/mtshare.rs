@@ -541,7 +541,7 @@ fn simulate(args: &Args) {
     let validate_every = validate_every(args);
     let persist = persist_config(args, failpoint_plan(args));
     let chaos_on = chaos.is_some();
-    let sim_cfg = SimConfig { chaos, validate_every, persist, batch, ..SimConfig::default() };
+    let sim_cfg = SimConfig { chaos, validate_every, persist, batch };
 
     let outcome = Simulator::new(graph, cache, &scenario, sim_cfg)
         .with_obs(obs.clone())

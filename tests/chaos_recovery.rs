@@ -40,7 +40,7 @@ fn chaos_run_kind(kind: SchemeKind, chaos_seed: u64) -> (SimReport, String) {
     };
     let report =
         Simulator::new(graph, cache, &scenario, cfg).with_obs(obs.clone()).run(scheme.as_mut());
-    let trace = buf.lock().unwrap().clone();
+    let trace = buf.borrow().clone();
     (report, trace)
 }
 

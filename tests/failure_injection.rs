@@ -47,9 +47,9 @@ fn unreachable_destination_is_rejected_not_panicked() {
 
     let ctx = MobilityContext::build(&graph, &[], 1, 1, 0, PartitionStrategy::Grid);
     let mut schemes: Vec<Box<dyn DispatchScheme>> = vec![
-        Box::new(NoSharing::new(&graph, 1)),
-        Box::new(TShare::new(&graph, 1)),
-        Box::new(PGreedyDp::new(&graph, 1)),
+        Box::new(NoSharing::new(&graph, 1, 2500.0)),
+        Box::new(TShare::new(&graph, 1, 2500.0)),
+        Box::new(PGreedyDp::new(&graph, 1, 2500.0)),
         Box::new(MtShare::new(&graph, ctx, MtShareConfig::default(), 1)),
     ];
     for s in &mut schemes {
@@ -74,9 +74,9 @@ fn empty_fleet_rejects_everything() {
 
     let ctx = MobilityContext::build(&graph, &[], 4, 2, 0, PartitionStrategy::Grid);
     let mut schemes: Vec<Box<dyn DispatchScheme>> = vec![
-        Box::new(NoSharing::new(&graph, 0)),
-        Box::new(TShare::new(&graph, 0)),
-        Box::new(PGreedyDp::new(&graph, 0)),
+        Box::new(NoSharing::new(&graph, 0, 2500.0)),
+        Box::new(TShare::new(&graph, 0, 2500.0)),
+        Box::new(PGreedyDp::new(&graph, 0, 2500.0)),
         Box::new(MtShare::new(&graph, ctx, MtShareConfig::default(), 0)),
     ];
     for s in &mut schemes {
@@ -120,8 +120,8 @@ fn zero_capacity_taxi_never_assigned() {
         World { graph: &graph, cache: &cache, oracle: &oracle, taxis: &taxis, requests: &requests };
     let ctx = MobilityContext::build(&graph, &[], 4, 2, 0, PartitionStrategy::Grid);
     let mut schemes: Vec<Box<dyn DispatchScheme>> = vec![
-        Box::new(TShare::new(&graph, 1)),
-        Box::new(PGreedyDp::new(&graph, 1)),
+        Box::new(TShare::new(&graph, 1, 2500.0)),
+        Box::new(PGreedyDp::new(&graph, 1, 2500.0)),
         Box::new(MtShare::new(&graph, ctx, MtShareConfig::default(), 1)),
     ];
     for s in &mut schemes {
@@ -156,7 +156,7 @@ fn run_single_rejection(
         .run(&mut scheme);
     assert_eq!(report.served, 0);
     assert_eq!(report.rejected, 1);
-    let trace = buf.lock().unwrap().clone();
+    let trace = buf.borrow().clone();
     schema::validate_trace(&trace).expect("rejection trace must be schema-valid");
     (obs, trace)
 }
@@ -258,7 +258,7 @@ fn run_single_chaos_rejection(
         .run(&mut scheme);
     assert_eq!(report.served, 0);
     assert_eq!(report.rejected, 1);
-    let trace = buf.lock().unwrap().clone();
+    let trace = buf.borrow().clone();
     schema::validate_trace(&trace).expect("chaos rejection trace must be schema-valid");
     (obs, trace)
 }

@@ -85,7 +85,7 @@ impl World {
         )
         .with_obs(obs)
         .run_to_outcome(scheme.as_mut());
-        let trace = buf.lock().unwrap().clone();
+        let trace = buf.borrow().clone();
         (out, trace)
     }
 }
@@ -237,7 +237,7 @@ fn serve_world() -> World {
 fn build_engine(
     w: &World,
     persist: Option<PersistConfig>,
-) -> (SimEngine, Box<dyn DispatchScheme>, Obs, Arc<std::sync::Mutex<String>>) {
+) -> (SimEngine, Box<dyn DispatchScheme>, Obs, Rc<std::cell::RefCell<String>>) {
     let empty = Scenario {
         config: w.scenario.config.clone(),
         historical: w.scenario.historical.clone(),
@@ -311,7 +311,7 @@ fn drain_continues_while_wal_is_wedged_under_degrade() {
         )
         .expect("baseline serve"),
     );
-    let base_trace = base_buf.lock().unwrap().clone();
+    let base_trace = base_buf.borrow().clone();
 
     // Wedge the WAL mid-drain: ENOSPC on the append of a step squarely
     // inside the drain phase, degrade policy. The drain must complete
@@ -337,7 +337,7 @@ fn drain_continues_while_wal_is_wedged_under_degrade() {
         )
         .expect("degrade serve must not error"),
     );
-    assert_eq!(buf.lock().unwrap().clone(), base_trace, "drain trace diverged under the wedge");
+    assert_eq!(buf.borrow().clone(), base_trace, "drain trace diverged under the wedge");
     assert_eq!(report.served, base_report.served);
     assert_eq!(report.rejected, base_report.rejected);
     assert!(quarantine_of(&dir).exists(), "wedged WAL generation must be quarantined");

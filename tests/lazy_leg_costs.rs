@@ -113,7 +113,7 @@ fn run(graph: &Arc<RoadNetwork>, backend: RouterBackend, kind: SchemeKind) -> Ru
     let report = sim.run(&mut scheme);
     let after = cache.stats();
     assert!(scheme.dispatches > 0, "scenario must exercise the dispatcher");
-    let trace = buf.lock().unwrap().clone();
+    let trace = buf.borrow().clone();
     Run {
         trace,
         served: report.served,

@@ -17,7 +17,7 @@ fn observed_run(kind: SchemeKind, cfg: ScenarioConfig) -> (SimReport, Obs, Strin
     let (sink, buf) = MemorySink::new();
     obs.add_sink(Box::new(sink));
     let report = run_with(kind, cfg, obs.clone());
-    let trace = buf.lock().unwrap().clone();
+    let trace = buf.borrow().clone();
     (report, obs, trace)
 }
 

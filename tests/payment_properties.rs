@@ -49,7 +49,7 @@ proptest! {
         // No rider pays more than their solo fare; no rider is charged a
         // negative fare (the clamp documented in `settle_episode`).
         for (t, (_, fare)) in trips.iter().zip(&s.fares) {
-            let solo = cfg.fare.fare_for_cost(t.direct_cost_s, cfg.speed_mps);
+            let solo = cfg.fare.fare_for_cost(t.direct_cost_s);
             prop_assert!(*fare <= solo + 1e-9, "fare {fare} > solo {solo}");
             prop_assert!(*fare >= 0.0);
         }
@@ -60,7 +60,7 @@ proptest! {
             prop_assert!(s.driver_income > s.shared_route_fare - 1e-9);
             let solo_total: f64 = trips
                 .iter()
-                .map(|t| cfg.fare.fare_for_cost(t.direct_cost_s, cfg.speed_mps))
+                .map(|t| cfg.fare.fare_for_cost(t.direct_cost_s))
                 .sum();
             prop_assert!(total < solo_total);
         }

@@ -92,7 +92,7 @@ fn payment_regression_case_settles_cleanly() {
     assert!((total - s.driver_income).abs() < 1e-6);
     assert!(s.driver_income >= s.no_share_total - cfg.beta * s.benefit - 1e-6);
     for (t, (_, fare)) in trips.iter().zip(&s.fares) {
-        let solo = cfg.fare.fare_for_cost(t.direct_cost_s, cfg.speed_mps);
+        let solo = cfg.fare.fare_for_cost(t.direct_cost_s);
         assert!(*fare <= solo + 1e-9, "fare {fare} > solo {solo}");
         assert!(*fare >= 0.0, "negative fare {fare}");
     }
