@@ -2,7 +2,8 @@
 //!
 //! - [`context`]: precomputed mobility artifacts (bipartite partitions,
 //!   landmark graph, transition statistics);
-//! - [`index`]: the dual taxi indexes (partition lists + mobility clusters);
+//! - [`index`]: the dual taxi indexes (partition and mobility-cluster
+//!   fleet bitsets);
 //! - [`candidates`]: candidate taxi searching (Eq. 2–3 + refinement rules);
 //! - [`scheduling`]: insertion-based taxi scheduling (Algorithm 1);
 //! - [`filter`]: partition filtering (Algorithm 2);

@@ -1,20 +1,22 @@
 //! [`Persist`] impls for the dual mT-Share taxi indexes.
 //!
-//! Both indexes are *history-dependent*: partition lists keep stable
-//! insertion order among equal arrival times, and mobility-cluster slots
-//! (plus the clusterer's recycled free list) depend on the exact
-//! insert/remove sequence. That history leaks into candidate-set
-//! composition and therefore into dispatch decisions, so a warm restart
-//! snapshots the indexes faithfully instead of re-running `install` —
-//! a rebuilt index could order candidates differently and diverge from
-//! the uninterrupted run at the first post-resume dispatch.
+//! The partition index is a function of each taxi's last update, but the
+//! mobility-cluster index is *history-dependent*: its slots (plus the
+//! clusterer's recycled free list) depend on the exact insert/remove
+//! sequence. Slot history decides which taxis a later vector joins, so it
+//! leaks into candidate-set composition and therefore into dispatch
+//! decisions. A warm restart therefore snapshots the indexes faithfully
+//! instead of re-running `install`, which could cluster differently and
+//! diverge from the uninterrupted run at the first post-resume dispatch.
 //!
-//! Decoding validates cross-structure invariants (a taxi appears in
-//! `lists[p]` iff `p` is in its partition set; cluster member lists agree
-//! with the clusterer's per-slot counts) so corrupted snapshot payloads
-//! are rejected rather than mis-restored.
+//! Only the per-taxi state is encoded: partition entries, cluster entries
+//! and seat counts. Every bitset is rebuilt from it on decode. Decoding
+//! validates cross-structure invariants (partitions in range and once per
+//! taxi; every registered taxi in a live slot; slot popcounts equal to the
+//! clusterer's per-slot counts; seats only on registered taxis) so
+//! corrupted snapshot payloads are rejected rather than mis-restored.
 
-use crate::index::{MobilityClusterIndex, PartitionTaxiIndex};
+use crate::index::{MobilityClusterIndex, PartitionTaxiIndex, TaxiSet};
 use crate::payment::PassengerTrip;
 use mtshare_mobility::{ClusterId, MobilityClusterer, MobilityVector};
 use mtshare_model::{RequestId, TaxiId, Time};
@@ -37,13 +39,10 @@ impl Persist for PassengerTrip {
 
 impl Persist for PartitionTaxiIndex {
     fn encode(&self, enc: &mut Encoder) {
-        enc.usize(self.lists.len());
-        for list in &self.lists {
-            enc.seq(list);
-        }
-        enc.usize(self.taxi_partitions.len());
-        for ps in &self.taxi_partitions {
-            enc.seq(ps);
+        enc.usize(self.sets.len());
+        enc.usize(self.entries.len());
+        for e in &self.entries {
+            enc.seq(e);
         }
     }
 
@@ -52,104 +51,77 @@ impl Persist for PartitionTaxiIndex {
         if kappa > u16::MAX as usize + 1 {
             return Err(DecodeError::Invalid("partition count exceeds u16 id space"));
         }
-        let mut lists: Vec<Vec<(Time, TaxiId)>> = Vec::with_capacity(kappa.min(1 << 16));
-        for _ in 0..kappa {
-            let list: Vec<(Time, TaxiId)> = dec.seq()?;
-            if !list.windows(2).all(|w| w[0].0 <= w[1].0) {
-                return Err(DecodeError::Invalid("partition list not arrival-sorted"));
-            }
-            lists.push(list);
-        }
         let n_taxis = dec.usize()?;
-        let mut taxi_partitions: Vec<Vec<u16>> = Vec::with_capacity(n_taxis.min(1 << 20));
+        let mut entries: Vec<Vec<(u16, Time)>> = Vec::with_capacity(n_taxis.min(1 << 20));
         for _ in 0..n_taxis {
-            let ps: Vec<u16> = dec.seq()?;
-            if ps.iter().any(|&p| p as usize >= kappa) {
-                return Err(DecodeError::Invalid("taxi indexed in out-of-range partition"));
-            }
-            let mut sorted = ps.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            if sorted.len() != ps.len() {
-                return Err(DecodeError::Invalid("duplicate partition in taxi's partition set"));
-            }
-            taxi_partitions.push(ps);
+            entries.push(dec.seq()?);
         }
-
-        // Cross-consistency: a taxi has an entry in `lists[p]` iff `p` is
-        // in its partition set, exactly once each way.
-        let list_entries: usize = lists.iter().map(|l| l.len()).sum();
-        let set_entries: usize = taxi_partitions.iter().map(|ps| ps.len()).sum();
-        if list_entries != set_entries {
-            return Err(DecodeError::Invalid("partition lists and taxi sets disagree in size"));
-        }
-        for (p, list) in lists.iter().enumerate() {
-            for &(_, t) in list {
-                let ok = taxi_partitions.get(t.index()).is_some_and(|ps| ps.contains(&(p as u16)));
-                if !ok {
-                    return Err(DecodeError::Invalid("listed taxi lacks matching partition set"));
+        let mut sets = vec![TaxiSet::new(n_taxis); kappa];
+        for (i, taxi_entries) in entries.iter().enumerate() {
+            let taxi = TaxiId(i as u32);
+            for &(p, _) in taxi_entries {
+                let set = sets.get_mut(p as usize);
+                let set =
+                    set.ok_or(DecodeError::Invalid("taxi indexed in out-of-range partition"))?;
+                if set.contains(taxi) {
+                    return Err(DecodeError::Invalid("taxi indexed twice in one partition"));
                 }
+                set.insert(taxi);
             }
         }
-        Ok(PartitionTaxiIndex { lists, taxi_partitions })
+        Ok(PartitionTaxiIndex { sets, entries })
     }
 }
 
 impl Persist for MobilityClusterIndex {
     fn encode(&self, enc: &mut Encoder) {
         self.clusterer.encode(enc);
-        enc.usize(self.members.len());
-        for m in &self.members {
-            enc.seq(m);
-        }
         enc.usize(self.taxi_entry.len());
         for e in &self.taxi_entry {
             e.encode(enc);
         }
+        enc.seq(&self.seats);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let clusterer = MobilityClusterer::decode(dec)?;
-        let n_members = dec.usize()?;
-        let mut members: Vec<Vec<TaxiId>> = Vec::with_capacity(n_members.min(1 << 20));
-        for _ in 0..n_members {
-            members.push(dec.seq()?);
-        }
         let n_taxis = dec.usize()?;
         let mut taxi_entry: Vec<Option<(ClusterId, MobilityVector)>> =
             Vec::with_capacity(n_taxis.min(1 << 20));
         for _ in 0..n_taxis {
             taxi_entry.push(Option::<(ClusterId, MobilityVector)>::decode(dec)?);
         }
+        let seats: Vec<u32> = dec.seq()?;
+        if seats.len() != n_taxis {
+            return Err(DecodeError::Invalid("seat counts disagree with fleet size"));
+        }
 
-        // Cross-consistency: every registered taxi sits in exactly the
-        // member list of its cluster, and member lists agree with the
-        // clusterer's per-slot counts.
+        // Cross-consistency: every registered taxi sits in a live slot,
+        // each slot holds exactly the clusterer's count of taxis, and only
+        // registered taxis hold seats.
+        let mut sets = vec![TaxiSet::new(n_taxis); clusterer.slot_count()];
+        let mut busy = TaxiSet::new(n_taxis);
         for (i, entry) in taxi_entry.iter().enumerate() {
-            if let Some((c, _)) = entry {
-                let hits = members
-                    .get(c.index())
-                    .map_or(0, |m| m.iter().filter(|&&t| t.index() == i).count());
-                if hits != 1 {
-                    return Err(DecodeError::Invalid("taxi not in its cluster's member list"));
+            let taxi = TaxiId(i as u32);
+            match entry {
+                Some((c, _)) => {
+                    let set = sets.get_mut(c.index());
+                    set.ok_or(DecodeError::Invalid("taxi registered in a missing slot"))?
+                        .insert(taxi);
+                    busy.insert(taxi);
                 }
+                None if seats[i] != 0 => {
+                    return Err(DecodeError::Invalid("seats held by an unregistered taxi"));
+                }
+                None => {}
             }
         }
-        for (ci, m) in members.iter().enumerate() {
-            let id = ClusterId(ci as u32);
-            if m.len() != clusterer.member_count(id) as usize {
-                return Err(DecodeError::Invalid("member list disagrees with clusterer count"));
-            }
-            for &t in m {
-                let ok = taxi_entry
-                    .get(t.index())
-                    .is_some_and(|e| e.as_ref().is_some_and(|(c, _)| c.index() == ci));
-                if !ok {
-                    return Err(DecodeError::Invalid("member taxi lacks matching entry"));
-                }
+        for (c, set) in sets.iter().enumerate() {
+            if set.count() != clusterer.member_count(ClusterId(c as u32)) as usize {
+                return Err(DecodeError::Invalid("slot members disagree with clusterer count"));
             }
         }
-        Ok(MobilityClusterIndex { clusterer, members, taxi_entry })
+        Ok(MobilityClusterIndex { clusterer, sets, busy, taxi_entry, seats })
     }
 }
 
@@ -223,35 +195,33 @@ mod tests {
         assert_eq!(back.indexed_taxis(), idx.indexed_taxis());
         for p in 0..ctx.kappa() {
             let p = mtshare_mobility::PartitionId(p as u16);
-            assert_eq!(back.taxis_in(p), idx.taxis_in(p));
+            assert_eq!(back.partition_set(p), idx.partition_set(p));
         }
+        assert_eq!(back.memory_bytes(), idx.memory_bytes());
     }
 
     #[test]
     fn partition_index_rejects_inconsistent_payloads() {
-        // A list entry whose taxi does not record the partition.
+        // A taxi indexed twice in one partition.
         let mut enc = Encoder::new();
         enc.usize(1); // kappa = 1
-        enc.seq(&[(5.0f64, mtshare_model::TaxiId(0))]);
         enc.usize(1); // one taxi...
-        enc.seq::<u16>(&[]); // ...with an empty partition set
-        assert!(PartitionTaxiIndex::from_bytes(&enc.into_bytes()).is_err());
-
-        // Unsorted arrival list.
-        let mut enc = Encoder::new();
-        enc.usize(1);
-        enc.seq(&[(5.0f64, mtshare_model::TaxiId(0)), (1.0f64, mtshare_model::TaxiId(0))]);
-        enc.usize(1);
-        enc.seq::<u16>(&[0, 0]);
+        enc.seq(&[(0u16, 5.0f64), (0u16, 1.0f64)]); // ...listed in partition 0 twice
         assert!(PartitionTaxiIndex::from_bytes(&enc.into_bytes()).is_err());
 
         // Out-of-range partition id.
         let mut enc = Encoder::new();
         enc.usize(1);
-        enc.seq::<(f64, mtshare_model::TaxiId)>(&[]);
         enc.usize(1);
-        enc.seq::<u16>(&[7]);
+        enc.seq(&[(7u16, 5.0f64)]);
         assert!(PartitionTaxiIndex::from_bytes(&enc.into_bytes()).is_err());
+
+        // The same taxi in range decodes.
+        let mut enc = Encoder::new();
+        enc.usize(1);
+        enc.usize(1);
+        enc.seq(&[(0u16, 5.0f64)]);
+        assert!(PartitionTaxiIndex::from_bytes(&enc.into_bytes()).is_ok());
     }
 
     #[test]
@@ -283,7 +253,10 @@ mod tests {
         assert_eq!(back.indexed_taxis(), idx.indexed_taxis());
         for t in &taxis {
             assert_eq!(back.cluster_of(t.id), idx.cluster_of(t.id));
+            assert_eq!(back.seats(t.id), idx.seats(t.id));
         }
+        assert_eq!(back.busy(), idx.busy());
+        assert_eq!(back.memory_bytes(), idx.memory_bytes());
         // The recycled slot is reused identically after restore.
         let mut a = idx;
         let mut b = back;
@@ -294,16 +267,26 @@ mod tests {
     }
 
     #[test]
-    fn cluster_index_rejects_mismatched_member_lists() {
+    fn cluster_index_rejects_mismatched_slots_and_seats() {
         let (g, _) = setup();
         let mut reqs = RequestStore::new();
         reqs.push(mkreq(0, 0, 399));
-        let mut idx = MobilityClusterIndex::new(0.7, 1);
+        let mut idx = MobilityClusterIndex::new(0.7, 2);
         let mut t = Taxi::new(mtshare_model::TaxiId(0), 4, NodeId(0));
         t.assigned.push(RequestId(0));
         idx.update_taxi(&t, &g, &reqs, 0.0);
-        // Corrupt the member list: drop the taxi but keep its entry.
-        idx.members[0].clear();
+        assert!(MobilityClusterIndex::from_bytes(&idx.to_bytes()).is_ok());
+        let entry = idx.taxi_entry[0];
+        // A registered taxi the clusterer does not count.
+        idx.taxi_entry[1] = entry;
+        assert!(MobilityClusterIndex::from_bytes(&idx.to_bytes()).is_err());
+        // A counted member that is not registered.
+        idx.taxi_entry[1] = None;
+        idx.taxi_entry[0] = None;
+        assert!(MobilityClusterIndex::from_bytes(&idx.to_bytes()).is_err());
+        // Seats held by a vacant taxi.
+        idx.taxi_entry[0] = entry;
+        idx.seats[1] = 2;
         assert!(MobilityClusterIndex::from_bytes(&idx.to_bytes()).is_err());
     }
 }

@@ -72,15 +72,18 @@ impl MtShare {
         self.mindex.update_taxi(taxi, world.graph, world.requests, now);
     }
 
+    fn candidates(&self, req: &RideRequest, now: Time, world: &World<'_>) -> Vec<TaxiId> {
+        let _span = self.obs.stage(Stage::CandidateSearch);
+        let (ctx, cfg) = (&self.ctx, &self.cfg);
+        candidate_taxis(req, now, world, ctx, cfg, &self.pindex, &self.mindex, &self.obs)
+    }
+
     /// Scores one batch-window row: the request's candidate set at the
     /// flush time `now` with the marginal insertion detour per candidate
     /// (`∞` when no deadline-feasible instance exists). Pure with respect
     /// to `(req, now, world)` — no scratch state survives the call.
     fn score_row(&mut self, req: &RideRequest, now: Time, world: &World<'_>) -> WindowRow {
-        let candidates = {
-            let _span = self.obs.stage(Stage::CandidateSearch);
-            candidate_taxis(req, now, world, &self.ctx, &self.cfg, &self.pindex, &self.mindex)
-        };
+        let candidates = self.candidates(req, now, world);
         let candidate_versions: Vec<u64> =
             candidates.iter().map(|&t| world.taxi(t).route_version).collect();
         let mut costs = Vec::with_capacity(candidates.len());
@@ -122,10 +125,7 @@ impl DispatchScheme for MtShare {
     }
 
     fn dispatch(&mut self, req: &RideRequest, now: Time, world: &World<'_>) -> DispatchOutcome {
-        let candidates = {
-            let _span = self.obs.stage(Stage::CandidateSearch);
-            candidate_taxis(req, now, world, &self.ctx, &self.cfg, &self.pindex, &self.mindex)
-        };
+        let candidates = self.candidates(req, now, world);
         let (assignment, examined, feasible) = schedule_best(
             req,
             &candidates,
@@ -199,10 +199,9 @@ impl DispatchScheme for MtShare {
     }
 
     fn snapshot_state(&self) -> Option<Vec<u8>> {
-        // Both indexes are history-dependent (insertion order among equal
-        // arrivals, recycled cluster slots) and that history steers
-        // candidate order, so a warm restart restores them byte-for-byte
-        // instead of re-running `install`.
+        // The cluster index is history-dependent (recycled slots) and that
+        // history steers candidate sets, so a warm restart restores both
+        // indexes byte-for-byte instead of re-running `install`.
         let mut enc = Encoder::new();
         self.pindex.encode(&mut enc);
         self.mindex.encode(&mut enc);

@@ -174,6 +174,12 @@ impl MobilityClusterer {
         (c.count > 0).then(|| c.general_vector())
     }
 
+    /// Number of slots, live or recycled: every id `insert` has returned
+    /// is below it.
+    pub fn slot_count(&self) -> usize {
+        self.clusters.len()
+    }
+
     /// Member count of a cluster (0 for recycled slots).
     pub fn member_count(&self, id: ClusterId) -> u32 {
         self.clusters.get(id.index()).map_or(0, |c| c.count)

@@ -68,7 +68,9 @@ use std::time::Instant;
 /// the reach bound ruled out before any DP or tree work).
 /// v14: `profiling.oracle` gained `regrows` (resident pins re-swept in
 /// full because a new holder needed them farther than they were swept).
-pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v14";
+/// v15: `profiling.counters` gained `candidate_union` (taxis in the
+/// in-range partitions' union, summed over candidate searches).
+pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v15";
 
 /// Static facts about the run, reported verbatim in the summary.
 #[derive(Debug, Clone, Default)]

@@ -166,6 +166,7 @@ pub(crate) const BLOCKS: [BlockSpec; 10] = [
     // Of the candidate taxis scored (`insertions_attempted`), some had a
     // feasible insertion and some were ruled out by the reach bound
     // before any DP or tree work (`insertions_pruned`); never both.
+    // `candidate_union` sums the taxis in range before the search's rules.
     BlockSpec {
         parts: &[(2, &[3, 4])],
         ..block(
@@ -176,6 +177,7 @@ pub(crate) const BLOCKS: [BlockSpec; 10] = [
                 "insertions_attempted",
                 "insertions_feasible",
                 "insertions_pruned",
+                "candidate_union",
             ],
         )
     },

@@ -88,18 +88,23 @@ impl StateDir {
     /// Loads the newest snapshot that validates, as `(step, payload)`.
     /// Corrupt or unreadable snapshots are skipped (newest-first), so a
     /// damaged latest checkpoint falls back to the one before it.
-    /// `Ok(None)` means no valid snapshot exists at all.
+    /// `Ok(None)` means no snapshot exists at all; when none validates but
+    /// some carry another format version, that typed
+    /// [`PersistError::UnsupportedVersion`] comes back instead.
     pub fn load_newest_valid(&self) -> Result<Option<(u64, Vec<u8>)>, PersistError> {
         let mut steps = self.snapshot_steps()?;
         steps.reverse();
+        let mut other_version = None;
         for step in steps {
             match read_snapshot_with(&self.snapshot_path(step), self.injector.as_deref()) {
                 Ok(payload) => return Ok(Some((step, payload))),
-                Err(PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(_) => continue, // corrupt: fall back to an older one
+                Err(e @ PersistError::UnsupportedVersion { .. }) => {
+                    other_version.get_or_insert(e);
+                }
+                Err(_) => continue, // missing or corrupt: fall back to an older one
             }
         }
-        Ok(None)
+        other_version.map_or(Ok(None), Err)
     }
 
     /// Quarantines this state-dir generation: renames the whole
@@ -169,6 +174,23 @@ mod tests {
         let (step, payload) = sd.load_newest_valid().unwrap().unwrap();
         assert_eq!(step, 0);
         assert_eq!(payload, b"good old");
+        let _ = fs::remove_dir_all(sd.path());
+    }
+
+    #[test]
+    fn snapshots_of_another_format_are_refused_typed_and_kept() {
+        let sd = StateDir::create(tmpdir("version")).unwrap();
+        sd.write_snapshot(0, b"old format").unwrap();
+        let p = sd.snapshot_path(0);
+        let mut bytes = fs::read(&p).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&p, &bytes).unwrap();
+        let err = sd.load_newest_valid().unwrap_err();
+        assert!(matches!(err, PersistError::UnsupportedVersion { found: 1, .. }));
+        assert_eq!(fs::read(&p).unwrap(), bytes);
+        // A snapshot this build reads still wins over the old one.
+        sd.write_snapshot(50, b"current").unwrap();
+        assert_eq!(sd.load_newest_valid().unwrap().unwrap().0, 50);
         let _ = fs::remove_dir_all(sd.path());
     }
 

@@ -27,8 +27,10 @@ use std::path::Path;
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 4] = *b"MTSN";
 
-/// Container format version written by this build.
-pub const FORMAT_VERSION: u32 = 1;
+/// Container format version written by this build. v2: the mT-Share index
+/// payload holds per-taxi partition entries and seat counts instead of
+/// arrival-sorted partition lists and cluster member lists.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header bytes before the payload.
 pub const HEADER_LEN: usize = 20;
@@ -233,6 +235,20 @@ mod tests {
             fs::write(&p, &good[..keep]).unwrap();
             assert!(read_snapshot(&p).is_err(), "truncation to {keep} bytes accepted");
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_snapshot_is_rejected() {
+        let dir = tmpdir("v1");
+        let p = dir.join("a.mtsnap");
+        write_snapshot(&p, b"payload").unwrap();
+        let mut raw = fs::read(&p).unwrap();
+        raw[4..8].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&p, &raw).unwrap();
+        let err = read_snapshot(&p).unwrap_err();
+        assert!(matches!(err, PersistError::UnsupportedVersion { found: 1, expected: 2 }));
+        assert_eq!(fs::read(&p).unwrap(), raw, "a refused snapshot is left intact");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -22,7 +22,7 @@ use mt_share::chaos::failpoint::{FailpointPlan, FailpointSpec};
 use mt_share::chaos::RetryPolicy;
 use mt_share::core::PartitionStrategy;
 use mt_share::mobility::Trip;
-use mt_share::persist::PersistError;
+use mt_share::persist::{PersistError, StateDir};
 use mt_share::road::{grid_city, io as road_io, GridCityConfig, SpatialGrid};
 use mt_share::routing::{ContractionHierarchy, CustomizableCh, PathCache, RouterBackend};
 use mt_share::serve::{
@@ -484,6 +484,7 @@ fn persist_config(
         pc.checkpoint_every = args.num("checkpoint-every", pc.checkpoint_every);
         pc.resume = args.has("resume");
         if pc.resume {
+            refuse_other_snapshot_format(dir);
             eprintln!("resuming from checkpoint state in {dir}");
         }
         pc.crash_at = args.parsed("crash-at").map(mt_share::chaos::CrashPoint::exit_at);
@@ -495,6 +496,19 @@ fn persist_config(
         }
         pc
     })
+}
+
+/// `--resume` from a state dir whose snapshots this build cannot read
+/// exits 2 and leaves the files as they are.
+fn refuse_other_snapshot_format(dir: &str) {
+    let scan = StateDir::create(dir).and_then(|d| d.load_newest_valid());
+    if let Err(PersistError::UnsupportedVersion { found, expected }) = scan {
+        eprintln!(
+            "state dir {dir}: snapshot format version {found}, this build reads v{expected}; \
+             resume with the binary that wrote it, or start afresh without --resume"
+        );
+        std::process::exit(2);
+    }
 }
 
 fn write_metrics(args: &Args, obs: &mt_share::obs::Obs) {

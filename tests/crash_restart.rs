@@ -97,3 +97,36 @@ fn batch_crash_mid_window_various_steps() {
         crash_restart_scheme(&format!("batch-step{i}"), BATCH, step);
     }
 }
+
+#[test]
+fn resume_refuses_an_older_snapshot_format() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-old-format");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let scheme = &["--scheme", "mt-share"];
+    let state = ["--state-dir", "state", "--checkpoint-every", "25", "--crash-at", "80"];
+    let crash = mtshare(&dir, scheme, &state);
+    assert_eq!(crash.status.code(), Some(42), "{}", String::from_utf8_lossy(&crash.stderr));
+
+    // Stamp every snapshot with format version 1 (bytes 4..8 of the header).
+    let mut stamped = Vec::new();
+    for entry in std::fs::read_dir(dir.join("state")).unwrap() {
+        let path = entry.unwrap().path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        if bytes.starts_with(b"MTSN") {
+            bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            stamped.push((path, bytes));
+        }
+    }
+    assert!(!stamped.is_empty(), "the crashed run left no snapshot");
+
+    let resume = mtshare(&dir, scheme, &["--state-dir", "state", "--resume"]);
+    let stderr = String::from_utf8_lossy(&resume.stderr);
+    assert_eq!(resume.status.code(), Some(2), "old format must be refused: {stderr}");
+    assert!(stderr.contains("format version 1"), "{stderr}");
+    for (path, bytes) in stamped {
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "{} was touched", path.display());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

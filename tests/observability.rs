@@ -199,7 +199,7 @@ fn summary_key_paths_are_golden() {
              candidates{{{stat}}} feasible{{{stat}}} waiting_s{{{stat}}} detour_s{{{stat}}} \
              profiling{{stages{{{stages}}} \
              counters{{filter_partitions_considered filter_partitions_kept \
-             insertions_attempted insertions_feasible insertions_pruned}} \
+             insertions_attempted insertions_feasible insertions_pruned candidate_union}} \
              path_cache{{hits misses evictions hit_ratio}} \
              oracle{{vector_hits searches pin_computes regrows evictions hit_ratio}} \
              ch{{p2p_queries bucket_sweeps bucket_sources shortcuts}} \
