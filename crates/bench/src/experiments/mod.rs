@@ -107,8 +107,6 @@ const REPRODUCTION_STATUS: &str = "\
 - Figs. 6/10 macro shape — ridesharing serves ~1.8-2.1x No-Sharing; served
   counts grow concavely with fleet under fixed demand; mT-Share ties or
   leads the sharing baselines.
-- Figs. 8/12 — detour ordering: T-Share ≲ mT-Share < pGreedyDP.
-- Figs. 9/13 — waiting: decreasing in fleet; |mT-Share − pGreedyDP| < 0.5 min.
 - Fig. 11 — mT-Share_pro responds slower than mT-Share, by the ratio in the
   fig11 note (paper 2.5-4.5x).
 - Fig. 14(b) — capacity ⇒ served, monotone (stronger than the paper's +12%).
@@ -141,6 +139,17 @@ const REPRODUCTION_STATUS: &str = "\
 - Table V / Fig. 14(a): bipartite-vs-grid and the κ optimum are nearly flat
   here; candidate search via partition-circle intersection over-covers at
   small κ, masking the paper's interior optimum.
+- Figs. 8/12 — detour ordering: the paper has T-Share smallest, mT-Share
+  a close second and pGreedyDP ≈ 2x T-Share. At 600 taxis the peak order
+  is mT-Share 1.72 < pGreedyDP 1.83 < T-Share 2.03 min (T-Share is the
+  largest from 300 taxis up); non-peak is T-Share 1.69 ≤ mT-Share 1.72 <
+  pGreedyDP 1.79 < mT-Share_pro 1.83 min. Every sharing scheme sits within
+  0.4 min of the others, nowhere near the paper's 2x spread.
+- Figs. 9/13 — waiting decreases with fleet as in the paper, but the
+  mT-Share − pGreedyDP gap has the opposite sign: at 600 taxis -0.52 min
+  in peak (3.44 vs 3.96; paper: mT-Share slightly above, gap < 0.5) and
+  -0.26 in non-peak (3.54 vs 3.80). mT-Share_pro waits 3.58 min, below
+  pGreedyDP instead of ~2 min above it.
 
 ";
 

@@ -20,22 +20,17 @@
 //! - [`retry`]: the bounded retry/backoff policy for re-dispatching
 //!   orphaned passengers — reused by `mtshare serve --supervise` as the
 //!   restart-backoff schedule.
-//! - [`invariants`]: pure world-state checks (seat accounting,
-//!   schedule/route agreement, monotone arrival times) the simulator's
-//!   `validate_world` cadence runs and reports through `mtshare-obs`.
 
 #![warn(missing_docs)]
 
 pub mod crash;
 pub mod failpoint;
-pub mod invariants;
 pub mod persist;
 pub mod plan;
 pub mod retry;
 
 pub use crash::{CrashMode, CrashPoint, CRASH_EXIT_CODE};
 pub use failpoint::{Failpoint, FailpointPlan, FailpointSpec, FeedFaultPlan};
-pub use invariants::check_taxi;
 pub use mtshare_persist::fault::{FaultInjector, IoFault, IoOp};
 pub use plan::{ChaosConfig, Disruption, DisruptionPlan, TimedDisruption};
 pub use retry::RetryPolicy;

@@ -293,7 +293,7 @@ mod tests {
         let first = &riders[0];
         let schedule = Schedule::new().with_insertion(first, 0, 1);
         let legs = [f.leg(start, first.origin), f.leg(first.origin, first.destination)];
-        let route = TimedRoute::build(start, now, &legs, &schedule);
+        let route = TimedRoute::build_on(&f.graph, start, now, &legs, &schedule);
         t.set_plan(schedule, route, now);
     }
 

@@ -432,7 +432,7 @@ mod tests {
         let leg: Path = d.path(&g, NodeId(0), NodeId(399)).unwrap();
         let s = Schedule::new().with_insertion(&r, 0, 1);
         let legs = vec![leg, Path::trivial(NodeId(399))];
-        let route = TimedRoute::build(NodeId(0), 0.0, &legs, &s);
+        let route = TimedRoute::build_on(&g, NodeId(0), 0.0, &legs, &s);
         taxi.set_plan(s, route, 0.0);
         idx.update_taxi(&taxi, &ctx, 0.0, 1e9);
         // The taxi crosses several partitions: one entry each, in route
@@ -460,7 +460,7 @@ mod tests {
         let leg = d.path(&g, NodeId(0), NodeId(399)).unwrap();
         let s = Schedule::new().with_insertion(&r, 0, 1);
         let legs = vec![leg, Path::trivial(NodeId(399))];
-        let route = TimedRoute::build(NodeId(0), 0.0, &legs, &s);
+        let route = TimedRoute::build_on(&g, NodeId(0), 0.0, &legs, &s);
         taxi.set_plan(s, route, 0.0);
         // Tiny horizon: only the current partition (and perhaps one more).
         idx.update_taxi(&taxi, &ctx, 0.0, 1.0);

@@ -165,7 +165,7 @@ mod tests {
         let leg: Path = d.path(g, NodeId(from), req.destination).unwrap();
         let s = Schedule::new().with_insertion(req, 0, 1);
         let legs = vec![leg, Path::trivial(req.destination)];
-        let route = TimedRoute::build(NodeId(from), 0.0, &legs, &s);
+        let route = TimedRoute::build_on(g, NodeId(from), 0.0, &legs, &s);
         taxi.assigned.push(req.id);
         taxi.set_plan(s, route, 0.0);
         taxi

@@ -392,7 +392,7 @@ mod tests {
             node: NodeId(19),
         });
         let leg = f.cache.path(NodeId(0), NodeId(19)).unwrap();
-        let route = TimedRoute::build(NodeId(0), 0.0, &[leg], &sched);
+        let route = TimedRoute::build_on(&f.graph, NodeId(0), 0.0, &[leg], &sched);
         taxi.set_plan(sched, route, 0.0);
         f.taxis.push(taxi);
         // A new request that would force a big detour north first.
@@ -457,7 +457,7 @@ mod tests {
         );
         let a1 = a1.unwrap();
         // Commit the plan.
-        let route = TimedRoute::build(NodeId(0), 0.0, &a1.legs, &a1.schedule);
+        let route = TimedRoute::build_on(&f.graph, NodeId(0), 0.0, &a1.legs, &a1.schedule);
         f.taxis[0].assigned.push(r1.id);
         f.taxis[0].set_plan(a1.schedule, route, 0.0);
         // Second aligned request along the way.

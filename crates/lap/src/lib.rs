@@ -219,50 +219,6 @@ pub fn solve(n_rows: usize, n_cols: usize, cost: &[f64]) -> LapSolution {
     LapSolution { row_to_col, total_cost: total, assigned, stats }
 }
 
-/// Reference solver: enumerates every injective row→column map over the
-/// finite entries and returns the (max-cardinality, then min-cost) best.
-/// Exponential — meant for cross-checking [`solve`] on small instances
-/// in tests, not for production use.
-pub fn solve_brute_force(n_rows: usize, n_cols: usize, cost: &[f64]) -> (usize, f64) {
-    assert_eq!(cost.len(), n_rows * n_cols);
-    let mut best_card = 0usize;
-    let mut best_cost = 0.0_f64;
-    let mut taken = vec![false; n_cols];
-
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        i: usize,
-        n_rows: usize,
-        n_cols: usize,
-        cost: &[f64],
-        taken: &mut [bool],
-        card: usize,
-        acc: f64,
-        best_card: &mut usize,
-        best_cost: &mut f64,
-    ) {
-        if i == n_rows {
-            if card > *best_card || (card == *best_card && acc < *best_cost) {
-                *best_card = card;
-                *best_cost = acc;
-            }
-            return;
-        }
-        // Row i left unassigned.
-        rec(i + 1, n_rows, n_cols, cost, taken, card, acc, best_card, best_cost);
-        for j in 0..n_cols {
-            let c = cost[i * n_cols + j];
-            if !taken[j] && c.is_finite() {
-                taken[j] = true;
-                rec(i + 1, n_rows, n_cols, cost, taken, card + 1, acc + c, best_card, best_cost);
-                taken[j] = false;
-            }
-        }
-    }
-    rec(0, n_rows, n_cols, cost, &mut taken, 0, 0.0, &mut best_card, &mut best_cost);
-    (best_card, best_cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,8 +5,52 @@
 //! invariant under row/column permutation, and repeat solves of the same
 //! matrix must return the identical assignment (the pinned tie-break).
 
-use mtshare_lap::{solve, solve_brute_force};
+use mtshare_lap::solve;
 use proptest::prelude::*;
+
+/// Reference solver: enumerates every injective row→column map over the
+/// finite entries and returns the (max-cardinality, then min-cost) best.
+/// Exponential — the oracle [`solve`] is checked against on small
+/// instances.
+fn solve_brute_force(n_rows: usize, n_cols: usize, cost: &[f64]) -> (usize, f64) {
+    assert_eq!(cost.len(), n_rows * n_cols);
+    let mut best_card = 0usize;
+    let mut best_cost = 0.0_f64;
+    let mut taken = vec![false; n_cols];
+
+    #[allow(clippy::too_many_arguments)]
+    fn rec(
+        i: usize,
+        n_rows: usize,
+        n_cols: usize,
+        cost: &[f64],
+        taken: &mut [bool],
+        card: usize,
+        acc: f64,
+        best_card: &mut usize,
+        best_cost: &mut f64,
+    ) {
+        if i == n_rows {
+            if card > *best_card || (card == *best_card && acc < *best_cost) {
+                *best_card = card;
+                *best_cost = acc;
+            }
+            return;
+        }
+        // Row i left unassigned.
+        rec(i + 1, n_rows, n_cols, cost, taken, card, acc, best_card, best_cost);
+        for j in 0..n_cols {
+            let c = cost[i * n_cols + j];
+            if !taken[j] && c.is_finite() {
+                taken[j] = true;
+                rec(i + 1, n_rows, n_cols, cost, taken, card + 1, acc + c, best_card, best_cost);
+                taken[j] = false;
+            }
+        }
+    }
+    rec(0, n_rows, n_cols, cost, &mut taken, 0, 0.0, &mut best_card, &mut best_cost);
+    (best_card, best_cost)
+}
 
 /// Draws a row-major matrix: entries are small integer-valued floats so
 /// cost comparisons against brute force are exact, and `inf_pct` percent

@@ -17,7 +17,6 @@ pub mod engine;
 pub mod fare;
 pub mod insertion;
 pub mod persist;
-pub mod reorder;
 pub mod request;
 pub mod route;
 pub mod schedule;
@@ -35,7 +34,6 @@ pub const TAXI_SPEED_MPS: f64 = 15.0 / 3.6;
 pub use engine::{make_engine, DpEngine, DtreeEngine, EngineStats, ScheduleEngine, SchedulerKind};
 pub use fare::FareTable;
 pub use insertion::{best_insertion, first_feasible, reaches_pickup, BestInsertion, Scored};
-pub use reorder::{best_reordering, BestReorder};
 pub use request::{RequestId, RequestStore, RideRequest};
 pub use route::TimedRoute;
 pub use schedule::{

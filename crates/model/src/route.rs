@@ -26,13 +26,14 @@ pub struct TimedRoute {
 impl TimedRoute {
     /// Builds a timed route from per-event legs with *edge-accurate* node
     /// arrival times: each hop advances the clock by its actual edge cost
-    /// (normalized so the leg total matches `leg.cost_s` exactly).
+    /// (normalized so the leg total matches `leg.cost_s` exactly). Uniform
+    /// per-hop times could show a taxi further along than physically
+    /// possible, and re-planning from there would let a rider beat the
+    /// shortest path.
     ///
-    /// Prefer this over [`TimedRoute::build`] whenever the graph is at
-    /// hand: with uniform per-hop interpolation a taxi can appear slightly
-    /// further along its route than physically possible, and re-planning
-    /// from that position would teleport it forward — letting a rider beat
-    /// the shortest path. Simulation commits must use this constructor.
+    /// `legs[i]` must run from the previous event's node (or `start_node`
+    /// for the first leg) to `schedule.events()[i].node` over arcs of
+    /// `graph`.
     pub fn build_on(
         graph: &RoadNetwork,
         start_node: NodeId,
@@ -68,43 +69,6 @@ impl TimedRoute {
                     acc += h * scale;
                     nodes.push(n);
                     arrival_s.push(t0 + acc);
-                }
-                event_node_idx.push(nodes.len() - 1);
-            }
-            expected_start = ev.node;
-        }
-        Self { nodes, arrival_s, event_node_idx }
-    }
-
-    /// Builds a timed route from per-event legs, distributing each leg's
-    /// cost uniformly across its hops. Exact at event boundaries; node
-    /// positions in between are approximate — use
-    /// [`TimedRoute::build_on`] in the simulator.
-    ///
-    /// `legs[i]` must run from the previous event's node (or `start_node`
-    /// for the first leg) to `schedule.events()[i].node`.
-    pub fn build(start_node: NodeId, start_time: Time, legs: &[Path], schedule: &Schedule) -> Self {
-        assert_eq!(legs.len(), schedule.len(), "one leg per schedule event");
-        let mut nodes = vec![start_node];
-        let mut arrival_s = vec![start_time];
-        let mut event_node_idx = Vec::with_capacity(legs.len());
-        let mut expected_start = start_node;
-        for (leg, ev) in legs.iter().zip(schedule.events()) {
-            assert_eq!(leg.start(), expected_start, "leg must start where the previous ended");
-            assert_eq!(leg.end(), ev.node, "leg must end at its event node");
-            let leg_nodes = &leg.nodes[1..];
-            if leg_nodes.is_empty() {
-                // Zero-length leg: the event happens at the current node.
-                event_node_idx.push(nodes.len() - 1);
-            } else {
-                // Distribute the leg cost proportionally to hop count; only
-                // the leg-total matters for metrics, per-hop times are used
-                // for interpolated positions.
-                let t0 = *arrival_s.last().expect("non-empty");
-                let per_hop = leg.cost_s / leg_nodes.len() as f64;
-                for (h, &n) in leg_nodes.iter().enumerate() {
-                    nodes.push(n);
-                    arrival_s.push(t0 + per_hop * (h + 1) as f64);
                 }
                 event_node_idx.push(nodes.len() - 1);
             }
@@ -151,12 +115,6 @@ impl TimedRoute {
             .zip(&self.arrival_s[lo..])
             .take_while(move |(_, &a)| a <= to + 1e-9)
             .map(|(&n, &a)| (n, a))
-    }
-
-    /// Total travel cost of the route in seconds.
-    #[inline]
-    pub fn total_cost_s(&self) -> f64 {
-        self.end_time() - self.start_time()
     }
 
     /// Stretches the hops overlapping the time window `(from, to)` whose
@@ -212,17 +170,32 @@ mod tests {
         Path { nodes: nodes.iter().map(|&n| NodeId(n)).collect(), cost_s: cost }
     }
 
+    /// Nodes 0 — 1 — … — 9 in a line, every arc 10 s: routes over it
+    /// spread each leg's cost evenly across its hops.
+    fn line() -> RoadNetwork {
+        use mtshare_road::{EdgeSpec, GeoPoint};
+        let points = (0..10).map(|i| GeoPoint::new(30.0, 104.0 + 0.001 * i as f64)).collect();
+        let arc = |a: u32, b: u32| EdgeSpec {
+            from: NodeId(a),
+            to: NodeId(b),
+            length_m: 100.0,
+            speed_kmh: 36.0,
+        };
+        let edges: Vec<EdgeSpec> = (0..9).flat_map(|a| [arc(a, a + 1), arc(a + 1, a)]).collect();
+        RoadNetwork::new(points, &edges).unwrap()
+    }
+
     #[test]
     fn build_stamps_times_and_events() {
         let r = mkreq(1, 2, 4);
         let s = Schedule::new().with_insertion(&r, 0, 1);
         let legs = vec![path(&[0, 1, 2], 20.0), path(&[2, 3, 4], 30.0)];
-        let route = TimedRoute::build(NodeId(0), 100.0, &legs, &s);
+        let route = TimedRoute::build_on(&line(), NodeId(0), 100.0, &legs, &s);
         assert_eq!(route.start_time(), 100.0);
         assert_eq!(route.end_time(), 150.0);
         assert_eq!(route.event_time(0), 120.0); // pickup at node 2
         assert_eq!(route.event_time(1), 150.0); // dropoff at node 4
-        assert_eq!(route.total_cost_s(), 50.0);
+        assert_eq!(route.end_time() - route.start_time(), 50.0);
     }
 
     #[test]
@@ -230,7 +203,7 @@ mod tests {
         let r = mkreq(1, 2, 4);
         let s = Schedule::new().with_insertion(&r, 0, 1);
         let legs = vec![path(&[0, 1, 2], 20.0), path(&[2, 3, 4], 30.0)];
-        let route = TimedRoute::build(NodeId(0), 100.0, &legs, &s);
+        let route = TimedRoute::build_on(&line(), NodeId(0), 100.0, &legs, &s);
         assert_eq!(route.position_at(99.0), NodeId(0));
         assert_eq!(route.position_at(100.0), NodeId(0));
         assert_eq!(route.position_at(110.0), NodeId(1));
@@ -245,7 +218,7 @@ mod tests {
         let r = mkreq(1, 0, 2);
         let s = Schedule::new().with_insertion(&r, 0, 1);
         let legs = vec![path(&[0], 0.0), path(&[0, 1, 2], 10.0)];
-        let route = TimedRoute::build(NodeId(0), 50.0, &legs, &s);
+        let route = TimedRoute::build_on(&line(), NodeId(0), 50.0, &legs, &s);
         assert_eq!(route.event_time(0), 50.0);
         assert_eq!(route.event_time(1), 60.0);
     }
@@ -255,7 +228,7 @@ mod tests {
         let r = mkreq(1, 2, 4);
         let s = Schedule::new().with_insertion(&r, 0, 1);
         let legs = vec![path(&[0, 1, 2], 20.0), path(&[2, 3, 4], 30.0)];
-        let route = TimedRoute::build(NodeId(0), 100.0, &legs, &s);
+        let route = TimedRoute::build_on(&line(), NodeId(0), 100.0, &legs, &s);
         let hits: Vec<_> = route.nodes_in_window(100.0, 135.0).collect();
         assert_eq!(hits, vec![(NodeId(1), 110.0), (NodeId(2), 120.0), (NodeId(3), 135.0)]);
         assert_eq!(route.nodes_in_window(150.0, 200.0).count(), 0);
@@ -266,7 +239,7 @@ mod tests {
         let r = mkreq(1, 2, 4);
         let s = Schedule::new().with_insertion(&r, 0, 1);
         let legs = vec![path(&[0, 1, 2], 20.0), path(&[2, 3, 4], 30.0)];
-        let mut route = TimedRoute::build(NodeId(0), 100.0, &legs, &s);
+        let mut route = TimedRoute::build_on(&line(), NodeId(0), 100.0, &legs, &s);
         // Double travel time through node 1 for the window (105, 125):
         // hops 0→1 and 1→2 touch the region and overlap it.
         let delay = route.stretch(105.0, 125.0, 2.0, |n| n.0 == 1);
@@ -284,7 +257,7 @@ mod tests {
         let r = mkreq(1, 2, 4);
         let s = Schedule::new().with_insertion(&r, 0, 1);
         let legs = vec![path(&[0, 1, 2], 20.0), path(&[2, 3, 4], 30.0)];
-        let mut route = TimedRoute::build(NodeId(0), 100.0, &legs, &s);
+        let mut route = TimedRoute::build_on(&line(), NodeId(0), 100.0, &legs, &s);
         let orig = route.arrival_s.clone();
         assert_eq!(route.stretch(200.0, 300.0, 3.0, |_| true), 0.0);
         assert_eq!(route.stretch(100.0, 150.0, 3.0, |_| false), 0.0);
@@ -297,6 +270,6 @@ mod tests {
         let r = mkreq(1, 2, 4);
         let s = Schedule::new().with_insertion(&r, 0, 1);
         let legs = vec![path(&[9, 2], 20.0), path(&[2, 4], 30.0)];
-        let _ = TimedRoute::build(NodeId(0), 0.0, &legs, &s);
+        let _ = TimedRoute::build_on(&line(), NodeId(0), 0.0, &legs, &s);
     }
 }

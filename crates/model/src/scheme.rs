@@ -160,9 +160,9 @@ pub trait DispatchScheme {
     fn on_taxi_removed(&mut self, _taxi: &Taxi, _world: &World<'_>) {}
 
     /// The taxis currently present in the scheme's candidate indexes, or
-    /// `None` when the scheme keeps no enumerable index. Used by the
-    /// simulator's `validate_world` checker to verify index/world
-    /// agreement (a dead taxi must never be indexed).
+    /// `None` when the scheme keeps no enumerable index. The invariant
+    /// sweep (`mtshare_sim::audit`) checks index/world agreement with it
+    /// (a dead taxi must never be indexed).
     fn indexed_taxis(&self) -> Option<Vec<TaxiId>> {
         None
     }

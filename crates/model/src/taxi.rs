@@ -191,6 +191,20 @@ mod tests {
         Path { nodes: nodes.iter().map(|&n| NodeId(n)).collect(), cost_s: cost }
     }
 
+    /// Nodes 0 — 1 — … — 4 in a line, every arc 10 s.
+    fn line() -> mtshare_road::RoadNetwork {
+        use mtshare_road::{EdgeSpec, GeoPoint, RoadNetwork};
+        let points = (0..5).map(|i| GeoPoint::new(30.0, 104.0 + 0.001 * i as f64)).collect();
+        let arc = |a: u32, b: u32| EdgeSpec {
+            from: NodeId(a),
+            to: NodeId(b),
+            length_m: 100.0,
+            speed_kmh: 36.0,
+        };
+        let edges: Vec<EdgeSpec> = (0..4).flat_map(|a| [arc(a, a + 1), arc(a + 1, a)]).collect();
+        RoadNetwork::new(points, &edges).unwrap()
+    }
+
     #[test]
     fn vacant_and_loads() {
         let reqs = store_with(vec![mkreq(0, 1, 2, 3)]);
@@ -210,7 +224,7 @@ mod tests {
         let mut t = Taxi::new(TaxiId(0), 4, NodeId(0));
         let s = Schedule::new().with_insertion(&r, 0, 1);
         let legs = vec![path(&[0, 1, 2], 20.0), path(&[2, 3, 4], 30.0)];
-        let route = TimedRoute::build(NodeId(0), 0.0, &legs, &s);
+        let route = TimedRoute::build_on(&line(), NodeId(0), 0.0, &legs, &s);
         t.assigned.push(r.id);
         t.set_plan(s, route, 0.0);
         assert_eq!(t.route_version, 1);
@@ -240,7 +254,7 @@ mod tests {
         let mut t = Taxi::new(TaxiId(0), 4, NodeId(0));
         let s = Schedule::new().with_insertion(&r, 0, 1);
         let legs = vec![path(&[0, 1, 2], 20.0), path(&[2, 3, 4], 30.0)];
-        let route = TimedRoute::build(NodeId(0), 0.0, &legs, &s);
+        let route = TimedRoute::build_on(&line(), NodeId(0), 0.0, &legs, &s);
         t.assigned.push(r.id);
         t.set_plan(s, route, 0.0);
         t.onboard.push(r2.id);

@@ -226,7 +226,8 @@ pub enum Event {
         /// Whether the attempt found a taxi.
         ok: bool,
     },
-    /// A `validate_world` check failed (healthy runs emit none).
+    /// The `--validate-every` invariant sweep found a violation (healthy
+    /// runs emit none).
     InvariantViolation {
         /// Simulation time (s).
         t: f64,

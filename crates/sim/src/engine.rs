@@ -21,6 +21,7 @@
 //! once no future ingestion could precede it, so a recorded feed
 //! replayed through the engine is byte-identical to the one-shot run.
 
+use crate::audit::AuditView;
 use crate::metrics::SimReport;
 use crate::simulator::{Simulator, StepOutcome};
 use mtshare_model::{DispatchScheme, Time};
@@ -123,6 +124,11 @@ impl SimEngine {
     /// crash-consistent and a later `--resume` continues the trace.
     pub fn sync_persistence(&mut self) {
         self.sim.sync_persistence();
+    }
+
+    /// A read-only view of the world for the [`crate::audit::Auditor`].
+    pub fn view<'a>(&'a self, scheme: &dyn DispatchScheme) -> AuditView<'a> {
+        self.sim.view(scheme)
     }
 
     /// Latest simulation time processed.

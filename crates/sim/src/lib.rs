@@ -1,6 +1,8 @@
 //! Event-driven ridesharing simulator and synthetic workload substrate
 //! (the Sec. V evaluation harness).
 //!
+//! - [`audit`]: the invariant sweep and the run auditor that re-prices
+//!   every committed leg against plain Dijkstra;
 //! - [`workload`]: hotspot-mixture demand generator standing in for the
 //!   Didi GAIA Chengdu trace;
 //! - [`scenario`]: peak / non-peak scenario presets (Sec. V-A1) and the
@@ -16,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+pub mod audit;
 pub mod engine;
 pub mod metrics;
 pub mod scenario;
@@ -25,6 +28,7 @@ pub mod telemetry;
 pub mod trace;
 pub mod workload;
 
+pub use audit::{audited_run, Auditor};
 pub use engine::{IngestEntry, SimEngine};
 pub use metrics::{Series, SimReport};
 pub use mtshare_persist::Durability;

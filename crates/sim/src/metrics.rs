@@ -22,7 +22,7 @@ pub struct ServedRecord {
 }
 
 /// Everything one simulation run reports (the rows of the Sec. V figures).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Scheme label.
     pub scheme: String,

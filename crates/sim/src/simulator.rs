@@ -8,10 +8,11 @@
 //! the encounter radius of the request origin while seats are idle
 //! (Sec. IV-C2), upon which the driver reports the request to the server.
 
+use crate::audit::{self, AuditView};
 use crate::metrics::{Series, ServedRecord, SimReport};
 use crate::scenario::Scenario;
 use crate::telemetry::classify_rejection;
-use mtshare_chaos::{check_taxi, ChaosConfig, Disruption, DisruptionPlan};
+use mtshare_chaos::{ChaosConfig, Disruption, DisruptionPlan};
 use mtshare_core::{settle_episode, PassengerTrip, PaymentConfig};
 use mtshare_model::{
     DispatchScheme, EventKind, RequestId, RequestStore, RideRequest, Taxi, TaxiId, Time,
@@ -485,7 +486,10 @@ impl Simulator {
                 // remains, or the sweep would keep the run alive
                 // forever. A finite watermark counts as pending work:
                 // the stream is still open and more can arrive.
-                self.validate_world(q.time, &*scheme);
+                for check in audit::sweep(&self.view(&*scheme)) {
+                    self.invariant_violations += 1;
+                    self.obs.emit(Event::InvariantViolation { t: q.time, check });
+                }
                 if let Some(every) = self.cfg.validate_every {
                     if !self.heap.is_empty() || t_req.is_finite() || self.watermark.is_finite() {
                         self.push_ev(q.time + every, Ev::Validate);
@@ -1045,44 +1049,16 @@ impl Simulator {
         }
     }
 
-    /// Runtime invariant sweep: per-taxi consistency (`mtshare-chaos`),
-    /// passenger conservation across the fleet, and index/world
-    /// agreement. Violations are emitted as events and counted; healthy
-    /// runs emit none.
-    fn validate_world(&mut self, t: Time, scheme: &dyn DispatchScheme) {
-        let mut violations: Vec<String> = Vec::new();
-        for taxi in &self.taxis {
-            if let Err(e) = check_taxi(taxi, &self.requests) {
-                violations.push(e);
-            }
-        }
-        // Passenger conservation: an unresolved rider sits in at most one
-        // taxi; a terminal one in none.
-        let mut holders: FxHashMap<RequestId, u32> = FxHashMap::default();
-        for taxi in &self.taxis {
-            for &r in taxi.assigned.iter().chain(&taxi.onboard) {
-                *holders.entry(r).or_insert(0) += 1;
-            }
-        }
-        for req in self.requests.iter() {
-            let n = holders.get(&req.id).copied().unwrap_or(0);
-            if n > 1 {
-                violations.push(format!("{} held by {n} taxis", req.id));
-            } else if n > 0 && self.resolved[req.id.index()] {
-                violations.push(format!("{} is terminal but still scheduled", req.id));
-            }
-        }
-        // Index/world agreement: a dead taxi must never stay searchable.
-        if let Some(indexed) = scheme.indexed_taxis() {
-            for id in indexed {
-                if !self.taxis[id.index()].alive {
-                    violations.push(format!("dead {id} still indexed"));
-                }
-            }
-        }
-        for check in violations {
-            self.invariant_violations += 1;
-            self.obs.emit(Event::InvariantViolation { t, check });
+    /// The world as the auditor reads it between steps.
+    pub(crate) fn view<'a>(&'a self, scheme: &dyn DispatchScheme) -> AuditView<'a> {
+        AuditView {
+            graph: &self.graph,
+            taxis: &self.taxis,
+            requests: &self.requests,
+            resolved: &self.resolved,
+            indexed: scheme.indexed_taxis(),
+            plan: &self.plan,
+            outcomes: self.served_online + self.served_offline + self.rejected,
         }
     }
 

@@ -11,8 +11,8 @@ use mtshare_obs::{json, MemorySink, Obs};
 use mtshare_road::{grid_city, GridCityConfig, RoadNetwork};
 use mtshare_routing::PathCache;
 use mtshare_sim::{
-    build_context, PersistConfig, RunOutcome, Scenario, ScenarioConfig, SchemeKind, SimConfig,
-    Simulator,
+    audited_run, build_context, PersistConfig, RunOutcome, Scenario, ScenarioConfig, SchemeKind,
+    SimConfig, SimReport, Simulator,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -42,6 +42,19 @@ impl TestWorld {
     fn run(&self, cfg: SimConfig) -> (RunOutcome, String) {
         let (out, trace, _) = self.run_scheme(cfg, self.scheme().as_mut());
         (out, trace)
+    }
+
+    /// [`TestWorld::run`] under the auditor: the report, the auditor's
+    /// findings and the trace.
+    fn run_audited(&self, cfg: SimConfig) -> (SimReport, Vec<String>, String) {
+        let obs = Obs::enabled();
+        let (sink, buf) = MemorySink::new();
+        obs.add_sink(Box::new(sink));
+        let cache = PathCache::new(self.graph.clone());
+        let sim = Simulator::new(self.graph.clone(), cache, &self.scenario, cfg).with_obs(obs);
+        let (report, findings) = audited_run(sim, self.scheme().as_mut());
+        let trace = buf.borrow().clone();
+        (report, findings, trace)
     }
 
     fn scheme(&self) -> Box<dyn DispatchScheme> {
@@ -103,8 +116,10 @@ fn resume_persist(dir: &Path) -> PersistConfig {
     }
 }
 
-/// Kills a run at `crash_step`, resumes it, and checks the concatenated
-/// trace (and the final report) against an uninterrupted baseline run.
+/// Kills a run at `crash_step`, resumes it under the auditor, and checks
+/// the concatenated trace (and the final report) against an uninterrupted
+/// baseline run. The audit covers the resumed steps and the whole run's
+/// accounting, across the crash boundary.
 fn crash_and_resume(world: &TestWorld, name: &str) {
     let (base_out, base_trace) = world.run(base_cfg());
     let RunOutcome::Finished(base_report) = base_out else {
@@ -122,10 +137,8 @@ fn crash_and_resume(world: &TestWorld, name: &str) {
 
     let mut cfg = base_cfg();
     cfg.persist = Some(resume_persist(&dir));
-    let (resume_out, tail) = world.run(cfg);
-    let RunOutcome::Finished(report) = resume_out else {
-        panic!("resumed run must finish");
-    };
+    let (report, findings, tail) = world.run_audited(cfg);
+    assert!(findings.is_empty(), "{name}: {findings:#?}");
 
     assert_eq!(
         format!("{head}{tail}"),

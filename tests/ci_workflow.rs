@@ -6,7 +6,8 @@
 //! does a step that names a binary, test, example, package or `tools/`
 //! script that has been deleted (or a script that lost its executable bit).
 //! The A/B tool's awk reading of BENCHMARK.json's gate is held to the file.
-//! And the program runs on one thread, so its code takes no locks.
+//! A step that arms the invariant sweep must read the count it prints. And
+//! the program runs on one thread, so its code takes no locks.
 
 use std::path::{Path, PathBuf};
 
@@ -45,6 +46,37 @@ fn packages() -> Vec<String> {
 fn workflow() -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/.github/workflows/ci.yml");
     std::fs::read_to_string(path).expect("the CI workflow is part of the repo")
+}
+
+/// Every `run:` step's script: an inline `run: cmd`, or a `run: |` block
+/// of the lines indented deeper than its key.
+fn run_blocks(text: &str) -> Vec<String> {
+    let lines: Vec<&str> = text.lines().collect();
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let mut blocks = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let key = line.trim_start().trim_start_matches("- ");
+        let Some(inline) = key.strip_prefix("run:") else { continue };
+        let body = lines[i + 1..]
+            .iter()
+            .take_while(|l| l.trim().is_empty() || indent(l) > indent(line))
+            .fold(inline.trim().trim_start_matches('|').to_string(), |b, l| b + "\n" + l);
+        blocks.push(body);
+    }
+    blocks
+}
+
+#[test]
+fn validated_runs_read_their_violation_count() {
+    // `--validate-every` only counts; the count fails nothing unless read.
+    let blocks = run_blocks(&workflow());
+    let validated: Vec<&String> =
+        blocks.iter().filter(|b| b.contains("--validate-every")).collect();
+    assert!(validated.len() >= 5, "the chaos, crash-restart and dtree steps validate");
+    for block in validated {
+        let grep = r#"grep -q "violations      0""#;
+        assert!(block.contains(grep), "`--validate-every` without `{grep}`:\n{block}");
+    }
 }
 
 #[test]

@@ -3,8 +3,8 @@
 //! arbitrary committed schedules.
 
 use mt_share::model::{
-    best_insertion, best_reordering, evaluate_schedule, reaches_pickup, EvalContext, RequestId,
-    RequestStore, RideRequest, Taxi, TaxiId, World,
+    best_insertion, evaluate_schedule, reaches_pickup, EvalContext, RequestId, RequestStore,
+    RideRequest, Taxi, TaxiId, World,
 };
 use mt_share::road::{grid_city, GridCityConfig, NodeId, RoadNetwork};
 use mt_share::routing::{HotNodeOracle, PathCache};
@@ -323,47 +323,5 @@ proptest! {
         prop_assert!(!reaches_pickup(&taxi, &req, now, |a, b| f.cache.cost(a, b)));
         prop_assert_eq!(best_insertion(&taxi, &req, now, &world, |a, b| f.cache.cost(a, b)), None);
         prop_assert_eq!(brute_force(&taxi, &req, now, &world, |a, b| f.cache.cost(a, b)), None);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The exhaustive reordering oracle never does worse than order-
-    /// preserving insertion, and whenever insertion is feasible so is
-    /// reordering (insertion orders are a subset of reorderings).
-    #[test]
-    fn reordering_dominates_insertion(
-        taxi_pos in 0u32..400,
-        existing in proptest::collection::vec((0u32..400, 0u32..400), 0..3),
-        probe in (0u32..400, 0u32..400),
-    ) {
-        let mut f = Fixture::new();
-        let mut taxi = Taxi::new(TaxiId(0), 4, NodeId(taxi_pos));
-        for &(o, d) in existing.iter() {
-            if o == d { continue; }
-            let req = f.add_request(o, d, 6.0, 0.0);
-            let m = taxi.schedule.len();
-            taxi.schedule = taxi.schedule.with_insertion(&req, m, m + 1);
-            taxi.assigned.push(req.id);
-        }
-        let (po, pd) = probe;
-        prop_assume!(po != pd);
-        let req = f.add_request(po, pd, 1.8, 0.0);
-        let world = World {
-            graph: &f.graph,
-            cache: &f.cache,
-            oracle: &f.oracle,
-            taxis: std::slice::from_ref(&taxi),
-            requests: &f.requests,
-        };
-        let ins = best_insertion(&taxi, &req, 0.0, &world, |a, b| f.cache.cost(a, b));
-        let reo = best_reordering(&taxi, &req, 0.0, &world, |a, b| f.cache.cost(a, b));
-        match (ins, reo) {
-            (Some(i), Some(r)) => prop_assert!(r.delta_s <= i.delta_s + 1e-6,
-                "reorder {} worse than insertion {}", r.delta_s, i.delta_s),
-            (Some(i), None) => prop_assert!(false, "insertion feasible ({}) but reordering not", i.delta_s),
-            _ => {}
-        }
     }
 }

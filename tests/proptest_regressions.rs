@@ -13,7 +13,8 @@ use mt_share::model::RequestId;
 use mt_share::road::{grid_city, GridCityConfig};
 use mt_share::routing::PathCache;
 use mt_share::sim::{
-    build_context, Scenario, ScenarioConfig, SchemeKind, SimConfig, Simulator, WorkloadConfig,
+    audited_run, build_context, Scenario, ScenarioConfig, SchemeKind, SimConfig, Simulator,
+    WorkloadConfig,
 };
 use std::sync::Arc;
 
@@ -129,16 +130,7 @@ fn simulation_fuzz_regression_case_upholds_invariants() {
     let scenario = Scenario::generate(graph.clone(), &cache, cfg);
     let ctx = build_context(&graph, &scenario.historical, 6, PartitionStrategy::Bipartite);
     let mut scheme = SchemeKind::MtShare.build(&graph, scenario.taxis.len(), Some(ctx), None);
-    let r = Simulator::new(graph, cache, &scenario, SimConfig::default()).run(scheme.as_mut());
-
-    assert_eq!(r.served + r.rejected, r.n_requests, "{r:?}");
-    assert_eq!(r.served, r.served_records.len());
-    for rec in &r.served_records {
-        let req = &scenario.requests[rec.request as usize];
-        assert!(rec.pickup_t >= req.release_time - 1e-6);
-        assert!(rec.dropoff_t <= req.deadline + 1e-3, "{rec:?} deadline {}", req.deadline);
-        assert!(rec.dropoff_t - rec.pickup_t >= req.direct_cost_s - 1.0);
-    }
-    assert!(r.total_passenger_fares <= r.total_solo_fares + 1e-6);
-    assert!((r.total_passenger_fares - r.total_driver_income).abs() < 1e-6);
+    let sim = Simulator::new(graph, cache, &scenario, SimConfig::default());
+    let (_, findings) = audited_run(sim, scheme.as_mut());
+    assert!(findings.is_empty(), "{findings:#?}");
 }

@@ -19,8 +19,8 @@ use mt_share::serve::{
     ServeOutcome,
 };
 use mt_share::sim::{
-    build_context, BatchConfig, PersistConfig, Scenario, ScenarioConfig, SchemeKind, SimConfig,
-    SimEngine, SimReport, Simulator, StepOutcome,
+    build_context, Auditor, BatchConfig, PersistConfig, Scenario, ScenarioConfig, SchemeKind,
+    SimConfig, SimEngine, SimReport, Simulator, StepOutcome,
 };
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
@@ -259,6 +259,55 @@ fn finished(run: &ServeRun) -> &SimReport {
 
 const LOSSLESS: AdmissionQueue = AdmissionQueue { capacity: 1024, policy: AdmissionPolicy::Block };
 
+/// Steps `engine` until it stops progressing, auditing after every step.
+fn audited_steps(
+    engine: &mut SimEngine,
+    auditor: &mut Auditor,
+    scheme: &mut dyn DispatchScheme,
+) -> StepOutcome {
+    loop {
+        match engine.step(scheme) {
+            StepOutcome::Progressed => auditor.observe(&engine.view(scheme)),
+            stop => return stop,
+        }
+    }
+}
+
+/// `serve`'s feed loop (admission, ingestion, drain) driven by hand under
+/// the auditor: the report and the auditor's findings.
+fn audited_serve(
+    w: &World,
+    feed_text: &str,
+    queue: AdmissionQueue,
+    pace: Pace,
+) -> (SimReport, Vec<String>) {
+    let (mut engine, mut scheme, _) = build_engine(w, None, None);
+    let scheme = scheme.as_mut();
+    let mut auditor = Auditor::new(&w.graph, scheme);
+    auditor.observe(&engine.view(scheme));
+    let n_nodes = w.graph.node_count() as u32;
+    let mut reader = FeedReader::new(Cursor::new(feed_text.to_string()), pace, n_nodes, 0);
+    while let Some(burst) = reader.next_burst().expect("clean feed") {
+        let admission = queue.admit_burst(burst.len());
+        for (entry, decision) in burst.into_iter().zip(admission.decisions) {
+            match decision {
+                None => engine.ingest(entry),
+                Some(reason) => engine.ingest_doomed(entry, reason),
+            };
+        }
+        assert_eq!(audited_steps(&mut engine, &mut auditor, scheme), StepOutcome::Idle);
+    }
+    for (entry, reason) in reader.leftovers().expect("clean feed") {
+        engine.ingest_doomed(entry, reason);
+    }
+    engine.close_stream();
+    assert_eq!(audited_steps(&mut engine, &mut auditor, scheme), StepOutcome::Done);
+    auditor.close(&engine.view(scheme));
+    let report = engine.finalize(scheme).expect("no persistence, no storage faults");
+    let findings = auditor.finish(&report);
+    (report, findings)
+}
+
 #[test]
 fn shed_under_burst_is_deterministic() {
     let w = world();
@@ -275,6 +324,12 @@ fn shed_under_burst_is_deterministic() {
     assert_eq!(ra.served, rb.served);
     assert_eq!(ra.rejected, rb.rejected);
     assert_eq!(ra.total_passenger_fares, rb.total_passenger_fares);
+    // The same feed under the auditor: streamed direct costs are priced
+    // like Dijkstra and every shed entry ends in exactly one terminal state.
+    let (audited, findings) = audited_serve(&w, &feed, queue, pace);
+    assert!(findings.is_empty(), "{findings:#?}");
+    assert_eq!(audited.served_records, ra.served_records);
+    assert_eq!((audited.served, audited.rejected), (ra.served, ra.rejected));
 }
 
 #[test]
