@@ -1318,13 +1318,13 @@ mod tests {
     use mtshare_chaos::TimedDisruption;
     use mtshare_obs::MemorySink;
 
-    fn tiny_city() -> (Arc<RoadNetwork>, PathCache) {
+    pub(super) fn tiny_city() -> (Arc<RoadNetwork>, PathCache) {
         let graph = Arc::new(grid_city(&GridCityConfig::tiny()).unwrap());
         let cache = PathCache::new(graph.clone());
         (graph, cache)
     }
 
-    fn chaos_request(
+    pub(super) fn chaos_request(
         id: u32,
         od: (u32, u32),
         release: f64,

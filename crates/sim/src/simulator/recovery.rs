@@ -5,9 +5,11 @@
 //! place and commits through the parent's `try_dispatch` / `arm_route`.
 
 use super::{Ev, Simulator};
+use crate::audit::TOLERANCE_S;
 use mtshare_chaos::{Disruption, RetryPolicy};
 use mtshare_model::{
-    DispatchScheme, EventKind, RequestId, RequestStore, Schedule, TaxiId, Time, TimedRoute,
+    DispatchScheme, EventKind, RequestId, RequestStore, Schedule, ScheduleEvent, TaxiId, Time,
+    TimedRoute,
 };
 use mtshare_obs::{Event, RejectReason};
 use mtshare_road::{NodeId, TrafficShiftSpec};
@@ -272,8 +274,9 @@ impl Simulator {
     }
 
     /// Replaces `taxi_id`'s plan with `schedule`, routing every leg from
-    /// its position at `now` over base costs. Returns `false` — world
-    /// untouched — when some leg cannot be routed.
+    /// its position at `now`. Returns `false` — world untouched — when some
+    /// leg cannot be routed or the new plan would make a remaining pick-up
+    /// or drop-off late against the request's current deadlines.
     fn rebuild_plan(
         &mut self,
         taxi_id: TaxiId,
@@ -294,17 +297,32 @@ impl Simulator {
                 None => return false,
             }
         }
+        let route = (!schedule.is_empty())
+            .then(|| TimedRoute::build_on(&self.graph, pos, now, &legs, &schedule));
+        if let Some(route) = &route {
+            let late = |(k, ev): (usize, &ScheduleEvent)| {
+                let req = self.requests.get(ev.request);
+                let due = match ev.kind {
+                    EventKind::Pickup => req.pickup_deadline(),
+                    EventKind::Dropoff => req.deadline,
+                };
+                route.event_time(k) > due + TOLERANCE_S
+            };
+            if schedule.events().iter().enumerate().any(late) {
+                return false;
+            }
+        }
         {
             let taxi = &mut self.taxis[i];
             taxi.location = pos;
             taxi.location_time = now;
-            if schedule.is_empty() {
-                taxi.schedule = Schedule::new();
-                taxi.route = None;
-                taxi.route_version += 1;
-            } else {
-                let route = TimedRoute::build_on(&self.graph, pos, now, &legs, &schedule);
-                taxi.set_plan(schedule, route, now);
+            match route {
+                Some(route) => taxi.set_plan(schedule, route, now),
+                None => {
+                    taxi.schedule = Schedule::new();
+                    taxi.route = None;
+                    taxi.route_version += 1;
+                }
             }
         }
         self.arm_route(taxi_id);
@@ -338,5 +356,47 @@ impl Simulator {
                 Ev::Redispatch { request, attempt: next },
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::{chaos_request, tiny_city};
+    use super::*;
+    use crate::{Scenario, ScenarioConfig, SchemeKind, SimConfig};
+    use mtshare_model::Taxi;
+
+    /// A repair is judged on costs alone, so shortest-path ties cannot
+    /// decide it: re-planning the committed plan at its own start keeps
+    /// every event time, and is refused, world untouched, exactly when the
+    /// rider's current deadline falls before the planned drop-off.
+    #[test]
+    fn a_repair_that_makes_a_rider_late_leaves_the_plan_alone() {
+        let (graph, cache) = tiny_city();
+        let direct = cache.cost(NodeId(0), NodeId(15)).unwrap();
+        let scenario = Scenario {
+            config: ScenarioConfig::peak(1),
+            historical: Vec::new(),
+            requests: vec![chaos_request(0, (0, 15), 0.0, direct, 4.0 * direct + 600.0)],
+            taxis: vec![Taxi::new(TaxiId(0), 4, NodeId(105))],
+        };
+        let mut scheme = SchemeKind::NoSharing.build(&graph, 1, None, None);
+        let mut sim = Simulator::new(graph, cache, &scenario, SimConfig::default());
+        sim.begin(scheme.as_mut());
+        while sim.taxis[0].assigned.is_empty() {
+            sim.step_once(scheme.as_mut());
+        }
+        let taxi = sim.taxis[0].clone();
+        let route = taxi.route.clone().expect("assigned taxi has a route");
+        let (now, dropoff) = (route.start_time(), route.event_time(1));
+
+        sim.requests.get_mut(RequestId(0)).deadline = dropoff - 1.0;
+        assert!(!sim.rebuild_plan(TaxiId(0), taxi.schedule.clone(), now, scheme.as_mut()));
+        assert_eq!(sim.taxis[0].route.as_ref(), Some(&route));
+        assert_eq!(sim.taxis[0].route_version, taxi.route_version);
+
+        sim.requests.get_mut(RequestId(0)).deadline = dropoff;
+        assert!(sim.rebuild_plan(TaxiId(0), taxi.schedule.clone(), now, scheme.as_mut()));
+        assert_eq!(sim.taxis[0].route.as_ref().map(|r| r.event_time(1)), Some(dropoff));
     }
 }

@@ -8,6 +8,7 @@
 //! CI runs this suite alongside a deep-fuzz pass (`PROPTEST_CASES`) whose
 //! fresh failures get folded back into the files and this list.
 
+use mt_share::chaos::ChaosConfig;
 use mt_share::core::{settle_episode, PartitionStrategy, PassengerTrip, PaymentConfig};
 use mt_share::model::RequestId;
 use mt_share::road::{grid_city, GridCityConfig};
@@ -133,4 +134,47 @@ fn simulation_fuzz_regression_case_upholds_invariants() {
     let sim = Simulator::new(graph, cache, &scenario, SimConfig::default());
     let (_, findings) = audited_run(sim, scheme.as_mut());
     assert!(findings.is_empty(), "{findings:#?}");
+}
+
+/// Replays case 534 of `simulation_fuzz`'s
+/// `seeded_disruptions_leave_every_request_in_one_terminal_state`, which
+/// only a deep pass (`PROPTEST_CASES` ≥ 535) reaches: seed 802, chaos seed
+/// 435, five cancels and two traffic shifts over 7 taxis and 26 requests
+/// under mT-Share_pro. A cancel's schedule repair once committed a plan
+/// that moved another rider's drop-off past their deadline.
+#[test]
+fn cancel_repair_case_keeps_every_deadline() {
+    let seed = 802u64;
+    let graph = Arc::new(
+        grid_city(&GridCityConfig { rows: 16, cols: 16, seed: seed % 5, ..Default::default() })
+            .unwrap(),
+    );
+    let cache = PathCache::new(graph.clone());
+    let cfg = ScenarioConfig {
+        kind: mt_share::sim::ScenarioKind::NonPeak,
+        n_taxis: 7,
+        capacity: 2 + (seed % 3) as u8,
+        rho: 1.6,
+        n_requests: 26,
+        duration_s: 1200.0,
+        offline_fraction: 0.2,
+        n_historical: 400,
+        workload: WorkloadConfig {
+            seed: seed.wrapping_mul(31),
+            min_trip_m: 400.0,
+            ..Default::default()
+        },
+        seed,
+    };
+    let scenario = Scenario::generate(graph.clone(), &cache, cfg);
+    let ctx = build_context(&graph, &scenario.historical, 6, PartitionStrategy::Bipartite);
+    let mut scheme = SchemeKind::MtSharePro.build(&graph, scenario.taxis.len(), Some(ctx), None);
+    let mut chaos = ChaosConfig::with_seed(435);
+    (chaos.breakdowns, chaos.cancellations, chaos.traffic_shifts) = (0, 5, 2);
+    let sim_cfg =
+        SimConfig { chaos: Some(chaos), validate_every: Some(90.0), ..SimConfig::default() };
+    let sim = Simulator::new(graph, cache, &scenario, sim_cfg);
+    let (r, findings) = audited_run(sim, scheme.as_mut());
+    assert!(findings.is_empty(), "{findings:#?}");
+    assert_eq!(r.invariant_violations, 0, "{r:?}");
 }
