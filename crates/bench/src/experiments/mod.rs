@@ -107,8 +107,6 @@ const REPRODUCTION_STATUS: &str = "\
 - Figs. 6/10 macro shape — ridesharing serves ~1.8-2.1x No-Sharing; served
   counts grow concavely with fleet under fixed demand; mT-Share ties or
   leads the sharing baselines.
-- Fig. 11 — mT-Share_pro responds slower than mT-Share, by the ratio in the
-  fig11 note (paper 2.5-4.5x).
 - Fig. 14(b) — capacity ⇒ served, monotone (stronger than the paper's +12%).
 - Figs. 17/18 — waiting and detour grow with ρ; served saturates.
 - Fig. 19 — ridesharing saves rider fares and raises driver income; the
@@ -136,6 +134,14 @@ const REPRODUCTION_STATUS: &str = "\
   map is route-saturated — basic routes already pass the demand corridors,
   so extra encounters are not the binding constraint. The gain appears
   weakly (+5-8%) only at the smallest fleets.
+- Fig. 11 — mT-Share_pro responds slower than mT-Share, but by far more
+  than the paper's 2.5-4.5x, and pGreedyDP answers faster than it where the
+  paper has pGreedyDP slower: at 600 taxis pro/mT-Share read 10.17 and
+  13.51 in two regenerations, pGreedyDP/pro 0.14 and 0.12 (6.92 and 0.17
+  while basic legs still ran the partition filter, which slowed mT-Share
+  alone). Every basic leg is read
+  off a pinned vector; an Alg. 4 leg filters partitions and runs up to
+  five masked, weighted searches.
 - Table V / Fig. 14(a): bipartite-vs-grid and the κ optimum are nearly flat
   here; candidate search via partition-circle intersection over-covers at
   small κ, masking the paper's interior optimum.

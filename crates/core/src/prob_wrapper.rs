@@ -72,7 +72,7 @@ impl<S: DispatchScheme> WithProbabilisticRouting<S> {
         for ev in a.schedule.events() {
             let Some(shortest) = world.oracle.cost(from, ev.node) else { return a };
             let budget = shortest * (1.0 + self.cfg.epsilon);
-            let Some(leg) = self.router.probabilistic_leg_priced(
+            let Some(leg) = self.router.probabilistic_leg_routed(
                 world.graph,
                 &self.ctx,
                 &self.cfg,
@@ -82,7 +82,6 @@ impl<S: DispatchScheme> WithProbabilisticRouting<S> {
                 ev.node,
                 dir,
                 budget,
-                Some(shortest),
             ) else {
                 return a;
             };

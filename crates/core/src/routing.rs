@@ -1,18 +1,23 @@
 //! Two-phase segment-level routing: basic (Algorithm 3) and probabilistic
 //! (Algorithm 4).
 //!
-//! Both modes route each leg on the subgraph induced by the partitions the
-//! filter (Algorithm 2) retained. Basic routing returns the shortest path;
-//! probabilistic routing biases the path through partitions with a high
-//! probability of meeting *suitable* offline requests (those travelling in
-//! the taxi's direction), trading detour for encounter probability.
+//! A basic leg is the canonical shortest path: from `from`, step to the
+//! smallest-id head of a tight arc of `to`'s backward vector on the cache's
+//! live graph — the lexicographically smallest node sequence among the
+//! shortest paths. Dispatch reads it off the vector the oracle pins for
+//! the scheduled stop ([`HotNodeOracle::path`]); anything else walks a
+//! backward sweep of its own ([`PathCache::path`]). The paper routes a
+//! basic leg inside the partitions Algorithm 2 keeps, as a speed device;
+//! every shortest path costs the same, so the filter could only choose
+//! among tied paths, and basic legs skip it (DESIGN.md, "Routes come off
+//! the same vectors").
 //!
-//! The paper routes a basic leg from its in-memory all-pairs table, and so
-//! does dispatch: the leg ends at a scheduled stop whose backward vector the
-//! oracle holds, and [`HotNodeOracle::pinned_path`] reads the route off it.
-//! The filtered search answers where that walk declines (shortest paths
-//! tie), inside a traffic-shift window and behind the public entry points;
-//! where both answer they agree, so the arm that ran never shows in a trace.
+//! Probabilistic routing filters the partitions (Algorithm 2, whose
+//! counters therefore count Algorithm 4 legs only) and biases the route
+//! through those with a high probability of meeting *suitable* offline
+//! requests (those travelling in the taxi's direction), trading detour for
+//! encounter probability, on the cache's live metric. With no biased route
+//! in budget it falls back to the basic leg.
 
 use crate::config::{
     MtShareConfig, PROB_ATTEMPTS, PROB_BIAS_WEIGHT_S, PROB_MAX_HOPS, PROB_MAX_PATHS,
@@ -24,7 +29,6 @@ use mtshare_model::World;
 use mtshare_obs::{Obs, Stage};
 use mtshare_road::{direction_cosine, NodeId, RoadNetwork};
 use mtshare_routing::{HotNodeOracle, MaskedDijkstra, NodeMask, Path, PathCache};
-use std::sync::Arc;
 
 /// Reusable per-leg router (scratch state sized to the graph).
 pub struct SegmentRouter {
@@ -46,11 +50,6 @@ pub struct SegmentRouter {
     /// Scratch: scored insertion slots, reused across `schedule_best`
     /// calls so Algorithm 1 allocates nothing per candidate.
     slots: Vec<crate::scheduling::ScoredSlot>,
-    /// Per-dispatch memo of routed basic legs: materialization attempts
-    /// within one `schedule_best` re-route identical `(from, to)` legs
-    /// (a losing candidate's schedule prefix, the pickup→drop-off leg),
-    /// and a basic leg is a pure function of its endpoints.
-    leg_memo: Vec<(NodeId, NodeId, Path)>,
 }
 
 impl SegmentRouter {
@@ -67,7 +66,6 @@ impl SegmentRouter {
             pi_prob: Vec::new(),
             paths: PartitionPaths::default(),
             slots: Vec::new(),
-            leg_memo: Vec::new(),
         }
     }
 
@@ -83,37 +81,11 @@ impl SegmentRouter {
         self.slots = slots;
     }
 
-    /// Starts a fresh per-dispatch basic-leg memo.
-    pub(crate) fn begin_leg_memo(&mut self) {
-        self.leg_memo.clear();
-    }
-
-    /// [`SegmentRouter::basic_leg`] for dispatch: priced with the oracle
-    /// cost the schedule was scored with (one read of the target's pinned
-    /// vector), routed off the same vector when it can be, and answered
-    /// from the per-dispatch memo when the same `(from, to)` leg was
-    /// already routed since the last [`SegmentRouter::begin_leg_memo`].
-    /// Only basic legs memoize: probabilistic legs consume deadline slack
-    /// statefully, so equal endpoints do not imply equal routes there.
-    pub(crate) fn basic_leg_memo(
-        &mut self,
-        world: &World<'_>,
-        ctx: &MobilityContext,
-        cfg: &MtShareConfig,
-        from: NodeId,
-        to: NodeId,
-    ) -> Option<Path> {
-        if let Some((_, _, leg)) = self.leg_memo.iter().find(|(a, b, _)| *a == from && *b == to) {
-            return Some(leg.clone());
-        }
-        let exact_cost_s = world.oracle.cost(from, to)?;
-        let leg = {
-            let _span = self.obs.stage(Stage::Routing);
-            let World { graph, cache, oracle, .. } = *world;
-            self.basic_leg_priced(graph, ctx, cfg, cache, Some(oracle), from, to, exact_cost_s)?
-        };
-        self.leg_memo.push((from, to, leg.clone()));
-        Some(leg)
+    /// [`SegmentRouter::basic_leg`] for dispatch: the leg ends at a
+    /// scheduled stop, so it is read off the stop's pinned vector.
+    pub(crate) fn dispatch_leg(&self, world: &World<'_>, from: NodeId, to: NodeId) -> Option<Path> {
+        let _span = self.obs.stage(Stage::Routing);
+        shortest_leg(world.cache, Some(world.oracle), from, to)
     }
 
     /// Attaches a telemetry bus (stage spans + filter counters).
@@ -135,69 +107,20 @@ impl SegmentRouter {
         }
     }
 
-    /// Basic routing for one leg (Algorithm 3 body): partition filter, then
-    /// Dijkstra on the induced subgraph. Falls back to the exact full-graph
-    /// shortest path when the filtered search misses the optimum; the
-    /// returned leg therefore always realizes the true shortest cost the
-    /// feasibility evaluation assumed.
+    /// Basic routing for one leg (Algorithm 3): the canonical shortest path
+    /// on the cache's live metric (module docs). Basic legs skip the
+    /// partition filter, so `graph`, `ctx` and `cfg` go unread.
     pub fn basic_leg(
         &mut self,
-        graph: &RoadNetwork,
-        ctx: &MobilityContext,
-        cfg: &MtShareConfig,
+        _graph: &RoadNetwork,
+        _ctx: &MobilityContext,
+        _cfg: &MtShareConfig,
         cache: &PathCache,
         from: NodeId,
         to: NodeId,
     ) -> Option<Path> {
         let _span = self.obs.stage(Stage::Routing);
-        let exact_cost_s = cache.cost(from, to)?;
-        self.basic_leg_priced(graph, ctx, cfg, cache, None, from, to, exact_cost_s)
-    }
-
-    /// Algorithm 3 body given the leg's exact shortest cost: no search for
-    /// it, and no stage span, so the probabilistic fallback path does not
-    /// double-count routing time. With an oracle (dispatch) a unique
-    /// shortest path is read off the target's pinned vector — but only
-    /// while `graph` is the cache's live metric: the masked search routes
-    /// on `graph`, the vectors live on the cache's (traffic-shift windows).
-    #[allow(clippy::too_many_arguments)]
-    fn basic_leg_priced(
-        &mut self,
-        graph: &RoadNetwork,
-        ctx: &MobilityContext,
-        cfg: &MtShareConfig,
-        cache: &PathCache,
-        oracle: Option<&HotNodeOracle>,
-        from: NodeId,
-        to: NodeId,
-        exact_cost: f64,
-    ) -> Option<Path> {
-        if from == to {
-            return Some(Path::trivial(from));
-        }
-        let filtered =
-            filter_partitions_observed(graph, ctx, from, to, cfg.lambda, cfg.epsilon, &self.obs);
-        let walk = oracle
-            .filter(|_| std::ptr::eq(graph, Arc::as_ptr(&cache.graph())))
-            .and_then(|o| o.pinned_path(from, to));
-        if walk.is_some() {
-            return walk;
-        }
-        Self::allow_partitions(&mut self.mask, ctx, &filtered.partitions);
-        let sub = self.masked.path_masked(graph, from, to, &self.mask);
-        match sub {
-            // Dyadic edge costs make every engine's f32 path sum exact
-            // (forward, backward and bidirectional search are proptested
-            // bit-equal in `tests/routing_properties.rs`): an optimal
-            // filtered path costs `exact_cost` to the bit and a suboptimal
-            // one at least a cost quantum more. The tolerance is slack,
-            // not a correction; the snap is a no-op kept as the contract.
-            Some(mut p) if p.cost_s <= exact_cost + 1e-3 => {
-                p.cost_s = exact_cost;
-                Some(p)
-            }
-            _ => oracle.map_or_else(|| cache.path(from, to), |o| o.path(from, to)),
-        }
+        shortest_leg(cache, None, from, to)
     }
 
     /// Probabilistic routing for one leg (Algorithm 4 body).
@@ -219,16 +142,14 @@ impl SegmentRouter {
         taxi_dir: (f64, f64),
         budget_s: f64,
     ) -> Option<Path> {
-        self.probabilistic_leg_priced(
-            graph, ctx, cfg, cache, None, from, to, taxi_dir, budget_s, None,
-        )
+        self.probabilistic_leg_routed(graph, ctx, cfg, cache, None, from, to, taxi_dir, budget_s)
     }
 
-    /// [`SegmentRouter::probabilistic_leg`] with the leg's exact shortest
-    /// cost when the caller holds it; only the basic-leg fallback needs
-    /// it, so `None` searches for it lazily.
+    /// [`SegmentRouter::probabilistic_leg`] for dispatch: with the oracle,
+    /// the search is judged against `to`'s pinned vector and the fallback
+    /// is read off it.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probabilistic_leg_priced(
+    pub(crate) fn probabilistic_leg_routed(
         &mut self,
         graph: &RoadNetwork,
         ctx: &MobilityContext,
@@ -239,7 +160,6 @@ impl SegmentRouter {
         to: NodeId,
         taxi_dir: (f64, f64),
         budget_s: f64,
-        exact_cost_s: Option<f64>,
     ) -> Option<Path> {
         if from == to {
             return Some(Path::trivial(from));
@@ -288,9 +208,10 @@ impl SegmentRouter {
             PROB_MAX_PATHS,
         );
 
-        // ③ fine-grained route over each partition path until one is within
-        // budget — judged inside the search, against the exact costs to `to`
-        // where its pinned vector is on the metric the search routes on.
+        // ③ fine-grained route over each partition path on the live metric
+        // until one is within budget — judged inside the search, against
+        // the costs to `to` its pinned vector bounds from below.
+        let live = cache.graph();
         let Self { masked, mask, weights, weighted, suitable, paths, .. } = self;
         // Vertex weight 1/ψ_c, scaled into edge-cost units so the bias steers
         // without dwarfing travel costs. A masked vertex lies in a retained
@@ -318,10 +239,10 @@ impl SegmentRouter {
                 }
                 searches += 1;
                 Self::allow_partitions(mask, ctx, corridor);
-                masked.path_within_budget(graph, from, to, mask, &mut weight, lower, budget_s)
+                masked.path_within_budget(&live, from, to, mask, &mut weight, lower, budget_s)
             })
         };
-        let biased = match oracle.filter(|_| std::ptr::eq(graph, Arc::as_ptr(&cache.graph()))) {
+        let biased = match oracle {
             Some(o) => o.with_vector(to, attempts),
             None => attempts(None),
         };
@@ -340,9 +261,22 @@ impl SegmentRouter {
             return biased;
         }
         // No valid probabilistic route: fall back to the basic leg.
-        let exact_cost_s = exact_cost_s.or_else(|| cache.cost(from, to))?;
-        self.basic_leg_priced(graph, ctx, cfg, cache, oracle, from, to, exact_cost_s)
+        shortest_leg(cache, oracle, from, to)
     }
+}
+
+/// The basic leg `from -> to`: off `to`'s pinned vector with an oracle,
+/// else the cache's walk — the same canonical path either way.
+fn shortest_leg(
+    cache: &PathCache,
+    oracle: Option<&HotNodeOracle>,
+    from: NodeId,
+    to: NodeId,
+) -> Option<Path> {
+    if from == to {
+        return Some(Path::trivial(from));
+    }
+    oracle.map_or_else(|| cache.path(from, to), |o| o.path(from, to))
 }
 
 /// Alg. 4 step ②: the simple partition paths of one leg, flat — path `i`
@@ -461,42 +395,49 @@ mod tests {
         }
     }
 
-    /// Dispatch's entry point against the public search entry point on
-    /// 500 seeded pairs with the target pinned; returns how many legs the
-    /// pinned vector routed.
-    fn memo_legs_equal_searched_legs(
+    /// Dispatch's entry point against the public one on 500 seeded pairs
+    /// with the target pinned, on the cache's live metric: the same path,
+    /// node for node and cost bit for bit, Dijkstra's cost, and every
+    /// non-trivial leg read off the pinned vector.
+    fn dispatch_legs_equal_public_legs(
         g: &Arc<RoadNetwork>,
         ctx: &MobilityContext,
         cache: &PathCache,
-    ) -> u64 {
+    ) {
         let cfg = MtShareConfig::default();
         let oracle = HotNodeOracle::over(cache.clone());
         let requests = mtshare_model::RequestStore::new();
         let world = World { graph: g, cache, oracle: &oracle, taxis: &[], requests: &requests };
-        let (mut memo, mut searched) = (SegmentRouter::new(g), SegmentRouter::new(g));
+        let (dispatch, mut public) = (SegmentRouter::new(g), SegmentRouter::new(g));
+        let live = cache.graph();
+        let mut dijkstra = mtshare_routing::Dijkstra::new(&live);
         let mut rng = SmallRng::seed_from_u64(17);
+        let mut legs = 0;
         for _ in 0..500 {
             let (from, to) = (NodeId(rng.gen_range(0..400)), NodeId(rng.gen_range(0..400)));
             oracle.pin(to);
-            memo.begin_leg_memo();
-            let got = memo.basic_leg_memo(&world, ctx, &cfg, from, to).unwrap();
-            let want = searched.basic_leg(g, ctx, &cfg, cache, from, to).unwrap();
+            let got = dispatch.dispatch_leg(&world, from, to).unwrap();
+            let want = public.basic_leg(g, ctx, &cfg, cache, from, to).unwrap();
             assert_eq!(got.nodes, want.nodes, "{from}->{to}");
             assert_eq!(got.cost_s.to_bits(), want.cost_s.to_bits(), "{from}->{to}");
+            assert_eq!(Some(got.cost_s), dijkstra.cost(&live, from, to), "{from}->{to}");
             oracle.unpin(to);
+            legs += u64::from(from != to);
         }
-        oracle.stats().path_walks
+        let stats = oracle.stats();
+        assert_eq!((stats.path_walks, stats.path_searches), (legs, 0));
     }
 
     #[test]
-    fn dispatch_legs_read_off_the_vector_equal_searched_legs() {
+    fn dispatch_legs_read_off_the_vector_equal_public_legs() {
         let (g, ctx, cache) = setup();
-        let walks = memo_legs_equal_searched_legs(&g, &ctx, &cache);
-        assert!(walks >= 450, "only {walks} of 500 legs came off the pinned vector");
+        dispatch_legs_equal_public_legs(&g, &ctx, &cache);
     }
 
+    /// Inside a cch shift window the legs follow the shifted metric, off
+    /// the same vectors.
     #[test]
-    fn inside_a_shift_window_dispatch_legs_are_searched() {
+    fn inside_a_shift_window_dispatch_legs_follow_the_live_metric() {
         use mtshare_road::{apply_traffic_shifts, TrafficShiftSpec};
         use mtshare_routing::{CustomizableCh, RouterBackend};
         let (g, ctx, _) = setup();
@@ -512,10 +453,7 @@ mod tests {
             duration_s: 1.0,
         };
         cache.recustomize(Arc::new(apply_traffic_shifts(&g, &[spec]).unwrap()));
-        // The masked search routes on `g` while the vectors hold the shifted
-        // metric: the walk may only serve the full-graph fallback.
-        let walks = memo_legs_equal_searched_legs(&g, &ctx, &cache);
-        assert!(walks < 250, "{walks} of 500 legs walked with the gate closed");
+        dispatch_legs_equal_public_legs(&g, &ctx, &cache);
     }
 
     /// The Alg. 4 memo is keyed on the travel direction: a router that has

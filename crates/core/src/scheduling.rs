@@ -106,11 +106,6 @@ pub fn schedule_best(
     // were scored in.
     slots.sort_by(|a, b| a.detour_s.total_cmp(&b.detour_s).then(a.taxi.cmp(&b.taxi)));
 
-    // Materialization attempts within one dispatch share a basic-leg memo:
-    // consecutive tries often rank the same taxi (re-routing its unchanged
-    // schedule prefix) and always share the pickup→drop-off leg, and basic
-    // legs are pure functions of (from, to).
-    router.begin_leg_memo();
     let mut assignment = None;
     for slot in slots.iter().take(MATERIALIZE_TRIES) {
         let schedule = world.taxi(slot.taxi).schedule.with_insertion(req, slot.i, slot.j);
@@ -172,11 +167,11 @@ fn materialize(
         capacity: taxi.capacity as u32,
         requests: &lookup,
     };
-    // Basic mode (Algorithm 3): every leg routed at its oracle price.
-    let basic_legs = |router: &mut SegmentRouter| {
+    // Basic mode (Algorithm 3): every leg off its stop's pinned vector.
+    let basic_legs = |router: &SegmentRouter| {
         let mut from = pos;
         let route = |ev: &mtshare_model::ScheduleEvent| {
-            let leg = router.basic_leg_memo(world, ctx, cfg, from, ev.node);
+            let leg = router.dispatch_leg(world, from, ev.node);
             from = ev.node;
             leg
         };
@@ -206,7 +201,7 @@ fn materialize(
             let available = (slack_suffix[k] - extra_used).max(0.0);
             // Cap wandering even when slack is huge.
             let budget = shortest + available.min(shortest * (1.0 + cfg.epsilon));
-            let leg = router.probabilistic_leg_priced(
+            let leg = router.probabilistic_leg_routed(
                 world.graph,
                 ctx,
                 cfg,
@@ -216,7 +211,6 @@ fn materialize(
                 ev.node,
                 taxi_dir,
                 budget,
-                Some(shortest),
             )?;
             extra_used += (leg.cost_s - shortest).max(0.0);
             from = ev.node;

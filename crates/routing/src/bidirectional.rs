@@ -1,12 +1,12 @@
-//! Bidirectional Dijkstra — the default point-to-point engine behind the
-//! shared [`PathCache`](crate::cache::PathCache).
+//! Bidirectional Dijkstra — the default cost engine behind the shared
+//! [`PathCache`](crate::cache::PathCache). It answers costs only: routes
+//! are walked down a backward sweep ([`crate::PathCache::path`]).
 //!
 //! Explores forward from the source and backward (over the reverse star)
 //! from the target, stopping when the two frontiers prove optimality. On
 //! city grids this settles roughly half the vertices plain Dijkstra does.
 
 use crate::dijkstra::HeapEntry;
-use crate::path::Path;
 use mtshare_road::{NodeId, RoadNetwork};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -16,8 +16,6 @@ use std::collections::BinaryHeap;
 pub struct BidirDijkstra {
     dist_f: Vec<f32>,
     dist_b: Vec<f32>,
-    parent_f: Vec<NodeId>,
-    parent_b: Vec<NodeId>,
     epoch_of_f: Vec<u32>,
     epoch_of_b: Vec<u32>,
     epoch: u32,
@@ -32,8 +30,6 @@ impl BidirDijkstra {
         Self {
             dist_f: vec![f32::INFINITY; n],
             dist_b: vec![f32::INFINITY; n],
-            parent_f: vec![NodeId(u32::MAX); n],
-            parent_b: vec![NodeId(u32::MAX); n],
             epoch_of_f: vec![0; n],
             epoch_of_b: vec![0; n],
             epoch: 0,
@@ -68,12 +64,12 @@ impl BidirDijkstra {
     }
 
     #[inline]
-    fn settle(&mut self, forward: bool, node: NodeId, cost: f32, parent: NodeId) -> bool {
+    fn settle(&mut self, forward: bool, node: NodeId, cost: f32) -> bool {
         let epoch = self.epoch;
-        let (epochs, dist, par) = if forward {
-            (&mut self.epoch_of_f, &mut self.dist_f, &mut self.parent_f)
+        let (epochs, dist) = if forward {
+            (&mut self.epoch_of_f, &mut self.dist_f)
         } else {
-            (&mut self.epoch_of_b, &mut self.dist_b, &mut self.parent_b)
+            (&mut self.epoch_of_b, &mut self.dist_b)
         };
         let i = node.index();
         if epochs[i] == epoch && dist[i] <= cost {
@@ -81,57 +77,21 @@ impl BidirDijkstra {
         }
         epochs[i] = epoch;
         dist[i] = cost;
-        par[i] = parent;
         true
     }
 
     /// Cost of the shortest `source -> target` path, or `None`.
     pub fn cost(&mut self, graph: &RoadNetwork, source: NodeId, target: NodeId) -> Option<f64> {
-        self.search(graph, source, target).map(|(c, _)| c)
-    }
-
-    /// Shortest path with vertex sequence, or `None`.
-    pub fn path(&mut self, graph: &RoadNetwork, source: NodeId, target: NodeId) -> Option<Path> {
-        let (cost, meet) = self.search(graph, source, target)?;
         if source == target {
-            return Some(Path::trivial(source));
-        }
-        // Forward half: source .. meet.
-        let mut nodes = Vec::new();
-        let mut cur = meet;
-        while cur != source {
-            nodes.push(cur);
-            cur = self.parent_f[cur.index()];
-        }
-        nodes.push(source);
-        nodes.reverse();
-        // Backward half: meet .. target (parents point toward target).
-        let mut cur = meet;
-        while cur != target {
-            cur = self.parent_b[cur.index()];
-            nodes.push(cur);
-        }
-        Some(Path { nodes, cost_s: cost })
-    }
-
-    /// Runs the bidirectional search, returning `(cost, meeting_node)`.
-    fn search(
-        &mut self,
-        graph: &RoadNetwork,
-        source: NodeId,
-        target: NodeId,
-    ) -> Option<(f64, NodeId)> {
-        if source == target {
-            return Some((0.0, source));
+            return Some(0.0);
         }
         self.begin();
-        self.settle(true, source, 0.0, source);
-        self.settle(false, target, 0.0, target);
+        self.settle(true, source, 0.0);
+        self.settle(false, target, 0.0);
         self.heap_f.push(Reverse(HeapEntry { cost: 0.0, node: source }));
         self.heap_b.push(Reverse(HeapEntry { cost: 0.0, node: target }));
 
         let mut best = f32::INFINITY;
-        let mut meet = None;
 
         loop {
             let top_f = self.heap_f.peek().map(|Reverse(e)| e.cost).unwrap_or(f32::INFINITY);
@@ -152,30 +112,22 @@ impl BidirDijkstra {
             if forward {
                 for (next, w) in graph.out_edges(node) {
                     let nc = cost + w;
-                    if self.settle(true, next, nc, node) {
+                    if self.settle(true, next, nc) {
                         self.heap_f.push(Reverse(HeapEntry { cost: nc, node: next }));
-                        let other = self.dist(false, next);
-                        if nc + other < best {
-                            best = nc + other;
-                            meet = Some(next);
-                        }
+                        best = best.min(nc + self.dist(false, next));
                     }
                 }
             } else {
                 for (prev, w) in graph.in_edges(node) {
                     let nc = cost + w;
-                    if self.settle(false, prev, nc, node) {
+                    if self.settle(false, prev, nc) {
                         self.heap_b.push(Reverse(HeapEntry { cost: nc, node: prev }));
-                        let other = self.dist(true, prev);
-                        if nc + other < best {
-                            best = nc + other;
-                            meet = Some(prev);
-                        }
+                        best = best.min(nc + self.dist(true, prev));
                     }
                 }
             }
         }
-        meet.map(|m| (best as f64, m))
+        best.is_finite().then_some(best as f64)
     }
 }
 
@@ -202,33 +154,10 @@ mod tests {
     }
 
     #[test]
-    fn path_walk_is_valid_and_optimal() {
-        let g = grid_city(&GridCityConfig::tiny()).unwrap();
-        let mut bi = BidirDijkstra::new(&g);
-        let mut uni = Dijkstra::new(&g);
-        let mut rng = SmallRng::seed_from_u64(4);
-        for _ in 0..20 {
-            let s = NodeId(rng.gen_range(0..g.node_count() as u32));
-            let t = NodeId(rng.gen_range(0..g.node_count() as u32));
-            let p = bi.path(&g, s, t).unwrap();
-            assert_eq!(p.start(), s);
-            assert_eq!(p.end(), t);
-            let mut total = 0.0f64;
-            for w in p.nodes.windows(2) {
-                total += g.direct_edge_cost(w[0], w[1]).expect("adjacent") as f64;
-            }
-            assert!((total - p.cost_s).abs() < 1e-2);
-            let want = uni.cost(&g, s, t).unwrap();
-            assert!((p.cost_s - want).abs() < 1e-2);
-        }
-    }
-
-    #[test]
-    fn self_path_is_trivial() {
+    fn self_cost_is_zero() {
         let g = grid_city(&GridCityConfig::tiny()).unwrap();
         let mut bi = BidirDijkstra::new(&g);
         assert_eq!(bi.cost(&g, NodeId(9), NodeId(9)), Some(0.0));
-        assert_eq!(bi.path(&g, NodeId(9), NodeId(9)).unwrap().nodes, vec![NodeId(9)]);
     }
 
     #[test]

@@ -31,18 +31,21 @@
 //! vectors cannot answer is answered — and memoized — here, by the
 //! configured backend. The simulator loop otherwise asks this cache for
 //! the routes a pinned vector cannot give ([`crate::HotNodeOracle::path`]:
-//! ties, unpinned targets), plus costs on the cold paths around dispatch
+//! unpinned targets), plus costs on the cold paths around dispatch
 //! (ingestion, rejection classification, re-dispatch). The bucket kernel
 //! behind [`PathCache::prime_many_to_one`] is kept for the benches; no
 //! dispatch path calls it (`tests/lazy_leg_costs.rs` pins the sweep count
 //! at zero).
 //!
-//! Searched paths always come from bidirectional Dijkstra, regardless of
-//! backend: when several shortest paths tie, CH unpacking and bidirectional
-//! search can legitimately pick different (equal-cost) vertex sequences,
-//! and a different committed route would change taxi trajectories and
-//! therefore trace bytes. Costs are the hot query mix; paths are only
-//! materialized when a schedule commits.
+//! Every route is the canonical one, whatever the backend: the cost, then
+//! a backward [`Sweep`] from the target out to that cost, then the walk
+//! every pinned vector takes too ([`crate::path::walk`]: the
+//! lexicographically smallest shortest path). A search's pick among tied
+//! paths depends on its settle order; the walk's depends on nothing but
+//! the metric, so a committed route — and with it every trace byte — is
+//! the same under every backend and whether or not the target is pinned.
+//! Costs are the hot query mix; paths are only materialized when a
+//! schedule commits, so the sweep is built on the first path asked for.
 //!
 //! # Re-customization
 //!
@@ -57,7 +60,8 @@
 use crate::bidirectional::BidirDijkstra;
 use crate::cch::{CchStats, CustomizableCh};
 use crate::ch::{ChStats, ContractionHierarchy};
-use crate::path::Path;
+use crate::path::{walk, Path};
+use crate::sweep::Sweep;
 use crate::upward::{UpwardBuckets, UpwardGraph, UpwardQuery};
 use mtshare_road::{NodeId, RoadNetwork};
 use rustc_hash::FxHashMap;
@@ -134,9 +138,13 @@ impl CacheStats {
 #[derive(Debug)]
 struct Memo {
     costs: FxHashMap<u64, f32>,
-    /// Answers paths under every backend, and cost misses under
-    /// [`RouterBackend::Bidir`].
+    /// Answers cost misses under [`RouterBackend::Bidir`].
     engine: BidirDijkstra,
+    /// The backward sweep paths are walked down, on the live graph: built
+    /// by the first [`PathCache::path`], rebuilt by a metric change.
+    walker: Option<Sweep>,
+    /// Its distances from the last target.
+    dist: Vec<f32>,
     stats: CacheStats,
 }
 
@@ -193,6 +201,8 @@ impl PathCache {
         let memo = Memo {
             costs: FxHashMap::default(),
             engine: BidirDijkstra::new(&graph),
+            walker: None,
+            dist: Vec::new(),
             stats: CacheStats::default(),
         };
         Self {
@@ -259,8 +269,12 @@ impl PathCache {
             "re-customization graph must share the topology"
         );
         let generation = self.customizable().map(|h| h.customize(&graph));
+        let mut memo = self.memo.borrow_mut();
+        memo.costs.clear();
+        if let Some(walker) = &mut memo.walker {
+            *walker = Sweep::backward(&graph);
+        }
         *self.live.borrow_mut() = graph;
-        self.memo.borrow_mut().costs.clear();
         generation
     }
 
@@ -331,12 +345,16 @@ impl PathCache {
         missing.len()
     }
 
-    /// Shortest path from `a` to `b` (computed fresh; its cost is memoized).
+    /// The canonical shortest path from `a` to `b` (module docs): its
+    /// [`PathCache::cost`], then a backward sweep from `b` out to that cost,
+    /// walked down from `a`. `None` when unreachable.
     pub fn path(&self, a: NodeId, b: NodeId) -> Option<Path> {
+        let cost = self.cost(a, b)?;
+        let graph = self.graph();
         let mut memo = self.memo.borrow_mut();
-        let p = memo.engine.path(&self.live.borrow(), a, b)?;
-        memo.costs.entry(Self::key(a, b)).or_insert(p.cost_s as f32);
-        Some(p)
+        let Memo { walker, dist, .. } = &mut *memo;
+        walker.get_or_insert_with(|| Sweep::backward(&graph)).run_within(b, cost as f32, dist);
+        walk(&graph, dist, a, b)
     }
 
     /// Snapshot of hit/miss/evict counters.
@@ -462,7 +480,7 @@ mod tests {
         // Plain cost misses route through the CH query path.
         assert_eq!(cached.cost(NodeId(1), NodeId(398)), bidir.cost(NodeId(1), NodeId(398)));
         assert!(cached.ch_stats().unwrap().p2p_queries > 0);
-        // Paths still come from the canonical bidirectional engine.
+        // Paths are the canonical walk under every backend.
         assert_eq!(cached.path(NodeId(1), NodeId(398)), bidir.path(NodeId(1), NodeId(398)));
     }
 

@@ -5,13 +5,16 @@
 //! query mix the system issues:
 //!
 //! - [`Sweep`]: the one one-to-all kernel, a bucket-queue sweep (fills the
-//!   oracle's pinned vectors and the landmark [`CostMatrix`]);
+//!   oracle's pinned vectors, the vector every [`PathCache::path`] walks
+//!   down, and the landmark [`CostMatrix`]);
+//! - [`Path`]: a route; every route in the program is the canonical walk
+//!   down a backward vector, the lexicographically smallest shortest path;
 //! - [`Dijkstra`]: plain point-to-point search, the tests' reference;
-//! - [`BidirDijkstra`]: point-to-point queries (the shared cache's paths,
-//!   and its cost misses under the default backend);
-//! - [`MaskedDijkstra`] + [`NodeMask`]: subgraph search for the paper's
-//!   two-phase (partition-filtered) routing, with optional vertex weights
-//!   for probabilistic routing;
+//! - [`BidirDijkstra`]: point-to-point costs (the shared cache's misses
+//!   under the default backend);
+//! - [`MaskedDijkstra`] + [`NodeMask`]: subgraph search with vertex
+//!   weights and a budget, for probabilistic routing (Algorithm 4) inside
+//!   the partitions the filter keeps;
 //! - [`ContractionHierarchy`] and [`CustomizableCh`]: preprocessed exact
 //!   hierarchies, persistable as CRC-framed artifacts (see the [`ch`] and
 //!   [`cch`] module docs). Both are searched by one kernel:

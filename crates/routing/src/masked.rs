@@ -7,10 +7,10 @@
 //! a node mask, which costs one extra branch per relaxed edge and zero
 //! allocation.
 //!
-//! One kernel, [`MaskedDijkstra::path_within_budget`], serves Algorithm 3
-//! (zero weights, no budget) and Algorithm 4 (per-vertex weights `1/ψc` that
-//! bias routes towards suitable offline requests, and a budget on the
-//! *travel* cost of the result). It returns a path exactly when the
+//! One kernel, [`MaskedDijkstra::path_within_budget`], serves Algorithm 4
+//! (per-vertex weights `1/ψc` that bias routes towards suitable offline
+//! requests, and a budget on the *travel* cost of the result);
+//! [`MaskedDijkstra::path_masked`] is its unweighted, unbounded form. It returns a path exactly when the
 //! unbounded search's path is within budget, and then that path, vertices
 //! and `cost_s` bits. The budget changes no key, relaxation or settle
 //! order; it only stops the search once every queued vertex hangs below a

@@ -24,10 +24,11 @@
 //! whose target is not pinned falls through to [`PathCache::cost`], so the
 //! cache's configured [`crate::RouterBackend`] answers it, the answer is
 //! memoized once (in the cache), and a metric change has one memo to
-//! clear. Routes go the same way: [`HotNodeOracle::path`] reads the pinned
-//! vector and falls through to [`PathCache::path`] — for an unpinned
-//! target, and wherever two shortest paths tie, because only there does
-//! the answer depend on who searches. The simulator builds its oracle over
+//! clear. Routes go the same way: [`HotNodeOracle::path`] walks the
+//! pinned vector and falls through to [`PathCache::path`] for an unpinned
+//! target, which walks a backward sweep of its own; both take the one
+//! canonical path, the lexicographically smallest shortest one
+//! ([`crate::path::walk`]). The simulator builds its oracle over
 //! its own cache handle ([`HotNodeOracle::over`]); [`HotNodeOracle::new`]
 //! wraps a private default cache for tests and benches.
 //!
@@ -68,7 +69,7 @@
 //! takes the cache path like any other unpinned pair.
 
 use crate::cache::PathCache;
-use crate::path::Path;
+use crate::path::{walk, Path};
 use crate::sweep::Sweep;
 use mtshare_road::{NodeId, RoadNetwork};
 use rustc_hash::FxHashMap;
@@ -101,7 +102,7 @@ pub struct OracleStats {
     pub evictions: u64,
     /// Routes read off a pinned vector ([`HotNodeOracle::pinned_path`]).
     pub path_walks: u64,
-    /// [`HotNodeOracle::path`] calls that fell through to the cache's search.
+    /// [`HotNodeOracle::path`] calls that fell through to [`PathCache::path`].
     pub path_searches: u64,
 }
 
@@ -234,46 +235,28 @@ impl HotNodeOracle {
         self.cache.cost(a, b)
     }
 
-    /// The shortest path `a -> b` read off `b`'s pinned vector `d`: from
-    /// `a`, follow the arc `(x, y)` of the cache's live graph with
-    /// `w(x, y) + d[y] == d[x]` (exact on dyadic costs) until `b`. Arc
-    /// costs are positive, so `d` falls at every step and the walk ends.
-    ///
-    /// `None` when `b` is not pinned, `a` cannot reach it (`∞ == ∞` would
-    /// make every arc look tight) or lies past `covered` (a lower bound
-    /// is no distance to walk down), or a vertex on the way has two tight
-    /// heads (parallel arcs to one head count once): shortest paths tie
-    /// and a search's pick depends on its settle order. Otherwise the
-    /// shortest path is unique and this is what [`PathCache::path`] finds.
+    /// The canonical shortest path `a -> b` ([`walk`]) read off `b`'s
+    /// pinned vector on the cache's live graph. `None` when `b` is not
+    /// pinned, `a` cannot reach it, or `a` lies past the pin's `covered` (a
+    /// lower bound is no distance to walk down); otherwise what
+    /// [`PathCache::path`] returns.
     pub fn pinned_path(&self, a: NodeId, b: NodeId) -> Option<Path> {
         let pinned = self.pinned.borrow();
         let PinnedEntry { covered, bwd: d, .. } = pinned.get(&b.0)?;
         // Every vertex the walk enters is nearer `b` than `a`, so exact too,
         // and an entry past `covered` exceeds every exact one: it is never tight.
-        if !(d[a.index()].is_finite() && d[a.index()] <= *covered) {
+        if d[a.index()] > *covered {
             return None;
         }
-        let graph = self.cache.graph();
-        let mut nodes = vec![a];
-        let mut x = a;
-        while x != b {
-            let mut head = None;
-            for (y, w) in graph.out_edges(x) {
-                if w + d[y.index()] == d[x.index()] && head.replace(y).is_some_and(|h| h != y) {
-                    return None;
-                }
-            }
-            x = head?;
-            nodes.push(x);
-        }
+        let path = walk(&self.cache.graph(), d, a, b)?;
         bump(&self.stats.path_walks, 1);
-        Some(Path { nodes, cost_s: d[a.index()] as f64 })
+        Some(path)
     }
 
     /// Shortest path `a -> b`, `None` if unreachable: the route
     /// counterpart of [`HotNodeOracle::cost`] — [`Self::pinned_path`], else
-    /// the shared cache's search. Both return the same path whenever the
-    /// first returns one, so the answer is a function of `(a, b)` alone.
+    /// [`PathCache::path`]. Both walk the same canonical path, so the
+    /// answer is a function of `(a, b)` alone.
     pub fn path(&self, a: NodeId, b: NodeId) -> Option<Path> {
         self.pinned_path(a, b).or_else(|| {
             bump(&self.stats.path_searches, 1);

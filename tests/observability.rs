@@ -108,8 +108,8 @@ fn summary_reports_stage_quantiles_and_cache_rates() {
     let rej = v.get("rejections").unwrap();
     assert_eq!(rej.get("total").and_then(|n| n.as_num()), Some(report.rejected as f64));
 
-    // The partition filter and insertion DP recorded work.
-    assert!(obs.counter("counters", "filter_partitions_considered") > 0);
+    // The insertion DP recorded work (the partition filter is Alg. 4's:
+    // `alg4_block_appears_only_when_probabilistic_routing_ran`).
     assert!(obs.counter("counters", "insertions_attempted") > 0);
 }
 
@@ -158,16 +158,20 @@ fn alg4_block_appears_only_when_probabilistic_routing_ran() {
     assert!(n("legs") > 0.0 && n("searches") > 0.0 && n("accepted") > 0.0, "{summary}");
     assert_eq!(n("corridors"), n("unreachable") + n("searches"));
     assert_eq!(n("legs"), n("accepted") + n("fallbacks"));
+    // Alg. 2 filters the partitions of Alg. 4 legs and of nothing else.
+    assert!(obs.counter("counters", "filter_partitions_considered") > 0);
     // Counting the corridors does not move a route.
     let plain = run_with(SchemeKind::MtSharePro, cfg, Obs::disabled());
     assert_eq!(plain.served_records, report.served_records);
     assert_eq!(plain.total_driver_income, report.total_driver_income);
-    // Plain mT-Share never runs Alg. 4: no block, not a block of zeros.
+    // Plain mT-Share never runs Alg. 4: no block, not a block of zeros,
+    // and no partition filter.
     let (_, obs, _) = observed_run(SchemeKind::MtShare, ScenarioConfig::nonpeak(12));
     let summary = obs.summary_json().expect("enabled");
     schema::validate_summary(&summary).expect("schema-valid summary");
     assert_eq!(field(&summary, "legs"), None, "{summary}");
     assert!(!summary.contains("alg4"), "{summary}");
+    assert_eq!(obs.counter("counters", "filter_partitions_considered"), 0);
 }
 
 /// Every key of `v` in document order, objects as `key{...}`.

@@ -4,8 +4,9 @@
 //! sweeps in both directions, bidirectional search) agree bit for bit with
 //! plain Dijkstra on every metric, pins follow the metric through
 //! re-customization, the contraction hierarchy is exact on the large
-//! seed-7 grids where same-round cost ties occur, and a route read off a
-//! pinned vector is the route the shared cache searches for.
+//! seed-7 grids where same-round cost ties occur, and every route — read
+//! off a pinned vector or walked by the shared cache — is the
+//! lexicographically smallest shortest path.
 
 use mt_share::road::{
     apply_traffic_shifts, grid_city, ring_radial_city, EdgeSpec, GeoPoint, GridCityConfig, NodeId,
@@ -120,49 +121,100 @@ fn assert_pinned_vector_is_exact_on(
     }
 }
 
-/// With `b` pinned, `oracle.path(a, b)` is `cache.path(a, b)` node for node
-/// and cost bit for bit. Returns whether the vector alone answered.
-fn assert_walk_is_the_search(
-    oracle: &HotNodeOracle,
-    cache: &PathCache,
-    a: NodeId,
-    b: NodeId,
-) -> bool {
-    let want = cache.path(a, b).expect("strongly connected");
-    let got = oracle.path(a, b).expect("strongly connected");
-    assert_eq!(got.nodes, want.nodes, "{a}->{b}");
-    assert_eq!(got.cost_s.to_bits(), want.cost_s.to_bits(), "{a}->{b}");
-    let walked = oracle.pinned_path(a, b);
-    assert!(walked.iter().all(|p| *p == want), "{a}->{b}");
-    walked.is_some()
+/// Every shortest path `a -> b` on `graph`, by exhaustive search over the
+/// arcs Bellman–Ford's distances to `b` call tight (exact: costs are
+/// dyadic), so it shares no code with the routing engines.
+fn all_shortest_paths(graph: &RoadNetwork, a: NodeId, b: NodeId) -> Vec<Vec<NodeId>> {
+    let mut to_b = vec![f64::INFINITY; graph.node_count()];
+    to_b[b.index()] = 0.0;
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for x in graph.nodes() {
+            for (y, w) in graph.out_edges(x) {
+                if f64::from(w) + to_b[y.index()] < to_b[x.index()] {
+                    to_b[x.index()] = f64::from(w) + to_b[y.index()];
+                    changed = true;
+                }
+            }
+        }
+    }
+    let mut paths = Vec::new();
+    let mut stack = vec![vec![a]];
+    while let Some(path) = stack.pop() {
+        let x = *path.last().unwrap();
+        if x == b {
+            paths.push(path);
+            continue;
+        }
+        for (y, w) in graph.out_edges(x) {
+            if to_b[x.index()].is_finite() && f64::from(w) + to_b[y.index()] == to_b[x.index()] {
+                let mut next = path.clone();
+                next.push(y);
+                stack.push(next);
+            }
+        }
+    }
+    paths
 }
 
-/// Unique shortest paths are the rule on the jittered cities (the walk
-/// answers) and the exception on the lattice (it gives up at the first tie
-/// and the search answers); the oracle counts which arm ran.
+/// With `b` pinned on the oracle's live `graph`: `pinned_path`,
+/// `HotNodeOracle::path` and `PathCache::path` all return the
+/// lexicographically smallest of all shortest paths, at Dijkstra's cost.
+/// Returns how many shortest paths there are.
+fn assert_canonical_route(
+    oracle: &HotNodeOracle,
+    cache: &PathCache,
+    graph: &RoadNetwork,
+    a: NodeId,
+    b: NodeId,
+) -> usize {
+    let all = all_shortest_paths(graph, a, b);
+    let want = all.iter().min().expect("strongly connected");
+    let cost = Dijkstra::new(graph).cost(graph, a, b).expect("strongly connected");
+    for (who, got) in [
+        ("pinned", oracle.pinned_path(a, b)),
+        ("oracle", oracle.path(a, b)),
+        ("cache", cache.path(a, b)),
+    ] {
+        let got = got.unwrap_or_else(|| panic!("{who} {a}->{b}: no path"));
+        assert_eq!(&got.nodes, want, "{who} {a}->{b} of {} shortest paths", all.len());
+        assert_eq!(got.cost_s.to_bits(), cost.to_bits(), "{who} {a}->{b}");
+    }
+    all.len()
+}
+
+/// On the jittered grid and ring-radial cities and the all-ties lattice,
+/// before and after a traffic shift re-customizes the cache and re-targets
+/// the pins, every route is the smallest shortest path and every pinned
+/// target's route is read off its vector.
 #[test]
-fn pinned_path_walks_jittered_cities_and_gives_up_on_lattice_ties() {
+fn every_route_is_the_smallest_shortest_path_before_and_after_a_shift() {
     for kind in 0..3 {
         let g = Arc::new(walk_city(kind, 7));
         let n = g.node_count() as u32;
+        let shifted = Arc::new(on_metric((*g).clone(), 1, n / 3, 900.0, 3.0));
         let cache = PathCache::new(g.clone());
-        let oracle = HotNodeOracle::over(cache.clone());
-        let (mut pairs, mut walked) = (0u64, 0u64);
-        for b in (0..n).step_by(7) {
-            oracle.pin(NodeId(b));
-            for a in (0..n).step_by(5).filter(|&a| a != b) {
-                pairs += 1;
-                walked +=
-                    u64::from(assert_walk_is_the_search(&oracle, &cache, NodeId(a), NodeId(b)));
+        let mut oracle = HotNodeOracle::over(cache.clone());
+        let targets: Vec<NodeId> = (0..n).step_by(17).map(NodeId).collect();
+        targets.iter().for_each(|&b| oracle.pin(b));
+        let (mut pairs, mut tied) = (0u64, 0u64);
+        for graph in [&g, &shifted] {
+            if Arc::ptr_eq(graph, &shifted) {
+                cache.recustomize(shifted.clone());
+                oracle.retarget();
             }
-            oracle.unpin(NodeId(b));
+            for &b in &targets {
+                for a in (0..n).step_by(13).map(NodeId) {
+                    pairs += 1;
+                    tied += u64::from(assert_canonical_route(&oracle, &cache, graph, a, b) > 1);
+                }
+            }
         }
         let stats = oracle.stats();
-        assert_eq!((stats.path_walks, stats.path_searches), (2 * walked, pairs - walked));
-        if kind < 2 {
-            assert!(walked * 10 >= pairs * 9, "kind {kind}: {walked} of {pairs} pairs walked");
-        } else {
-            assert!(walked < pairs, "the lattice has ties on almost every pair");
+        assert_eq!((stats.path_walks, stats.path_searches), (2 * pairs, 0), "kind {kind}");
+        if kind == 2 {
+            assert!(tied * 2 > pairs, "the lattice ties on most pairs: {tied} of {pairs}");
         }
     }
 }
@@ -225,10 +277,11 @@ fn sweep_is_exact_when_arc_costs_span_a_quantum_to_4096_s() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The route counterpart of the bit-for-bit cost contract below: the
-    /// pinned vector of the target is a routing table, on the base metric
-    /// and after a traffic shift re-customized the cache and re-targeted
-    /// the pins.
+    /// The route counterpart of the bit-for-bit cost contract below, on
+    /// random pairs of random cities: the pinned vector and the cache's
+    /// sweep both walk the smallest shortest path, on the base metric and
+    /// after a traffic shift re-customized the cache and re-targeted the
+    /// pins.
     #[test]
     fn oracle_path_is_cache_path_on_base_and_shifted_metrics(
         kind in 0usize..3,
@@ -245,7 +298,7 @@ proptest! {
         let cache = PathCache::new(g.clone());
         let mut oracle = HotNodeOracle::over(cache.clone());
         oracle.pin(b);
-        assert_walk_is_the_search(&oracle, &cache, a, b);
+        assert_canonical_route(&oracle, &cache, &g, a, b);
 
         let spec = TrafficShiftSpec {
             center: NodeId(center % n),
@@ -254,9 +307,10 @@ proptest! {
             start_s: 0.0,
             duration_s: 1.0,
         };
-        cache.recustomize(Arc::new(apply_traffic_shifts(&g, &[spec]).unwrap()));
+        let shifted = Arc::new(apply_traffic_shifts(&g, &[spec]).unwrap());
+        cache.recustomize(shifted.clone());
         oracle.retarget();
-        assert_walk_is_the_search(&oracle, &cache, a, b);
+        assert_canonical_route(&oracle, &cache, &shifted, a, b);
     }
 
     #[test]
@@ -335,7 +389,7 @@ proptest! {
 
     /// The single-vector oracle contract: a leg cost is read from the
     /// target's backward vector when pinned and searched for otherwise,
-    /// and commit-time routing snaps to whichever the caller holds — sound
+    /// and a route is walked down whichever vector holds it — sound
     /// only if the forward sweep, the backward sweep, plain Dijkstra and
     /// bidirectional search return the *same bits*. Dyadic edge costs make
     /// every f32 path sum exact and every quanta sum the same number, on
@@ -440,8 +494,7 @@ proptest! {
         t in 0u32..144,
     ) {
         let g = city(seed);
-        let mut bi = BidirDijkstra::new(&g);
-        let p = bi.path(&g, NodeId(s), NodeId(t)).unwrap();
+        let p = PathCache::new(g.clone()).path(NodeId(s), NodeId(t)).unwrap();
         prop_assert_eq!(p.start(), NodeId(s));
         prop_assert_eq!(p.end(), NodeId(t));
         let mut total = 0.0f64;
