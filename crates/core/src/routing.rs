@@ -28,7 +28,7 @@ use mtshare_mobility::{LandmarkGraph, PartitionId};
 use mtshare_model::World;
 use mtshare_obs::{Obs, Stage};
 use mtshare_road::{direction_cosine, NodeId, RoadNetwork};
-use mtshare_routing::{HotNodeOracle, MaskedDijkstra, NodeMask, Path, PathCache};
+use mtshare_routing::{HotNodeOracle, MaskedDijkstra, NodeMask, Path, PathCache, PinView};
 
 /// Reusable per-leg router (scratch state sized to the graph).
 pub struct SegmentRouter {
@@ -228,7 +228,8 @@ impl SegmentRouter {
             weights[v.index()]
         };
         let (mut unreachable, mut searches) = (0, 0);
-        let mut attempts = |lower: Option<&[f32]>| {
+        let mut attempts = |pin: Option<PinView<'_>>| {
+            let lower = |v| pin.map_or(0.0, |p| p.lower(v));
             paths.ranked.iter().take(PROB_ATTEMPTS).find_map(|&(_, i)| {
                 let corridor = &paths.hops[paths.ends[i]..paths.ends[i + 1]];
                 // Adjacent partitions need not join up: a corridor whose

@@ -49,7 +49,7 @@ pub use ch::{ChBuckets, ChQuery, ChStats, ContractionHierarchy};
 pub use dijkstra::{bellman_ford_cost, Dijkstra};
 pub use masked::{MaskedDijkstra, NodeMask};
 pub use matrix::CostMatrix;
-pub use oracle::{HotNodeOracle, OracleStats, PinnedReader};
+pub use oracle::{HotNodeOracle, OracleStats, PinView, PinnedReader};
 pub use order::NodeOrder;
 pub use path::Path;
-pub use sweep::Sweep;
+pub use sweep::{Region, Sweep};

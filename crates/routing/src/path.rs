@@ -1,6 +1,7 @@
 //! Path representation shared by all search engines, and the one way a
 //! route is read off distances ([`walk`]).
 
+use crate::sweep::Region;
 use mtshare_road::{NodeId, RoadNetwork};
 
 /// A walk through the road network with its total travel cost.
@@ -46,31 +47,31 @@ impl Path {
     }
 }
 
-/// The canonical shortest path `a -> b`, read off `d`, a backward vector of
-/// `b` on `graph` (`d[v]` = the cost from `v` to `b`): from `a`, step to the
-/// smallest-id head `y` of an arc `(x, y)` with `w(x, y) + d[y] == d[x]`
-/// until `b`. Every tight arc starts a shortest path to `b`, so greedily
-/// taking the smallest next vertex yields the lexicographically smallest
-/// node sequence among all shortest paths — a function of `(a, b)` and the
-/// metric alone. Dyadic costs make the equality exact, and positive arc
-/// costs make `d` fall at every step.
+/// The canonical shortest path `a -> b`, read off `d`, a backward region
+/// of `b` on `graph` (`d.seconds(v)` = the cost from `v` to `b`): from `a`,
+/// step to the smallest-id head `y` of an arc `(x, y)` with `w(x, y) +
+/// d[y] == d[x]` until `b`. Every tight arc starts a shortest path to `b`,
+/// so greedily taking the smallest next vertex yields the
+/// lexicographically smallest node sequence among all shortest paths — a
+/// function of `(a, b)` and the metric alone. Dyadic costs make the
+/// equality exact, and positive arc costs make `d` fall at every step.
 ///
-/// `d` must be exact at `a` and at every vertex nearer `b`; any other entry
-/// must exceed `d[a]` (the lower bounds [`crate::Sweep::run_within`] writes
-/// past its radius do), so it is never tight. `None` when `d[a]` is
-/// infinite: `∞ == ∞` would make every arc look tight.
-pub(crate) fn walk(graph: &RoadNetwork, d: &[f32], a: NodeId, b: NodeId) -> Option<Path> {
-    if !d[a.index()].is_finite() {
+/// `d` must be exact at `a` and at every vertex of a shortest path from
+/// `a` to `b`; any other entry reads [`Region::beyond`], which exceeds
+/// every exact one, so it is never tight. `None` when `d[a]` is infinite:
+/// `∞ == ∞` would make every arc look tight.
+pub(crate) fn walk(graph: &RoadNetwork, d: &Region, a: NodeId, b: NodeId) -> Option<Path> {
+    if !d.seconds(a).is_finite() {
         return None;
     }
     let mut nodes = vec![a];
     let mut x = a;
     while x != b {
-        let tight = graph.out_edges(x).filter(|&(y, w)| w + d[y.index()] == d[x.index()]);
+        let tight = graph.out_edges(x).filter(|&(y, w)| w + d.seconds(y) == d.seconds(x));
         x = tight.map(|(y, _)| y).min()?;
         nodes.push(x);
     }
-    Some(Path { nodes, cost_s: d[a.index()] as f64 })
+    Some(Path { nodes, cost_s: d.seconds(a) as f64 })
 }
 
 #[cfg(test)]
