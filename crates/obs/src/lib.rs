@@ -70,7 +70,10 @@ use std::time::Instant;
 /// full because a new holder needed them farther than they were swept).
 /// v15: `profiling.counters` gained `candidate_union` (taxis in the
 /// in-range partitions' union, summed over candidate searches).
-pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v15";
+/// v16: `profiling.oracle` gained `settled` (vertices pin sweeps expanded)
+/// and `resident_peak` (most pins resident at once), and `profiling`
+/// gained `process` (`loop_wall_s`, `peak_rss_mb`) before `response_ms`.
+pub const SUMMARY_SCHEMA: &str = "mtshare-obs-summary/v16";
 
 /// Static facts about the run, reported verbatim in the summary.
 #[derive(Debug, Clone, Default)]
@@ -144,6 +147,8 @@ struct ObsCore {
     muted: Cell<bool>,
     checkpoint_bytes: RefCell<Histogram>,
     checkpoint_write_s: RefCell<Histogram>,
+    /// `profiling.process`: loop wall seconds and peak RSS in MiB.
+    process: Cell<[f64; 2]>,
 }
 
 impl ObsCore {
@@ -158,6 +163,7 @@ impl ObsCore {
             muted: Cell::new(false),
             checkpoint_bytes: RefCell::default(),
             checkpoint_write_s: RefCell::default(),
+            process: Cell::new([0.0; 2]),
         }
     }
 }
@@ -342,6 +348,14 @@ impl Obs {
         }
     }
 
+    /// Sets `profiling.process`: the simulator loop's wall seconds and
+    /// the process's peak resident set in MiB.
+    pub fn set_process(&self, loop_wall_s: f64, peak_rss_mb: f64) {
+        if let Some(core) = &self.core {
+            core.process.set([loop_wall_s, peak_rss_mb]);
+        }
+    }
+
     /// Current value of one summary counter (tests, CLI). 0 when disabled
     /// or unknown.
     pub fn counter(&self, block: &str, name: &str) -> u64 {
@@ -471,6 +485,12 @@ impl Obs {
             }
             s.push_str("},");
         }
+        s.push_str(r#""process":{"#);
+        for (key, value) in schema::PROCESS_FIELDS.iter().zip(core.process.get()) {
+            let _ = write!(s, r#""{key}":{},"#, json::fmt_f64(value));
+        }
+        s.pop();
+        s.push_str("},");
         let (key, scale, unit) = schema::RESPONSE_HIST;
         write_histogram(&mut s, key, &core.response_s.borrow(), scale, unit);
         s.push_str("}}");

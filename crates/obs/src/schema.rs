@@ -156,6 +156,9 @@ pub(crate) const HIT_RATIO: &str = "hit_ratio";
 pub(crate) const CHECKPOINT_HISTS: [(&str, f64, &str); 2] =
     [("checkpoint_bytes", 1.0, "b"), ("checkpoint_write_ms", 1e3, "ms")];
 
+/// Keys of `profiling.process`, written before the closing histogram.
+pub(crate) const PROCESS_FIELDS: [&str; 2] = ["loop_wall_s", "peak_rss_mb"];
+
 /// `(key, scale, unit)` of the histogram closing `profiling`.
 pub(crate) const RESPONSE_HIST: (&str, f64, &str) = ("response_ms", 1e3, "ms");
 
@@ -187,7 +190,18 @@ pub(crate) const BLOCKS: [BlockSpec; 10] = [
     BlockSpec {
         extra: Extra::HitRatio,
         parts: &[(2, &[4])],
-        ..block("oracle", &["vector_hits", "searches", "pin_computes", "regrows", "evictions"])
+        ..block(
+            "oracle",
+            &[
+                "vector_hits",
+                "searches",
+                "pin_computes",
+                "regrows",
+                "evictions",
+                "settled",
+                "resident_peak",
+            ],
+        )
     },
     block("ch", &["p2p_queries", "bucket_sweeps", "bucket_sources", "shortcuts"]),
     block(
@@ -450,6 +464,12 @@ pub fn validate_summary(text: &str) -> Result<(), String> {
             None => return Err(format!("profiling: missing \"{}\"", b.name)),
         }
     }
+    let process = prof.get("process").ok_or("profiling: missing \"process\"")?;
+    for key in PROCESS_FIELDS {
+        if require_num(process, "process", key)? < 0.0 {
+            return Err(format!("process: negative {key}"));
+        }
+    }
     require_hist_block(prof, RESPONSE_HIST.0, RESPONSE_HIST.2)?;
     Ok(())
 }
@@ -705,10 +725,11 @@ mod tests {
         validate_summary(&summary).unwrap_or_else(|e| panic!("{e}\n{summary}"));
         // The pre-fix writer's output (hits / searches → 0) is refused,
         // and so is anything outside [0, 1].
-        let needle = "\"evictions\":0,\"hit_ratio\":1}";
+        let needle = "\"resident_peak\":0,\"hit_ratio\":1}";
         assert!(summary.contains(needle), "{summary}");
         for bad in ["0", "1.5"] {
-            let forged = summary.replace(needle, &format!("\"evictions\":0,\"hit_ratio\":{bad}}}"));
+            let forged =
+                summary.replace(needle, &format!("\"resident_peak\":0,\"hit_ratio\":{bad}}}"));
             assert!(validate_summary(&forged).is_err(), "hit_ratio {bad} accepted");
         }
     }

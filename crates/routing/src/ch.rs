@@ -56,7 +56,6 @@
 //! a corrupt frame triggers a rebuild instead of trusting a stale file.
 
 use crate::dijkstra::HeapEntry;
-use crate::path::Path;
 use crate::upward::{SearchCounters, UpwardBuckets, UpwardGraph, UpwardQuery};
 use mtshare_persist::{fnv1a_64, read_snapshot, write_snapshot, Decoder, Encoder, PersistError};
 use mtshare_road::{NodeId, RoadNetwork};
@@ -573,33 +572,6 @@ impl ContractionHierarchy {
         }
     }
 
-    /// `via` of the hierarchy edge between `lower` and its higher-ranked
-    /// neighbour `higher`: `lower -> higher` in the up-graph when
-    /// `forward`, `higher -> lower` in the down-graph otherwise. Panics if
-    /// absent: unpacking only asks for edges the preprocessing inserted.
-    fn via_of(&self, forward: bool, lower: u32, higher: u32) -> u32 {
-        let (offsets, heads, _, via) = self.csr(forward);
-        let r = offsets[lower as usize] as usize..offsets[lower as usize + 1] as usize;
-        let i = heads[r.clone()]
-            .iter()
-            .position(|&h| h == higher)
-            .expect("constituent hierarchy edge exists");
-        via[r.start + i]
-    }
-
-    /// Appends the original vertices of hierarchy edge `u -> v` (strictly
-    /// after `u`, through `v`) to `out`, expanding shortcuts recursively.
-    fn unpack_append(&self, u: u32, v: u32, via: u32, out: &mut Vec<NodeId>) {
-        if via == NO_VIA {
-            out.push(NodeId(v));
-            return;
-        }
-        // u -> via descends in rank, via -> v ascends; both live in the
-        // adjacency of the contracted middle vertex.
-        self.unpack_append(u, via, self.via_of(false, via, u), out);
-        self.unpack_append(via, v, self.via_of(true, via, v), out);
-    }
-
     // ---- persistence ----------------------------------------------------
 
     /// Canonical artifact payload (v3): tag, version, graph digest,
@@ -787,37 +759,6 @@ pub type ChQuery = UpwardQuery<ContractionHierarchy>;
 /// Bucket many-to-one kernel over a shared hierarchy.
 pub type ChBuckets = UpwardBuckets<ContractionHierarchy>;
 
-impl ChQuery {
-    /// Exact shortest path with shortcuts unpacked to original vertices.
-    pub fn path(&mut self, source: NodeId, target: NodeId) -> Option<Path> {
-        let (cost, meet) = self.search(source, target)?;
-        if source == target {
-            return Some(Path::trivial(source));
-        }
-        let ch = self.hierarchy();
-        // Upward half: source .. meet (hops recorded child-to-parent).
-        let mut hops: Vec<(u32, u32)> = Vec::new();
-        let mut cur = meet;
-        while cur != source.0 {
-            let p = self.parent(true, cur);
-            hops.push((p, cur));
-            cur = p;
-        }
-        let mut nodes = vec![source];
-        for (u, v) in hops.into_iter().rev() {
-            ch.unpack_append(u, v, ch.via_of(true, u, v), &mut nodes);
-        }
-        // Downward half: meet .. target (parents point toward target).
-        let mut cur = meet;
-        while cur != target.0 {
-            let nxt = self.parent(false, cur);
-            ch.unpack_append(cur, nxt, ch.via_of(false, nxt, cur), &mut nodes);
-            cur = nxt;
-        }
-        Some(Path { nodes, cost_s: cost as f64 })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -874,30 +815,6 @@ mod tests {
     }
 
     #[test]
-    fn unpacked_paths_are_valid_walks_with_exact_cost() {
-        let g = tiny();
-        let ch = Arc::new(ContractionHierarchy::build(&g, 2));
-        let mut q = ChQuery::new(ch);
-        let mut d = Dijkstra::new(&g);
-        let mut rng = SmallRng::seed_from_u64(13);
-        for _ in 0..60 {
-            let s = NodeId(rng.gen_range(0..g.node_count() as u32));
-            let t = NodeId(rng.gen_range(0..g.node_count() as u32));
-            let p = q.path(s, t).unwrap();
-            assert_eq!(p.start(), s);
-            assert_eq!(p.end(), t);
-            // Edge-by-edge f32 re-summation reproduces the query cost
-            // exactly (dyadic weights ⇒ associative addition).
-            let mut total = 0.0f32;
-            for w in p.nodes.windows(2) {
-                total += g.direct_edge_cost(w[0], w[1]).expect("adjacent");
-            }
-            assert_eq!(total as f64, p.cost_s, "{s}->{t}");
-            assert_eq!(p.cost_s, d.cost(&g, s, t).unwrap());
-        }
-    }
-
-    #[test]
     fn self_and_unreachable_queries() {
         use mtshare_road::{EdgeSpec, GeoPoint};
         let pts = vec![GeoPoint::new(30.0, 104.0), GeoPoint::new(30.001, 104.0)];
@@ -908,8 +825,6 @@ mod tests {
         let mut q = ChQuery::new(ch.clone());
         assert_eq!(q.cost(NodeId(0), NodeId(0)), Some(0.0));
         assert_eq!(q.cost(NodeId(1), NodeId(0)), None);
-        assert!(q.path(NodeId(1), NodeId(0)).is_none());
-        assert_eq!(q.path(NodeId(1), NodeId(1)).unwrap().nodes, vec![NodeId(1)]);
         let mut b = ChBuckets::new(ch);
         let out = b.many_to_one(&[NodeId(0), NodeId(1)], NodeId(0));
         assert_eq!(out, vec![Some(0.0), None]);

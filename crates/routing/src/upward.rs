@@ -23,9 +23,6 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// "No vertex" marker (unset parents, no meeting vertex yet).
-const NO_NODE: u32 = u32::MAX;
-
 /// Query counters every hierarchy keeps (profiling only).
 #[derive(Debug, Default)]
 pub struct SearchCounters {
@@ -68,12 +65,11 @@ pub trait UpwardGraph: std::fmt::Debug {
     ) -> impl Iterator<Item = (u32, f32)>;
 }
 
-/// Tentative costs, parents and the heap of one search direction, cleared
-/// lazily through an epoch counter.
+/// Tentative costs and the heap of one search direction, cleared lazily
+/// through an epoch counter.
 #[derive(Debug)]
 struct Frontier {
     dist: Vec<f32>,
-    parent: Vec<u32>,
     epoch_of: Vec<u32>,
     epoch: u32,
     heap: BinaryHeap<Reverse<HeapEntry>>,
@@ -83,7 +79,6 @@ impl Frontier {
     fn new(n: usize) -> Self {
         Self {
             dist: vec![f32::INFINITY; n],
-            parent: vec![NO_NODE; n],
             epoch_of: vec![0; n],
             epoch: 0,
             heap: BinaryHeap::new(),
@@ -98,7 +93,7 @@ impl Frontier {
             self.epoch = 1;
         }
         self.heap.clear();
-        self.reach(start, 0.0, start);
+        self.reach(start, 0.0);
     }
 
     #[inline]
@@ -111,10 +106,9 @@ impl Frontier {
     }
 
     #[inline]
-    fn reach(&mut self, v: u32, cost: f32, parent: u32) {
+    fn reach(&mut self, v: u32, cost: f32) {
         self.epoch_of[v as usize] = self.epoch;
         self.dist[v as usize] = cost;
-        self.parent[v as usize] = parent;
         self.heap.push(Reverse(HeapEntry { cost, node: NodeId(v) }));
     }
 
@@ -130,11 +124,11 @@ impl Frontier {
     /// Relaxes the `leaving` arcs of `v`, settled at `cost`, pushing only
     /// improvements strictly below `bound`.
     #[inline]
-    fn relax(&mut self, v: u32, cost: f32, bound: f32, leaving: impl Iterator<Item = (u32, f32)>) {
+    fn relax(&mut self, cost: f32, bound: f32, leaving: impl Iterator<Item = (u32, f32)>) {
         for (t, w) in leaving {
             let nc = cost + w;
             if nc < self.dist(t) && nc < bound {
-                self.reach(t, nc, v);
+                self.reach(t, nc);
             }
         }
     }
@@ -165,18 +159,11 @@ impl<H: UpwardGraph> UpwardQuery<H> {
         &self.hierarchy
     }
 
-    /// Search-tree parent of `v` in the `forward` or backward search of
-    /// the last query (meaningful for vertices on the answer's path).
-    #[inline]
-    pub(crate) fn parent(&self, forward: bool, v: u32) -> u32 {
-        self.sides[forward as usize].parent[v as usize]
-    }
-
     /// One settle step of the `forward` or backward search, with
     /// stall-on-demand where the hierarchy allows it and μ-pruning:
     /// relaxations that cannot beat the best meeting cost found so far are
     /// skipped entirely.
-    fn step(&mut self, forward: bool, best: &mut f32, meet: &mut u32) {
+    fn step(&mut self, forward: bool, best: &mut f32) {
         let (d, o) = (forward as usize, !forward as usize);
         let Some(Reverse(HeapEntry { cost, node })) = self.sides[d].heap.pop() else { return };
         let v = node.0;
@@ -188,31 +175,22 @@ impl<H: UpwardGraph> UpwardQuery<H> {
         {
             return;
         }
-        // Meeting update on settle. The smallest-id tie-break keeps the
-        // chosen meet (and hence an unpacked path) a pure function of the
-        // hierarchy, independent of heap internals.
-        let other = self.sides[o].dist(v);
-        if other.is_finite() {
-            let cand = cost + other;
-            if cand < *best || (cand == *best && v < *meet) {
-                *best = cand;
-                *meet = v;
-            }
-        }
+        // Meeting update on settle.
+        *best = best.min(cost + self.sides[o].dist(v));
         self.settled += 1;
         // nc ≥ μ ⇒ any meet through the head costs ≥ μ: prune the push.
-        self.sides[d].relax(v, cost, *best, self.hierarchy.arcs(&self.metric, forward, v));
+        self.sides[d].relax(cost, *best, self.hierarchy.arcs(&self.metric, forward, v));
     }
 
     /// Runs the two upward searches interleaved (cheaper frontier first)
-    /// and joins them online, returning `(cost, meet)`. Unlike plain
+    /// and joins them online, returning the cost. Unlike plain
     /// bidirectional Dijkstra a hierarchy search cannot stop at the first
     /// meeting vertex, but each direction *can* stop once its heap minimum
     /// reaches the best meeting cost μ — no later settle can improve on μ.
-    pub(crate) fn search(&mut self, source: NodeId, target: NodeId) -> Option<(f32, u32)> {
+    fn search(&mut self, source: NodeId, target: NodeId) -> Option<f32> {
         self.hierarchy.counters().p2p_queries.fetch_add(1, Relaxed);
         if source == target {
-            return Some((0.0, source.0));
+            return Some(0.0);
         }
         self.hierarchy.refresh(&mut self.metric);
         self.settled = 0;
@@ -220,7 +198,6 @@ impl<H: UpwardGraph> UpwardQuery<H> {
         self.sides[0].begin(target.0);
 
         let mut best = f32::INFINITY;
-        let mut meet = NO_NODE;
         loop {
             let f_top = self.sides[1].heap.peek().map(|e| e.0.cost);
             let b_top = self.sides[0].heap.peek().map(|e| e.0.cost);
@@ -233,15 +210,15 @@ impl<H: UpwardGraph> UpwardQuery<H> {
                 // Both live: advance the cheaper frontier, forward on ties.
                 (true, true) => f_top <= b_top,
             };
-            self.step(forward, &mut best, &mut meet);
+            self.step(forward, &mut best);
         }
-        (meet != NO_NODE).then_some((best, meet))
+        best.is_finite().then_some(best)
     }
 
     /// Exact shortest-path cost on the hierarchy's current metric, or
     /// `None` when unreachable. Bit-identical to Dijkstra on that graph.
     pub fn cost(&mut self, source: NodeId, target: NodeId) -> Option<f64> {
-        self.search(source, target).map(|(c, _)| c as f64)
+        self.search(source, target).map(|c| c as f64)
     }
 
     /// Vertices settled by the last query (for the speedup benches).
@@ -302,7 +279,7 @@ impl<H: UpwardGraph> UpwardBuckets<H> {
             }
             self.settled.push(v);
             let leaving = self.hierarchy.arcs(&self.metric, forward, v);
-            self.front.relax(v, cost, f32::INFINITY, leaving);
+            self.front.relax(cost, f32::INFINITY, leaving);
         }
     }
 

@@ -31,7 +31,7 @@ impl Simulator {
             members.iter().map(|&(id, _)| self.requests.get(id).clone()).collect();
         // Pin every window endpoint before the solve (infrastructure,
         // untimed — the same contract as `try_dispatch`).
-        reqs.iter().for_each(|r| self.hold(r, t));
+        reqs.iter().for_each(|r| self.hold_for_dispatch(r, t));
         let t0 = std::time::Instant::now();
         let rows = scheme.score_window(&reqs, t, &self.world());
         let Some(rows) = rows else {

@@ -56,8 +56,10 @@ impl Default for WorkloadConfig {
             hotspots: 8,
             hotspot_spread_m: 700.0,
             uniform_fraction: 0.2,
-            // Keeps the trip-length distribution near the paper's Fig. 5(b)
-            // (median ≈ 15 min at 15 km/h) on the default 7.2 km city.
+            // Drops the shortest trips. The paper's Fig. 5(b) has p50 ≈ 15
+            // and p90 ≈ 30 min; on the default 7.2 km city this generator
+            // measures p50 = 23.0 and p90 = 34.5 min (EXPERIMENTS.md,
+            // fig5). ROADMAP item 19(b) owns calibrating trip length.
             min_trip_m: 1800.0,
             two_rider_fraction: 0.15,
             dest_concentration: 0.5,

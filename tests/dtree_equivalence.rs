@@ -215,12 +215,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Pins swept only as far as `RideRequest::hold` asks score exactly as
-    /// pins over the whole graph, under both engines: every read past a
-    /// radius is late, and the lower bound it returns is late too
-    /// (DESIGN.md, "Pins stop at the deadline"). Committed riders were
-    /// held earlier than `now`, as in a run, so their radii are wider
-    /// than they need to be at `now`, never narrower.
+    /// Pins swept only as far as `RideRequest::hold` and
+    /// `hold_for_dispatch` ask score exactly as pins over the whole graph,
+    /// under both engines: every read outside a holder's region is late,
+    /// and the `beyond` it returns is late too (DESIGN.md, "Pins grow
+    /// where their holders read"). Committed riders were held earlier
+    /// than `now`, as in a run, so their radii are wider than they need to
+    /// be at `now`, never narrower; half of them hold their destination's
+    /// ellipse, as at their dispatch, half re-held balls.
     #[test]
     fn pins_bounded_at_the_hold_radii_score_as_full_pins(
         positions in proptest::collection::vec(0u32..400, 1..7),
@@ -246,7 +248,11 @@ proptest! {
                 continue;
             }
             let committed = f.add_party(o, d, rho + 1.0, 0.0, 1);
-            committed.hold(&bounded, now * held_pct as f64 / 100.0);
+            // Dispatched at the hold time (an ellipse), or re-held there (balls).
+            match held_pct % 2 {
+                0 => committed.hold_for_dispatch(&bounded, now * held_pct as f64 / 100.0),
+                _ => committed.hold(&bounded, now * held_pct as f64 / 100.0),
+            }
             f.oracle.pin(committed.origin);
             f.oracle.pin(committed.destination);
             let taxi = &mut taxis[pick % positions.len()];
@@ -255,7 +261,7 @@ proptest! {
             taxi.assigned.push(committed.id);
             taxi.route_version += 1;
         }
-        req.hold(&bounded, now);
+        req.hold_for_dispatch(&bounded, now);
         f.oracle.pin(req.origin);
         f.oracle.pin(req.destination);
 

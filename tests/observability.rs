@@ -205,7 +205,8 @@ fn summary_key_paths_are_golden() {
              counters{{filter_partitions_considered filter_partitions_kept \
              insertions_attempted insertions_feasible insertions_pruned candidate_union}} \
              path_cache{{hits misses evictions hit_ratio}} \
-             oracle{{vector_hits searches pin_computes regrows evictions hit_ratio}} \
+             oracle{{vector_hits searches pin_computes regrows evictions settled resident_peak \
+             hit_ratio}} \
              ch{{p2p_queries bucket_sweeps bucket_sources shortcuts}} \
              cch{{p2p_queries bucket_sweeps bucket_sources customizations fill_arcs}} \
              persistence{{checkpoints restores wal_records wal_bytes \
@@ -214,7 +215,7 @@ fn summary_key_paths_are_golden() {
              lap{{solves rows cols assigned augmentations relaxations skipped_rows}} \
              dtree{{scores rebuilds advances commits removes retimes legs_reused legs_filled \
              memo_reuses memo_fills}} \
-             {alg4}response_ms{{{}}}}}",
+             {alg4}process{{loop_wall_s peak_rss_mb}} response_ms{{{}}}}}",
             hist("b"),
             hist("ms"),
             hist("ms")
