@@ -108,7 +108,7 @@ const SCENARIO: &[Flag] = &[
     ("scheduler", "dp|dtree", "insertion scoring engine; traces identical either way"),
     ("batch-window", "S", "rolling-horizon window in sim seconds (with --scheme batch)"),
     ("batch-retries", "N", "re-queue budget for losing requests (with --scheme batch)"),
-    ("router", "bidir|ch|cch", "exact cost engine; traces identical across all"),
+    ("router", "bidir|ch|cch", "exact cost engine; same world under all (shifts: not ch)"),
     ("ch-artifact", "FILE", "persist/reuse the preprocessing (with --router ch|cch)"),
     ("metrics-out", "FILE.json", "end-of-run summary (stages, caches, rejections)"),
     ("trace-out", "FILE.jsonl", "dispatch-lifecycle event stream"),
@@ -552,6 +552,12 @@ fn simulate(args: &Args) {
         }
         chaos
     });
+    if args.get("router") == Some("ch") && chaos.as_ref().is_some_and(|c| c.traffic_shifts > 0) {
+        flag_error(
+            "--router ch cannot follow traffic shifts (it cannot re-customize): \
+             use --router bidir or cch, or --disruptions shifts=0",
+        );
+    }
     let validate_every = validate_every(args);
     let persist = persist_config(args, failpoint_plan(args));
     let chaos_on = chaos.is_some();

@@ -77,6 +77,14 @@ fn process_crash_and_restart_sequential() {
     crash_restart_scheme("seq", &["--scheme", "mt-share"], "80");
 }
 
+/// Traffic shifts re-customize bidir's metric too: a resumed run must
+/// re-enter the shifted metric at the same work units.
+#[test]
+fn bidir_crash_and_restart_under_traffic_shifts() {
+    let scheme = &["--scheme", "mt-share", "--router", "bidir", "--disruptions", "shifts=3"];
+    crash_restart_scheme("bidir-shifts", scheme, "80");
+}
+
 // The batch scheme keeps an open request window between flushes; a wide
 // `--batch-window` makes the fixed crash step land while the window is
 // non-empty, so the snapshot/WAL must carry the buffered members and the

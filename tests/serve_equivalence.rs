@@ -130,6 +130,7 @@ fn bad_flag_combinations_fail_fast_with_exit_2() {
         (&["serve", "--batch-window", "30"], "--batch-window requires --scheme batch"),
         (&["simulate", "--ch-artifact", "ch.bin"], "--ch-artifact requires --router ch"),
         (&["simulate", "--router", "dijkstra"], "unknown router: dijkstra"),
+        (&["simulate", "--router", "ch", "--chaos-seed", "3"], "--router ch cannot follow traffic"),
         (&["simulate", "--disruptions", "cancels=2"], "--disruptions requires --chaos-seed"),
         (&["serve", "--report-every", "30"], "--report-every requires --report-out"),
         (&["serve", "--admission", "block", "--queue-capacity", "0"], "can never admit"),
