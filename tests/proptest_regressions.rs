@@ -178,3 +178,46 @@ fn cancel_repair_case_keeps_every_deadline() {
     assert!(findings.is_empty(), "{findings:#?}");
     assert_eq!(r.invariant_violations, 0, "{r:?}");
 }
+
+/// Replays case 1352 of `simulation_fuzz`'s
+/// `seeded_disruptions_leave_every_request_in_one_terminal_state`, which
+/// only a deep pass (`PROPTEST_CASES` ≥ 1353) reaches: seed 87, chaos seed
+/// 36, three breakdowns, one cancel and two traffic shifts over 6 taxis
+/// and 23 requests under T-Share. An orphan re-priced its direct cost on
+/// the slowed metric of a shift window, and a later, faster ride then
+/// "beat" it (`r1 rode 460.546875 s < direct 629.859375`).
+#[test]
+fn orphan_direct_cost_ignores_the_shifted_metric() {
+    let seed = 87u64;
+    let graph = Arc::new(
+        grid_city(&GridCityConfig { rows: 16, cols: 16, seed: seed % 5, ..Default::default() })
+            .unwrap(),
+    );
+    let cache = PathCache::new(graph.clone());
+    let cfg = ScenarioConfig {
+        kind: mt_share::sim::ScenarioKind::NonPeak,
+        n_taxis: 6,
+        capacity: 2 + (seed % 3) as u8,
+        rho: 1.6,
+        n_requests: 23,
+        duration_s: 1200.0,
+        offline_fraction: 0.2,
+        n_historical: 400,
+        workload: WorkloadConfig {
+            seed: seed.wrapping_mul(31),
+            min_trip_m: 400.0,
+            ..Default::default()
+        },
+        seed,
+    };
+    let scenario = Scenario::generate(graph.clone(), &cache, cfg);
+    let mut scheme = SchemeKind::TShare.build(&graph, scenario.taxis.len(), None, None);
+    let mut chaos = ChaosConfig::with_seed(36);
+    (chaos.breakdowns, chaos.cancellations, chaos.traffic_shifts) = (3, 1, 2);
+    let sim_cfg =
+        SimConfig { chaos: Some(chaos), validate_every: Some(90.0), ..SimConfig::default() };
+    let sim = Simulator::new(graph, cache, &scenario, sim_cfg);
+    let (r, findings) = audited_run(sim, scheme.as_mut());
+    assert!(findings.is_empty(), "{findings:#?}");
+    assert_eq!(r.invariant_violations, 0, "{r:?}");
+}
