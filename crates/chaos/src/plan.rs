@@ -24,7 +24,7 @@ pub enum Disruption {
         /// The cancelling request.
         request: RequestId,
     },
-    /// A localized travel-time shift that stretches committed routes.
+    /// A localized, windowed travel-time shift of the routing metric.
     TrafficShift(TrafficShiftSpec),
 }
 
@@ -164,6 +164,14 @@ impl DisruptionPlan {
     /// Whether the plan is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
+    }
+
+    /// The traffic shifts, with their indices in `events`.
+    pub fn shifts(&self) -> impl Iterator<Item = (usize, TrafficShiftSpec)> + Clone + '_ {
+        self.events.iter().enumerate().filter_map(|(i, e)| match e.disruption {
+            Disruption::TrafficShift(spec) => Some((i, spec)),
+            _ => None,
+        })
     }
 }
 

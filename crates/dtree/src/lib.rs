@@ -356,7 +356,7 @@ impl DTree {
     /// spine — the dynamic-tree replacement for the insertion DP.
     ///
     /// `dropoff_deadline` maps a request id to its (mutable, chaos-
-    /// stretched) drop-off deadline and is consulted fresh on every
+    /// renegotiated) drop-off deadline and is consulted fresh on every
     /// call; `cost` is the shortest-path oracle (`None` = unreachable).
     ///
     /// This is a line-for-line transcription of

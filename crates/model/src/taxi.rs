@@ -223,7 +223,7 @@ mod tests {
         let reqs = store_with(vec![r.clone()]);
         let mut t = Taxi::new(TaxiId(0), 4, NodeId(0));
         let s = Schedule::new().with_insertion(&r, 0, 1);
-        let legs = vec![path(&[0, 1, 2], 20.0), path(&[2, 3, 4], 30.0)];
+        let legs = vec![path(&[0, 1, 2], 20.0), path(&[2, 3, 4], 20.0)];
         let route = TimedRoute::build_on(&line(), NodeId(0), 0.0, &legs, &s);
         t.assigned.push(r.id);
         t.set_plan(s, route, 0.0);
@@ -236,10 +236,10 @@ mod tests {
         assert_eq!(t.onboard, vec![r.id]);
         assert!(t.assigned.is_empty());
         assert_eq!(t.location, NodeId(2));
-        assert_eq!(t.next_event_time(), Some(50.0));
+        assert_eq!(t.next_event_time(), Some(40.0));
         assert_eq!(t.onboard_load(&reqs), 1);
 
-        let ev = t.complete_next_event(50.0);
+        let ev = t.complete_next_event(40.0);
         assert_eq!(ev.kind, EventKind::Dropoff);
         assert!(t.onboard.is_empty());
         assert!(t.is_vacant());
@@ -253,7 +253,7 @@ mod tests {
         let r2 = mkreq(1, 3, 4, 1);
         let mut t = Taxi::new(TaxiId(0), 4, NodeId(0));
         let s = Schedule::new().with_insertion(&r, 0, 1);
-        let legs = vec![path(&[0, 1, 2], 20.0), path(&[2, 3, 4], 30.0)];
+        let legs = vec![path(&[0, 1, 2], 20.0), path(&[2, 3, 4], 20.0)];
         let route = TimedRoute::build_on(&line(), NodeId(0), 0.0, &legs, &s);
         t.assigned.push(r.id);
         t.set_plan(s, route, 0.0);

@@ -3,18 +3,20 @@
 //! terminal state. [`sweep`] checks one instant in O(taxis + scheduled
 //! events + requests); the `--validate-every` cadence runs it. [`Auditor`]
 //! observes every step of a run ([`audited_run`]): the sweep, then each
-//! direct cost and each newly committed leg re-priced by plain
-//! [`Dijkstra`] on the base graph, then the report's accounting. It shares
-//! nothing with dispatch beyond `mtshare-road` and [`Dijkstra`].
+//! direct cost re-priced by plain [`Dijkstra`] on the base graph and each
+//! newly committed leg on the metric of the traffic shifts active when it
+//! was planned, then the report's accounting. It shares nothing with
+//! dispatch beyond `mtshare-road` and [`Dijkstra`].
 
 use crate::engine::SimEngine;
 use crate::metrics::SimReport;
 use crate::scenario::SchemeKind;
 use crate::simulator::{Simulator, StepOutcome};
-use mtshare_chaos::{Disruption::TrafficShift, DisruptionPlan};
+use mtshare_chaos::DisruptionPlan;
 use mtshare_model::{DispatchScheme, EventKind, RequestId, RequestStore, Taxi, TaxiId, TimedRoute};
-use mtshare_road::RoadNetwork;
+use mtshare_road::{apply_traffic_shifts, RoadNetwork};
 use mtshare_routing::Dijkstra;
+use rustc_hash::FxHashMap;
 
 /// The slack of every comparison, seconds (and fares): the insertion DP's.
 pub const TOLERANCE_S: f64 = 1e-6;
@@ -31,7 +33,7 @@ pub struct AuditView<'a> {
     pub resolved: &'a [bool],
     /// The taxis the scheme's indexes hold, when it keeps any.
     pub indexed: Option<Vec<TaxiId>>,
-    /// The disruption schedule, whose traffic-shift windows relax leg prices.
+    /// The disruption schedule, whose traffic-shift windows set leg prices.
     pub plan: &'a DisruptionPlan,
     /// Terminal outcomes so far: requests served plus requests rejected.
     pub outcomes: usize,
@@ -127,8 +129,10 @@ pub struct Auditor {
     priced: usize,
     /// Per taxi, the route last seen and its version. A new version with
     /// the same start and nodes and a suffix of the markers (events done
-    /// since pop theirs) is a stretch: it moved only times.
+    /// since pop theirs) is a re-timing: it moved only times.
     plans: Vec<Option<(u64, TimedRoute)>>,
+    /// The base graph under each set of active traffic shifts (plan indices).
+    metrics: FxHashMap<Vec<usize>, RoadNetwork>,
     /// The drained world's requests, from [`Auditor::close`].
     end: Option<RequestStore>,
     findings: Vec<String>,
@@ -142,6 +146,7 @@ impl Auditor {
             exact_legs: scheme.name() != SchemeKind::MtSharePro.label(),
             priced: 0,
             plans: Vec::new(),
+            metrics: FxHashMap::default(),
             end: None,
             findings: Vec::new(),
         }
@@ -187,15 +192,23 @@ impl Auditor {
         }
     }
 
-    /// Prices each leg of a new route: a walk over base arcs whose span
-    /// re-sums its arc costs and, for exact schemes, equals Dijkstra. A
-    /// route planned inside a traffic-shift window may be priced on the
-    /// slowed metric, so its legs need only not beat Dijkstra.
+    /// Prices each leg of a new route on the metric of the traffic shifts
+    /// active at its start: a walk over its arcs whose span re-sums their
+    /// costs and, for exact schemes, equals Dijkstra. A resumed run's first
+    /// look at a route may find it re-timed (a shift boundary past its
+    /// start): then only the walk and its price are checked.
     fn price_legs(&mut self, view: &AuditView<'_>, id: TaxiId, route: &TimedRoute, resumed: bool) {
         let t0 = route.start_time();
-        let plan = &view.plan.events;
-        let shifted =
-            plan.iter().any(|e| matches!(e.disruption, TrafficShift(s) if s.active_at(t0)));
+        let shifts = view.plan.shifts();
+        let retimed = resumed && shifts.clone().any(|(_, s)| s.end_s() > t0);
+        let (active, specs): (Vec<usize>, Vec<_>) = shifts.filter(|(_, s)| s.active_at(t0)).unzip();
+        let graph = if active.is_empty() {
+            view.graph
+        } else {
+            self.metrics.entry(active).or_insert_with(|| {
+                apply_traffic_shifts(view.graph, &specs).expect("a shifted graph stays valid")
+            })
+        };
         let (mut from, markers) = match route.event_node_idx.split_first() {
             Some((&first, rest)) if resumed => (first, rest),
             _ => (0, &route.event_node_idx[..]),
@@ -205,16 +218,13 @@ impl Auditor {
             let span = route.arrival_s[to] - route.arrival_s[from];
             let arcs: Option<f64> = route.nodes[from..=to]
                 .windows(2)
-                .map(|w| view.graph.direct_edge_cost(w[0], w[1]).map(f64::from))
+                .map(|w| graph.direct_edge_cost(w[0], w[1]).map(f64::from))
                 .sum();
-            let best = self.dijkstra.cost(view.graph, a, b).unwrap_or(f64::INFINITY);
+            let best = self.dijkstra.cost(graph, a, b).unwrap_or(f64::INFINITY);
             let leg = format!("{id}: leg {}->{} planned at {t0}", a.0, b.0);
             let finding = match arcs {
                 None => Some(format!("{leg} is not a walk over the graph")),
-                Some(_) if shifted => {
-                    (span < best - TOLERANCE_S).then(|| format!("{leg} takes {span} s < {best}"))
-                }
-                Some(arcs) if (span - arcs).abs() > TOLERANCE_S => {
+                Some(arcs) if !retimed && (span - arcs).abs() > TOLERANCE_S => {
                     Some(format!("{leg} takes {span} s, its arcs sum to {arcs}"))
                 }
                 Some(arcs) => (self.exact_legs && (arcs - best).abs() > TOLERANCE_S)
@@ -351,9 +361,18 @@ mod tests {
     /// The auditor's findings once `taxi` committed its plan for `req`
     /// (one step after the world with the taxi still idle).
     fn audit(graph: &RoadNetwork, taxi: &Taxi, req: &RideRequest) -> Vec<String> {
+        audit_under(graph, &DisruptionPlan::default(), taxi, req)
+    }
+
+    /// [`audit`] in a world disrupted by `plan`.
+    fn audit_under(
+        graph: &RoadNetwork,
+        plan: &DisruptionPlan,
+        taxi: &Taxi,
+        req: &RideRequest,
+    ) -> Vec<String> {
         let mut requests = RequestStore::new();
         requests.push(req.clone());
-        let plan = DisruptionPlan::default();
         let idle = Taxi::new(TaxiId(0), 4, NodeId(0));
         let scheme = SchemeKind::NoSharing.build(graph, 1, None, None);
         let mut auditor = Auditor::new(graph, scheme.as_ref());
@@ -364,7 +383,7 @@ mod tests {
                 requests: &requests,
                 resolved: &[false],
                 indexed: None,
-                plan: &plan,
+                plan,
                 outcomes: 0,
             });
         }
@@ -420,11 +439,38 @@ mod tests {
     #[test]
     fn mispriced_leg() {
         let g = city();
-        let req = request(&g, (45, 250), 3.0, 1);
-        let mut cheap = shortest(&g, 0, 45);
-        cheap.cost_s -= 5.0;
-        let taxi = planned(&g, &req, 0, &[cheap, shortest(&g, 45, 250)]);
+        let (mut taxi, req) = healthy(&g);
+        // The pick-up comes a second sooner than the arcs allow.
+        let route = taxi.route.as_mut().unwrap();
+        route.arrival_s[route.event_node_idx[0]] -= 1.0;
         assert_names(&audit(&g, &taxi, &req), "its arcs sum to");
+    }
+
+    #[test]
+    fn leg_timed_on_the_wrong_metric() {
+        use mtshare_chaos::{Disruption::TrafficShift, TimedDisruption};
+        use mtshare_road::TrafficShiftSpec;
+        let g = city();
+        // A city-wide 2× slowdown is active when the plan is made.
+        let spec = TrafficShiftSpec {
+            center: NodeId(45),
+            radius_m: 1e7,
+            factor: 2.0,
+            start_s: 0.0,
+            duration_s: 1e4,
+        };
+        let plan = DisruptionPlan {
+            events: vec![TimedDisruption { at: 0.0, disruption: TrafficShift(spec) }],
+        };
+        let live = apply_traffic_shifts(&g, &[spec]).unwrap();
+        let req = request(&g, (45, 250), 6.0, 1);
+        // Timed on base arcs inside the window: every leg is too fast.
+        let (base_taxi, _) = healthy(&g);
+        assert_names(&audit_under(&g, &plan, &base_taxi, &req), "its arcs sum to");
+        // Timed on the live metric: clean.
+        let legs = [shortest(&live, 0, 45), shortest(&live, 45, 250)];
+        let taxi = planned(&live, &req, 0, &legs);
+        assert_eq!(audit_under(&g, &plan, &taxi, &req), Vec::<String>::new());
     }
 
     #[test]

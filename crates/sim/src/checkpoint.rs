@@ -787,14 +787,20 @@ impl Simulator {
     }
 
     /// Rebuilds every derived structure a snapshot deliberately omits:
-    /// per-taxi route-node maps, the offline watch tables and the
-    /// oracle's holds on riders that are assigned or on board — without
-    /// those every leg into their stops would fall through to a search
-    /// for the rest of the run, and their later releases would free
-    /// other requests' vectors early. (The path cache restarts cold;
-    /// costs are canonical, so cold lookups return the same answers the
-    /// warm run saw.)
+    /// the routing metric, per-taxi route-node maps, the offline watch
+    /// tables and the oracle's holds on riders that are assigned or on
+    /// board — without those every leg into their stops would fall
+    /// through to a search for the rest of the run, and their later
+    /// releases would free other requests' vectors early. (The path cache
+    /// restarts cold; costs are canonical, so cold lookups return the same
+    /// answers the warm run saw.) The metric is the one the crashed run
+    /// installed at its last work unit, at the snapshot's clock (none ran
+    /// before step 0), and routes are not re-timed: they already follow it.
     fn rebuild_derived(&mut self) {
+        let active = self.active_shifts(self.clock);
+        if self.step > 0 && !active.is_empty() {
+            self.install_metric(active);
+        }
         for r in self.holders() {
             self.hold(self.requests.get(r), self.clock);
         }

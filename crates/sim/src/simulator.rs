@@ -12,7 +12,7 @@ use crate::audit::{self, AuditView};
 use crate::metrics::{Series, ServedRecord, SimReport};
 use crate::scenario::Scenario;
 use crate::telemetry::classify_rejection;
-use mtshare_chaos::{ChaosConfig, Disruption, DisruptionPlan};
+use mtshare_chaos::{ChaosConfig, DisruptionPlan};
 use mtshare_core::{settle_episode, PassengerTrip, PaymentConfig};
 use mtshare_model::{
     DispatchScheme, EventKind, RequestId, RequestStore, RideRequest, Taxi, TaxiId, Time,
@@ -203,13 +203,12 @@ pub struct Simulator {
     // --- disruption machinery ---
     /// The seeded disruption schedule (empty without chaos).
     plan: DisruptionPlan,
-    /// Plan indices of the traffic shifts the routing metric currently
-    /// reflects (sorted). Only non-empty under a re-customizable router
-    /// (`--router cch`): [`Simulator::sync_metric`] keeps it equal to
-    /// the set active at the processed work unit's time. Not persisted —
-    /// it is a pure function of the plan and the clock, so a resumed run
-    /// re-derives it at its first work unit.
-    metric_shifts: Vec<usize>,
+    /// The traffic shifts the routing metric currently reflects, with
+    /// their plan indices (sorted). [`Simulator::sync_metric`] keeps it
+    /// equal to the set active at the processed work unit's time. Not
+    /// persisted — it is a pure function of the plan and the clock, so a
+    /// restore installs the set active at the snapshot's clock.
+    metric_shifts: Vec<(usize, TrafficShiftSpec)>,
     /// Per-request terminal-state flag: true once served or rejected.
     /// Guards double accounting across cancels, retries and expiry.
     resolved: Vec<bool>,
@@ -272,6 +271,7 @@ impl Simulator {
             }
             None => DisruptionPlan::default(),
         };
+        assert_followable(&plan, &cache);
         let scenario_digest = checkpoint::scenario_digest(&scenario.taxis, &requests);
         Self {
             graph,
@@ -333,6 +333,7 @@ impl Simulator {
     /// fault tests inject hand-built plans; `SimConfig::chaos` generates
     /// seeded ones). Chainable; call before [`Simulator::run`].
     pub fn with_disruptions(mut self, plan: DisruptionPlan) -> Self {
+        assert_followable(&plan, &self.cache);
         self.plan = plan;
         self
     }
@@ -490,7 +491,7 @@ impl Simulator {
         if t_ev <= t_req.min(self.watermark) {
             let Reverse(q) = self.heap.pop().expect("peeked");
             self.clock = self.clock.max(q.time);
-            self.sync_metric(q.time);
+            self.sync_metric(q.time, scheme);
             let kind = if q.ev == Ev::Validate {
                 // Handled here rather than in `process_event`: the
                 // re-arm decision needs to know whether any work
@@ -519,7 +520,7 @@ impl Simulator {
             // so this arrival is safe to process ahead of any event past
             // the gate.
             self.clock = self.clock.max(t_req);
-            self.sync_metric(t_req);
+            self.sync_metric(t_req, scheme);
             let id = RequestId(self.next_arrival as u32);
             self.next_arrival += 1;
             self.process_arrival(id, scheme);
@@ -545,54 +546,55 @@ impl Simulator {
         }
     }
 
-    /// Re-customizes the routing metric to the traffic shifts active at
-    /// `t`, under every backend that can ([`PathCache::is_recustomizable`]:
-    /// bidir and cch), so that new and repaired legs follow the live metric
-    /// whichever router prices them. The CLI refuses `--router ch` with
-    /// traffic shifts, the one backend that cannot. Runs before the work
-    /// unit at `t` is processed, so a shift-start disruption repairs routes
-    /// against the already-shifted metric and the first work unit past a
-    /// shift's end sees the restored one.
-    fn sync_metric(&mut self, t: Time) {
-        if !self.cache.is_recustomizable() {
-            return;
-        }
-        let active: Vec<usize> = self
-            .plan
-            .events
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| match e.disruption {
-                Disruption::TrafficShift(spec) => spec.active_at(t),
-                _ => false,
-            })
-            .map(|(i, _)| i)
-            .collect();
+    /// The one place a traffic shift acts, before each work unit: a shift
+    /// starts at its own disruption event and ends at the first work unit
+    /// past it. On a change it announces each shift that opens, installs
+    /// the new metric and re-times every committed route on it
+    /// ([`Simulator::retime_routes`]).
+    fn sync_metric(&mut self, t: Time, scheme: &mut dyn DispatchScheme) {
+        let active = self.active_shifts(t);
         if active == self.metric_shifts {
             return;
         }
-        let shifted = if active.is_empty() {
+        for &(_, spec) in active.iter().filter(|s| !self.metric_shifts.contains(s)) {
+            self.obs.emit(Event::TrafficShift {
+                t,
+                node: spec.center.0,
+                radius_m: spec.radius_m,
+                factor: spec.factor,
+                duration_s: spec.duration_s,
+            });
+        }
+        let was = self.cache.graph();
+        self.install_metric(active);
+        self.retime_routes(t, &was, scheme);
+        // A faster metric shortens `cost(o, d)` and a renegotiated deadline
+        // lengthens a budget: both widen the radii of the pins held.
+        self.rehold(t);
+    }
+
+    /// The plan's traffic shifts active at `t`, with their plan indices.
+    fn active_shifts(&self, t: Time) -> Vec<(usize, TrafficShiftSpec)> {
+        self.plan.shifts().filter(|(_, s)| s.active_at(t)).collect()
+    }
+
+    /// Makes the base graph under the traffic shifts `active` the routing
+    /// metric (re-customize, re-target the pins); routes are left alone.
+    fn install_metric(&mut self, active: Vec<(usize, TrafficShiftSpec)>) {
+        let live = if active.is_empty() {
             self.graph.clone()
         } else {
-            let specs: Vec<TrafficShiftSpec> = active
-                .iter()
-                .map(|&i| match self.plan.events[i].disruption {
-                    Disruption::TrafficShift(spec) => spec,
-                    _ => unreachable!("filtered to traffic shifts above"),
-                })
-                .collect();
+            let specs: Vec<TrafficShiftSpec> = active.iter().map(|&(_, s)| s).collect();
             let g = apply_traffic_shifts(&self.graph, &specs)
                 .expect("traffic shift preserves graph validity");
             Arc::new(g)
         };
         let span = self.obs.stage(Stage::Customize);
-        self.cache.recustomize(shifted);
+        self.cache.recustomize(live);
         drop(span);
         let span = self.obs.stage(Stage::OraclePin);
         self.oracle.retarget();
         drop(span);
-        // A faster metric shortens `cost(o, d)` and so widens origin radii.
-        self.rehold(t);
         self.metric_shifts = active;
     }
 
@@ -796,7 +798,7 @@ impl Simulator {
         taxi.location = pos;
         taxi.location_time = now;
         taxi.assigned.push(req.id);
-        let route = TimedRoute::build_on(&self.graph, pos, now, &a.legs, &a.schedule);
+        let route = TimedRoute::build_on(&self.cache.graph(), pos, now, &a.legs, &a.schedule);
         taxi.set_plan(a.schedule, route, now);
         self.arm_route(a.taxi);
         scheme.after_assign(&self.taxis[a.taxi.index()], &self.world());
@@ -1210,6 +1212,15 @@ impl Simulator {
     }
 }
 
+/// Refuses traffic shifts on a router that cannot re-customize (plain ch).
+fn assert_followable(plan: &DisruptionPlan, cache: &PathCache) {
+    assert!(
+        plan.shifts().next().is_none() || cache.is_recustomizable(),
+        "traffic shifts need a router that re-customizes its metric (bidir or cch): \
+         plain ch cannot follow them"
+    );
+}
+
 /// The process's peak resident set (`VmHWM`) in MiB; 0 where
 /// `/proc/self/status` is absent.
 fn peak_rss_mb() -> f64 {
@@ -1340,7 +1351,7 @@ mod tests {
 
     // ---- disruption injection & recovery ----
 
-    use mtshare_chaos::TimedDisruption;
+    use mtshare_chaos::{Disruption, TimedDisruption};
     use mtshare_obs::MemorySink;
 
     pub(super) fn tiny_city() -> (Arc<RoadNetwork>, PathCache) {
@@ -1447,6 +1458,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "plain ch cannot follow them")]
+    fn plain_ch_refuses_traffic_shifts() {
+        use mtshare_routing::{ContractionHierarchy, RouterBackend};
+        let (graph, _) = tiny_city();
+        let ch = RouterBackend::Ch(Arc::new(ContractionHierarchy::build(&graph, 1)));
+        let cache = PathCache::with_backend(graph.clone(), ch);
+        let scenario = Scenario {
+            config: ScenarioConfig::peak(1),
+            historical: Vec::new(),
+            requests: Vec::new(),
+            taxis: vec![Taxi::new(TaxiId(0), 4, NodeId(0))],
+        };
+        let cfg = SimConfig { chaos: Some(ChaosConfig::with_seed(3)), ..SimConfig::default() };
+        let _ = Simulator::new(graph, cache, &scenario, cfg);
+    }
+
+    #[test]
     fn breakdown_without_survivors_rejects_rider_as_taxi_failed() {
         let (graph, cache) = tiny_city();
         let direct = cache.cost(NodeId(0), NodeId(399)).unwrap();
@@ -1531,32 +1559,42 @@ mod tests {
     }
 
     #[test]
-    fn traffic_shift_stretches_routes_and_renegotiates_deadlines() {
+    fn traffic_shift_retimes_routes_at_its_start_and_end() {
         let (graph, cache) = tiny_city();
         let direct = cache.cost(NodeId(0), NodeId(399)).unwrap();
         let req = chaos_request(0, (0, 399), 0.0, direct, direct * 1.2);
         let taxis = vec![Taxi::new(TaxiId(0), 4, NodeId(0))];
-        // A city-wide 3× slowdown lands while the rider is onboard: the
-        // committed route stretches far past the original deadline and the
-        // dropoff must be renegotiated rather than stranded.
+        // A city-wide 3× slowdown opens while the rider is on board. The
+        // route re-timed on it reaches the drop-off far past the deadline,
+        // which is renegotiated. The shift ends at t = 65; the validation
+        // sweep at t = 90 is the first work unit past it, where the rest
+        // of the route speeds up again.
         let spec = TrafficShiftSpec {
             center: NodeId(210),
             radius_m: 1e7,
             factor: 3.0,
             start_s: 5.0,
-            duration_s: 1e6,
+            duration_s: 60.0,
         };
         let plan = DisruptionPlan { events: vec![at(5.0, Disruption::TrafficShift(spec))] };
         let (r, trace) = run_with_plan(graph, cache, taxis, vec![req], plan);
         assert_eq!((r.served, r.rejected), (1, 0), "{r:?}\n{trace}");
         assert_eq!(r.invariant_violations, 0, "{trace}");
-        assert!(trace.contains(r#""ev":"traffic_shift""#), "{trace}");
-        assert!(
-            trace.contains(r#""ev":"reroute""#) && trace.contains(r#""renegotiated":1"#),
-            "{trace}"
-        );
-        // The delivery really was delayed past the pre-shift deadline.
-        assert!(r.served_records[0].dropoff_t > direct * 1.2, "{:?}", r.served_records);
+        let lines: Vec<&str> = trace.lines().collect();
+        let at_5 = lines.iter().position(|l| l.contains(r#""ev":"traffic_shift""#)).unwrap();
+        let reroutes: Vec<usize> =
+            (0..lines.len()).filter(|&i| lines[i].contains(r#""ev":"reroute""#)).collect();
+        assert_eq!(reroutes.len(), 2, "{trace}");
+        assert!(at_5 < reroutes[0], "the shift is announced before its reroute:\n{trace}");
+        assert!(lines[reroutes[0]].contains(r#""t":5,"#), "{trace}");
+        assert!(lines[reroutes[0]].contains(r#""renegotiated":1"#), "{trace}");
+        assert!(lines[reroutes[1]].contains(r#""t":90"#), "{trace}");
+        assert!(lines[reroutes[1]].contains(r#""renegotiated":0"#), "{trace}");
+        // Slowed inside the window, on time again after it: 85 s at a third
+        // of the speed cost about 57 s, plus the slowed hop under way at
+        // t = 90, against the ≈ 3 × direct the re-timing at t = 5 foresaw.
+        let dropoff = r.served_records[0].dropoff_t;
+        assert!(dropoff > direct + 50.0 && dropoff < direct + 90.0, "{dropoff} vs {direct}");
     }
 
     #[test]

@@ -85,6 +85,18 @@ fn bidir_crash_and_restart_under_traffic_shifts() {
     crash_restart_scheme("bidir-shifts", scheme, "80");
 }
 
+/// Step 120 of this run lands inside a traffic-shift window, and so does
+/// the snapshot it resumes from (step 100): the restore must install the
+/// shifted metric without re-timing the routes the snapshot already timed
+/// on it, under both routers that follow shifts.
+#[test]
+fn crash_and_restart_inside_a_traffic_shift_window() {
+    for router in ["bidir", "cch"] {
+        let scheme = &["--scheme", "mt-share", "--router", router, "--disruptions", "shifts=3"];
+        crash_restart_scheme(&format!("{router}-in-window"), scheme, "120");
+    }
+}
+
 // The batch scheme keeps an open request window between flushes; a wide
 // `--batch-window` makes the fixed crash step land while the window is
 // non-empty, so the snapshot/WAL must carry the buffered members and the
